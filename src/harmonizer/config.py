@@ -19,7 +19,7 @@ import yaml
 
 from .errors import ConfigError
 from .graph import FilterParams
-from .match import WeightVector
+from .match import ScoreBound, WeightVector
 from .tune import DEFAULT_SPACE, SearchSpace, TpeConfig
 
 ENV_PREFIX = "HARMONIZER_"
@@ -248,6 +248,22 @@ class PipelineConfig:
             domain=w["domain"],
             cos=w["cos"],
         )
+
+    def score_bound(self) -> ScoreBound:
+        """The configured weights and edge threshold, which ``run`` uses."""
+        return ScoreBound(self.weight_vector(), self.data["graph"]["threshold"])
+
+    def tuning_score_bound(self) -> ScoreBound:
+        """The most permissive corner of the search box: every tuned weight at
+        its upper bound and the threshold at its lower bound. A pair that can
+        reach no trial's threshold under this corner can reach none."""
+        corner = {
+            name: lo if name == "threshold" else hi
+            for name, lo, hi in self.search_space().dims
+            if name == "threshold" or name.startswith("w_")
+        }
+        weights, _ = self.tuning_params_as_config(corner)
+        return ScoreBound(weights, corner.get("threshold", self.data["graph"]["threshold"]))
 
     def filter_params(self) -> FilterParams:
         g = self.data["graph"]

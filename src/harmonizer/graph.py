@@ -105,10 +105,23 @@ def louvain(graph: nx.Graph, resolution: float = 1.0, seed: int = 0) -> Partitio
     """Seeded Louvain partition with dense community ids.
 
     Communities are numbered by their smallest member so the mapping is stable
-    across runs; isolated nodes come out as singletons.
+    across runs; isolated nodes come out as singletons. Louvain's result
+    depends on node and edge order, and a subgraph view iterates a set of its
+    nodes (an order that follows the string hash seed), so a graph not in
+    sorted node and neighbour order is rebuilt in that order first. A graph
+    already in it, as ``build_graph`` makes it, is used as is: rebuilding it
+    would give the same order and cost a copy of the largest graph.
     """
     if graph.number_of_nodes() == 0:
         return Partition(assignments={})
+    nodes = sorted(graph.nodes)
+    if list(graph.adj) != nodes or any(list(nbrs) != sorted(nbrs) for nbrs in graph.adj.values()):
+        rebuilt = nx.Graph()
+        rebuilt.add_nodes_from(nodes)
+        rebuilt.add_weighted_edges_from(
+            sorted((min(u, v), max(u, v), w) for u, v, w in graph.edges(data="weight", default=1))
+        )
+        graph = rebuilt
     communities = nx.community.louvain_communities(
         graph, weight="weight", resolution=resolution, seed=seed
     )

@@ -9,6 +9,7 @@ weights the score lives in [-1, 5] for type-1 and [-1, 2] for type-2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,39 +159,141 @@ class ScoredPair:
             raise ValueError(f"pair ids must satisfy id_a < id_b: {self.id_a!r}, {self.id_b!r}")
 
 
-def generate_candidate_pairs(
+@dataclass(frozen=True)
+class ScoreBound:
+    """Weights and edge threshold: blocking only has to keep the pairs whose
+    score can still reach ``threshold`` under ``weights``."""
+
+    weights: WeightVector
+    threshold: float
+
+
+# Type-1 key kinds a bound may choose from, each with the conditions whose
+# firing guarantees the pair shares a key of that kind. first_token implies
+# token, so a shared token key also covers it. "url" indexes only records
+# whose name shares a word with their own page text, which url_text_common
+# needs on both sides.
+_KIND_COVERS: dict[str, frozenset[str]] = {
+    "first_token": frozenset({"first_token"}),
+    "token": frozenset({"token", "first_token"}),
+    "domain": frozenset({"domain"}),
+    "url": frozenset({"url_text"}),
+}
+# The index without a bound: every token, every url token and every domain.
+FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
+# Keeps float rounding in the score on the safe side of the bound.
+_BOUND_SLACK = 1e-9
+
+
+def _blocking_index(
     names: Sequence[CleanName],
     domain_info: Mapping[str, DomainInfo],
-) -> list[tuple[str, str]]:
-    """Blocked candidate pairs: same class and at least one shared index key.
+) -> dict[str, dict[str, list[str]]]:
+    """Key kind -> key -> record ids, for every kind either index may use.
+    Type-2 names carry domain keys only, under their own kind so the two
+    classes never pair."""
+    index: dict[str, dict[str, list[str]]] = {
+        kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
+    }
 
-    Type-1 names are indexed on every name token, their domain, and their url
-    tokens, so any pair able to fire a binary condition shares a key; type-2
-    names only ever fire the domain condition and are indexed on domains alone.
-    Output is each unordered pair once, sorted.
-    """
-    buckets: dict[tuple[str, int, str], list[str]] = {}
+    def add(kind: str, key: str, record_id: str) -> None:
+        index[kind].setdefault(key, []).append(record_id)
+
     for name in names:
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
-        cls = name.name_class.value
-        info = domain_info.get(name.record_id, _EMPTY_INFO)
-        keys: set[tuple[str, int, str]] = set()
-        if name.name_class is NameClass.TYPE1:
-            for token in set(name.tokens):
-                keys.add(("t", cls, token))
-            for url_token in info.url_tokens:
-                keys.add(("u", cls, url_token))
+        rid = name.record_id
+        info = domain_info.get(rid, _EMPTY_INFO)
+        if name.name_class is NameClass.TYPE2:
+            if info.domain is not None:
+                add("type2_domain", info.domain, rid)
+            continue
+        tokens = set(name.tokens)
+        for token in tokens:
+            add("token", token, rid)
+        if name.tokens:
+            add("first_token", name.tokens[0], rid)
         if info.domain is not None:
-            keys.add(("d", cls, info.domain))
-        for key in keys:
-            buckets.setdefault(key, []).append(name.record_id)
+            add("domain", info.domain, rid)
+        own_text = bool(tokens & info.url_tokens)
+        for url_token in info.url_tokens:
+            add("url_any", url_token, rid)
+            if own_text:
+                add("url", url_token, rid)
+    return index
+
+
+def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) -> tuple[str, ...]:
+    """Key kinds to index so that every pair able to score >= the bound's
+    threshold shares at least one key.
+
+    The score is a weighted sum of binary conditions plus ``w_cos * cos`` with
+    cos <= 1, so a set of fired conditions can reach the threshold only if its
+    weights sum to at least ``threshold - w_cos``. A choice of type-1 kinds is
+    valid when it covers a condition of every such set; among valid choices
+    the one with the least estimated work (``costs``: pairs per kind) wins.
+    Type-2 names can fire the domain condition only. Without a bound, or when
+    cos alone can reach the threshold, the full index is returned.
+    """
+    if bound is None:
+        return FULL_INDEX
+    w = bound.weights.as_dict()
+    needed = bound.threshold - _BOUND_SLACK - w["cos"]
+    if needed <= 0:
+        return FULL_INDEX
+    conditions = ("token", "first_token", "url_text", "domain")
+    reaching = [
+        set(fired)
+        for r in range(1, len(conditions) + 1)
+        for fired in itertools.combinations(conditions, r)
+        if ("first_token" not in fired or "token" in fired) and sum(w[c] for c in fired) >= needed
+    ]
+    best: Optional[tuple[int, tuple[str, ...]]] = None
+    for r in range(len(_KIND_COVERS) + 1):
+        for kinds in itertools.combinations(_KIND_COVERS, r):
+            covered = set().union(*(_KIND_COVERS[k] for k in kinds))
+            if all(fired & covered for fired in reaching):
+                cost = sum(costs[k] for k in kinds)
+                if best is None or cost < best[0]:
+                    best = (cost, kinds)
+    kinds = best[1]
+    if w["domain"] >= needed:
+        kinds += ("type2_domain",)
+    return kinds
+
+
+def generate_candidate_pairs(
+    names: Sequence[CleanName],
+    domain_info: Mapping[str, DomainInfo],
+    bound: Optional[ScoreBound] = None,
+    stats: Optional[dict] = None,
+) -> list[tuple[str, str]]:
+    """Blocked candidate pairs: same class and at least one shared index key.
+
+    Without a bound, type-1 names are indexed on every name token, their
+    domain, and their url tokens, so any pair able to fire a binary condition
+    shares a key; type-2 names only ever fire the domain condition and are
+    indexed on domains alone. With a bound, only the key kinds that
+    ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
+    reach the bound's threshold. ``stats``, when given, receives the kinds
+    used and the size of the largest block. Output is each unordered pair
+    once, sorted.
+    """
+    index = _blocking_index(names, domain_info)
+    costs = {
+        kind: sum(len(ids) * (len(ids) - 1) // 2 for ids in buckets.values())
+        for kind, buckets in index.items()
+    }
+    kinds = blocking_key_kinds(bound, costs)
     pairs: set[tuple[str, str]] = set()
-    for key in buckets:
-        members = sorted(buckets[key])
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add((members[i], members[j]))
+    largest = 0
+    for kind in kinds:
+        for ids in index[kind].values():
+            largest = max(largest, len(ids))
+            pairs.update(itertools.combinations(sorted(ids), 2))
+    if stats is not None:
+        stats["blocking_keys"] = list(kinds)
+        stats["largest_block"] = largest
     return sorted(pairs)
 
 

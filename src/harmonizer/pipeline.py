@@ -13,10 +13,14 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
+
+import networkx
+import numpy
 
 from . import __version__
 from .augment import (
@@ -36,6 +40,7 @@ from .evaluation import build_report, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from .match import (
+    ScoreBound,
     ScoredPair,
     WeightVector,
     brute_force_candidates,
@@ -59,6 +64,15 @@ MAPPING_HEADER = ["record_id", "raw_name", "community_id", "canonical_name"]
 CLEANED_HEADER = ["record_id", "cleaned_name", "name_class", "degenerate"]
 
 
+def _dependency_versions() -> dict[str, str]:
+    # Louvain output depends on the networkx version.
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "networkx": networkx.__version__,
+    }
+
+
 @dataclass
 class RunManifest:
     config_hash: str
@@ -68,6 +82,8 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     stage_counts: dict[str, int] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    blocking: dict = field(default_factory=dict)
+    versions: dict[str, str] = field(default_factory=_dependency_versions)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -79,6 +95,8 @@ class RunManifest:
                 "outputs": self.outputs,
                 "stage_counts": self.stage_counts,
                 "stage_seconds": self.stage_seconds,
+                "blocking": self.blocking,
+                "versions": self.versions,
             },
             indent=2,
             sort_keys=True,
@@ -185,8 +203,15 @@ def prepare_corpus(
     cache: AugmentationCache,
     provider: Optional[SearchProvider] = None,
     counts: Optional[dict] = None,
+    bound: Optional[ScoreBound] = None,
 ) -> CorpusArtifacts:
-    """Augment (from cache), parse, classify, embed, and block the corpus."""
+    """Augment (from cache), parse, classify, embed, and block the corpus.
+
+    Blocking keeps every pair able to reach ``bound``, which defaults to the
+    configured weights and edge threshold (what ``run`` scores with).
+    ``counts``, when given, receives the stage counts plus the blocking key
+    kinds used and the largest block.
+    """
     threads = config["run"]["threads"]
     results_by_id = _augment_stage(records, cache, provider, threads)
     n_augmented = sum(1 for r in results_by_id.values() if r is not None)
@@ -238,10 +263,15 @@ def prepare_corpus(
     idf = compute_idf(names, floor=embed_cfg["idf_floor"], source=source)
     embeddings = embed_corpus(names, backend, idf, source=source)
 
+    n_type1 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE1")
+    n_type2 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE2")
+    blocking: dict = {}
     if config["match"]["brute_force"]:
         candidates = brute_force_candidates(names)
+        blocking = {"blocking_keys": ["brute_force"], "largest_block": max(n_type1, n_type2)}
     else:
-        candidates = generate_candidate_pairs(names, domain_info)
+        bound = bound if bound is not None else config.score_bound()
+        candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
 
     if counts is not None:
         counts.update(
@@ -249,10 +279,11 @@ def prepare_corpus(
                 "records": len(records),
                 "augmented": n_augmented,
                 "corrected": n_corrected,
-                "type1": sum(1 for n in names if n.name_class and n.name_class.name == "TYPE1"),
-                "type2": sum(1 for n in names if n.name_class and n.name_class.name == "TYPE2"),
+                "type1": n_type1,
+                "type2": n_type2,
                 "degenerate": sum(1 for n in names if n.degenerate),
                 "candidate_pairs": len(candidates),
+                **blocking,
             }
         )
     return CorpusArtifacts(
@@ -332,7 +363,7 @@ def run_pipeline(
         stage = "augment"
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
         provider = make_provider(config, offline)
-        counts: dict[str, int] = {}
+        counts: dict = {}
         artifacts = prepare_corpus(config, records, cache, provider, counts)
         finish_stage("augment", augmented=counts["augmented"], corrected=counts["corrected"])
 
@@ -349,6 +380,7 @@ def run_pipeline(
 
         stage = "match"
         weights = config.weight_vector()
+        params = config.filter_params()
         scored = score_pairs(
             artifacts.names_by_id,
             artifacts.candidates,
@@ -357,12 +389,16 @@ def run_pipeline(
             weights,
         )
         pairs_path = out_dir / "pairs.tsv"
-        write_scored_pairs(scored, pairs_path)
+        write_scored_pairs([p for p in scored if p.score >= params.threshold], pairs_path)
         created.append(pairs_path)
+        manifest.blocking = {
+            "keys": counts["blocking_keys"],
+            "candidate_pairs": len(scored),
+            "largest_block": counts["largest_block"],
+        }
         finish_stage("match", candidate_pairs=len(scored))
 
         stage = "filter"
-        params = config.filter_params()
         graph = build_graph(scored, artifacts.records, params)
         partition = refine_communities(graph, params)
         partition = assign_canonical_names(
@@ -508,7 +544,7 @@ def tune_pipeline(
     gold = load_gold_standard(gold_path)
     cache_path = Path(cache_path)
     cache = AugmentationCache(cache_path if cache_path.exists() else None)
-    artifacts = prepare_corpus(config, records, cache, provider=None)
+    artifacts = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
     objective = build_tuning_objective(config, artifacts, gold)
     space = config.search_space()
     tpe = config.tpe_config()

@@ -7,7 +7,7 @@ import pytest
 from harmonizer.config import DEFAULTS, ENV_PREFIX, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
-from harmonizer.match import WeightVector
+from harmonizer.match import ScoreBound, WeightVector
 from harmonizer.tune import DEFAULT_SPACE
 
 
@@ -303,6 +303,16 @@ class TestTuningBridge:
 
         space = SearchSpace([("mystery", 2.0, 4.0)])
         assert load().incumbent_point(space) == {"mystery": 3.0}
+
+    def test_score_bound_is_configured_weights_and_threshold(self):
+        config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "3.5", "HARMONIZER_MATCH_WEIGHTS_COS": "0.8"})
+        assert config.score_bound() == ScoreBound(WeightVector(cos=0.8), 3.5)
+
+    def test_tuning_score_bound_is_most_permissive_corner(self, tmp_path):
+        assert load().tuning_score_bound() == ScoreBound(WeightVector.unit(), 0.5)
+        text = "tune:\n  space:\n    w_cos: [0.1, 0.3]\n    w_domain: [0.2, 0.6]\n    threshold: [3.0, 5.0]\n"
+        bound = load(tmp_path, text).tuning_score_bound()
+        assert bound == ScoreBound(WeightVector(domain=0.6, cos=0.3), 3.0)
 
     def test_incumbent_point_inside_space(self):
         config = load()

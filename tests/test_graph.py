@@ -135,6 +135,22 @@ class TestLouvain:
         parts = [louvain(g, resolution=1.0, seed=3).assignments for _ in range(3)]
         assert parts[0] == parts[1] == parts[2]
 
+    def test_insertion_order_does_not_matter(self):
+        # Subgraph views iterate their nodes in hash-seed order, so Louvain
+        # must not depend on the order nodes and edges were added in.
+        for seed in range(10):
+            rng = random.Random(seed)
+            base = nx.gnp_random_graph(30, 0.2, seed=seed)
+            edges = [(f"n{u:02d}", f"n{v:02d}", rng.uniform(0.5, 2.0)) for u, v in base.edges]
+            nodes = [f"n{i:02d}" for i in base.nodes]
+            forward = nx.Graph()
+            forward.add_nodes_from(nodes)
+            forward.add_weighted_edges_from(edges)
+            backward = nx.Graph()
+            backward.add_nodes_from(reversed(nodes))
+            backward.add_weighted_edges_from((v, u, w) for u, v, w in reversed(edges))
+            assert louvain(forward, seed=seed).assignments == louvain(backward, seed=seed).assignments, seed
+
     def test_resolution_monotone_in_community_count(self):
         g = nx.gnp_random_graph(40, 0.2, seed=2)
         g = nx.relabel_nodes(g, {i: f"n{i:02d}" for i in g.nodes})

@@ -1,6 +1,7 @@
 """Condition vectors, matching scores, and candidate blocking."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from harmonizer.augment import DomainInfo
 from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from harmonizer.errors import InputError
 from harmonizer.match import (
+    FULL_INDEX,
     ConditionVector,
+    ScoreBound,
     ScoredPair,
     WeightVector,
+    blocking_key_kinds,
     brute_force_candidates,
     evaluate_conditions,
     generate_candidate_pairs,
@@ -22,7 +26,13 @@ from harmonizer.match import (
     score_pairs,
     write_scored_pairs,
 )
-from harmonizer.parse import CommonWordList, NameClass, clean_name, classify_name_type
+from harmonizer.parse import (
+    CommonWordList,
+    NameClass,
+    build_common_word_list,
+    clean_name,
+    classify_name_type,
+)
 
 
 def classified(raw, record_id, common=None):
@@ -290,6 +300,132 @@ class TestCandidates:
             generate_candidate_pairs(names, {})
         with pytest.raises(ValueError):
             brute_force_candidates(names)
+
+
+def random_blocking_corpus(rng, n):
+    """Classified names with a small shared vocabulary, so that every
+    condition fires on some pairs, type-2 names share domains, and some names
+    share a word with their own page text."""
+    vocab = [f"w{i:02d}" for i in range(40)]
+    common_words = vocab[:6]
+    domains = [f"d{i}.example" for i in range(8)]
+    names = []
+    for i in range(n):
+        pool = common_words if rng.random() < 0.2 else vocab
+        tokens = rng.sample(pool, rng.randint(1, 3))
+        names.append(clean_name(" ".join(tokens).upper(), record_id=f"r{i:03d}"))
+    common = build_common_word_list(names, len(common_words))
+    names = [nm.with_class(classify_name_type(nm.tokens, common)) for nm in names]
+    infos = {}
+    for nm in names:
+        domain = rng.choice(domains) if rng.random() < 0.4 else None
+        url_tokens = set()
+        if rng.random() < 0.5:
+            url_tokens.update(rng.sample(vocab, rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                url_tokens.add(nm.tokens[0])
+        infos[nm.record_id] = info(nm.record_id, domain, url_tokens)
+    return names, infos
+
+
+class TestBoundedBlocking:
+    DEFAULTS = WeightVector.unit()
+
+    def test_oracle_over_random_bounds(self):
+        """Over random weights (zeros included) and thresholds, the bounded
+        candidates keep exactly the pairs of the full index, and of brute
+        force, that score >= threshold."""
+        rng = random.Random(7)
+        names, infos = random_blocking_corpus(rng, 160)
+        by_id = {n.record_id: n for n in names}
+        embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
+        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings, self.DEFAULTS)
+        full = set(generate_candidate_pairs(names, infos))
+        seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
+        kept_type2 = kept = 0
+        for _ in range(150):
+            weights = WeightVector(
+                **{k: 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.5) for k in self.DEFAULTS.as_dict()}
+            )
+            threshold = rng.uniform(0.0, 1.1 * sum(weights.as_dict().values()))
+            if weights.cos >= threshold:
+                seen["cos_alone"] += 1
+            elif weights.domain + weights.cos >= threshold:
+                seen["type2_reachable"] += 1
+            else:
+                seen["type2_unreachable"] += 1
+            bounded = set(generate_candidate_pairs(names, infos, ScoreBound(weights, threshold)))
+            reaching = {
+                (p.id_a, p.id_b): p.conditions.kind
+                for p in brute
+                if matching_score(p.conditions, weights) >= threshold
+            }
+            assert bounded & reaching.keys() == full & reaching.keys(), (weights, threshold)
+            if weights.cos < threshold:
+                assert reaching.keys() <= bounded, (weights, threshold)
+            kept += len(reaching)
+            kept_type2 += sum(1 for kind in reaching.values() if kind is NameClass.TYPE2)
+        assert min(seen.values()) >= 10, seen
+        assert kept and kept_type2, "degenerate draws: nothing reached the threshold"
+
+    @pytest.mark.parametrize(
+        "costs, expected",
+        [
+            ({"first_token": 1, "token": 100, "domain": 1, "url": 100}, ("first_token", "domain")),
+            ({"first_token": 10, "token": 5, "domain": 10, "url": 10}, ("token",)),
+            ({"first_token": 10, "token": 50, "domain": 10, "url": 1}, ("first_token", "url")),
+        ],
+    )
+    def test_cheapest_valid_kinds_win(self, costs, expected):
+        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs) == expected
+
+    def test_type2_domain_keys_only_when_reachable(self):
+        costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
+        assert "type2_domain" not in blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs)
+        assert "type2_domain" in blocking_key_kinds(ScoreBound(self.DEFAULTS, 2.0), costs)
+
+    def test_cos_alone_reaching_gives_full_index(self):
+        costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
+        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs) == FULL_INDEX
+        assert blocking_key_kinds(None, costs) == FULL_INDEX
+
+    def test_unreachable_threshold_indexes_nothing(self):
+        names, infos, _ = small_corpus()
+        stats = {}
+        assert generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 9.0), stats) == []
+        assert stats == {"blocking_keys": [], "largest_block": 0}
+
+    def test_url_keys_need_own_page_overlap(self):
+        # Only url tokens decide; r1 and r2 share "shared" in their page text.
+        names = [classified("ALPHA", "r1"), classified("BETA", "r2"), classified("GAMMA", "r3")]
+        weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
+        bound = ScoreBound(weights, 1.4)
+        own = {"r1": info("r1", url_tokens={"alpha", "shared"}), "r2": info("r2", url_tokens={"beta", "shared"})}
+        assert generate_candidate_pairs(names, own, bound) == [("r1", "r2")]
+        foreign = {"r1": own["r1"], "r2": info("r2", url_tokens={"shared"})}
+        assert generate_candidate_pairs(names, foreign, bound) == []
+        assert generate_candidate_pairs(names, foreign) == [("r1", "r2")]
+
+    def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
+        """At the defaults, run indexes first tokens and domains and no type-2
+        keys; the default tune box falls back to the full index."""
+        from harmonizer.augment import AugmentationCache
+        from harmonizer.ingest import load_assignee_table
+        from harmonizer.pipeline import prepare_corpus
+
+        records = load_assignee_table(corpus300_paths["input"])
+        cache = AugmentationCache(corpus300_paths["cache"])
+        counts = {}
+        run = prepare_corpus(corpus300_config, records, cache, counts=counts)
+        assert counts["blocking_keys"] == ["first_token", "domain"]
+        assert counts["type2"] > 0
+        tune_counts = {}
+        tune = prepare_corpus(
+            corpus300_config, records, cache, counts=tune_counts, bound=corpus300_config.tuning_score_bound()
+        )
+        assert tune_counts["blocking_keys"] == list(FULL_INDEX)
+        assert tune.candidates == generate_candidate_pairs(tune.names, tune.domain_info)
+        assert set(run.candidates) < set(tune.candidates)
 
 
 class TestScorePairs:

@@ -48,6 +48,15 @@ class TestArtifacts:
         assert pairs
         assert all(p.id_a < p.id_b for p in pairs)
 
+    def test_pairs_table_holds_the_edges(self, corpus60_run, corpus60_config):
+        """pairs.tsv holds the scored pairs that reached the edge threshold,
+        one row per graph edge, not every candidate."""
+        pairs = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
+        threshold = corpus60_config["graph"]["threshold"]
+        assert all(p.score >= threshold for p in pairs)
+        counts = corpus60_run["manifest"]["stage_counts"]
+        assert len(pairs) == counts["edges"] < counts["candidate_pairs"]
+
     def test_mapping_covers_every_record(self, corpus60_run, corpus60_paths):
         rows = read_mapping(corpus60_run["dir"] / "mapping.tsv")
         records = load_assignee_table(corpus60_paths["input"])
@@ -99,6 +108,20 @@ class TestArtifacts:
         assert counts["degenerate"] == 0
         assert counts["communities"] == 12
         assert counts["candidate_pairs"] >= counts["edges"] > 0
+
+    def test_manifest_blocking_and_versions(self, corpus60_run):
+        import networkx
+        import numpy
+
+        manifest = corpus60_run["manifest"]
+        blocking = manifest["blocking"]
+        assert blocking["keys"] and set(blocking["keys"]) <= {"first_token", "token", "domain", "url"}
+        assert blocking["candidate_pairs"] == manifest["stage_counts"]["candidate_pairs"]
+        assert 2 <= blocking["largest_block"] <= 60
+        versions = manifest["versions"]
+        assert versions["numpy"] == numpy.__version__
+        assert versions["networkx"] == networkx.__version__
+        assert versions["python"].count(".") == 2
 
     def test_manifest_stage_seconds(self, corpus60_run):
         seconds = corpus60_run["manifest"]["stage_seconds"]
@@ -358,7 +381,7 @@ class TestPrepareCorpus:
 def tuning_setup(corpus60_paths, corpus60_config):
     records = load_assignee_table(corpus60_paths["input"])
     cache = AugmentationCache(corpus60_paths["cache"])
-    artifacts = prepare_corpus(corpus60_config, records, cache)
+    artifacts = prepare_corpus(corpus60_config, records, cache, bound=corpus60_config.tuning_score_bound())
     gold = load_gold_standard(corpus60_paths["gold"])
     objective = build_tuning_objective(corpus60_config, artifacts, gold)
     return corpus60_config, objective
