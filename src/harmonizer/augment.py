@@ -85,20 +85,31 @@ class AugmentationCache:
         self.path = Path(path) if path is not None else None
         self._store: dict[str, AugmentationResult] = {}
         self._lock = threading.Lock()
+        # Byte length of the file without a torn final line, cut before the
+        # next append so the fragment cannot run into a good line.
+        self._torn_at: Optional[int] = None
         if self.path is not None and self.path.exists():
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        """Read every line. A final line that fails to parse and has no
+        newline is a write cut off by a killed process: it is skipped with a
+        warning. Any other bad line raises InputError."""
+        offset = 0
+        with path.open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
                 try:
-                    result = AugmentationResult.from_json(line)
-                except InputError as exc:
-                    raise InputError(f"{path} line {line_no}: {exc}") from exc
-                self._store[result.query_name] = result
+                    line = raw.decode("utf-8").strip()
+                    result = AugmentationResult.from_json(line) if line else None
+                except (UnicodeDecodeError, InputError) as exc:
+                    if raw.endswith(b"\n"):
+                        raise InputError(f"{path} line {line_no}: {exc}") from exc
+                    log.warning("%s line %d: skipping torn final line (%s)", path, line_no, exc)
+                    self._torn_at = offset
+                    break
+                if result is not None:
+                    self._store[result.query_name] = result
+                offset += len(raw)
 
     def get(self, query_name: str) -> Optional[AugmentationResult]:
         return self._store.get(query_name)
@@ -108,6 +119,9 @@ class AugmentationCache:
             self._store[result.query_name] = result
             if self.path is not None:
                 with self.path.open("a", encoding="utf-8") as fh:
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)
+                        self._torn_at = None
                     fh.write(result.to_json() + "\n")
 
     def __len__(self) -> int:

@@ -20,6 +20,7 @@ from .errors import ConfigError, HarmonizerError, InputError, StageError
 from .evaluation import build_report
 from .ingest import load_assignee_table, load_gold_standard
 from .pipeline import (
+    _augment_stage,
     make_provider,
     read_mapping,
     run_pipeline,
@@ -114,15 +115,7 @@ def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
     provider = make_provider(config, offline=args.offline)
     if provider is None and not args.offline and not config["run"]["offline"]:
         raise ConfigError("augment needs augment.provider.endpoint (or --offline to only check the cache)")
-    if args.refresh and provider is not None:
-        from .augment import fetch_augmentation
-
-        for record in records:
-            fetch_augmentation(record.raw_name, provider, cache, refresh=True)
-    else:
-        from .pipeline import _augment_stage
-
-        _augment_stage(records, cache, provider, config["run"]["threads"])
+    _augment_stage(records, cache, provider, config["run"]["threads"], refresh=args.refresh)
     # All three counts are over distinct names so the line adds up.
     names = {record.raw_name for record in records}
     covered = sum(1 for name in names if name in cache)

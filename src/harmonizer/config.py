@@ -30,9 +30,6 @@ DEFAULTS: dict[str, Any] = {
         "threads": 1,
         "offline": False,
     },
-    "ingest": {
-        "institution_keywords": None,
-    },
     "augment": {
         "blocklist_k": 100,
         "provider": {
@@ -48,7 +45,6 @@ DEFAULTS: dict[str, Any] = {
     "parse": {
         "common_words_n": 250,
         "designators": None,
-        "interior_strip": False,
     },
     "embed": {
         "backend": "hashing",
@@ -59,7 +55,6 @@ DEFAULTS: dict[str, Any] = {
         "idf_floor": 0.01,
     },
     "match": {
-        "cos_on": "cleaned",
         "brute_force": False,
         "weights": {
             "token": 1.0,
@@ -74,10 +69,7 @@ DEFAULTS: dict[str, Any] = {
         "resolution": 1.0,
         "bridgeness_threshold": 1.0,
         "location_boost": 1.0,
-        "prune_rule": "incident",
-        "naming": "centroid",
         "refine_passes": 1,
-        "refine_until_stable": False,
     },
     "tune": {
         "gamma": 0.25,
@@ -91,7 +83,6 @@ DEFAULTS: dict[str, Any] = {
 # Paths and free-form selector strings may replace None or "" with any string;
 # numeric defaults pin their type.
 _NULLABLE_KEYS = {
-    ("ingest", "institution_keywords"),
     ("parse", "designators"),
     ("embed", "vectors_path"),
 }
@@ -273,10 +264,7 @@ class PipelineConfig:
             bridgeness_threshold=g["bridgeness_threshold"],
             location_boost=g["location_boost"],
             seed=self.data["run"]["seed"],
-            naming=g["naming"],
-            prune_rule=g["prune_rule"],
             refine_passes=g["refine_passes"],
-            refine_until_stable=g["refine_until_stable"],
         )
 
     def search_space(self) -> SearchSpace:
@@ -316,10 +304,7 @@ class PipelineConfig:
             bridgeness_threshold=params.get("bridgeness", g["bridgeness_threshold"]),
             location_boost=params.get("location_boost", g["location_boost"]),
             seed=self.data["run"]["seed"],
-            naming=g["naming"],
-            prune_rule=g["prune_rule"],
             refine_passes=g["refine_passes"],
-            refine_until_stable=g["refine_until_stable"],
         )
         return weights, filter_params
 

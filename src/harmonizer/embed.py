@@ -142,32 +142,19 @@ class IdfTable:
         return len(self.weights)
 
 
-def _token_sets(names: Iterable[CleanName], source: str) -> list[frozenset[str]]:
-    if source == "cleaned":
-        return [frozenset(n.tokens) for n in names]
-    if source == "raw":
-        return [frozenset(n.base_tokens) for n in names]
-    raise ConfigError(f"unknown idf token source {source!r} (cleaned|raw)")
-
-
-def compute_idf(
-    names: Sequence[CleanName],
-    floor: float = 0.01,
-    source: str = "cleaned",
-) -> IdfTable:
+def compute_idf(names: Sequence[CleanName], floor: float = 0.01) -> IdfTable:
     """idf_i = ln(N / n_i), min-max rescaled over the observed range to
     (floor, 1]. A token present in every name gets the floor; the rarest gets
     exactly 1. Corpora with a single distinct raw idf map every token to 1.
     """
     if not 0.0 < floor < 1.0:
         raise ConfigError(f"idf floor must be in (0, 1), got {floor}")
-    sets = _token_sets(names, source)
-    n_names = len(sets)
+    n_names = len(names)
     if n_names == 0:
         return IdfTable(weights={}, n_names=0, floor=floor)
     counts: dict[str, int] = {}
-    for token_set in sets:
-        for token in token_set:
+    for name in names:
+        for token in set(name.tokens):
             counts[token] = counts.get(token, 0) + 1
     raw = {t: math.log(n_names / c) for t, c in counts.items()}
     lo = min(raw.values())
@@ -220,13 +207,11 @@ def embed_corpus(
     names: Iterable[CleanName],
     backend: EmbeddingBackend,
     idf: IdfTable,
-    source: str = "cleaned",
 ) -> dict[str, NameEmbedding]:
-    out: dict[str, NameEmbedding] = {}
-    for name in names:
-        tokens = name.tokens if source == "cleaned" else name.base_tokens
-        out[name.record_id] = embed_name(tokens, backend, idf, record_id=name.record_id)
-    return out
+    return {
+        name.record_id: embed_name(name.tokens, backend, idf, record_id=name.record_id)
+        for name in names
+    }
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,6 +1,5 @@
 """Gold-standard evaluation: micro-averaged pairwise precision/recall/F1 over
-unordered record pairs, reduction rate, per-entity portfolio rows, and B-cubed
-as a secondary view.
+unordered record pairs, reduction rate, and B-cubed as a secondary view.
 
 The record universe is the gold standard's: records the prediction lacks are
 scored as predicted singletons, records only the prediction knows are ignored.
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import InputError
-from .ingest import AssigneeRecord, GoldLabel
+from .ingest import GoldLabel
 
 
 @dataclass(frozen=True)
@@ -127,60 +126,6 @@ def bcubed(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> Metrics:
     recall = recall_sum / n
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return Metrics(precision=precision, recall=recall, f1=f1)
-
-
-@dataclass(frozen=True)
-class PortfolioRow:
-    record_id: str
-    raw_name: str
-    community_id: Optional[int]
-    canonical_name: Optional[str]
-    n_variants: int
-    portfolio: int
-    missing: bool = False
-
-
-def portfolio_report(
-    pred: Mapping[str, int],
-    records: Mapping[str, AssigneeRecord],
-    focus_ids: Sequence[str],
-    canonical: Optional[Mapping[int, str]] = None,
-) -> list[PortfolioRow]:
-    """For each focus record: its community's variant count and summed patents.
-
-    Focus ids absent from the prediction come back flagged rather than failing
-    the whole report.
-    """
-    members_of: dict[int, list[str]] = {}
-    for rid, cid in pred.items():
-        members_of.setdefault(cid, []).append(rid)
-    rows: list[PortfolioRow] = []
-    for rid in focus_ids:
-        record = records.get(rid)
-        raw_name = record.raw_name if record is not None else ""
-        if rid not in pred:
-            rows.append(
-                PortfolioRow(
-                    record_id=rid, raw_name=raw_name, community_id=None, canonical_name=None,
-                    n_variants=0, portfolio=0, missing=True,
-                )
-            )
-            continue
-        cid = pred[rid]
-        members = members_of[cid]
-        portfolio = sum(records[m].patent_count for m in members if m in records)
-        rows.append(
-            PortfolioRow(
-                record_id=rid,
-                raw_name=raw_name,
-                community_id=cid,
-                canonical_name=(canonical or {}).get(cid),
-                n_variants=len(members),
-                portfolio=portfolio,
-                missing=False,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

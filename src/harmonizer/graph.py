@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import networkx as nx
 
@@ -24,9 +24,6 @@ from .match import ScoredPair
 
 log = logging.getLogger(__name__)
 
-PRUNE_RULES = ("incident", "edge_bridgeness")
-NAMING_STRATEGIES = ("centroid", "volume")
-
 
 @dataclass(frozen=True)
 class FilterParams:
@@ -35,25 +32,15 @@ class FilterParams:
     bridgeness_threshold: float = 1.0
     location_boost: float = 1.0
     seed: int = 0
-    naming: str = "centroid"
-    prune_rule: str = "incident"
     refine_passes: int = 1
-    refine_until_stable: bool = False
-    max_refine_passes: int = 50
 
     def __post_init__(self):
-        if self.prune_rule not in PRUNE_RULES:
-            raise ConfigError(f"graph.prune_rule must be one of {PRUNE_RULES}, got {self.prune_rule!r}")
-        if self.naming not in NAMING_STRATEGIES:
-            raise ConfigError(f"graph.naming must be one of {NAMING_STRATEGIES}, got {self.naming!r}")
         if self.resolution <= 0:
             raise ConfigError(f"graph.resolution must be > 0, got {self.resolution}")
         if self.location_boost < 0:
             raise ConfigError(f"graph.location_boost must be >= 0, got {self.location_boost}")
         if self.refine_passes < 0:
             raise ConfigError(f"graph.refine_passes must be >= 0, got {self.refine_passes}")
-        if self.max_refine_passes < 1:
-            raise ConfigError(f"graph.max_refine_passes must be >= 1, got {self.max_refine_passes}")
 
 
 @dataclass
@@ -185,36 +172,14 @@ def bridgeness_centrality(graph: nx.Graph) -> dict:
     return bridgeness
 
 
-def prune_global_bridges(
-    graph: nx.Graph,
-    beta: float,
-    rule: str = "incident",
-    resolution: float = 1.0,
-    seed: int = 0,
-) -> nx.Graph:
-    """Copy of ``graph`` with edges at over-threshold nodes removed.
-
-    ``incident`` drops every edge touching a node with bridgeness > beta.
-    ``edge_bridgeness`` is gentler: it re-partitions the graph and drops only
-    those of the flagged nodes' edges that cross sub-communities.
-    """
-    if rule not in PRUNE_RULES:
-        raise ConfigError(f"unknown prune rule {rule!r}")
+def prune_global_bridges(graph: nx.Graph, beta: float) -> nx.Graph:
+    """Copy of ``graph`` without the edges that touch a node whose bridgeness
+    exceeds ``beta``."""
     bridgeness = bridgeness_centrality(graph)
     flagged = {v for v, value in bridgeness.items() if value > beta}
     pruned = graph.copy()
-    if not flagged:
-        return pruned
-    if rule == "incident":
-        doomed = [(u, v) for u, v in pruned.edges if u in flagged or v in flagged]
-    else:
-        part = louvain(graph, resolution=resolution, seed=seed).assignments
-        doomed = [
-            (u, v)
-            for u, v in pruned.edges
-            if (u in flagged or v in flagged) and part[u] != part[v]
-        ]
-    pruned.remove_edges_from(doomed)
+    if flagged:
+        pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
     return pruned
 
 
@@ -226,46 +191,25 @@ def refine_communities(graph: nx.Graph, params: FilterParams) -> Partition:
     loses no edge is confirmed and kept intact: re-partitioning it anyway
     would let Louvain split dense communities that merely look uneven in
     isolation. Communities only ever split, so the result refines the
-    first-pass partition. One pass by default; ``refine_until_stable`` sweeps
-    until a pass changes nothing (bounded by ``max_refine_passes``).
+    first-pass partition. ``refine_passes`` sweeps, one by default.
     """
     partition = louvain(graph, resolution=params.resolution, seed=params.seed)
-    n_passes = params.max_refine_passes if params.refine_until_stable else params.refine_passes
-    for sweep in range(n_passes):
-        groups = partition.communities()
+    for _ in range(params.refine_passes):
         assignments: dict[str, int] = {}
         next_cid = 0
-        changed = False
-        for _, members in groups.items():
-            if len(members) <= 2:
-                for node in members:
-                    assignments[node] = next_cid
-                next_cid += 1
-                continue
-            sub = graph.subgraph(members)
-            pruned = prune_global_bridges(
-                sub,
-                params.bridgeness_threshold,
-                rule=params.prune_rule,
-                resolution=params.resolution,
-                seed=params.seed,
-            )
-            if pruned.number_of_edges() == sub.number_of_edges():
-                for node in members:
-                    assignments[node] = next_cid
-                next_cid += 1
-                continue
-            sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
-            sub_groups = sub_partition.communities()
-            if len(sub_groups) > 1:
-                changed = True
-            for _, sub_members in sub_groups.items():
-                for node in sub_members:
+        for members in partition.communities().values():
+            parts = [members]
+            if len(members) > 2:
+                sub = graph.subgraph(members)
+                pruned = prune_global_bridges(sub, params.bridgeness_threshold)
+                if pruned.number_of_edges() < sub.number_of_edges():
+                    sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
+                    parts = sub_partition.communities().values()
+            for part in parts:
+                for node in part:
                     assignments[node] = next_cid
                 next_cid += 1
         partition = Partition(assignments=assignments)
-        if params.refine_until_stable and not changed:
-            break
     return _with_dense_ids(partition)
 
 
@@ -329,20 +273,16 @@ def assign_canonical_names(
     partition: Partition,
     records: Mapping[str, AssigneeRecord],
     cleaned_by_id: Mapping[str, str],
-    embeddings: Optional[Mapping[str, NameEmbedding]],
-    strategy: str = "centroid",
+    embeddings: Mapping[str, NameEmbedding],
 ) -> Partition:
-    """Fill ``partition.canonical`` for every community under the strategy."""
-    if strategy not in NAMING_STRATEGIES:
-        raise ConfigError(f"unknown naming strategy {strategy!r}")
+    """Fill ``partition.canonical`` for every community: the centroid name,
+    or the volume name when no member has a usable embedding."""
     raw_by_id = {rid: records[rid].raw_name for rid in partition.assignments}
     canonical: dict[int, str] = {}
     for cid, members in partition.communities().items():
-        if strategy == "centroid" and embeddings is not None:
-            try:
-                canonical[cid] = name_community_centroid(members, embeddings, cleaned_by_id, raw_by_id)
-                continue
-            except ValueError:
-                log.debug("community %d has no usable embedding; falling back to volume", cid)
-        canonical[cid] = name_community_volume(members, records, cleaned_by_id)
+        try:
+            canonical[cid] = name_community_centroid(members, embeddings, cleaned_by_id, raw_by_id)
+        except ValueError:
+            log.debug("community %d has no usable embedding; falling back to volume", cid)
+            canonical[cid] = name_community_volume(members, records, cleaned_by_id)
     return replace(partition, canonical=canonical)

@@ -1,4 +1,4 @@
-"""Input loading: assignee records, gold labels, location keys, name-kind triage.
+"""Input loading: assignee records, gold labels, location keys.
 
 The assignee table is a TSV with header ``record_id	raw_name	patent_count	locations``
 where ``locations`` holds zero or more ``city|state|country`` keys separated by ``;``.
@@ -8,37 +8,15 @@ Gold standards are two-column TSVs mapping record_id to entity_id.
 from __future__ import annotations
 
 import csv
-import enum
 import re
-import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .errors import InputError
 
 ASSIGNEE_HEADER = ["record_id", "raw_name", "patent_count", "locations"]
 GOLD_HEADER = ["record_id", "entity_id"]
-
-# Tokens that veto the person-name pattern ("SMITH, JOHN CONSULTING LLC" is
-# an organization no matter how comma-shaped it is).
-_ORG_KEYWORD_TOKENS = frozenset(
-    """
-    inc incorporated corp corporation co company companies ltd limited llc llp lp plc
-    gmbh mbh ag kg kgaa ohg sa sarl sas srl spa snc bv nv oy oyj ab as aps kk
-    holdings holding group industries enterprises partners ventures consulting
-    trust bank associates international worldwide technologies systems
-    """.split()
-)
-
-
-class NameKind(enum.Enum):
-    """Coarse triage of a raw assignee name."""
-
-    ORGANIZATION = "organization"
-    INDIVIDUAL = "individual"
-    INSTITUTION = "institution"
 
 
 @dataclass(frozen=True)
@@ -190,60 +168,3 @@ def write_gold_standard(labels: Iterable[GoldLabel], path: str | Path) -> None:
         for label in labels:
             fh.write(f"{label.record_id}\t{label.entity_id}\n")
 
-
-# --- name-kind triage -------------------------------------------------------
-
-# "Surname, Forename(s)": 1-2 alphabetic surname tokens, a comma, then 1-3
-# forename tokens which may be initials like "A.".
-_PERSON_RE = re.compile(
-    r"^\s*[^\W\d_][\w'\-]*(?:\s+[^\W\d_][\w'\-]*)?\s*,"
-    r"\s*[^\W\d_][\w'\-]*\.?(?:\s+[^\W\d_][\w'\-]*\.?){0,2}\s*$",
-    re.UNICODE,
-)
-
-_default_institution_keywords: Optional[frozenset[str]] = None
-
-
-def load_institution_keywords(path: str | Path | None = None) -> frozenset[str]:
-    """Load the multilingual institution keyword list (one phrase per line, # comments)."""
-    if path is None:
-        text = resources.files("harmonizer.data").joinpath("institution_keywords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    keywords = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if not line or line.startswith("#"):
-            continue
-        keywords.add(re.sub(r"\s+", " ", line))
-    return frozenset(keywords)
-
-
-def _normalized_tokens(raw_name: str) -> list[str]:
-    folded = unicodedata.normalize("NFKD", raw_name)
-    folded = "".join(ch for ch in folded if not unicodedata.combining(ch)).lower()
-    return re.findall(r"[^\W_]+", folded, re.UNICODE)
-
-
-def classify_name_kind(raw_name: str, keywords: Sequence[str] | frozenset[str] | None = None) -> NameKind:
-    """Triage a raw name into organization / individual / institution.
-
-    Institution keywords win over the person pattern; an organization keyword
-    anywhere vetoes the person pattern. Deterministic and total for non-empty
-    input.
-    """
-    if not raw_name or not raw_name.strip():
-        raise InputError("cannot classify an empty name")
-    global _default_institution_keywords
-    if keywords is None:
-        if _default_institution_keywords is None:
-            _default_institution_keywords = load_institution_keywords()
-        keywords = _default_institution_keywords
-    tokens = _normalized_tokens(raw_name)
-    padded = " " + " ".join(tokens) + " "
-    for keyword in keywords:
-        if f" {keyword} " in padded:
-            return NameKind.INSTITUTION
-    if _PERSON_RE.match(raw_name) and not any(t in _ORG_KEYWORD_TOKENS for t in tokens):
-        return NameKind.INDIVIDUAL
-    return NameKind.ORGANIZATION

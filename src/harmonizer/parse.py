@@ -1,9 +1,8 @@
 """Name parsing: unicode folding, punctuation mapping, legal-designator
 stripping, the corpus common-word list, and the type-1/type-2 split.
 
-A cleaned name keeps both its pre-strip token sequence (``base_tokens``) and
-the post-strip ``tokens``; names made of nothing but designators fall back to
-``base_tokens`` and carry a ``degenerate`` flag.
+Names made of nothing but designators keep their pre-strip tokens and carry a
+``degenerate`` flag.
 """
 
 from __future__ import annotations
@@ -40,19 +39,11 @@ class CleanName:
     record_id: str
     cleaned: str
     tokens: tuple[str, ...]
-    base_tokens: tuple[str, ...]
     degenerate: bool = False
     name_class: Optional[NameClass] = None
 
     def with_class(self, name_class: NameClass) -> "CleanName":
-        return CleanName(
-            record_id=self.record_id,
-            cleaned=self.cleaned,
-            tokens=self.tokens,
-            base_tokens=self.base_tokens,
-            degenerate=self.degenerate,
-            name_class=name_class,
-        )
+        return CleanName(self.record_id, self.cleaned, self.tokens, self.degenerate, name_class)
 
 
 def fold_text(raw: str) -> str:
@@ -126,38 +117,14 @@ def default_designators() -> LegalDesignatorDictionary:
     return _default_designators
 
 
-def strip_legal_suffixes(
-    tokens: Sequence[str],
-    designators: LegalDesignatorDictionary,
-    interior: bool = False,
-) -> list[str]:
-    """Remove designator sequences from the token tail, repeatedly.
-
-    With ``interior=True``, whole-sequence matches inside the name are removed
-    as well (tail first, then a single left-to-right interior sweep).
-    """
+def strip_legal_suffixes(tokens: Sequence[str], designators: LegalDesignatorDictionary) -> list[str]:
+    """Remove designator sequences from the token tail, repeatedly."""
     out = list(tokens)
     while out:
         matched = designators.tail_match(out)
         if matched == 0:
             break
         del out[-matched:]
-    if interior and out:
-        kept: list[str] = []
-        i = 0
-        while i < len(out):
-            limit = min(designators.max_len, len(out) - i)
-            matched = 0
-            for length in range(limit, 0, -1):
-                if tuple(out[i : i + length]) in designators.entries:
-                    matched = length
-                    break
-            if matched:
-                i += matched
-            else:
-                kept.append(out[i])
-                i += 1
-        out = kept
     return out
 
 
@@ -167,7 +134,6 @@ def clean_name(
     designators: Optional[LegalDesignatorDictionary] = None,
     *,
     record_id: str = "",
-    interior: bool = False,
     substitutions: Mapping[str, str] = DEFAULT_SUBSTITUTIONS,
 ) -> CleanName:
     """Clean one name. When a spelling correction is given it replaces the
@@ -179,7 +145,7 @@ def clean_name(
     base_tokens = normalize_tokens(source, substitutions)
     if not base_tokens:
         raise InputError(f"name normalizes to nothing: {raw!r}")
-    tokens = strip_legal_suffixes(base_tokens, designators, interior=interior)
+    tokens = strip_legal_suffixes(base_tokens, designators)
     degenerate = len(tokens) == 0
     if degenerate:
         # Nothing but designators ("L.L.C."): keep the pre-strip form.
@@ -188,7 +154,6 @@ def clean_name(
         record_id=record_id,
         cleaned=" ".join(tokens),
         tokens=tuple(tokens),
-        base_tokens=tuple(base_tokens),
         degenerate=degenerate,
     )
 

@@ -1,10 +1,11 @@
 """End-to-end batch pipeline and its persisted artifacts.
 
 A run reads the assignee table and the augmentation cache, then parses,
-embeds, matches, and filters, writing one artifact per stage into the output
-directory: cleaned.tsv, pairs.tsv, mapping.tsv, summary.json, eval.json (when
-gold labels are given), and manifest.json. Given equal inputs, config, and
-seed, reruns are byte-identical on the data artifacts.
+embeds, matches, and filters, writing one artifact per stage: cleaned.tsv,
+pairs.tsv, mapping.tsv, summary.json, eval.json (when gold labels are given),
+and manifest.json. They reach the output directory together, once all are
+written. Given equal inputs, config, and seed, reruns are byte-identical on
+the data artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import os
 import platform
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +66,8 @@ log = logging.getLogger(__name__)
 
 MAPPING_HEADER = ["record_id", "raw_name", "community_id", "canonical_name"]
 CLEANED_HEADER = ["record_id", "cleaned_name", "name_class", "degenerate"]
+# Every file a run can leave in its output directory; the manifest comes last.
+ARTIFACTS = ("cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json")
 
 
 def _dependency_versions() -> dict[str, str]:
@@ -174,13 +180,15 @@ def _augment_stage(
     cache: AugmentationCache,
     provider: Optional[SearchProvider],
     threads: int,
+    refresh: bool = False,
 ) -> dict[str, Optional[AugmentationResult]]:
-    """Resolve augmentation for every record, fetching misses when a provider
-    is available. Fetches may run in parallel; results keep record order."""
+    """Resolve augmentation for every record, fetching misses (every name,
+    with ``refresh``) when a provider is available. Fetches may run in
+    parallel; results keep record order. A failed fetch resolves to None."""
 
     def fetch_one(record: AssigneeRecord) -> Optional[AugmentationResult]:
         try:
-            return fetch_augmentation(record.raw_name, provider, cache)
+            return fetch_augmentation(record.raw_name, provider, cache, refresh=refresh)
         except ProviderError as exc:
             log.warning("augmentation failed for %r: %s", record.raw_name, exc)
             return None
@@ -223,15 +231,7 @@ def prepare_corpus(
     for record in records:
         result = results_by_id[record.record_id]
         correction = result.corrected_name if result is not None else None
-        names.append(
-            clean_name(
-                record.raw_name,
-                correction,
-                designators,
-                record_id=record.record_id,
-                interior=config["parse"]["interior_strip"],
-            )
-        )
+        names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
     names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
 
@@ -257,11 +257,8 @@ def prepare_corpus(
         )
     else:
         raise ConfigError(f"unknown embed backend {embed_cfg['backend']!r}")
-    source = config["match"]["cos_on"]
-    if source not in ("cleaned", "raw"):
-        raise ConfigError(f"match.cos_on must be cleaned|raw, got {source!r}")
-    idf = compute_idf(names, floor=embed_cfg["idf_floor"], source=source)
-    embeddings = embed_corpus(names, backend, idf, source=source)
+    idf = compute_idf(names, floor=embed_cfg["idf_floor"])
+    embeddings = embed_corpus(names, backend, idf)
 
     n_type1 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE1")
     n_type2 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE2")
@@ -328,13 +325,14 @@ def run_pipeline(
 ) -> RunManifest:
     """Execute all stages and persist per-stage artifacts plus the manifest.
 
-    Fails atomically per stage: on error, files created by this run are
-    removed and a StageError names the stage.
+    Artifacts are written into a temporary sibling of ``out_dir`` and moved
+    into it only once the manifest is written; an artifact this run did not
+    write (eval.json without gold) is removed from ``out_dir``. On error
+    ``out_dir`` is left as it was and a StageError names the stage.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), seed=config["run"]["seed"])
-    created: list[Path] = []
     stage = "ingest"
     t_stage = time.perf_counter()
 
@@ -344,6 +342,7 @@ def run_pipeline(
         manifest.stage_counts.update(counts)
         t_stage = time.perf_counter()
 
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
         input_path = Path(input_path)
         cache_path = Path(cache_path)
@@ -368,9 +367,7 @@ def run_pipeline(
         finish_stage("augment", augmented=counts["augmented"], corrected=counts["corrected"])
 
         stage = "parse"
-        cleaned_path = out_dir / "cleaned.tsv"
-        _write_cleaned(artifacts.names, cleaned_path)
-        created.append(cleaned_path)
+        _write_cleaned(artifacts.names, work / "cleaned.tsv")
         finish_stage(
             "parse",
             type1=counts["type1"],
@@ -388,9 +385,7 @@ def run_pipeline(
             artifacts.embeddings,
             weights,
         )
-        pairs_path = out_dir / "pairs.tsv"
-        write_scored_pairs([p for p in scored if p.score >= params.threshold], pairs_path)
-        created.append(pairs_path)
+        write_scored_pairs([p for p in scored if p.score >= params.threshold], work / "pairs.tsv")
         manifest.blocking = {
             "keys": counts["blocking_keys"],
             "candidate_pairs": len(scored),
@@ -406,11 +401,8 @@ def run_pipeline(
             artifacts.records,
             {n.record_id: n.cleaned for n in artifacts.names},
             artifacts.embeddings,
-            strategy=params.naming,
         )
-        mapping_path = out_dir / "mapping.tsv"
-        write_mapping(partition, artifacts.records, mapping_path)
-        created.append(mapping_path)
+        write_mapping(partition, artifacts.records, work / "mapping.tsv")
         finish_stage(
             "filter",
             edges=graph.number_of_edges(),
@@ -419,9 +411,8 @@ def run_pipeline(
 
         stage = "summary"
         summary = summarize_partition(partition, artifacts.records)
-        summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        created.append(summary_path)
+        summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        (work / "summary.json").write_text(summary_text, encoding="utf-8")
         finish_stage("summary")
 
         if gold is not None:
@@ -432,24 +423,25 @@ def run_pipeline(
                 n_before=len(records),
                 n_after=partition.n_communities,
             )
-            eval_path = out_dir / "eval.json"
-            eval_path.write_text(report.to_json(), encoding="utf-8")
-            created.append(eval_path)
+            (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
             finish_stage("evaluate")
 
-        for artifact in created:
-            manifest.outputs[str(artifact)] = _sha256(artifact)
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(manifest.to_json(), encoding="utf-8")
+        for name in ARTIFACTS[:-1]:
+            if (work / name).exists():
+                manifest.outputs[str(out_dir / name)] = _sha256(work / name)
+        (work / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        for name in ARTIFACTS:
+            if (work / name).exists():
+                os.replace(work / name, out_dir / name)
+            else:
+                (out_dir / name).unlink(missing_ok=True)
         return manifest
     except (ConfigError, InputError):
-        for artifact in created:
-            artifact.unlink(missing_ok=True)
         raise
     except Exception as exc:
-        for artifact in created:
-            artifact.unlink(missing_ok=True)
         raise StageError(stage, str(exc)) from exc
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def summarize_partition(

@@ -127,6 +127,29 @@ class TestAugmentationCache:
         reloaded = AugmentationCache(tmp_path / "c.jsonl")
         assert len(reloaded) == 50
 
+    def test_torn_final_line_skipped_with_warning(self, tmp_path, caplog):
+        # A killed fetch leaves the last line cut off, without its newline.
+        path = tmp_path / "c.jsonl"
+        torn = result("B", first_url="https://b.example/").to_json()[:-12]
+        path.write_text(result("A").to_json() + "\n" + torn)
+        with caplog.at_level("WARNING", logger="harmonizer.augment"):
+            cache = AugmentationCache(path)
+        assert "A" in cache and "B" not in cache
+        assert "line 2" in caplog.text and "torn" in caplog.text
+        # The next append replaces the fragment instead of running into it.
+        cache.put(result("C"))
+        assert [r.query_name for r in AugmentationCache(path).results()] == ["A", "C"]
+
+    @pytest.mark.parametrize("where", ["middle", "final with newline"])
+    def test_corrupt_line_elsewhere_raises(self, tmp_path, where):
+        path = tmp_path / "c.jsonl"
+        lines = [result("A").to_json(), result("B").to_json()[:-12]]
+        if where == "middle":
+            lines.append(result("C").to_json())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="line 2: bad cache line"):
+            AugmentationCache(path)
+
 
 class TestExtraction:
     def test_did_u_mean_from_fixture(self):

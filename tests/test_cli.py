@@ -89,6 +89,14 @@ class TestRunCommand:
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_removed_config_key_exits_2(self, corpus60_paths, tmp_path, capsys):
+        old = tmp_path / "old.yaml"
+        old.write_text("graph:\n  naming: volume\n")
+        args = self.run_args(corpus60_paths, tmp_path / "out")
+        args[2] = str(old)
+        assert cli(*args) == EXIT_CONFIG
+        assert "unknown config key 'graph.naming'" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self, corpus60_paths, tmp_path, capsys):
         args = self.run_args(corpus60_paths, tmp_path)
         args[4] = str(tmp_path / "nope.tsv")

@@ -100,8 +100,8 @@ class TestCoercion:
             load(tmp_path, "run:\n  offline: 1\n")
 
     def test_number_rejected_for_string(self, tmp_path):
-        with pytest.raises(ConfigError, match="graph.naming.*string"):
-            load(tmp_path, "graph:\n  naming: 3\n")
+        with pytest.raises(ConfigError, match="embed.backend.*string"):
+            load(tmp_path, "embed:\n  backend: 3\n")
 
     def test_null_rejected_for_numeric(self, tmp_path):
         with pytest.raises(ConfigError, match="may not be null"):
@@ -150,8 +150,8 @@ class TestEnvLayer:
         assert config["run"]["offline"] is True
 
     def test_string_value_passthrough(self):
-        config = load(environ={"HARMONIZER_GRAPH_NAMING": "volume"})
-        assert config["graph"]["naming"] == "volume"
+        config = load(environ={"HARMONIZER_EMBED_BACKEND": "file"})
+        assert config["embed"]["backend"] == "file"
 
     def test_unrelated_env_ignored(self):
         config = load(environ={"PATH": "/usr/bin", "HARMONIZERX": "1"})
@@ -231,10 +231,7 @@ class TestBuilders:
             bridgeness_threshold=1.0,
             location_boost=1.0,
             seed=0,
-            naming="centroid",
-            prune_rule="incident",
             refine_passes=1,
-            refine_until_stable=False,
         )
 
     def test_filter_params_take_run_seed(self):
@@ -319,3 +316,75 @@ class TestTuningBridge:
         space = config.search_space()
         point = config.incumbent_point(space)
         space.validate_point(point)
+
+
+class _Recording(dict):
+    """A config section that adds the dotted path of every key read to
+    ``seen``. Iterating or serializing it reads nothing."""
+
+    def __init__(self, data: dict, seen: set, path: str = ""):
+        super().__init__(
+            (key, _Recording(value, seen, f"{path}{key}.") if isinstance(value, dict) else value)
+            for key, value in data.items()
+        )
+        self.seen = seen
+        self.path = path
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(self.path + key)
+        return super().get(key, default)
+
+
+def _leaves(node: dict, path: str = "") -> set:
+    out = set()
+    for key, value in node.items():
+        out |= _leaves(value, f"{path}{key}.") if isinstance(value, dict) else {path + key}
+    return out
+
+
+REMOVED_KEYS = [
+    ("ingest", "institution_keywords", "data/keywords.txt"),
+    ("parse", "interior_strip", True),
+    ("match", "cos_on", "raw"),
+    ("graph", "prune_rule", "edge_bridgeness"),
+    ("graph", "naming", "volume"),
+    ("graph", "refine_until_stable", True),
+]
+
+
+class TestEveryKeyRead:
+    def test_run_tune_file_backend_and_provider_read_every_key(self, corpus60_paths, tmp_path):
+        from harmonizer.augment import AugmentationCache
+        from harmonizer.ingest import load_assignee_table
+        from harmonizer.pipeline import make_provider, prepare_corpus, run_pipeline, tune_pipeline
+
+        seen: set = set()
+
+        def recorded(overrides):
+            data = PipelineConfig.load(corpus60_paths["config"], environ={}, overrides=overrides).data
+            return PipelineConfig(_Recording(data, seen))
+
+        paths = (corpus60_paths["input"], corpus60_paths["cache"])
+        run_pipeline(recorded(None), *paths, tmp_path / "out", gold_path=corpus60_paths["gold"])
+        tune_pipeline(recorded({"tune": {"trials": 2}}), *paths, corpus60_paths["gold"])
+
+        vectors = tmp_path / "vectors.tsv"
+        vectors.write_text("token\tdim=32\nacme\t" + " ".join(["0.5"] * 32) + "\n", encoding="utf-8")
+        file_backend = {"embed": {"backend": "file", "vectors_path": str(vectors)}}
+        records = load_assignee_table(corpus60_paths["input"])
+        prepare_corpus(recorded(file_backend), records, AugmentationCache(corpus60_paths["cache"]))
+
+        online = recorded({"augment": {"provider": {"endpoint": "https://search.example/s"}}})
+        assert make_provider(online, offline=False) is not None
+
+        assert _leaves(DEFAULTS) - seen == set()
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS, ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+    def test_removed_key_rejected(self, tmp_path, section, key, value):
+        # A section left with no keys goes as a whole.
+        with pytest.raises(ConfigError, match=rf"unknown config key '{section}(\.{key})?'"):
+            load(tmp_path, f"{section}:\n  {key}: {value}\n")

@@ -159,18 +159,6 @@ class TestComputeIdf:
         idf = compute_idf(names_from(["AA BB", "AA CC"]))
         assert idf["never-seen"] == 1.0
 
-    def test_raw_source_uses_base_tokens(self):
-        # "corporation" is stripped from tokens but present in base_tokens.
-        names = names_from(["NOKIA CORPORATION", "ACME CORPORATION", "OTHER ONE"])
-        cleaned = compute_idf(names, source="cleaned")
-        raw = compute_idf(names, source="raw")
-        assert "corporation" not in cleaned
-        assert "corporation" in raw
-
-    def test_bad_source_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_idf(names_from(["AA"]), source="stemmed")
-
     def test_empty_corpus_gives_empty_table(self):
         idf = compute_idf([])
         assert len(idf) == 0

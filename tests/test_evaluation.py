@@ -16,10 +16,9 @@ from harmonizer.evaluation import (
     build_report,
     compute_metrics,
     pairwise_confusion,
-    portfolio_report,
     reduction_rate,
 )
-from harmonizer.ingest import AssigneeRecord, GoldLabel
+from harmonizer.ingest import GoldLabel
 
 from oracles import brute_f1, brute_pairwise_confusion
 
@@ -163,25 +162,6 @@ class TestBcubed:
         metrics = bcubed(pred, gold)
         assert metrics.precision == 1.0
         assert math.isclose(metrics.recall, 1 / 3)
-
-
-class TestPortfolioReport:
-    RECORDS = {
-        "a": AssigneeRecord("a", "ACME", 10),
-        "b": AssigneeRecord("b", "ACME INC", 5),
-        "c": AssigneeRecord("c", "ZETA", 7),
-    }
-
-    def test_rows(self):
-        pred = {"a": 0, "b": 0, "c": 1}
-        rows = portfolio_report(pred, self.RECORDS, ["a", "c"], canonical={0: "ACME", 1: "ZETA"})
-        assert rows[0].n_variants == 2 and rows[0].portfolio == 15
-        assert rows[0].canonical_name == "ACME"
-        assert rows[1].n_variants == 1 and rows[1].portfolio == 7
-
-    def test_missing_focus_id_flagged(self):
-        rows = portfolio_report({"a": 0}, self.RECORDS, ["zzz"])
-        assert rows[0].missing and rows[0].community_id is None
 
 
 class TestReport:

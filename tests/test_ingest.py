@@ -1,4 +1,4 @@
-"""Record loading, location keys, and name-kind triage."""
+"""Record loading and location keys."""
 
 import pytest
 from hypothesis import given
@@ -8,12 +8,9 @@ from harmonizer.errors import InputError
 from harmonizer.ingest import (
     AssigneeRecord,
     GoldLabel,
-    NameKind,
-    classify_name_kind,
     harmonize_location,
     load_assignee_table,
     load_gold_standard,
-    load_institution_keywords,
     write_assignee_table,
     write_gold_standard,
 )
@@ -125,66 +122,3 @@ class TestGoldIO:
         path.write_text("record_id\tentity_id\nr1\te1\nr1\te2\n")
         with pytest.raises(InputError, match="duplicate"):
             load_gold_standard(path)
-
-
-class TestClassifyNameKind:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "NOKIA CORPORATION",
-            "SMITH CONSULTING LLC",
-            "JOHNSON & JOHNSON",
-            "MUELLER, WEISS AND PARTNER GMBH",
-            "ACME",
-            "3M COMPANY",
-            "SMITH, JOHN CONSULTING LLC",
-            "LEE, KIM HOLDINGS",
-        ],
-    )
-    def test_organizations(self, name):
-        assert classify_name_kind(name) is NameKind.ORGANIZATION
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "SMITH, JOHN",
-            "SMITH, JOHN A.",
-            "VAN BUREN, PETER",
-            "MÜLLER, HANS-PETER",
-            "O'BRIEN, MARY ELLEN",
-            "Garcia Lopez, Maria",
-        ],
-    )
-    def test_individuals(self, name):
-        assert classify_name_kind(name) is NameKind.INDIVIDUAL
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "HARVARD UNIVERSITY",
-            "UNIVERSITE DE PARIS",
-            "MAX PLANCK GESELLSCHAFT",
-            "FRAUNHOFER INSTITUT",
-            "REGENTS OF THE UNIVERSITY OF CALIFORNIA",
-            "MASSACHUSETTS GENERAL HOSPITAL",
-            "MINISTRY OF AGRICULTURE",
-            "NATIONAL INSTITUTE OF HEALTH",
-        ],
-    )
-    def test_institutions(self, name):
-        assert classify_name_kind(name) is NameKind.INSTITUTION
-
-    def test_keyword_needs_whole_token_match(self):
-        # "universal" must not fire the "universe"/"university" keywords.
-        assert classify_name_kind("UNIVERSAL PICTURES") is NameKind.ORGANIZATION
-
-    def test_empty_raises(self):
-        with pytest.raises(InputError):
-            classify_name_kind("  ")
-
-    def test_custom_keywords(self):
-        assert classify_name_kind("ACME ACADEMY", keywords=frozenset({"academy"})) is NameKind.INSTITUTION
-
-    def test_default_keywords_load(self):
-        kw = load_institution_keywords()
-        assert "university" in kw and "hospital" in kw

@@ -8,7 +8,7 @@ import hashlib
 import pytest
 
 from conftest import run_fixture_pipeline
-from harmonizer.augment import AugmentationCache, SearchProvider
+from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
 from harmonizer.config import PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.graph import Partition
@@ -190,6 +190,33 @@ class TestFailureHandling:
         assert not list(tmp_path.iterdir())
 
 
+class TestAtomicOutput:
+    def test_rerun_without_gold_removes_stale_eval(self, corpus60_paths, tmp_path):
+        run_fixture_pipeline(corpus60_paths, tmp_path)
+        assert (tmp_path / "eval.json").exists()
+        rerun = run_fixture_pipeline(corpus60_paths, tmp_path, with_gold=False)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(ARTIFACTS) - {"eval.json"})
+        assert sorted(rerun["manifest"]["outputs"]) == sorted(
+            str(tmp_path / name) for name in ARTIFACTS if name not in ("eval.json", "manifest.json")
+        )
+
+    def test_failed_rerun_leaves_previous_output(self, corpus60_paths, tmp_path, monkeypatch):
+        import harmonizer.pipeline as pipeline_mod
+
+        out = tmp_path / "out"
+        run_fixture_pipeline(corpus60_paths, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("refinement exploded")
+
+        monkeypatch.setattr(pipeline_mod, "refine_communities", boom)
+        with pytest.raises(StageError, match="filter"):
+            run_fixture_pipeline(corpus60_paths, out, with_gold=False)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestMappingIo:
     def rows(self):
         partition = Partition(
@@ -343,6 +370,26 @@ class TestAugmentStage:
         results = _augment_stage(records, AugmentationCache(None), _CannedProvider(), threads=4)
         assert set(results) == {r.record_id for r in records}
         assert all(r.first_url == "https://www.acme.example/" for r in results.values())
+
+    def test_refresh_refetches_and_survives_one_failure(self):
+        records = self.records()
+        cache = AugmentationCache(None)
+        for r in records:
+            cache.put(AugmentationResult(query_name=r.raw_name, provider_id="stale"))
+
+        class OneFails(_CannedProvider):
+            def search_page(self, query):
+                if query == "NAME 1":
+                    raise ProviderError("provider down")
+                return super().search_page(query)
+
+        provider = OneFails()
+        results = _augment_stage(records, cache, provider, threads=2, refresh=True)
+        assert sorted(provider.queries) == ["NAME 0", "NAME 2"]
+        assert results["r1"] is None
+        for rid in ("r0", "r2"):
+            assert results[rid].provider_id == "canned"
+            assert cache.get(results[rid].query_name) == results[rid]
 
     def test_no_provider_and_empty_cache_yields_none(self):
         records = self.records()
