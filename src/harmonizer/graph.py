@@ -5,15 +5,18 @@ at high-bridgeness nodes and re-partitioning inside each community.
 Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
 on the unweighted skeleton. Joint-venture style names sit between two dense
-clusters and light up under exactly this measure.
+clusters and light up under exactly this measure. It is computed in O(n·m)
+per community with Brandes' dependency accumulation, and a node is flagged
+only when its bridgeness clears the threshold by a relative 1e-9, so a value
+equal to the threshold is never flagged whatever the rounding.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import networkx as nx
 
@@ -121,69 +124,79 @@ def louvain(graph: nx.Graph, resolution: float = 1.0, seed: int = 0) -> Partitio
 
 
 def bridgeness_centrality(graph: nx.Graph) -> dict:
-    """Exact bridgeness on the unweighted skeleton.
+    """Exact bridgeness on the unweighted skeleton, in O(n·m).
 
-    Per source, a BFS yields distances and shortest-path counts (the counting
-    half of the usual betweenness recipe); pair contributions are then
-    accumulated with the closed-neighborhood exclusion applied per node.
+    Brandes' recipe on integer adjacency lists: per source s, a BFS counts
+    shortest paths σ exactly, then the BFS order is walked backwards to
+    accumulate the dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w)) over the
+    successors w of v. Every target counted in δ(w) lies two or more levels
+    below v, so none is in N[v]: a node at distance >= 2 from s gains
+    σ_v/σ_w · δ(w) from each successor, which is its bridgeness from s with
+    nothing to subtract. Each unordered pair is counted from both ends, so
+    the sums are halved.
     """
     nodes = sorted(graph.nodes)
-    bridgeness = {v: 0.0 for v in nodes}
-    if len(nodes) < 3:
-        return bridgeness
-    dist: dict = {}
-    sigma: dict = {}
-    for source in nodes:
-        d = {source: 0}
-        s = {source: 1}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in graph[u]:
-                if w not in d:
-                    d[w] = d[u] + 1
-                    s[w] = s[u]
-                    queue.append(w)
-                elif d[w] == d[u] + 1:
-                    s[w] += s[u]
-        dist[source] = d
-        sigma[source] = s
-    neighborhoods = {v: set(graph[v]) | {v} for v in nodes}
-    for i, s_node in enumerate(nodes):
-        d_s, sig_s = dist[s_node], sigma[s_node]
-        for t_node in nodes[i + 1 :]:
-            if t_node not in d_s:
-                continue
-            d_st = d_s[t_node]
-            if d_st < 2:
-                # Adjacent endpoints admit no interior node at all.
-                continue
-            d_t, sig_t = dist[t_node], sigma[t_node]
-            total = sig_s[t_node]
-            for v in d_s:
-                if v == s_node or v == t_node:
-                    continue
-                if d_s[v] + d_t.get(v, -1) != d_st:
-                    continue
-                hood = neighborhoods[v]
-                if s_node in hood or t_node in hood:
-                    continue
-                bridgeness[v] += sig_s[v] * sig_t[v] / total
-    return bridgeness
+    index = {v: i for i, v in enumerate(nodes)}
+    adjacency = [sorted(index[w] for w in graph[v]) for v in nodes]
+    n = len(nodes)
+    totals = [0.0] * n
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[source] = 0
+        sigma[source] = 1
+        order = [source]
+        for u in order:
+            below = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = below
+                    order.append(w)
+                if dist[w] == below:
+                    sigma[w] += sigma[u]
+        delta = [0.0] * n
+        # Nodes within distance 1 of the source gain nothing, and only they
+        # would read the dependencies of the nodes at distance 2.
+        for v in reversed(order):
+            if dist[v] < 2:
+                break
+            below = dist[v] + 1
+            dependency = bridge = 0.0
+            for w in adjacency[v]:
+                if dist[w] == below:
+                    ratio = sigma[v] / sigma[w]
+                    dependency += ratio * (1.0 + delta[w])
+                    bridge += ratio * delta[w]
+            delta[v] = dependency
+            totals[v] += bridge
+    return {v: total / 2 for v, total in zip(nodes, totals)}
 
 
-def prune_global_bridges(graph: nx.Graph, beta: float) -> nx.Graph:
+# Bridgeness sums rounded floats, so a node whose exact value equals β can
+# come out a few ulps above it; a node is flagged only when it clears β by
+# this relative margin.
+_BETA_MARGIN = 1e-9
+
+
+def prune_global_bridges(graph: nx.Graph, beta: float, stats: Optional[dict] = None) -> nx.Graph:
     """Copy of ``graph`` without the edges that touch a node whose bridgeness
-    exceeds ``beta``."""
+    exceeds ``beta``. A value equal to ``beta`` is never flagged. ``stats``,
+    when given, has its ``flagged_nodes`` and ``pruned_edges`` counts raised."""
     bridgeness = bridgeness_centrality(graph)
-    flagged = {v for v, value in bridgeness.items() if value > beta}
+    cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
+    flagged = {v for v, value in bridgeness.items() if value > cutoff}
     pruned = graph.copy()
     if flagged:
         pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
+    if stats is not None:
+        stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
+        stats["pruned_edges"] = (
+            stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
+        )
     return pruned
 
 
-def refine_communities(graph: nx.Graph, params: FilterParams) -> Partition:
+def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
     """Louvain, then per-community prune-and-repartition.
 
     Each pass takes every current community, prunes bridge edges inside its
@@ -192,8 +205,15 @@ def refine_communities(graph: nx.Graph, params: FilterParams) -> Partition:
     would let Louvain split dense communities that merely look uneven in
     isolation. Communities only ever split, so the result refines the
     first-pass partition. ``refine_passes`` sweeps, one by default.
+
+    ``stats``, when given, receives the flagged bridge nodes and pruned edges
+    summed over every pass, how many first-pass communities were split, and
+    the final community-size histogram (size -> count).
     """
-    partition = louvain(graph, resolution=params.resolution, seed=params.seed)
+    if stats is not None:
+        stats.update(flagged_nodes=0, pruned_edges=0)
+    first = louvain(graph, resolution=params.resolution, seed=params.seed)
+    partition = first
     for _ in range(params.refine_passes):
         assignments: dict[str, int] = {}
         next_cid = 0
@@ -201,7 +221,7 @@ def refine_communities(graph: nx.Graph, params: FilterParams) -> Partition:
             parts = [members]
             if len(members) > 2:
                 sub = graph.subgraph(members)
-                pruned = prune_global_bridges(sub, params.bridgeness_threshold)
+                pruned = prune_global_bridges(sub, params.bridgeness_threshold, stats)
                 if pruned.number_of_edges() < sub.number_of_edges():
                     sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
                     parts = sub_partition.communities().values()
@@ -210,7 +230,15 @@ def refine_communities(graph: nx.Graph, params: FilterParams) -> Partition:
                     assignments[node] = next_cid
                 next_cid += 1
         partition = Partition(assignments=assignments)
-    return _with_dense_ids(partition)
+    partition = _with_dense_ids(partition)
+    if stats is not None:
+        finals: dict[int, set[int]] = {}
+        for node, cid in first.assignments.items():
+            finals.setdefault(cid, set()).add(partition.assignments[node])
+        sizes = Counter(len(members) for members in partition.communities().values())
+        stats["communities_split"] = sum(1 for parts in finals.values() if len(parts) > 1)
+        stats["community_sizes"] = dict(sorted(sizes.items()))
+    return partition
 
 
 def _with_dense_ids(partition: Partition) -> Partition:

@@ -89,6 +89,7 @@ class RunManifest:
     stage_counts: dict[str, int] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     blocking: dict = field(default_factory=dict)
+    filter: dict = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=_dependency_versions)
 
     def to_json(self) -> str:
@@ -102,6 +103,7 @@ class RunManifest:
                 "stage_counts": self.stage_counts,
                 "stage_seconds": self.stage_seconds,
                 "blocking": self.blocking,
+                "filter": self.filter,
                 "versions": self.versions,
             },
             indent=2,
@@ -326,12 +328,13 @@ def run_pipeline(
     """Execute all stages and persist per-stage artifacts plus the manifest.
 
     Artifacts are written into a temporary sibling of ``out_dir`` and moved
-    into it only once the manifest is written; an artifact this run did not
-    write (eval.json without gold) is removed from ``out_dir``. On error
-    ``out_dir`` is left as it was and a StageError names the stage.
+    into it only once the manifest is written; ``out_dir`` is created only
+    then, and an artifact this run did not write (eval.json without gold) is
+    removed from it. On error ``out_dir`` is left as it was, or absent if it
+    was, and a StageError names the stage.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash(), seed=config["run"]["seed"])
     stage = "ingest"
     t_stage = time.perf_counter()
@@ -395,7 +398,7 @@ def run_pipeline(
 
         stage = "filter"
         graph = build_graph(scored, artifacts.records, params)
-        partition = refine_communities(graph, params)
+        partition = refine_communities(graph, params, manifest.filter)
         partition = assign_canonical_names(
             partition,
             artifacts.records,
@@ -430,6 +433,7 @@ def run_pipeline(
             if (work / name).exists():
                 manifest.outputs[str(out_dir / name)] = _sha256(work / name)
         (work / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        out_dir.mkdir(exist_ok=True)
         for name in ARTIFACTS:
             if (work / name).exists():
                 os.replace(work / name, out_dir / name)
@@ -494,7 +498,8 @@ def build_tuning_objective(
     """Pairwise-F1 objective over the prepared corpus.
 
     Condition vectors are evaluated once for the blocked candidate set; each
-    trial only re-scores them with its weights and re-runs the filter stage.
+    trial only re-scores them with its weights and re-runs the filter stage
+    on the pairs that clear its threshold, the only ones that become edges.
     """
     base_conditions = score_pairs(
         artifacts.names_by_id,
@@ -507,11 +512,12 @@ def build_tuning_objective(
 
     def objective(params: dict[str, float]) -> float:
         weights, filter_params = config.tuning_params_as_config(params)
-        rescored = [
-            ScoredPair(id_a=a, id_b=b, conditions=c, score=matching_score(c, weights))
-            for a, b, c in conditions
-        ]
-        graph = build_graph(rescored, artifacts.records, filter_params)
+        edges = []
+        for a, b, c in conditions:
+            score = matching_score(c, weights)
+            if score >= filter_params.threshold:
+                edges.append(ScoredPair(id_a=a, id_b=b, conditions=c, score=score))
+        graph = build_graph(edges, artifacts.records, filter_params)
         partition = refine_communities(graph, filter_params)
         report = build_report(partition.assignments, gold)
         return report.f1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 
@@ -55,6 +56,22 @@ def brute_bridgeness(graph: nx.Graph) -> dict:
         for v, count in through.items():
             if s not in closed[v] and t not in closed[v]:
                 acc[v] += count / sigma
+    return acc
+
+
+def exact_bridgeness(graph: nx.Graph) -> dict:
+    """Bridgeness as exact Fractions, by explicit enumeration of every
+    shortest path: no rounding, so a value equal to a threshold is equal."""
+    acc = {v: Fraction(0) for v in graph.nodes()}
+    closed = {v: set(graph.neighbors(v)) | {v} for v in graph.nodes()}
+    for s, t in itertools.combinations(sorted(graph.nodes()), 2):
+        if not nx.has_path(graph, s, t) or nx.shortest_path_length(graph, s, t) < 2:
+            continue
+        paths = list(nx.all_shortest_paths(graph, s, t))
+        for path in paths:
+            for v in path[1:-1]:
+                if s not in closed[v] and t not in closed[v]:
+                    acc[v] += Fraction(1, len(paths))
     return acc
 
 

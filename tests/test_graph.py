@@ -27,7 +27,7 @@ from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import ConditionVector, ScoredPair
 from harmonizer.parse import NameClass
 
-from oracles import brute_bridgeness
+from oracles import brute_bridgeness, connected_graphs, exact_bridgeness
 
 
 def pair(a, b, score):
@@ -219,6 +219,21 @@ class TestBridgeness:
             g[u][v]["weight"] = 100.0
         assert bridgeness_centrality(g)[2] == 1.0
 
+    @pytest.mark.parametrize("kind", ["gnp", "watts_strogatz"])
+    def test_matches_oracle_on_larger_graphs(self, kind):
+        # Connected Watts-Strogatz graphs keep many equal-length paths.
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(20, 40)
+            if kind == "gnp":
+                g = nx.gnp_random_graph(n, rng.uniform(0.08, 0.3), seed=seed)
+            else:
+                g = nx.connected_watts_strogatz_graph(n, rng.choice([4, 6]), rng.uniform(0.0, 0.3), seed=seed)
+            b = bridgeness_centrality(g)
+            oracle = brute_bridgeness(g)
+            for node in g.nodes:
+                assert math.isclose(b[node], oracle[node], abs_tol=1e-9), (seed, node)
+
 
 class TestPruning:
     def test_five_path_beta_half(self):
@@ -236,6 +251,45 @@ class TestPruning:
         g = nx.path_graph(5)
         prune_global_bridges(g, beta=0.5)
         assert g.number_of_edges() == 4
+
+    def test_stats_count_flagged_nodes_and_pruned_edges(self):
+        stats = {}
+        prune_global_bridges(nx.path_graph(5), beta=0.5, stats=stats)
+        assert stats == {"flagged_nodes": 1, "pruned_edges": 2}
+
+
+def _boundary_family(kind):
+    if kind == "connected_le_7":
+        levels = connected_graphs(7)
+        return [g for n in range(1, 8) for g in levels[n]]
+    graphs = []
+    for seed in range(400 if kind == "gnp" else 100):
+        rng = random.Random(seed)
+        n = rng.randint(17, 30)
+        if kind == "gnp":
+            graphs.append(nx.gnp_random_graph(n, rng.uniform(0.1, 0.5), seed=seed))
+        else:
+            graphs.append(nx.connected_watts_strogatz_graph(n, rng.choice([4, 6]), rng.uniform(0.0, 0.5), seed=seed))
+    return graphs
+
+
+@pytest.mark.parametrize("kind", ["connected_le_7", "gnp", "watts_strogatz"])
+def test_flags_match_exact_bridgeness_at_the_boundary(kind):
+    """A node is flagged iff its exact bridgeness exceeds β, for β on the
+    half-integers in [-2, 20]. Rounded sums put some nodes whose exact value
+    is β a few ulps above it. Only the β values some node's exact value
+    equals, plus the default 1.0, are run: every other β lies further from
+    each exact value than rounding can move it."""
+    for index, g in enumerate(_boundary_family(kind)):
+        exact = exact_bridgeness(g)
+        ties = {float(x) for x in exact.values() if (2 * x).denominator == 1 and -2 <= x <= 20}
+        for beta in sorted(ties | {1.0}):
+            stats = {}
+            pruned = prune_global_bridges(g, beta, stats)
+            flagged = {v for v in g if exact[v] > beta}
+            kept = {frozenset(e) for e in g.edges if not flagged & set(e)}
+            assert stats["flagged_nodes"] == len(flagged), (kind, index, beta)
+            assert {frozenset(e) for e in pruned.edges} == kept, (kind, index, beta)
 
 
 class TestRefine:
@@ -286,6 +340,15 @@ class TestRefine:
         g.add_edge("a", "b", weight=4.0)
         part = refine_communities(g, FilterParams())
         assert part.assignments["a"] == part.assignments["b"]
+
+    def test_stats_report_pruning_and_splits(self):
+        g, _, _ = self._joint_venture_motif()
+        stats = {}
+        part = refine_communities(g, FilterParams(resolution=0.1, bridgeness_threshold=1.0), stats)
+        assert stats["flagged_nodes"] > 0 and stats["pruned_edges"] > 0
+        assert stats["communities_split"] == 1
+        assert sum(size * count for size, count in stats["community_sizes"].items()) == 11
+        assert sum(stats["community_sizes"].values()) == part.n_communities
 
     def test_zero_passes_is_plain_louvain(self):
         g, _, _ = self._joint_venture_motif()

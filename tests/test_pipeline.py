@@ -4,6 +4,7 @@ failure cleanup, and the tuning objective."""
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -11,9 +12,10 @@ from conftest import run_fixture_pipeline
 from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
 from harmonizer.config import PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
-from harmonizer.graph import Partition
+from harmonizer.evaluation import build_report
+from harmonizer.graph import Partition, build_graph, refine_communities
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from harmonizer.match import read_scored_pairs
+from harmonizer.match import read_scored_pairs, score_pairs
 from harmonizer.pipeline import (
     CLEANED_HEADER,
     MAPPING_HEADER,
@@ -27,6 +29,7 @@ from harmonizer.pipeline import (
     tune_pipeline,
     write_mapping,
 )
+from harmonizer.tune import SearchSpace
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
 
@@ -123,6 +126,15 @@ class TestArtifacts:
         assert versions["networkx"] == networkx.__version__
         assert versions["python"].count(".") == 2
 
+    def test_manifest_filter_counts(self, corpus60_run):
+        # corpus60 has no bridge nodes: nothing is flagged, pruned or split.
+        manifest = corpus60_run["manifest"]
+        stats = manifest["filter"]
+        assert (stats["flagged_nodes"], stats["pruned_edges"], stats["communities_split"]) == (0, 0, 0)
+        sizes = {int(size): count for size, count in stats["community_sizes"].items()}
+        assert sum(sizes.values()) == manifest["stage_counts"]["communities"]
+        assert sum(size * count for size, count in sizes.items()) == 60
+
     def test_manifest_stage_seconds(self, corpus60_run):
         seconds = corpus60_run["manifest"]["stage_seconds"]
         assert set(seconds) == {"ingest", "augment", "parse", "match", "filter", "summary", "evaluate"}
@@ -153,7 +165,7 @@ class TestFailureHandling:
         config = PipelineConfig.load(environ={})
         with pytest.raises(InputError):
             run_pipeline(config, tmp_path / "nope.tsv", tmp_path / "cache.jsonl", tmp_path / "out")
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_empty_table_is_input_error(self, tmp_path):
         table = tmp_path / "empty.tsv"
@@ -425,13 +437,17 @@ class TestPrepareCorpus:
 
 
 @pytest.fixture(scope="module")
-def tuning_setup(corpus60_paths, corpus60_config):
+def tuning_artifacts(corpus60_paths, corpus60_config):
     records = load_assignee_table(corpus60_paths["input"])
     cache = AugmentationCache(corpus60_paths["cache"])
     artifacts = prepare_corpus(corpus60_config, records, cache, bound=corpus60_config.tuning_score_bound())
-    gold = load_gold_standard(corpus60_paths["gold"])
-    objective = build_tuning_objective(corpus60_config, artifacts, gold)
-    return corpus60_config, objective
+    return artifacts, load_gold_standard(corpus60_paths["gold"])
+
+
+@pytest.fixture(scope="module")
+def tuning_setup(tuning_artifacts, corpus60_config):
+    artifacts, gold = tuning_artifacts
+    return corpus60_config, build_tuning_objective(corpus60_config, artifacts, gold)
 
 
 class TestTuningObjective:
@@ -451,6 +467,28 @@ class TestTuningObjective:
         hostile = dict.fromkeys(incumbent, 0.1)
         hostile["threshold"] = 5.0
         assert objective(hostile) < objective(incumbent)
+
+    def test_edge_only_rescoring_matches_full_path(self, tuning_setup, tuning_artifacts):
+        # A trial builds scored pairs only for the pairs that clear its
+        # threshold; scoring every candidate and letting build_graph drop the
+        # rest must give the same F1 at any point of the search box.
+        config, objective = tuning_setup
+        artifacts, gold = tuning_artifacts
+        space = SearchSpace.default()
+        rng = random.Random(20)
+        for _ in range(20):
+            point = space.uniform(rng)
+            weights, params = config.tuning_params_as_config(point)
+            scored = score_pairs(
+                artifacts.names_by_id,
+                artifacts.candidates,
+                artifacts.domain_info,
+                artifacts.embeddings,
+                weights,
+            )
+            graph = build_graph(scored, artifacts.records, params)
+            partition = refine_communities(graph, params)
+            assert objective(point) == build_report(partition.assignments, gold).f1, point
 
     def test_tune_pipeline_runs_incumbent_first(self, corpus60_paths, corpus60_config, tmp_path):
         history = tune_pipeline(
