@@ -231,14 +231,7 @@ class PipelineConfig:
     # --- typed builders ---
 
     def weight_vector(self) -> WeightVector:
-        w = self.data["match"]["weights"]
-        return WeightVector(
-            token=w["token"],
-            first_token=w["first_token"],
-            url_text=w["url_text"],
-            domain=w["domain"],
-            cos=w["cos"],
-        )
+        return WeightVector(**self.data["match"]["weights"])
 
     def score_bound(self) -> ScoreBound:
         """The configured weights and edge threshold, which ``run`` uses."""
@@ -257,15 +250,7 @@ class PipelineConfig:
         return ScoreBound(weights, corner.get("threshold", self.data["graph"]["threshold"]))
 
     def filter_params(self) -> FilterParams:
-        g = self.data["graph"]
-        return FilterParams(
-            threshold=g["threshold"],
-            resolution=g["resolution"],
-            bridgeness_threshold=g["bridgeness_threshold"],
-            location_boost=g["location_boost"],
-            seed=self.data["run"]["seed"],
-            refine_passes=g["refine_passes"],
-        )
+        return self.tuning_params_as_config({})[1]
 
     def search_space(self) -> SearchSpace:
         space = self.data["tune"]["space"]
@@ -289,14 +274,7 @@ class PipelineConfig:
     def tuning_params_as_config(self, params: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
         """Interpret one search-space point as weights + filter parameters,
         falling back to the configured value for any dimension not tuned."""
-        w = self.data["match"]["weights"]
-        weights = WeightVector(
-            token=params.get("w_token", w["token"]),
-            first_token=params.get("w_first_token", w["first_token"]),
-            url_text=params.get("w_url_text", w["url_text"]),
-            domain=params.get("w_domain", w["domain"]),
-            cos=params.get("w_cos", w["cos"]),
-        )
+        weights = WeightVector(**{k: params.get(f"w_{k}", v) for k, v in self.data["match"]["weights"].items()})
         g = self.data["graph"]
         filter_params = FilterParams(
             threshold=params.get("threshold", g["threshold"]),

@@ -226,3 +226,23 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
         return 1.0
     value = float(np.dot(a, b) / (norm_a * norm_b))
     return max(-1.0, min(1.0, value))
+
+
+def pair_cosines(vectors: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine_similarity(vectors[i], vectors[j])`` for every (i, j) in
+    ``zip(a, b)``, bit for bit. Norms are computed once; only pairs of equal
+    norm are compared element by element, and equal vectors get exactly 1.0;
+    every other pair costs one ``np.dot``, as a batched product would sum in
+    another order."""
+    norms = np.array([float(np.linalg.norm(v)) for v in vectors])
+    if (norms[a] == 0.0).any() or (norms[b] == 0.0).any():
+        raise ValueError("cosine undefined for zero-norm vector")
+    same = norms[a] == norms[b]
+    same[same] = [np.array_equal(vectors[i], vectors[j]) for i, j in zip(a[same].tolist(), b[same].tolist())]
+    rows = np.flatnonzero(~same)
+    ra, rb = a[rows], b[rows]
+    dots = np.array([vectors[i].dot(vectors[j]) for i, j in zip(ra.tolist(), rb.tolist())], dtype=np.float64)
+    out = np.ones(len(a))
+    # fmin/fmax clamp NaN to 1.0, as the scalar max/min do.
+    out[rows] = np.fmax(-1.0, np.fmin(1.0, dots / (norms[ra] * norms[rb])))
+    return out

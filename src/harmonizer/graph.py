@@ -19,11 +19,12 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import networkx as nx
+import numpy as np
 
-from .embed import NameEmbedding, cosine_similarity
+from .embed import NameEmbedding, pair_cosines
 from .errors import ConfigError
 from .ingest import AssigneeRecord
-from .match import ScoredPair
+from .match import PairTable
 
 log = logging.getLogger(__name__)
 
@@ -71,23 +72,24 @@ def _shared_locations(a: AssigneeRecord, b: AssigneeRecord) -> bool:
 
 
 def build_graph(
-    pairs: Sequence[ScoredPair],
+    table: PairTable,
+    scores: np.ndarray,
     records: Mapping[str, AssigneeRecord],
     params: FilterParams,
 ) -> nx.Graph:
     """Similarity graph: every record is a node; an edge exists iff the pair
     score clears the threshold, and shared non-empty locations add the boost
-    on top of the score (membership is decided before the boost)."""
+    on top of the score (membership is decided before the boost). Edges are
+    added in table order, which is sorted by (id_a, id_b)."""
     graph = nx.Graph()
     graph.add_nodes_from(sorted(records))
-    for pair in sorted(pairs, key=lambda p: (p.id_a, p.id_b)):
-        if pair.score < params.threshold:
-            continue
-        weight = pair.score
-        rec_a, rec_b = records.get(pair.id_a), records.get(pair.id_b)
+    rows = np.flatnonzero(scores >= params.threshold)
+    for i, j, weight in zip(table.a[rows].tolist(), table.b[rows].tolist(), scores[rows].tolist()):
+        id_a, id_b = table.ids[i], table.ids[j]
+        rec_a, rec_b = records.get(id_a), records.get(id_b)
         if rec_a is not None and rec_b is not None and _shared_locations(rec_a, rec_b):
             weight += params.location_boost
-        graph.add_edge(pair.id_a, pair.id_b, weight=weight)
+        graph.add_edge(id_a, id_b, weight=weight)
     return graph
 
 
@@ -265,19 +267,14 @@ def name_community_centroid(
         raise ValueError("all members have degenerate embeddings")
     if len(usable) == 1:
         return raw_by_id[usable[0]]
-    best_key = None
-    best_member = None
-    for candidate in usable:
-        total = 0.0
-        for other in usable:
-            if other != candidate:
-                total += cosine_similarity(embeddings[candidate].vector, embeddings[other].vector)
-        mean = total / (len(usable) - 1)
-        key = (-mean, cleaned_by_id[candidate], candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_member = candidate
-    return raw_by_id[best_member]
+    # Each unordered pair once (cosine is symmetric bit for bit); a row's
+    # cumulative sum adds in member order, and the diagonal's 0.0 adds nothing.
+    k = len(usable)
+    upper, lower = np.triu_indices(k, 1)
+    cos = np.zeros((k, k))
+    cos[upper, lower] = cos[lower, upper] = pair_cosines([embeddings[m].vector for m in usable], upper, lower)
+    means = {m: total / (k - 1) for m, total in zip(usable, np.cumsum(cos, axis=1)[:, -1].tolist())}
+    return raw_by_id[min(usable, key=lambda m: (-means[m], cleaned_by_id[m], m))]
 
 
 def name_community_volume(
@@ -287,14 +284,8 @@ def name_community_volume(
 ) -> str:
     """Raw name of the member with the largest patent count (ties: smallest
     cleaned name). All-zero counts degrade to the lexicographic choice."""
-    best_key = None
-    best_member = None
-    for candidate in sorted(members):
-        key = (-records[candidate].patent_count, cleaned_by_id[candidate], candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_member = candidate
-    return records[best_member].raw_name
+    best = min(members, key=lambda m: (-records[m].patent_count, cleaned_by_id[m], m))
+    return records[best].raw_name
 
 
 def assign_canonical_names(

@@ -1,5 +1,5 @@
 """Pairwise matching: inverted-index candidate generation, condition vectors,
-and the weighted matching score.
+the weighted matching score, and the columnar pair table of scored pairs.
 
 Type-1 names score over five conditions (token, first-token, url-text, domain,
 cosine); type-2 names, made entirely of common words, score over domain and
@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .augment import DomainInfo
-from .embed import NameEmbedding, cosine_similarity
+from .embed import NameEmbedding, cosine_similarity, pair_cosines
 from .errors import InputError
 from .parse import CleanName, NameClass
 
@@ -39,13 +41,7 @@ class WeightVector:
                 raise InputError(f"weight {name} must be finite and >= 0, got {value}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "token": self.token,
-            "first_token": self.first_token,
-            "url_text": self.url_text,
-            "domain": self.domain,
-            "cos": self.cos,
-        }
+        return asdict(self)
 
     @classmethod
     def unit(cls) -> "WeightVector":
@@ -106,15 +102,7 @@ def evaluate_conditions(
     else:
         cos, cos_degenerate = cosine_similarity(emb_a.vector, emb_b.vector), False
     if a.name_class is NameClass.TYPE2:
-        return ConditionVector(
-            kind=NameClass.TYPE2,
-            token_common=None,
-            first_token_common=None,
-            url_text_common=None,
-            domain_common=domain_common,
-            cos=cos,
-            cos_degenerate=cos_degenerate,
-        )
+        return ConditionVector(NameClass.TYPE2, None, None, None, domain_common, cos, cos_degenerate)
     tokens_a, tokens_b = set(a.tokens), set(b.tokens)
     token_common = int(bool(tokens_a & tokens_b))
     first_token_common = int(token_common == 1 and a.tokens[0] == b.tokens[0])
@@ -124,13 +112,7 @@ def evaluate_conditions(
     own_b = bool(tokens_b & info_b.url_tokens)
     url_text_common = int(own_a and own_b and bool(info_a.url_tokens & info_b.url_tokens))
     return ConditionVector(
-        kind=NameClass.TYPE1,
-        token_common=token_common,
-        first_token_common=first_token_common,
-        url_text_common=url_text_common,
-        domain_common=domain_common,
-        cos=cos,
-        cos_degenerate=cos_degenerate,
+        NameClass.TYPE1, token_common, first_token_common, url_text_common, domain_common, cos, cos_degenerate
     )
 
 
@@ -147,16 +129,63 @@ def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ScoredPair:
-    id_a: str
-    id_b: str
-    conditions: ConditionVector
-    score: float
+class BadPairRow(ValueError):
+    """A PairTable row that breaks a column invariant; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Candidate pairs as columns, one row per pair, sorted by (id_a, id_b).
+
+    ``a`` and ``b`` index the sorted record ``ids``; the other columns hold
+    what ``evaluate_conditions`` gives for the pair, with zeros for the
+    token-based conditions of type-2 rows. ``score_pairs`` fills int32
+    indices and uint8 conditions.
+    """
+
+    ids: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+    type1: np.ndarray
+    token: np.ndarray
+    first: np.ndarray
+    url: np.ndarray
+    domain: np.ndarray
+    cos: np.ndarray
 
     def __post_init__(self):
-        if not self.id_a < self.id_b:
-            raise ValueError(f"pair ids must satisfy id_a < id_b: {self.id_a!r}, {self.id_b!r}")
+        n = len(self)
+        if any(len(col) != n for col in (self.b, self.type1, self.token, self.first, self.url, self.domain, self.cos)):
+            raise ValueError("pair table columns differ in length")
+        key = self.a.astype(np.int64) * len(self.ids) + self.b
+        binary = [(col == 0) | (col == 1) for col in (self.token, self.first, self.url, self.domain)]
+        checks = (
+            ((self.a >= 0) & (self.a < self.b) & (self.b < len(self.ids)), "pair ids must satisfy id_a < id_b"),
+            (np.logical_and.reduce(binary), "binary condition out of range"),
+            (self.first <= self.token, "first_token_common cannot exceed token_common"),
+            (self.type1 | ((self.token == 0) & (self.url == 0)), "type-2 rows must leave token-based fields unset"),
+            ((self.cos >= -1.0) & (self.cos <= 1.0), "cos out of range"),
+            (np.r_[True, key[1:] >= key[:-1]], "rows must be sorted by (id_a, id_b)"),
+        )
+        for ok, reason in checks:
+            if not ok.all():
+                raise BadPairRow(int(np.argmin(ok)), reason)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def scores(self, weights: WeightVector) -> np.ndarray:
+        """``matching_score`` of every row, bit for bit: the terms are added
+        in its order, which a matmul would not keep. Columns become float64
+        first, as numpy 1.x would scale a uint8 column in float16."""
+        token, first, url, domain = (c.astype(np.float64) for c in (self.token, self.first, self.url, self.domain))
+        base = weights.domain * domain + weights.cos * self.cos
+        full = base + weights.token * token + weights.first_token * first + weights.url_text * url
+        return np.where(self.type1, full, base)
 
 
 @dataclass(frozen=True)
@@ -304,13 +333,7 @@ def brute_force_candidates(names: Sequence[CleanName]) -> list[tuple[str, str]]:
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
         by_class.setdefault(name.name_class.value, []).append(name.record_id)
-    pairs: list[tuple[str, str]] = []
-    for cls in sorted(by_class):
-        members = sorted(by_class[cls])
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return sorted(pairs)
+    return sorted(pair for members in by_class.values() for pair in itertools.combinations(sorted(members), 2))
 
 
 def score_pairs(
@@ -318,55 +341,70 @@ def score_pairs(
     pairs: Iterable[tuple[str, str]],
     domain_info: Mapping[str, DomainInfo],
     embeddings: Mapping[str, NameEmbedding],
-    weights: WeightVector,
-) -> list[ScoredPair]:
-    """Evaluate and score candidate pairs; output sorted by (id_a, id_b)."""
-    scored: list[ScoredPair] = []
-    for id_a, id_b in pairs:
-        if id_a > id_b:
-            id_a, id_b = id_b, id_a
-        conditions = evaluate_conditions(
-            names_by_id[id_a],
-            names_by_id[id_b],
-            domain_info.get(id_a),
-            domain_info.get(id_b),
-            embeddings[id_a],
-            embeddings[id_b],
-        )
-        scored.append(
-            ScoredPair(id_a=id_a, id_b=id_b, conditions=conditions, score=matching_score(conditions, weights))
-        )
-    scored.sort(key=lambda p: (p.id_a, p.id_b))
-    return scored
+) -> PairTable:
+    """Evaluate the conditions of every candidate pair into a PairTable.
+    Per-record data (token set, first token, own-page flag, domain, vector
+    and norm) is gathered once; per pair only set intersections and one dot
+    product remain."""
+    ids = tuple(sorted(names_by_id))
+    index = {rid: i for i, rid in enumerate(ids)}
+    ab = np.array([(index[x], index[y]) for x, y in pairs], dtype=np.int32).reshape(-1, 2)
+    ab.sort(axis=1)
+    a, b = ab[np.lexsort((ab[:, 1], ab[:, 0]))].T
+    names = [names_by_id[rid] for rid in ids]
+    if any(n.name_class is None for n in names):
+        raise ValueError("names must be classified before condition evaluation")
+    type1 = np.array([n.name_class is NameClass.TYPE1 for n in names], dtype=bool)
+    mixed = np.flatnonzero(type1[a] != type1[b])
+    if len(mixed):
+        raise ValueError(f"cannot pair {ids[a[mixed[0]]]!r} with {ids[b[mixed[0]]]!r}: different name classes")
+    infos = [domain_info.get(rid) or _EMPTY_INFO for rid in ids]
+    tokens = [frozenset(n.tokens) for n in names]
+    own = np.array([bool(t & info.url_tokens) for t, info in zip(tokens, infos)], dtype=bool)
+
+    def codes(values: Iterable[Optional[str]]) -> np.ndarray:
+        seen: dict[str, int] = {}
+        return np.array([-1 if v is None else seen.setdefault(v, len(seen)) for v in values], dtype=np.int64)
+
+    def intersect(sets: Sequence[frozenset], rows: np.ndarray) -> list[bool]:
+        return [not sets[i].isdisjoint(sets[j]) for i, j in zip(a[rows].tolist(), b[rows].tolist())]
+
+    token, url = np.zeros((2, len(a)), dtype=np.uint8)
+    rows = np.flatnonzero(type1[a])
+    token[rows] = intersect(tokens, rows)
+    rows = np.flatnonzero(type1[a] & own[a] & own[b])
+    url[rows] = intersect([info.url_tokens for info in infos], rows)
+    first_code = codes(n.tokens[0] if n.tokens else None for n in names)
+    first = token & (first_code[a] == first_code[b])
+    domain_code = codes(info.domain for info in infos)
+    domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
+    emb = [embeddings[rid] for rid in ids]
+    degenerate = np.array([e.degenerate for e in emb], dtype=bool)
+    cos = np.zeros(len(a))
+    live = np.flatnonzero(~(degenerate[a] | degenerate[b]))
+    cos[live] = pair_cosines([e.vector for e in emb], a[live], b[live])
+    return PairTable(ids, a, b, type1[a], token, first, url, domain, cos)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
-def write_scored_pairs(pairs: Sequence[ScoredPair], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:
+    """Write the rows whose score is >= ``threshold``, in table order."""
+    rows = np.flatnonzero(scores >= threshold)
+    columns = (table.a, table.b, table.type1, table.token, table.first, table.url, table.domain, table.cos, scores)
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("\t".join(PAIRS_HEADER) + "\n")
-        for pair in pairs:
-            c = pair.conditions
-            if c.kind is NameClass.TYPE1:
-                token, first, urltext = str(c.token_common), str(c.first_token_common), str(c.url_text_common)
-            else:
-                token = first = urltext = ""
-            fh.write(
-                "\t".join(
-                    [pair.id_a, pair.id_b, token, first, urltext, str(c.domain_common), _fmt(c.cos), _fmt(pair.score)]
-                )
-                + "\n"
-            )
+        for i, j, type1, token, first, url, domain, cos, score in zip(*(col[rows].tolist() for col in columns)):
+            binaries = f"{token}\t{first}\t{url}" if type1 else "\t\t"
+            fh.write(f"{table.ids[i]}\t{table.ids[j]}\t{binaries}\t{domain}\t{cos:.12g}\t{score:.12g}\n")
 
 
-def read_scored_pairs(path: str | Path) -> list[ScoredPair]:
+def read_scored_pairs(path: str | Path) -> tuple[PairTable, np.ndarray]:
+    """A pairs.tsv file as a PairTable over the ids it names, plus its score
+    column. A type-2 row (blank token field) reads as zero token conditions."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"pairs file not found: {path}")
-    out: list[ScoredPair] = []
+    rows: list[tuple] = []
+    line_nos: list[int] = []
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != PAIRS_HEADER:
@@ -378,27 +416,23 @@ def read_scored_pairs(path: str | Path) -> list[ScoredPair]:
             cols = line.split("\t")
             if len(cols) != 8:
                 raise InputError(f"{path} line {line_no}: expected 8 fields, got {len(cols)}")
-            id_a, id_b, token, first, urltext, domain, cos_s, score_s = cols
+            binaries = cols[2:5] if cols[2] else ["0", "0", "0"]
             try:
-                if token == "":
-                    conditions = ConditionVector(
-                        kind=NameClass.TYPE2,
-                        token_common=None,
-                        first_token_common=None,
-                        url_text_common=None,
-                        domain_common=int(domain),
-                        cos=float(cos_s),
-                    )
-                else:
-                    conditions = ConditionVector(
-                        kind=NameClass.TYPE1,
-                        token_common=int(token),
-                        first_token_common=int(first),
-                        url_text_common=int(urltext),
-                        domain_common=int(domain),
-                        cos=float(cos_s),
-                    )
-                out.append(ScoredPair(id_a=id_a, id_b=id_b, conditions=conditions, score=float(score_s)))
-            except (ValueError, InputError) as exc:
+                rows.append((*cols[:2], cols[2] != "", *map(int, binaries + cols[5:6]), *map(float, cols[6:])))
+            except ValueError as exc:
                 raise InputError(f"{path} line {line_no}: {exc}") from exc
-    return out
+            line_nos.append(line_no)
+    ids = tuple(sorted({rid for row in rows for rid in row[:2]}))
+    index = {rid: i for i, rid in enumerate(ids)}
+    cols = list(zip(*rows)) or [()] * 9
+    try:
+        table = PairTable(
+            ids,
+            *(np.array([index[rid] for rid in col], dtype=np.int32) for col in cols[:2]),
+            np.array(cols[2], dtype=bool),
+            *(np.array(col, dtype=np.int64) for col in cols[3:7]),
+            np.array(cols[7], dtype=np.float64),
+        )
+    except BadPairRow as exc:
+        raise InputError(f"{path} line {line_nos[exc.row]}: {exc}") from exc
+    return table, np.array(cols[8], dtype=np.float64)

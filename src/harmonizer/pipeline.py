@@ -16,10 +16,11 @@ import json
 import logging
 import os
 import platform
+import re
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -43,16 +44,7 @@ from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import build_report, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from .match import (
-    ScoreBound,
-    ScoredPair,
-    WeightVector,
-    brute_force_candidates,
-    generate_candidate_pairs,
-    matching_score,
-    score_pairs,
-    write_scored_pairs,
-)
+from .match import ScoreBound, brute_force_candidates, generate_candidate_pairs, score_pairs, write_scored_pairs
 from .parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -88,27 +80,13 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     stage_counts: dict[str, int] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    layer_seconds: dict[str, float] = field(default_factory=dict)
     blocking: dict = field(default_factory=dict)
     filter: dict = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=_dependency_versions)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "package_version": self.package_version,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "stage_counts": self.stage_counts,
-                "stage_seconds": self.stage_seconds,
-                "blocking": self.blocking,
-                "filter": self.filter,
-                "versions": self.versions,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -117,6 +95,14 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _charge(seconds: Optional[dict], layer: str, since: float) -> float:
+    """Add the time since ``since`` to ``seconds[layer]``; return the time now."""
+    now = time.perf_counter()
+    if seconds is not None:
+        seconds[layer] = round(seconds.get(layer, 0.0) + now - since, 6)
+    return now
 
 
 def write_mapping(partition: Partition, records: Mapping[str, AssigneeRecord], path: Path) -> None:
@@ -172,9 +158,6 @@ class CorpusArtifacts:
     domain_info: dict[str, DomainInfo]
     embeddings: dict
     candidates: list[tuple[str, str]]
-    results_by_id: dict[str, Optional[AugmentationResult]]
-    n_augmented: int
-    n_corrected: int
 
 
 def _augment_stage(
@@ -214,18 +197,22 @@ def prepare_corpus(
     provider: Optional[SearchProvider] = None,
     counts: Optional[dict] = None,
     bound: Optional[ScoreBound] = None,
+    seconds: Optional[dict] = None,
 ) -> CorpusArtifacts:
     """Augment (from cache), parse, classify, embed, and block the corpus.
 
     Blocking keeps every pair able to reach ``bound``, which defaults to the
     configured weights and edge threshold (what ``run`` scores with).
     ``counts``, when given, receives the stage counts plus the blocking key
-    kinds used and the largest block.
+    kinds used and the largest block; ``seconds`` the time spent in the
+    augment, parse, domain, embed and block layers.
     """
+    t = time.perf_counter()
     threads = config["run"]["threads"]
     results_by_id = _augment_stage(records, cache, provider, threads)
     n_augmented = sum(1 for r in results_by_id.values() if r is not None)
     n_corrected = sum(1 for r in results_by_id.values() if r is not None and r.corrected_name)
+    t = _charge(seconds, "augment", t)
 
     designator_path = config["parse"]["designators"]
     designators = LegalDesignatorDictionary.from_file(designator_path)
@@ -236,6 +223,7 @@ def prepare_corpus(
         names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
     names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
+    t = _charge(seconds, "parse", t)
 
     corpus_results = [r for r in results_by_id.values() if r is not None]
     blocklist = build_frequent_domain_blocklist(corpus_results, config["augment"]["blocklist_k"])
@@ -245,6 +233,7 @@ def prepare_corpus(
         )
         for record in records
     }
+    t = _charge(seconds, "domain", t)
 
     embed_cfg = config["embed"]
     if embed_cfg["backend"] == "hashing":
@@ -261,6 +250,7 @@ def prepare_corpus(
         raise ConfigError(f"unknown embed backend {embed_cfg['backend']!r}")
     idf = compute_idf(names, floor=embed_cfg["idf_floor"])
     embeddings = embed_corpus(names, backend, idf)
+    t = _charge(seconds, "embed", t)
 
     n_type1 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE1")
     n_type2 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE2")
@@ -271,6 +261,7 @@ def prepare_corpus(
     else:
         bound = bound if bound is not None else config.score_bound()
         candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
+    _charge(seconds, "block", t)
 
     if counts is not None:
         counts.update(
@@ -292,9 +283,6 @@ def prepare_corpus(
         domain_info=domain_info,
         embeddings=embeddings,
         candidates=candidates,
-        results_by_id=results_by_id,
-        n_augmented=n_augmented,
-        n_corrected=n_corrected,
     )
 
 
@@ -317,6 +305,21 @@ def make_provider(config: PipelineConfig, offline: bool) -> Optional[SearchProvi
     )
 
 
+def _remove_stale_work_dirs(out_dir: Path) -> None:
+    """Remove the ``.<out>.<pid>.<suffix>`` siblings of ``out_dir`` whose
+    pid no longer exists; those of a live process stay."""
+    pattern = re.escape(f".{out_dir.name}.") + r"(\d{1,7})\.[a-z0-9_]{8}"
+    for path in out_dir.parent.iterdir():
+        found = re.fullmatch(pattern, path.name)
+        try:
+            if found and path.is_dir():
+                os.kill(int(found.group(1)), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except PermissionError:
+            pass  # alive, and another user's
+
+
 def run_pipeline(
     config: PipelineConfig,
     input_path: str | Path,
@@ -331,11 +334,14 @@ def run_pipeline(
     into it only once the manifest is written; ``out_dir`` is created only
     then, and an artifact this run did not write (eval.json without gold) is
     removed from it. On error ``out_dir`` is left as it was, or absent if it
-    was, and a StageError names the stage.
+    was, and a StageError names the stage. The sibling's name carries the
+    pid of its run, so one left by a killed run is removed by the next.
     """
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
+    _remove_stale_work_dirs(out_dir)
     manifest = RunManifest(config_hash=config.config_hash(), seed=config["run"]["seed"])
+    layers = manifest.layer_seconds
     stage = "ingest"
     t_stage = time.perf_counter()
 
@@ -345,7 +351,7 @@ def run_pipeline(
         manifest.stage_counts.update(counts)
         t_stage = time.perf_counter()
 
-    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
     try:
         input_path = Path(input_path)
         cache_path = Path(cache_path)
@@ -366,38 +372,31 @@ def run_pipeline(
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
         provider = make_provider(config, offline)
         counts: dict = {}
-        artifacts = prepare_corpus(config, records, cache, provider, counts)
+        artifacts = prepare_corpus(config, records, cache, provider, counts, seconds=layers)
         finish_stage("augment", augmented=counts["augmented"], corrected=counts["corrected"])
 
         stage = "parse"
+        t = time.perf_counter()
         _write_cleaned(artifacts.names, work / "cleaned.tsv")
-        finish_stage(
-            "parse",
-            type1=counts["type1"],
-            type2=counts["type2"],
-            degenerate=counts["degenerate"],
-        )
+        _charge(layers, "write", t)
+        finish_stage("parse", type1=counts["type1"], type2=counts["type2"], degenerate=counts["degenerate"])
 
         stage = "match"
         weights = config.weight_vector()
         params = config.filter_params()
-        scored = score_pairs(
-            artifacts.names_by_id,
-            artifacts.candidates,
-            artifacts.domain_info,
-            artifacts.embeddings,
-            weights,
-        )
-        write_scored_pairs([p for p in scored if p.score >= params.threshold], work / "pairs.tsv")
+        t = time.perf_counter()
+        table = score_pairs(artifacts.names_by_id, artifacts.candidates, artifacts.domain_info, artifacts.embeddings)
+        scores = table.scores(weights)
+        t = _charge(layers, "score", t)
+        write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
+        _charge(layers, "write", t)
         manifest.blocking = {
-            "keys": counts["blocking_keys"],
-            "candidate_pairs": len(scored),
-            "largest_block": counts["largest_block"],
+            "keys": counts["blocking_keys"], "candidate_pairs": len(table), "largest_block": counts["largest_block"]
         }
-        finish_stage("match", candidate_pairs=len(scored))
+        finish_stage("match", candidate_pairs=len(table))
 
         stage = "filter"
-        graph = build_graph(scored, artifacts.records, params)
+        graph = build_graph(table, scores, artifacts.records, params)
         partition = refine_communities(graph, params, manifest.filter)
         partition = assign_canonical_names(
             partition,
@@ -406,11 +405,7 @@ def run_pipeline(
             artifacts.embeddings,
         )
         write_mapping(partition, artifacts.records, work / "mapping.tsv")
-        finish_stage(
-            "filter",
-            edges=graph.number_of_edges(),
-            communities=partition.n_communities,
-        )
+        finish_stage("filter", edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
         summary = summarize_partition(partition, artifacts.records)
@@ -420,12 +415,7 @@ def run_pipeline(
 
         if gold is not None:
             stage = "evaluate"
-            report = build_report(
-                partition.assignments,
-                gold,
-                n_before=len(records),
-                n_after=partition.n_communities,
-            )
+            report = build_report(partition.assignments, gold, n_before=len(records), n_after=partition.n_communities)
             (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
             finish_stage("evaluate")
 
@@ -497,30 +487,17 @@ def build_tuning_objective(
 ) -> Callable[[dict[str, float]], float]:
     """Pairwise-F1 objective over the prepared corpus.
 
-    Condition vectors are evaluated once for the blocked candidate set; each
-    trial only re-scores them with its weights and re-runs the filter stage
-    on the pairs that clear its threshold, the only ones that become edges.
+    The pair table is filled once for the blocked candidate set; each trial
+    rescores it with one vector expression and re-runs the filter stage on
+    the rows that clear its threshold.
     """
-    base_conditions = score_pairs(
-        artifacts.names_by_id,
-        artifacts.candidates,
-        artifacts.domain_info,
-        artifacts.embeddings,
-        WeightVector.unit(),
-    )
-    conditions = [(p.id_a, p.id_b, p.conditions) for p in base_conditions]
+    table = score_pairs(artifacts.names_by_id, artifacts.candidates, artifacts.domain_info, artifacts.embeddings)
 
     def objective(params: dict[str, float]) -> float:
         weights, filter_params = config.tuning_params_as_config(params)
-        edges = []
-        for a, b, c in conditions:
-            score = matching_score(c, weights)
-            if score >= filter_params.threshold:
-                edges.append(ScoredPair(id_a=a, id_b=b, conditions=c, score=score))
-        graph = build_graph(edges, artifacts.records, filter_params)
+        graph = build_graph(table, table.scores(weights), artifacts.records, filter_params)
         partition = refine_communities(graph, filter_params)
-        report = build_report(partition.assignments, gold)
-        return report.f1
+        return build_report(partition.assignments, gold).f1
 
     return objective
 

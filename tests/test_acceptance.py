@@ -149,11 +149,13 @@ def test_02_blocking_losslessness():
             embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
             blocked = generate_candidate_pairs(names, domain_info)
             brute = brute_force_candidates(names)
-            scored_blocked = score_pairs(names_by_id, blocked, domain_info, embeddings, unit)
-            scored_brute = score_pairs(names_by_id, brute, domain_info, embeddings, unit)
+            scored_blocked = score_pairs(names_by_id, blocked, domain_info, embeddings)
+            scored_brute = score_pairs(names_by_id, brute, domain_info, embeddings)
             cutoff = unit.cos + 1e-9
-            above_blocked = {(p.id_a, p.id_b) for p in scored_blocked if p.score > cutoff}
-            above_brute = {(p.id_a, p.id_b) for p in scored_brute if p.score > cutoff}
+            above_blocked, above_brute = (
+                {(t.ids[i], t.ids[j]) for i, j, score in zip(t.a, t.b, t.scores(unit)) if score > cutoff}
+                for t in (scored_blocked, scored_brute)
+            )
             assert above_blocked == above_brute, f"n={n}: blocking dropped scoring pairs"
             assert above_brute, f"n={n}: degenerate corpus, nothing scored above cutoff"
 

@@ -17,6 +17,7 @@ from harmonizer.embed import (
     cosine_similarity,
     embed_corpus,
     embed_name,
+    pair_cosines,
 )
 from harmonizer.errors import ConfigError, InputError
 from harmonizer.parse import clean_name
@@ -272,3 +273,26 @@ class TestCosine:
         s1, s2 = cosine_similarity(a, b), cosine_similarity(b, a)
         assert math.isclose(s1, s2, abs_tol=1e-12)
         assert -1.0 <= s1 <= 1.0
+
+
+class TestPairCosines:
+    def test_bit_identical_to_cosine_similarity(self):
+        """Random, rescaled, duplicated, sign-of-zero and near-opposite
+        vectors: every value equals cosine_similarity exactly, both ways."""
+        rng = np.random.default_rng(11)
+        vectors = list(rng.normal(size=(40, 32)))
+        vectors += [v * 3.0 for v in vectors[:5]] + [v.copy() for v in vectors[5:10]] + [-vectors[10]]
+        signed = np.zeros(32)
+        signed[0] = 1.0
+        vectors += [signed, np.where(signed == 0.0, -0.0, signed)]
+        n = len(vectors)
+        a, b = (np.array(col) for col in zip(*[(i, j) for i in range(n) for j in range(n) if i != j]))
+        got = pair_cosines(vectors, a, b).tolist()
+        assert got == [cosine_similarity(vectors[i], vectors[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert got.count(1.0) >= 2 * 6
+
+    def test_zero_norm_rejected_only_when_paired(self):
+        vectors = [np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])]
+        assert pair_cosines(vectors, np.array([0]), np.array([2])).tolist() == [cosine_similarity(vectors[0], vectors[2])]
+        with pytest.raises(ValueError, match="zero-norm"):
+            pair_cosines(vectors, np.array([0]), np.array([1]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonizer.embed import NameEmbedding
+from harmonizer.embed import NameEmbedding, cosine_similarity
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -24,15 +24,19 @@ from harmonizer.graph import (
     refine_communities,
 )
 from harmonizer.ingest import AssigneeRecord
-from harmonizer.match import ConditionVector, ScoredPair
-from harmonizer.parse import NameClass
+from harmonizer.match import PairTable
 
 from oracles import brute_bridgeness, connected_graphs, exact_bridgeness
 
 
-def pair(a, b, score):
-    cv = ConditionVector(NameClass.TYPE1, 1, 0, 0, 0, 0.0)
-    return ScoredPair(id_a=min(a, b), id_b=max(a, b), conditions=cv, score=score)
+def scored(records, *pairs):
+    """A PairTable over the records' ids with one type-1 row per
+    (a, b, score), and its score column."""
+    ids = tuple(sorted(records))
+    rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
+    a, b, scores = (np.array(col) for col in zip(*rows))
+    ones, zeros = np.ones(len(rows), dtype=np.uint8), np.zeros(len(rows), dtype=np.uint8)
+    return PairTable(ids, a, b, ones == 1, ones, zeros, zeros, zeros, np.zeros(len(rows))), scores
 
 
 def records_for(ids, locations=None):
@@ -64,35 +68,35 @@ class TestFilterParams:
 class TestBuildGraph:
     def test_threshold_is_inclusive(self):
         records = records_for(["a", "b", "c"])
-        graph = build_graph([pair("a", "b", 3.9), pair("b", "c", 3.8999999)], records, FilterParams())
+        graph = build_graph(*scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999)), records, FilterParams())
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "c")
 
     def test_every_record_is_a_node(self):
         records = records_for(["a", "b", "loner"])
-        graph = build_graph([pair("a", "b", 4.5)], records, FilterParams())
+        graph = build_graph(*scored(records, ("a", "b", 4.5)), records, FilterParams())
         assert set(graph.nodes) == {"a", "b", "loner"}
 
     def test_boost_applies_after_threshold(self):
         # Shared location must NOT rescue a sub-threshold pair...
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = build_graph([pair("a", "b", 3.5)], records, FilterParams(location_boost=1.0))
+        graph = build_graph(*scored(records, ("a", "b", 3.5)), records, FilterParams(location_boost=1.0))
         assert not graph.has_edge("a", "b")
 
     def test_boost_added_to_weight(self):
         # ...but it strengthens an edge that already cleared it.
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = build_graph([pair("a", "b", 4.0)], records, FilterParams(location_boost=1.0))
+        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0))
         assert graph["a"]["b"]["weight"] == 5.0
 
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
-        graph = build_graph([pair("a", "b", 4.0)], records, FilterParams())
+        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams())
         assert graph["a"]["b"]["weight"] == 4.0
 
     def test_all_empty_location_key_never_matches(self):
         records = records_for(["a", "b"], {"a": {"||"}, "b": {"||"}})
-        graph = build_graph([pair("a", "b", 4.0)], records, FilterParams(location_boost=1.0))
+        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0))
         assert graph["a"]["b"]["weight"] == 4.0
 
 
@@ -446,6 +450,34 @@ class TestNaming:
         embs = embeddings_for({"a": [0.0, 0.0]})
         with pytest.raises(ValueError):
             name_community_centroid(["a"], embs, {"a": "acme"}, {"a": "ACME"})
+
+    def test_centroid_matches_scalar_definition(self):
+        """Same winner as summing cosine_similarity over every ordered pair
+        in member order, on random communities with duplicated vectors
+        (exact ties) and degenerate members."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            size = int(rng.integers(2, 14))
+            vectors = rng.normal(size=(size, 6))
+            for i in rng.choice(size, size // 2):
+                vectors[i] = vectors[rng.integers(size)]
+            vectors[rng.random(size) < 0.1] = 0.0
+            members = [f"m{i:02d}" for i in range(size)]
+            embs = embeddings_for(dict(zip(members, vectors.tolist())))
+            cleaned = {m: str(rng.integers(3)) + m for m in members}
+            usable = [m for m in members if not embs[m].degenerate]
+            if not usable:
+                continue
+            expected = min(
+                usable,
+                key=lambda m: (
+                    -sum(cosine_similarity(embs[m].vector, embs[o].vector) for o in usable if o != m)
+                    / max(1, len(usable) - 1),
+                    cleaned[m],
+                    m,
+                ),
+            )
+            assert name_community_centroid(members[::-1], embs, cleaned, {m: m for m in members}) == expected
 
     def test_volume_picks_biggest_portfolio(self):
         records = {

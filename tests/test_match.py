@@ -1,5 +1,6 @@
-"""Condition vectors, matching scores, and candidate blocking."""
+"""Condition vectors, matching scores, candidate blocking, and the pair table."""
 
+import dataclasses
 import math
 import random
 
@@ -13,9 +14,10 @@ from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_c
 from harmonizer.errors import InputError
 from harmonizer.match import (
     FULL_INDEX,
+    BadPairRow,
     ConditionVector,
+    PairTable,
     ScoreBound,
-    ScoredPair,
     WeightVector,
     blocking_key_kinds,
     brute_force_candidates,
@@ -289,10 +291,9 @@ class TestCandidates:
         by_id = {n.record_id: n for n in names}
         weights = WeightVector.unit()
         blocked = set(generate_candidate_pairs(names, infos))
-        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings, weights)
-        for pair in brute:
-            if pair.score > weights.cos:
-                assert (pair.id_a, pair.id_b) in blocked
+        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+        for row in np.flatnonzero(brute.scores(weights) > weights.cos):
+            assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in blocked
 
     def test_unclassified_rejected(self):
         names = [clean_name("NOKIA CORPORATION", record_id="a")]
@@ -339,7 +340,8 @@ class TestBoundedBlocking:
         names, infos = random_blocking_corpus(rng, 160)
         by_id = {n.record_id: n for n in names}
         embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
-        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings, self.DEFAULTS)
+        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+        brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
         full = set(generate_candidate_pairs(names, infos))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
@@ -356,9 +358,8 @@ class TestBoundedBlocking:
                 seen["type2_unreachable"] += 1
             bounded = set(generate_candidate_pairs(names, infos, ScoreBound(weights, threshold)))
             reaching = {
-                (p.id_a, p.id_b): p.conditions.kind
-                for p in brute
-                if matching_score(p.conditions, weights) >= threshold
+                brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
+                for row in np.flatnonzero(brute.scores(weights) >= threshold)
             }
             assert bounded & reaching.keys() == full & reaching.keys(), (weights, threshold)
             if weights.cos < threshold:
@@ -428,54 +429,174 @@ class TestBoundedBlocking:
         assert set(run.candidates) < set(tune.candidates)
 
 
+def pair_ids(table, rows=None):
+    rows = range(len(table)) if rows is None else rows
+    return [(table.ids[table.a[r]], table.ids[table.b[r]]) for r in rows]
+
+
+def oracle_corpus(seed, n=70):
+    """Classified names, domain info and embeddings where every condition
+    fires somewhere, type-2 names pair, some embeddings are degenerate and
+    some records carry a bitwise copy of another record's vector."""
+    rng = random.Random(seed)
+    names, infos = random_blocking_corpus(rng, n)
+    embeddings = embed_corpus(names, HashingBackend(dim=32, seed=seed), compute_idf(names))
+    ids = sorted(embeddings)
+    for rid in rng.sample(ids, 6):
+        embeddings[rid] = NameEmbedding(rid, np.zeros(32), degenerate=True)
+    for rid, source in zip(rng.sample(ids, 10), rng.sample(ids, 10)):
+        embeddings[rid] = NameEmbedding(rid, embeddings[source].vector.copy(), embeddings[source].degenerate)
+    return names, infos, embeddings
+
+
 class TestScorePairs:
     def test_sorted_and_scored(self):
         names, infos, embeddings = small_corpus()
         by_id = {n.record_id: n for n in names}
         pairs = generate_candidate_pairs(names, infos)
-        scored = score_pairs(by_id, pairs, infos, embeddings, WeightVector.unit())
-        assert [(p.id_a, p.id_b) for p in scored] == sorted((p.id_a, p.id_b) for p in scored)
-        by_key = {(p.id_a, p.id_b): p for p in scored}
-        nokia_pair = by_key[("r01", "r02")]
-        assert nokia_pair.conditions.domain_common == 1
-        assert nokia_pair.score > 3.9
+        table = score_pairs(by_id, pairs, infos, embeddings)
+        assert pair_ids(table) == sorted(pairs)
+        assert table.a.dtype == np.int32 and table.token.dtype == np.uint8 and table.cos.dtype == np.float64
+        nokia = pair_ids(table).index(("r01", "r02"))
+        assert table.domain[nokia] == 1
+        assert table.scores(WeightVector.unit())[nokia] > 3.9
 
     def test_pair_order_normalized(self):
         names, infos, embeddings = small_corpus()
         by_id = {n.record_id: n for n in names}
-        scored = score_pairs(by_id, [("r02", "r01")], infos, embeddings, WeightVector.unit())
-        assert (scored[0].id_a, scored[0].id_b) == ("r01", "r02")
+        table = score_pairs(by_id, [("r02", "r01")], infos, embeddings)
+        assert pair_ids(table) == [("r01", "r02")]
 
-    def test_scored_pair_enforces_order(self):
-        cv = ConditionVector(NameClass.TYPE1, 0, 0, 0, 0, 0.0)
-        with pytest.raises(ValueError):
-            ScoredPair(id_a="b", id_b="a", conditions=cv, score=0.0)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_matches_scalar_oracle(self, seed):
+        """Every column and every score equals evaluate_conditions and
+        matching_score exactly, under random weights with zeros."""
+        names, infos, embeddings = oracle_corpus(seed)
+        by_id = {n.record_id: n for n in names}
+        pairs = brute_force_candidates(names)
+        rng = random.Random(seed)
+        shuffled = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in rng.sample(pairs, len(pairs))]
+        table = score_pairs(by_id, shuffled, infos, embeddings)
+        assert pair_ids(table) == pairs
+        oracle = [
+            evaluate_conditions(by_id[a], by_id[b], infos.get(a), infos.get(b), embeddings[a], embeddings[b])
+            for a, b in pairs
+        ]
+        for row, cv in enumerate(oracle):
+            assert bool(table.type1[row]) == (cv.kind is NameClass.TYPE1)
+            got = (table.token[row], table.first[row], table.url[row], table.domain[row], table.cos[row])
+            expected = (cv.token_common or 0, cv.first_token_common or 0, cv.url_text_common or 0, cv.domain_common, cv.cos)
+            assert got == expected, (pairs[row], got, expected)
+        for _ in range(20):
+            weights = WeightVector(
+                **{k: 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0) for k in WeightVector().as_dict()}
+            )
+            scores = table.scores(weights)
+            assert scores.tolist() == [matching_score(cv, weights) for cv in oracle], weights
+        cases = {
+            "type2": sum(cv.kind is NameClass.TYPE2 for cv in oracle),
+            "degenerate": sum(cv.cos_degenerate for cv in oracle),
+            "identical": sum(
+                not cv.cos_degenerate and np.array_equal(embeddings[a].vector, embeddings[b].vector)
+                for (a, b), cv in zip(pairs, oracle)
+            ),
+            "url": sum(cv.url_text_common == 1 for cv in oracle),
+            "first": sum(cv.first_token_common == 1 for cv in oracle),
+        }
+        assert min(cases.values()) > 0, cases
+
+    def test_rejects_cross_class_and_unclassified(self):
+        names, infos, embeddings = small_corpus()
+        by_id = {n.record_id: n for n in names}
+        with pytest.raises(ValueError, match="cannot pair"):
+            score_pairs(by_id, [("r01", "r06")], infos, embeddings)
+        by_id["r10"] = clean_name("OMEGA DEVICES", record_id="r10")
+        with pytest.raises(ValueError, match="classified"):
+            score_pairs(by_id, [("r01", "r02")], infos, embeddings)
+
+
+class TestPairTable:
+    @pytest.fixture()
+    def table(self):
+        names, infos, embeddings = small_corpus()
+        by_id = {n.record_id: n for n in names}
+        return score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+
+    @pytest.mark.parametrize(
+        "column, value, reason",
+        [
+            ("a", 9, "id_a < id_b"),
+            ("token", 2, "binary condition"),
+            ("domain", 3, "binary condition"),
+            ("first", 1, "cannot exceed"),
+            ("cos", 1.5, "cos out of range"),
+            ("cos", float("nan"), "cos out of range"),
+            ("b", 0, "id_a < id_b"),
+        ],
+        ids=["order", "token", "domain", "first", "cos", "cos_nan", "order_b"],
+    )
+    def test_rejects_bad_row(self, table, column, value, reason):
+        row = int(np.flatnonzero(table.token == 0)[0]) if column == "first" else 5
+        bad = getattr(table, column).copy()
+        bad[row] = value
+        with pytest.raises(BadPairRow, match=reason) as excinfo:
+            dataclasses.replace(table, **{column: bad})
+        assert excinfo.value.row == row
+
+    def test_rejects_token_fields_on_type2_rows(self, table):
+        row = int(np.flatnonzero(~table.type1)[0])
+        token, first = table.token.copy(), table.first.copy()
+        token[row] = first[row] = 1
+        with pytest.raises(BadPairRow, match="type-2") as excinfo:
+            dataclasses.replace(table, token=token, first=first)
+        assert excinfo.value.row == row
+
+    def test_rejects_unsorted_rows_and_ragged_columns(self, table):
+        order = np.r_[1, 0, 2 : len(table)]
+        columns = {f.name: getattr(table, f.name)[order] for f in dataclasses.fields(table) if f.name != "ids"}
+        with pytest.raises(BadPairRow, match="sorted") as excinfo:
+            dataclasses.replace(table, **columns)
+        assert excinfo.value.row == 1
+        with pytest.raises(ValueError, match="length"):
+            dataclasses.replace(table, cos=table.cos[:-1])
 
 
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         names, infos, embeddings = small_corpus()
         by_id = {n.record_id: n for n in names}
-        scored = score_pairs(
-            by_id, generate_candidate_pairs(names, infos), infos, embeddings, WeightVector.unit()
-        )
+        table = score_pairs(by_id, generate_candidate_pairs(names, infos), infos, embeddings)
+        scores = table.scores(WeightVector.unit())
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs(scored, path)
-        loaded = read_scored_pairs(path)
-        assert len(loaded) == len(scored)
-        for original, parsed in zip(scored, loaded):
-            assert (original.id_a, original.id_b) == (parsed.id_a, parsed.id_b)
-            assert parsed.conditions.kind is original.conditions.kind
-            assert math.isclose(parsed.score, original.score, abs_tol=1e-9)
+        write_scored_pairs(table, scores, path)
+        loaded, loaded_scores = read_scored_pairs(path)
+        assert pair_ids(loaded) == pair_ids(table)
+        assert loaded.type1.tolist() == table.type1.tolist()
+        for column in ("token", "first", "url", "domain"):
+            assert getattr(loaded, column).tolist() == getattr(table, column).tolist()
+        assert np.allclose(loaded_scores, scores, rtol=0.0, atol=1e-9)
+
+    def test_threshold_keeps_rows_at_or_above(self, tmp_path):
+        names, infos, embeddings = small_corpus()
+        by_id = {n.record_id: n for n in names}
+        table = score_pairs(by_id, generate_candidate_pairs(names, infos), infos, embeddings)
+        scores = table.scores(WeightVector.unit())
+        threshold = float(np.sort(scores)[len(scores) // 2])
+        path = tmp_path / "pairs.tsv"
+        write_scored_pairs(table, scores, path, threshold)
+        loaded, loaded_scores = read_scored_pairs(path)
+        assert pair_ids(loaded) == pair_ids(table, np.flatnonzero(scores >= threshold))
 
     def test_type2_rows_blank_token_fields(self, tmp_path):
         cv = ConditionVector(NameClass.TYPE2, None, None, None, 1, 0.25)
-        pair = ScoredPair("a", "b", cv, matching_score(cv, WeightVector.unit()))
+        zero = np.zeros(1, dtype=np.uint8)
+        table = PairTable(("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, np.array([0.25]))
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs([pair], path)
+        write_scored_pairs(table, table.scores(WeightVector.unit()), path)
         row = path.read_text().splitlines()[1].split("\t")
         assert row[2] == row[3] == row[4] == ""
-        assert read_scored_pairs(path)[0].conditions.kind is NameClass.TYPE2
+        assert float(row[7]) == matching_score(cv, WeightVector.unit())
+        assert not read_scored_pairs(path)[0].type1[0]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pairs.tsv"

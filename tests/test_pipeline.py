@@ -4,7 +4,11 @@ failure cleanup, and the tuning objective."""
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,6 +20,7 @@ from harmonizer.evaluation import build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.match import read_scored_pairs, score_pairs
+from harmonizer.pipeline import _dependency_versions
 from harmonizer.pipeline import (
     CLEANED_HEADER,
     MAPPING_HEADER,
@@ -47,18 +52,17 @@ class TestArtifacts:
         assert ids == sorted(ids)
 
     def test_pairs_table_reads_back(self, corpus60_run):
-        pairs = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
-        assert pairs
-        assert all(p.id_a < p.id_b for p in pairs)
+        table, scores = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
+        assert len(table) == len(scores) > 0
+        assert all(table.ids[a] < table.ids[b] for a, b in zip(table.a, table.b))
 
     def test_pairs_table_holds_the_edges(self, corpus60_run, corpus60_config):
         """pairs.tsv holds the scored pairs that reached the edge threshold,
         one row per graph edge, not every candidate."""
-        pairs = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
-        threshold = corpus60_config["graph"]["threshold"]
-        assert all(p.score >= threshold for p in pairs)
+        table, scores = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
+        assert (scores >= corpus60_config["graph"]["threshold"]).all()
         counts = corpus60_run["manifest"]["stage_counts"]
-        assert len(pairs) == counts["edges"] < counts["candidate_pairs"]
+        assert len(table) == counts["edges"] < counts["candidate_pairs"]
 
     def test_mapping_covers_every_record(self, corpus60_run, corpus60_paths):
         rows = read_mapping(corpus60_run["dir"] / "mapping.tsv")
@@ -140,6 +144,22 @@ class TestArtifacts:
         assert set(seconds) == {"ingest", "augment", "parse", "match", "filter", "summary", "evaluate"}
         assert all(v >= 0 for v in seconds.values())
 
+    def test_manifest_layer_seconds(self, corpus60_paths, tmp_path):
+        """The layers split prepare_corpus and the match stage apart; they
+        are disjoint slices of the run, so they sum to no more than it."""
+        start = time.perf_counter()
+        manifest = run_fixture_pipeline(corpus60_paths, tmp_path)["manifest"]
+        wall = time.perf_counter() - start
+        layers = manifest["layer_seconds"]
+        assert set(layers) == {"augment", "parse", "domain", "embed", "block", "score", "write"}
+        assert all(v >= 0 for v in layers.values())
+        assert sum(layers.values()) <= wall
+        # Each value is rounded to 1e-6 s.
+        assert sum(layers.values()) <= sum(manifest["stage_seconds"].values()) + len(layers) * 1e-6
+        assert sum(layers[k] for k in ("augment", "parse", "domain", "embed", "block")) <= (
+            manifest["stage_seconds"]["augment"] + 5e-6
+        )
+
     def test_no_eval_without_gold(self, corpus60_paths, tmp_path):
         run = run_fixture_pipeline(corpus60_paths, tmp_path, with_gold=False)
         assert not (tmp_path / "eval.json").exists()
@@ -158,6 +178,31 @@ class TestDeterminism:
         rerun = run_fixture_pipeline(corpus60_paths, tmp_path)
         by_name = lambda m: {p.rsplit("/", 1)[-1]: h for p, h in m["outputs"].items()}
         assert by_name(rerun["manifest"]) == by_name(corpus60_run["manifest"])
+
+    # sha256 of `run` outputs on the committed corpora, recorded before pairs
+    # became a columnar table, under python 3.11.7, numpy 2.4.6 and networkx
+    # 3.6.1 (Louvain output depends on the networkx version).
+    PINNED = {
+        "corpus60": {
+            "mapping.tsv": "88be9a79b612a8165e1cd6ab4281008408a4d0e6a4acbaef82d9868fed80dd1d",
+            "pairs.tsv": "226f814579a599c3174d0cf3cb0917e46be75c7216b56ebaf80c3f4b9fbed239",
+        },
+        "corpus300": {
+            "mapping.tsv": "b490b5127f05ee5c62e2c573998aa8662ced2d59ad3dc8bd1be872b65e0f589c",
+            "pairs.tsv": "3f106b1e6c2d1ee7a981013062aac9f1edc1af967e3e68ae421fd0a9a47a4574",
+        },
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(PINNED))
+    def test_outputs_match_pinned_digests(self, corpus, request):
+        run = request.getfixturevalue(f"{corpus}_run")
+        versions = ", ".join(f"{k} {v}" for k, v in sorted(_dependency_versions().items()))
+        for name, digest in self.PINNED[corpus].items():
+            actual = hashlib.sha256((run["dir"] / name).read_bytes()).hexdigest()
+            assert actual == digest, (
+                f"{corpus} {name} differs from the pinned output ({versions} here; "
+                "pinned under networkx 3.6.1, numpy 2.4.6, python 3.11.7)"
+            )
 
 
 class TestFailureHandling:
@@ -227,6 +272,32 @@ class TestAtomicOutput:
             run_fixture_pipeline(corpus60_paths, out, with_gold=False)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_work_dir_of_a_killed_run_is_removed(self, corpus60_paths, tmp_path, monkeypatch):
+        """A run works in .<out>.<pid>.<suffix>; the next run into the same
+        --out removes such a sibling whose pid has exited and keeps one whose
+        pid is alive, and those of other outputs."""
+        import harmonizer.pipeline as pipeline_mod
+
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()
+        stale = tmp_path / f".out.{exited.pid}.k1ll3d_x"
+        stale.mkdir()
+        (stale / "mapping.tsv").write_text("half written")
+        kept = [tmp_path / f".out.{os.getpid()}.alive_01", tmp_path / f".other.{exited.pid}.k1ll3d_x"]
+        for path in kept:
+            path.mkdir()
+        seen = []
+        real = pipeline_mod.score_pairs
+
+        def spy(*args, **kwargs):
+            seen.extend(p.name for p in tmp_path.iterdir() if p not in kept and p.name.startswith(".out."))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "score_pairs", spy)
+        run_fixture_pipeline(corpus60_paths, tmp_path / "out")
+        assert len(seen) == 1 and seen[0].startswith(f".out.{os.getpid()}."), seen
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out"] + [p.name for p in kept])
 
 
 class TestMappingIo:
@@ -469,9 +540,8 @@ class TestTuningObjective:
         assert objective(hostile) < objective(incumbent)
 
     def test_edge_only_rescoring_matches_full_path(self, tuning_setup, tuning_artifacts):
-        # A trial builds scored pairs only for the pairs that clear its
-        # threshold; scoring every candidate and letting build_graph drop the
-        # rest must give the same F1 at any point of the search box.
+        # A trial rescores the table it filled once; filling a fresh table
+        # and scoring it must give the same F1 at any point of the search box.
         config, objective = tuning_setup
         artifacts, gold = tuning_artifacts
         space = SearchSpace.default()
@@ -479,14 +549,13 @@ class TestTuningObjective:
         for _ in range(20):
             point = space.uniform(rng)
             weights, params = config.tuning_params_as_config(point)
-            scored = score_pairs(
+            table = score_pairs(
                 artifacts.names_by_id,
                 artifacts.candidates,
                 artifacts.domain_info,
                 artifacts.embeddings,
-                weights,
             )
-            graph = build_graph(scored, artifacts.records, params)
+            graph = build_graph(table, table.scores(weights), artifacts.records, params)
             partition = refine_communities(graph, params)
             assert objective(point) == build_report(partition.assignments, gold).f1, point
 
