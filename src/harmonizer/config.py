@@ -47,11 +47,7 @@ DEFAULTS: dict[str, Any] = {
         "designators": None,
     },
     "embed": {
-        "backend": "hashing",
         "dim": 256,
-        "seed": 0,
-        "vectors_path": None,
-        "strict_vectors": False,
         "idf_floor": 0.01,
     },
     "match": {
@@ -80,14 +76,6 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# Paths and free-form selector strings may replace None or "" with any string;
-# numeric defaults pin their type.
-_NULLABLE_KEYS = {
-    ("parse", "designators"),
-    ("embed", "vectors_path"),
-}
-
-
 def _merge(base: dict, override: Mapping, path: str) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -105,9 +93,10 @@ def _merge(base: dict, override: Mapping, path: str) -> dict:
 
 
 def _coerce(default: Any, value: Any, path: str) -> Any:
+    # A key whose default is None (a path) takes null or any string; every
+    # other default pins its type.
     if value is None:
-        key_tail = tuple(path.split(".")[-2:])
-        if default is None or key_tail in _NULLABLE_KEYS:
+        if default is None:
             return None
         raise ConfigError(f"config key {path!r} may not be null")
     if default is None:

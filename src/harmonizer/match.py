@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .augment import DomainInfo
-from .embed import NameEmbedding, cosine_similarity, pair_cosines
+from .embed import NameEmbedding, pair_cosines
 from .errors import InputError
 from .parse import CleanName, NameClass
 
@@ -48,87 +48,6 @@ class WeightVector:
         return cls()
 
 
-@dataclass(frozen=True)
-class ConditionVector:
-    """Evaluated conditions for one candidate pair. Token-based fields are
-    None for type-2 pairs, where they are undefined rather than zero."""
-
-    kind: NameClass
-    token_common: Optional[int]
-    first_token_common: Optional[int]
-    url_text_common: Optional[int]
-    domain_common: int
-    cos: float
-    cos_degenerate: bool = False
-
-    def __post_init__(self):
-        binaries = [self.token_common, self.first_token_common, self.url_text_common]
-        if self.kind is NameClass.TYPE1:
-            if any(b is None for b in binaries):
-                raise ValueError("type-1 conditions need all three token-based fields")
-            if self.first_token_common > self.token_common:
-                raise ValueError("first_token_common cannot exceed token_common")
-        else:
-            if any(b is not None for b in binaries):
-                raise ValueError("type-2 conditions must leave token-based fields unset")
-        for b in binaries + [self.domain_common]:
-            if b is not None and b not in (0, 1):
-                raise ValueError(f"binary condition out of range: {b}")
-        if not -1.0 <= self.cos <= 1.0:
-            raise ValueError(f"cos out of range: {self.cos}")
-
-
-def evaluate_conditions(
-    a: CleanName,
-    b: CleanName,
-    info_a: Optional[DomainInfo],
-    info_b: Optional[DomainInfo],
-    emb_a: NameEmbedding,
-    emb_b: NameEmbedding,
-) -> ConditionVector:
-    """Evaluate the condition vector for one same-class pair."""
-    if a.name_class is None or b.name_class is None:
-        raise ValueError("names must be classified before condition evaluation")
-    if a.name_class is not b.name_class:
-        raise ValueError(
-            f"cannot pair {a.record_id!r} ({a.name_class.name}) with "
-            f"{b.record_id!r} ({b.name_class.name})"
-        )
-    info_a = info_a or _EMPTY_INFO
-    info_b = info_b or _EMPTY_INFO
-    domain_common = int(info_a.domain is not None and info_a.domain == info_b.domain)
-    if emb_a.degenerate or emb_b.degenerate:
-        cos, cos_degenerate = 0.0, True
-    else:
-        cos, cos_degenerate = cosine_similarity(emb_a.vector, emb_b.vector), False
-    if a.name_class is NameClass.TYPE2:
-        return ConditionVector(NameClass.TYPE2, None, None, None, domain_common, cos, cos_degenerate)
-    tokens_a, tokens_b = set(a.tokens), set(b.tokens)
-    token_common = int(bool(tokens_a & tokens_b))
-    first_token_common = int(token_common == 1 and a.tokens[0] == b.tokens[0])
-    # Both names must share a word with their own page text before the
-    # cross-name intersection counts for anything.
-    own_a = bool(tokens_a & info_a.url_tokens)
-    own_b = bool(tokens_b & info_b.url_tokens)
-    url_text_common = int(own_a and own_b and bool(info_a.url_tokens & info_b.url_tokens))
-    return ConditionVector(
-        NameClass.TYPE1, token_common, first_token_common, url_text_common, domain_common, cos, cos_degenerate
-    )
-
-
-def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
-    """Scalar product of the condition vector with the class-appropriate weights."""
-    base = weights.domain * conditions.domain_common + weights.cos * conditions.cos
-    if conditions.kind is NameClass.TYPE2:
-        return base
-    return (
-        base
-        + weights.token * conditions.token_common
-        + weights.first_token * conditions.first_token_common
-        + weights.url_text * conditions.url_text_common
-    )
-
-
 class BadPairRow(ValueError):
     """A PairTable row that breaks a column invariant; ``row`` is its index."""
 
@@ -141,10 +60,15 @@ class BadPairRow(ValueError):
 class PairTable:
     """Candidate pairs as columns, one row per pair, sorted by (id_a, id_b).
 
-    ``a`` and ``b`` index the sorted record ``ids``; the other columns hold
-    what ``evaluate_conditions`` gives for the pair, with zeros for the
-    token-based conditions of type-2 rows. ``score_pairs`` fills int32
-    indices and uint8 conditions.
+    ``a`` and ``b`` index the sorted record ``ids``. ``token`` is 1 when the
+    two names share a token, ``first`` when they also share their first
+    token, ``url`` when each name shares a word with its own page text and
+    the two pages share a word, and ``domain`` when both have the same
+    domain; type-2 rows hold 0 in the three token-based columns. ``cos`` is
+    the embedding cosine, 0 when either embedding is degenerate.
+    ``score_pairs`` fills int32 indices and uint8 conditions; the scalar
+    ``evaluate_conditions`` in ``tests/oracles.py`` is its pair-by-pair
+    oracle.
     """
 
     ids: tuple[str, ...]
@@ -179,8 +103,10 @@ class PairTable:
         return len(self.a)
 
     def scores(self, weights: WeightVector) -> np.ndarray:
-        """``matching_score`` of every row, bit for bit: the terms are added
-        in its order, which a matmul would not keep. Columns become float64
+        """The weighted sum of every row's conditions, over domain and cos
+        only for type-2 rows. Terms are added in one fixed order, which a
+        matmul would not keep, so each score is bit for bit the scalar
+        ``matching_score`` in ``tests/oracles.py``. Columns become float64
         first, as numpy 1.x would scale a uint8 column in float16."""
         token, first, url, domain = (c.astype(np.float64) for c in (self.token, self.first, self.url, self.domain))
         base = weights.domain * domain + weights.cos * self.cos

@@ -39,7 +39,7 @@ from .augment import (
     fetch_augmentation,
 )
 from .config import PipelineConfig
-from .embed import FileVectorBackend, HashingBackend, compute_idf, embed_corpus
+from .embed import HashingBackend, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import build_report, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
@@ -236,18 +236,7 @@ def prepare_corpus(
     t = _charge(seconds, "domain", t)
 
     embed_cfg = config["embed"]
-    if embed_cfg["backend"] == "hashing":
-        backend = HashingBackend(dim=embed_cfg["dim"], seed=embed_cfg["seed"])
-    elif embed_cfg["backend"] == "file":
-        if not embed_cfg["vectors_path"]:
-            raise ConfigError("embed.backend=file needs embed.vectors_path")
-        backend = FileVectorBackend(
-            embed_cfg["vectors_path"],
-            strict=embed_cfg["strict_vectors"],
-            hash_seed=embed_cfg["seed"],
-        )
-    else:
-        raise ConfigError(f"unknown embed backend {embed_cfg['backend']!r}")
+    backend = HashingBackend(dim=embed_cfg["dim"])
     idf = compute_idf(names, floor=embed_cfg["idf_floor"])
     embeddings = embed_corpus(names, backend, idf)
     t = _charge(seconds, "embed", t)

@@ -27,7 +27,9 @@ _STD_NORMAL = NormalDist()
 
 # Bounds: weights stay in (0, 1]; the threshold spans the useful score range;
 # resolution reaches past 1 so communities can be forced smaller; bridgeness
-# below 0 effectively disables pruning, above 1 loosens it.
+# above 1 loosens pruning. Bridgeness is never negative, so a point below 0
+# flags every node and breaks each community of more than 2 members into
+# singletons.
 DEFAULT_SPACE: tuple[tuple[str, float, float], ...] = (
     ("w_token", 0.1, 1.0),
     ("w_first_token", 0.1, 1.0),
@@ -66,12 +68,6 @@ class SearchSpace:
     def names(self) -> list[str]:
         return [name for name, _, _ in self.dims]
 
-    def bounds(self, name: str) -> tuple[float, float]:
-        for dim, lo, hi in self.dims:
-            if dim == name:
-                return lo, hi
-        raise KeyError(name)
-
     def validate_point(self, params: dict[str, float]) -> None:
         if set(params) != set(self.names):
             raise ConfigError(f"point keys {sorted(params)} do not match space {self.names}")
@@ -103,21 +99,6 @@ class Trial:
                 "error": self.error,
             },
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "Trial":
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad trial line: {exc}") from exc
-        return cls(
-            trial_id=payload["trial_id"],
-            params=dict(payload["params"]),
-            objective=payload["objective"],
-            seed=payload.get("seed", 0),
-            elapsed_s=payload.get("elapsed_s", 0.0),
-            error=payload.get("error"),
         )
 
 
@@ -231,21 +212,6 @@ class TrialHistory:
         if not self.trials:
             raise InputError("no trials recorded")
         return max(self.trials, key=lambda t: (t.objective, -t.trial_id))
-
-
-def load_trials(path: str | Path) -> list[Trial]:
-    path = Path(path)
-    trials = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trials.append(Trial.from_json(line))
-            except (InputError, KeyError) as exc:
-                raise InputError(f"{path} line {line_no}: {exc}") from exc
-    return trials
 
 
 def optimize(

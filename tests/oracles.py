@@ -10,9 +10,115 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import networkx as nx
+import numpy as np
+
+from harmonizer.augment import DomainInfo
+from harmonizer.embed import NameEmbedding
+from harmonizer.match import WeightVector
+from harmonizer.parse import CleanName, NameClass
+
+
+_EMPTY_INFO = DomainInfo(record_id="", domain=None, url_tokens=frozenset())
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine in [-1, 1]; exactly 1.0 for bitwise-identical vectors."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine undefined for zero-norm vector")
+    if np.array_equal(a, b):
+        return 1.0
+    value = float(np.dot(a, b) / (norm_a * norm_b))
+    return max(-1.0, min(1.0, value))
+
+
+@dataclass(frozen=True)
+class ConditionVector:
+    """Evaluated conditions for one candidate pair. Token-based fields are
+    None for type-2 pairs, where they are undefined rather than zero."""
+
+    kind: NameClass
+    token_common: Optional[int]
+    first_token_common: Optional[int]
+    url_text_common: Optional[int]
+    domain_common: int
+    cos: float
+    cos_degenerate: bool = False
+
+    def __post_init__(self):
+        binaries = [self.token_common, self.first_token_common, self.url_text_common]
+        if self.kind is NameClass.TYPE1:
+            if any(b is None for b in binaries):
+                raise ValueError("type-1 conditions need all three token-based fields")
+            if self.first_token_common > self.token_common:
+                raise ValueError("first_token_common cannot exceed token_common")
+        else:
+            if any(b is not None for b in binaries):
+                raise ValueError("type-2 conditions must leave token-based fields unset")
+        for b in binaries + [self.domain_common]:
+            if b is not None and b not in (0, 1):
+                raise ValueError(f"binary condition out of range: {b}")
+        if not -1.0 <= self.cos <= 1.0:
+            raise ValueError(f"cos out of range: {self.cos}")
+
+
+def evaluate_conditions(
+    a: CleanName,
+    b: CleanName,
+    info_a: Optional[DomainInfo],
+    info_b: Optional[DomainInfo],
+    emb_a: NameEmbedding,
+    emb_b: NameEmbedding,
+) -> ConditionVector:
+    """Evaluate the condition vector for one same-class pair."""
+    if a.name_class is None or b.name_class is None:
+        raise ValueError("names must be classified before condition evaluation")
+    if a.name_class is not b.name_class:
+        raise ValueError(
+            f"cannot pair {a.record_id!r} ({a.name_class.name}) with "
+            f"{b.record_id!r} ({b.name_class.name})"
+        )
+    info_a = info_a or _EMPTY_INFO
+    info_b = info_b or _EMPTY_INFO
+    domain_common = int(info_a.domain is not None and info_a.domain == info_b.domain)
+    if emb_a.degenerate or emb_b.degenerate:
+        cos, cos_degenerate = 0.0, True
+    else:
+        cos, cos_degenerate = cosine_similarity(emb_a.vector, emb_b.vector), False
+    if a.name_class is NameClass.TYPE2:
+        return ConditionVector(NameClass.TYPE2, None, None, None, domain_common, cos, cos_degenerate)
+    tokens_a, tokens_b = set(a.tokens), set(b.tokens)
+    token_common = int(bool(tokens_a & tokens_b))
+    first_token_common = int(token_common == 1 and a.tokens[0] == b.tokens[0])
+    # Both names must share a word with their own page text before the
+    # cross-name intersection counts for anything.
+    own_a = bool(tokens_a & info_a.url_tokens)
+    own_b = bool(tokens_b & info_b.url_tokens)
+    url_text_common = int(own_a and own_b and bool(info_a.url_tokens & info_b.url_tokens))
+    return ConditionVector(
+        NameClass.TYPE1, token_common, first_token_common, url_text_common, domain_common, cos, cos_degenerate
+    )
+
+
+def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
+    """Scalar product of the condition vector with the class-appropriate weights."""
+    base = weights.domain * conditions.domain_common + weights.cos * conditions.cos
+    if conditions.kind is NameClass.TYPE2:
+        return base
+    return (
+        base
+        + weights.token * conditions.token_common
+        + weights.first_token * conditions.first_token_common
+        + weights.url_text * conditions.url_text_common
+    )
 
 
 def brute_idf(token_lists, floor=0.01):

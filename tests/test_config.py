@@ -100,20 +100,20 @@ class TestCoercion:
             load(tmp_path, "run:\n  offline: 1\n")
 
     def test_number_rejected_for_string(self, tmp_path):
-        with pytest.raises(ConfigError, match="embed.backend.*string"):
-            load(tmp_path, "embed:\n  backend: 3\n")
+        with pytest.raises(ConfigError, match="augment.provider.query_param.*string"):
+            load(tmp_path, "augment:\n  provider:\n    query_param: 3\n")
 
     def test_null_rejected_for_numeric(self, tmp_path):
         with pytest.raises(ConfigError, match="may not be null"):
             load(tmp_path, "graph:\n  threshold: null\n")
 
     def test_nullable_path_accepts_null(self, tmp_path):
-        config = load(tmp_path, "embed:\n  vectors_path: null\n")
-        assert config["embed"]["vectors_path"] is None
+        config = load(tmp_path, "parse:\n  designators: null\n")
+        assert config["parse"]["designators"] is None
 
     def test_nullable_path_accepts_string(self, tmp_path):
-        config = load(tmp_path, "embed:\n  vectors_path: vecs.tsv\n")
-        assert config["embed"]["vectors_path"] == "vecs.tsv"
+        config = load(tmp_path, "parse:\n  designators: designators.txt\n")
+        assert config["parse"]["designators"] == "designators.txt"
 
     def test_nullable_path_rejects_number(self, tmp_path):
         with pytest.raises(ConfigError, match="path string"):
@@ -150,8 +150,8 @@ class TestEnvLayer:
         assert config["run"]["offline"] is True
 
     def test_string_value_passthrough(self):
-        config = load(environ={"HARMONIZER_EMBED_BACKEND": "file"})
-        assert config["embed"]["backend"] == "file"
+        config = load(environ={"HARMONIZER_AUGMENT_PROVIDER_QUERY_PARAM": "query"})
+        assert config["augment"]["provider"]["query_param"] == "query"
 
     def test_unrelated_env_ignored(self):
         config = load(environ={"PATH": "/usr/bin", "HARMONIZERX": "1"})
@@ -353,14 +353,16 @@ REMOVED_KEYS = [
     ("graph", "prune_rule", "edge_bridgeness"),
     ("graph", "naming", "volume"),
     ("graph", "refine_until_stable", True),
+    ("embed", "backend", "hashing"),
+    ("embed", "seed", 0),
+    ("embed", "vectors_path", "vecs.tsv"),
+    ("embed", "strict_vectors", True),
 ]
 
 
 class TestEveryKeyRead:
-    def test_run_tune_file_backend_and_provider_read_every_key(self, corpus60_paths, tmp_path):
-        from harmonizer.augment import AugmentationCache
-        from harmonizer.ingest import load_assignee_table
-        from harmonizer.pipeline import make_provider, prepare_corpus, run_pipeline, tune_pipeline
+    def test_run_tune_and_provider_read_every_key(self, corpus60_paths, tmp_path):
+        from harmonizer.pipeline import make_provider, run_pipeline, tune_pipeline
 
         seen: set = set()
 
@@ -371,12 +373,6 @@ class TestEveryKeyRead:
         paths = (corpus60_paths["input"], corpus60_paths["cache"])
         run_pipeline(recorded(None), *paths, tmp_path / "out", gold_path=corpus60_paths["gold"])
         tune_pipeline(recorded({"tune": {"trials": 2}}), *paths, corpus60_paths["gold"])
-
-        vectors = tmp_path / "vectors.tsv"
-        vectors.write_text("token\tdim=32\nacme\t" + " ".join(["0.5"] * 32) + "\n", encoding="utf-8")
-        file_backend = {"embed": {"backend": "file", "vectors_path": str(vectors)}}
-        records = load_assignee_table(corpus60_paths["input"])
-        prepare_corpus(recorded(file_backend), records, AugmentationCache(corpus60_paths["cache"]))
 
         online = recorded({"augment": {"provider": {"endpoint": "https://search.example/s"}}})
         assert make_provider(online, offline=False) is not None

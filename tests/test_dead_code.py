@@ -1,0 +1,58 @@
+"""Every module-level function and class of the package has a caller.
+
+A definition counts as used when its name appears outside its own body, as
+a name, an attribute or an exact string (``perfbench`` wraps functions by
+name), in ``src/harmonizer``, ``scripts`` or ``perfbench``. Tests do not
+count: code that only tests call belongs with the tests.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "harmonizer"
+CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+ALLOWED = {
+    # Reads pairs.tsv back into a PairTable: the reader of the planned
+    # `explain` command, which has not landed yet.
+    "read_scored_pairs",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names[sub.value] += 1
+    return names
+
+
+def unused_definitions() -> set[str]:
+    trees = {
+        directory: [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
+        for directory in CALLERS
+    }
+    everywhere: Counter = Counter()
+    for tree in (tree for parsed in trees.values() for tree in parsed):
+        everywhere.update(_references(tree))
+    return {
+        node.name
+        for tree in trees[PACKAGE]
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and everywhere[node.name] == _references(node)[node.name]
+    }
+
+
+def test_every_module_level_definition_has_a_caller():
+    unused = unused_definitions()
+    assert sorted(unused - ALLOWED) == [], "defined in src/harmonizer but called only from tests, or not at all"
+    assert sorted(ALLOWED - unused) == [], "allowlisted but now called: drop it from ALLOWED"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonizer.embed import NameEmbedding, cosine_similarity
+from harmonizer.embed import NameEmbedding
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -26,7 +26,7 @@ from harmonizer.graph import (
 from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import PairTable
 
-from oracles import brute_bridgeness, connected_graphs, exact_bridgeness
+from oracles import brute_bridgeness, connected_graphs, cosine_similarity, exact_bridgeness
 
 
 def scored(records, *pairs):

@@ -15,15 +15,12 @@ from harmonizer.errors import InputError
 from harmonizer.match import (
     FULL_INDEX,
     BadPairRow,
-    ConditionVector,
     PairTable,
     ScoreBound,
     WeightVector,
     blocking_key_kinds,
     brute_force_candidates,
-    evaluate_conditions,
     generate_candidate_pairs,
-    matching_score,
     read_scored_pairs,
     score_pairs,
     write_scored_pairs,
@@ -35,6 +32,8 @@ from harmonizer.parse import (
     clean_name,
     classify_name_type,
 )
+
+from oracles import ConditionVector, evaluate_conditions, matching_score
 
 
 def classified(raw, record_id, common=None):
@@ -440,7 +439,7 @@ def oracle_corpus(seed, n=70):
     some records carry a bitwise copy of another record's vector."""
     rng = random.Random(seed)
     names, infos = random_blocking_corpus(rng, n)
-    embeddings = embed_corpus(names, HashingBackend(dim=32, seed=seed), compute_idf(names))
+    embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
     ids = sorted(embeddings)
     for rid in rng.sample(ids, 6):
         embeddings[rid] = NameEmbedding(rid, np.zeros(32), degenerate=True)

@@ -240,11 +240,25 @@ class TestFailureHandling:
 
     def test_config_error_passes_through_and_cleans_up(self, corpus60_paths, tmp_path):
         config = PipelineConfig.load(
-            corpus60_paths["config"], environ={}, overrides={"embed": {"backend": "nope"}}
+            corpus60_paths["config"], environ={}, overrides={"embed": {"dim": 8}}
         )
-        with pytest.raises(ConfigError, match="embed backend"):
+        with pytest.raises(ConfigError, match="hashing dim"):
             run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path)
         assert not list(tmp_path.iterdir())
+
+    def test_names_whose_vectors_cancel_run(self, corpus60_paths, tmp_path):
+        # "b" and "p" hash to exact negatives and get equal idf here, so both
+        # names embed to the zero vector, which has no cosine.
+        table = tmp_path / "corpus.tsv"
+        rows = "r901\tB.P. INC.\t5\t\nr902\tB.P. CORPORATION\t3\t\n"
+        table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + rows, encoding="utf-8")
+        config = PipelineConfig.load(corpus60_paths["config"], environ={})
+        artifacts = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
+        assert artifacts.embeddings["r901"].degenerate and artifacts.embeddings["r902"].degenerate
+        run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out")
+        mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
+        assert len(mapping) == 62
+        assert mapping["r902"]["canonical_name"] == "B.P. CORPORATION"
 
 
 class TestAtomicOutput:
