@@ -8,7 +8,9 @@ on the unweighted skeleton. Joint-venture style names sit between two dense
 clusters and light up under exactly this measure. It is computed in O(n·m)
 per community with Brandes' dependency accumulation, and a node is flagged
 only when its bridgeness clears the threshold by a relative 1e-9, so a value
-equal to the threshold is never flagged whatever the rounding.
+equal to the threshold is never flagged whatever the rounding. Pruning skips
+the computation where its outcome is known: a threshold below 0 flags every
+node, and a community of at most 4 nodes or a clique has no nonzero value.
 """
 
 from __future__ import annotations
@@ -93,6 +95,17 @@ def build_graph(
     return graph
 
 
+def _sorted_graph(nodes, weighted_edges) -> nx.Graph:
+    """Graph of ``nodes`` in sorted order and the ``(u, v, weight)`` edges as
+    sorted ``(min, max, weight)`` triples. A node's smaller neighbours then
+    come first and its larger ones after, each in sorted order: every
+    neighbour list is sorted, the order ``louvain`` needs."""
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(nodes))
+    graph.add_weighted_edges_from(sorted((min(u, v), max(u, v), w) for u, v, w in weighted_edges))
+    return graph
+
+
 def louvain(graph: nx.Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     """Seeded Louvain partition with dense community ids.
 
@@ -101,19 +114,14 @@ def louvain(graph: nx.Graph, resolution: float = 1.0, seed: int = 0) -> Partitio
     depends on node and edge order, and a subgraph view iterates a set of its
     nodes (an order that follows the string hash seed), so a graph not in
     sorted node and neighbour order is rebuilt in that order first. A graph
-    already in it, as ``build_graph`` makes it, is used as is: rebuilding it
-    would give the same order and cost a copy of the largest graph.
+    already in it, as ``build_graph`` and ``prune_global_bridges`` make it, is
+    used as is: rebuilding it would give the same order and cost a copy.
     """
     if graph.number_of_nodes() == 0:
         return Partition(assignments={})
     nodes = sorted(graph.nodes)
     if list(graph.adj) != nodes or any(list(nbrs) != sorted(nbrs) for nbrs in graph.adj.values()):
-        rebuilt = nx.Graph()
-        rebuilt.add_nodes_from(nodes)
-        rebuilt.add_weighted_edges_from(
-            sorted((min(u, v), max(u, v), w) for u, v, w in graph.edges(data="weight", default=1))
-        )
-        graph = rebuilt
+        graph = _sorted_graph(nodes, graph.edges(data="weight", default=1))
     communities = nx.community.louvain_communities(
         graph, weight="weight", resolution=resolution, seed=seed
     )
@@ -181,20 +189,36 @@ _BETA_MARGIN = 1e-9
 
 
 def prune_global_bridges(graph: nx.Graph, beta: float, stats: Optional[dict] = None) -> nx.Graph:
-    """Copy of ``graph`` without the edges that touch a node whose bridgeness
-    exceeds ``beta``. A value equal to ``beta`` is never flagged. ``stats``,
-    when given, has its ``flagged_nodes`` and ``pruned_edges`` counts raised."""
-    bridgeness = bridgeness_centrality(graph)
+    """``graph`` without the edges that touch a node whose bridgeness exceeds
+    ``beta``; a value equal to ``beta`` is never flagged. When no node is
+    flagged the result is ``graph`` itself, not a copy, so a caller must not
+    mutate it. Otherwise it is a new graph in sorted node and edge order,
+    which ``louvain`` uses as it is. ``stats``, when given, has its
+    ``flagged_nodes`` and ``pruned_edges`` counts raised.
+
+    Two cases are settled without computing bridgeness. It is never negative,
+    so a cutoff below 0 flags every node. And a node interior to a shortest
+    s-t path with s and t outside its closed neighbourhood has d(s, t) >= 4,
+    so on a graph of at most 4 nodes, or a clique, every node's bridgeness is
+    exactly 0 and a cutoff of 0 or more flags none. A β just below 0 (above
+    -1e-9) has a cutoff above 0, so it flags no node of bridgeness 0.
+    """
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
-    flagged = {v for v, value in bridgeness.items() if value > cutoff}
-    pruned = graph.copy()
+    n = graph.number_of_nodes()
+    if cutoff < 0:
+        flagged = set(graph.nodes)
+    elif n <= 4 or 2 * graph.number_of_edges() == n * (n - 1):
+        flagged = set()
+    else:
+        flagged = {v for v, value in bridgeness_centrality(graph).items() if value > cutoff}
+    pruned, removed = graph, 0
     if flagged:
-        pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
+        edges = list(graph.edges(data="weight", default=1))
+        kept = [(u, v, w) for u, v, w in edges if u not in flagged and v not in flagged]
+        pruned, removed = _sorted_graph(graph.nodes, kept), len(edges) - len(kept)
     if stats is not None:
         stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
-        stats["pruned_edges"] = (
-            stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
-        )
+        stats["pruned_edges"] = stats.get("pruned_edges", 0) + removed
     return pruned
 
 
@@ -212,8 +236,8 @@ def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[di
     summed over every pass, how many first-pass communities were split, and
     the final community-size histogram (size -> count).
     """
-    if stats is not None:
-        stats.update(flagged_nodes=0, pruned_edges=0)
+    counts = stats if stats is not None else {}
+    counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
     partition = first
     for _ in range(params.refine_passes):
@@ -222,9 +246,9 @@ def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[di
         for members in partition.communities().values():
             parts = [members]
             if len(members) > 2:
-                sub = graph.subgraph(members)
-                pruned = prune_global_bridges(sub, params.bridgeness_threshold, stats)
-                if pruned.number_of_edges() < sub.number_of_edges():
+                before = counts["pruned_edges"]
+                pruned = prune_global_bridges(graph.subgraph(members), params.bridgeness_threshold, counts)
+                if counts["pruned_edges"] > before:
                     sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
                     parts = sub_partition.communities().values()
             for part in parts:

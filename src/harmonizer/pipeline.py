@@ -39,7 +39,7 @@ from .augment import (
     fetch_augmentation,
 )
 from .config import PipelineConfig
-from .embed import HashingBackend, compute_idf, embed_corpus
+from .embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import build_report, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
@@ -140,12 +140,18 @@ def read_mapping(path: str | Path) -> list[dict]:
     return rows
 
 
-def _write_cleaned(names: Sequence[CleanName], path: Path) -> None:
+def _degenerate(name: CleanName, embeddings: Mapping[str, NameEmbedding]) -> bool:
+    """A name made of nothing but designators, or one whose embedding is the
+    zero vector and so scores cos 0 against every other name."""
+    return name.degenerate or embeddings[name.record_id].degenerate
+
+
+def _write_cleaned(names: Sequence[CleanName], embeddings: Mapping[str, NameEmbedding], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
         for name in sorted(names, key=lambda n: n.record_id):
             cls = name.name_class.name.lower() if name.name_class else ""
-            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(name.degenerate)}\n")
+            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(_degenerate(name, embeddings))}\n")
 
 
 @dataclass
@@ -260,7 +266,7 @@ def prepare_corpus(
                 "corrected": n_corrected,
                 "type1": n_type1,
                 "type2": n_type2,
-                "degenerate": sum(1 for n in names if n.degenerate),
+                "degenerate": sum(1 for n in names if _degenerate(n, embeddings)),
                 "candidate_pairs": len(candidates),
                 **blocking,
             }
@@ -366,7 +372,7 @@ def run_pipeline(
 
         stage = "parse"
         t = time.perf_counter()
-        _write_cleaned(artifacts.names, work / "cleaned.tsv")
+        _write_cleaned(artifacts.names, artifacts.embeddings, work / "cleaned.tsv")
         _charge(layers, "write", t)
         finish_stage("parse", type1=counts["type1"], type2=counts["type2"], degenerate=counts["degenerate"])
 

@@ -2,7 +2,9 @@
 
 Everything here favors obviousness over speed: direct formula transcription,
 explicit path enumeration, O(n^2) pair loops. None of it imports from the
-package's internals beyond plain data types.
+package's internals beyond plain data types, except ``reference_prune``: it
+reuses ``bridgeness_centrality``, which the path-counting oracles here check,
+to check the cases pruning settles without it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from harmonizer.augment import DomainInfo
 from harmonizer.embed import NameEmbedding
+from harmonizer.graph import _BETA_MARGIN, bridgeness_centrality
 from harmonizer.match import WeightVector
 from harmonizer.parse import CleanName, NameClass
 
@@ -180,6 +183,22 @@ def exact_bridgeness(graph: nx.Graph) -> dict:
                     acc[v] += Fraction(1, len(paths))
     return acc
 
+
+def reference_prune(graph: nx.Graph, beta: float, stats: Optional[dict] = None) -> nx.Graph:
+    """``prune_global_bridges`` with no shortcut: computes every node's
+    bridgeness (``bridgeness_centrality``, itself checked against the two
+    oracles above), then copies the graph and removes the flagged edges."""
+    bridgeness = bridgeness_centrality(graph)
+    cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
+    flagged = {v for v, value in bridgeness.items() if value > cutoff}
+    pruned = graph.copy()
+    pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
+    if stats is not None:
+        stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
+        stats["pruned_edges"] = (
+            stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
+        )
+    return pruned
 
 def brute_pairwise_confusion(predicted: dict, gold: dict):
     """O(n^2) loop over record pairs; returns (tp, fp, fn)."""

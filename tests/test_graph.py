@@ -1,7 +1,9 @@
 """Similarity graph, Louvain wrapper, bridgeness, pruning, canonical naming."""
 
+import itertools
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonizer import graph as graph_module
 from harmonizer.embed import NameEmbedding
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
@@ -26,7 +29,7 @@ from harmonizer.graph import (
 from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import PairTable
 
-from oracles import brute_bridgeness, connected_graphs, cosine_similarity, exact_bridgeness
+from oracles import brute_bridgeness, connected_graphs, cosine_similarity, exact_bridgeness, reference_prune
 
 
 def scored(records, *pairs):
@@ -247,8 +250,11 @@ class TestPruning:
         assert set(pruned.nodes) == set(range(5))
 
     def test_beta_one_keeps_five_path(self):
-        # B(center) == 1.0 is not > 1.0: nothing flagged.
-        pruned = prune_global_bridges(nx.path_graph(5), beta=1.0)
+        # B(center) == 1.0 is not > 1.0: nothing flagged, and the input
+        # itself comes back rather than a copy.
+        g = nx.path_graph(5)
+        pruned = prune_global_bridges(g, beta=1.0)
+        assert pruned is g
         assert sorted(pruned.edges) == sorted(nx.path_graph(5).edges)
 
     def test_input_not_mutated(self):
@@ -260,6 +266,38 @@ class TestPruning:
         stats = {}
         prune_global_bridges(nx.path_graph(5), beta=0.5, stats=stats)
         assert stats == {"flagged_nodes": 1, "pruned_edges": 2}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_clique_at_beta_zero_flags_nothing(self, n):
+        # Every pair of a clique is adjacent, so every bridgeness is 0.
+        g = nx.complete_graph(n)
+        stats = {}
+        assert prune_global_bridges(g, beta=0.0, stats=stats) is g
+        assert stats == {"flagged_nodes": 0, "pruned_edges": 0}
+        assert set(brute_bridgeness(g).values()) == {0.0}
+
+    @pytest.mark.parametrize("beta", [-2.0, -0.5])
+    def test_negative_cutoff_flags_every_node(self, beta):
+        # Bridgeness is never negative, so every node clears a cutoff below 0.
+        stats = {}
+        pruned = prune_global_bridges(nx.path_graph(5), beta=beta, stats=stats)
+        assert sorted(pruned.nodes) == list(range(5)) and pruned.number_of_edges() == 0
+        assert stats == {"flagged_nodes": 5, "pruned_edges": 4}
+
+    def test_pruned_graph_is_built_in_sorted_order(self):
+        # Louvain uses the result as it is only when nodes and neighbour
+        # lists are sorted; weights carry over.
+        rng = random.Random(3)
+        edges = [(u, v) for u, v in itertools.combinations(range(12), 2) if rng.random() < 0.3]
+        rng.shuffle(edges)
+        g = nx.Graph()
+        g.add_nodes_from(f"n{i:02d}" for i in rng.sample(range(12), 12))
+        g.add_edges_from((f"n{v:02d}", f"n{u:02d}", {"weight": float(u + v)}) for u, v in edges)
+        pruned = prune_global_bridges(g, beta=0.5)
+        assert pruned is not g and 0 < pruned.number_of_edges() < g.number_of_edges()
+        assert list(pruned.adj) == sorted(g.nodes)
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in pruned.adj.values())
+        assert all(g[u][v]["weight"] == w for u, v, w in pruned.edges(data="weight"))
 
 
 def _boundary_family(kind):
@@ -283,14 +321,15 @@ def test_flags_match_exact_bridgeness_at_the_boundary(kind):
     half-integers in [-2, 20]. Rounded sums put some nodes whose exact value
     is β a few ulps above it. Only the β values some node's exact value
     equals, plus the default 1.0, are run: every other β lies further from
-    each exact value than rounding can move it."""
+    each exact value than rounding can move it. β of -2 and -0.5 flag every
+    node; -1e-10 lies within the margin below 0 and flags only what 0 does."""
     for index, g in enumerate(_boundary_family(kind)):
         exact = exact_bridgeness(g)
         ties = {float(x) for x in exact.values() if (2 * x).denominator == 1 and -2 <= x <= 20}
-        for beta in sorted(ties | {1.0}):
+        for beta in sorted(ties | {1.0, -2.0, -0.5, -1e-10}):
             stats = {}
             pruned = prune_global_bridges(g, beta, stats)
-            flagged = {v for v in g if exact[v] > beta}
+            flagged = {v for v in g if exact[v] > (0 if beta == -1e-10 else beta)}
             kept = {frozenset(e) for e in g.edges if not flagged & set(e)}
             assert stats["flagged_nodes"] == len(flagged), (kind, index, beta)
             assert {frozenset(e) for e in pruned.edges} == kept, (kind, index, beta)
@@ -409,6 +448,52 @@ def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
     for members in partition.communities().values():
         if len(members) > 1:
             assert nx.is_connected(graph.subgraph(members)), members
+
+
+@st.composite
+def near_cliques(draw):
+    """One to three cliques of 3-8 nodes, each missing up to two edges and
+    carrying up to two pendant nodes, and tied to the previous one by one to
+    three edges: communities that are cliques, and dense ones whose pendant
+    pairs lie 4 hops apart and give some member nonzero bridgeness."""
+    rng = draw(st.randoms(use_true_random=True))
+    g = nx.Graph()
+    previous: list = []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        members = [f"c{k}{i}" for i in range(rng.randint(3, 8))]
+        pairs = list(itertools.combinations(members, 2))
+        for u, v in rng.sample(pairs, len(pairs) - rng.randint(0, 2)):
+            g.add_edge(u, v, weight=rng.uniform(0.5, 6.0))
+        for i in range(rng.randint(0, 2)):
+            g.add_edge(f"p{k}{i}", rng.choice(members), weight=rng.uniform(0.5, 6.0))
+        for _ in range(rng.randint(1, 3) if previous else 0):
+            g.add_edge(rng.choice(previous), rng.choice(members), weight=rng.uniform(0.5, 6.0))
+        previous = members
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    graph=st.one_of(weighted_graphs(), near_cliques()),
+    log_resolution=st.floats(min_value=-3.0, max_value=math.log10(2.0)),
+    beta=st.one_of(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-1e-9, max_value=0.0, exclude_min=True),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_pruning_shortcuts_match_the_reference(graph, log_resolution, beta, seed):
+    """Refinement gives the same partition and the same filter stats whether
+    pruning skips bridgeness and builds in sorted order, or always computes
+    bridgeness and prunes a copy."""
+    params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
+    stats: dict = {}
+    partition = refine_communities(graph, params, stats)
+    expected_stats: dict = {}
+    with mock.patch.object(graph_module, "prune_global_bridges", reference_prune):
+        expected = refine_communities(graph, params, expected_stats)
+    assert partition.assignments == expected.assignments
+    assert stats == expected_stats
 
 
 def embeddings_for(vectors):

@@ -4,6 +4,7 @@ failure cleanup, and the tuning objective."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -205,6 +206,25 @@ class TestDeterminism:
             )
 
 
+    # sha256 of every trial's (params, objective) in a 32-trial `tune` on
+    # corpus300 (31 uniform start-up trials, then one TPE proposal), recorded
+    # before pruning skipped any bridgeness computation, under the versions
+    # above. 17 of the 32 trials draw a bridgeness threshold below 0.
+    PINNED_TRIALS = "80366eed133d64dac3acca9749ec0aaaee23ec2b67bfa323c256ac68ab0eb60e"
+
+    def test_tune_trials_match_pinned_digest(self, corpus300_paths):
+        overrides = {"tune": {"trials": 32, "n_startup": 31}}
+        config = PipelineConfig.load(corpus300_paths["config"], environ={}, overrides=overrides)
+        history = tune_pipeline(config, corpus300_paths["input"], corpus300_paths["cache"], corpus300_paths["gold"])
+        assert [t.error for t in history.trials] == [None] * 32
+        text = json.dumps([[t.params, t.objective] for t in history.trials], sort_keys=True)
+        versions = ", ".join(f"{k} {v}" for k, v in sorted(_dependency_versions().items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_TRIALS, (
+            f"tune trials differ from the pinned ones ({versions} here; "
+            "pinned under networkx 3.6.1, numpy 2.4.6, python 3.11.7)"
+        )
+
+
 class TestFailureHandling:
     def test_missing_input_is_input_error(self, tmp_path):
         config = PipelineConfig.load(environ={})
@@ -259,6 +279,12 @@ class TestFailureHandling:
         mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
         assert len(mapping) == 62
         assert mapping["r902"]["canonical_name"] == "B.P. CORPORATION"
+        # Both outputs count them as degenerate, and nothing else on corpus60.
+        lines = (tmp_path / "out" / "cleaned.tsv").read_text(encoding="utf-8").splitlines()
+        flags = {line.split("\t")[0]: line.split("\t")[3] for line in lines[1:]}
+        assert {rid for rid, flag in flags.items() if flag == "1"} == {"r901", "r902"}
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stage_counts"]["degenerate"] == 2
 
 
 class TestAtomicOutput:
