@@ -1,6 +1,7 @@
 """Graph filtering: build the similarity graph from scored pairs, partition it
 with seeded Louvain, then split chained-together communities by deleting edges
-at high-bridgeness nodes and re-partitioning inside each community.
+at high-bridgeness nodes and re-partitioning inside each community. The whole
+stage runs on ``Graph``, an index adjacency over the sorted record ids.
 
 Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
@@ -16,11 +17,11 @@ node, and a community of at most 4 nodes or a clique has no nonzero value.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .embed import NameEmbedding, pair_cosines
@@ -67,6 +68,27 @@ class Partition:
         return dict(sorted(out.items()))
 
 
+@dataclass(frozen=True)
+class Graph:
+    """Undirected weighted graph without self-loops, on the indices of its
+    sorted ``nodes`` (record ids). ``adj[i]`` maps every neighbour index of
+    node ``i`` to the edge's weight, in ascending index order; each edge is
+    held by both ends."""
+
+    nodes: tuple
+    adj: list[dict[int, float]]
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.adj)) // 2
+
+    def subgraph(self, indices: Sequence[int]) -> "Graph":
+        """The subgraph induced by ``indices`` (ascending), renumbered from 0
+        in that order, so its neighbours stay ascending too."""
+        position = {i: k for k, i in enumerate(indices)}
+        adj = [{position[j]: w for j, w in self.adj[i].items() if j in position} for i in indices]
+        return Graph(tuple(self.nodes[i] for i in indices), adj)
+
+
 def _shared_locations(a: AssigneeRecord, b: AssigneeRecord) -> bool:
     # "||" carries no information and never matches anything, itself included.
     common = a.locations & b.locations
@@ -78,77 +100,179 @@ def build_graph(
     scores: np.ndarray,
     records: Mapping[str, AssigneeRecord],
     params: FilterParams,
-) -> nx.Graph:
+) -> Graph:
     """Similarity graph: every record is a node; an edge exists iff the pair
     score clears the threshold, and shared non-empty locations add the boost
-    on top of the score (membership is decided before the boost). Edges are
-    added in table order, which is sorted by (id_a, id_b)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(sorted(records))
+    on top of the score (membership is decided before the boost). Every id
+    of ``table`` is a record. Its rows are sorted by (id_a, id_b), so adding
+    them in table order leaves every neighbour dict ascending."""
+    nodes = tuple(sorted(records))
+    index = {rid: i for i, rid in enumerate(nodes)}
+    position = [index[rid] for rid in table.ids]
+    adj: list[dict[int, float]] = [{} for _ in nodes]
     rows = np.flatnonzero(scores >= params.threshold)
     for i, j, weight in zip(table.a[rows].tolist(), table.b[rows].tolist(), scores[rows].tolist()):
-        id_a, id_b = table.ids[i], table.ids[j]
-        rec_a, rec_b = records.get(id_a), records.get(id_b)
-        if rec_a is not None and rec_b is not None and _shared_locations(rec_a, rec_b):
+        if _shared_locations(records[table.ids[i]], records[table.ids[j]]):
             weight += params.location_boost
-        graph.add_edge(id_a, id_b, weight=weight)
-    return graph
+        u, v = position[i], position[j]
+        adj[u][v] = adj[v][u] = weight
+    return Graph(nodes, adj)
 
 
-def _sorted_graph(nodes, weighted_edges) -> nx.Graph:
-    """Graph of ``nodes`` in sorted order and the ``(u, v, weight)`` edges as
-    sorted ``(min, max, weight)`` triples. A node's smaller neighbours then
-    come first and its larger ones after, each in sorted order: every
-    neighbour list is sorted, the order ``louvain`` needs."""
-    graph = nx.Graph()
-    graph.add_nodes_from(sorted(nodes))
-    graph.add_weighted_edges_from(sorted((min(u, v), max(u, v), w) for u, v, w in weighted_edges))
-    return graph
+# Louvain stops once a level gains no more modularity than this (networkx's
+# default threshold).
+_LOUVAIN_THRESHOLD = 0.0000001
 
 
-def louvain(graph: nx.Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
+def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     """Seeded Louvain partition with dense community ids.
 
+    A transcription of networkx 3.6.1's ``louvain_communities`` (its
+    ``louvain_partitions``, ``_one_level``, ``_neighbor_weights`` and
+    ``_gen_graph``) onto lists of dicts, run on the graph in sorted node and
+    neighbour order: every float expression and summation order, the
+    neighbour-weight defaultdict (reading the node's own community inserts
+    it), the strict ``gain > best_mod``, and one ``random.Random(seed)``
+    shared across levels are kept, and ``tests/oracles.py`` holds networkx
+    as its oracle. One thing differs: modularity sums each community's
+    members in ascending index order, where networkx sums them in set order,
+    which for string ids follows the hash seed. The two sums can differ by a
+    few ulps, which changes the result only when a level's gain lies within
+    ulps of the 1e-7 stop threshold.
+
     Communities are numbered by their smallest member so the mapping is stable
-    across runs; isolated nodes come out as singletons. Louvain's result
-    depends on node and edge order, and a subgraph view iterates a set of its
-    nodes (an order that follows the string hash seed), so a graph not in
-    sorted node and neighbour order is rebuilt in that order first. A graph
-    already in it, as ``build_graph`` and ``prune_global_bridges`` make it, is
-    used as is: rebuilding it would give the same order and cost a copy.
+    across runs; isolated nodes come out as singletons.
     """
-    if graph.number_of_nodes() == 0:
-        return Partition(assignments={})
-    nodes = sorted(graph.nodes)
-    if list(graph.adj) != nodes or any(list(nbrs) != sorted(nbrs) for nbrs in graph.adj.values()):
-        graph = _sorted_graph(nodes, graph.edges(data="weight", default=1))
-    communities = nx.community.louvain_communities(
-        graph, weight="weight", resolution=resolution, seed=seed
-    )
-    ordered = sorted((sorted(c) for c in communities), key=lambda c: c[0])
-    assignments: dict[str, int] = {}
-    for cid, members in enumerate(ordered):
-        for node in members:
-            assignments[node] = cid
-    return Partition(assignments=assignments)
+    community = _louvain_communities(graph.adj, resolution, random.Random(seed))
+    dense: dict[int, int] = {}
+    return Partition(assignments={node: dense.setdefault(com, len(dense)) for node, com in zip(graph.nodes, community)})
 
 
-def bridgeness_centrality(graph: nx.Graph) -> dict:
+def _louvain_communities(adj: list[dict], resolution: float, rng: random.Random) -> list[int]:
+    """``louvain_partitions``: the community of every node of ``adj`` in its
+    last level. ``community`` maps each input node to its node in the
+    current level's graph, which stands for the input nodes networkx keeps
+    in ``partition``."""
+    community = list(range(len(adj)))
+    if not any(adj):
+        return community
+    mod = _modularity(adj, community, resolution)
+    m = sum(_degrees(adj)) / 2
+    inner, _ = _one_level(adj, m, resolution, rng)
+    community = inner
+    improvement = True
+    while improvement:
+        new_mod = _modularity(adj, inner, resolution)
+        if new_mod - mod <= _LOUVAIN_THRESHOLD:
+            break
+        mod = new_mod
+        adj = _gen_graph(adj, inner)
+        inner, improvement = _one_level(adj, m, resolution, rng)
+        community = [inner[c] for c in community]
+    return community
+
+
+def _degrees(adj: list[dict]) -> list:
+    """Weighted degrees as networkx's ``DegreeView`` sums them: a self-loop
+    counts twice."""
+    return [sum(nbrs.values()) + (u in nbrs and nbrs[u]) for u, nbrs in enumerate(adj)]
+
+
+def _modularity(adj: list[dict], community: list[int], resolution: float) -> float:
+    """networkx's ``modularity`` of the partition of ``adj`` given by
+    ``community`` (dense ids), its members summed in ascending order: a
+    community's inner weight takes each of its edges once, from its smaller
+    end, in that end's neighbour order."""
+    degree = _degrees(adj)
+    deg_sum = sum(degree)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+    members: list[list[int]] = [[] for _ in range(max(community) + 1)]
+    for u, com in enumerate(community):
+        members[com].append(u)
+
+    def community_contribution(comm):
+        c = community[comm[0]]
+        L_c = sum(wt for u in comm for v, wt in adj[u].items() if v >= u and community[v] == c)
+        degree_sum = sum(degree[u] for u in comm)
+        return L_c / m - resolution * degree_sum * degree_sum * norm
+
+    return sum(map(community_contribution, members))
+
+
+def _one_level(adj: list[dict], m: float, resolution: float, rng: random.Random) -> tuple[list[int], bool]:
+    """One level of moves. Returns each node's community, numbered in
+    ascending order of the community's index as ``list(filter(len,
+    inner_partition))`` numbers them, and whether any node moved."""
+    node2com = list(range(len(adj)))
+    degrees = _degrees(adj)
+    Stot = list(degrees)
+    nbrs = [{v: wt for v, wt in nbrs.items() if v != u} for u, nbrs in enumerate(adj)]
+    rand_nodes = list(range(len(adj)))
+    rng.shuffle(rand_nodes)
+    nb_moves = 1
+    improvement = False
+    while nb_moves > 0:
+        nb_moves = 0
+        for u in rand_nodes:
+            best_mod = 0
+            best_com = node2com[u]
+            weights2com = _neighbor_weights(nbrs[u], node2com)
+            degree = degrees[u]
+            Stot[best_com] -= degree
+            remove_cost = -weights2com[best_com] / m + resolution * (Stot[best_com] * degree) / (2 * m**2)
+            for nbr_com, wt in weights2com.items():
+                gain = remove_cost + wt / m - resolution * (Stot[nbr_com] * degree) / (2 * m**2)
+                if gain > best_mod:
+                    best_mod = gain
+                    best_com = nbr_com
+            Stot[best_com] += degree
+            if best_com != node2com[u]:
+                improvement = True
+                nb_moves += 1
+                node2com[u] = best_com
+    dense = {com: i for i, com in enumerate(sorted(set(node2com)))}
+    return [dense[com] for com in node2com], improvement
+
+
+def _neighbor_weights(nbrs: dict[int, float], node2com: list[int]) -> defaultdict:
+    weights: defaultdict = defaultdict(float)
+    for nbr, wt in nbrs.items():
+        weights[node2com[nbr]] += wt
+    return weights
+
+
+def _gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
+    """The graph of the communities: each edge, taken once from its smaller
+    end in node order, adds its weight to the edge (or self-loop) between its
+    ends' communities, which enters each end's dict where it first appears."""
+    H: list[dict] = [{} for _ in range(max(community) + 1)]
+    for node1, nbrs in enumerate(adj):
+        for node2, wt in nbrs.items():
+            if node2 < node1:
+                continue
+            com1 = community[node1]
+            com2 = community[node2]
+            temp = H[com1].get(com2, 0)
+            H[com1][com2] = H[com2][com1] = wt + temp
+    return H
+
+
+def bridgeness_centrality(graph: Graph) -> dict:
     """Exact bridgeness on the unweighted skeleton, in O(n·m).
 
-    Brandes' recipe on integer adjacency lists: per source s, a BFS counts
+    Brandes' recipe on the index adjacency: per source s, a BFS counts
     shortest paths σ exactly, then the BFS order is walked backwards to
     accumulate the dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w)) over the
     successors w of v. Every target counted in δ(w) lies two or more levels
     below v, so none is in N[v]: a node at distance >= 2 from s gains
     σ_v/σ_w · δ(w) from each successor, which is its bridgeness from s with
     nothing to subtract. Each unordered pair is counted from both ends, so
-    the sums are halved.
+    the sums are halved. The result maps each node to its value, in node
+    order.
     """
-    nodes = sorted(graph.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    adjacency = [sorted(index[w] for w in graph[v]) for v in nodes]
-    n = len(nodes)
+    adjacency = graph.adj
+    n = len(adjacency)
     totals = [0.0] * n
     for source in range(n):
         dist = [-1] * n
@@ -179,7 +303,7 @@ def bridgeness_centrality(graph: nx.Graph) -> dict:
                     bridge += ratio * delta[w]
             delta[v] = dependency
             totals[v] += bridge
-    return {v: total / 2 for v, total in zip(nodes, totals)}
+    return {v: total / 2 for v, total in zip(graph.nodes, totals)}
 
 
 # Bridgeness sums rounded floats, so a node whose exact value equals β can
@@ -188,13 +312,12 @@ def bridgeness_centrality(graph: nx.Graph) -> dict:
 _BETA_MARGIN = 1e-9
 
 
-def prune_global_bridges(graph: nx.Graph, beta: float, stats: Optional[dict] = None) -> nx.Graph:
+def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:
     """``graph`` without the edges that touch a node whose bridgeness exceeds
     ``beta``; a value equal to ``beta`` is never flagged. When no node is
     flagged the result is ``graph`` itself, not a copy, so a caller must not
-    mutate it. Otherwise it is a new graph in sorted node and edge order,
-    which ``louvain`` uses as it is. ``stats``, when given, has its
-    ``flagged_nodes`` and ``pruned_edges`` counts raised.
+    mutate it. ``stats``, when given, has its ``flagged_nodes`` and
+    ``pruned_edges`` counts raised.
 
     Two cases are settled without computing bridgeness. It is never negative,
     so a cutoff below 0 flags every node. And a node interior to a shortest
@@ -204,25 +327,27 @@ def prune_global_bridges(graph: nx.Graph, beta: float, stats: Optional[dict] = N
     -1e-9) has a cutoff above 0, so it flags no node of bridgeness 0.
     """
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
-    n = graph.number_of_nodes()
+    n = len(graph.nodes)
     if cutoff < 0:
-        flagged = set(graph.nodes)
+        flagged = set(range(n))
     elif n <= 4 or 2 * graph.number_of_edges() == n * (n - 1):
         flagged = set()
     else:
-        flagged = {v for v, value in bridgeness_centrality(graph).items() if value > cutoff}
+        values = bridgeness_centrality(graph).values()
+        flagged = {i for i, value in enumerate(values) if value > cutoff}
     pruned, removed = graph, 0
     if flagged:
-        edges = list(graph.edges(data="weight", default=1))
-        kept = [(u, v, w) for u, v, w in edges if u not in flagged and v not in flagged]
-        pruned, removed = _sorted_graph(graph.nodes, kept), len(edges) - len(kept)
+        adj = [{j: w for j, w in nbrs.items() if j not in flagged} if i not in flagged else {}
+               for i, nbrs in enumerate(graph.adj)]
+        pruned = Graph(graph.nodes, adj)
+        removed = graph.number_of_edges() - pruned.number_of_edges()
     if stats is not None:
         stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
         stats["pruned_edges"] = stats.get("pruned_edges", 0) + removed
     return pruned
 
 
-def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
+def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
     """Louvain, then per-community prune-and-repartition.
 
     Each pass takes every current community, prunes bridge edges inside its
@@ -239,6 +364,7 @@ def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[di
     counts = stats if stats is not None else {}
     counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
+    index = {node: i for i, node in enumerate(graph.nodes)}
     partition = first
     for _ in range(params.refine_passes):
         assignments: dict[str, int] = {}
@@ -247,7 +373,8 @@ def refine_communities(graph: nx.Graph, params: FilterParams, stats: Optional[di
             parts = [members]
             if len(members) > 2:
                 before = counts["pruned_edges"]
-                pruned = prune_global_bridges(graph.subgraph(members), params.bridgeness_threshold, counts)
+                community = graph.subgraph([index[node] for node in members])
+                pruned = prune_global_bridges(community, params.bridgeness_threshold, counts)
                 if counts["pruned_edges"] > before:
                     sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
                     parts = sub_partition.communities().values()

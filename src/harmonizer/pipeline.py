@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
-import networkx
 import numpy
 
 from . import __version__
@@ -41,7 +40,7 @@ from .augment import (
 from .config import PipelineConfig
 from .embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
-from .evaluation import build_report, reduction_rate
+from .evaluation import build_report, compute_metrics, pairwise_confusion, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from .match import ScoreBound, brute_force_candidates, generate_candidate_pairs, score_pairs, write_scored_pairs
@@ -63,18 +62,14 @@ ARTIFACTS = ("cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.js
 
 
 def _dependency_versions() -> dict[str, str]:
-    # Louvain output depends on the networkx version.
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "networkx": networkx.__version__,
-    }
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
 @dataclass
 class RunManifest:
     config_hash: str
     seed: int
+    config: dict = field(default_factory=dict)
     package_version: str = __version__
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
@@ -335,7 +330,9 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _remove_stale_work_dirs(out_dir)
-    manifest = RunManifest(config_hash=config.config_hash(), seed=config["run"]["seed"])
+    manifest = RunManifest(
+        config_hash=config.config_hash(), seed=config["run"]["seed"], config=json.loads(config.canonical_json())
+    )
     layers = manifest.layer_seconds
     stage = "ingest"
     t_stage = time.perf_counter()
@@ -492,7 +489,7 @@ def build_tuning_objective(
         weights, filter_params = config.tuning_params_as_config(params)
         graph = build_graph(table, table.scores(weights), artifacts.records, filter_params)
         partition = refine_communities(graph, filter_params)
-        return build_report(partition.assignments, gold).f1
+        return compute_metrics(pairwise_confusion(partition.assignments, gold)).f1
 
     return objective
 

@@ -4,7 +4,8 @@ Everything here favors obviousness over speed: direct formula transcription,
 explicit path enumeration, O(n^2) pair loops. None of it imports from the
 package's internals beyond plain data types, except ``reference_prune``: it
 reuses ``bridgeness_centrality``, which the path-counting oracles here check,
-to check the cases pruning settles without it.
+to check the cases pruning settles without it. ``reference_louvain`` is
+networkx's own Louvain, of which the package's is a transcription.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import numpy as np
 
 from harmonizer.augment import DomainInfo
 from harmonizer.embed import NameEmbedding
-from harmonizer.graph import _BETA_MARGIN, bridgeness_centrality
+from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
 from harmonizer.match import WeightVector
 from harmonizer.parse import CleanName, NameClass
+
+from nxgraphs import from_networkx, to_networkx
 
 
 _EMPTY_INFO = DomainInfo(record_id="", domain=None, url_tokens=frozenset())
@@ -184,21 +187,32 @@ def exact_bridgeness(graph: nx.Graph) -> dict:
     return acc
 
 
-def reference_prune(graph: nx.Graph, beta: float, stats: Optional[dict] = None) -> nx.Graph:
+def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:
     """``prune_global_bridges`` with no shortcut: computes every node's
     bridgeness (``bridgeness_centrality``, itself checked against the two
-    oracles above), then copies the graph and removes the flagged edges."""
+    oracles above), then removes the flagged edges from a networkx copy."""
     bridgeness = bridgeness_centrality(graph)
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
     flagged = {v for v, value in bridgeness.items() if value > cutoff}
-    pruned = graph.copy()
+    pruned = to_networkx(graph)
+    before = pruned.number_of_edges()
     pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
     if stats is not None:
         stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
-        stats["pruned_edges"] = (
-            stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
-        )
-    return pruned
+        stats["pruned_edges"] = stats.get("pruned_edges", 0) + before - pruned.number_of_edges()
+    return from_networkx(pruned)
+
+
+def reference_louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> dict:
+    """networkx's ``louvain_communities`` on ``graph`` rebuilt in networkx in
+    sorted node and neighbour order, as node -> community id, communities
+    numbered by their smallest member."""
+    communities = nx.community.louvain_communities(
+        to_networkx(graph), weight="weight", resolution=resolution, seed=seed
+    )
+    ordered = sorted((sorted(c) for c in communities), key=lambda c: c[0])
+    return {node: cid for cid, members in enumerate(ordered) for node in members}
+
 
 def brute_pairwise_confusion(predicted: dict, gold: dict):
     """O(n^2) loop over record pairs; returns (tp, fp, fn)."""

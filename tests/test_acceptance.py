@@ -27,6 +27,7 @@ from harmonizer.match import WeightVector, brute_force_candidates, generate_cand
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name
 from harmonizer.pipeline import tune_pipeline
 from harmonizer.tune import SearchSpace, TpeConfig, optimize
+from nxgraphs import from_networkx
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
     ConditionVector,
@@ -160,7 +161,7 @@ def test_03_bridgeness_oracle():
     every connected graph with at most 8 nodes plus 100 random 12-node
     graphs; the 5-path center scores exactly 1.0."""
     with criterion(3, "bridgeness oracle", 300.0):
-        five_path = bridgeness_centrality(nx.path_graph(5))
+        five_path = bridgeness_centrality(from_networkx(nx.path_graph(5)))
         assert five_path[2] == 1.0
 
         from oracles import connected_graphs
@@ -171,7 +172,7 @@ def test_03_bridgeness_oracle():
         checked = 0
         for n in range(1, 9):
             for graph in levels[n]:
-                impl = bridgeness_centrality(graph)
+                impl = bridgeness_centrality(from_networkx(graph))
                 oracle = brute_bridgeness(graph)
                 for node in graph:
                     assert abs(impl[node] - oracle[node]) <= 1e-9, (n, node)
@@ -180,7 +181,7 @@ def test_03_bridgeness_oracle():
 
         for seed in range(100):
             graph = nx.gnp_random_graph(12, 0.3, seed=seed)
-            impl = bridgeness_centrality(graph)
+            impl = bridgeness_centrality(from_networkx(graph))
             oracle = brute_bridgeness(graph)
             for node in graph:
                 assert abs(impl[node] - oracle[node]) <= 1e-9, ("gnp", seed, node)
@@ -197,7 +198,7 @@ def test_04_planted_partition_recovery():
             sizes = [rng.randint(6, 60 // k) for _ in range(k)]
             graph = nx.random_partition_graph(sizes, 0.9, 0.05, seed=seed)
             nx.set_edge_attributes(graph, 1.0, "weight")
-            partition = refine_communities(graph, FilterParams(seed=seed))
+            partition = refine_communities(from_networkx(graph), FilterParams(seed=seed))
             pred = {str(node): cid for node, cid in partition.assignments.items()}
             gold = [
                 GoldLabel(record_id=str(node), entity_id=f"b{block_index}")

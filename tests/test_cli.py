@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harmonizer
 from harmonizer import __version__
 from harmonizer.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, main
 from harmonizer.errors import StageError
@@ -14,6 +19,14 @@ from harmonizer.errors import StageError
 
 def cli(*argv):
     return main(list(argv))
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is a test-only dependency: the CLI must not import it.
+    env = dict(os.environ, PYTHONPATH=str(Path(harmonizer.__file__).resolve().parent.parent))
+    code = "import sys, harmonizer.cli; print('networkx' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestParser:

@@ -29,7 +29,15 @@ from harmonizer.graph import (
 from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import PairTable
 
-from oracles import brute_bridgeness, connected_graphs, cosine_similarity, exact_bridgeness, reference_prune
+from nxgraphs import from_networkx, to_networkx
+from oracles import (
+    brute_bridgeness,
+    connected_graphs,
+    cosine_similarity,
+    exact_bridgeness,
+    reference_louvain,
+    reference_prune,
+)
 
 
 def scored(records, *pairs):
@@ -71,7 +79,8 @@ class TestFilterParams:
 class TestBuildGraph:
     def test_threshold_is_inclusive(self):
         records = records_for(["a", "b", "c"])
-        graph = build_graph(*scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999)), records, FilterParams())
+        table, scores = scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999))
+        graph = to_networkx(build_graph(table, scores, records, FilterParams()))
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "c")
 
@@ -83,34 +92,34 @@ class TestBuildGraph:
     def test_boost_applies_after_threshold(self):
         # Shared location must NOT rescue a sub-threshold pair...
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = build_graph(*scored(records, ("a", "b", 3.5)), records, FilterParams(location_boost=1.0))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 3.5)), records, FilterParams(location_boost=1.0)))
         assert not graph.has_edge("a", "b")
 
     def test_boost_added_to_weight(self):
         # ...but it strengthens an edge that already cleared it.
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0)))
         assert graph["a"]["b"]["weight"] == 5.0
 
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
-        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams())
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams()))
         assert graph["a"]["b"]["weight"] == 4.0
 
     def test_all_empty_location_key_never_matches(self):
         records = records_for(["a", "b"], {"a": {"||"}, "b": {"||"}})
-        graph = build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0)))
         assert graph["a"]["b"]["weight"] == 4.0
 
 
 class TestLouvain:
     def test_empty_graph(self):
-        assert louvain(nx.Graph()).assignments == {}
+        assert louvain(from_networkx(nx.Graph())).assignments == {}
 
     def test_isolated_nodes_are_singletons(self):
         g = nx.Graph()
         g.add_nodes_from(["a", "b", "c"])
-        part = louvain(g)
+        part = louvain(from_networkx(g))
         assert len(set(part.assignments.values())) == 3
 
     def test_two_cliques(self):
@@ -119,7 +128,7 @@ class TestLouvain:
         right = [f"r{i}" for i in range(4)]
         for group in (left, right):
             g.add_edges_from((a, b) for i, a in enumerate(group) for b in group[i + 1:])
-        part = louvain(g)
+        part = louvain(from_networkx(g))
         assert len({part.assignments[n] for n in left}) == 1
         assert len({part.assignments[n] for n in right}) == 1
         assert part.assignments["l0"] != part.assignments["r0"]
@@ -128,7 +137,7 @@ class TestLouvain:
         g = nx.Graph()
         g.add_edge("z1", "z2")
         g.add_edge("a1", "a2")
-        part = louvain(g)
+        part = louvain(from_networkx(g))
         assert part.assignments["a1"] == 0
         assert part.assignments["z1"] == 1
 
@@ -138,12 +147,11 @@ class TestLouvain:
         g = nx.relabel_nodes(g, {i: f"n{i:02d}" for i in g.nodes})
         for u, v in g.edges:
             g[u][v]["weight"] = rng.uniform(0.5, 2.0)
-        parts = [louvain(g, resolution=1.0, seed=3).assignments for _ in range(3)]
+        parts = [louvain(from_networkx(g), resolution=1.0, seed=3).assignments for _ in range(3)]
         assert parts[0] == parts[1] == parts[2]
 
     def test_insertion_order_does_not_matter(self):
-        # Subgraph views iterate their nodes in hash-seed order, so Louvain
-        # must not depend on the order nodes and edges were added in.
+        # A graph built in any node and edge order comes out the same.
         for seed in range(10):
             rng = random.Random(seed)
             base = nx.gnp_random_graph(30, 0.2, seed=seed)
@@ -155,11 +163,12 @@ class TestLouvain:
             backward = nx.Graph()
             backward.add_nodes_from(reversed(nodes))
             backward.add_weighted_edges_from((v, u, w) for u, v, w in reversed(edges))
+            forward, backward = from_networkx(forward), from_networkx(backward)
             assert louvain(forward, seed=seed).assignments == louvain(backward, seed=seed).assignments, seed
 
     def test_resolution_monotone_in_community_count(self):
         g = nx.gnp_random_graph(40, 0.2, seed=2)
-        g = nx.relabel_nodes(g, {i: f"n{i:02d}" for i in g.nodes})
+        g = from_networkx(nx.relabel_nodes(g, {i: f"n{i:02d}" for i in g.nodes}))
         low = louvain(g, resolution=0.05, seed=0).n_communities
         high = louvain(g, resolution=2.5, seed=0).n_communities
         assert low <= high
@@ -170,7 +179,7 @@ class TestBridgeness:
         # Path 0-1-2-3-4: only the middle node has both endpoints of any
         # admissible pair outside its closed neighborhood.
         g = nx.path_graph(5)
-        b = bridgeness_centrality(g)
+        b = bridgeness_centrality(from_networkx(g))
         assert b == {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 0.0}
 
     def test_two_cliques_bridge_node(self):
@@ -179,7 +188,7 @@ class TestBridgeness:
         # adjacent to everyone, so pairs must sit at distance >= 2 from it.
         g = nx.Graph()
         g.add_edges_from([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (2, 6), (6, 3)])
-        b = bridgeness_centrality(g)
+        b = bridgeness_centrality(from_networkx(g))
         oracle = brute_bridgeness(g)
         for node in g.nodes:
             assert math.isclose(b[node], oracle[node], abs_tol=1e-9)
@@ -187,12 +196,12 @@ class TestBridgeness:
     def test_star_center_zero(self):
         # The hub is adjacent to every leaf, so no pair escapes its
         # neighborhood: bridgeness 0 despite maximal betweenness.
-        b = bridgeness_centrality(nx.star_graph(5))
+        b = bridgeness_centrality(from_networkx(nx.star_graph(5)))
         assert b[0] == 0.0
 
     def test_cycle_six(self):
         g = nx.cycle_graph(6)
-        b = bridgeness_centrality(g)
+        b = bridgeness_centrality(from_networkx(g))
         oracle = brute_bridgeness(g)
         for node in g.nodes:
             assert math.isclose(b[node], oracle[node], abs_tol=1e-9)
@@ -201,21 +210,21 @@ class TestBridgeness:
         g = nx.Graph()
         g.add_edges_from([(0, 1), (1, 2), (2, 3)])  # path
         g.add_edges_from([(10, 11), (11, 12), (12, 13)])  # separate path
-        b = bridgeness_centrality(g)
+        b = bridgeness_centrality(from_networkx(g))
         oracle = brute_bridgeness(g)
         for node in g.nodes:
             assert math.isclose(b[node], oracle[node], abs_tol=1e-9)
 
     def test_tiny_graphs(self):
-        assert bridgeness_centrality(nx.Graph()) == {}
+        assert bridgeness_centrality(from_networkx(nx.Graph())) == {}
         g = nx.Graph()
         g.add_edge(0, 1)
-        assert bridgeness_centrality(g) == {0: 0.0, 1: 0.0}
+        assert bridgeness_centrality(from_networkx(g)) == {0: 0.0, 1: 0.0}
 
     def test_matches_oracle_on_random_graphs(self):
         for seed in range(12):
             g = nx.gnp_random_graph(10, 0.3, seed=seed)
-            b = bridgeness_centrality(g)
+            b = bridgeness_centrality(from_networkx(g))
             oracle = brute_bridgeness(g)
             for node in g.nodes:
                 assert math.isclose(b[node], oracle[node], abs_tol=1e-9), (seed, node)
@@ -224,7 +233,7 @@ class TestBridgeness:
         g = nx.path_graph(5)
         for u, v in g.edges:
             g[u][v]["weight"] = 100.0
-        assert bridgeness_centrality(g)[2] == 1.0
+        assert bridgeness_centrality(from_networkx(g))[2] == 1.0
 
     @pytest.mark.parametrize("kind", ["gnp", "watts_strogatz"])
     def test_matches_oracle_on_larger_graphs(self, kind):
@@ -236,7 +245,7 @@ class TestBridgeness:
                 g = nx.gnp_random_graph(n, rng.uniform(0.08, 0.3), seed=seed)
             else:
                 g = nx.connected_watts_strogatz_graph(n, rng.choice([4, 6]), rng.uniform(0.0, 0.3), seed=seed)
-            b = bridgeness_centrality(g)
+            b = bridgeness_centrality(from_networkx(g))
             oracle = brute_bridgeness(g)
             for node in g.nodes:
                 assert math.isclose(b[node], oracle[node], abs_tol=1e-9), (seed, node)
@@ -245,59 +254,61 @@ class TestBridgeness:
 class TestPruning:
     def test_five_path_beta_half(self):
         # Only the center exceeds 0.5; dropping its edges leaves the two ends.
-        pruned = prune_global_bridges(nx.path_graph(5), beta=0.5)
+        pruned = to_networkx(prune_global_bridges(from_networkx(nx.path_graph(5)), beta=0.5))
         assert sorted(pruned.edges) == [(0, 1), (3, 4)]
         assert set(pruned.nodes) == set(range(5))
 
     def test_beta_one_keeps_five_path(self):
         # B(center) == 1.0 is not > 1.0: nothing flagged, and the input
         # itself comes back rather than a copy.
-        g = nx.path_graph(5)
+        g = from_networkx(nx.path_graph(5))
         pruned = prune_global_bridges(g, beta=1.0)
         assert pruned is g
-        assert sorted(pruned.edges) == sorted(nx.path_graph(5).edges)
+        assert sorted(to_networkx(pruned).edges) == sorted(nx.path_graph(5).edges)
 
     def test_input_not_mutated(self):
-        g = nx.path_graph(5)
+        g = from_networkx(nx.path_graph(5))
         prune_global_bridges(g, beta=0.5)
         assert g.number_of_edges() == 4
 
     def test_stats_count_flagged_nodes_and_pruned_edges(self):
         stats = {}
-        prune_global_bridges(nx.path_graph(5), beta=0.5, stats=stats)
+        prune_global_bridges(from_networkx(nx.path_graph(5)), beta=0.5, stats=stats)
         assert stats == {"flagged_nodes": 1, "pruned_edges": 2}
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_clique_at_beta_zero_flags_nothing(self, n):
         # Every pair of a clique is adjacent, so every bridgeness is 0.
-        g = nx.complete_graph(n)
+        g = from_networkx(nx.complete_graph(n))
         stats = {}
         assert prune_global_bridges(g, beta=0.0, stats=stats) is g
         assert stats == {"flagged_nodes": 0, "pruned_edges": 0}
-        assert set(brute_bridgeness(g).values()) == {0.0}
+        assert set(brute_bridgeness(nx.complete_graph(n)).values()) == {0.0}
 
     @pytest.mark.parametrize("beta", [-2.0, -0.5])
     def test_negative_cutoff_flags_every_node(self, beta):
         # Bridgeness is never negative, so every node clears a cutoff below 0.
         stats = {}
-        pruned = prune_global_bridges(nx.path_graph(5), beta=beta, stats=stats)
+        pruned = prune_global_bridges(from_networkx(nx.path_graph(5)), beta=beta, stats=stats)
         assert sorted(pruned.nodes) == list(range(5)) and pruned.number_of_edges() == 0
         assert stats == {"flagged_nodes": 5, "pruned_edges": 4}
 
     def test_pruned_graph_is_built_in_sorted_order(self):
-        # Louvain uses the result as it is only when nodes and neighbour
-        # lists are sorted; weights carry over.
+        # The pruned graph keeps the nodes, every neighbour dict stays in
+        # ascending index order, as Louvain's transcription needs, and
+        # weights carry over.
         rng = random.Random(3)
         edges = [(u, v) for u, v in itertools.combinations(range(12), 2) if rng.random() < 0.3]
         rng.shuffle(edges)
         g = nx.Graph()
         g.add_nodes_from(f"n{i:02d}" for i in rng.sample(range(12), 12))
         g.add_edges_from((f"n{v:02d}", f"n{u:02d}", {"weight": float(u + v)}) for u, v in edges)
-        pruned = prune_global_bridges(g, beta=0.5)
-        assert pruned is not g and 0 < pruned.number_of_edges() < g.number_of_edges()
-        assert list(pruned.adj) == sorted(g.nodes)
-        assert all(list(nbrs) == sorted(nbrs) for nbrs in pruned.adj.values())
-        assert all(g[u][v]["weight"] == w for u, v, w in pruned.edges(data="weight"))
+        graph = from_networkx(g)
+        pruned = prune_global_bridges(graph, beta=0.5)
+        assert pruned is not graph and 0 < pruned.number_of_edges() < graph.number_of_edges()
+        assert pruned.nodes == tuple(sorted(g.nodes))
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in pruned.adj)
+        assert all(g[u][v]["weight"] == w for u, v, w in to_networkx(pruned).edges(data="weight"))
 
 
 def _boundary_family(kind):
@@ -328,7 +339,7 @@ def test_flags_match_exact_bridgeness_at_the_boundary(kind):
         ties = {float(x) for x in exact.values() if (2 * x).denominator == 1 and -2 <= x <= 20}
         for beta in sorted(ties | {1.0, -2.0, -0.5, -1e-10}):
             stats = {}
-            pruned = prune_global_bridges(g, beta, stats)
+            pruned = to_networkx(prune_global_bridges(from_networkx(g), beta, stats))
             flagged = {v for v in g if exact[v] > (0 if beta == -1e-10 else beta)}
             kept = {frozenset(e) for e in g.edges if not flagged & set(e)}
             assert stats["flagged_nodes"] == len(flagged), (kind, index, beta)
@@ -346,7 +357,7 @@ class TestRefine:
             g.add_edges_from((u, v, {"weight": 4.5}) for i, u in enumerate(group) for v in group[i + 1:])
         for end in ("a0", "a1", "b0", "b1"):
             g.add_edge("jv", end, weight=4.0)
-        return g, left, right
+        return from_networkx(g), left, right
 
     def _two_cliques_with_bridge(self):
         g = nx.Graph()
@@ -355,7 +366,7 @@ class TestRefine:
         for group in (left, right):
             g.add_edges_from((u, v, {"weight": 4.5}) for i, u in enumerate(group) for v in group[i + 1:])
         g.add_edge("a0", "b0", weight=4.0)
-        return g, left, right
+        return from_networkx(g), left, right
 
     def test_splits_joint_venture_community(self):
         g, left, right = self._joint_venture_motif()
@@ -381,7 +392,7 @@ class TestRefine:
     def test_small_communities_kept_intact(self):
         g = nx.Graph()
         g.add_edge("a", "b", weight=4.0)
-        part = refine_communities(g, FilterParams())
+        part = refine_communities(from_networkx(g), FilterParams())
         assert part.assignments["a"] == part.assignments["b"]
 
     def test_stats_report_pruning_and_splits(self):
@@ -443,7 +454,7 @@ def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
     is log-uniform over [0.001, 2]: low values make the large communities in
     which pruning splits something."""
     params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
-    partition = refine_communities(graph, params)
+    partition = refine_communities(from_networkx(graph), params)
     assert set(partition.assignments) == set(graph.nodes)
     for members in partition.communities().values():
         if len(members) > 1:
@@ -484,8 +495,9 @@ def near_cliques(draw):
 )
 def test_pruning_shortcuts_match_the_reference(graph, log_resolution, beta, seed):
     """Refinement gives the same partition and the same filter stats whether
-    pruning skips bridgeness and builds in sorted order, or always computes
-    bridgeness and prunes a copy."""
+    pruning skips bridgeness and filters the adjacency, or always computes
+    bridgeness and prunes a networkx copy."""
+    graph = from_networkx(graph)
     params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
     stats: dict = {}
     partition = refine_communities(graph, params, stats)
@@ -494,6 +506,76 @@ def test_pruning_shortcuts_match_the_reference(graph, log_resolution, beta, seed
         expected = refine_communities(graph, params, expected_stats)
     assert partition.assignments == expected.assignments
     assert stats == expected_stats
+
+
+@st.composite
+def louvain_graphs(draw):
+    """Weighted G(n, p), planted-partition and Watts-Strogatz graphs of up to
+    60 nodes with record-like string ids; G(n, p) draws empty, edgeless and
+    disconnected graphs and isolated nodes too. Weights are random, or all
+    1.0, whose exact ties exercise the strict ``gain > best_mod``."""
+    rng = draw(st.randoms(use_true_random=True))
+    kind = draw(st.sampled_from(["gnp", "planted", "watts_strogatz"]))
+    unit = draw(st.booleans())
+    seed = rng.randrange(2**32)
+    if kind == "gnp":
+        g = nx.gnp_random_graph(rng.randint(0, 60), rng.uniform(0.0, 0.3), seed=seed)
+    elif kind == "planted":
+        blocks, size = rng.randint(1, 6), rng.randint(1, 12)
+        g = nx.planted_partition_graph(blocks, size, rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.1), seed=seed)
+    else:
+        g = nx.watts_strogatz_graph(rng.randint(5, 60), rng.choice([2, 4]), rng.uniform(0.0, 0.5), seed=seed)
+    for u, v in g.edges:
+        g[u][v]["weight"] = 1.0 if unit or rng.random() < 0.2 else rng.uniform(0.5, 6.0)
+    return nx.relabel_nodes(g, {i: f"r{i:03d}" for i in g.nodes})
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    graph=louvain_graphs(),
+    log_resolution=st.floats(min_value=-3.0, max_value=math.log10(2.0)),
+    seed=st.integers(min_value=0, max_value=5),
+)
+def test_louvain_matches_networkx(graph, log_resolution, seed):
+    """The transcription gives networkx's partition, resolution log-uniform
+    over [0.001, 2]."""
+    graph = from_networkx(graph)
+    resolution = 10**log_resolution
+    assert louvain(graph, resolution, seed).assignments == reference_louvain(graph, resolution, seed)
+
+
+def _louvain_cases():
+    rng = random.Random(7)
+    isolated = nx.gnp_random_graph(30, 0.15, seed=4)
+    isolated.add_nodes_from(range(30, 36))
+    disconnected = nx.disjoint_union_all([nx.complete_graph(5), nx.cycle_graph(7), nx.path_graph(4)])
+    cases = {
+        "empty": nx.Graph(),
+        "edgeless": nx.empty_graph(6),
+        "isolated_nodes": isolated,
+        "disconnected": disconnected,
+        "ring_of_cliques": nx.ring_of_cliques(12, 4),
+        "watts_strogatz": nx.connected_watts_strogatz_graph(60, 4, 0.1, seed=1),
+    }
+    for g in cases.values():
+        for u, v in g.edges:
+            g[u][v]["weight"] = rng.uniform(0.5, 6.0)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_louvain_cases()))
+@pytest.mark.parametrize("resolution", [0.05, 1.0])
+def test_louvain_matches_networkx_on_edge_cases(name, resolution):
+    """Empty, edgeless and disconnected graphs, isolated nodes, and graphs
+    that networkx aggregates over two or more levels, at seeds 0-5."""
+    g = _louvain_cases()[name]
+    graph = from_networkx(g)
+    for seed in range(6):
+        assert louvain(graph, resolution, seed).assignments == reference_louvain(graph, resolution, seed), seed
+    if name in ("ring_of_cliques", "watts_strogatz") and resolution == 0.05:
+        levels = [len(list(nx.community.louvain_partitions(to_networkx(graph), resolution=resolution, seed=seed)))
+                  for seed in range(6)]
+        assert min(levels) >= 2, levels
 
 
 def embeddings_for(vectors):
