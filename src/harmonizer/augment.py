@@ -6,6 +6,7 @@ keyed by the exact query string, so pipeline runs are reproducible offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -265,27 +266,16 @@ def extract_visible_text(page: str, limit: int = MAX_TEXT_CHARS) -> str:
 
 # --- domains ----------------------------------------------------------------
 
-_suffix_cache: Optional[frozenset[str]] = None
-
-
-def load_public_suffixes(path: str | Path | None = None) -> frozenset[str]:
-    if path is None:
-        text = resources.files("harmonizer.data").joinpath("public_suffixes.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+@functools.cache
+def load_public_suffixes() -> frozenset[str]:
+    """The bundled public-suffix snapshot, read once per process."""
+    text = resources.files("harmonizer.data").joinpath("public_suffixes.txt").read_text("utf-8")
     suffixes = set()
     for line in text.splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
             suffixes.add(line)
     return frozenset(suffixes)
-
-
-def _default_suffixes() -> frozenset[str]:
-    global _suffix_cache
-    if _suffix_cache is None:
-        _suffix_cache = load_public_suffixes()
-    return _suffix_cache
 
 
 _IP_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
@@ -299,7 +289,7 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
     InputError when no host can be found.
     """
     if suffixes is None:
-        suffixes = _default_suffixes()
+        suffixes = load_public_suffixes()
     if not url or not url.strip():
         raise InputError("empty URL")
     parsed = urlparse(url.strip())
@@ -332,7 +322,6 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
 def build_frequent_domain_blocklist(
     results: Iterable[AugmentationResult],
     k: int,
-    suffixes: Optional[frozenset[str]] = None,
 ) -> set[str]:
     """The k most frequent registrable domains across results (ties lexicographic).
 
@@ -346,7 +335,7 @@ def build_frequent_domain_blocklist(
         if not result.first_url:
             continue
         try:
-            counts[extract_domain(result.first_url, suffixes)] += 1
+            counts[extract_domain(result.first_url)] += 1
         except InputError:
             continue
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
@@ -374,7 +363,6 @@ def build_domain_info(
     result: Optional[AugmentationResult],
     blocklist: set[str] | frozenset[str],
     common_words: CommonWordList,
-    suffixes: Optional[frozenset[str]] = None,
 ) -> DomainInfo:
     """Resolve one record's domain (None when absent or blocklisted) and url tokens."""
     domain = None
@@ -382,7 +370,7 @@ def build_domain_info(
     if result is not None:
         if result.first_url:
             try:
-                candidate = extract_domain(result.first_url, suffixes)
+                candidate = extract_domain(result.first_url)
             except InputError:
                 candidate = None
             if candidate is not None and candidate not in blocklist:

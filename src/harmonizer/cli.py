@@ -51,6 +51,13 @@ def _global_flags(for_subcommand: bool = False) -> argparse.ArgumentParser:
     return parent
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parent = _global_flags(for_subcommand=True)
     parser = argparse.ArgumentParser(
@@ -71,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cache", required=True, help="augmentation cache JSONL")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--gold", help="optional gold TSV; writes eval.json")
-    p_run.add_argument("--brute-force", action="store_true", help="score all same-class pairs, skip blocking")
 
     p_eval = sub.add_parser("evaluate", parents=[parent], help="compare a mapping to a gold standard")
     p_eval.add_argument("--pred", required=True, help="mapping TSV from a run")
@@ -88,24 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_summarize = sub.add_parser("summarize", parents=[parent], help="reduction and largest communities of a mapping")
     p_summarize.add_argument("--mapping", required=True, help="mapping TSV from a run")
     p_summarize.add_argument("--input", help="assignee TSV for patent-count portfolios")
-    p_summarize.add_argument("--top", type=int, default=10, help="how many communities to list")
+    p_summarize.add_argument("--top", type=_count, default=10, help="how many communities to list")
 
     return parser
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict = {"run": {}}
+    run: dict = {}
     if args.seed is not None:
-        overrides["run"]["seed"] = args.seed
+        run["seed"] = args.seed
     if args.threads is not None:
-        overrides["run"]["threads"] = args.threads
+        run["threads"] = args.threads
     if args.offline:
-        overrides["run"]["offline"] = True
-    if getattr(args, "brute_force", False):
-        overrides.setdefault("match", {})["brute_force"] = True
-    if not overrides["run"]:
-        del overrides["run"]
-    return PipelineConfig.load(args.config, overrides=overrides or None)
+        run["offline"] = True
+    return PipelineConfig.load(args.config, overrides={"run": run})
 
 
 def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:

@@ -46,12 +46,7 @@ DEFAULTS: dict[str, Any] = {
         "common_words_n": 250,
         "designators": None,
     },
-    "embed": {
-        "dim": 256,
-        "idf_floor": 0.01,
-    },
     "match": {
-        "brute_force": False,
         "weights": {
             "token": 1.0,
             "first_token": 1.0,
@@ -68,9 +63,7 @@ DEFAULTS: dict[str, Any] = {
         "refine_passes": 1,
     },
     "tune": {
-        "gamma": 0.25,
         "n_startup": 10,
-        "n_candidates": 24,
         "trials": 50,
         "space": {name: [lo, hi] for name, lo, hi in DEFAULT_SPACE},
     },
@@ -252,13 +245,7 @@ class PipelineConfig:
         return SearchSpace(dims)
 
     def tpe_config(self) -> TpeConfig:
-        t = self.data["tune"]
-        return TpeConfig(
-            gamma=t["gamma"],
-            n_startup=t["n_startup"],
-            n_candidates=t["n_candidates"],
-            seed=self.data["run"]["seed"],
-        )
+        return TpeConfig(n_startup=self.data["tune"]["n_startup"], seed=self.data["run"]["seed"])
 
     def tuning_params_as_config(self, params: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
         """Interpret one search-space point as weights + filter parameters,

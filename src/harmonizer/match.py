@@ -252,16 +252,6 @@ def generate_candidate_pairs(
     return sorted(pairs)
 
 
-def brute_force_candidates(names: Sequence[CleanName]) -> list[tuple[str, str]]:
-    """Every same-class unordered pair; the --brute-force path."""
-    by_class: dict[int, list[str]] = {}
-    for name in names:
-        if name.name_class is None:
-            raise ValueError(f"name {name.record_id!r} is not classified")
-        by_class.setdefault(name.name_class.value, []).append(name.record_id)
-    return sorted(pair for members in by_class.values() for pair in itertools.combinations(sorted(members), 2))
-
-
 def score_pairs(
     names_by_id: Mapping[str, CleanName],
     pairs: Iterable[tuple[str, str]],

@@ -43,10 +43,11 @@ from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import build_report, compute_metrics, pairwise_confusion, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from .match import ScoreBound, brute_force_candidates, generate_candidate_pairs, score_pairs, write_scored_pairs
+from .match import ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
 from .parse import (
     CleanName,
     LegalDesignatorDictionary,
+    NameClass,
     build_common_word_list,
     classify_name_type,
     clean_name,
@@ -74,7 +75,6 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     stage_counts: dict[str, int] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     layer_seconds: dict[str, float] = field(default_factory=dict)
     blocking: dict = field(default_factory=dict)
     filter: dict = field(default_factory=dict)
@@ -236,21 +236,12 @@ def prepare_corpus(
     }
     t = _charge(seconds, "domain", t)
 
-    embed_cfg = config["embed"]
-    backend = HashingBackend(dim=embed_cfg["dim"])
-    idf = compute_idf(names, floor=embed_cfg["idf_floor"])
-    embeddings = embed_corpus(names, backend, idf)
+    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
     t = _charge(seconds, "embed", t)
 
-    n_type1 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE1")
-    n_type2 = sum(1 for n in names if n.name_class and n.name_class.name == "TYPE2")
     blocking: dict = {}
-    if config["match"]["brute_force"]:
-        candidates = brute_force_candidates(names)
-        blocking = {"blocking_keys": ["brute_force"], "largest_block": max(n_type1, n_type2)}
-    else:
-        bound = bound if bound is not None else config.score_bound()
-        candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
+    bound = bound if bound is not None else config.score_bound()
+    candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
     _charge(seconds, "block", t)
 
     if counts is not None:
@@ -259,8 +250,8 @@ def prepare_corpus(
                 "records": len(records),
                 "augmented": n_augmented,
                 "corrected": n_corrected,
-                "type1": n_type1,
-                "type2": n_type2,
+                "type1": sum(1 for n in names if n.name_class is NameClass.TYPE1),
+                "type2": sum(1 for n in names if n.name_class is NameClass.TYPE2),
                 "degenerate": sum(1 for n in names if _degenerate(n, embeddings)),
                 "candidate_pairs": len(candidates),
                 **blocking,
@@ -334,17 +325,11 @@ def run_pipeline(
         config_hash=config.config_hash(), seed=config["run"]["seed"], config=json.loads(config.canonical_json())
     )
     layers = manifest.layer_seconds
+    counts = manifest.stage_counts
     stage = "ingest"
-    t_stage = time.perf_counter()
-
-    def finish_stage(name: str, **counts: int) -> None:
-        nonlocal t_stage
-        manifest.stage_seconds[name] = round(time.perf_counter() - t_stage, 6)
-        manifest.stage_counts.update(counts)
-        t_stage = time.perf_counter()
-
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
     try:
+        t = time.perf_counter()
         input_path = Path(input_path)
         cache_path = Path(cache_path)
         records = load_assignee_table(input_path)
@@ -358,62 +343,64 @@ def run_pipeline(
             gold_path = Path(gold_path)
             gold = load_gold_standard(gold_path)
             manifest.inputs[str(gold_path)] = _sha256(gold_path)
-        finish_stage("ingest", records=len(records))
+        t = _charge(layers, "ingest", t)
 
         stage = "augment"
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
         provider = make_provider(config, offline)
-        counts: dict = {}
+        _charge(layers, "augment", t)
         artifacts = prepare_corpus(config, records, cache, provider, counts, seconds=layers)
-        finish_stage("augment", augmented=counts["augmented"], corrected=counts["corrected"])
+        manifest.blocking = {
+            "keys": counts.pop("blocking_keys"),
+            "candidate_pairs": counts["candidate_pairs"],
+            "largest_block": counts.pop("largest_block"),
+        }
 
         stage = "parse"
         t = time.perf_counter()
         _write_cleaned(artifacts.names, artifacts.embeddings, work / "cleaned.tsv")
-        _charge(layers, "write", t)
-        finish_stage("parse", type1=counts["type1"], type2=counts["type2"], degenerate=counts["degenerate"])
+        t = _charge(layers, "write", t)
 
         stage = "match"
         weights = config.weight_vector()
         params = config.filter_params()
-        t = time.perf_counter()
         table = score_pairs(artifacts.names_by_id, artifacts.candidates, artifacts.domain_info, artifacts.embeddings)
         scores = table.scores(weights)
         t = _charge(layers, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
-        _charge(layers, "write", t)
-        manifest.blocking = {
-            "keys": counts["blocking_keys"], "candidate_pairs": len(table), "largest_block": counts["largest_block"]
-        }
-        finish_stage("match", candidate_pairs=len(table))
+        t = _charge(layers, "write", t)
 
         stage = "filter"
         graph = build_graph(table, scores, artifacts.records, params)
         partition = refine_communities(graph, params, manifest.filter)
+        t = _charge(layers, "graph", t)
         partition = assign_canonical_names(
             partition,
             artifacts.records,
             {n.record_id: n.cleaned for n in artifacts.names},
             artifacts.embeddings,
         )
+        t = _charge(layers, "naming", t)
         write_mapping(partition, artifacts.records, work / "mapping.tsv")
-        finish_stage("filter", edges=graph.number_of_edges(), communities=partition.n_communities)
+        t = _charge(layers, "write", t)
+        counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
         summary = summarize_partition(partition, artifacts.records)
         summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (work / "summary.json").write_text(summary_text, encoding="utf-8")
-        finish_stage("summary")
+        t = _charge(layers, "summary", t)
 
         if gold is not None:
             stage = "evaluate"
             report = build_report(partition.assignments, gold, n_before=len(records), n_after=partition.n_communities)
             (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
-            finish_stage("evaluate")
+            t = _charge(layers, "evaluate", t)
 
         for name in ARTIFACTS[:-1]:
             if (work / name).exists():
                 manifest.outputs[str(out_dir / name)] = _sha256(work / name)
+        _charge(layers, "write", t)
         (work / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
         out_dir.mkdir(exist_ok=True)
         for name in ARTIFACTS:

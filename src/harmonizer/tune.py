@@ -25,6 +25,11 @@ log = logging.getLogger(__name__)
 
 _STD_NORMAL = NormalDist()
 
+# The good quantile's share of the history, and the draws from l per
+# dimension; both are hyperopt's defaults.
+GAMMA = 0.25
+N_CANDIDATES = 24
+
 # Bounds: weights stay in (0, 1]; the threshold spans the useful score range;
 # resolution reaches past 1 so communities can be forced smaller; bridgeness
 # above 1 loosens pruning. Bridgeness is never negative, so a point below 0
@@ -104,18 +109,12 @@ class Trial:
 
 @dataclass(frozen=True)
 class TpeConfig:
-    gamma: float = 0.25
     n_startup: int = 10
-    n_candidates: int = 24
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"tune.gamma must be in (0, 1), got {self.gamma}")
         if self.n_startup < 0:
             raise ConfigError(f"tune.n_startup must be >= 0, got {self.n_startup}")
-        if self.n_candidates < 1:
-            raise ConfigError(f"tune.n_candidates must be >= 1, got {self.n_candidates}")
 
 
 def split_trials(history: Sequence[Trial], gamma: float) -> tuple[list[Trial], list[Trial]]:
@@ -185,14 +184,14 @@ def suggest(
     the candidate maximizing l(x)/g(x) among draws from l."""
     if len(history) < config.n_startup:
         return space.uniform(rng)
-    good, bad = split_trials(history, config.gamma)
+    good, bad = split_trials(history, GAMMA)
     point: dict[str, float] = {}
     for name, lo, hi in space.dims:
         l_est = ParzenEstimator([t.params[name] for t in good], lo, hi)
         g_est = ParzenEstimator([t.params[name] for t in bad], lo, hi)
         best_x = None
         best_ratio = -math.inf
-        for _ in range(config.n_candidates):
+        for _ in range(N_CANDIDATES):
             x = l_est.sample(rng)
             ratio = l_est.pdf(x) / g_est.pdf(x)  # g > 0 inside bounds (prior)
             if ratio > best_ratio:

@@ -127,6 +127,16 @@ def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
     )
 
 
+def brute_force_candidates(names) -> list[tuple[str, str]]:
+    """Every same-class unordered pair: the set blocking must cover."""
+    by_class: dict[int, list[str]] = {}
+    for name in names:
+        if name.name_class is None:
+            raise ValueError(f"name {name.record_id!r} is not classified")
+        by_class.setdefault(name.name_class.value, []).append(name.record_id)
+    return sorted(pair for members in by_class.values() for pair in itertools.combinations(sorted(members), 2))
+
+
 def brute_idf(token_lists, floor=0.01):
     """Direct ln(N/n_i) followed by an affine rescale onto (floor, 1]."""
     n_names = len(token_lists)

@@ -23,7 +23,7 @@ from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
 from harmonizer.evaluation import compute_metrics, pairwise_confusion
 from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
 from harmonizer.ingest import GoldLabel
-from harmonizer.match import WeightVector, brute_force_candidates, generate_candidate_pairs, score_pairs
+from harmonizer.match import WeightVector, generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name
 from harmonizer.pipeline import tune_pipeline
 from harmonizer.tune import SearchSpace, TpeConfig, optimize
@@ -33,6 +33,7 @@ from oracles import (
     ConditionVector,
     brute_bridgeness,
     brute_f1,
+    brute_force_candidates,
     brute_idf,
     brute_pairwise_confusion,
     matching_score,

@@ -129,9 +129,12 @@ class TestRunCommand:
         assert "stage 'match' failed" in capsys.readouterr().err
 
     def test_brute_force_flag(self, corpus60_paths, tmp_path, capsys):
-        rc = cli(*self.run_args(corpus60_paths, tmp_path, "--brute-force"))
-        assert rc == EXIT_OK
-        assert "12 communities" in capsys.readouterr().out
+        # Blocking is the only candidate path; the flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            cli(*self.run_args(corpus60_paths, tmp_path / "out", "--brute-force"))
+        assert excinfo.value.code == 2
+        assert "--brute-force" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateCommand:
@@ -175,6 +178,12 @@ class TestSummarizeCommand:
         assert summary["n_records"] == 60
         assert summary["n_communities"] == 12
         assert len(summary["largest_communities"]) == 3
+
+    def test_negative_top_exits_2(self, corpus60_run, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli("summarize", "--mapping", str(corpus60_run["dir"] / "mapping.tsv"), "--top", "-1")
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_input_flag_fills_portfolios(self, corpus60_run, corpus60_paths, capsys):
         rc = cli(

@@ -8,7 +8,7 @@ from harmonizer.config import DEFAULTS, ENV_PREFIX, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
 from harmonizer.match import ScoreBound, WeightVector
-from harmonizer.tune import DEFAULT_SPACE
+from harmonizer.tune import DEFAULT_SPACE, TpeConfig
 
 
 def load(tmp_path=None, text=None, environ=None, overrides=None):
@@ -249,12 +249,8 @@ class TestBuilders:
             config.search_space()
 
     def test_tpe_config(self):
-        config = load(environ={"HARMONIZER_TUNE_GAMMA": "0.5", "HARMONIZER_RUN_SEED": "3"})
-        tpe = config.tpe_config()
-        assert tpe.gamma == 0.5
-        assert tpe.n_startup == 10
-        assert tpe.n_candidates == 24
-        assert tpe.seed == 3
+        config = load(environ={"HARMONIZER_TUNE_N_STARTUP": "31", "HARMONIZER_RUN_SEED": "3"})
+        assert config.tpe_config() == TpeConfig(n_startup=31, seed=3)
 
 
 class TestTuningBridge:
@@ -357,6 +353,11 @@ REMOVED_KEYS = [
     ("embed", "seed", 0),
     ("embed", "vectors_path", "vecs.tsv"),
     ("embed", "strict_vectors", True),
+    ("embed", "dim", 256),
+    ("embed", "idf_floor", 0.01),
+    ("match", "brute_force", True),
+    ("tune", "gamma", 0.25),
+    ("tune", "n_candidates", 24),
 ]
 
 
@@ -384,3 +385,8 @@ class TestEveryKeyRead:
         # A section left with no keys goes as a whole.
         with pytest.raises(ConfigError, match=rf"unknown config key '{section}(\.{key})?'"):
             load(tmp_path, f"{section}:\n  {key}: {value}\n")
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS, ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+    def test_removed_key_env_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match="no config key matches"):
+            load(environ={f"{ENV_PREFIX}{section}_{key}".upper(): str(value)})

@@ -19,7 +19,6 @@ from harmonizer.match import (
     ScoreBound,
     WeightVector,
     blocking_key_kinds,
-    brute_force_candidates,
     generate_candidate_pairs,
     read_scored_pairs,
     score_pairs,
@@ -33,7 +32,7 @@ from harmonizer.parse import (
     classify_name_type,
 )
 
-from oracles import ConditionVector, evaluate_conditions, matching_score
+from oracles import ConditionVector, brute_force_candidates, evaluate_conditions, matching_score
 
 
 def classified(raw, record_id, common=None):

@@ -36,6 +36,7 @@ from harmonizer.pipeline import (
     write_mapping,
 )
 from harmonizer.tune import SearchSpace
+from oracles import brute_force_candidates
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
 
@@ -147,32 +148,39 @@ class TestArtifacts:
         assert sum(sizes.values()) == manifest["stage_counts"]["communities"]
         assert sum(size * count for size, count in sizes.items()) == 60
 
-    def test_manifest_stage_seconds(self, corpus60_run):
-        seconds = corpus60_run["manifest"]["stage_seconds"]
-        assert set(seconds) == {"ingest", "augment", "parse", "match", "filter", "summary", "evaluate"}
-        assert all(v >= 0 for v in seconds.values())
+    def test_manifest_stage_counts(self, corpus60_run):
+        counts = corpus60_run["manifest"]["stage_counts"]
+        assert set(counts) == {
+            "records", "augmented", "corrected", "type1", "type2", "degenerate",
+            "candidate_pairs", "edges", "communities",
+        }
+        assert counts["records"] == 60 and counts["communities"] == 12
+        assert counts["candidate_pairs"] == corpus60_run["manifest"]["blocking"]["candidate_pairs"]
 
-    def test_manifest_layer_seconds(self, corpus60_paths, tmp_path):
-        """The layers split prepare_corpus and the match stage apart; they
-        are disjoint slices of the run, so they sum to no more than it."""
+    def test_manifest_layer_seconds(self, corpus300_paths, tmp_path):
+        """Disjoint layers that cover the run: they sum to no more than its
+        wall time, and only the manifest write and the final moves are left
+        out."""
+        config = PipelineConfig.load(corpus300_paths["config"], environ={})
         start = time.perf_counter()
-        manifest = run_fixture_pipeline(corpus60_paths, tmp_path)["manifest"]
-        wall = time.perf_counter() - start
-        layers = manifest["layer_seconds"]
-        assert set(layers) == {"augment", "parse", "domain", "embed", "block", "score", "write"}
-        assert all(v >= 0 for v in layers.values())
-        assert sum(layers.values()) <= wall
-        # Each value is rounded to 1e-6 s.
-        assert sum(layers.values()) <= sum(manifest["stage_seconds"].values()) + len(layers) * 1e-6
-        assert sum(layers[k] for k in ("augment", "parse", "domain", "embed", "block")) <= (
-            manifest["stage_seconds"]["augment"] + 5e-6
+        manifest = run_pipeline(
+            config, corpus300_paths["input"], corpus300_paths["cache"], tmp_path, gold_path=corpus300_paths["gold"]
         )
+        wall = time.perf_counter() - start
+        layers = manifest.layer_seconds
+        assert set(layers) == {
+            "ingest", "augment", "parse", "domain", "embed", "block", "score",
+            "graph", "naming", "write", "summary", "evaluate",
+        }
+        assert all(v >= 0 for v in layers.values())
+        # Each value is rounded to 1e-6 s.
+        assert 0.5 * wall <= sum(layers.values()) <= wall + len(layers) * 1e-6
 
     def test_no_eval_without_gold(self, corpus60_paths, tmp_path):
         run = run_fixture_pipeline(corpus60_paths, tmp_path, with_gold=False)
         assert not (tmp_path / "eval.json").exists()
         assert len(run["manifest"]["outputs"]) == 4
-        assert "evaluate" not in run["manifest"]["stage_seconds"]
+        assert "evaluate" not in run["manifest"]["layer_seconds"]
 
 
 class TestDeterminism:
@@ -266,10 +274,11 @@ class TestFailureHandling:
         assert not list(tmp_path.iterdir())
 
     def test_config_error_passes_through_and_cleans_up(self, corpus60_paths, tmp_path):
+        # The resolution is checked when the run builds its filter parameters.
         config = PipelineConfig.load(
-            corpus60_paths["config"], environ={}, overrides={"embed": {"dim": 8}}
+            corpus60_paths["config"], environ={}, overrides={"graph": {"resolution": 0.0}}
         )
-        with pytest.raises(ConfigError, match="hashing dim"):
+        with pytest.raises(ConfigError, match="graph.resolution"):
             run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path)
         assert not list(tmp_path.iterdir())
 
@@ -547,11 +556,7 @@ class TestPrepareCorpus:
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
         blocked = prepare_corpus(corpus60_config, records, cache)
-        config = PipelineConfig.load(
-            corpus60_paths["config"], environ={}, overrides={"match": {"brute_force": True}}
-        )
-        brute = prepare_corpus(config, records, cache)
-        assert set(blocked.candidates) <= set(brute.candidates)
+        assert set(blocked.candidates) <= set(brute_force_candidates(blocked.names))
 
 
 @pytest.fixture(scope="module")
