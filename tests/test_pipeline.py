@@ -116,6 +116,10 @@ class TestArtifacts:
 
     def test_manifest_stage_counts(self, corpus60_run):
         counts = corpus60_run["manifest"]["stage_counts"]
+        assert set(counts) == {
+            "records", "augmented", "corrected", "type1", "type2", "degenerate",
+            "candidate_pairs", "edges", "communities",
+        }
         assert counts["records"] == 60
         assert counts["augmented"] == 60
         assert counts["corrected"] == 0
@@ -124,6 +128,7 @@ class TestArtifacts:
         assert counts["degenerate"] == 0
         assert counts["communities"] == 12
         assert counts["candidate_pairs"] >= counts["edges"] > 0
+        assert counts["candidate_pairs"] == corpus60_run["manifest"]["blocking"]["candidate_pairs"]
 
     def test_manifest_blocking_and_versions(self, corpus60_run):
         import numpy
@@ -147,15 +152,6 @@ class TestArtifacts:
         sizes = {int(size): count for size, count in stats["community_sizes"].items()}
         assert sum(sizes.values()) == manifest["stage_counts"]["communities"]
         assert sum(size * count for size, count in sizes.items()) == 60
-
-    def test_manifest_stage_counts(self, corpus60_run):
-        counts = corpus60_run["manifest"]["stage_counts"]
-        assert set(counts) == {
-            "records", "augmented", "corrected", "type1", "type2", "degenerate",
-            "candidate_pairs", "edges", "communities",
-        }
-        assert counts["records"] == 60 and counts["communities"] == 12
-        assert counts["candidate_pairs"] == corpus60_run["manifest"]["blocking"]["candidate_pairs"]
 
     def test_manifest_layer_seconds(self, corpus300_paths, tmp_path):
         """Disjoint layers that cover the run: they sum to no more than its

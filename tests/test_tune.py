@@ -76,7 +76,7 @@ class TestTrial:
 
 
 class TestTpeConfig:
-    @pytest.mark.parametrize("kwargs", [{"n_startup": -1}])
+    @pytest.mark.parametrize("kwargs", [{"n_startup": -10}, {"n_startup": -2}, {"n_startup": -1}])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             TpeConfig(**kwargs)
