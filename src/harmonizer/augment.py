@@ -131,9 +131,6 @@ class AugmentationCache:
     def __contains__(self, query_name: str) -> bool:
         return query_name in self._store
 
-    def results(self) -> list[AugmentationResult]:
-        return [self._store[k] for k in sorted(self._store)]
-
 
 # --- HTML extraction --------------------------------------------------------
 
@@ -420,6 +417,10 @@ class HtmlSearchProvider(SearchProvider):
             raise ConfigError("provider.endpoint must be configured for live augmentation")
         if rate_limit_per_s <= 0:
             raise ConfigError("provider.rate_limit_per_s must be > 0")
+        if timeout_s <= 0:
+            raise ConfigError("provider.timeout_s must be > 0")
+        if retries < 0:
+            raise ConfigError("provider.retries must be >= 0")
         import requests  # deferred: offline paths never need it
 
         self._requests = requests

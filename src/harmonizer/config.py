@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
@@ -68,6 +68,21 @@ DEFAULTS: dict[str, Any] = {
         "space": {name: [lo, hi] for name, lo, hi in DEFAULT_SPACE},
     },
 }
+
+# The config key each search dimension stands for. The last part of each
+# path is the WeightVector or FilterParams field the dimension fills.
+TUNED_KEYS: dict[str, tuple[str, ...]] = {
+    "w_token": ("match", "weights", "token"),
+    "w_first_token": ("match", "weights", "first_token"),
+    "w_url_text": ("match", "weights", "url_text"),
+    "w_domain": ("match", "weights", "domain"),
+    "w_cos": ("match", "weights", "cos"),
+    "threshold": ("graph", "threshold"),
+    "resolution": ("graph", "resolution"),
+    "bridgeness": ("graph", "bridgeness_threshold"),
+    "location_boost": ("graph", "location_boost"),
+}
+
 
 def _merge(base: dict, override: Mapping, path: str) -> dict:
     out = copy.deepcopy(base)
@@ -153,12 +168,11 @@ def _apply_env(config: dict, environ: Mapping[str, str]) -> dict:
             else:
                 if isinstance(node[key], dict):
                     raise ConfigError(f"{env_name}: '{'.'.join(path)}' is a section, not a key")
-                node[key] = _coerce(_default_at(path), raw, ".".join(path))
+                node[key] = _coerce(_at(DEFAULTS, path), raw, ".".join(path))
     return out
 
 
-def _default_at(path: list[str]) -> Any:
-    node: Any = DEFAULTS
+def _at(node: Any, path: Sequence[str]) -> Any:
     for key in path:
         node = node[key]
     return node
@@ -201,9 +215,6 @@ class PipelineConfig:
     def __getitem__(self, section: str) -> Any:
         return self.data[section]
 
-    def resolved(self) -> dict[str, Any]:
-        return copy.deepcopy(self.data)
-
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
@@ -226,10 +237,10 @@ class PipelineConfig:
         corner = {
             name: lo if name == "threshold" else hi
             for name, lo, hi in self.search_space().dims
-            if name == "threshold" or name.startswith("w_")
+            if name == "threshold" or TUNED_KEYS[name][0] == "match"
         }
-        weights, _ = self.tuning_params_as_config(corner)
-        return ScoreBound(weights, corner.get("threshold", self.data["graph"]["threshold"]))
+        weights, params = self.tuning_params_as_config(corner)
+        return ScoreBound(weights, params.threshold)
 
     def filter_params(self) -> FilterParams:
         return self.tuning_params_as_config({})[1]
@@ -250,36 +261,15 @@ class PipelineConfig:
     def tuning_params_as_config(self, params: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
         """Interpret one search-space point as weights + filter parameters,
         falling back to the configured value for any dimension not tuned."""
-        weights = WeightVector(**{k: params.get(f"w_{k}", v) for k, v in self.data["match"]["weights"].items()})
-        g = self.data["graph"]
+        fields: dict[str, dict[str, float]] = {"match": {}, "graph": {}}
+        for name, path in TUNED_KEYS.items():
+            fields[path[0]][path[-1]] = params.get(name, _at(self.data, path))
         filter_params = FilterParams(
-            threshold=params.get("threshold", g["threshold"]),
-            resolution=params.get("resolution", g["resolution"]),
-            bridgeness_threshold=params.get("bridgeness", g["bridgeness_threshold"]),
-            location_boost=params.get("location_boost", g["location_boost"]),
-            seed=self.data["run"]["seed"],
-            refine_passes=g["refine_passes"],
+            **fields["graph"], seed=self.data["run"]["seed"], refine_passes=self.data["graph"]["refine_passes"]
         )
-        return weights, filter_params
+        return WeightVector(**fields["match"]), filter_params
 
     def incumbent_point(self, space: SearchSpace) -> dict[str, float]:
         """The current config expressed as a search-space point (clipped into
         bounds so it is always a legal trial)."""
-        w = self.data["match"]["weights"]
-        g = self.data["graph"]
-        values = {
-            "w_token": w["token"],
-            "w_first_token": w["first_token"],
-            "w_url_text": w["url_text"],
-            "w_domain": w["domain"],
-            "w_cos": w["cos"],
-            "threshold": g["threshold"],
-            "resolution": g["resolution"],
-            "bridgeness": g["bridgeness_threshold"],
-            "location_boost": g["location_boost"],
-        }
-        point = {}
-        for name, lo, hi in space.dims:
-            value = values.get(name, (lo + hi) / 2.0)
-            point[name] = min(max(value, lo), hi)
-        return point
+        return {name: min(max(_at(self.data, TUNED_KEYS[name]), lo), hi) for name, lo, hi in space.dims}

@@ -89,34 +89,18 @@ class Graph:
         return Graph(tuple(self.nodes[i] for i in indices), adj)
 
 
-def _shared_locations(a: AssigneeRecord, b: AssigneeRecord) -> bool:
-    # "||" carries no information and never matches anything, itself included.
-    common = a.locations & b.locations
-    return any(key != "||" for key in common)
-
-
-def build_graph(
-    table: PairTable,
-    scores: np.ndarray,
-    records: Mapping[str, AssigneeRecord],
-    params: FilterParams,
-) -> Graph:
-    """Similarity graph: every record is a node; an edge exists iff the pair
-    score clears the threshold, and shared non-empty locations add the boost
-    on top of the score (membership is decided before the boost). Every id
-    of ``table`` is a record. Its rows are sorted by (id_a, id_b), so adding
+def build_graph(table: PairTable, scores: np.ndarray, params: FilterParams) -> Graph:
+    """Similarity graph on the table's ids: every record is a node; an edge
+    exists iff the pair score clears the threshold, and a row whose records
+    share a location adds the boost on top of the score (membership is
+    decided before the boost). Rows are sorted by (id_a, id_b), so adding
     them in table order leaves every neighbour dict ascending."""
-    nodes = tuple(sorted(records))
-    index = {rid: i for i, rid in enumerate(nodes)}
-    position = [index[rid] for rid in table.ids]
-    adj: list[dict[int, float]] = [{} for _ in nodes]
+    adj: list[dict[int, float]] = [{} for _ in table.ids]
     rows = np.flatnonzero(scores >= params.threshold)
-    for i, j, weight in zip(table.a[rows].tolist(), table.b[rows].tolist(), scores[rows].tolist()):
-        if _shared_locations(records[table.ids[i]], records[table.ids[j]]):
-            weight += params.location_boost
-        u, v = position[i], position[j]
+    weights = np.where(table.location[rows], scores[rows] + params.location_boost, scores[rows])
+    for u, v, weight in zip(table.a[rows].tolist(), table.b[rows].tolist(), weights.tolist()):
         adj[u][v] = adj[v][u] = weight
-    return Graph(nodes, adj)
+    return Graph(table.ids, adj)
 
 
 # Louvain stops once a level gains no more modularity than this (networkx's

@@ -20,6 +20,7 @@ import numpy as np
 from .augment import DomainInfo
 from .embed import NameEmbedding, pair_cosines
 from .errors import InputError
+from .ingest import AssigneeRecord
 from .parse import CleanName, NameClass
 
 PAIRS_HEADER = ["id_a", "id_b", "token", "first", "urltext", "domain", "cos", "score"]
@@ -43,32 +44,22 @@ class WeightVector:
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
-    @classmethod
-    def unit(cls) -> "WeightVector":
-        return cls()
-
-
-class BadPairRow(ValueError):
-    """A PairTable row that breaks a column invariant; ``row`` is its index."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"row {row}: {reason}")
-        self.row = row
-
 
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """Candidate pairs as columns, one row per pair, sorted by (id_a, id_b).
 
-    ``a`` and ``b`` index the sorted record ``ids``. ``token`` is 1 when the
-    two names share a token, ``first`` when they also share their first
-    token, ``url`` when each name shares a word with its own page text and
-    the two pages share a word, and ``domain`` when both have the same
-    domain; type-2 rows hold 0 in the three token-based columns. ``cos`` is
-    the embedding cosine, 0 when either embedding is degenerate.
-    ``score_pairs`` fills int32 indices and uint8 conditions; the scalar
-    ``evaluate_conditions`` in ``tests/oracles.py`` is its pair-by-pair
-    oracle.
+    ``a`` and ``b`` index the strictly ascending record ``ids``. ``token``
+    is 1 when the two names share a token, ``first`` when they also share
+    their first token, ``url`` when each name shares a word with its own
+    page text and the two pages share a word, and ``domain`` when both have
+    the same domain; type-2 rows hold 0 in the three token-based columns.
+    ``location`` is 1 when the two records share a location key other than
+    ``||``, which carries no information; it adds the graph's location boost
+    and is not a matching condition. ``cos`` is the embedding cosine, 0 when
+    either embedding is degenerate. ``score_pairs`` fills int32 indices and
+    uint8 conditions; the scalar ``evaluate_conditions`` in
+    ``tests/oracles.py`` is its pair-by-pair oracle.
     """
 
     ids: tuple[str, ...]
@@ -79,14 +70,18 @@ class PairTable:
     first: np.ndarray
     url: np.ndarray
     domain: np.ndarray
+    location: np.ndarray
     cos: np.ndarray
 
     def __post_init__(self):
         n = len(self)
-        if any(len(col) != n for col in (self.b, self.type1, self.token, self.first, self.url, self.domain, self.cos)):
+        columns = (self.b, self.type1, self.token, self.first, self.url, self.domain, self.location, self.cos)
+        if any(len(col) != n for col in columns):
             raise ValueError("pair table columns differ in length")
+        if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
+            raise ValueError("pair table ids must be strictly ascending")
         key = self.a.astype(np.int64) * len(self.ids) + self.b
-        binary = [(col == 0) | (col == 1) for col in (self.token, self.first, self.url, self.domain)]
+        binary = [(col == 0) | (col == 1) for col in (self.token, self.first, self.url, self.domain, self.location)]
         checks = (
             ((self.a >= 0) & (self.a < self.b) & (self.b < len(self.ids)), "pair ids must satisfy id_a < id_b"),
             (np.logical_and.reduce(binary), "binary condition out of range"),
@@ -97,7 +92,7 @@ class PairTable:
         )
         for ok, reason in checks:
             if not ok.all():
-                raise BadPairRow(int(np.argmin(ok)), reason)
+                raise ValueError(f"row {int(np.argmin(ok))}: {reason}")
 
     def __len__(self) -> int:
         return len(self.a)
@@ -143,38 +138,37 @@ _BOUND_SLACK = 1e-9
 def _blocking_index(
     names: Sequence[CleanName],
     domain_info: Mapping[str, DomainInfo],
-) -> dict[str, dict[str, list[str]]]:
-    """Key kind -> key -> record ids, for every kind either index may use.
-    Type-2 names carry domain keys only, under their own kind so the two
-    classes never pair."""
-    index: dict[str, dict[str, list[str]]] = {
+) -> dict[str, dict[str, list[int]]]:
+    """Key kind -> key -> ascending positions in ``names``, for every kind
+    either index may use. Type-2 names carry domain keys only, under their
+    own kind so the two classes never pair."""
+    index: dict[str, dict[str, list[int]]] = {
         kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
     }
 
-    def add(kind: str, key: str, record_id: str) -> None:
-        index[kind].setdefault(key, []).append(record_id)
+    def add(kind: str, key: str, position: int) -> None:
+        index[kind].setdefault(key, []).append(position)
 
-    for name in names:
+    for i, name in enumerate(names):
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
-        rid = name.record_id
-        info = domain_info.get(rid, _EMPTY_INFO)
+        info = domain_info.get(name.record_id, _EMPTY_INFO)
         if name.name_class is NameClass.TYPE2:
             if info.domain is not None:
-                add("type2_domain", info.domain, rid)
+                add("type2_domain", info.domain, i)
             continue
         tokens = set(name.tokens)
         for token in tokens:
-            add("token", token, rid)
+            add("token", token, i)
         if name.tokens:
-            add("first_token", name.tokens[0], rid)
+            add("first_token", name.tokens[0], i)
         if info.domain is not None:
-            add("domain", info.domain, rid)
+            add("domain", info.domain, i)
         own_text = bool(tokens & info.url_tokens)
         for url_token in info.url_tokens:
-            add("url_any", url_token, rid)
+            add("url_any", url_token, i)
             if own_text:
-                add("url", url_token, rid)
+                add("url", url_token, i)
     return index
 
 
@@ -222,7 +216,7 @@ def generate_candidate_pairs(
     domain_info: Mapping[str, DomainInfo],
     bound: Optional[ScoreBound] = None,
     stats: Optional[dict] = None,
-) -> list[tuple[str, str]]:
+) -> np.ndarray:
     """Blocked candidate pairs: same class and at least one shared index key.
 
     Without a bound, type-1 names are indexed on every name token, their
@@ -231,8 +225,9 @@ def generate_candidate_pairs(
     indexed on domains alone. With a bound, only the key kinds that
     ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
     reach the bound's threshold. ``stats``, when given, receives the kinds
-    used and the size of the largest block. Output is each unordered pair
-    once, sorted.
+    used and the size of the largest block. Output is an int32 ``(n, 2)``
+    array holding each unordered pair once as positions ``i < j`` in
+    ``names``, rows ascending.
     """
     index = _blocking_index(names, domain_info)
     costs = {
@@ -240,34 +235,38 @@ def generate_candidate_pairs(
         for kind, buckets in index.items()
     }
     kinds = blocking_key_kinds(bound, costs)
-    pairs: set[tuple[str, str]] = set()
+    # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
+    n = len(names)
+    keys: set[int] = set()
     largest = 0
     for kind in kinds:
-        for ids in index[kind].values():
-            largest = max(largest, len(ids))
-            pairs.update(itertools.combinations(sorted(ids), 2))
+        for positions in index[kind].values():
+            largest = max(largest, len(positions))
+            keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
     if stats is not None:
         stats["blocking_keys"] = list(kinds)
         stats["largest_block"] = largest
-    return sorted(pairs)
+    pairs = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    pairs.sort()
+    return np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
 
 
 def score_pairs(
-    names_by_id: Mapping[str, CleanName],
-    pairs: Iterable[tuple[str, str]],
+    names: Sequence[CleanName],
+    pairs: np.ndarray,
     domain_info: Mapping[str, DomainInfo],
     embeddings: Mapping[str, NameEmbedding],
+    records: Mapping[str, AssigneeRecord],
 ) -> PairTable:
     """Evaluate the conditions of every candidate pair into a PairTable.
-    Per-record data (token set, first token, own-page flag, domain, vector
-    and norm) is gathered once; per pair only set intersections and one dot
-    product remain."""
-    ids = tuple(sorted(names_by_id))
-    index = {rid: i for i, rid in enumerate(ids)}
-    ab = np.array([(index[x], index[y]) for x, y in pairs], dtype=np.int32).reshape(-1, 2)
-    ab.sort(axis=1)
-    a, b = ab[np.lexsort((ab[:, 1], ab[:, 0]))].T
-    names = [names_by_id[rid] for rid in ids]
+    ``names`` are sorted by record id and become the table's ``ids``;
+    ``pairs`` holds ascending rows of positions ``i < j`` in them, as
+    ``generate_candidate_pairs`` returns, and becomes its ``a`` and ``b``.
+    Per-record data (token set, first token, own-page flag, domain,
+    locations, vector and norm) is gathered once; per pair only set
+    intersections and one dot product remain."""
+    ids = tuple(n.record_id for n in names)
+    a, b = np.asarray(pairs, dtype=np.int32).reshape(-1, 2).T
     if any(n.name_class is None for n in names):
         raise ValueError("names must be classified before condition evaluation")
     type1 = np.array([n.name_class is NameClass.TYPE1 for n in names], dtype=bool)
@@ -294,12 +293,16 @@ def score_pairs(
     first = token & (first_code[a] == first_code[b])
     domain_code = codes(info.domain for info in infos)
     domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
+    # "||" matches nothing, itself included; only the sets holding it are copied.
+    locations = [records[rid].locations for rid in ids]
+    locations = [loc - {"||"} if "||" in loc else loc for loc in locations]
+    location = np.array(intersect(locations, np.arange(len(a))), dtype=np.uint8)
     emb = [embeddings[rid] for rid in ids]
     degenerate = np.array([e.degenerate for e in emb], dtype=bool)
     cos = np.zeros(len(a))
     live = np.flatnonzero(~(degenerate[a] | degenerate[b]))
     cos[live] = pair_cosines([e.vector for e in emb], a[live], b[live])
-    return PairTable(ids, a, b, type1[a], token, first, url, domain, cos)
+    return PairTable(ids, a, b, type1[a], token, first, url, domain, location, cos)
 
 
 def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:
@@ -311,44 +314,3 @@ def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, t
         for i, j, type1, token, first, url, domain, cos, score in zip(*(col[rows].tolist() for col in columns)):
             binaries = f"{token}\t{first}\t{url}" if type1 else "\t\t"
             fh.write(f"{table.ids[i]}\t{table.ids[j]}\t{binaries}\t{domain}\t{cos:.12g}\t{score:.12g}\n")
-
-
-def read_scored_pairs(path: str | Path) -> tuple[PairTable, np.ndarray]:
-    """A pairs.tsv file as a PairTable over the ids it names, plus its score
-    column. A type-2 row (blank token field) reads as zero token conditions."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"pairs file not found: {path}")
-    rows: list[tuple] = []
-    line_nos: list[int] = []
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != PAIRS_HEADER:
-            raise InputError(f"{path}: bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 8:
-                raise InputError(f"{path} line {line_no}: expected 8 fields, got {len(cols)}")
-            binaries = cols[2:5] if cols[2] else ["0", "0", "0"]
-            try:
-                rows.append((*cols[:2], cols[2] != "", *map(int, binaries + cols[5:6]), *map(float, cols[6:])))
-            except ValueError as exc:
-                raise InputError(f"{path} line {line_no}: {exc}") from exc
-            line_nos.append(line_no)
-    ids = tuple(sorted({rid for row in rows for rid in row[:2]}))
-    index = {rid: i for i, rid in enumerate(ids)}
-    cols = list(zip(*rows)) or [()] * 9
-    try:
-        table = PairTable(
-            ids,
-            *(np.array([index[rid] for rid in col], dtype=np.int32) for col in cols[:2]),
-            np.array(cols[2], dtype=bool),
-            *(np.array(col, dtype=np.int64) for col in cols[3:7]),
-            np.array(cols[7], dtype=np.float64),
-        )
-    except BadPairRow as exc:
-        raise InputError(f"{path} line {line_nos[exc.row]}: {exc}") from exc
-    return table, np.array(cols[8], dtype=np.float64)

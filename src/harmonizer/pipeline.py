@@ -114,6 +114,7 @@ def read_mapping(path: str | Path) -> list[dict]:
     if not path.is_file():
         raise InputError(f"mapping file not found: {path}")
     rows = []
+    seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != MAPPING_HEADER:
@@ -129,6 +130,9 @@ def read_mapping(path: str | Path) -> list[dict]:
                 cid = int(cols[2])
             except ValueError:
                 raise InputError(f"{path} line {line_no}: bad community_id {cols[2]!r}")
+            if cols[0] in seen:
+                raise InputError(f"{path} line {line_no}: duplicate record_id {cols[0]!r}")
+            seen.add(cols[0])
             rows.append(
                 {"record_id": cols[0], "raw_name": cols[1], "community_id": cid, "canonical_name": cols[3]}
             )
@@ -144,7 +148,7 @@ def _degenerate(name: CleanName, embeddings: Mapping[str, NameEmbedding]) -> boo
 def _write_cleaned(names: Sequence[CleanName], embeddings: Mapping[str, NameEmbedding], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for name in sorted(names, key=lambda n: n.record_id):
+        for name in names:
             cls = name.name_class.name.lower() if name.name_class else ""
             fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(_degenerate(name, embeddings))}\n")
 
@@ -154,11 +158,10 @@ class CorpusArtifacts:
     """Everything the matcher and filter need, reusable across tuning trials."""
 
     records: dict[str, AssigneeRecord]
-    names: list[CleanName]
-    names_by_id: dict[str, CleanName]
+    names: list[CleanName]  # sorted by record id; candidates index them
     domain_info: dict[str, DomainInfo]
     embeddings: dict
-    candidates: list[tuple[str, str]]
+    candidates: numpy.ndarray
 
 
 def _augment_stage(
@@ -223,7 +226,7 @@ def prepare_corpus(
         correction = result.corrected_name if result is not None else None
         names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
-    names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
+    names = sorted((n.with_class(classify_name_type(n.tokens, common)) for n in names), key=lambda n: n.record_id)
     t = _charge(seconds, "parse", t)
 
     corpus_results = [r for r in results_by_id.values() if r is not None]
@@ -260,7 +263,6 @@ def prepare_corpus(
     return CorpusArtifacts(
         records={r.record_id: r for r in records},
         names=names,
-        names_by_id={n.record_id: n for n in names},
         domain_info=domain_info,
         embeddings=embeddings,
         candidates=candidates,
@@ -364,14 +366,16 @@ def run_pipeline(
         stage = "match"
         weights = config.weight_vector()
         params = config.filter_params()
-        table = score_pairs(artifacts.names_by_id, artifacts.candidates, artifacts.domain_info, artifacts.embeddings)
+        table = score_pairs(
+            artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
+        )
         scores = table.scores(weights)
         t = _charge(layers, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
         t = _charge(layers, "write", t)
 
         stage = "filter"
-        graph = build_graph(table, scores, artifacts.records, params)
+        graph = build_graph(table, scores, params)
         partition = refine_communities(graph, params, manifest.filter)
         t = _charge(layers, "graph", t)
         partition = assign_canonical_names(
@@ -470,11 +474,13 @@ def build_tuning_objective(
     rescores it with one vector expression and re-runs the filter stage on
     the rows that clear its threshold.
     """
-    table = score_pairs(artifacts.names_by_id, artifacts.candidates, artifacts.domain_info, artifacts.embeddings)
+    table = score_pairs(
+        artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
+    )
 
     def objective(params: dict[str, float]) -> float:
         weights, filter_params = config.tuning_params_as_config(params)
-        graph = build_graph(table, table.scores(weights), artifacts.records, filter_params)
+        graph = build_graph(table, table.scores(weights), filter_params)
         partition = refine_communities(graph, filter_params)
         return compute_metrics(pairwise_confusion(partition.assignments, gold)).f1
 

@@ -65,10 +65,6 @@ class SearchSpace:
             (name, float(lo), float(hi)) for name, lo, hi in dims
         )
 
-    @classmethod
-    def default(cls) -> "SearchSpace":
-        return cls(DEFAULT_SPACE)
-
     @property
     def names(self) -> list[str]:
         return [name for name, _, _ in self.dims]

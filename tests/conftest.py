@@ -9,7 +9,7 @@ import pytest
 
 from harmonizer.augment import AugmentationCache
 from harmonizer.config import PipelineConfig
-from harmonizer.ingest import load_assignee_table, load_gold_standard
+from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,22 @@ def corpus300_config(corpus300_paths) -> PipelineConfig:
 @pytest.fixture(scope="session")
 def corpus60_config(corpus60_paths) -> PipelineConfig:
     return PipelineConfig.load(corpus60_paths["config"])
+
+
+def name_records(names, locations=None) -> dict[str, AssigneeRecord]:
+    """A record for every name, as ``score_pairs`` takes them, with the
+    location keys ``locations`` gives its id (none by default)."""
+    locations = locations or {}
+    return {
+        n.record_id: AssigneeRecord(n.record_id, f"NAME {n.record_id}", 0, frozenset(locations.get(n.record_id, ())))
+        for n in names
+    }
+
+
+def read_pairs_tsv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """pairs.tsv as its header and rows of fields."""
+    header, *rows = (line.split("\t") for line in path.read_text(encoding="utf-8").splitlines())
+    return header, rows
 
 
 def run_fixture_pipeline(paths: dict, out_dir: Path, overrides: dict | None = None,

@@ -127,14 +127,17 @@ def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
     )
 
 
-def brute_force_candidates(names) -> list[tuple[str, str]]:
-    """Every same-class unordered pair: the set blocking must cover."""
-    by_class: dict[int, list[str]] = {}
+def brute_force_candidates(names) -> np.ndarray:
+    """Every same-class unordered pair, the set blocking must cover, as
+    ``generate_candidate_pairs`` gives pairs: ascending rows of positions
+    i < j in ``names``."""
     for name in names:
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
-        by_class.setdefault(name.name_class.value, []).append(name.record_id)
-    return sorted(pair for members in by_class.values() for pair in itertools.combinations(sorted(members), 2))
+    pairs = [
+        (i, j) for i, j in itertools.combinations(range(len(names)), 2) if names[i].name_class is names[j].name_class
+    ]
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
 def brute_idf(token_lists, floor=0.01):

@@ -17,7 +17,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import run_fixture_pipeline
+from conftest import name_records, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
 from harmonizer.evaluation import compute_metrics, pairwise_confusion
@@ -64,7 +64,7 @@ def test_01_score_bounds():
     both extremes are attained."""
     with criterion(1, "score bounds", 1.0):
         rng = random.Random(0)
-        unit = WeightVector.unit()
+        unit = WeightVector()
         cos_values = [-1.0, -0.5, 0.0, 0.5, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(200)]
         type1 = []
         for token in (0, 1):
@@ -137,17 +137,17 @@ def test_02_blocking_losslessness():
     """The inverted-index candidate set reproduces exactly the brute-force
     pair set scoring above the cosine weight, on 3 random corpora."""
     with criterion(2, "blocking losslessness", 120.0):
-        unit = WeightVector.unit()
+        unit = WeightVector()
         for n, seed in ((500, 11), (1200, 22), (2000, 33)):
             rng = random.Random(seed)
             names, domain_info = _random_matching_corpus(rng, n)
-            names_by_id = {nm.record_id: nm for nm in names}
+            records = name_records(names)
             idf = compute_idf(names)
             embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
             blocked = generate_candidate_pairs(names, domain_info)
             brute = brute_force_candidates(names)
-            scored_blocked = score_pairs(names_by_id, blocked, domain_info, embeddings)
-            scored_brute = score_pairs(names_by_id, brute, domain_info, embeddings)
+            scored_blocked = score_pairs(names, blocked, domain_info, embeddings, records)
+            scored_brute = score_pairs(names, brute, domain_info, embeddings, records)
             cutoff = unit.cos + 1e-9
             above_blocked, above_brute = (
                 {(t.ids[i], t.ids[j]) for i, j, score in zip(t.a, t.b, t.scores(unit)) if score > cutoff}
@@ -218,7 +218,7 @@ def test_05_desk_corpus_end_to_end(corpus300_paths, tmp_path):
     [0.30, 0.60]."""
     with criterion(5, "desk corpus end to end", 120.0):
         config = PipelineConfig.load(corpus300_paths["config"], environ={})
-        assert config.weight_vector() == WeightVector.unit()
+        assert config.weight_vector() == WeightVector()
         params = config.filter_params()
         assert (params.threshold, params.resolution) == (3.9, 1.0)
         assert (params.bridgeness_threshold, params.location_boost) == (1.0, 1.0)

@@ -105,11 +105,6 @@ class TestAugmentationCache:
         cache.put(result("B"))
         assert len(path.read_text().strip().splitlines()) == 2
 
-    def test_results_sorted_by_query(self, fresh_cache):
-        fresh_cache.put(result("B"))
-        fresh_cache.put(result("A"))
-        assert [r.query_name for r in fresh_cache.results()] == ["A", "B"]
-
     def test_memory_only(self):
         cache = AugmentationCache(None)
         cache.put(result())
@@ -138,7 +133,8 @@ class TestAugmentationCache:
         assert "line 2" in caplog.text and "torn" in caplog.text
         # The next append replaces the fragment instead of running into it.
         cache.put(result("C"))
-        assert [r.query_name for r in AugmentationCache(path).results()] == ["A", "C"]
+        reloaded = AugmentationCache(path)
+        assert len(reloaded) == 2 and "A" in reloaded and "C" in reloaded
 
     @pytest.mark.parametrize("where", ["middle", "final with newline"])
     def test_corrupt_line_elsewhere_raises(self, tmp_path, where):
@@ -330,6 +326,25 @@ class TestHtmlSearchProvider:
     def test_requires_endpoint(self):
         with pytest.raises(ConfigError):
             HtmlSearchProvider(endpoint="")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"timeout_s": 0.0}, "timeout_s must be > 0"),
+            ({"timeout_s": -1.0}, "timeout_s must be > 0"),
+        ],
+    )
+    def test_rejects_negative_retries_and_nonpositive_timeout(self, kwargs, message):
+        # Either would fail every fetch: -1 retries makes no attempt at all,
+        # and requests raises ValueError on a zero timeout.
+        with pytest.raises(ConfigError, match=message):
+            make_provider([], **kwargs)
+
+    def test_zero_retries_makes_one_attempt(self):
+        provider, session, _ = make_provider([_FakeResponse(200, "ok")], retries=0)
+        assert provider.search_page("nokia") == "ok"
+        assert len(session.calls) == 1
 
     def test_search_sends_query_param(self):
         provider, session, _ = make_provider([_FakeResponse(200, "<html/>")])

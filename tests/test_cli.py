@@ -170,6 +170,32 @@ class TestEvaluateCommand:
         assert rc == EXIT_INPUT
 
 
+def duplicated_mapping(tmp_path):
+    """A mapping that lists r1 twice, on lines 2 and 3."""
+    path = tmp_path / "mapping.tsv"
+    path.write_text(
+        "record_id\traw_name\tcommunity_id\tcanonical_name\n"
+        "r1\tACME\t0\tACME\nr1\tACME\t1\tACME\nr2\tACME INC\t0\tACME\n"
+    )
+    return path
+
+
+class TestDuplicateMappingIds:
+    def test_evaluate_rejects_repeated_record_id(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("record_id\tentity_id\nr1\tE1\nr2\tE1\n")
+        rc = cli("evaluate", "--pred", str(duplicated_mapping(tmp_path)), "--gold", str(gold))
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "line 3: duplicate record_id 'r1'" in captured.err
+        assert captured.out == ""
+
+    def test_summarize_rejects_repeated_record_id(self, tmp_path, capsys):
+        rc = cli("summarize", "--mapping", str(duplicated_mapping(tmp_path)))
+        assert rc == EXIT_INPUT
+        assert "line 3: duplicate record_id 'r1'" in capsys.readouterr().err
+
+
 class TestSummarizeCommand:
     def test_summary_json(self, corpus60_run, capsys):
         rc = cli("summarize", "--mapping", str(corpus60_run["dir"] / "mapping.tsv"), "--top", "3")
@@ -228,6 +254,22 @@ class TestAugmentCommand:
         )
         assert rc == EXIT_OK
         assert "augment: 60 names, 60 cached, 0 un-augmented" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "setting, message", [("retries: -1", "retries must be >= 0"), ("timeout_s: 0", "timeout_s must be > 0")]
+    )
+    def test_unusable_provider_settings_exit_2(self, corpus60_paths, tmp_path, capsys, setting, message):
+        config = tmp_path / "provider.yaml"
+        config.write_text(f"augment:\n  provider:\n    endpoint: http://127.0.0.1:9/s\n    {setting}\n")
+        rc = cli(
+            "augment",
+            "--config", str(config),
+            "--input", str(corpus60_paths["input"]),
+            "--cache", str(tmp_path / "cache.jsonl"),
+        )
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cache.jsonl").exists()
 
     def test_online_without_endpoint_exits_2(self, corpus60_paths, tmp_path, capsys):
         rc = cli(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from harmonizer.config import DEFAULTS, ENV_PREFIX, PipelineConfig
+from harmonizer.config import DEFAULTS, ENV_PREFIX, TUNED_KEYS, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
 from harmonizer.match import ScoreBound, WeightVector
@@ -23,19 +23,13 @@ def load(tmp_path=None, text=None, environ=None, overrides=None):
 class TestDefaults:
     def test_no_sources_yields_defaults(self):
         config = load()
-        assert config.resolved() == DEFAULTS
+        assert config.data == DEFAULTS
 
     def test_defaults_not_shared(self):
         config = load()
         config.data["graph"]["threshold"] = 99.0
         assert DEFAULTS["graph"]["threshold"] == 3.9
         assert load()["graph"]["threshold"] == 3.9
-
-    def test_resolved_returns_copy(self):
-        config = load()
-        snapshot = config.resolved()
-        snapshot["run"]["seed"] = 42
-        assert config["run"]["seed"] == 0
 
     def test_getitem_section(self):
         config = load()
@@ -50,7 +44,7 @@ class TestFileLayer:
 
     def test_empty_file_is_defaults(self, tmp_path):
         config = load(tmp_path, "")
-        assert config.resolved() == DEFAULTS
+        assert config.data == DEFAULTS
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -155,7 +149,7 @@ class TestEnvLayer:
 
     def test_unrelated_env_ignored(self):
         config = load(environ={"PATH": "/usr/bin", "HARMONIZERX": "1"})
-        assert config.resolved() == DEFAULTS
+        assert config.data == DEFAULTS
 
     def test_unknown_env_key_rejected(self):
         with pytest.raises(ConfigError, match="no config key matches"):
@@ -291,18 +285,25 @@ class TestTuningBridge:
         point = config.incumbent_point(config.search_space())
         assert point["threshold"] == 5.0
 
-    def test_incumbent_unknown_dim_uses_midpoint(self):
-        from harmonizer.tune import SearchSpace
-
-        space = SearchSpace([("mystery", 2.0, 4.0)])
-        assert load().incumbent_point(space) == {"mystery": 3.0}
+    def test_every_dimension_has_a_config_key(self, tmp_path):
+        # A search space holds only known dimensions, each standing for one
+        # config key, so the incumbent never needs a fallback value.
+        assert list(TUNED_KEYS) == [name for name, _, _ in DEFAULT_SPACE]
+        config = load()
+        for path in TUNED_KEYS.values():
+            node = config.data
+            for key in path:
+                node = node[key]
+            assert isinstance(node, float), path
+        with pytest.raises(ConfigError, match="unknown config key 'tune.space.mystery'"):
+            load(tmp_path, "tune:\n  space:\n    mystery: [2.0, 4.0]\n")
 
     def test_score_bound_is_configured_weights_and_threshold(self):
         config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "3.5", "HARMONIZER_MATCH_WEIGHTS_COS": "0.8"})
         assert config.score_bound() == ScoreBound(WeightVector(cos=0.8), 3.5)
 
     def test_tuning_score_bound_is_most_permissive_corner(self, tmp_path):
-        assert load().tuning_score_bound() == ScoreBound(WeightVector.unit(), 0.5)
+        assert load().tuning_score_bound() == ScoreBound(WeightVector(), 0.5)
         text = "tune:\n  space:\n    w_cos: [0.1, 0.3]\n    w_domain: [0.2, 0.6]\n    threshold: [3.0, 5.0]\n"
         bound = load(tmp_path, text).tuning_score_bound()
         assert bound == ScoreBound(WeightVector(domain=0.6, cos=0.3), 3.0)

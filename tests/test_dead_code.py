@@ -16,11 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "harmonizer"
 CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
-ALLOWED = {
-    # Reads pairs.tsv back into a PairTable: the reader of the planned
-    # `explain` command, which has not landed yet.
-    "read_scored_pairs",
-}
+ALLOWED: set[str] = set()
 
 
 def _references(node: ast.AST) -> Counter:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
-from harmonizer.embed import NameEmbedding
+from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -27,7 +27,8 @@ from harmonizer.graph import (
     refine_communities,
 )
 from harmonizer.ingest import AssigneeRecord
-from harmonizer.match import PairTable
+from harmonizer.match import score_pairs
+from harmonizer.parse import NameClass, clean_name
 
 from nxgraphs import from_networkx, to_networkx
 from oracles import (
@@ -41,13 +42,14 @@ from oracles import (
 
 
 def scored(records, *pairs):
-    """A PairTable over the records' ids with one type-1 row per
-    (a, b, score), and its score column."""
-    ids = tuple(sorted(records))
+    """The PairTable ``score_pairs`` fills over the records, as type-1
+    names, with one row per (a, b, score), and that score column."""
+    ids = sorted(records)
+    names = [clean_name(records[rid].raw_name, record_id=rid).with_class(NameClass.TYPE1) for rid in ids]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
-    a, b, scores = (np.array(col) for col in zip(*rows))
-    ones, zeros = np.ones(len(rows), dtype=np.uint8), np.zeros(len(rows), dtype=np.uint8)
-    return PairTable(ids, a, b, ones == 1, ones, zeros, zeros, zeros, np.zeros(len(rows))), scores
+    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
+    table = score_pairs(names, np.array([row[:2] for row in rows]), {}, embeddings, records)
+    return table, np.array([row[2] for row in rows])
 
 
 def records_for(ids, locations=None):
@@ -80,35 +82,35 @@ class TestBuildGraph:
     def test_threshold_is_inclusive(self):
         records = records_for(["a", "b", "c"])
         table, scores = scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999))
-        graph = to_networkx(build_graph(table, scores, records, FilterParams()))
+        graph = to_networkx(build_graph(table, scores, FilterParams()))
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "c")
 
     def test_every_record_is_a_node(self):
         records = records_for(["a", "b", "loner"])
-        graph = build_graph(*scored(records, ("a", "b", 4.5)), records, FilterParams())
+        graph = build_graph(*scored(records, ("a", "b", 4.5)), FilterParams())
         assert set(graph.nodes) == {"a", "b", "loner"}
 
     def test_boost_applies_after_threshold(self):
         # Shared location must NOT rescue a sub-threshold pair...
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 3.5)), records, FilterParams(location_boost=1.0)))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 3.5)), FilterParams(location_boost=1.0)))
         assert not graph.has_edge("a", "b")
 
     def test_boost_added_to_weight(self):
         # ...but it strengthens an edge that already cleared it.
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0)))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams(location_boost=1.0)))
         assert graph["a"]["b"]["weight"] == 5.0
 
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams()))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams()))
         assert graph["a"]["b"]["weight"] == 4.0
 
     def test_all_empty_location_key_never_matches(self):
         records = records_for(["a", "b"], {"a": {"||"}, "b": {"||"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), records, FilterParams(location_boost=1.0)))
+        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams(location_boost=1.0)))
         assert graph["a"]["b"]["weight"] == 4.0
 
 

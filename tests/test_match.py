@@ -14,13 +14,12 @@ from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_c
 from harmonizer.errors import InputError
 from harmonizer.match import (
     FULL_INDEX,
-    BadPairRow,
+    PAIRS_HEADER,
     PairTable,
     ScoreBound,
     WeightVector,
     blocking_key_kinds,
     generate_candidate_pairs,
-    read_scored_pairs,
     score_pairs,
     write_scored_pairs,
 )
@@ -32,6 +31,7 @@ from harmonizer.parse import (
     classify_name_type,
 )
 
+from conftest import name_records, read_pairs_tsv
 from oracles import ConditionVector, brute_force_candidates, evaluate_conditions, matching_score
 
 
@@ -58,7 +58,7 @@ def info(record_id, domain=None, url_tokens=()):
 
 class TestWeightVector:
     def test_unit(self):
-        w = WeightVector.unit()
+        w = WeightVector()
         assert w.as_dict() == {"token": 1.0, "first_token": 1.0, "url_text": 1.0, "domain": 1.0, "cos": 1.0}
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
@@ -184,17 +184,17 @@ class TestEvaluateConditions:
 class TestMatchingScore:
     def test_type1_all_ones(self):
         cv = ConditionVector(NameClass.TYPE1, 1, 1, 1, 1, 1.0)
-        assert matching_score(cv, WeightVector.unit()) == 5.0
+        assert matching_score(cv, WeightVector()) == 5.0
 
     def test_type1_minimum(self):
         cv = ConditionVector(NameClass.TYPE1, 0, 0, 0, 0, -1.0)
-        assert matching_score(cv, WeightVector.unit()) == -1.0
+        assert matching_score(cv, WeightVector()) == -1.0
 
     def test_type2_bounds(self):
         top = ConditionVector(NameClass.TYPE2, None, None, None, 1, 1.0)
         bottom = ConditionVector(NameClass.TYPE2, None, None, None, 0, -1.0)
-        assert matching_score(top, WeightVector.unit()) == 2.0
-        assert matching_score(bottom, WeightVector.unit()) == -1.0
+        assert matching_score(top, WeightVector()) == 2.0
+        assert matching_score(bottom, WeightVector()) == -1.0
 
     def test_weights_scale_conditions(self):
         cv = ConditionVector(NameClass.TYPE1, 1, 0, 1, 0, 0.5)
@@ -208,13 +208,13 @@ class TestMatchingScore:
     def test_type1_unit_weight_range(self, t, f, u, d, cos):
         f = f and t  # invariant: first requires token
         cv = ConditionVector(NameClass.TYPE1, int(t), int(f), int(u), int(d), cos)
-        score = matching_score(cv, WeightVector.unit())
+        score = matching_score(cv, WeightVector())
         assert -1.0 <= score <= 5.0
 
     @given(st.booleans(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_type2_unit_weight_range(self, d, cos):
         cv = ConditionVector(NameClass.TYPE2, None, None, None, int(d), cos)
-        assert -1.0 <= matching_score(cv, WeightVector.unit()) <= 2.0
+        assert -1.0 <= matching_score(cv, WeightVector()) <= 2.0
 
 
 def small_corpus():
@@ -247,10 +247,15 @@ def small_corpus():
     return names, infos, embeddings
 
 
+def id_pairs(names, pairs):
+    """Rows of positions in ``names`` as (id_a, id_b) tuples."""
+    return [(names[i].record_id, names[j].record_id) for i, j in pairs.tolist()]
+
+
 class TestCandidates:
     def test_blocking_contains_all_binary_capable_pairs(self):
         names, infos, _ = small_corpus()
-        pairs = set(generate_candidate_pairs(names, infos))
+        pairs = set(id_pairs(names, generate_candidate_pairs(names, infos)))
         # Shared token "nokia":
         assert ("r01", "r02") in pairs
         # Shared domain, type-2 names:
@@ -264,14 +269,14 @@ class TestCandidates:
 
     def test_url_token_bucket_pairs(self):
         names, infos, _ = small_corpus()
-        pairs = generate_candidate_pairs(names, infos)
+        pairs = id_pairs(names, generate_candidate_pairs(names, infos))
         # r03's url token "nokian" equals r03's name token only; no cross pair
         # through it, but r01/r02 share the "nokia" url token bucket.
         assert ("r01", "r02") in pairs
 
     def test_brute_force_same_class_only(self):
         names, _, _ = small_corpus()
-        pairs = brute_force_candidates(names)
+        pairs = id_pairs(names, brute_force_candidates(names))
         type2 = {"r06", "r07"}
         for a, b in pairs:
             assert ((a in type2) == (b in type2))
@@ -280,16 +285,15 @@ class TestCandidates:
 
     def test_blocked_is_subset_of_brute(self):
         names, infos, _ = small_corpus()
-        blocked = set(generate_candidate_pairs(names, infos))
-        assert blocked <= set(brute_force_candidates(names))
+        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        assert blocked <= set(id_pairs(names, brute_force_candidates(names)))
 
     def test_blocking_lossless_above_cos_weight(self):
         """Any pair scoring above w_cos must appear among blocked candidates."""
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        weights = WeightVector.unit()
-        blocked = set(generate_candidate_pairs(names, infos))
-        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+        weights = WeightVector()
+        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
         for row in np.flatnonzero(brute.scores(weights) > weights.cos):
             assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in blocked
 
@@ -328,7 +332,7 @@ def random_blocking_corpus(rng, n):
 
 
 class TestBoundedBlocking:
-    DEFAULTS = WeightVector.unit()
+    DEFAULTS = WeightVector()
 
     def test_oracle_over_random_bounds(self):
         """Over random weights (zeros included) and thresholds, the bounded
@@ -336,11 +340,10 @@ class TestBoundedBlocking:
         force, that score >= threshold."""
         rng = random.Random(7)
         names, infos = random_blocking_corpus(rng, 160)
-        by_id = {n.record_id: n for n in names}
         embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
-        brute = score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+        brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
-        full = set(generate_candidate_pairs(names, infos))
+        full = set(id_pairs(names, generate_candidate_pairs(names, infos)))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
@@ -354,7 +357,7 @@ class TestBoundedBlocking:
                 seen["type2_reachable"] += 1
             else:
                 seen["type2_unreachable"] += 1
-            bounded = set(generate_candidate_pairs(names, infos, ScoreBound(weights, threshold)))
+            bounded = set(id_pairs(names, generate_candidate_pairs(names, infos, ScoreBound(weights, threshold))))
             reaching = {
                 brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
                 for row in np.flatnonzero(brute.scores(weights) >= threshold)
@@ -391,7 +394,7 @@ class TestBoundedBlocking:
     def test_unreachable_threshold_indexes_nothing(self):
         names, infos, _ = small_corpus()
         stats = {}
-        assert generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 9.0), stats) == []
+        assert generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
         assert stats == {"blocking_keys": [], "largest_block": 0}
 
     def test_url_keys_need_own_page_overlap(self):
@@ -400,10 +403,10 @@ class TestBoundedBlocking:
         weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
         bound = ScoreBound(weights, 1.4)
         own = {"r1": info("r1", url_tokens={"alpha", "shared"}), "r2": info("r2", url_tokens={"beta", "shared"})}
-        assert generate_candidate_pairs(names, own, bound) == [("r1", "r2")]
+        assert generate_candidate_pairs(names, own, bound).tolist() == [[0, 1]]
         foreign = {"r1": own["r1"], "r2": info("r2", url_tokens={"shared"})}
-        assert generate_candidate_pairs(names, foreign, bound) == []
-        assert generate_candidate_pairs(names, foreign) == [("r1", "r2")]
+        assert generate_candidate_pairs(names, foreign, bound).tolist() == []
+        assert generate_candidate_pairs(names, foreign).tolist() == [[0, 1]]
 
     def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
         """At the defaults, run indexes first tokens and domains and no type-2
@@ -423,8 +426,8 @@ class TestBoundedBlocking:
             corpus300_config, records, cache, counts=tune_counts, bound=corpus300_config.tuning_score_bound()
         )
         assert tune_counts["blocking_keys"] == list(FULL_INDEX)
-        assert tune.candidates == generate_candidate_pairs(tune.names, tune.domain_info)
-        assert set(run.candidates) < set(tune.candidates)
+        assert np.array_equal(tune.candidates, generate_candidate_pairs(tune.names, tune.domain_info))
+        assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
 
 
 def pair_ids(table, rows=None):
@@ -450,20 +453,46 @@ def oracle_corpus(seed, n=70):
 class TestScorePairs:
     def test_sorted_and_scored(self):
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
         pairs = generate_candidate_pairs(names, infos)
-        table = score_pairs(by_id, pairs, infos, embeddings)
-        assert pair_ids(table) == sorted(pairs)
+        table = score_pairs(names, pairs, infos, embeddings, name_records(names))
+        assert table.ids == tuple(n.record_id for n in names)
+        assert table.a.tolist() == pairs[:, 0].tolist() and table.b.tolist() == pairs[:, 1].tolist()
+        assert pair_ids(table) == sorted(pair_ids(table))
         assert table.a.dtype == np.int32 and table.token.dtype == np.uint8 and table.cos.dtype == np.float64
         nokia = pair_ids(table).index(("r01", "r02"))
         assert table.domain[nokia] == 1
-        assert table.scores(WeightVector.unit())[nokia] > 3.9
+        assert table.scores(WeightVector())[nokia] > 3.9
 
     def test_pair_order_normalized(self):
+        # Blocking hands over pairs as ascending rows of i < j; the table
+        # keeps them as given and rejects any other order.
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        table = score_pairs(by_id, [("r02", "r01")], infos, embeddings)
-        assert pair_ids(table) == [("r01", "r02")]
+        records = name_records(names)
+        assert pair_ids(score_pairs(names, [[0, 1]], infos, embeddings, records)) == [("r01", "r02")]
+        with pytest.raises(ValueError, match="row 0: .*id_a < id_b"):
+            score_pairs(names, [[1, 0]], infos, embeddings, records)
+        with pytest.raises(ValueError, match="row 1: .*sorted"):
+            score_pairs(names, [[0, 2], [0, 1]], infos, embeddings, records)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            score_pairs(names[::-1], [[0, 1]], infos, embeddings, records)
+
+    def test_location_column(self):
+        # Records share a location when they share a key other than "||",
+        # which carries no information and matches nothing, itself included.
+        names, infos, embeddings = small_corpus()
+        locations = {
+            "r01": {"espoo||fi", "||"},
+            "r02": {"espoo||fi"},
+            "r03": {"||"},
+            "r04": {"||", "york||uk"},
+            "r05": {"leeds||uk"},
+            "r08": {"york||uk"},
+        }
+        pairs = brute_force_candidates(names)
+        table = score_pairs(names, pairs, infos, embeddings, name_records(names, locations))
+        shared = {pair for pair, flag in zip(pair_ids(table), table.location) if flag}
+        assert shared == {("r01", "r02"), ("r04", "r08")}
+        assert table.location.dtype == np.uint8
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_table_matches_scalar_oracle(self, seed):
@@ -471,11 +500,11 @@ class TestScorePairs:
         matching_score exactly, under random weights with zeros."""
         names, infos, embeddings = oracle_corpus(seed)
         by_id = {n.record_id: n for n in names}
-        pairs = brute_force_candidates(names)
-        rng = random.Random(seed)
-        shuffled = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in rng.sample(pairs, len(pairs))]
-        table = score_pairs(by_id, shuffled, infos, embeddings)
+        candidates = brute_force_candidates(names)
+        table = score_pairs(names, candidates, infos, embeddings, name_records(names))
+        pairs = id_pairs(names, candidates)
         assert pair_ids(table) == pairs
+        rng = random.Random(seed)
         oracle = [
             evaluate_conditions(by_id[a], by_id[b], infos.get(a), infos.get(b), embeddings[a], embeddings[b])
             for a, b in pairs
@@ -505,20 +534,19 @@ class TestScorePairs:
 
     def test_rejects_cross_class_and_unclassified(self):
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        with pytest.raises(ValueError, match="cannot pair"):
-            score_pairs(by_id, [("r01", "r06")], infos, embeddings)
-        by_id["r10"] = clean_name("OMEGA DEVICES", record_id="r10")
+        records = name_records(names)
+        with pytest.raises(ValueError, match="cannot pair 'r01' with 'r06'"):
+            score_pairs(names, [[0, 5]], infos, embeddings, records)
+        names[9] = clean_name("OMEGA DEVICES", record_id="r10")
         with pytest.raises(ValueError, match="classified"):
-            score_pairs(by_id, [("r01", "r02")], infos, embeddings)
+            score_pairs(names, [[0, 1]], infos, embeddings, records)
 
 
 class TestPairTable:
     @pytest.fixture()
     def table(self):
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        return score_pairs(by_id, brute_force_candidates(names), infos, embeddings)
+        return score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
 
     @pytest.mark.parametrize(
         "column, value, reason",
@@ -526,86 +554,73 @@ class TestPairTable:
             ("a", 9, "id_a < id_b"),
             ("token", 2, "binary condition"),
             ("domain", 3, "binary condition"),
+            ("location", 2, "binary condition"),
             ("first", 1, "cannot exceed"),
             ("cos", 1.5, "cos out of range"),
             ("cos", float("nan"), "cos out of range"),
             ("b", 0, "id_a < id_b"),
         ],
-        ids=["order", "token", "domain", "first", "cos", "cos_nan", "order_b"],
+        ids=["order", "token", "domain", "location", "first", "cos", "cos_nan", "order_b"],
     )
     def test_rejects_bad_row(self, table, column, value, reason):
         row = int(np.flatnonzero(table.token == 0)[0]) if column == "first" else 5
         bad = getattr(table, column).copy()
         bad[row] = value
-        with pytest.raises(BadPairRow, match=reason) as excinfo:
+        with pytest.raises(ValueError, match=f"^row {row}: .*{reason}"):
             dataclasses.replace(table, **{column: bad})
-        assert excinfo.value.row == row
 
     def test_rejects_token_fields_on_type2_rows(self, table):
         row = int(np.flatnonzero(~table.type1)[0])
         token, first = table.token.copy(), table.first.copy()
         token[row] = first[row] = 1
-        with pytest.raises(BadPairRow, match="type-2") as excinfo:
+        with pytest.raises(ValueError, match=f"^row {row}: type-2"):
             dataclasses.replace(table, token=token, first=first)
-        assert excinfo.value.row == row
 
     def test_rejects_unsorted_rows_and_ragged_columns(self, table):
         order = np.r_[1, 0, 2 : len(table)]
         columns = {f.name: getattr(table, f.name)[order] for f in dataclasses.fields(table) if f.name != "ids"}
-        with pytest.raises(BadPairRow, match="sorted") as excinfo:
+        with pytest.raises(ValueError, match="^row 1: .*sorted"):
             dataclasses.replace(table, **columns)
-        assert excinfo.value.row == 1
         with pytest.raises(ValueError, match="length"):
             dataclasses.replace(table, cos=table.cos[:-1])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dataclasses.replace(table, ids=table.ids[:2] + table.ids[1:])
 
 
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        table = score_pairs(by_id, generate_candidate_pairs(names, infos), infos, embeddings)
-        scores = table.scores(WeightVector.unit())
+        table = score_pairs(names, generate_candidate_pairs(names, infos), infos, embeddings, name_records(names))
+        scores = table.scores(WeightVector())
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path)
-        loaded, loaded_scores = read_scored_pairs(path)
-        assert pair_ids(loaded) == pair_ids(table)
-        assert loaded.type1.tolist() == table.type1.tolist()
-        for column in ("token", "first", "url", "domain"):
-            assert getattr(loaded, column).tolist() == getattr(table, column).tolist()
-        assert np.allclose(loaded_scores, scores, rtol=0.0, atol=1e-9)
+        header, rows = read_pairs_tsv(path)
+        assert header == PAIRS_HEADER
+        assert [tuple(row[:2]) for row in rows] == pair_ids(table)
+        for r, row in enumerate(rows):
+            binaries = [table.token[r], table.first[r], table.url[r]] if table.type1[r] else ["", "", ""]
+            assert row[2:6] == [str(v) for v in binaries + [table.domain[r]]]
+        assert np.allclose([float(row[6]) for row in rows], table.cos, rtol=0.0, atol=1e-9)
+        assert np.allclose([float(row[7]) for row in rows], scores, rtol=0.0, atol=1e-9)
 
     def test_threshold_keeps_rows_at_or_above(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        by_id = {n.record_id: n for n in names}
-        table = score_pairs(by_id, generate_candidate_pairs(names, infos), infos, embeddings)
-        scores = table.scores(WeightVector.unit())
+        table = score_pairs(names, generate_candidate_pairs(names, infos), infos, embeddings, name_records(names))
+        scores = table.scores(WeightVector())
         threshold = float(np.sort(scores)[len(scores) // 2])
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path, threshold)
-        loaded, loaded_scores = read_scored_pairs(path)
-        assert pair_ids(loaded) == pair_ids(table, np.flatnonzero(scores >= threshold))
+        _, rows = read_pairs_tsv(path)
+        assert [tuple(row[:2]) for row in rows] == pair_ids(table, np.flatnonzero(scores >= threshold))
 
     def test_type2_rows_blank_token_fields(self, tmp_path):
         cv = ConditionVector(NameClass.TYPE2, None, None, None, 1, 0.25)
         zero = np.zeros(1, dtype=np.uint8)
-        table = PairTable(("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, np.array([0.25]))
+        table = PairTable(
+            ("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, zero, np.array([0.25])
+        )
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs(table, table.scores(WeightVector.unit()), path)
+        write_scored_pairs(table, table.scores(WeightVector()), path)
         row = path.read_text().splitlines()[1].split("\t")
         assert row[2] == row[3] == row[4] == ""
-        assert float(row[7]) == matching_score(cv, WeightVector.unit())
-        assert not read_scored_pairs(path)[0].type1[0]
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        path.write_text("x\ty\n")
-        with pytest.raises(InputError):
-            read_scored_pairs(path)
-
-    def test_bad_row_names_line(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        path.write_text("\t".join(
-            ["id_a", "id_b", "token", "first", "urltext", "domain", "cos", "score"]
-        ) + "\na\tb\t9\t0\t0\t0\t0.0\t0.0\n")
-        with pytest.raises(InputError, match="line 2"):
-            read_scored_pairs(path)
+        assert float(row[7]) == matching_score(cv, WeightVector())

@@ -13,14 +13,14 @@ import time
 
 import pytest
 
-from conftest import run_fixture_pipeline
+from conftest import read_pairs_tsv, run_fixture_pipeline
 from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
 from harmonizer.config import PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.evaluation import build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from harmonizer.match import read_scored_pairs, score_pairs
+from harmonizer.match import PAIRS_HEADER, score_pairs
 from harmonizer.pipeline import _dependency_versions
 from harmonizer.pipeline import (
     CLEANED_HEADER,
@@ -35,7 +35,7 @@ from harmonizer.pipeline import (
     tune_pipeline,
     write_mapping,
 )
-from harmonizer.tune import SearchSpace
+from harmonizer.tune import DEFAULT_SPACE, SearchSpace
 from oracles import brute_force_candidates
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
@@ -54,17 +54,19 @@ class TestArtifacts:
         assert ids == sorted(ids)
 
     def test_pairs_table_reads_back(self, corpus60_run):
-        table, scores = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
-        assert len(table) == len(scores) > 0
-        assert all(table.ids[a] < table.ids[b] for a, b in zip(table.a, table.b))
+        header, rows = read_pairs_tsv(corpus60_run["dir"] / "pairs.tsv")
+        assert header == PAIRS_HEADER
+        assert rows and all(len(row) == len(PAIRS_HEADER) for row in rows)
+        assert all(a < b for a, b, *_ in rows)
+        assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
 
     def test_pairs_table_holds_the_edges(self, corpus60_run, corpus60_config):
         """pairs.tsv holds the scored pairs that reached the edge threshold,
         one row per graph edge, not every candidate."""
-        table, scores = read_scored_pairs(corpus60_run["dir"] / "pairs.tsv")
-        assert (scores >= corpus60_config["graph"]["threshold"]).all()
+        _, rows = read_pairs_tsv(corpus60_run["dir"] / "pairs.tsv")
+        assert all(float(row[-1]) >= corpus60_config["graph"]["threshold"] for row in rows)
         counts = corpus60_run["manifest"]["stage_counts"]
-        assert len(table) == counts["edges"] < counts["candidate_pairs"]
+        assert len(rows) == counts["edges"] < counts["candidate_pairs"]
 
     def test_mapping_covers_every_record(self, corpus60_run, corpus60_paths):
         rows = read_mapping(corpus60_run["dir"] / "mapping.tsv")
@@ -112,7 +114,7 @@ class TestArtifacts:
         manifest = corpus60_run["manifest"]
         canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == manifest["config_hash"]
-        assert manifest["config"] == PipelineConfig.load(corpus60_paths["config"]).resolved()
+        assert manifest["config"] == PipelineConfig.load(corpus60_paths["config"]).data
 
     def test_manifest_stage_counts(self, corpus60_run):
         counts = corpus60_run["manifest"]["stage_counts"]
@@ -545,14 +547,15 @@ class TestPrepareCorpus:
         assert counts["type2"] == 0
         assert counts["degenerate"] == 0
         assert counts["candidate_pairs"] == len(artifacts.candidates) > 0
-        assert set(artifacts.names_by_id) == set(artifacts.records)
+        assert [n.record_id for n in artifacts.names] == sorted(artifacts.records)
         assert set(artifacts.embeddings) == set(artifacts.records)
 
     def test_brute_force_candidates_superset(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
         blocked = prepare_corpus(corpus60_config, records, cache)
-        assert set(blocked.candidates) <= set(brute_force_candidates(blocked.names))
+        brute = brute_force_candidates(blocked.names)
+        assert set(map(tuple, blocked.candidates.tolist())) <= set(map(tuple, brute.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -592,18 +595,19 @@ class TestTuningObjective:
         # and scoring it must give the same F1 at any point of the search box.
         config, objective = tuning_setup
         artifacts, gold = tuning_artifacts
-        space = SearchSpace.default()
+        space = SearchSpace(DEFAULT_SPACE)
         rng = random.Random(20)
         for _ in range(20):
             point = space.uniform(rng)
             weights, params = config.tuning_params_as_config(point)
             table = score_pairs(
-                artifacts.names_by_id,
+                artifacts.names,
                 artifacts.candidates,
                 artifacts.domain_info,
                 artifacts.embeddings,
+                artifacts.records,
             )
-            graph = build_graph(table, table.scores(weights), artifacts.records, params)
+            graph = build_graph(table, table.scores(weights), params)
             partition = refine_communities(graph, params)
             assert objective(point) == build_report(partition.assignments, gold).f1, point
 

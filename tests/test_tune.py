@@ -28,7 +28,7 @@ def trial(trial_id, objective, **params):
 
 class TestSearchSpace:
     def test_default_space(self):
-        space = SearchSpace.default()
+        space = SearchSpace(DEFAULT_SPACE)
         assert space.names == [name for name, _, _ in DEFAULT_SPACE]
         assert ("threshold", 0.5, 5.0) in space.dims
 
