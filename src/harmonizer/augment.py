@@ -125,9 +125,6 @@ class AugmentationCache:
                         self._torn_at = None
                     fh.write(result.to_json() + "\n")
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def __contains__(self, query_name: str) -> bool:
         return query_name in self._store
 
@@ -350,13 +347,11 @@ def preprocess_url_text(text: Optional[str], common_words: CommonWordList) -> fr
 class DomainInfo:
     """Per-record slice of augmentation used by the matcher."""
 
-    record_id: str
     domain: Optional[str]
     url_tokens: frozenset[str]
 
 
 def build_domain_info(
-    record_id: str,
     result: Optional[AugmentationResult],
     blocklist: set[str] | frozenset[str],
     common_words: CommonWordList,
@@ -373,7 +368,7 @@ def build_domain_info(
             if candidate is not None and candidate not in blocklist:
                 domain = candidate
         url_tokens = preprocess_url_text(result.first_text, common_words)
-    return DomainInfo(record_id=record_id, domain=domain, url_tokens=url_tokens)
+    return DomainInfo(domain=domain, url_tokens=url_tokens)
 
 
 # --- provider ---------------------------------------------------------------

@@ -183,9 +183,7 @@ def _cmd_tune(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _cmd_summarize(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_mapping(args.mapping)
-    records = None
-    if args.input:
-        records = {r.record_id: r for r in load_assignee_table(args.input)}
+    records = load_assignee_table(args.input) if args.input else ()
     summary = summarize_mapping(rows, records, top_k=args.top)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

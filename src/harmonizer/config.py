@@ -60,7 +60,6 @@ DEFAULTS: dict[str, Any] = {
         "resolution": 1.0,
         "bridgeness_threshold": 1.0,
         "location_boost": 1.0,
-        "refine_passes": 1,
     },
     "tune": {
         "n_startup": 10,
@@ -264,10 +263,7 @@ class PipelineConfig:
         fields: dict[str, dict[str, float]] = {"match": {}, "graph": {}}
         for name, path in TUNED_KEYS.items():
             fields[path[0]][path[-1]] = params.get(name, _at(self.data, path))
-        filter_params = FilterParams(
-            **fields["graph"], seed=self.data["run"]["seed"], refine_passes=self.data["graph"]["refine_passes"]
-        )
-        return WeightVector(**fields["match"]), filter_params
+        return WeightVector(**fields["match"]), FilterParams(**fields["graph"], seed=self.data["run"]["seed"])
 
     def incumbent_point(self, space: SearchSpace) -> dict[str, float]:
         """The current config expressed as a search-space point (clipped into

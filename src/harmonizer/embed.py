@@ -65,34 +65,29 @@ class HashingBackend:
         return vec / norm
 
 
+# The idf weight of a token present in every name.
+IDF_FLOOR = 0.01
+
+
 @dataclass(frozen=True)
 class IdfTable:
-    """Rescaled idf weights in (floor, 1]; unseen tokens count as maximally rare."""
+    """Rescaled idf weights in (IDF_FLOOR, 1]; unseen tokens count as maximally rare."""
 
     weights: Mapping[str, float]
-    n_names: int
-    floor: float = 0.01
 
     def __getitem__(self, token: str) -> float:
         return self.weights.get(token, 1.0)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.weights
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def compute_idf(names: Sequence[CleanName], floor: float = 0.01) -> IdfTable:
+def compute_idf(names: Sequence[CleanName]) -> IdfTable:
     """idf_i = ln(N / n_i), min-max rescaled over the observed range to
-    (floor, 1]. A token present in every name gets the floor; the rarest gets
-    exactly 1. Corpora with a single distinct raw idf map every token to 1.
+    (IDF_FLOOR, 1]. A token present in every name gets the floor; the rarest
+    gets exactly 1. Corpora with a single distinct raw idf map every token
+    to 1.
     """
-    if not 0.0 < floor < 1.0:
-        raise ConfigError(f"idf floor must be in (0, 1), got {floor}")
     n_names = len(names)
     if n_names == 0:
-        return IdfTable(weights={}, n_names=0, floor=floor)
+        return IdfTable(weights={})
     counts: dict[str, int] = {}
     for name in names:
         for token in set(name.tokens):
@@ -107,15 +102,14 @@ def compute_idf(names: Sequence[CleanName], floor: float = 0.01) -> IdfTable:
         # Pin the endpoints so the rarest token is exactly 1 and the most
         # common exactly the floor, independent of rounding.
         weights = {
-            t: 1.0 if r == hi else floor if r == lo else floor + (1.0 - floor) * (r - lo) / span
+            t: 1.0 if r == hi else IDF_FLOOR if r == lo else IDF_FLOOR + (1.0 - IDF_FLOOR) * (r - lo) / span
             for t, r in raw.items()
         }
-    return IdfTable(weights=weights, n_names=n_names, floor=floor)
+    return IdfTable(weights=weights)
 
 
 @dataclass(eq=False)
 class NameEmbedding:
-    record_id: str
     vector: np.ndarray
     degenerate: bool = False
 
@@ -124,7 +118,6 @@ def embed_name(
     tokens: Sequence[str],
     backend: EmbeddingBackend,
     idf: IdfTable,
-    record_id: str = "",
 ) -> NameEmbedding:
     """idf-weighted mean of per-token vectors. Token vectors can cancel (the
     hashed ``b`` and ``p`` are exact negatives), and a mean of norm zero has no
@@ -138,7 +131,7 @@ def embed_name(
         total += w * backend.token_vector(token)
         weight_sum += w
     vector = total / weight_sum
-    return NameEmbedding(record_id=record_id, vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
+    return NameEmbedding(vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
 
 
 def embed_corpus(
@@ -146,10 +139,8 @@ def embed_corpus(
     backend: EmbeddingBackend,
     idf: IdfTable,
 ) -> dict[str, NameEmbedding]:
-    return {
-        name.record_id: embed_name(name.tokens, backend, idf, record_id=name.record_id)
-        for name in names
-    }
+    """Each name's embedding under its record id, in the order of ``names``."""
+    return {name.record_id: embed_name(name.tokens, backend, idf) for name in names}
 
 
 def pair_cosines(vectors: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import logging
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .embed import NameEmbedding, pair_cosines
 from .errors import ConfigError
 from .ingest import AssigneeRecord
 from .match import PairTable
+from .parse import CleanName
 
 log = logging.getLogger(__name__)
 
@@ -39,15 +40,12 @@ class FilterParams:
     bridgeness_threshold: float = 1.0
     location_boost: float = 1.0
     seed: int = 0
-    refine_passes: int = 1
 
     def __post_init__(self):
         if self.resolution <= 0:
             raise ConfigError(f"graph.resolution must be > 0, got {self.resolution}")
         if self.location_boost < 0:
             raise ConfigError(f"graph.location_boost must be >= 0, got {self.location_boost}")
-        if self.refine_passes < 0:
-            raise ConfigError(f"graph.refine_passes must be >= 0, got {self.refine_passes}")
 
 
 @dataclass
@@ -334,40 +332,37 @@ def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None
 def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
     """Louvain, then per-community prune-and-repartition.
 
-    Each pass takes every current community, prunes bridge edges inside its
-    induced subgraph, and re-runs Louvain there. A community whose subgraph
-    loses no edge is confirmed and kept intact: re-partitioning it anyway
-    would let Louvain split dense communities that merely look uneven in
-    isolation. Communities only ever split, so the result refines the
-    first-pass partition. ``refine_passes`` sweeps, one by default.
+    One pass takes every first-pass community, prunes bridge edges inside
+    its induced subgraph, and re-runs Louvain there. A community whose
+    subgraph loses no edge is confirmed and kept intact: re-partitioning it
+    anyway would let Louvain split dense communities that merely look uneven
+    in isolation. Communities only ever split, so the result refines the
+    first-pass partition.
 
-    ``stats``, when given, receives the flagged bridge nodes and pruned edges
-    summed over every pass, how many first-pass communities were split, and
-    the final community-size histogram (size -> count).
+    ``stats``, when given, receives the flagged bridge nodes and pruned
+    edges, how many first-pass communities were split, and the final
+    community-size histogram (size -> count).
     """
     counts = stats if stats is not None else {}
     counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
     index = {node: i for i, node in enumerate(graph.nodes)}
-    partition = first
-    for _ in range(params.refine_passes):
-        assignments: dict[str, int] = {}
-        next_cid = 0
-        for members in partition.communities().values():
-            parts = [members]
-            if len(members) > 2:
-                before = counts["pruned_edges"]
-                community = graph.subgraph([index[node] for node in members])
-                pruned = prune_global_bridges(community, params.bridgeness_threshold, counts)
-                if counts["pruned_edges"] > before:
-                    sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
-                    parts = sub_partition.communities().values()
-            for part in parts:
-                for node in part:
-                    assignments[node] = next_cid
-                next_cid += 1
-        partition = Partition(assignments=assignments)
-    partition = _with_dense_ids(partition)
+    assignments: dict[str, int] = {}
+    next_cid = 0
+    for members in first.communities().values():
+        parts = [members]
+        if len(members) > 2:
+            before = counts["pruned_edges"]
+            community = graph.subgraph([index[node] for node in members])
+            pruned = prune_global_bridges(community, params.bridgeness_threshold, counts)
+            if counts["pruned_edges"] > before:
+                sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
+                parts = sub_partition.communities().values()
+        for part in parts:
+            for node in part:
+                assignments[node] = next_cid
+            next_cid += 1
+    partition = _with_dense_ids(Partition(assignments=assignments))
     if stats is not None:
         finals: dict[int, set[int]] = {}
         for node, cid in first.assignments.items():
@@ -386,22 +381,25 @@ def _with_dense_ids(partition: Partition) -> Partition:
 
 
 def name_community_centroid(
-    members: Sequence[str],
-    embeddings: Mapping[str, NameEmbedding],
-    cleaned_by_id: Mapping[str, str],
-    raw_by_id: Mapping[str, str],
+    members: Sequence[int],
+    records: Sequence[AssigneeRecord],
+    names: Sequence[CleanName],
+    embeddings: Sequence[NameEmbedding],
 ) -> str:
     """Raw name of the member with the greatest mean cosine to the others.
 
-    Ties break on the lexicographically smallest cleaned name. Degenerate
-    embeddings can neither win nor vote; a community with no usable embedding
-    raises ValueError so the caller can fall back to the volume strategy.
+    ``members`` are positions in the aligned ``records``, ``names`` and
+    ``embeddings``, which are sorted by record id. Ties break on the
+    lexicographically smallest cleaned name, then the smallest record id.
+    Degenerate embeddings can neither win nor vote; a community with no
+    usable embedding raises ValueError so the caller can fall back to the
+    volume strategy.
     """
     usable = [m for m in sorted(members) if not embeddings[m].degenerate]
     if not usable:
         raise ValueError("all members have degenerate embeddings")
     if len(usable) == 1:
-        return raw_by_id[usable[0]]
+        return records[usable[0]].raw_name
     # Each unordered pair once (cosine is symmetric bit for bit); a row's
     # cumulative sum adds in member order, and the diagonal's 0.0 adds nothing.
     k = len(usable)
@@ -409,34 +407,38 @@ def name_community_centroid(
     cos = np.zeros((k, k))
     cos[upper, lower] = cos[lower, upper] = pair_cosines([embeddings[m].vector for m in usable], upper, lower)
     means = {m: total / (k - 1) for m, total in zip(usable, np.cumsum(cos, axis=1)[:, -1].tolist())}
-    return raw_by_id[min(usable, key=lambda m: (-means[m], cleaned_by_id[m], m))]
+    return records[min(usable, key=lambda m: (-means[m], names[m].cleaned, m))].raw_name
 
 
 def name_community_volume(
-    members: Sequence[str],
-    records: Mapping[str, AssigneeRecord],
-    cleaned_by_id: Mapping[str, str],
+    members: Sequence[int],
+    records: Sequence[AssigneeRecord],
+    names: Sequence[CleanName],
 ) -> str:
     """Raw name of the member with the largest patent count (ties: smallest
-    cleaned name). All-zero counts degrade to the lexicographic choice."""
-    best = min(members, key=lambda m: (-records[m].patent_count, cleaned_by_id[m], m))
+    cleaned name, then smallest record id). All-zero counts degrade to the
+    lexicographic choice. ``members`` are positions, as for the centroid."""
+    best = min(members, key=lambda m: (-records[m].patent_count, names[m].cleaned, m))
     return records[best].raw_name
 
 
 def assign_canonical_names(
     partition: Partition,
-    records: Mapping[str, AssigneeRecord],
-    cleaned_by_id: Mapping[str, str],
-    embeddings: Mapping[str, NameEmbedding],
+    records: Sequence[AssigneeRecord],
+    names: Sequence[CleanName],
+    embeddings: Sequence[NameEmbedding],
 ) -> Partition:
     """Fill ``partition.canonical`` for every community: the centroid name,
-    or the volume name when no member has a usable embedding."""
-    raw_by_id = {rid: records[rid].raw_name for rid in partition.assignments}
+    or the volume name when no member has a usable embedding. ``records``,
+    ``names`` and ``embeddings`` are aligned and sorted by record id, and
+    every id ``partition`` assigns is among them."""
+    position = {r.record_id: i for i, r in enumerate(records)}
     canonical: dict[int, str] = {}
     for cid, members in partition.communities().items():
+        rows = [position[m] for m in members]
         try:
-            canonical[cid] = name_community_centroid(members, embeddings, cleaned_by_id, raw_by_id)
+            canonical[cid] = name_community_centroid(rows, records, names, embeddings)
         except ValueError:
             log.debug("community %d has no usable embedding; falling back to volume", cid)
-            canonical[cid] = name_community_volume(members, records, cleaned_by_id)
+            canonical[cid] = name_community_volume(rows, records, names)
     return replace(partition, canonical=canonical)

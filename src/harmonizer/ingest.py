@@ -33,6 +33,8 @@ class AssigneeRecord:
             raise InputError(f"record {self.record_id!r}: raw_name must be non-empty")
         if self.patent_count < 0:
             raise InputError(f"record {self.record_id!r}: patent_count must be >= 0")
+        if "||" in self.locations:
+            raise InputError(f"record {self.record_id!r}: the all-empty location key '||' names no place")
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ def _parse_locations(raw: str, line_no: int) -> frozenset[str]:
         if len(components) != 3:
             raise InputError(f"line {line_no}: location key needs city|state|country, got {chunk!r}")
         key = harmonize_location(*components)
-        # An all-empty key carries no information; drop it here so it can
-        # never pretend two records share a place.
+        # An all-empty key carries no information and a record may not hold
+        # it, so the reader drops it.
         if key != "||":
             keys.add(key)
     return frozenset(keys)

@@ -25,8 +25,6 @@ from .parse import CleanName, NameClass
 
 PAIRS_HEADER = ["id_a", "id_b", "token", "first", "urltext", "domain", "cos", "score"]
 
-_EMPTY_INFO = DomainInfo(record_id="", domain=None, url_tokens=frozenset())
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -54,12 +52,12 @@ class PairTable:
     their first token, ``url`` when each name shares a word with its own
     page text and the two pages share a word, and ``domain`` when both have
     the same domain; type-2 rows hold 0 in the three token-based columns.
-    ``location`` is 1 when the two records share a location key other than
-    ``||``, which carries no information; it adds the graph's location boost
-    and is not a matching condition. ``cos`` is the embedding cosine, 0 when
-    either embedding is degenerate. ``score_pairs`` fills int32 indices and
-    uint8 conditions; the scalar ``evaluate_conditions`` in
-    ``tests/oracles.py`` is its pair-by-pair oracle.
+    ``location`` is 1 when the two records share a location key; it adds the
+    graph's location boost and is not a matching condition. ``cos`` is the
+    embedding cosine, 0 when either embedding is degenerate. ``score_pairs``
+    fills int32 indices and uint8 conditions; the scalar
+    ``evaluate_conditions`` in ``tests/oracles.py`` is its pair-by-pair
+    oracle.
     """
 
     ids: tuple[str, ...]
@@ -137,11 +135,12 @@ _BOUND_SLACK = 1e-9
 
 def _blocking_index(
     names: Sequence[CleanName],
-    domain_info: Mapping[str, DomainInfo],
+    domain_info: Sequence[DomainInfo],
 ) -> dict[str, dict[str, list[int]]]:
     """Key kind -> key -> ascending positions in ``names``, for every kind
-    either index may use. Type-2 names carry domain keys only, under their
-    own kind so the two classes never pair."""
+    either index may use; ``domain_info`` is aligned with ``names``. Type-2
+    names carry domain keys only, under their own kind so the two classes
+    never pair."""
     index: dict[str, dict[str, list[int]]] = {
         kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
     }
@@ -149,10 +148,9 @@ def _blocking_index(
     def add(kind: str, key: str, position: int) -> None:
         index[kind].setdefault(key, []).append(position)
 
-    for i, name in enumerate(names):
+    for i, (name, info) in enumerate(zip(names, domain_info, strict=True)):
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
-        info = domain_info.get(name.record_id, _EMPTY_INFO)
         if name.name_class is NameClass.TYPE2:
             if info.domain is not None:
                 add("type2_domain", info.domain, i)
@@ -213,7 +211,7 @@ def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) ->
 
 def generate_candidate_pairs(
     names: Sequence[CleanName],
-    domain_info: Mapping[str, DomainInfo],
+    domain_info: Sequence[DomainInfo],
     bound: Optional[ScoreBound] = None,
     stats: Optional[dict] = None,
 ) -> np.ndarray:
@@ -254,18 +252,24 @@ def generate_candidate_pairs(
 def score_pairs(
     names: Sequence[CleanName],
     pairs: np.ndarray,
-    domain_info: Mapping[str, DomainInfo],
-    embeddings: Mapping[str, NameEmbedding],
-    records: Mapping[str, AssigneeRecord],
+    domain_info: Sequence[DomainInfo],
+    embeddings: Sequence[NameEmbedding],
+    records: Sequence[AssigneeRecord],
 ) -> PairTable:
     """Evaluate the conditions of every candidate pair into a PairTable.
     ``names`` are sorted by record id and become the table's ``ids``;
+    ``domain_info``, ``embeddings`` and ``records`` hold the same records in
+    the same order, and a length or record-id mismatch raises ValueError.
     ``pairs`` holds ascending rows of positions ``i < j`` in them, as
-    ``generate_candidate_pairs`` returns, and becomes its ``a`` and ``b``.
-    Per-record data (token set, first token, own-page flag, domain,
+    ``generate_candidate_pairs`` returns, and becomes the table's ``a`` and
+    ``b``. Per-record data (token set, first token, own-page flag, domain,
     locations, vector and norm) is gathered once; per pair only set
     intersections and one dot product remain."""
     ids = tuple(n.record_id for n in names)
+    if not len(ids) == len(domain_info) == len(embeddings) == len(records):
+        raise ValueError("names, domain_info, embeddings and records differ in length")
+    if any(r.record_id != rid for r, rid in zip(records, ids)):
+        raise ValueError("records and names hold different record ids at the same position")
     a, b = np.asarray(pairs, dtype=np.int32).reshape(-1, 2).T
     if any(n.name_class is None for n in names):
         raise ValueError("names must be classified before condition evaluation")
@@ -273,9 +277,8 @@ def score_pairs(
     mixed = np.flatnonzero(type1[a] != type1[b])
     if len(mixed):
         raise ValueError(f"cannot pair {ids[a[mixed[0]]]!r} with {ids[b[mixed[0]]]!r}: different name classes")
-    infos = [domain_info.get(rid) or _EMPTY_INFO for rid in ids]
     tokens = [frozenset(n.tokens) for n in names]
-    own = np.array([bool(t & info.url_tokens) for t, info in zip(tokens, infos)], dtype=bool)
+    own = np.array([bool(t & info.url_tokens) for t, info in zip(tokens, domain_info)], dtype=bool)
 
     def codes(values: Iterable[Optional[str]]) -> np.ndarray:
         seen: dict[str, int] = {}
@@ -288,20 +291,16 @@ def score_pairs(
     rows = np.flatnonzero(type1[a])
     token[rows] = intersect(tokens, rows)
     rows = np.flatnonzero(type1[a] & own[a] & own[b])
-    url[rows] = intersect([info.url_tokens for info in infos], rows)
+    url[rows] = intersect([info.url_tokens for info in domain_info], rows)
     first_code = codes(n.tokens[0] if n.tokens else None for n in names)
     first = token & (first_code[a] == first_code[b])
-    domain_code = codes(info.domain for info in infos)
+    domain_code = codes(info.domain for info in domain_info)
     domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
-    # "||" matches nothing, itself included; only the sets holding it are copied.
-    locations = [records[rid].locations for rid in ids]
-    locations = [loc - {"||"} if "||" in loc else loc for loc in locations]
-    location = np.array(intersect(locations, np.arange(len(a))), dtype=np.uint8)
-    emb = [embeddings[rid] for rid in ids]
-    degenerate = np.array([e.degenerate for e in emb], dtype=bool)
+    location = np.array(intersect([r.locations for r in records], np.arange(len(a))), dtype=np.uint8)
+    degenerate = np.array([e.degenerate for e in embeddings], dtype=bool)
     cos = np.zeros(len(a))
     live = np.flatnonzero(~(degenerate[a] | degenerate[b]))
-    cos[live] = pair_cosines([e.vector for e in emb], a[live], b[live])
+    cos[live] = pair_cosines([e.vector for e in embeddings], a[live], b[live])
     return PairTable(ids, a, b, type1[a], token, first, url, domain, location, cos)
 
 

@@ -100,12 +100,6 @@ class LegalDesignatorDictionary:
                 return length
         return 0
 
-    def __contains__(self, seq: Sequence[str]) -> bool:
-        return tuple(seq) in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 _default_designators: Optional[LegalDesignatorDictionary] = None
 
@@ -167,12 +161,6 @@ class CommonWordList:
 
     def __contains__(self, token: str) -> bool:
         return token in self._members
-
-    def __len__(self) -> int:
-        return len(self.ordered)
-
-    def __iter__(self):
-        return iter(self.ordered)
 
 
 def build_common_word_list(names: Iterable[CleanName], n: int) -> CommonWordList:

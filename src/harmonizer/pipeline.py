@@ -22,7 +22,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy
 
@@ -100,13 +100,15 @@ def _charge(seconds: Optional[dict], layer: str, since: float) -> float:
     return now
 
 
-def write_mapping(partition: Partition, records: Mapping[str, AssigneeRecord], path: Path) -> None:
+def write_mapping(partition: Partition, records: Sequence[AssigneeRecord], path: Path) -> None:
+    """One row per record, in the order of ``records`` (sorted by record id),
+    each of which ``partition`` assigns."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(MAPPING_HEADER) + "\n")
-        for record_id in sorted(partition.assignments):
-            cid = partition.assignments[record_id]
+        for record in records:
+            cid = partition.assignments[record.record_id]
             canonical = partition.canonical.get(cid, "")
-            fh.write(f"{record_id}\t{records[record_id].raw_name}\t{cid}\t{canonical}\n")
+            fh.write(f"{record.record_id}\t{record.raw_name}\t{cid}\t{canonical}\n")
 
 
 def read_mapping(path: str | Path) -> list[dict]:
@@ -139,28 +141,30 @@ def read_mapping(path: str | Path) -> list[dict]:
     return rows
 
 
-def _degenerate(name: CleanName, embeddings: Mapping[str, NameEmbedding]) -> bool:
+def _degenerate(name: CleanName, embedding: NameEmbedding) -> bool:
     """A name made of nothing but designators, or one whose embedding is the
     zero vector and so scores cos 0 against every other name."""
-    return name.degenerate or embeddings[name.record_id].degenerate
+    return name.degenerate or embedding.degenerate
 
 
-def _write_cleaned(names: Sequence[CleanName], embeddings: Mapping[str, NameEmbedding], path: Path) -> None:
+def _write_cleaned(names: Sequence[CleanName], embeddings: Sequence[NameEmbedding], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for name in names:
+        for name, embedding in zip(names, embeddings):
             cls = name.name_class.name.lower() if name.name_class else ""
-            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(_degenerate(name, embeddings))}\n")
+            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(_degenerate(name, embedding))}\n")
 
 
 @dataclass
 class CorpusArtifacts:
-    """Everything the matcher and filter need, reusable across tuning trials."""
+    """Everything the matcher and filter need, reusable across tuning trials.
+    The lists are aligned: entry i of each belongs to ``records[i]``, and
+    records are sorted by record id. ``candidates`` index them."""
 
-    records: dict[str, AssigneeRecord]
-    names: list[CleanName]  # sorted by record id; candidates index them
-    domain_info: dict[str, DomainInfo]
-    embeddings: dict
+    records: list[AssigneeRecord]
+    names: list[CleanName]
+    domain_info: list[DomainInfo]
+    embeddings: list[NameEmbedding]
     candidates: numpy.ndarray
 
 
@@ -203,7 +207,8 @@ def prepare_corpus(
     bound: Optional[ScoreBound] = None,
     seconds: Optional[dict] = None,
 ) -> CorpusArtifacts:
-    """Augment (from cache), parse, classify, embed, and block the corpus.
+    """Augment (from cache), parse, classify, embed, and block the corpus,
+    with the records sorted by record id.
 
     Blocking keeps every pair able to reach ``bound``, which defaults to the
     configured weights and edge threshold (what ``run`` scores with).
@@ -212,34 +217,28 @@ def prepare_corpus(
     augment, parse, domain, embed and block layers.
     """
     t = time.perf_counter()
-    threads = config["run"]["threads"]
-    results_by_id = _augment_stage(records, cache, provider, threads)
-    n_augmented = sum(1 for r in results_by_id.values() if r is not None)
-    n_corrected = sum(1 for r in results_by_id.values() if r is not None and r.corrected_name)
+    records = sorted(records, key=lambda r: r.record_id)
+    results = list(_augment_stage(records, cache, provider, config["run"]["threads"]).values())
+    n_augmented = sum(1 for r in results if r is not None)
+    n_corrected = sum(1 for r in results if r is not None and r.corrected_name)
     t = _charge(seconds, "augment", t)
 
-    designator_path = config["parse"]["designators"]
-    designators = LegalDesignatorDictionary.from_file(designator_path)
+    designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
     names: list[CleanName] = []
-    for record in records:
-        result = results_by_id[record.record_id]
+    for record, result in zip(records, results):
         correction = result.corrected_name if result is not None else None
         names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
-    names = sorted((n.with_class(classify_name_type(n.tokens, common)) for n in names), key=lambda n: n.record_id)
+    names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
     t = _charge(seconds, "parse", t)
 
-    corpus_results = [r for r in results_by_id.values() if r is not None]
-    blocklist = build_frequent_domain_blocklist(corpus_results, config["augment"]["blocklist_k"])
-    domain_info = {
-        record.record_id: build_domain_info(
-            record.record_id, results_by_id[record.record_id], blocklist, common
-        )
-        for record in records
-    }
+    blocklist = build_frequent_domain_blocklist(
+        [r for r in results if r is not None], config["augment"]["blocklist_k"]
+    )
+    domain_info = [build_domain_info(result, blocklist, common) for result in results]
     t = _charge(seconds, "domain", t)
 
-    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
+    embeddings = list(embed_corpus(names, HashingBackend(), compute_idf(names)).values())
     t = _charge(seconds, "embed", t)
 
     blocking: dict = {}
@@ -255,18 +254,12 @@ def prepare_corpus(
                 "corrected": n_corrected,
                 "type1": sum(1 for n in names if n.name_class is NameClass.TYPE1),
                 "type2": sum(1 for n in names if n.name_class is NameClass.TYPE2),
-                "degenerate": sum(1 for n in names if _degenerate(n, embeddings)),
+                "degenerate": sum(map(_degenerate, names, embeddings)),
                 "candidate_pairs": len(candidates),
                 **blocking,
             }
         )
-    return CorpusArtifacts(
-        records={r.record_id: r for r in records},
-        names=names,
-        domain_info=domain_info,
-        embeddings=embeddings,
-        candidates=candidates,
-    )
+    return CorpusArtifacts(records, names, domain_info, embeddings, candidates)
 
 
 def make_provider(config: PipelineConfig, offline: bool) -> Optional[SearchProvider]:
@@ -378,12 +371,7 @@ def run_pipeline(
         graph = build_graph(table, scores, params)
         partition = refine_communities(graph, params, manifest.filter)
         t = _charge(layers, "graph", t)
-        partition = assign_canonical_names(
-            partition,
-            artifacts.records,
-            {n.record_id: n.cleaned for n in artifacts.names},
-            artifacts.embeddings,
-        )
+        partition = assign_canonical_names(partition, artifacts.records, artifacts.names, artifacts.embeddings)
         t = _charge(layers, "naming", t)
         write_mapping(partition, artifacts.records, work / "mapping.tsv")
         t = _charge(layers, "write", t)
@@ -423,10 +411,12 @@ def run_pipeline(
 
 def summarize_partition(
     partition: Partition,
-    records: Mapping[str, AssigneeRecord],
+    records: Iterable[AssigneeRecord],
     top_k: int = 10,
 ) -> dict:
-    """Reduction rate, community count, and the largest communities."""
+    """Reduction rate, community count, and the largest communities, whose
+    portfolio sums the patent counts of the members among ``records``."""
+    patents = {r.record_id: r.patent_count for r in records}
     n_before = len(partition.assignments)
     n_after = partition.n_communities
     groups = partition.communities()
@@ -442,24 +432,20 @@ def summarize_partition(
                 "community_id": cid,
                 "size": len(members),
                 "canonical_name": partition.canonical.get(cid, ""),
-                "portfolio": sum(records[m].patent_count for m in members if m in records),
+                "portfolio": sum(patents.get(m, 0) for m in members),
             }
             for cid, members in largest
         ],
     }
 
 
-def summarize_mapping(mapping_rows: Sequence[dict], records: Optional[Mapping[str, AssigneeRecord]] = None, top_k: int = 10) -> dict:
-    """Summary for an already-written mapping file."""
+def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRecord] = (), top_k: int = 10) -> dict:
+    """Summary for an already-written mapping file; members without a record
+    count no patents."""
     partition = Partition(
         assignments={row["record_id"]: row["community_id"] for row in mapping_rows},
         canonical={row["community_id"]: row["canonical_name"] for row in mapping_rows},
     )
-    if records is None:
-        records = {
-            row["record_id"]: AssigneeRecord(record_id=row["record_id"], raw_name=row["raw_name"] or "?")
-            for row in mapping_rows
-        }
     return summarize_partition(partition, records, top_k=top_k)
 
 

@@ -60,14 +60,14 @@ def corpus60_config(corpus60_paths) -> PipelineConfig:
     return PipelineConfig.load(corpus60_paths["config"])
 
 
-def name_records(names, locations=None) -> dict[str, AssigneeRecord]:
-    """A record for every name, as ``score_pairs`` takes them, with the
-    location keys ``locations`` gives its id (none by default)."""
+def name_records(names, locations=None) -> list[AssigneeRecord]:
+    """A record for every name, in the order of ``names`` as ``score_pairs``
+    takes them, with the location keys ``locations`` gives its id (none by
+    default)."""
     locations = locations or {}
-    return {
-        n.record_id: AssigneeRecord(n.record_id, f"NAME {n.record_id}", 0, frozenset(locations.get(n.record_id, ())))
-        for n in names
-    }
+    return [
+        AssigneeRecord(n.record_id, f"NAME {n.record_id}", 0, frozenset(locations.get(n.record_id, ()))) for n in names
+    ]
 
 
 def read_pairs_tsv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -29,7 +29,7 @@ from harmonizer.parse import CleanName, NameClass
 from nxgraphs import from_networkx, to_networkx
 
 
-_EMPTY_INFO = DomainInfo(record_id="", domain=None, url_tokens=frozenset())
+_EMPTY_INFO = DomainInfo(domain=None, url_tokens=frozenset())
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -258,10 +258,53 @@ def brute_f1(tp, fp, fn):
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def _graph_key(g: nx.Graph):
-    degs = tuple(sorted(d for _, d in g.degree()))
-    tri = tuple(sorted(nx.triangles(g).values()))
-    return (g.number_of_edges(), degs, tri)
+def _colour_cells(adj: list[int]) -> list[list[int]]:
+    """Colour refinement of the graph whose node ``v`` has the neighbour
+    bitmask ``adj[v]``: start from degrees, then recolour every node by its
+    colour and the sorted colours of its neighbours until no class splits.
+    The cells come in colour order, which no relabelling changes."""
+    n = len(adj)
+    colour = [bin(mask).count("1") for mask in adj]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in range(n) if adj[v] >> u & 1))) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        refined = [rank[sig] for sig in signature]
+        if len(rank) == len(set(colour)):
+            break
+        colour = refined
+    cells: list[list[int]] = [[] for _ in rank]
+    for v, c in enumerate(refined):
+        cells[c].append(v)
+    return cells
+
+
+def _canonical_code(adj: list[int]) -> tuple:
+    """The largest upper-triangle adjacency code over the orders that list
+    the colour cells one after another, each cell's nodes in any order. The
+    code holds one column per position k: the adjacency of the node at k to
+    the nodes at 0..k-1, read as a binary number. Isomorphic graphs have the
+    same cells up to relabelling, so they get the same code, and the code
+    spells out the graph, so only they do. The orders are grown one position
+    at a time, keeping those whose code so far is the largest."""
+    code = []
+    partial = [((), 0)]  # placed nodes, and their bitmask
+    for cell in _colour_cells(adj):
+        for _ in cell:
+            best, grown = -1, []
+            for placed, mask in partial:
+                for v in cell:
+                    if mask >> v & 1:
+                        continue
+                    column = 0
+                    for u in placed:
+                        column = column << 1 | (adj[v] >> u & 1)
+                    if column >= best:
+                        if column > best:
+                            best, grown = column, []
+                        grown.append((placed + (v,), mask | 1 << v))
+            partial = grown
+            code.append(best)
+    return tuple(code)
 
 
 def connected_graphs(max_n: int) -> dict:
@@ -269,28 +312,35 @@ def connected_graphs(max_n: int) -> dict:
 
     Level-wise construction: every connected graph on n nodes arises from one
     on n-1 nodes by attaching a new vertex to a nonempty subset (delete any
-    non-cut vertex to see this). Deduplication buckets by cheap invariants and
-    confirms with exact isomorphism, so the counts are exact.
+    non-cut vertex to see this). A candidate is kept when its canonical code
+    is new, so the counts are exact. Graphs are neighbour bitmasks while
+    they are enumerated; each kept one becomes a networkx graph whose nodes
+    and edges are added in the order the construction attached them.
     """
-    g1 = nx.Graph()
-    g1.add_node(0)
-    levels = {1: [g1]}
+    levels = {1: [[0]]}
     for n in range(2, max_n + 1):
-        buckets = {}
+        seen = set()
         out = []
+        subsets = [
+            sum(1 << u for u in chosen) for r in range(1, n) for chosen in itertools.combinations(range(n - 1), r)
+        ]
         for parent in levels[n - 1]:
-            nodes = list(parent.nodes())
-            for r in range(1, len(nodes) + 1):
-                for subset in itertools.combinations(nodes, r):
-                    g = parent.copy()
-                    g.add_node(n - 1)
-                    g.add_edges_from((n - 1, u) for u in subset)
-                    bucket = buckets.setdefault(_graph_key(g), [])
-                    if not any(nx.is_isomorphic(g, h) for h in bucket):
-                        bucket.append(g)
-                        out.append(g)
+            for subset in subsets:
+                g = [mask | (subset >> u & 1) << (n - 1) for u, mask in enumerate(parent)] + [subset]
+                code = _canonical_code(g)
+                if code not in seen:
+                    seen.add(code)
+                    out.append(g)
         levels[n] = out
-    return levels
+    graphs = {}
+    for n, level in levels.items():
+        graphs[n] = []
+        for adj in level:
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from((v, u) for v in range(n) for u in range(v) if adj[v] >> u & 1)
+            graphs[n].append(g)
+    return graphs
 
 
 # Known counts of connected graphs up to isomorphism, n = 1..8.

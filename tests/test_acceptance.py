@@ -121,15 +121,13 @@ def _random_matching_corpus(rng: random.Random, n: int):
     names = [nm.with_class(classify_name_type(nm.tokens, common)) for nm in names]
     from harmonizer.augment import DomainInfo
 
-    domain_info = {}
+    domain_info = []
     for nm in names:
         domain = rng.choice(domains) if rng.random() < 0.3 else None
         url_tokens = (
             frozenset(rng.sample(vocab, rng.randint(1, 4))) if rng.random() < 0.3 else frozenset()
         )
-        domain_info[nm.record_id] = DomainInfo(
-            record_id=nm.record_id, domain=domain, url_tokens=url_tokens
-        )
+        domain_info.append(DomainInfo(domain=domain, url_tokens=url_tokens))
     return names, domain_info
 
 
@@ -143,7 +141,7 @@ def test_02_blocking_losslessness():
             names, domain_info = _random_matching_corpus(rng, n)
             records = name_records(names)
             idf = compute_idf(names)
-            embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
+            embeddings = list(embed_corpus(names, HashingBackend(dim=32), idf).values())
             blocked = generate_candidate_pairs(names, domain_info)
             brute = brute_force_candidates(names)
             scored_blocked = score_pairs(names, blocked, domain_info, embeddings, records)

@@ -225,7 +225,6 @@ class TestBuilders:
             bridgeness_threshold=1.0,
             location_boost=1.0,
             seed=0,
-            refine_passes=1,
         )
 
     def test_filter_params_take_run_seed(self):
@@ -359,6 +358,7 @@ REMOVED_KEYS = [
     ("match", "brute_force", True),
     ("tune", "gamma", 0.25),
     ("tune", "n_candidates", 24),
+    ("graph", "refine_passes", 1),
 ]
 
 

@@ -98,18 +98,13 @@ class TestComputeIdf:
         idf = compute_idf(names)
         assert idf["aa"] == 1.0 and idf["bb"] == 1.0
 
-    def test_custom_floor(self):
-        names = names_from(["AA BB", "AA CC", "AA DD"])
-        idf = compute_idf(names, floor=0.2)
-        assert idf["aa"] == 0.2
-
     def test_oov_reads_as_one(self):
         idf = compute_idf(names_from(["AA BB", "AA CC"]))
         assert idf["never-seen"] == 1.0
 
     def test_empty_corpus_gives_empty_table(self):
         idf = compute_idf([])
-        assert len(idf) == 0
+        assert idf.weights == {}
         assert idf["anything"] == 1.0
 
     def test_matches_brute_oracle_on_random_corpora(self):
@@ -155,27 +150,26 @@ class TestEmbedName:
 
     def test_weighted_mean_frozen(self):
         # idf weights 1.0 and 0.5 over orthogonal axes -> (2/3, 1/3).
-        idf = IdfTable(weights={"aa": 1.0, "bb": 0.5}, n_names=2, floor=0.01)
-        emb = embed_name(("aa", "bb"), self.Axes(), idf, record_id="r1")
+        idf = IdfTable(weights={"aa": 1.0, "bb": 0.5})
+        emb = embed_name(("aa", "bb"), self.Axes(), idf)
         assert np.allclose(emb.vector, [2 / 3, 1 / 3])
         assert not emb.degenerate
-        assert emb.record_id == "r1"
 
     def test_repeated_token_weighs_twice(self):
-        idf = IdfTable(weights={"aa": 1.0, "bb": 1.0}, n_names=2, floor=0.01)
+        idf = IdfTable(weights={"aa": 1.0, "bb": 1.0})
         emb = embed_name(("aa", "aa", "bb"), self.Axes(), idf)
         assert np.allclose(emb.vector, [2 / 3, 1 / 3])
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(InputError):
-            embed_name((), self.Axes(), IdfTable(weights={}, n_names=0, floor=0.01))
+            embed_name((), self.Axes(), IdfTable(weights={}))
 
     def test_cancelling_tokens_degenerate(self):
         # The hashed "b" and "p" are exact negatives, so under equal weights
         # their mean is the zero vector, which has no cosine.
         backend = HashingBackend()
         assert np.array_equal(backend.token_vector("b"), -backend.token_vector("p"))
-        idf = IdfTable(weights={"b": 0.5, "p": 0.5}, n_names=2, floor=0.01)
+        idf = IdfTable(weights={"b": 0.5, "p": 0.5})
         emb = embed_name(("b", "p"), backend, idf)
         assert emb.degenerate
         assert not emb.vector.any()
@@ -184,8 +178,9 @@ class TestEmbedName:
         names = names_from(["NOKIA CORP", "ACME LTD"])
         idf = compute_idf(names)
         out = embed_corpus(names, HashingBackend(), idf)
-        assert sorted(out) == ["r0", "r1"]
+        assert list(out) == ["r0", "r1"]
         assert out["r0"].vector.shape == (256,)
+        assert np.array_equal(out["r1"].vector, embed_name(names[1].tokens, HashingBackend(), idf).vector)
 
 
 class TestCosine:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
+from harmonizer.augment import DomainInfo
 from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
@@ -28,7 +29,7 @@ from harmonizer.graph import (
 )
 from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import score_pairs
-from harmonizer.parse import NameClass, clean_name
+from harmonizer.parse import CleanName, NameClass, clean_name
 
 from nxgraphs import from_networkx, to_networkx
 from oracles import (
@@ -44,20 +45,20 @@ from oracles import (
 def scored(records, *pairs):
     """The PairTable ``score_pairs`` fills over the records, as type-1
     names, with one row per (a, b, score), and that score column."""
-    ids = sorted(records)
-    names = [clean_name(records[rid].raw_name, record_id=rid).with_class(NameClass.TYPE1) for rid in ids]
+    ids = [r.record_id for r in records]
+    names = [clean_name(r.raw_name, record_id=r.record_id).with_class(NameClass.TYPE1) for r in records]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
-    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
-    table = score_pairs(names, np.array([row[:2] for row in rows]), {}, embeddings, records)
+    embeddings = list(embed_corpus(names, HashingBackend(), compute_idf(names)).values())
+    infos = [DomainInfo(None, frozenset())] * len(names)
+    table = score_pairs(names, np.array([row[:2] for row in rows]), infos, embeddings, records)
     return table, np.array([row[2] for row in rows])
 
 
 def records_for(ids, locations=None):
+    """A record for each id, sorted by id, with the location keys
+    ``locations`` gives it."""
     locations = locations or {}
-    return {
-        rid: AssigneeRecord(rid, f"NAME {rid.upper()}", 1, frozenset(locations.get(rid, ())))
-        for rid in ids
-    }
+    return [AssigneeRecord(rid, f"NAME {rid.upper()}", 1, frozenset(locations.get(rid, ()))) for rid in sorted(ids)]
 
 
 class TestFilterParams:
@@ -70,7 +71,6 @@ class TestFilterParams:
         [
             {"resolution": 0.0},
             {"location_boost": -0.5},
-            {"refine_passes": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -106,11 +106,6 @@ class TestBuildGraph:
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
         graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams()))
-        assert graph["a"]["b"]["weight"] == 4.0
-
-    def test_all_empty_location_key_never_matches(self):
-        records = records_for(["a", "b"], {"a": {"||"}, "b": {"||"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams(location_boost=1.0)))
         assert graph["a"]["b"]["weight"] == 4.0
 
 
@@ -406,12 +401,6 @@ class TestRefine:
         assert sum(size * count for size, count in stats["community_sizes"].items()) == 11
         assert sum(stats["community_sizes"].values()) == part.n_communities
 
-    def test_zero_passes_is_plain_louvain(self):
-        g, _, _ = self._joint_venture_motif()
-        plain = louvain(g, resolution=1.0, seed=0)
-        part = refine_communities(g, FilterParams(refine_passes=0))
-        assert part.n_communities == plain.n_communities
-
     def test_deterministic(self):
         g, _, _ = self._joint_venture_motif()
         p1 = refine_communities(g, FilterParams(resolution=0.1))
@@ -580,45 +569,39 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
         assert min(levels) >= 2, levels
 
 
-def embeddings_for(vectors):
-    return {
-        rid: NameEmbedding(record_id=rid, vector=np.array(vec, dtype=float), degenerate=not any(vec))
-        for rid, vec in vectors.items()
-    }
+def naming_columns(cleaned, vectors=(), patents=()):
+    """Aligned records, names and embeddings of the members m00, m01, ...:
+    member i has the cleaned name ``cleaned[i]``, its upper case as raw name,
+    ``patents[i]`` patents (0 when none are given) and the embedding
+    ``vectors[i]``, degenerate when it is all zero."""
+    ids = [f"m{i:02d}" for i in range(len(cleaned))]
+    patents = patents or [0] * len(cleaned)
+    records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
+    names = [CleanName(rid, c, tuple(c.split())) for rid, c in zip(ids, cleaned)]
+    embeddings = [NameEmbedding(np.array(v, dtype=float), degenerate=not any(v)) for v in vectors]
+    return records, names, embeddings
 
 
 class TestNaming:
     def test_centroid_picks_most_central(self):
-        embs = embeddings_for({
-            "a": [1.0, 0.0],
-            "b": [0.9, 0.1],
-            "c": [0.0, 1.0],
-        })
-        cleaned = {"a": "acme", "b": "acme corp", "c": "zeta"}
-        raw = {"a": "ACME", "b": "ACME CORP", "c": "ZETA"}
+        columns = naming_columns(["acme", "acme corp", "zeta"], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         # b is closest to both a and c on average.
-        assert name_community_centroid(["a", "b", "c"], embs, cleaned, raw) == "ACME CORP"
+        assert name_community_centroid([0, 1, 2], *columns) == "ACME CORP"
 
     def test_centroid_tie_breaks_on_cleaned(self):
-        embs = embeddings_for({"a": [1.0, 0.0], "b": [1.0, 0.0]})
-        cleaned = {"a": "zeta", "b": "acme"}
-        raw = {"a": "ZETA", "b": "ACME"}
-        assert name_community_centroid(["a", "b"], embs, cleaned, raw) == "ACME"
+        columns = naming_columns(["zeta", "acme"], [[1.0, 0.0], [1.0, 0.0]])
+        assert name_community_centroid([0, 1], *columns) == "ACME"
 
     def test_centroid_singleton(self):
-        embs = embeddings_for({"a": [1.0, 0.0]})
-        assert name_community_centroid(["a"], embs, {"a": "acme"}, {"a": "ACME"}) == "ACME"
+        assert name_community_centroid([0], *naming_columns(["acme"], [[1.0, 0.0]])) == "ACME"
 
     def test_centroid_ignores_degenerate_voters(self):
-        embs = embeddings_for({"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]})
-        cleaned = {"a": "acme", "b": "bbb", "c": "ccme"}
-        raw = {"a": "ACME", "b": "BBB", "c": "CCME"}
-        assert name_community_centroid(["a", "b", "c"], embs, cleaned, raw) == "ACME"
+        columns = naming_columns(["acme", "bbb", "ccme"], [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert name_community_centroid([0, 1, 2], *columns) == "ACME"
 
     def test_centroid_all_degenerate_raises(self):
-        embs = embeddings_for({"a": [0.0, 0.0]})
         with pytest.raises(ValueError):
-            name_community_centroid(["a"], embs, {"a": "acme"}, {"a": "ACME"})
+            name_community_centroid([0], *naming_columns(["acme"], [[0.0, 0.0]]))
 
     def test_centroid_matches_scalar_definition(self):
         """Same winner as summing cosine_similarity over every ordered pair
@@ -631,10 +614,9 @@ class TestNaming:
             for i in rng.choice(size, size // 2):
                 vectors[i] = vectors[rng.integers(size)]
             vectors[rng.random(size) < 0.1] = 0.0
-            members = [f"m{i:02d}" for i in range(size)]
-            embs = embeddings_for(dict(zip(members, vectors.tolist())))
-            cleaned = {m: str(rng.integers(3)) + m for m in members}
-            usable = [m for m in members if not embs[m].degenerate]
+            cleaned = [str(rng.integers(3)) + f"m{i:02d}" for i in range(size)]
+            records, names, embs = naming_columns(cleaned, vectors.tolist())
+            usable = [m for m in range(size) if not embs[m].degenerate]
             if not usable:
                 continue
             expected = min(
@@ -646,33 +628,24 @@ class TestNaming:
                     m,
                 ),
             )
-            assert name_community_centroid(members[::-1], embs, cleaned, {m: m for m in members}) == expected
+            members = list(range(size))[::-1]
+            assert name_community_centroid(members, records, names, embs) == records[expected].raw_name
 
     def test_volume_picks_biggest_portfolio(self):
-        records = {
-            "a": AssigneeRecord("a", "ACME", 10),
-            "b": AssigneeRecord("b", "ACME INC", 50),
-        }
-        assert name_community_volume(["a", "b"], records, {"a": "acme", "b": "acme inc"}) == "ACME INC"
+        records, names, _ = naming_columns(["acme", "acme inc"], patents=[10, 50])
+        assert name_community_volume([0, 1], records, names) == "ACME INC"
 
     def test_volume_tie_breaks_on_cleaned(self):
-        records = {
-            "a": AssigneeRecord("a", "ZETA", 5),
-            "b": AssigneeRecord("b", "ACME", 5),
-        }
-        assert name_community_volume(["a", "b"], records, {"a": "zeta", "b": "acme"}) == "ACME"
+        records, names, _ = naming_columns(["zeta", "acme"], patents=[5, 5])
+        assert name_community_volume([0, 1], records, names) == "ACME"
 
     def test_assign_centroid_with_volume_fallback(self):
-        part = Partition(assignments={"a": 0, "b": 0, "c": 1})
-        records = {
-            "a": AssigneeRecord("a", "ACME", 1),
-            "b": AssigneeRecord("b", "ACME INC", 9),
-            "c": AssigneeRecord("c", "LONER", 2),
-        }
-        cleaned = {"a": "acme", "b": "acme inc", "c": "loner"}
+        part = Partition(assignments={"m00": 0, "m01": 0, "m02": 1})
+        columns = naming_columns(
+            ["acme", "acme inc", "loner"], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], patents=[1, 9, 2]
+        )
         # Community 0 has no usable embeddings -> volume fallback inside centroid mode.
-        embs = embeddings_for({"a": [0.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]})
-        named = assign_canonical_names(part, records, cleaned, embs)
+        named = assign_canonical_names(part, *columns)
         assert named.canonical[0] == "ACME INC"
         assert named.canonical[1] == "LONER"
 

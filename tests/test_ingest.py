@@ -33,6 +33,8 @@ class TestAssigneeRecord:
             {"record_id": "r1", "raw_name": ""},
             {"record_id": "r1", "raw_name": "   "},
             {"record_id": "r1", "raw_name": "x", "patent_count": -1},
+            # The all-empty key names no place, so it could only match itself.
+            {"record_id": "r1", "raw_name": "x", "locations": frozenset({"||", "york||uk"})},
         ],
     )
     def test_invalid(self, kwargs):

@@ -41,7 +41,7 @@ def classified(raw, record_id, common=None):
     return cn.with_class(classify_name_type(cn.tokens, common))
 
 
-def unit_embedding(record_id, direction, dim=8):
+def unit_embedding(direction, dim=8):
     v = np.zeros(dim)
     if isinstance(direction, int):
         v[direction] = 1.0
@@ -49,11 +49,11 @@ def unit_embedding(record_id, direction, dim=8):
         for d in direction:
             v[d] = 1.0
         v /= np.linalg.norm(v)
-    return NameEmbedding(record_id=record_id, vector=v)
+    return NameEmbedding(vector=v)
 
 
-def info(record_id, domain=None, url_tokens=()):
-    return DomainInfo(record_id=record_id, domain=domain, url_tokens=frozenset(url_tokens))
+def info(domain=None, url_tokens=()):
+    return DomainInfo(domain=domain, url_tokens=frozenset(url_tokens))
 
 
 class TestWeightVector:
@@ -96,10 +96,10 @@ class TestEvaluateConditions:
         cv = evaluate_conditions(
             a,
             b,
-            info("a", "nokia.com", {"nokia", "phones"}),
-            info("b", "nokia.com", {"nokia", "infrastructure"}),
-            unit_embedding("a", 0),
-            unit_embedding("b", 0),
+            info("nokia.com", {"nokia", "phones"}),
+            info("nokia.com", {"nokia", "infrastructure"}),
+            unit_embedding(0),
+            unit_embedding(0),
         )
         assert (cv.token_common, cv.first_token_common, cv.url_text_common, cv.domain_common) == (1, 1, 1, 1)
         assert cv.cos == 1.0
@@ -107,7 +107,7 @@ class TestEvaluateConditions:
     def test_first_token_needs_shared_first(self):
         a = classified("NOKIA SIEMENS", "a")
         b = classified("SIEMENS AG", "b")
-        cv = evaluate_conditions(a, b, None, None, unit_embedding("a", 0), unit_embedding("b", 1))
+        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(1))
         assert cv.token_common == 1
         assert cv.first_token_common == 0
 
@@ -118,10 +118,10 @@ class TestEvaluateConditions:
         cv = evaluate_conditions(
             a,
             b,
-            info("a", None, {"nokia", "finland"}),
-            info("b", None, {"finland", "telecom"}),
-            unit_embedding("a", 0),
-            unit_embedding("b", 0),
+            info(None, {"nokia", "finland"}),
+            info(None, {"finland", "telecom"}),
+            unit_embedding(0),
+            unit_embedding(0),
         )
         assert cv.url_text_common == 0
 
@@ -131,30 +131,30 @@ class TestEvaluateConditions:
         cv = evaluate_conditions(
             a,
             b,
-            info("a", None, {"nokia"}),
-            info("b", None, {"acme"}),
-            unit_embedding("a", 0),
-            unit_embedding("b", 1),
+            info(None, {"nokia"}),
+            info(None, {"acme"}),
+            unit_embedding(0),
+            unit_embedding(1),
         )
         assert cv.url_text_common == 0
 
     def test_domain_needs_both_present(self):
         a = classified("NOKIA CORPORATION", "a")
         b = classified("NOKIA OYJ", "b")
-        cv = evaluate_conditions(a, b, info("a", "nokia.com"), info("b", None), unit_embedding("a", 0), unit_embedding("b", 0))
+        cv = evaluate_conditions(a, b, info("nokia.com"), info(None), unit_embedding(0), unit_embedding(0))
         assert cv.domain_common == 0
 
     def test_missing_info_treated_as_empty(self):
         a = classified("NOKIA CORPORATION", "a")
         b = classified("NOKIA OYJ", "b")
-        cv = evaluate_conditions(a, b, None, None, unit_embedding("a", 0), unit_embedding("b", 0))
+        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
         assert cv.domain_common == 0 and cv.url_text_common == 0
 
     def test_degenerate_embedding_zeroes_cos(self):
         a = classified("NOKIA CORPORATION", "a")
         b = classified("NOKIA OYJ", "b")
-        dead = NameEmbedding(record_id="b", vector=np.zeros(8), degenerate=True)
-        cv = evaluate_conditions(a, b, None, None, unit_embedding("a", 0), dead)
+        dead = NameEmbedding(vector=np.zeros(8), degenerate=True)
+        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), dead)
         assert cv.cos == 0.0 and cv.cos_degenerate
 
     def test_type2_pair(self):
@@ -162,7 +162,7 @@ class TestEvaluateConditions:
         a = classified("GLOBAL SYSTEMS", "a", common)
         b = classified("GLOBAL GROUP", "b", common)
         assert a.name_class is NameClass.TYPE2
-        cv = evaluate_conditions(a, b, info("a", "g.com"), info("b", "g.com"), unit_embedding("a", 0), unit_embedding("b", 0))
+        cv = evaluate_conditions(a, b, info("g.com"), info("g.com"), unit_embedding(0), unit_embedding(0))
         assert cv.kind is NameClass.TYPE2
         assert cv.token_common is None
         assert cv.domain_common == 1
@@ -172,13 +172,13 @@ class TestEvaluateConditions:
         a = classified("GLOBAL SYSTEMS", "a", common)
         b = classified("NOKIA CORPORATION", "b", common)
         with pytest.raises(ValueError, match="cannot pair"):
-            evaluate_conditions(a, b, None, None, unit_embedding("a", 0), unit_embedding("b", 0))
+            evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
 
     def test_unclassified_rejected(self):
         a = clean_name("NOKIA CORPORATION", record_id="a")
         b = clean_name("NOKIA OYJ", record_id="b")
         with pytest.raises(ValueError, match="classified"):
-            evaluate_conditions(a, b, None, None, unit_embedding("a", 0), unit_embedding("b", 0))
+            evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
 
 
 class TestMatchingScore:
@@ -234,17 +234,17 @@ def small_corpus():
     }
     names = [classified(t, rid, common) for rid, t in texts.items()]
     infos = {
-        "r01": info("r01", "nokia.com", {"nokia", "phones"}),
-        "r02": info("r02", "nokia.com", {"nokia", "espoo"}),
-        "r03": info("r03", "nokian-tyres.com", {"nokian", "tyres"}),
-        "r04": info("r04", "acme.com", {"acme"}),
-        "r06": info("r06", "dir.example"),
-        "r07": info("r07", "dir.example"),
-        "r09": info("r09", "zeta.io", {"zeta", "labs"}),
+        "r01": info("nokia.com", {"nokia", "phones"}),
+        "r02": info("nokia.com", {"nokia", "espoo"}),
+        "r03": info("nokian-tyres.com", {"nokian", "tyres"}),
+        "r04": info("acme.com", {"acme"}),
+        "r06": info("dir.example"),
+        "r07": info("dir.example"),
+        "r09": info("zeta.io", {"zeta", "labs"}),
     }
     idf = compute_idf(names)
-    embeddings = embed_corpus(names, HashingBackend(dim=64), idf)
-    return names, infos, embeddings
+    embeddings = list(embed_corpus(names, HashingBackend(dim=64), idf).values())
+    return names, [infos.get(n.record_id, info()) for n in names], embeddings
 
 
 def id_pairs(names, pairs):
@@ -300,7 +300,7 @@ class TestCandidates:
     def test_unclassified_rejected(self):
         names = [clean_name("NOKIA CORPORATION", record_id="a")]
         with pytest.raises(ValueError):
-            generate_candidate_pairs(names, {})
+            generate_candidate_pairs(names, [info()])
         with pytest.raises(ValueError):
             brute_force_candidates(names)
 
@@ -319,7 +319,7 @@ def random_blocking_corpus(rng, n):
         names.append(clean_name(" ".join(tokens).upper(), record_id=f"r{i:03d}"))
     common = build_common_word_list(names, len(common_words))
     names = [nm.with_class(classify_name_type(nm.tokens, common)) for nm in names]
-    infos = {}
+    infos = []
     for nm in names:
         domain = rng.choice(domains) if rng.random() < 0.4 else None
         url_tokens = set()
@@ -327,7 +327,7 @@ def random_blocking_corpus(rng, n):
             url_tokens.update(rng.sample(vocab, rng.randint(1, 3)))
             if rng.random() < 0.5:
                 url_tokens.add(nm.tokens[0])
-        infos[nm.record_id] = info(nm.record_id, domain, url_tokens)
+        infos.append(info(domain, url_tokens))
     return names, infos
 
 
@@ -340,7 +340,7 @@ class TestBoundedBlocking:
         force, that score >= threshold."""
         rng = random.Random(7)
         names, infos = random_blocking_corpus(rng, 160)
-        embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
+        embeddings = list(embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).values())
         brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
         full = set(id_pairs(names, generate_candidate_pairs(names, infos)))
@@ -402,9 +402,9 @@ class TestBoundedBlocking:
         names = [classified("ALPHA", "r1"), classified("BETA", "r2"), classified("GAMMA", "r3")]
         weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
         bound = ScoreBound(weights, 1.4)
-        own = {"r1": info("r1", url_tokens={"alpha", "shared"}), "r2": info("r2", url_tokens={"beta", "shared"})}
+        own = [info(url_tokens={"alpha", "shared"}), info(url_tokens={"beta", "shared"}), info()]
         assert generate_candidate_pairs(names, own, bound).tolist() == [[0, 1]]
-        foreign = {"r1": own["r1"], "r2": info("r2", url_tokens={"shared"})}
+        foreign = [own[0], info(url_tokens={"shared"}), info()]
         assert generate_candidate_pairs(names, foreign, bound).tolist() == []
         assert generate_candidate_pairs(names, foreign).tolist() == [[0, 1]]
 
@@ -441,12 +441,12 @@ def oracle_corpus(seed, n=70):
     some records carry a bitwise copy of another record's vector."""
     rng = random.Random(seed)
     names, infos = random_blocking_corpus(rng, n)
-    embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
-    ids = sorted(embeddings)
-    for rid in rng.sample(ids, 6):
-        embeddings[rid] = NameEmbedding(rid, np.zeros(32), degenerate=True)
-    for rid, source in zip(rng.sample(ids, 10), rng.sample(ids, 10)):
-        embeddings[rid] = NameEmbedding(rid, embeddings[source].vector.copy(), embeddings[source].degenerate)
+    embeddings = list(embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).values())
+    rows = range(len(names))
+    for i in rng.sample(rows, 6):
+        embeddings[i] = NameEmbedding(np.zeros(32), degenerate=True)
+    for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
+        embeddings[i] = NameEmbedding(embeddings[source].vector.copy(), embeddings[source].degenerate)
     return names, infos, embeddings
 
 
@@ -474,17 +474,37 @@ class TestScorePairs:
         with pytest.raises(ValueError, match="row 1: .*sorted"):
             score_pairs(names, [[0, 2], [0, 1]], infos, embeddings, records)
         with pytest.raises(ValueError, match="strictly ascending"):
-            score_pairs(names[::-1], [[0, 1]], infos, embeddings, records)
+            score_pairs(names[::-1], [[0, 1]], infos[::-1], embeddings[::-1], records[::-1])
+
+    @pytest.mark.parametrize(
+        "column, reason",
+        [
+            ("infos", "differ in length"),
+            ("embeddings", "differ in length"),
+            ("records", "differ in length"),
+            ("swapped_records", "different record ids"),
+        ],
+    )
+    def test_rejects_misaligned_columns(self, column, reason):
+        # Positional columns cannot fall back on ids, so one that is out of
+        # step with ``names`` is an error rather than a silent mis-score.
+        names, infos, embeddings = small_corpus()
+        columns = {"infos": infos, "embeddings": embeddings, "records": name_records(names)}
+        if column == "swapped_records":
+            records = columns["records"]
+            records[3], records[4] = records[4], records[3]
+        else:
+            columns[column] = columns[column][:-1]
+        with pytest.raises(ValueError, match=reason):
+            score_pairs(names, [[0, 1]], columns["infos"], columns["embeddings"], columns["records"])
 
     def test_location_column(self):
-        # Records share a location when they share a key other than "||",
-        # which carries no information and matches nothing, itself included.
+        # Records share a location when they share a location key.
         names, infos, embeddings = small_corpus()
         locations = {
-            "r01": {"espoo||fi", "||"},
+            "r01": {"espoo||fi"},
             "r02": {"espoo||fi"},
-            "r03": {"||"},
-            "r04": {"||", "york||uk"},
+            "r04": {"york||uk"},
             "r05": {"leeds||uk"},
             "r08": {"york||uk"},
         }
@@ -499,15 +519,14 @@ class TestScorePairs:
         """Every column and every score equals evaluate_conditions and
         matching_score exactly, under random weights with zeros."""
         names, infos, embeddings = oracle_corpus(seed)
-        by_id = {n.record_id: n for n in names}
         candidates = brute_force_candidates(names)
         table = score_pairs(names, candidates, infos, embeddings, name_records(names))
         pairs = id_pairs(names, candidates)
         assert pair_ids(table) == pairs
         rng = random.Random(seed)
         oracle = [
-            evaluate_conditions(by_id[a], by_id[b], infos.get(a), infos.get(b), embeddings[a], embeddings[b])
-            for a, b in pairs
+            evaluate_conditions(names[i], names[j], infos[i], infos[j], embeddings[i], embeddings[j])
+            for i, j in candidates.tolist()
         ]
         for row, cv in enumerate(oracle):
             assert bool(table.type1[row]) == (cv.kind is NameClass.TYPE1)
@@ -524,8 +543,8 @@ class TestScorePairs:
             "type2": sum(cv.kind is NameClass.TYPE2 for cv in oracle),
             "degenerate": sum(cv.cos_degenerate for cv in oracle),
             "identical": sum(
-                not cv.cos_degenerate and np.array_equal(embeddings[a].vector, embeddings[b].vector)
-                for (a, b), cv in zip(pairs, oracle)
+                not cv.cos_degenerate and np.array_equal(embeddings[i].vector, embeddings[j].vector)
+                for (i, j), cv in zip(candidates.tolist(), oracle)
             ),
             "url": sum(cv.url_text_common == 1 for cv in oracle),
             "first": sum(cv.first_token_common == 1 for cv in oracle),

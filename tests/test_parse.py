@@ -61,9 +61,8 @@ class TestNormalizeTokens:
 class TestDesignatorDictionary:
     def test_from_iterable(self):
         d = LegalDesignatorDictionary([("inc",), ("co", "ltd")])
-        assert ("co", "ltd") in d
+        assert d.entries == {("inc",), ("co", "ltd")}
         assert d.max_len == 2
-        assert len(d) == 2
 
     def test_tail_match_longest_first(self):
         d = LegalDesignatorDictionary([("ltd",), ("co", "ltd")])
@@ -74,7 +73,7 @@ class TestDesignatorDictionary:
     def test_default_dictionary_entries(self):
         d = default_designators()
         for seq in [("inc",), ("gmbh",), ("kabushiki", "kaisha"), ("co", "ltd"), ("aktiengesellschaft",)]:
-            assert seq in d, seq
+            assert seq in d.entries, seq
 
 
 class TestStripLegalSuffixes:
@@ -157,13 +156,13 @@ class TestCommonWords:
         # "alpha alpha beta" counts alpha once.
         names = self._names(["ALPHA ALPHA BETA", "ALPHA GAMMA", "BETA GAMMA", "GAMMA DELTA"])
         common = build_common_word_list(names, 1)
-        assert list(common) == ["gamma"]
+        assert common.ordered == ("gamma",)
 
     def test_tie_breaks_lexicographic(self):
         names = self._names(["ZETA ALPHA", "ZETA ALPHA", "BETA", "BETA"])
         common = build_common_word_list(names, 2)
         # alpha, beta, zeta all have count 2; lexicographic order wins.
-        assert list(common) == ["alpha", "beta"]
+        assert common.ordered == ("alpha", "beta")
 
     def test_counts_post_strip(self):
         # "corporation" is stripped before counting, so it cannot be common.
@@ -172,7 +171,7 @@ class TestCommonWords:
         assert "corporation" not in common
 
     def test_zero_n(self):
-        assert len(build_common_word_list(self._names(["A B"]), 0)) == 0
+        assert build_common_word_list(self._names(["A B"]), 0).ordered == ()
 
     def test_negative_n_rejected(self):
         with pytest.raises(InputError):

@@ -288,7 +288,8 @@ class TestFailureHandling:
         table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + rows, encoding="utf-8")
         config = PipelineConfig.load(corpus60_paths["config"], environ={})
         artifacts = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
-        assert artifacts.embeddings["r901"].degenerate and artifacts.embeddings["r902"].degenerate
+        ids = [r.record_id for r in artifacts.records]
+        assert artifacts.embeddings[ids.index("r901")].degenerate and artifacts.embeddings[ids.index("r902")].degenerate
         run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out")
         mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
         assert len(mapping) == 62
@@ -360,11 +361,11 @@ class TestMappingIo:
             assignments={"r1": 0, "r2": 0, "r3": 1},
             canonical={0: "ACME CORP", 1: "ZETA"},
         )
-        records = {
-            "r1": AssigneeRecord(record_id="r1", raw_name="ACME CORP"),
-            "r2": AssigneeRecord(record_id="r2", raw_name="ACME CORP."),
-            "r3": AssigneeRecord(record_id="r3", raw_name="ZETA"),
-        }
+        records = [
+            AssigneeRecord(record_id="r1", raw_name="ACME CORP"),
+            AssigneeRecord(record_id="r2", raw_name="ACME CORP."),
+            AssigneeRecord(record_id="r3", raw_name="ZETA"),
+        ]
         return partition, records
 
     def test_round_trip(self, tmp_path):
@@ -424,11 +425,11 @@ class TestSummarizeMapping:
         assert all(c["portfolio"] == 0 for c in summary["largest_communities"])
 
     def test_portfolio_sums_patent_counts(self):
-        records = {
-            "r1": AssigneeRecord(record_id="r1", raw_name="ACME CORP", patent_count=5),
-            "r2": AssigneeRecord(record_id="r2", raw_name="ACME INC", patent_count=7),
-            "r3": AssigneeRecord(record_id="r3", raw_name="ZETA", patent_count=1),
-        }
+        records = [
+            AssigneeRecord(record_id="r1", raw_name="ACME CORP", patent_count=5),
+            AssigneeRecord(record_id="r2", raw_name="ACME INC", patent_count=7),
+            AssigneeRecord(record_id="r3", raw_name="ZETA", patent_count=1),
+        ]
         summary = summarize_mapping(self.mapping_rows(), records)
         assert summary["largest_communities"][0]["portfolio"] == 12
 
@@ -539,7 +540,7 @@ class TestPrepareCorpus:
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
         counts: dict = {}
-        artifacts = prepare_corpus(corpus60_config, records, cache, counts=counts)
+        artifacts = prepare_corpus(corpus60_config, records[::-1], cache, counts=counts)
         assert counts["records"] == 60
         assert counts["augmented"] == 60
         assert counts["corrected"] == 0
@@ -547,8 +548,14 @@ class TestPrepareCorpus:
         assert counts["type2"] == 0
         assert counts["degenerate"] == 0
         assert counts["candidate_pairs"] == len(artifacts.candidates) > 0
-        assert [n.record_id for n in artifacts.names] == sorted(artifacts.records)
-        assert set(artifacts.embeddings) == set(artifacts.records)
+        # One entry per record in every column, all in ascending id order,
+        # whatever order the table gave the records in.
+        ids = [r.record_id for r in artifacts.records]
+        assert ids == sorted(r.record_id for r in records)
+        assert [n.record_id for n in artifacts.names] == ids
+        columns = (artifacts.records, artifacts.names, artifacts.domain_info, artifacts.embeddings)
+        assert [len(column) for column in columns] == [60] * 4
+        assert all(isinstance(column, list) for column in columns)
 
     def test_brute_force_candidates_superset(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
