@@ -279,21 +279,24 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
     """Registrable domain of a URL: one label plus the public suffix.
 
     ``http://patents.example.co.uk/x`` -> ``example.co.uk``. Hosts whose tail
-    matches no snapshot entry treat the last label as the suffix. Raises
+    matches no snapshot entry treat the last label as the suffix. An IP
+    address comes back whole, an IPv6 one without its brackets. Raises
     InputError when no host can be found.
     """
     if suffixes is None:
         suffixes = load_public_suffixes()
     if not url or not url.strip():
         raise InputError("empty URL")
-    parsed = urlparse(url.strip())
-    host = parsed.netloc or (urlparse("//" + url.strip()).netloc if "://" not in url else "")
-    if not host:
-        raise InputError(f"cannot find a host in URL {url!r}")
-    host = host.rsplit("@", 1)[-1].split(":")[0].strip().lower().rstrip(".")
+    try:
+        parsed = urlparse(url.strip())
+        if not parsed.netloc and "://" not in url:
+            parsed = urlparse("//" + url.strip())
+    except ValueError as exc:  # a bracketed host that is no IPv6 address
+        raise InputError(f"cannot parse URL {url!r}: {exc}") from exc
+    host = (parsed.hostname or "").strip().rstrip(".")
     if not host or re.search(r"\s", host):
         raise InputError(f"cannot find a host in URL {url!r}")
-    if _IP_RE.match(host):
+    if _IP_RE.match(host) or ":" in host:
         return host
     labels = host.split(".")
     if any(not label for label in labels):
@@ -313,25 +316,30 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
     return ".".join(labels[-(suffix_len + 1):])
 
 
-def build_frequent_domain_blocklist(
-    results: Iterable[AugmentationResult],
-    k: int,
-) -> set[str]:
-    """The k most frequent registrable domains across results (ties lexicographic).
+def registrable_domains(results: Iterable[Optional[AugmentationResult]]) -> list[Optional[str]]:
+    """Each result's registrable domain: None without a result or URL, or
+    when ``extract_domain`` rejects the URL. Each distinct URL is parsed once."""
+
+    @functools.cache
+    def domain(url: Optional[str]) -> Optional[str]:
+        try:
+            return extract_domain(url) if url else None
+        except InputError:
+            return None
+
+    return [domain(result.first_url if result is not None else None) for result in results]
+
+
+def build_frequent_domain_blocklist(domains: Iterable[Optional[str]], k: int) -> set[str]:
+    """The k most frequent registrable domains (ties lexicographic); None,
+    a record without a usable URL, is skipped.
 
     Directory-style hosts (encyclopedias, listings) dominate first-result URLs;
     blocking them keeps the domain condition meaningful.
     """
     if k < 0:
         raise InputError(f"blocklist size must be >= 0, got {k}")
-    counts: Counter[str] = Counter()
-    for result in results:
-        if not result.first_url:
-            continue
-        try:
-            counts[extract_domain(result.first_url)] += 1
-        except InputError:
-            continue
+    counts = Counter(domain for domain in domains if domain is not None)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return {domain for domain, _ in ranked[:k]}
 
@@ -352,23 +360,20 @@ class DomainInfo:
 
 
 def build_domain_info(
-    result: Optional[AugmentationResult],
+    results: Iterable[Optional[AugmentationResult]],
+    domains: Iterable[Optional[str]],
     blocklist: set[str] | frozenset[str],
     common_words: CommonWordList,
-) -> DomainInfo:
-    """Resolve one record's domain (None when absent or blocklisted) and url tokens."""
-    domain = None
-    url_tokens: frozenset[str] = frozenset()
-    if result is not None:
-        if result.first_url:
-            try:
-                candidate = extract_domain(result.first_url)
-            except InputError:
-                candidate = None
-            if candidate is not None and candidate not in blocklist:
-                domain = candidate
-        url_tokens = preprocess_url_text(result.first_text, common_words)
-    return DomainInfo(domain=domain, url_tokens=url_tokens)
+) -> list[DomainInfo]:
+    """Each record's domain (None when absent or blocklisted) and url tokens,
+    given its result and registrable domain. Records with the same page text
+    share one token set."""
+    url_tokens = functools.cache(lambda text: preprocess_url_text(text, common_words))
+    texts = (result.first_text if result is not None else None for result in results)
+    return [
+        DomainInfo(None if domain in blocklist else domain, url_tokens(text))
+        for text, domain in zip(texts, domains, strict=True)
+    ]
 
 
 # --- provider ---------------------------------------------------------------

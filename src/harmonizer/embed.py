@@ -134,13 +134,35 @@ def embed_name(
     return NameEmbedding(vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
 
 
+class _TokenTable:
+    """A backend holding the nonzero buckets of ``tokens`` under ``backend``,
+    a fraction of their dense size; lookups rebuild the dense vector exactly."""
+
+    def __init__(self, backend: EmbeddingBackend, tokens: Iterable[str]):
+        self.dim = backend.dim
+        self._buckets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for token in tokens:
+            vec = backend.token_vector(token)
+            nonzero = np.flatnonzero(vec)
+            self._buckets[token] = (nonzero, vec[nonzero])
+
+    def token_vector(self, token: str) -> np.ndarray:
+        nonzero, values = self._buckets[token]
+        vec = np.zeros(self.dim, dtype=np.float64)
+        vec[nonzero] = values
+        return vec
+
+
 def embed_corpus(
-    names: Iterable[CleanName],
+    names: Sequence[CleanName],
     backend: EmbeddingBackend,
     idf: IdfTable,
 ) -> dict[str, NameEmbedding]:
-    """Each name's embedding under its record id, in the order of ``names``."""
-    return {name.record_id: embed_name(name.tokens, backend, idf) for name in names}
+    """Each name's embedding under its record id, in the order of ``names``.
+    Each distinct token's vector is computed once and shared by every name
+    that holds it, so every embedding is the one ``embed_name`` gives."""
+    table = _TokenTable(backend, dict.fromkeys(token for name in names for token in name.tokens))
+    return {name.record_id: embed_name(name.tokens, table, idf) for name in names}
 
 
 def pair_cosines(vectors: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,6 +48,9 @@ class CleanName:
 
 def fold_text(raw: str) -> str:
     """NFKD-fold, drop combining marks, lowercase."""
+    if raw.isascii():
+        # NFKD leaves ASCII as it is, and no ASCII character is combining.
+        return raw.lower()
     decomposed = unicodedata.normalize("NFKD", raw)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
 

@@ -17,7 +17,9 @@ import logging
 import os
 import platform
 import re
+import resource
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -36,6 +38,7 @@ from .augment import (
     build_domain_info,
     build_frequent_domain_blocklist,
     fetch_augmentation,
+    registrable_domains,
 )
 from .config import PipelineConfig
 from .embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
@@ -58,6 +61,8 @@ log = logging.getLogger(__name__)
 
 MAPPING_HEADER = ["record_id", "raw_name", "community_id", "canonical_name"]
 CLEANED_HEADER = ["record_id", "cleaned_name", "name_class", "degenerate"]
+# ru_maxrss counts bytes on macOS and KiB elsewhere.
+_MAXRSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
 # Every file a run can leave in its output directory; the manifest comes last.
 ARTIFACTS = ("cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json")
 
@@ -76,6 +81,7 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     stage_counts: dict[str, int] = field(default_factory=dict)
     layer_seconds: dict[str, float] = field(default_factory=dict)
+    layer_rss_mb: dict[str, float] = field(default_factory=dict)
     blocking: dict = field(default_factory=dict)
     filter: dict = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=_dependency_versions)
@@ -92,11 +98,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _charge(seconds: Optional[dict], layer: str, since: float) -> float:
-    """Add the time since ``since`` to ``seconds[layer]``; return the time now."""
+def _charge(manifest: Optional[RunManifest], layer: str, since: float) -> float:
+    """Add the time since ``since`` to ``layer_seconds[layer]``, and set
+    ``layer_rss_mb[layer]``, moved last so its values rise in dict order, to
+    the peak RSS so far; return the time now."""
     now = time.perf_counter()
-    if seconds is not None:
-        seconds[layer] = round(seconds.get(layer, 0.0) + now - since, 6)
+    if manifest is not None:
+        manifest.layer_seconds[layer] = round(manifest.layer_seconds.get(layer, 0.0) + now - since, 6)
+        manifest.layer_rss_mb.pop(layer, None)
+        manifest.layer_rss_mb[layer] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB, 1)
     return now
 
 
@@ -205,7 +215,7 @@ def prepare_corpus(
     provider: Optional[SearchProvider] = None,
     counts: Optional[dict] = None,
     bound: Optional[ScoreBound] = None,
-    seconds: Optional[dict] = None,
+    manifest: Optional[RunManifest] = None,
 ) -> CorpusArtifacts:
     """Augment (from cache), parse, classify, embed, and block the corpus,
     with the records sorted by record id.
@@ -213,15 +223,16 @@ def prepare_corpus(
     Blocking keeps every pair able to reach ``bound``, which defaults to the
     configured weights and edge threshold (what ``run`` scores with).
     ``counts``, when given, receives the stage counts plus the blocking key
-    kinds used and the largest block; ``seconds`` the time spent in the
-    augment, parse, domain, embed and block layers.
+    kinds used and the largest block; ``manifest`` the time spent in the
+    augment, parse, domain, embed and block layers and the peak RSS after
+    each.
     """
     t = time.perf_counter()
     records = sorted(records, key=lambda r: r.record_id)
     results = list(_augment_stage(records, cache, provider, config["run"]["threads"]).values())
     n_augmented = sum(1 for r in results if r is not None)
     n_corrected = sum(1 for r in results if r is not None and r.corrected_name)
-    t = _charge(seconds, "augment", t)
+    t = _charge(manifest, "augment", t)
 
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
     names: list[CleanName] = []
@@ -230,21 +241,20 @@ def prepare_corpus(
         names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
     names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
-    t = _charge(seconds, "parse", t)
+    t = _charge(manifest, "parse", t)
 
-    blocklist = build_frequent_domain_blocklist(
-        [r for r in results if r is not None], config["augment"]["blocklist_k"]
-    )
-    domain_info = [build_domain_info(result, blocklist, common) for result in results]
-    t = _charge(seconds, "domain", t)
+    domains = registrable_domains(results)
+    blocklist = build_frequent_domain_blocklist(domains, config["augment"]["blocklist_k"])
+    domain_info = build_domain_info(results, domains, blocklist, common)
+    t = _charge(manifest, "domain", t)
 
     embeddings = list(embed_corpus(names, HashingBackend(), compute_idf(names)).values())
-    t = _charge(seconds, "embed", t)
+    t = _charge(manifest, "embed", t)
 
     blocking: dict = {}
     bound = bound if bound is not None else config.score_bound()
     candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
-    _charge(seconds, "block", t)
+    _charge(manifest, "block", t)
 
     if counts is not None:
         counts.update(
@@ -319,7 +329,6 @@ def run_pipeline(
     manifest = RunManifest(
         config_hash=config.config_hash(), seed=config["run"]["seed"], config=json.loads(config.canonical_json())
     )
-    layers = manifest.layer_seconds
     counts = manifest.stage_counts
     stage = "ingest"
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
@@ -338,13 +347,13 @@ def run_pipeline(
             gold_path = Path(gold_path)
             gold = load_gold_standard(gold_path)
             manifest.inputs[str(gold_path)] = _sha256(gold_path)
-        t = _charge(layers, "ingest", t)
+        t = _charge(manifest, "ingest", t)
 
         stage = "augment"
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
         provider = make_provider(config, offline)
-        _charge(layers, "augment", t)
-        artifacts = prepare_corpus(config, records, cache, provider, counts, seconds=layers)
+        _charge(manifest, "augment", t)
+        artifacts = prepare_corpus(config, records, cache, provider, counts, manifest=manifest)
         manifest.blocking = {
             "keys": counts.pop("blocking_keys"),
             "candidate_pairs": counts["candidate_pairs"],
@@ -354,7 +363,7 @@ def run_pipeline(
         stage = "parse"
         t = time.perf_counter()
         _write_cleaned(artifacts.names, artifacts.embeddings, work / "cleaned.tsv")
-        t = _charge(layers, "write", t)
+        t = _charge(manifest, "write", t)
 
         stage = "match"
         weights = config.weight_vector()
@@ -363,36 +372,36 @@ def run_pipeline(
             artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
         )
         scores = table.scores(weights)
-        t = _charge(layers, "score", t)
+        t = _charge(manifest, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
-        t = _charge(layers, "write", t)
+        t = _charge(manifest, "write", t)
 
         stage = "filter"
         graph = build_graph(table, scores, params)
         partition = refine_communities(graph, params, manifest.filter)
-        t = _charge(layers, "graph", t)
+        t = _charge(manifest, "graph", t)
         partition = assign_canonical_names(partition, artifacts.records, artifacts.names, artifacts.embeddings)
-        t = _charge(layers, "naming", t)
+        t = _charge(manifest, "naming", t)
         write_mapping(partition, artifacts.records, work / "mapping.tsv")
-        t = _charge(layers, "write", t)
+        t = _charge(manifest, "write", t)
         counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
         summary = summarize_partition(partition, artifacts.records)
         summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (work / "summary.json").write_text(summary_text, encoding="utf-8")
-        t = _charge(layers, "summary", t)
+        t = _charge(manifest, "summary", t)
 
         if gold is not None:
             stage = "evaluate"
             report = build_report(partition.assignments, gold, n_before=len(records), n_after=partition.n_communities)
             (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
-            t = _charge(layers, "evaluate", t)
+            t = _charge(manifest, "evaluate", t)
 
         for name in ARTIFACTS[:-1]:
             if (work / name).exists():
                 manifest.outputs[str(out_dir / name)] = _sha256(work / name)
-        _charge(layers, "write", t)
+        _charge(manifest, "write", t)
         (work / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
         out_dir.mkdir(exist_ok=True)
         for name in ARTIFACTS:

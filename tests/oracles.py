@@ -6,12 +6,15 @@ package's internals beyond plain data types, except ``reference_prune``: it
 reuses ``bridgeness_centrality``, which the path-counting oracles here check,
 to check the cases pruning settles without it. ``reference_louvain`` is
 networkx's own Louvain, of which the package's is a transcription.
+``reference_prepare`` reuses the package's per-record functions, to check
+that ``prepare_corpus`` computing each distinct value once changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,11 +23,20 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from harmonizer.augment import DomainInfo
-from harmonizer.embed import NameEmbedding
+from harmonizer.augment import DomainInfo, extract_domain, preprocess_url_text
+from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_name
+from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
-from harmonizer.match import WeightVector
-from harmonizer.parse import CleanName, NameClass
+from harmonizer.match import WeightVector, generate_candidate_pairs
+from harmonizer.parse import (
+    CleanName,
+    LegalDesignatorDictionary,
+    NameClass,
+    build_common_word_list,
+    classify_name_type,
+    clean_name,
+)
+from harmonizer.pipeline import CorpusArtifacts
 
 from nxgraphs import from_networkx, to_networkx
 
@@ -138,6 +150,49 @@ def brute_force_candidates(names) -> np.ndarray:
         (i, j) for i, j in itertools.combinations(range(len(names)), 2) if names[i].name_class is names[j].name_class
     ]
     return np.array(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+def reference_fold_text(raw: str) -> str:
+    """NFKD-fold, drop combining marks, lowercase, for every input alike."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
+
+
+def reference_prepare(config, records, cache) -> CorpusArtifacts:
+    """``prepare_corpus`` offline, one record at a time: each record cleans
+    its own name, extracts its own URL's domain (for the blocklist, then
+    again for its domain info), tokenizes its own page text and embeds its
+    name with a fresh ``HashingBackend``."""
+    records = sorted(records, key=lambda r: r.record_id)
+    results = [cache.get(record.raw_name) for record in records]
+    designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
+    names = [
+        clean_name(r.raw_name, res.corrected_name if res else None, designators, record_id=r.record_id)
+        for r, res in zip(records, results)
+    ]
+    common = build_common_word_list(names, config["parse"]["common_words_n"])
+    names = [name.with_class(classify_name_type(name.tokens, common)) for name in names]
+
+    def domain(result):
+        if result is None or not result.first_url:
+            return None
+        try:
+            return extract_domain(result.first_url)
+        except InputError:
+            return None
+
+    counts = Counter(d for d in map(domain, results) if d is not None)
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    blocklist = {d for d, _ in ranked[: config["augment"]["blocklist_k"]]}
+    domain_info = []
+    for result in results:
+        d = domain(result)
+        text = result.first_text if result is not None else None
+        domain_info.append(DomainInfo(None if d in blocklist else d, preprocess_url_text(text, common)))
+    idf = compute_idf(names)
+    embeddings = [embed_name(name.tokens, HashingBackend(), idf) for name in names]
+    candidates = generate_candidate_pairs(names, domain_info, config.score_bound())
+    return CorpusArtifacts(records, names, domain_info, embeddings, candidates)
 
 
 def brute_idf(token_lists, floor=0.01):

@@ -22,6 +22,7 @@ from harmonizer.augment import (
     fetch_augmentation,
     load_public_suffixes,
     preprocess_url_text,
+    registrable_domains,
 )
 from harmonizer.errors import ConfigError, InputError, ProviderError
 from harmonizer.parse import CommonWordList
@@ -201,6 +202,9 @@ class TestExtractDomain:
             ("ftp://files.acme.de", "acme.de"),
             ("www.acme.co.jp/path", "acme.co.jp"),
             ("https://user:pw@www.acme.com:8080/", "acme.com"),
+            ("http://[2001:db8::1]/a", "2001:db8::1"),
+            ("http://[2001:DB8::2]:8080/a", "2001:db8::2"),
+            ("https://user:pw@[2001:db8::3]:8080/", "2001:db8::3"),
             ("https://acme.com.", "acme.com"),
             ("https://192.168.0.7/admin", "192.168.0.7"),
             ("https://localhost/", "localhost"),
@@ -211,7 +215,10 @@ class TestExtractDomain:
     def test_cases(self, url, expected):
         assert extract_domain(url) == expected
 
-    @pytest.mark.parametrize("url", ["", "   ", "https://", "http://..", "not a url at all \t"])
+    @pytest.mark.parametrize(
+        "url",
+        ["", "   ", "https://", "http://..", "not a url at all \t", "http://[2001:db8::1/a", "http://[acme.com]/"],
+    )
     def test_rejects(self, url):
         with pytest.raises(InputError):
             extract_domain(url)
@@ -232,10 +239,10 @@ class TestBlocklist:
             + [result(f"C{i}", first_url="https://aaa.example/z") for i in range(2)]
             + [result("D", first_url="https://rare.example/")]
         )
-        assert build_frequent_domain_blocklist(results, 2) == {"dir.example", "aaa.example"}
+        assert build_frequent_domain_blocklist(registrable_domains(results), 2) == {"dir.example", "aaa.example"}
 
     def test_zero_k(self):
-        assert build_frequent_domain_blocklist([result(first_url="https://a.com/")], 0) == set()
+        assert build_frequent_domain_blocklist(registrable_domains([result(first_url="https://a.com/")]), 0) == set()
 
     def test_negative_k_rejected(self):
         with pytest.raises(InputError):
@@ -243,7 +250,11 @@ class TestBlocklist:
 
     def test_skips_missing_and_malformed(self):
         results = [result("A"), result("B", first_url="https://.."), result("C", first_url="https://ok.com/")]
-        assert build_frequent_domain_blocklist(results, 5) == {"ok.com"}
+        assert build_frequent_domain_blocklist(registrable_domains(results), 5) == {"ok.com"}
+
+    def test_domains_skip_missing_and_malformed(self):
+        results = [None, result("A"), result("B", first_url="https://.."), result("C", first_url="https://ok.com/")]
+        assert registrable_domains(results) == [None, None, None, "ok.com"]
 
 
 class TestDomainInfo:
@@ -256,19 +267,28 @@ class TestDomainInfo:
     def test_none_text(self):
         assert preprocess_url_text(None, self.COMMON) == frozenset()
 
+    def info(self, r, blocklist):
+        return build_domain_info([r], registrable_domains([r]), blocklist, self.COMMON)[0]
+
     def test_build_with_everything(self):
         r = result(first_url="https://www.acme.com/", first_text="Acme builds turbines")
-        info = build_domain_info(r, set(), self.COMMON)
+        info = self.info(r, set())
         assert info == DomainInfo("acme.com", frozenset({"acme", "builds", "turbines"}))
 
     def test_blocklisted_domain_dropped(self):
         r = result(first_url="https://dir.example/co")
-        info = build_domain_info(r, {"dir.example"}, self.COMMON)
+        info = self.info(r, {"dir.example"})
         assert info.domain is None
 
     def test_no_result(self):
-        info = build_domain_info(None, set(), self.COMMON)
+        info = self.info(None, set())
         assert info.domain is None and info.url_tokens == frozenset()
+
+    def test_same_text_shares_one_token_set(self):
+        results = [result(n, first_url=f"https://{n}.com/", first_text="Acme builds turbines") for n in "ab"]
+        infos = build_domain_info(results, registrable_domains(results), set(), self.COMMON)
+        assert [i.domain for i in infos] == ["a.com", "b.com"]
+        assert infos[0].url_tokens is infos[1].url_tokens
 
 
 class _FakeResponse:

@@ -1,7 +1,7 @@
 """Name cleaning: folding, tokenization, designator stripping, common words."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer.errors import InputError
@@ -16,6 +16,7 @@ from harmonizer.parse import (
     normalize_tokens,
     strip_legal_suffixes,
 )
+from oracles import reference_fold_text
 
 
 class TestFoldText:
@@ -32,6 +33,17 @@ class TestFoldText:
     )
     def test_folding(self, raw, expected):
         assert fold_text(raw) == expected
+
+    def test_ascii_matches_reference(self):
+        for code in range(128):
+            assert fold_text(chr(code)) == reference_fold_text(chr(code))
+        every = "".join(map(chr, range(128)))
+        assert fold_text(every) == reference_fold_text(every) == every.lower()
+
+    @settings(max_examples=300)
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
+    def test_matches_reference(self, raw):
+        assert fold_text(raw) == reference_fold_text(raw)
 
     def test_idempotent_samples(self):
         for raw in ["Müller", "Société Générale", "ＡＢＣ株式会社"]:

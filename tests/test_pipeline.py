@@ -10,10 +10,13 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import read_pairs_tsv, run_fixture_pipeline
+from harmonizer import augment, embed
 from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
 from harmonizer.config import PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
@@ -36,7 +39,7 @@ from harmonizer.pipeline import (
     write_mapping,
 )
 from harmonizer.tune import DEFAULT_SPACE, SearchSpace
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, reference_prepare
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
 
@@ -173,6 +176,18 @@ class TestArtifacts:
         assert all(v >= 0 for v in layers.values())
         # Each value is rounded to 1e-6 s.
         assert 0.5 * wall <= sum(layers.values()) <= wall + len(layers) * 1e-6
+
+    def test_manifest_layer_rss_mb(self, corpus60_paths, tmp_path):
+        """The peak RSS after each timed layer, in the order the layers last
+        ran: a high-water mark, so it never falls."""
+        config = PipelineConfig.load(corpus60_paths["config"], environ={})
+        manifest = run_pipeline(
+            config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path, gold_path=corpus60_paths["gold"]
+        )
+        rss = manifest.layer_rss_mb
+        assert set(rss) == set(manifest.layer_seconds)
+        assert list(rss.values()) == sorted(rss.values()) and rss["ingest"] > 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["layer_rss_mb"] == rss
 
     def test_no_eval_without_gold(self, corpus60_paths, tmp_path):
         run = run_fixture_pipeline(corpus60_paths, tmp_path, with_gold=False)
@@ -563,6 +578,92 @@ class TestPrepareCorpus:
         blocked = prepare_corpus(corpus60_config, records, cache)
         brute = brute_force_candidates(blocked.names)
         assert set(map(tuple, blocked.candidates.tolist())) <= set(map(tuple, brute.tolist()))
+
+
+def mixed_corpus():
+    """Records and a cache that repeat tokens, URLs and page texts, with a
+    malformed URL in two records, a blocklisted domain (at ``blocklist_k``
+    1), a spelling correction and non-ASCII names."""
+    acme, directory, bad = "https://www.acme.com/", "https://www.directory.example/co", "https://.."
+    rows = [
+        ("r01", "ACME ROBOTICS INC", None, acme, "Acme builds industrial robots"),
+        ("r02", "ACME ROBOTICS CORP", None, acme, "Acme builds industrial robots"),
+        ("r03", "ACME ROBOTIX", "ACME ROBOTICS", "https://acme.com/about", "Acme builds industrial robots"),
+        ("r04", "Société Générale SA", None, directory, "Company directory listing"),
+        ("r05", "SOCIETE GENERALE", None, directory, "Company directory listing"),
+        ("r06", "ＦＵＪＩＴＳＵ LIMITED", None, "https://www.fujitsu.com/", "Fujitsu builds computers"),
+        ("r07", "FUJITSU LTD", None, bad, "Fujitsu builds computers"),
+        ("r08", "Müller GmbH", None, bad, None),
+        ("r09", "MULLER AG", None, directory, "Müller Präzisionsteile"),
+        ("r10", "GLOBAL ROBOTICS", None, directory, None),
+        ("r11", "BOSCH", None, None, None),
+        ("r12", "ROBERT BOSCH GMBH", None, None, None),
+    ]
+    records = [AssigneeRecord(rid, raw, 1, frozenset()) for rid, raw, *_ in rows]
+    cache = AugmentationCache(None)
+    for rid, raw, correction, url, text in rows:
+        if rid != "r12":
+            cache.put(AugmentationResult(raw, correction, url, text))
+    config = PipelineConfig.load(environ={}, overrides={"augment": {"blocklist_k": 1}, "parse": {"common_words_n": 2}})
+    return config, records[::-1], cache
+
+
+def assert_same_corpus(got, want):
+    assert got.records == want.records
+    assert got.names == want.names
+    assert got.domain_info == want.domain_info
+    assert np.array_equal(got.candidates, want.candidates)
+    assert len(got.embeddings) == len(want.embeddings)
+    for a, b in zip(got.embeddings, want.embeddings):
+        assert a.vector.shape == b.vector.shape and a.vector.tobytes() == b.vector.tobytes()
+        assert a.degenerate == b.degenerate
+
+
+class TestPrepareOnceOracle:
+    """``prepare_corpus`` computes each distinct token vector, URL domain and
+    page token set once; the per-record oracle computes them for every
+    record, and both must give the same corpus, bit for bit."""
+
+    def test_corpus300(self, corpus300_paths, corpus300_config):
+        records = load_assignee_table(corpus300_paths["input"])
+        cache = AugmentationCache(corpus300_paths["cache"])
+        got = prepare_corpus(corpus300_config, records, cache)
+        assert_same_corpus(got, reference_prepare(corpus300_config, records, cache))
+
+    def test_mixed_corpus(self):
+        config, records, cache = mixed_corpus()
+        counts: dict = {}
+        got = prepare_corpus(config, records, cache, counts=counts)
+        assert_same_corpus(got, reference_prepare(config, records, cache))
+        # The corpus exercises what it is built for.
+        assert counts["corrected"] == 1 and counts["augmented"] == 11
+        assert {info.domain for info in got.domain_info} == {None, "acme.com", "fujitsu.com"}
+        assert got.names[3].cleaned == "societe generale" and got.names[5].cleaned == "fujitsu"
+
+    def test_each_distinct_value_computed_once(self, monkeypatch):
+        config, records, cache = mixed_corpus()
+        calls: dict[str, Counter] = {"token": Counter(), "url": Counter(), "text": Counter()}
+
+        def spy(owner, attr, key, arg):
+            fn = getattr(owner, attr)
+
+            def counted(*args):
+                calls[key][args[arg]] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(embed.HashingBackend, "token_vector", "token", 1)
+        spy(augment, "extract_domain", "url", 0)
+        spy(augment, "preprocess_url_text", "text", 0)
+        artifacts = prepare_corpus(config, records, cache)
+        results = [cache.get(r.raw_name) for r in records]
+        assert set(calls["token"]) == {t for name in artifacts.names for t in name.tokens}
+        assert set(calls["url"]) == {r.first_url for r in results if r is not None and r.first_url}
+        assert set(calls["text"]) == {r.first_text if r is not None else None for r in results}
+        assert len(calls["token"]) < sum(len(name.tokens) for name in artifacts.names)
+        for counter in calls.values():
+            assert set(counter.values()) == {1}
 
 
 @pytest.fixture(scope="module")
