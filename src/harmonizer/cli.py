@@ -28,8 +28,6 @@ from .pipeline import (
     tune_pipeline,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3

@@ -20,7 +20,7 @@ import yaml
 from .errors import ConfigError
 from .graph import FilterParams
 from .match import ScoreBound, WeightVector
-from .tune import DEFAULT_SPACE, SearchSpace, TpeConfig
+from .tune import SearchSpace, TpeConfig
 
 ENV_PREFIX = "HARMONIZER_"
 
@@ -64,23 +64,28 @@ DEFAULTS: dict[str, Any] = {
     "tune": {
         "n_startup": 10,
         "trials": 50,
-        "space": {name: [lo, hi] for name, lo, hi in DEFAULT_SPACE},
     },
 }
 
-# The config key each search dimension stands for. The last part of each
-# path is the WeightVector or FilterParams field the dimension fills.
-TUNED_KEYS: dict[str, tuple[str, ...]] = {
-    "w_token": ("match", "weights", "token"),
-    "w_first_token": ("match", "weights", "first_token"),
-    "w_url_text": ("match", "weights", "url_text"),
-    "w_domain": ("match", "weights", "domain"),
-    "w_cos": ("match", "weights", "cos"),
-    "threshold": ("graph", "threshold"),
-    "resolution": ("graph", "resolution"),
-    "bridgeness": ("graph", "bridgeness_threshold"),
-    "location_boost": ("graph", "location_boost"),
+# The box ``tune`` searches: each dimension's config key, whose last part is
+# the WeightVector or FilterParams field it fills, and its bounds, in the
+# order TPE draws them. Bounds: weights stay in (0, 1]; the threshold spans
+# the useful score range; resolution reaches past 1 so communities can be
+# forced smaller; bridgeness above 1 loosens pruning. Bridgeness is never
+# negative, so a point below 0 flags every node and breaks each community of
+# more than 2 members into singletons.
+TUNED: dict[str, tuple[tuple[str, ...], float, float]] = {
+    "w_token": (("match", "weights", "token"), 0.1, 1.0),
+    "w_first_token": (("match", "weights", "first_token"), 0.1, 1.0),
+    "w_url_text": (("match", "weights", "url_text"), 0.1, 1.0),
+    "w_domain": (("match", "weights", "domain"), 0.1, 1.0),
+    "w_cos": (("match", "weights", "cos"), 0.1, 1.0),
+    "threshold": (("graph", "threshold"), 0.5, 5.0),
+    "resolution": (("graph", "resolution"), 0.001, 2.0),
+    "bridgeness": (("graph", "bridgeness_threshold"), -2.0, 2.0),
+    "location_boost": (("graph", "location_boost"), 0.0, 2.0),
 }
+SEARCH_SPACE = SearchSpace([(name, lo, hi) for name, (_, lo, hi) in TUNED.items()])
 
 
 def _merge(base: dict, override: Mapping, path: str) -> dict:
@@ -126,10 +131,6 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path!r} must be a string, got {value!r}")
         return value
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"config key {path!r} must be a list, got {value!r}")
-        return list(value)
     raise ConfigError(f"config key {path!r} has unsupported type {type(default).__name__}")
 
 
@@ -222,12 +223,19 @@ class PipelineConfig:
 
     # --- typed builders ---
 
-    def weight_vector(self) -> WeightVector:
-        return WeightVector(**self.data["match"]["weights"])
+    def params_at(self, point: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
+        """The weights and filter parameters at a point of the search box; a
+        dimension the point lacks (all of them, for ``{}``) takes its
+        configured value."""
+        fields: dict[str, dict[str, float]] = {"match": {}, "graph": {}}
+        for name, (path, _, _) in TUNED.items():
+            fields[path[0]][path[-1]] = point.get(name, _at(self.data, path))
+        return WeightVector(**fields["match"]), FilterParams(**fields["graph"], seed=self.data["run"]["seed"])
 
     def score_bound(self) -> ScoreBound:
         """The configured weights and edge threshold, which ``run`` uses."""
-        return ScoreBound(self.weight_vector(), self.data["graph"]["threshold"])
+        weights, params = self.params_at({})
+        return ScoreBound(weights, params.threshold)
 
     def tuning_score_bound(self) -> ScoreBound:
         """The most permissive corner of the search box: every tuned weight at
@@ -235,37 +243,16 @@ class PipelineConfig:
         reach no trial's threshold under this corner can reach none."""
         corner = {
             name: lo if name == "threshold" else hi
-            for name, lo, hi in self.search_space().dims
-            if name == "threshold" or TUNED_KEYS[name][0] == "match"
+            for name, (path, lo, hi) in TUNED.items()
+            if name == "threshold" or path[0] == "match"
         }
-        weights, params = self.tuning_params_as_config(corner)
+        weights, params = self.params_at(corner)
         return ScoreBound(weights, params.threshold)
-
-    def filter_params(self) -> FilterParams:
-        return self.tuning_params_as_config({})[1]
-
-    def search_space(self) -> SearchSpace:
-        space = self.data["tune"]["space"]
-        dims = []
-        for name in space:
-            bounds = space[name]
-            if not isinstance(bounds, list) or len(bounds) != 2:
-                raise ConfigError(f"tune.space.{name} must be [lo, hi]")
-            dims.append((name, float(bounds[0]), float(bounds[1])))
-        return SearchSpace(dims)
 
     def tpe_config(self) -> TpeConfig:
         return TpeConfig(n_startup=self.data["tune"]["n_startup"], seed=self.data["run"]["seed"])
 
-    def tuning_params_as_config(self, params: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
-        """Interpret one search-space point as weights + filter parameters,
-        falling back to the configured value for any dimension not tuned."""
-        fields: dict[str, dict[str, float]] = {"match": {}, "graph": {}}
-        for name, path in TUNED_KEYS.items():
-            fields[path[0]][path[-1]] = params.get(name, _at(self.data, path))
-        return WeightVector(**fields["match"]), FilterParams(**fields["graph"], seed=self.data["run"]["seed"])
-
-    def incumbent_point(self, space: SearchSpace) -> dict[str, float]:
+    def incumbent_point(self) -> dict[str, float]:
         """The current config expressed as a search-space point (clipped into
         bounds so it is always a legal trial)."""
-        return {name: min(max(_at(self.data, TUNED_KEYS[name]), lo), hi) for name, lo, hi in space.dims}
+        return {name: min(max(_at(self.data, path), lo), hi) for name, (path, lo, hi) in TUNED.items()}

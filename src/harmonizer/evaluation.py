@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 from .ingest import GoldLabel
@@ -33,17 +33,24 @@ def _pairs(count: int) -> int:
     return count * (count - 1) // 2
 
 
-def _extended_prediction(
-    pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]
-) -> dict[str, Hashable]:
-    """Prediction restricted to the gold universe, missing records as singletons."""
+def check_gold(gold: Sequence[GoldLabel], record_ids: Iterable[str]) -> set[str]:
+    """The gold standard's record ids; InputError unless it is non-empty,
+    repeats no id and shares a record with ``record_ids``."""
     if not gold:
         raise InputError("gold standard is empty")
     gold_ids = {label.record_id for label in gold}
     if len(gold_ids) != len(gold):
         raise InputError("gold standard has duplicate record ids")
-    if not gold_ids & set(pred):
+    if gold_ids.isdisjoint(record_ids):
         raise InputError("prediction and gold standard share no records")
+    return gold_ids
+
+
+def _extended_prediction(
+    pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]
+) -> dict[str, Hashable]:
+    """Prediction restricted to the gold universe, missing records as singletons."""
+    gold_ids = check_gold(gold, pred)
     extended: dict[str, Hashable] = {}
     for rid in gold_ids:
         if rid in pred:

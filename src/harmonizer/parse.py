@@ -24,7 +24,6 @@ DEFAULT_SUBSTITUTIONS: Mapping[str, str] = {"&": " and "}
 
 _LANG_PREFIX_RE = re.compile(r"^[a-z]{2,4}:")
 _NON_WORD_RE = re.compile(r"[^\w]|_", re.UNICODE)
-_WS_RE = re.compile(r"\s+")
 
 
 class NameClass(enum.Enum):

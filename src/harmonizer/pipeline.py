@@ -40,10 +40,10 @@ from .augment import (
     fetch_augmentation,
     registrable_domains,
 )
-from .config import PipelineConfig
+from .config import SEARCH_SPACE, PipelineConfig
 from .embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
-from .evaluation import build_report, compute_metrics, pairwise_confusion, reduction_rate
+from .evaluation import build_report, check_gold, compute_metrics, pairwise_confusion, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from .match import ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
@@ -185,27 +185,26 @@ def _augment_stage(
     threads: int,
     refresh: bool = False,
 ) -> dict[str, Optional[AugmentationResult]]:
-    """Resolve augmentation for every record, fetching misses (every name,
-    with ``refresh``) when a provider is available. Fetches may run in
-    parallel; results keep record order. A failed fetch resolves to None."""
+    """Resolve augmentation for every record, keyed by record id in record
+    order, fetching misses (every name, with ``refresh``) when a provider is
+    available. Each distinct name is resolved once, in first-seen order, and
+    its result goes to every record that holds it. Fetches may run in
+    parallel. A failed fetch resolves to None."""
 
-    def fetch_one(record: AssigneeRecord) -> Optional[AugmentationResult]:
+    def fetch_one(name: str) -> Optional[AugmentationResult]:
         try:
-            return fetch_augmentation(record.raw_name, provider, cache, refresh=refresh)
+            return fetch_augmentation(name, provider, cache, refresh=refresh)
         except ProviderError as exc:
-            log.warning("augmentation failed for %r: %s", record.raw_name, exc)
+            log.warning("augmentation failed for %r: %s", name, exc)
             return None
 
-    results: dict[str, Optional[AugmentationResult]] = {}
+    names = list(dict.fromkeys(record.raw_name for record in records))
     if provider is not None and threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            fetched = pool.map(fetch_one, records)
-        for record, result in zip(records, fetched):
-            results[record.record_id] = result
+            resolved = dict(zip(names, pool.map(fetch_one, names)))
     else:
-        for record in records:
-            results[record.record_id] = fetch_one(record)
-    return results
+        resolved = {name: fetch_one(name) for name in names}
+    return {record.record_id: resolved[record.raw_name] for record in records}
 
 
 def prepare_corpus(
@@ -366,8 +365,7 @@ def run_pipeline(
         t = _charge(manifest, "write", t)
 
         stage = "match"
-        weights = config.weight_vector()
-        params = config.filter_params()
+        weights, params = config.params_at({})
         table = score_pairs(
             artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
         )
@@ -474,7 +472,7 @@ def build_tuning_objective(
     )
 
     def objective(params: dict[str, float]) -> float:
-        weights, filter_params = config.tuning_params_as_config(params)
+        weights, filter_params = config.params_at(params)
         graph = build_graph(table, table.scores(weights), filter_params)
         partition = refine_communities(graph, filter_params)
         return compute_metrics(pairwise_confusion(partition.assignments, gold)).f1
@@ -493,23 +491,22 @@ def tune_pipeline(
     """Prepare the corpus once, then TPE-search the filter/score parameters.
 
     The incumbent configuration runs as trial 0, so the best trial can never
-    fall below the configured baseline.
+    fall below the configured baseline. A gold standard that shares no
+    record with the input fails here, before any trial runs.
     """
     records = load_assignee_table(input_path)
     gold = load_gold_standard(gold_path)
+    check_gold(gold, {record.record_id for record in records})
     cache_path = Path(cache_path)
     cache = AugmentationCache(cache_path if cache_path.exists() else None)
     artifacts = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
     objective = build_tuning_objective(config, artifacts, gold)
-    space = config.search_space()
-    tpe = config.tpe_config()
     trials = n_trials if n_trials is not None else config["tune"]["trials"]
-    incumbent = config.incumbent_point(space)
     return optimize(
         objective,
-        space,
+        SEARCH_SPACE,
         trials,
-        tpe,
-        initial=[incumbent],
+        config.tpe_config(),
+        initial=[config.incumbent_point()],
         store_path=store_path,
     )

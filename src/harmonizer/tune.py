@@ -30,23 +30,6 @@ _STD_NORMAL = NormalDist()
 GAMMA = 0.25
 N_CANDIDATES = 24
 
-# Bounds: weights stay in (0, 1]; the threshold spans the useful score range;
-# resolution reaches past 1 so communities can be forced smaller; bridgeness
-# above 1 loosens pruning. Bridgeness is never negative, so a point below 0
-# flags every node and breaks each community of more than 2 members into
-# singletons.
-DEFAULT_SPACE: tuple[tuple[str, float, float], ...] = (
-    ("w_token", 0.1, 1.0),
-    ("w_first_token", 0.1, 1.0),
-    ("w_url_text", 0.1, 1.0),
-    ("w_domain", 0.1, 1.0),
-    ("w_cos", 0.1, 1.0),
-    ("threshold", 0.5, 5.0),
-    ("resolution", 0.001, 2.0),
-    ("bridgeness", -2.0, 2.0),
-    ("location_boost", 0.0, 2.0),
-)
-
 
 class SearchSpace:
     """Ordered box bounds, one (name, lo, hi) per dimension."""

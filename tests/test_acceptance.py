@@ -216,8 +216,8 @@ def test_05_desk_corpus_end_to_end(corpus300_paths, tmp_path):
     [0.30, 0.60]."""
     with criterion(5, "desk corpus end to end", 120.0):
         config = PipelineConfig.load(corpus300_paths["config"], environ={})
-        assert config.weight_vector() == WeightVector()
-        params = config.filter_params()
+        weights, params = config.params_at({})
+        assert weights == WeightVector()
         assert (params.threshold, params.resolution) == (3.9, 1.0)
         assert (params.bridgeness_threshold, params.location_boost) == (1.0, 1.0)
 
@@ -298,7 +298,7 @@ def test_08_tuning_improves_pipeline(corpus300_paths):
             n_trials=30,
         )
         assert len(history.trials) == 30
-        incumbent = config.incumbent_point(config.search_space())
+        incumbent = config.incumbent_point()
         assert history.trials[0].params == pytest.approx(incumbent)
         baseline = history.trials[0].objective
         assert baseline >= 0.90

@@ -241,6 +241,28 @@ class TestTuneCommand:
         assert "best f1=1.0000 at trial 0" in out
         assert store.read_text().count("\n") == 2
 
+    @pytest.mark.parametrize("rows", ["", "nobody\te1\nnoone\te1\n"], ids=["header only", "unknown ids"])
+    def test_gold_sharing_no_record_exits_3(self, corpus60_paths, tmp_path, capsys, monkeypatch, rows):
+        import harmonizer.pipeline as pipeline
+
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("record_id\tentity_id\n" + rows)
+        store = tmp_path / "trials.jsonl"
+        trials = []
+        monkeypatch.setattr(pipeline, "build_tuning_objective", lambda *args: trials.append(args))
+        rc = cli(
+            "tune",
+            "--input", str(corpus60_paths["input"]),
+            "--gold", str(gold),
+            "--cache", str(corpus60_paths["cache"]),
+            "--out", str(store),
+            "--offline",
+        )
+        assert rc == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+        assert trials == []
+        assert not store.exists()
+
 
 class TestAugmentCommand:
     def test_offline_cache_inventory(self, corpus60_paths, tmp_path, capsys):

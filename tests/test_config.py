@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from harmonizer.config import DEFAULTS, ENV_PREFIX, TUNED_KEYS, PipelineConfig
+from harmonizer.config import DEFAULTS, ENV_PREFIX, SEARCH_SPACE, TUNED, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
 from harmonizer.match import ScoreBound, WeightVector
-from harmonizer.tune import DEFAULT_SPACE, TpeConfig
+from harmonizer.tune import TpeConfig
 
 
 def load(tmp_path=None, text=None, environ=None, overrides=None):
@@ -113,14 +113,6 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="path string"):
             load(tmp_path, "parse:\n  designators: 9\n")
 
-    def test_space_bounds_replaceable(self, tmp_path):
-        config = load(tmp_path, "tune:\n  space:\n    threshold: [1.0, 4.0]\n")
-        assert config["tune"]["space"]["threshold"] == [1.0, 4.0]
-
-    def test_space_bounds_must_be_list(self, tmp_path):
-        with pytest.raises(ConfigError, match="tune.space.threshold.*list"):
-            load(tmp_path, "tune:\n  space:\n    threshold: 4.0\n")
-
 
 class TestEnvLayer:
     def test_simple_env_override(self):
@@ -210,15 +202,15 @@ class TestHashing:
 
 class TestBuilders:
     def test_weight_vector_defaults(self):
-        weights = load().weight_vector()
+        weights, _ = load().params_at({})
         assert weights == WeightVector(1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_weight_vector_reflects_config(self, tmp_path):
         config = load(tmp_path, "match:\n  weights:\n    cos: 0.3\n")
-        assert config.weight_vector().cos == 0.3
+        assert config.params_at({})[0].cos == 0.3
 
     def test_filter_params_defaults(self):
-        params = load().filter_params()
+        _, params = load().params_at({})
         assert params == FilterParams(
             threshold=3.9,
             resolution=1.0,
@@ -229,17 +221,7 @@ class TestBuilders:
 
     def test_filter_params_take_run_seed(self):
         config = load(environ={"HARMONIZER_RUN_SEED": "9"})
-        assert config.filter_params().seed == 9
-
-    def test_search_space_matches_default_space(self):
-        space = load().search_space()
-        assert tuple(space.dims) == tuple(DEFAULT_SPACE)
-
-    def test_search_space_bad_bounds_rejected(self):
-        config = load()
-        config.data["tune"]["space"]["threshold"] = [1.0]
-        with pytest.raises(ConfigError, match="tune.space.threshold"):
-            config.search_space()
+        assert config.params_at({})[1].seed == 9
 
     def test_tpe_config(self):
         config = load(environ={"HARMONIZER_TUNE_N_STARTUP": "31", "HARMONIZER_RUN_SEED": "3"})
@@ -259,7 +241,7 @@ class TestTuningBridge:
             "bridgeness": -0.5,
             "location_boost": 0.1,
         }
-        weights, params = load().tuning_params_as_config(point)
+        weights, params = load().params_at(point)
         assert weights == WeightVector(0.2, 0.3, 0.4, 0.5, 0.6)
         assert params.threshold == 1.5
         assert params.resolution == 0.8
@@ -267,51 +249,45 @@ class TestTuningBridge:
         assert params.location_boost == 0.1
 
     def test_missing_dims_fall_back_to_config(self):
-        weights, params = load().tuning_params_as_config({"w_cos": 0.7})
+        weights, params = load().params_at({"w_cos": 0.7})
         assert weights.cos == 0.7
         assert weights.token == 1.0
         assert params.threshold == 3.9
 
     def test_incumbent_point_is_current_config(self):
-        config = load()
-        point = config.incumbent_point(config.search_space())
+        point = load().incumbent_point()
         assert point["threshold"] == 3.9
         assert point["w_token"] == 1.0
         assert point["bridgeness"] == 1.0
 
     def test_incumbent_point_clipped_into_bounds(self):
-        config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "10.0"})
-        point = config.incumbent_point(config.search_space())
+        point = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "10.0"}).incumbent_point()
         assert point["threshold"] == 5.0
 
-    def test_every_dimension_has_a_config_key(self, tmp_path):
-        # A search space holds only known dimensions, each standing for one
-        # config key, so the incumbent never needs a fallback value.
-        assert list(TUNED_KEYS) == [name for name, _, _ in DEFAULT_SPACE]
-        config = load()
-        for path in TUNED_KEYS.values():
-            node = config.data
+    def test_every_dimension_has_a_config_key(self):
+        # Each dimension stands for one float config key, so the incumbent
+        # never needs a fallback value, and its box is not empty.
+        for name, (path, lo, hi) in TUNED.items():
+            node = DEFAULTS
             for key in path:
                 node = node[key]
-            assert isinstance(node, float), path
-        with pytest.raises(ConfigError, match="unknown config key 'tune.space.mystery'"):
-            load(tmp_path, "tune:\n  space:\n    mystery: [2.0, 4.0]\n")
+            assert isinstance(node, float), name
+            assert lo < hi, name
 
     def test_score_bound_is_configured_weights_and_threshold(self):
         config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "3.5", "HARMONIZER_MATCH_WEIGHTS_COS": "0.8"})
         assert config.score_bound() == ScoreBound(WeightVector(cos=0.8), 3.5)
 
-    def test_tuning_score_bound_is_most_permissive_corner(self, tmp_path):
+    def test_tuning_score_bound_is_most_permissive_corner(self, monkeypatch):
         assert load().tuning_score_bound() == ScoreBound(WeightVector(), 0.5)
-        text = "tune:\n  space:\n    w_cos: [0.1, 0.3]\n    w_domain: [0.2, 0.6]\n    threshold: [3.0, 5.0]\n"
-        bound = load(tmp_path, text).tuning_score_bound()
+        narrowed = {"w_cos": (0.1, 0.3), "w_domain": (0.2, 0.6), "threshold": (3.0, 5.0)}
+        for name, (lo, hi) in narrowed.items():
+            monkeypatch.setitem(TUNED, name, (TUNED[name][0], lo, hi))
+        bound = load().tuning_score_bound()
         assert bound == ScoreBound(WeightVector(domain=0.6, cos=0.3), 3.0)
 
     def test_incumbent_point_inside_space(self):
-        config = load()
-        space = config.search_space()
-        point = config.incumbent_point(space)
-        space.validate_point(point)
+        SEARCH_SPACE.validate_point(load().incumbent_point())
 
 
 class _Recording(dict):
@@ -359,6 +335,7 @@ REMOVED_KEYS = [
     ("tune", "gamma", 0.25),
     ("tune", "n_candidates", 24),
     ("graph", "refine_passes", 1),
+    ("tune", "space", "{threshold: [1.0, 4.0]}"),
 ]
 
 

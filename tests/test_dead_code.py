@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function, class and assigned name of the package has a
+caller.
 
 A definition counts as used when its name appears outside its own body, as
 a name, an attribute or an exact string (``perfbench`` wraps functions by
@@ -31,6 +32,22 @@ def _references(node: ast.AST) -> Counter:
     return names
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class, or
+    the names bound by an ``=`` or annotated assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            sub.id
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+        ]
+    return []
+
+
 def unused_definitions() -> set[str]:
     trees = {
         directory: [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
@@ -40,11 +57,11 @@ def unused_definitions() -> set[str]:
     for tree in (tree for parsed in trees.values() for tree in parsed):
         everywhere.update(_references(tree))
     return {
-        node.name
+        name
         for tree in trees[PACKAGE]
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and everywhere[node.name] == _references(node)[node.name]
+        for name in _defined_names(node)
+        if everywhere[name] == _references(node)[name]
     }
 
 

@@ -18,7 +18,7 @@ import pytest
 from conftest import read_pairs_tsv, run_fixture_pipeline
 from harmonizer import augment, embed
 from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
-from harmonizer.config import PipelineConfig
+from harmonizer.config import SEARCH_SPACE, PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.evaluation import build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
@@ -38,7 +38,6 @@ from harmonizer.pipeline import (
     tune_pipeline,
     write_mapping,
 )
-from harmonizer.tune import DEFAULT_SPACE, SearchSpace
 from oracles import brute_force_candidates, reference_prepare
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
@@ -549,6 +548,22 @@ class TestAugmentStage:
         results = _augment_stage(records, AugmentationCache(None), None, threads=1)
         assert all(v is None for v in results.values())
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_each_distinct_name_searched_once(self, threads, refresh):
+        names = ["ACME CORP", "ACME CORP", "OTHER CO", "ACME CORP", "ACME CORP", "ACME CORP"]
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(names)]
+        cache = AugmentationCache(None)
+        if refresh:
+            for name in set(names):
+                cache.put(AugmentationResult(query_name=name, provider_id="stale"))
+        provider = _CannedProvider()
+        results = _augment_stage(records, cache, provider, threads=threads, refresh=refresh)
+        assert sorted(provider.queries) == ["ACME CORP", "OTHER CO"]
+        assert list(results) == [r.record_id for r in records]
+        assert all(results[r.record_id] is results["r0"] for r in records if r.raw_name == "ACME CORP")
+        assert {r.provider_id for r in results.values()} == {"canned"}
+
 
 class TestPrepareCorpus:
     def test_counts_and_artifacts(self, corpus60_paths, corpus60_config):
@@ -683,17 +698,17 @@ def tuning_setup(tuning_artifacts, corpus60_config):
 class TestTuningObjective:
     def test_incumbent_point_reproduces_pipeline_f1(self, tuning_setup, corpus60_run):
         config, objective = tuning_setup
-        incumbent = config.incumbent_point(config.search_space())
+        incumbent = config.incumbent_point()
         assert objective(incumbent) == pytest.approx(corpus60_run["eval"]["f1"])
 
     def test_empty_point_falls_back_to_config(self, tuning_setup):
         config, objective = tuning_setup
-        incumbent = config.incumbent_point(config.search_space())
+        incumbent = config.incumbent_point()
         assert objective({}) == pytest.approx(objective(incumbent))
 
     def test_hostile_point_scores_worse(self, tuning_setup):
         config, objective = tuning_setup
-        incumbent = config.incumbent_point(config.search_space())
+        incumbent = config.incumbent_point()
         hostile = dict.fromkeys(incumbent, 0.1)
         hostile["threshold"] = 5.0
         assert objective(hostile) < objective(incumbent)
@@ -703,11 +718,10 @@ class TestTuningObjective:
         # and scoring it must give the same F1 at any point of the search box.
         config, objective = tuning_setup
         artifacts, gold = tuning_artifacts
-        space = SearchSpace(DEFAULT_SPACE)
         rng = random.Random(20)
         for _ in range(20):
-            point = space.uniform(rng)
-            weights, params = config.tuning_params_as_config(point)
+            point = SEARCH_SPACE.uniform(rng)
+            weights, params = config.params_at(point)
             table = score_pairs(
                 artifacts.names,
                 artifacts.candidates,
@@ -729,7 +743,7 @@ class TestTuningObjective:
             store_path=tmp_path / "trials.jsonl",
         )
         assert len(history.trials) == 3
-        incumbent = corpus60_config.incumbent_point(corpus60_config.search_space())
+        incumbent = corpus60_config.incumbent_point()
         assert history.trials[0].params == pytest.approx(incumbent)
         assert history.best.objective >= history.trials[0].objective
         assert (tmp_path / "trials.jsonl").read_text().count("\n") == 3

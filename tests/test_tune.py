@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonizer.config import SEARCH_SPACE, TUNED
 from harmonizer.errors import ConfigError, InputError
 from harmonizer.tune import (
-    DEFAULT_SPACE,
     ParzenEstimator,
     SearchSpace,
     TpeConfig,
@@ -28,9 +28,8 @@ def trial(trial_id, objective, **params):
 
 class TestSearchSpace:
     def test_default_space(self):
-        space = SearchSpace(DEFAULT_SPACE)
-        assert space.names == [name for name, _, _ in DEFAULT_SPACE]
-        assert ("threshold", 0.5, 5.0) in space.dims
+        assert SEARCH_SPACE.names == list(TUNED)
+        assert ("threshold", 0.5, 5.0) in SEARCH_SPACE.dims
 
     @pytest.mark.parametrize(
         "dims",
