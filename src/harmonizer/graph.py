@@ -6,19 +6,28 @@ stage runs on ``Graph``, an index adjacency over the sorted record ids.
 Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
 on the unweighted skeleton. Joint-venture style names sit between two dense
-clusters and light up under exactly this measure. It is computed in O(n·m)
-per community with Brandes' dependency accumulation, and a node is flagged
-only when its bridgeness clears the threshold by a relative 1e-9, so a value
-equal to the threshold is never flagged whatever the rounding. Pruning skips
-the computation where its outcome is known: a threshold below 0 flags every
-node, and a community of at most 4 nodes or a clique has no nonzero value.
+clusters and light up under exactly this measure. It is computed per
+community with Brandes' dependency accumulation, run level by level for all
+sources at once as dense matrix products; the levels are exact, the path
+counts exact below 2^53, and the float sums run in another order than one
+source at a time, which moves a value by a few ulps at most.
+A node is flagged only when its bridgeness clears the threshold by a
+relative 1e-9, so a value equal to the threshold is never flagged whatever
+the rounding. Pruning skips the computation where its outcome is known: a
+threshold below 0 flags every node, and a community of at most 4 nodes or a
+clique has no nonzero value.
+
+Louvain skips only work whose outcome is fixed: a node with no neighbour but
+itself can neither move nor be joined, so a level's moves never visit it,
+and modularity leaves out nodes without edges, whose terms are exactly 0.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -113,14 +122,22 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     ``louvain_partitions``, ``_one_level``, ``_neighbor_weights`` and
     ``_gen_graph``) onto lists of dicts, run on the graph in sorted node and
     neighbour order: every float expression and summation order, the
-    neighbour-weight defaultdict (reading the node's own community inserts
-    it), the strict ``gain > best_mod``, and one ``random.Random(seed)``
-    shared across levels are kept, and ``tests/oracles.py`` holds networkx
-    as its oracle. One thing differs: modularity sums each community's
-    members in ascending index order, where networkx sums them in set order,
-    which for string ids follows the hash seed. The two sums can differ by a
-    few ulps, which changes the result only when a level's gain lies within
-    ulps of the 1e-7 stop threshold.
+    insertion order of the neighbour weights per community (reading the
+    node's own community inserts it), the strict ``gain > best_mod``, and
+    one ``random.Random(seed)`` shared across levels are kept, and
+    ``tests/oracles.py`` holds networkx as its oracle. One thing differs:
+    modularity sums each community's members in ascending index order, where
+    networkx sums them in set order, which for string ids follows the hash
+    seed. The two sums can differ by a few ulps, which changes the result
+    only when a level's gain lies within ulps of the 1e-7 stop threshold.
+
+    Work whose outcome is fixed is skipped, which changes no result. A node
+    with no neighbour but itself (an isolated record, or a community that
+    settled in an earlier level and is now a node with only its self-loop)
+    sees no community but its own, at a gain of exactly 0, so it never moves
+    and none can join it: the moves skip it after the shuffle, which still
+    draws the whole node list. Modularity leaves out nodes without edges,
+    whose terms are exactly 0.
 
     Communities are numbered by their smallest member so the mapping is stable
     across runs; isolated nodes come out as singletons.
@@ -134,22 +151,25 @@ def _louvain_communities(adj: list[dict], resolution: float, rng: random.Random)
     """``louvain_partitions``: the community of every node of ``adj`` in its
     last level. ``community`` maps each input node to its node in the
     current level's graph, which stands for the input nodes networkx keeps
-    in ``partition``."""
+    in ``partition``. Each level's degrees are computed once, for both its
+    moves and its modularity."""
     community = list(range(len(adj)))
     if not any(adj):
         return community
-    mod = _modularity(adj, community, resolution)
-    m = sum(_degrees(adj)) / 2
-    inner, _ = _one_level(adj, m, resolution, rng)
+    degrees = _degrees(adj)
+    m = sum(degrees) / 2
+    mod = _modularity(adj, degrees, community, resolution)
+    inner, _ = _one_level(adj, degrees, m, resolution, rng)
     community = inner
     improvement = True
     while improvement:
-        new_mod = _modularity(adj, inner, resolution)
+        new_mod = _modularity(adj, degrees, inner, resolution)
         if new_mod - mod <= _LOUVAIN_THRESHOLD:
             break
         mod = new_mod
         adj = _gen_graph(adj, inner)
-        inner, improvement = _one_level(adj, m, resolution, rng)
+        degrees = _degrees(adj)
+        inner, improvement = _one_level(adj, degrees, m, resolution, rng)
         community = [inner[c] for c in community]
     return community
 
@@ -160,18 +180,23 @@ def _degrees(adj: list[dict]) -> list:
     return [sum(nbrs.values()) + (u in nbrs and nbrs[u]) for u, nbrs in enumerate(adj)]
 
 
-def _modularity(adj: list[dict], community: list[int], resolution: float) -> float:
+def _modularity(adj: list[dict], degree: list, community: list[int], resolution: float) -> float:
     """networkx's ``modularity`` of the partition of ``adj`` given by
     ``community`` (dense ids), its members summed in ascending order: a
     community's inner weight takes each of its edges once, from its smaller
-    end, in that end's neighbour order."""
-    degree = _degrees(adj)
+    end, in that end's neighbour order. ``degree`` is ``_degrees(adj)``.
+
+    Nodes without edges are left out. Such a node adds the integer 0 to its
+    community's inner weight and degree sum, and a community of nothing but
+    such nodes contributes exactly 0.0, so leaving them out changes no sum
+    by a single bit (bar the sign of a zero)."""
     deg_sum = sum(degree)
     m = deg_sum / 2
     norm = 1 / deg_sum**2
     members: list[list[int]] = [[] for _ in range(max(community) + 1)]
     for u, com in enumerate(community):
-        members[com].append(u)
+        if adj[u]:
+            members[com].append(u)
 
     def community_contribution(comm):
         c = community[comm[0]]
@@ -179,19 +204,29 @@ def _modularity(adj: list[dict], community: list[int], resolution: float) -> flo
         degree_sum = sum(degree[u] for u in comm)
         return L_c / m - resolution * degree_sum * degree_sum * norm
 
-    return sum(map(community_contribution, members))
+    return sum(map(community_contribution, filter(None, members)))
 
 
-def _one_level(adj: list[dict], m: float, resolution: float, rng: random.Random) -> tuple[list[int], bool]:
+def _one_level(
+    adj: list[dict], degrees: list, m: float, resolution: float, rng: random.Random
+) -> tuple[list[int], bool]:
     """One level of moves. Returns each node's community, numbered in
     ascending order of the community's index as ``list(filter(len,
-    inner_partition))`` numbers them, and whether any node moved."""
+    inner_partition))`` numbers them, and whether any node moved.
+
+    The whole node list is shuffled, as networkx shuffles it, so the random
+    stream is the same; then only nodes with a neighbour other than
+    themselves are visited. Any other node sees no community but its own,
+    whose gain is exactly 0, so it never moves and leaves ``Stot`` as it
+    found it (``d - d + d`` is ``d``), and as no node is its neighbour, none
+    can join it."""
     node2com = list(range(len(adj)))
-    degrees = _degrees(adj)
     Stot = list(degrees)
-    nbrs = [{v: wt for v, wt in nbrs.items() if v != u} for u, nbrs in enumerate(adj)]
+    nbrs = [{v: wt for v, wt in nbrs.items() if v != u} if u in nbrs else nbrs for u, nbrs in enumerate(adj)]
     rand_nodes = list(range(len(adj)))
     rng.shuffle(rand_nodes)
+    rand_nodes = [u for u in rand_nodes if nbrs[u]]
+    two_m_sq = 2 * m**2
     nb_moves = 1
     improvement = False
     while nb_moves > 0:
@@ -199,12 +234,19 @@ def _one_level(adj: list[dict], m: float, resolution: float, rng: random.Random)
         for u in rand_nodes:
             best_mod = 0
             best_com = node2com[u]
-            weights2com = _neighbor_weights(nbrs[u], node2com)
+            # networkx's defaultdict(float) of neighbour weights per
+            # community; reading the node's own community inserts it last
+            # when no neighbour shares it, which fixes the tie order.
+            weights2com: dict[int, float] = {}
+            for v, wt in nbrs[u].items():
+                com = node2com[v]
+                weights2com[com] = weights2com.get(com, 0.0) + wt
             degree = degrees[u]
             Stot[best_com] -= degree
-            remove_cost = -weights2com[best_com] / m + resolution * (Stot[best_com] * degree) / (2 * m**2)
+            own = weights2com.setdefault(best_com, 0.0)
+            remove_cost = -own / m + resolution * (Stot[best_com] * degree) / two_m_sq
             for nbr_com, wt in weights2com.items():
-                gain = remove_cost + wt / m - resolution * (Stot[nbr_com] * degree) / (2 * m**2)
+                gain = remove_cost + wt / m - resolution * (Stot[nbr_com] * degree) / two_m_sq
                 if gain > best_mod:
                     best_mod = gain
                     best_com = nbr_com
@@ -215,13 +257,6 @@ def _one_level(adj: list[dict], m: float, resolution: float, rng: random.Random)
                 node2com[u] = best_com
     dense = {com: i for i, com in enumerate(sorted(set(node2com)))}
     return [dense[com] for com in node2com], improvement
-
-
-def _neighbor_weights(nbrs: dict[int, float], node2com: list[int]) -> defaultdict:
-    weights: defaultdict = defaultdict(float)
-    for nbr, wt in nbrs.items():
-        weights[node2com[nbr]] += wt
-    return weights
 
 
 def _gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
@@ -240,52 +275,98 @@ def _gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
     return H
 
 
-def bridgeness_centrality(graph: Graph) -> dict:
-    """Exact bridgeness on the unweighted skeleton, in O(n·m).
+# OpenBLAS, as numpy ships it, runs a matrix product of fewer than 2^19
+# multiply-adds on the calling thread. A larger one wakes worker threads,
+# which on a 2-core VM stalled some products of 0.2 ms for 5-67 ms. Every
+# product of the bridgeness kernel stays under this budget: a block of
+# sources, at least _MIN_SOURCES of them, times a square tile of the
+# adjacency matrix.
+_PRODUCT_BUDGET = 2**19 - 1
+_MIN_SOURCES = 16
 
-    Brandes' recipe on the index adjacency: per source s, a BFS counts
-    shortest paths σ exactly, then the BFS order is walked backwards to
-    accumulate the dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w)) over the
-    successors w of v. Every target counted in δ(w) lies two or more levels
-    below v, so none is in N[v]: a node at distance >= 2 from s gains
-    σ_v/σ_w · δ(w) from each successor, which is its bridgeness from s with
-    nothing to subtract. Each unordered pair is counted from both ends, so
-    the sums are halved. The result maps each node to its value, in node
-    order.
+
+def bridgeness_centrality(graph: Graph) -> dict:
+    """Exact bridgeness on the unweighted skeleton, for all sources at once.
+
+    Brandes' recipe, level-synchronously over a block of sources with dense
+    matrices: the forward pass multiplies each BFS frontier, holding the
+    shortest-path counts σ of its nodes, by the adjacency matrix, which
+    gives the σ of the next level; the backward pass walks the levels up,
+    where one product gives the dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w))
+    over the successors w of v, and another the bridge term Σ σ_v/σ_w ·
+    δ(w). Every target counted in δ(w) lies two or more levels below v, so
+    none is in N[v]: a node at distance >= 2 from s gains the bridge term,
+    which is its bridgeness from s with nothing to subtract. Each unordered
+    pair is counted from both ends, so the sums are halved. The result maps
+    each node to its value, in node order.
+
+    σ is a float64 count, exact below 2^53 and within about 1e-16 relative
+    above it; the sums run in another order than one source at a time, so
+    values can differ from a scalar Brandes by a few ulps, far inside the
+    margin ``prune_global_bridges`` flags with. Memory is the n x n
+    adjacency matrix plus a few arrays of block x n floats.
     """
-    adjacency = graph.adj
-    n = len(adjacency)
-    totals = [0.0] * n
-    for source in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[source] = 0
-        sigma[source] = 1
-        order = [source]
-        for u in order:
-            below = dist[u] + 1
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = below
-                    order.append(w)
-                if dist[w] == below:
-                    sigma[w] += sigma[u]
-        delta = [0.0] * n
-        # Nodes within distance 1 of the source gain nothing, and only they
-        # would read the dependencies of the nodes at distance 2.
-        for v in reversed(order):
-            if dist[v] < 2:
-                break
-            below = dist[v] + 1
-            dependency = bridge = 0.0
-            for w in adjacency[v]:
-                if dist[w] == below:
-                    ratio = sigma[v] / sigma[w]
-                    dependency += ratio * (1.0 + delta[w])
-                    bridge += ratio * delta[w]
-            delta[v] = dependency
-            totals[v] += bridge
-    return {v: total / 2 for v, total in zip(graph.nodes, totals)}
+    n = len(graph.adj)
+    adjacency = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in graph.adj])
+    adjacency[rows, [v for nbrs in graph.adj for v in nbrs]] = 1.0
+    # The widest tile a block of _MIN_SOURCES sources can take, then tiles of
+    # equal side covering the n nodes, and as many sources as the budget
+    # allows against that side.
+    widest = math.isqrt(_PRODUCT_BUDGET // _MIN_SOURCES)
+    side = -(-n // max(1, -(-n // widest)))
+    block = _PRODUCT_BUDGET // max(1, side * side)
+    totals = np.zeros(n)
+    for start in range(0, n, block):
+        totals += _bridgeness_from(adjacency, np.arange(start, min(n, start + block)), side)
+    return dict(zip(graph.nodes, (totals / 2).tolist()))
+
+
+def _product(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
+    """``left @ right``, summed over square tiles of ``right`` of the given
+    side."""
+    if len(right) <= side:
+        return left @ right
+    out = np.zeros((len(left), right.shape[1]))
+    for k in range(0, len(right), side):
+        for j in range(0, right.shape[1], side):
+            out[:, j : j + side] += left[:, k : k + side] @ right[k : k + side, j : j + side]
+    return out
+
+
+def _bridgeness_from(adjacency: np.ndarray, sources: np.ndarray, side: int) -> np.ndarray:
+    """Each node's bridgeness summed over the ordered pairs whose source is
+    in ``sources``, multiplying by tiles of ``adjacency`` of the given side."""
+    b, n = len(sources), len(adjacency)
+    sigma = np.zeros((b, n))
+    sigma[np.arange(b), sources] = 1.0
+    dist = np.where(sigma > 0, 0, -1).astype(np.int32)
+    frontier, depth = sigma, 0
+    while True:
+        frontier = _product(frontier, adjacency, side)
+        frontier[dist >= 0] = 0.0
+        reached = frontier > 0
+        if not reached.any():
+            break
+        depth += 1
+        dist[reached] = depth
+        sigma += frontier
+    totals = np.zeros(n)
+    delta = np.zeros((b, n))
+    below = dist == depth
+    # Nodes within distance 1 of the source gain nothing, and only they
+    # would read the dependencies of the nodes at distance 2.
+    for level in range(depth - 1, 1, -1):
+        # (1 + δ(w)) / σ_w and δ(w) / σ_w on the level below, summed over
+        # each node's neighbours there.
+        dependency = np.divide(1.0 + delta, sigma, out=np.zeros((b, n)), where=below)
+        bridge = np.divide(delta, sigma, out=np.zeros((b, n)), where=below)
+        on_level = dist == level
+        # Only the entries on this level are read, by the next level up.
+        delta = sigma * _product(dependency, adjacency, side)
+        totals += (sigma * _product(bridge, adjacency, side)).sum(axis=0, where=on_level)
+        below = on_level
+    return totals
 
 
 # Bridgeness sums rounded floats, so a node whose exact value equals β can

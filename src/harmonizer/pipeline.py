@@ -55,7 +55,7 @@ from .parse import (
     classify_name_type,
     clean_name,
 )
-from .tune import TrialHistory, optimize
+from .tune import TrialHistory, check_budget, optimize
 
 log = logging.getLogger(__name__)
 
@@ -491,9 +491,13 @@ def tune_pipeline(
     """Prepare the corpus once, then TPE-search the filter/score parameters.
 
     The incumbent configuration runs as trial 0, so the best trial can never
-    fall below the configured baseline. A gold standard that shares no
-    record with the input fails here, before any trial runs.
+    fall below the configured baseline. The trial budget and the TPE
+    settings are checked before the input is read, and a gold standard that
+    shares no record with the input fails before any trial runs.
     """
+    trials = n_trials if n_trials is not None else config["tune"]["trials"]
+    check_budget(trials)
+    tpe = config.tpe_config()
     records = load_assignee_table(input_path)
     gold = load_gold_standard(gold_path)
     check_gold(gold, {record.record_id for record in records})
@@ -501,12 +505,11 @@ def tune_pipeline(
     cache = AugmentationCache(cache_path if cache_path.exists() else None)
     artifacts = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
     objective = build_tuning_objective(config, artifacts, gold)
-    trials = n_trials if n_trials is not None else config["tune"]["trials"]
     return optimize(
         objective,
         SEARCH_SPACE,
         trials,
-        config.tpe_config(),
+        tpe,
         initial=[config.incumbent_point()],
         store_path=store_path,
     )

@@ -192,6 +192,12 @@ class TrialHistory:
         return max(self.trials, key=lambda t: (t.objective, -t.trial_id))
 
 
+def check_budget(n_trials: int) -> None:
+    """Reject a trial budget below 1."""
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+
+
 def optimize(
     objective: Callable[[dict[str, float]], float],
     space: SearchSpace,
@@ -207,8 +213,7 @@ def optimize(
     any sampling. A trial whose objective raises is recorded with objective
     0.0 and the error message; it still counts toward the budget.
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    check_budget(n_trials)
     rng = random.Random(config.seed)
     history = TrialHistory()
     store = Path(store_path).open("a", encoding="utf-8") if store_path else None

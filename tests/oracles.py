@@ -3,11 +3,12 @@
 Everything here favors obviousness over speed: direct formula transcription,
 explicit path enumeration, O(n^2) pair loops. None of it imports from the
 package's internals beyond plain data types, except ``reference_prune``: it
-reuses ``bridgeness_centrality``, which the path-counting oracles here check,
-to check the cases pruning settles without it. ``reference_louvain`` is
-networkx's own Louvain, of which the package's is a transcription.
-``reference_prepare`` reuses the package's per-record functions, to check
-that ``prepare_corpus`` computing each distinct value once changes nothing.
+reuses ``bridgeness_centrality``, which the path-counting oracles here and
+the scalar ``brandes_bridgeness`` check, to check the cases pruning settles
+without it. ``reference_louvain`` is networkx's own Louvain, of which the
+package's is a transcription. ``reference_prepare`` reuses the package's
+per-record functions, to check that ``prepare_corpus`` computing each
+distinct value once changes nothing.
 """
 
 from __future__ import annotations
@@ -253,6 +254,53 @@ def exact_bridgeness(graph: nx.Graph) -> dict:
                 if s not in closed[v] and t not in closed[v]:
                     acc[v] += Fraction(1, len(paths))
     return acc
+
+
+def brandes_bridgeness(graph: Graph) -> dict:
+    """Bridgeness by Brandes' dependency accumulation, one source at a time
+    in pure Python, with σ as exact integers: the reference for graphs too
+    large for the path-enumerating oracles above.
+
+    Per source s, a BFS counts shortest paths σ, then the BFS order is
+    walked backwards to accumulate the dependency δ(v) = Σ σ_v/σ_w · (1 +
+    δ(w)) over the successors w of v. Every target counted in δ(w) lies two
+    or more levels below v, so none is in N[v]: a node at distance >= 2
+    from s gains σ_v/σ_w · δ(w) from each successor, which is its
+    bridgeness from s with nothing to subtract. Each unordered pair is
+    counted from both ends, so the sums are halved."""
+    adjacency = graph.adj
+    n = len(adjacency)
+    totals = [0.0] * n
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[source] = 0
+        sigma[source] = 1
+        order = [source]
+        for u in order:
+            below = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = below
+                    order.append(w)
+                if dist[w] == below:
+                    sigma[w] += sigma[u]
+        delta = [0.0] * n
+        # Nodes within distance 1 of the source gain nothing, and only they
+        # would read the dependencies of the nodes at distance 2.
+        for v in reversed(order):
+            if dist[v] < 2:
+                break
+            below = dist[v] + 1
+            dependency = bridge = 0.0
+            for w in adjacency[v]:
+                if dist[w] == below:
+                    ratio = sigma[v] / sigma[w]
+                    dependency += ratio * (1.0 + delta[w])
+                    bridge += ratio * delta[w]
+            delta[v] = dependency
+            totals[v] += bridge
+    return {v: total / 2 for v, total in zip(graph.nodes, totals)}
 
 
 def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:

@@ -33,6 +33,7 @@ from harmonizer.parse import CleanName, NameClass, clean_name
 
 from nxgraphs import from_networkx, to_networkx
 from oracles import (
+    brandes_bridgeness,
     brute_bridgeness,
     connected_graphs,
     cosine_similarity,
@@ -246,6 +247,50 @@ class TestBridgeness:
             oracle = brute_bridgeness(g)
             for node in g.nodes:
                 assert math.isclose(b[node], oracle[node], abs_tol=1e-9), (seed, node)
+
+
+def _diamond_chain(k):
+    """k three-way diamonds in a row: hubs h00 ... h{k} joined through three
+    middle nodes each, so hub h{k} is reached from h00 by 3^k shortest
+    paths."""
+    g = nx.Graph()
+    for i in range(k):
+        for leg in range(3):
+            g.add_edges_from([(f"h{i:02d}", f"m{i:02d}{leg}"), (f"m{i:02d}{leg}", f"h{i + 1:02d}")])
+    return g
+
+
+_LARGE_BRIDGENESS_CASES = {
+    **{
+        f"watts_strogatz_{n}": (lambda n=n, k=k, p=p: nx.connected_watts_strogatz_graph(n, k, p, seed=n))
+        for n, k, p in [(150, 6, 0.3), (230, 4, 0.1), (310, 6, 0.05), (400, 4, 0.2)]
+    },
+    "diamond_chain_40": lambda: _diamond_chain(40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_BRIDGENESS_CASES))
+def test_bridgeness_matches_brandes_on_large_graphs(name):
+    """Within 1e-12 relative of the scalar, integer-σ Brandes on graphs too
+    large for path enumeration, with the same flags at β equal to each
+    node's value. The diamond chain counts 3^40 > 2^53 shortest paths end
+    to end, so its σ are no longer exact floats."""
+    graph = from_networkx(_LARGE_BRIDGENESS_CASES[name]())
+    values = bridgeness_centrality(graph)
+    expected = brandes_bridgeness(graph)
+    assert list(values) == list(expected)
+    for node, value in expected.items():
+        assert math.isclose(values[node], value, rel_tol=1e-12, abs_tol=0.0), (node, values[node], value)
+    flags = {}
+    for beta in sorted(set(expected.values())):
+        cutoff = beta + graph_module._BETA_MARGIN * max(1.0, beta)
+        flags[beta] = {node for node, value in expected.items() if value > cutoff}
+        assert {node for node, value in values.items() if value > cutoff} == flags[beta], beta
+    # Pruning flags the same nodes at one of those β.
+    beta = sorted(flags)[len(flags) // 2]
+    stats = {}
+    prune_global_bridges(graph, beta, stats)
+    assert stats["flagged_nodes"] == len(flags[beta])
 
 
 class TestPruning:
@@ -540,6 +585,16 @@ def _louvain_cases():
     isolated = nx.gnp_random_graph(30, 0.15, seed=4)
     isolated.add_nodes_from(range(30, 36))
     disconnected = nx.disjoint_union_all([nx.complete_graph(5), nx.cycle_graph(7), nx.path_graph(4)])
+    # Isolated nodes among components that settle in the first level
+    # (cliques, a triangle, an edge) and sit out later levels as nodes with
+    # only a self-loop, while a ring of cliques keeps aggregating; shuffled
+    # ids interleave them all.
+    settled = nx.disjoint_union_all(
+        [nx.empty_graph(40), nx.complete_graph(5), nx.complete_graph(4), nx.cycle_graph(3), nx.path_graph(2),
+         nx.ring_of_cliques(10, 4)]
+    )
+    ids = list(range(len(settled)))
+    random.Random(8).shuffle(ids)
     cases = {
         "empty": nx.Graph(),
         "edgeless": nx.empty_graph(6),
@@ -547,6 +602,7 @@ def _louvain_cases():
         "disconnected": disconnected,
         "ring_of_cliques": nx.ring_of_cliques(12, 4),
         "watts_strogatz": nx.connected_watts_strogatz_graph(60, 4, 0.1, seed=1),
+        "isolated_and_settled": nx.relabel_nodes(settled, dict(enumerate(ids))),
     }
     for g in cases.values():
         for u, v in g.edges:
@@ -563,7 +619,7 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
     graph = from_networkx(g)
     for seed in range(6):
         assert louvain(graph, resolution, seed).assignments == reference_louvain(graph, resolution, seed), seed
-    if name in ("ring_of_cliques", "watts_strogatz") and resolution == 0.05:
+    if name in ("isolated_and_settled", "ring_of_cliques", "watts_strogatz") and resolution == 0.05:
         levels = [len(list(nx.community.louvain_partitions(to_networkx(graph), resolution=resolution, seed=seed)))
                   for seed in range(6)]
         assert min(levels) >= 2, levels

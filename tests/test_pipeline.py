@@ -747,3 +747,20 @@ class TestTuningObjective:
         assert history.trials[0].params == pytest.approx(incumbent)
         assert history.best.objective >= history.trials[0].objective
         assert (tmp_path / "trials.jsonl").read_text().count("\n") == 3
+
+    @pytest.mark.parametrize(
+        "overrides, n_trials, message",
+        [
+            ({}, 0, "n_trials must be >= 1, got 0"),
+            ({"tune": {"trials": 0}}, None, "n_trials must be >= 1, got 0"),
+            ({"tune": {"n_startup": -1}}, 3, "tune.n_startup must be >= 0"),
+        ],
+    )
+    def test_settings_checked_before_the_input_is_read(self, tmp_path, overrides, n_trials, message):
+        # Every path is missing, which would raise InputError on reading;
+        # the trial budget and the TPE settings fail first.
+        config = PipelineConfig.load(environ={}, overrides=overrides)
+        missing = tmp_path / "missing.tsv"
+        with pytest.raises(ConfigError, match=message):
+            tune_pipeline(config, missing, missing, missing, n_trials=n_trials)
+        assert not missing.exists()
