@@ -8,6 +8,7 @@ scored as predicted singletons, records only the prediction knows are ignored.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -33,9 +34,9 @@ def _pairs(count: int) -> int:
     return count * (count - 1) // 2
 
 
-def check_gold(gold: Sequence[GoldLabel], record_ids: Iterable[str]) -> set[str]:
-    """The gold standard's record ids; InputError unless it is non-empty,
-    repeats no id and shares a record with ``record_ids``."""
+def check_gold(gold: Sequence[GoldLabel], record_ids: Iterable[str]) -> None:
+    """InputError unless the gold standard is non-empty, repeats no id and
+    shares a record with ``record_ids``."""
     if not gold:
         raise InputError("gold standard is empty")
     gold_ids = {label.record_id for label in gold}
@@ -43,21 +44,13 @@ def check_gold(gold: Sequence[GoldLabel], record_ids: Iterable[str]) -> set[str]
         raise InputError("gold standard has duplicate record ids")
     if gold_ids.isdisjoint(record_ids):
         raise InputError("prediction and gold standard share no records")
-    return gold_ids
 
 
-def _extended_prediction(
-    pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]
-) -> dict[str, Hashable]:
-    """Prediction restricted to the gold universe, missing records as singletons."""
-    gold_ids = check_gold(gold, pred)
-    extended: dict[str, Hashable] = {}
-    for rid in gold_ids:
-        if rid in pred:
-            extended[rid] = pred[rid]
-        else:
-            extended[rid] = ("__missing__", rid)
-    return extended
+def _cells(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> list[tuple[Hashable, str]]:
+    """Each gold record's (predicted cluster, gold entity) cell, in gold-file
+    order; a record the prediction lacks is a cluster of its own."""
+    check_gold(gold, pred)
+    return [(pred.get(label.record_id, ("__missing__", label.record_id)), label.entity_id) for label in gold]
 
 
 def pairwise_confusion(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> PairwiseConfusion:
@@ -66,19 +59,10 @@ def pairwise_confusion(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) 
     tp sums C(n, 2) over the sizes of (predicted cluster x gold entity)
     intersections; fp and fn follow from the predicted and gold pair totals.
     """
-    extended = _extended_prediction(pred, gold)
-    gold_of = {label.record_id: label.entity_id for label in gold}
-    cell_sizes: dict[tuple[Hashable, str], int] = {}
-    pred_sizes: dict[Hashable, int] = {}
-    gold_sizes: dict[str, int] = {}
-    for rid, cid in extended.items():
-        eid = gold_of[rid]
-        cell_sizes[(cid, eid)] = cell_sizes.get((cid, eid), 0) + 1
-        pred_sizes[cid] = pred_sizes.get(cid, 0) + 1
-        gold_sizes[eid] = gold_sizes.get(eid, 0) + 1
-    tp = sum(_pairs(n) for n in cell_sizes.values())
-    pred_pairs = sum(_pairs(n) for n in pred_sizes.values())
-    gold_pairs = sum(_pairs(n) for n in gold_sizes.values())
+    cells = _cells(pred, gold)
+    tp = sum(_pairs(n) for n in Counter(cells).values())
+    pred_pairs = sum(_pairs(n) for n in Counter(cid for cid, _ in cells).values())
+    gold_pairs = sum(_pairs(n) for n in Counter(eid for _, eid in cells).values())
     return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=gold_pairs - tp)
 
 
@@ -111,26 +95,20 @@ def reduction_rate(n_before: int, n_after: int) -> float:
 
 
 def bcubed(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> Metrics:
-    """Secondary, per-record view of the same comparison."""
-    extended = _extended_prediction(pred, gold)
-    gold_of = {label.record_id: label.entity_id for label in gold}
-    pred_members: dict[Hashable, list[str]] = {}
-    gold_members: dict[str, list[str]] = {}
-    for rid, cid in extended.items():
-        pred_members.setdefault(cid, []).append(rid)
-        gold_members.setdefault(gold_of[rid], []).append(rid)
+    """Secondary, per-record view of the same comparison: a record's cell's
+    share of its cluster (precision) and of its entity (recall), summed in
+    gold-file order so that the result does not depend on the hash seed."""
+    cells = _cells(pred, gold)
+    cell_sizes = Counter(cells)
+    cluster_sizes = Counter(cid for cid, _ in cells)
+    entity_sizes = Counter(eid for _, eid in cells)
     precision_sum = 0.0
     recall_sum = 0.0
-    for rid, cid in extended.items():
-        eid = gold_of[rid]
-        cluster = pred_members[cid]
-        entity = gold_members[eid]
-        overlap = sum(1 for other in cluster if gold_of[other] == eid)
-        precision_sum += overlap / len(cluster)
-        recall_sum += overlap / len(entity)
-    n = len(extended)
-    precision = precision_sum / n
-    recall = recall_sum / n
+    for cell in cells:
+        precision_sum += cell_sizes[cell] / cluster_sizes[cell[0]]
+        recall_sum += cell_sizes[cell] / entity_sizes[cell[1]]
+    precision = precision_sum / len(cells)
+    recall = recall_sum / len(cells)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return Metrics(precision=precision, recall=recall, f1=f1)
 
@@ -191,7 +169,6 @@ def build_report(
         n_before = len(pred)
     if n_after is None:
         n_after = len(set(pred.values()))
-    gold_ids = {label.record_id for label in gold}
     return EvalReport(
         precision=metrics.precision,
         recall=metrics.recall,
@@ -199,7 +176,7 @@ def build_report(
         tp=confusion.tp,
         fp=confusion.fp,
         fn=confusion.fn,
-        n_records=len(gold_ids),
+        n_records=len(gold),
         n_pred_communities=len(set(pred.values())),
         n_gold_entities=len({label.entity_id for label in gold}),
         n_before=n_before,

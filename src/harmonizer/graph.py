@@ -29,6 +29,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,20 +60,39 @@ class FilterParams:
 
 @dataclass
 class Partition:
-    """record_id -> dense community id, plus optional canonical names."""
+    """``community[i]`` is the community of ``nodes[i]``, the graph's record
+    ids in ascending order; ids are dense and numbered by smallest member.
+    Optional canonical names per community. Not mutated once made."""
 
-    assignments: dict[str, int]
+    nodes: tuple
+    community: list[int]
     canonical: dict[int, str] = field(default_factory=dict)
+
+    @cached_property
+    def assignments(self) -> dict[str, int]:
+        """record_id -> community id."""
+        return dict(zip(self.nodes, self.community))
 
     @property
     def n_communities(self) -> int:
-        return len(set(self.assignments.values()))
+        return len(set(self.community))
+
+    def members(self) -> list[list[int]]:
+        """The ascending positions of each community's members, indexed by
+        community id."""
+        out: list[list[int]] = [[] for _ in range(self.n_communities)]
+        for position, cid in enumerate(self.community):
+            out[cid].append(position)
+        return out
 
     def communities(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for record_id in sorted(self.assignments):
-            out.setdefault(self.assignments[record_id], []).append(record_id)
-        return dict(sorted(out.items()))
+        """community id -> its members' record ids, ascending."""
+        return {cid: [self.nodes[i] for i in rows] for cid, rows in enumerate(self.members())}
+
+    def check_records(self, records: Sequence[AssigneeRecord]) -> None:
+        """ValueError unless ``records`` hold ``nodes``' ids in their order."""
+        if [record.record_id for record in records] != list(self.nodes):
+            raise ValueError("partition and records hold different record ids at the same position")
 
 
 @dataclass(frozen=True)
@@ -143,8 +163,15 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     across runs; isolated nodes come out as singletons.
     """
     community = _louvain_communities(graph.adj, resolution, random.Random(seed))
+    return Partition(graph.nodes, _first_seen(community))
+
+
+def _first_seen(labels: Sequence[int]) -> list[int]:
+    """``labels`` renumbered densely in order of first appearance: over
+    positions in ascending record id order, that numbers communities by
+    smallest member."""
     dense: dict[int, int] = {}
-    return Partition(assignments={node: dense.setdefault(com, len(dense)) for node, com in zip(graph.nodes, community)})
+    return [dense.setdefault(label, len(dense)) for label in labels]
 
 
 def _louvain_communities(adj: list[dict], resolution: float, rng: random.Random) -> list[int]:
@@ -427,38 +454,26 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     counts = stats if stats is not None else {}
     counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    assignments: dict[str, int] = {}
-    next_cid = 0
-    for members in first.communities().values():
-        parts = [members]
+    # A split community's parts take fresh labels above the first-pass ids,
+    # and the final renumbering makes them dense again.
+    community = list(first.community)
+    fresh = first.n_communities
+    split = 0
+    for members in first.members():
         if len(members) > 2:
             before = counts["pruned_edges"]
-            community = graph.subgraph([index[node] for node in members])
-            pruned = prune_global_bridges(community, params.bridgeness_threshold, counts)
+            pruned = prune_global_bridges(graph.subgraph(members), params.bridgeness_threshold, counts)
             if counts["pruned_edges"] > before:
-                sub_partition = louvain(pruned, resolution=params.resolution, seed=params.seed)
-                parts = sub_partition.communities().values()
-        for part in parts:
-            for node in part:
-                assignments[node] = next_cid
-            next_cid += 1
-    partition = _with_dense_ids(Partition(assignments=assignments))
-    if stats is not None:
-        finals: dict[int, set[int]] = {}
-        for node, cid in first.assignments.items():
-            finals.setdefault(cid, set()).add(partition.assignments[node])
-        sizes = Counter(len(members) for members in partition.communities().values())
-        stats["communities_split"] = sum(1 for parts in finals.values() if len(parts) > 1)
-        stats["community_sizes"] = dict(sorted(sizes.items()))
+                parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
+                for position, part in zip(members, parts.community):
+                    community[position] = fresh + part
+                fresh += parts.n_communities
+                # A flagged node loses all its edges and becomes a part.
+                split += 1
+    partition = Partition(graph.nodes, _first_seen(community))
+    sizes = Counter(Counter(partition.community).values())
+    counts.update(communities_split=split, community_sizes=dict(sorted(sizes.items())))
     return partition
-
-
-def _with_dense_ids(partition: Partition) -> Partition:
-    """Renumber communities by smallest member for stable output."""
-    groups = sorted((min(m), cid) for cid, m in partition.communities().items())
-    remap = {old: new for new, (_, old) in enumerate(groups)}
-    return Partition(assignments={rid: remap[cid] for rid, cid in partition.assignments.items()})
 
 
 def name_community_centroid(
@@ -511,12 +526,11 @@ def assign_canonical_names(
 ) -> Partition:
     """Fill ``partition.canonical`` for every community: the centroid name,
     or the volume name when no member has a usable embedding. ``records``,
-    ``names`` and ``embeddings`` are aligned and sorted by record id, and
-    every id ``partition`` assigns is among them."""
-    position = {r.record_id: i for i, r in enumerate(records)}
+    ``names`` and ``embeddings`` are aligned, and ``records`` hold
+    ``partition.nodes``' ids at the same positions (ValueError otherwise)."""
+    partition.check_records(records)
     canonical: dict[int, str] = {}
-    for cid, members in partition.communities().items():
-        rows = [position[m] for m in members]
+    for cid, rows in enumerate(partition.members()):
         try:
             canonical[cid] = name_community_centroid(rows, records, names, embeddings)
         except ValueError:

@@ -24,7 +24,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy
 
@@ -111,12 +111,12 @@ def _charge(manifest: Optional[RunManifest], layer: str, since: float) -> float:
 
 
 def write_mapping(partition: Partition, records: Sequence[AssigneeRecord], path: Path) -> None:
-    """One row per record, in the order of ``records`` (sorted by record id),
-    each of which ``partition`` assigns."""
+    """One row per record, in the order of ``records``, which hold
+    ``partition.nodes``' ids in their order (ValueError otherwise)."""
+    partition.check_records(records)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(MAPPING_HEADER) + "\n")
-        for record in records:
-            cid = partition.assignments[record.record_id]
+        for record, cid in zip(records, partition.community):
             canonical = partition.canonical.get(cid, "")
             fh.write(f"{record.record_id}\t{record.raw_name}\t{cid}\t{canonical}\n")
 
@@ -385,7 +385,7 @@ def run_pipeline(
         counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
-        summary = summarize_partition(partition, artifacts.records)
+        summary = summarize_partition(partition.communities(), partition.canonical, artifacts.records)
         summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (work / "summary.json").write_text(summary_text, encoding="utf-8")
         t = _charge(manifest, "summary", t)
@@ -417,19 +417,18 @@ def run_pipeline(
 
 
 def summarize_partition(
-    partition: Partition,
+    groups: Mapping[int, Sequence[str]],
+    canonical: Mapping[int, str],
     records: Iterable[AssigneeRecord],
     top_k: int = 10,
 ) -> dict:
-    """Reduction rate, community count, and the largest communities, whose
+    """Reduction rate, community count, and the largest of ``groups``
+    (community id -> member record ids; ties go to the smaller id), whose
     portfolio sums the patent counts of the members among ``records``."""
     patents = {r.record_id: r.patent_count for r in records}
-    n_before = len(partition.assignments)
-    n_after = partition.n_communities
-    groups = partition.communities()
-    largest = sorted(
-        groups.items(), key=lambda item: (-len(item[1]), item[0])
-    )[:top_k]
+    n_before = sum(map(len, groups.values()))
+    n_after = len(groups)
+    largest = sorted(groups.items(), key=lambda item: (-len(item[1]), item[0]))[:top_k]
     return {
         "n_records": n_before,
         "n_communities": n_after,
@@ -438,7 +437,7 @@ def summarize_partition(
             {
                 "community_id": cid,
                 "size": len(members),
-                "canonical_name": partition.canonical.get(cid, ""),
+                "canonical_name": canonical.get(cid, ""),
                 "portfolio": sum(patents.get(m, 0) for m in members),
             }
             for cid, members in largest
@@ -449,11 +448,11 @@ def summarize_partition(
 def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRecord] = (), top_k: int = 10) -> dict:
     """Summary for an already-written mapping file; members without a record
     count no patents."""
-    partition = Partition(
-        assignments={row["record_id"]: row["community_id"] for row in mapping_rows},
-        canonical={row["community_id"]: row["canonical_name"] for row in mapping_rows},
-    )
-    return summarize_partition(partition, records, top_k=top_k)
+    groups: dict[int, list[str]] = {}
+    for row in mapping_rows:
+        groups.setdefault(row["community_id"], []).append(row["record_id"])
+    canonical = {row["community_id"]: row["canonical_name"] for row in mapping_rows}
+    return summarize_partition(groups, canonical, records, top_k=top_k)
 
 
 def build_tuning_objective(

@@ -347,6 +347,28 @@ def brute_pairwise_confusion(predicted: dict, gold: dict):
     return tp, fp, fn
 
 
+def brute_bcubed(predicted: dict, gold: dict):
+    """B-cubed by counting, for each gold record in ``gold``'s order, the
+    members of its predicted cluster that share its entity; a record
+    ``predicted`` lacks is a cluster of its own. Returns (precision, recall,
+    f1)."""
+    cluster = {rid: predicted[rid] if rid in predicted else object() for rid in gold}
+    members: dict = {}
+    for rid, cid in cluster.items():
+        members.setdefault(cid, []).append(rid)
+    entity_size = Counter(gold.values())
+    precision_sum = 0.0
+    recall_sum = 0.0
+    for rid, cid in cluster.items():
+        overlap = sum(1 for other in members[cid] if gold[other] == gold[rid])
+        precision_sum += overlap / len(members[cid])
+        recall_sum += overlap / entity_size[gold[rid]]
+    precision = precision_sum / len(gold)
+    recall = recall_sum / len(gold)
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
+
+
 def brute_f1(tp, fp, fn):
     if tp + fp == 0:
         precision = 1.0 if fn == 0 else 0.0

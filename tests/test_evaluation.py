@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import harmonizer
 from harmonizer.errors import InputError
 from harmonizer.evaluation import (
     EvalReport,
@@ -20,7 +25,7 @@ from harmonizer.evaluation import (
 )
 from harmonizer.ingest import GoldLabel
 
-from oracles import brute_f1, brute_pairwise_confusion
+from oracles import brute_bcubed, brute_f1, brute_pairwise_confusion
 
 
 def gold_from(mapping):
@@ -162,6 +167,44 @@ class TestBcubed:
         metrics = bcubed(pred, gold)
         assert metrics.precision == 1.0
         assert math.isclose(metrics.recall, 1 / 3)
+
+    @given(st.data())
+    def test_matches_per_record_oracle_bit_for_bit(self, data):
+        """Gold in shuffled file order, with records the prediction lacks and
+        records only the prediction has."""
+        n = data.draw(st.integers(1, 40))
+        entity = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        gold = [GoldLabel(f"r{i}", f"e{entity[i]}") for i in order]
+        cluster = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 8)), min_size=n, max_size=n))
+        pred = {f"r{i}": cid for i, cid in enumerate(cluster) if cid is not None}
+        pred.update({f"x{i}": i % 3 for i in range(data.draw(st.integers(0, 3)))})
+        if not any(cid is not None for cid in cluster):
+            pred["r0"] = 0
+        metrics = bcubed(pred, gold)
+        expected = brute_bcubed(pred, {label.record_id: label.entity_id for label in gold})
+        assert (metrics.precision, metrics.recall, metrics.f1) == expected
+
+    def test_independent_of_hash_seed(self):
+        # String cluster ids and entity ids make set and dict orders follow
+        # the hash seed; the float sums must not.
+        script = (
+            "import random\n"
+            "from harmonizer.evaluation import bcubed\n"
+            "from harmonizer.ingest import GoldLabel\n"
+            "rng = random.Random(0)\n"
+            "ids = [f'r{i:03d}' for i in range(500)]\n"
+            "gold = [GoldLabel(rid, f'e{rng.randrange(60)}') for rid in ids]\n"
+            "pred = {rid: f'c{rng.randrange(80)}' for rid in ids if rng.random() < 0.9}\n"
+            "print(repr(bcubed(pred, gold)))\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(harmonizer.__file__).parent.parent))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestReport:

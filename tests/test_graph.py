@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import networkx as nx
@@ -486,15 +487,23 @@ def weighted_graphs(draw):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
-    """Every multi-member community induces a connected subgraph. Resolution
-    is log-uniform over [0.001, 2]: low values make the large communities in
-    which pruning splits something."""
+    """Every multi-member community induces a connected subgraph, and the
+    split count and size histogram agree with the first-pass and final
+    partitions. Resolution is log-uniform over [0.001, 2]: low values make
+    the large communities in which pruning splits something."""
     params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
-    partition = refine_communities(from_networkx(graph), params)
+    stats: dict = {}
+    partition = refine_communities(from_networkx(graph), params, stats)
     assert set(partition.assignments) == set(graph.nodes)
-    for members in partition.communities().values():
+    groups = partition.communities()
+    for members in groups.values():
         if len(members) > 1:
             assert nx.is_connected(graph.subgraph(members)), members
+    first = louvain(from_networkx(graph), resolution=params.resolution, seed=seed).communities()
+    split = sum(1 for members in first.values() if len({partition.assignments[m] for m in members}) > 1)
+    assert stats["communities_split"] == split
+    sizes = Counter(len(members) for members in groups.values())
+    assert list(stats["community_sizes"].items()) == sorted(sizes.items())
 
 
 @st.composite
@@ -696,7 +705,7 @@ class TestNaming:
         assert name_community_volume([0, 1], records, names) == "ACME"
 
     def test_assign_centroid_with_volume_fallback(self):
-        part = Partition(assignments={"m00": 0, "m01": 0, "m02": 1})
+        part = Partition(("m00", "m01", "m02"), [0, 0, 1])
         columns = naming_columns(
             ["acme", "acme inc", "loner"], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], patents=[1, 9, 2]
         )
@@ -705,9 +714,15 @@ class TestNaming:
         assert named.canonical[0] == "ACME INC"
         assert named.canonical[1] == "LONER"
 
+    def test_assign_rejects_records_of_other_ids(self):
+        columns = naming_columns(["acme", "acme inc", "loner"], patents=[1, 9, 2])
+        for nodes in (("m00", "m01", "m03"), ("m00", "m01")):
+            with pytest.raises(ValueError, match="different record ids"):
+                assign_canonical_names(Partition(nodes, [0] * len(nodes)), *columns)
+
 
 class TestPartition:
     def test_communities_sorted(self):
-        part = Partition(assignments={"b": 1, "a": 0, "c": 1})
+        part = Partition(("a", "b", "c"), [0, 1, 1])
         assert part.communities() == {0: ["a"], 1: ["b", "c"]}
         assert part.n_communities == 2

@@ -371,10 +371,7 @@ class TestAtomicOutput:
 
 class TestMappingIo:
     def rows(self):
-        partition = Partition(
-            assignments={"r1": 0, "r2": 0, "r3": 1},
-            canonical={0: "ACME CORP", 1: "ZETA"},
-        )
+        partition = Partition(("r1", "r2", "r3"), [0, 0, 1], canonical={0: "ACME CORP", 1: "ZETA"})
         records = [
             AssigneeRecord(record_id="r1", raw_name="ACME CORP"),
             AssigneeRecord(record_id="r2", raw_name="ACME CORP."),
@@ -394,6 +391,12 @@ class TestMappingIo:
             "community_id": 0,
             "canonical_name": "ACME CORP",
         }
+
+    def test_records_of_other_ids_rejected(self, tmp_path):
+        partition, records = self.rows()
+        for others in (records[:2], [records[0], records[2], records[1]]):
+            with pytest.raises(ValueError, match="different record ids"):
+                write_mapping(partition, others, tmp_path / "mapping.tsv")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mapping.tsv"
@@ -433,6 +436,22 @@ class TestSummarizeMapping:
         assert summary["n_communities"] == 2
         assert summary["largest_communities"][0]["community_id"] == 0
         assert summary["largest_communities"][0]["size"] == 2
+
+    def test_sparse_unsorted_ids_and_size_tie(self):
+        # Communities 7 and 3 tie on size; the smaller id ranks first.
+        rows = [
+            {"record_id": rid, "raw_name": rid, "community_id": cid, "canonical_name": f"C{cid}"}
+            for rid, cid in (("r1", 7), ("r2", 3), ("r3", 7), ("r4", 3), ("r5", 5))
+        ]
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=f"r{i}", patent_count=i) for i in range(1, 6)]
+        summary = summarize_mapping(rows, records)
+        assert summary["n_records"] == 5
+        assert summary["n_communities"] == 3
+        assert summary["largest_communities"] == [
+            {"community_id": 3, "size": 2, "canonical_name": "C3", "portfolio": 6},
+            {"community_id": 7, "size": 2, "canonical_name": "C7", "portfolio": 4},
+            {"community_id": 5, "size": 1, "canonical_name": "C5", "portfolio": 5},
+        ]
 
     def test_portfolio_defaults_to_zero_without_records(self):
         summary = summarize_mapping(self.mapping_rows())
