@@ -66,6 +66,26 @@ def pairwise_confusion(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) 
     return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=gold_pairs - tp)
 
 
+class GoldPairs:
+    """The gold side of ``pairwise_confusion`` for partitions of fixed record
+    ``ids``, computed once: each gold record's position in ``ids`` with its
+    entity, and the gold pair total. A gold record ``ids`` lack is a
+    predicted singleton: it adds no predicted or agreeing pair."""
+
+    def __init__(self, gold: Sequence[GoldLabel], ids: Sequence[str]):
+        check_gold(gold, ids)
+        position = {rid: i for i, rid in enumerate(ids)}
+        self.gold_pairs = sum(_pairs(n) for n in Counter(label.entity_id for label in gold).values())
+        self.cells = [(position[label.record_id], label.entity_id) for label in gold if label.record_id in position]
+
+    def confusion(self, community: Sequence[Hashable]) -> PairwiseConfusion:
+        """``pairwise_confusion(dict(zip(ids, community)), gold)``."""
+        cells = Counter((community[i], e) for i, e in self.cells)
+        tp = sum(_pairs(n) for n in cells.values())
+        pred_pairs = sum(_pairs(n) for n in Counter(community[i] for i, _ in self.cells).values())
+        return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=self.gold_pairs - tp)
+
+
 def compute_metrics(confusion: PairwiseConfusion) -> Metrics:
     """P/R/F1 with the degenerate cases pinned: an empty side is perfect only
     when the other side is empty too."""

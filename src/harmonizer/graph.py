@@ -24,6 +24,7 @@ and modularity leaves out nodes without edges, whose terms are exactly 0.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import NameEmbedding, pair_cosines
+from .embed import NameVectors, pair_cosines
 from .errors import ConfigError
 from .ingest import AssigneeRecord
 from .match import PairTable
@@ -476,64 +477,35 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     return partition
 
 
-def name_community_centroid(
-    members: Sequence[int],
-    records: Sequence[AssigneeRecord],
-    names: Sequence[CleanName],
-    embeddings: Sequence[NameEmbedding],
-) -> str:
-    """Raw name of the member with the greatest mean cosine to the others.
-
-    ``members`` are positions in the aligned ``records``, ``names`` and
-    ``embeddings``, which are sorted by record id. Ties break on the
-    lexicographically smallest cleaned name, then the smallest record id.
-    Degenerate embeddings can neither win nor vote; a community with no
-    usable embedding raises ValueError so the caller can fall back to the
-    volume strategy.
-    """
-    usable = [m for m in sorted(members) if not embeddings[m].degenerate]
-    if not usable:
-        raise ValueError("all members have degenerate embeddings")
-    if len(usable) == 1:
-        return records[usable[0]].raw_name
-    # Each unordered pair once (cosine is symmetric bit for bit); a row's
-    # cumulative sum adds in member order, and the diagonal's 0.0 adds nothing.
-    k = len(usable)
-    upper, lower = np.triu_indices(k, 1)
-    cos = np.zeros((k, k))
-    cos[upper, lower] = cos[lower, upper] = pair_cosines([embeddings[m].vector for m in usable], upper, lower)
-    means = {m: total / (k - 1) for m, total in zip(usable, np.cumsum(cos, axis=1)[:, -1].tolist())}
-    return records[min(usable, key=lambda m: (-means[m], names[m].cleaned, m))].raw_name
-
-
-def name_community_volume(
-    members: Sequence[int],
-    records: Sequence[AssigneeRecord],
-    names: Sequence[CleanName],
-) -> str:
-    """Raw name of the member with the largest patent count (ties: smallest
-    cleaned name, then smallest record id). All-zero counts degrade to the
-    lexicographic choice. ``members`` are positions, as for the centroid."""
-    best = min(members, key=lambda m: (-records[m].patent_count, names[m].cleaned, m))
-    return records[best].raw_name
-
-
 def assign_canonical_names(
     partition: Partition,
     records: Sequence[AssigneeRecord],
     names: Sequence[CleanName],
-    embeddings: Sequence[NameEmbedding],
+    vectors: NameVectors,
 ) -> Partition:
-    """Fill ``partition.canonical`` for every community: the centroid name,
-    or the volume name when no member has a usable embedding. ``records``,
-    ``names`` and ``embeddings`` are aligned, and ``records`` hold
-    ``partition.nodes``' ids at the same positions (ValueError otherwise)."""
+    """Fill ``partition.canonical`` for every community with the raw name of
+    the member of greatest mean cosine to the others (ties: smallest cleaned
+    name, then record id); degenerate vectors neither win nor vote. A
+    community without a usable vector takes its member with the most
+    patents (same ties). ``records``, ``names`` and ``vectors`` are aligned,
+    and ``records`` hold ``partition.nodes``' ids in order (ValueError
+    otherwise). Each unordered pair of usable members is scored once (cosine
+    is symmetric bit for bit); one ``np.bincount`` adds each member's
+    cosines in member order: as the pairs' second member, then as the first."""
     partition.check_records(records)
+    groups = partition.members()
+    usable = [[m for m in rows if not vectors.degenerate[m]] for rows in groups]
+    chained = itertools.chain.from_iterable(p for rows in usable for p in itertools.combinations(rows, 2))
+    a, b = np.fromiter(chained, dtype=np.int64).reshape(-1, 2).T
+    cos = pair_cosines(vectors.block, vectors.norms, a, b)
+    totals = np.bincount(np.concatenate([b, a]), np.concatenate([cos, cos]), minlength=len(records)).tolist()
     canonical: dict[int, str] = {}
-    for cid, rows in enumerate(partition.members()):
-        try:
-            canonical[cid] = name_community_centroid(rows, records, names, embeddings)
-        except ValueError:
-            log.debug("community %d has no usable embedding; falling back to volume", cid)
-            canonical[cid] = name_community_volume(rows, records, names)
+    for cid, rows in enumerate(usable):
+        if rows:
+            k = max(1, len(rows) - 1)
+            best = min(rows, key=lambda m: (-totals[m] / k, names[m].cleaned, m))
+        else:
+            log.debug("community %d has no usable vector; naming it by patent count", cid)
+            best = min(groups[cid], key=lambda m: (-records[m].patent_count, names[m].cleaned, m))
+        canonical[cid] = records[best].raw_name
     return replace(partition, canonical=canonical)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .augment import DomainInfo
-from .embed import NameEmbedding, pair_cosines
+from .embed import NameVectors, pair_cosines
 from .errors import InputError
 from .ingest import AssigneeRecord
 from .parse import CleanName, NameClass
@@ -95,13 +97,17 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def _conditions(self) -> tuple[np.ndarray, ...]:
+        # float64 once per table: numpy 1.x would scale a uint8 column in float16.
+        return tuple(c.astype(np.float64) for c in (self.token, self.first, self.url, self.domain))
+
     def scores(self, weights: WeightVector) -> np.ndarray:
         """The weighted sum of every row's conditions, over domain and cos
         only for type-2 rows. Terms are added in one fixed order, which a
         matmul would not keep, so each score is bit for bit the scalar
-        ``matching_score`` in ``tests/oracles.py``. Columns become float64
-        first, as numpy 1.x would scale a uint8 column in float16."""
-        token, first, url, domain = (c.astype(np.float64) for c in (self.token, self.first, self.url, self.domain))
+        ``matching_score`` in ``tests/oracles.py``."""
+        token, first, url, domain = self._conditions
         base = weights.domain * domain + weights.cos * self.cos
         full = base + weights.token * token + weights.first_token * first + weights.url_text * url
         return np.where(self.type1, full, base)
@@ -133,41 +139,36 @@ FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
 _BOUND_SLACK = 1e-9
 
 
-def _blocking_index(
+def _blocking_keys(
     names: Sequence[CleanName],
     domain_info: Sequence[DomainInfo],
-) -> dict[str, dict[str, list[int]]]:
-    """Key kind -> key -> ascending positions in ``names``, for every kind
-    either index may use; ``domain_info`` is aligned with ``names``. Type-2
-    names carry domain keys only, under their own kind so the two classes
-    never pair."""
-    index: dict[str, dict[str, list[int]]] = {
-        kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
-    }
+) -> dict[str, tuple[list[int], list[str]]]:
+    """Key kind -> (positions, keys): one entry per key of that kind that a
+    name in ``names`` holds, positions ascending, for every kind either index
+    may use; ``domain_info`` is aligned with ``names``. Type-2 names carry
+    domain keys only, under their own kind so the two classes never pair."""
+    kinds = ("first_token", "token", "domain", "url", "url_any", "type2_domain")
+    held: dict[str, tuple[list[int], list[str]]] = {kind: ([], []) for kind in kinds}
 
-    def add(kind: str, key: str, position: int) -> None:
-        index[kind].setdefault(key, []).append(position)
+    def add(kind: str, position: int, keys: Collection[str]) -> None:
+        held[kind][0].extend([position] * len(keys))
+        held[kind][1].extend(keys)
 
     for i, (name, info) in enumerate(zip(names, domain_info, strict=True)):
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
+        domain = () if info.domain is None else (info.domain,)
         if name.name_class is NameClass.TYPE2:
-            if info.domain is not None:
-                add("type2_domain", info.domain, i)
+            add("type2_domain", i, domain)
             continue
         tokens = set(name.tokens)
-        for token in tokens:
-            add("token", token, i)
-        if name.tokens:
-            add("first_token", name.tokens[0], i)
-        if info.domain is not None:
-            add("domain", info.domain, i)
-        own_text = bool(tokens & info.url_tokens)
-        for url_token in info.url_tokens:
-            add("url_any", url_token, i)
-            if own_text:
-                add("url", url_token, i)
-    return index
+        add("first_token", i, name.tokens[:1])
+        add("token", i, tokens)
+        add("domain", i, domain)
+        add("url_any", i, info.url_tokens)
+        if not tokens.isdisjoint(info.url_tokens):
+            add("url", i, info.url_tokens)
+    return held
 
 
 def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) -> tuple[str, ...]:
@@ -222,23 +223,23 @@ def generate_candidate_pairs(
     shares a key; type-2 names only ever fire the domain condition and are
     indexed on domains alone. With a bound, only the key kinds that
     ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
-    reach the bound's threshold. ``stats``, when given, receives the kinds
-    used and the size of the largest block. Output is an int32 ``(n, 2)``
-    array holding each unordered pair once as positions ``i < j`` in
-    ``names``, rows ascending.
+    reach the bound's threshold. Every kind is priced from key counts alone.
+    ``stats``, when given, receives the kinds used and the size of the
+    largest block. Output is an int32 ``(n, 2)`` array holding each
+    unordered pair once as positions ``i < j`` in ``names``, rows ascending.
     """
-    index = _blocking_index(names, domain_info)
-    costs = {
-        kind: sum(len(ids) * (len(ids) - 1) // 2 for ids in buckets.values())
-        for kind, buckets in index.items()
-    }
+    held = _blocking_keys(names, domain_info)
+    costs = {kind: sum(c * (c - 1) // 2 for c in Counter(keys).values()) for kind, (_, keys) in held.items()}
     kinds = blocking_key_kinds(bound, costs)
     # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
     n = len(names)
     keys: set[int] = set()
     largest = 0
     for kind in kinds:
-        for positions in index[kind].values():
+        index: dict[str, list[int]] = {}
+        for i, key in zip(*held[kind]):
+            index.setdefault(key, []).append(i)
+        for positions in index.values():
             largest = max(largest, len(positions))
             keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
     if stats is not None:
@@ -253,21 +254,21 @@ def score_pairs(
     names: Sequence[CleanName],
     pairs: np.ndarray,
     domain_info: Sequence[DomainInfo],
-    embeddings: Sequence[NameEmbedding],
+    vectors: NameVectors,
     records: Sequence[AssigneeRecord],
 ) -> PairTable:
     """Evaluate the conditions of every candidate pair into a PairTable.
     ``names`` are sorted by record id and become the table's ``ids``;
-    ``domain_info``, ``embeddings`` and ``records`` hold the same records in
+    ``domain_info``, ``vectors`` and ``records`` hold the same records in
     the same order, and a length or record-id mismatch raises ValueError.
     ``pairs`` holds ascending rows of positions ``i < j`` in them, as
     ``generate_candidate_pairs`` returns, and becomes the table's ``a`` and
     ``b``. Per-record data (token set, first token, own-page flag, domain,
-    locations, vector and norm) is gathered once; per pair only set
-    intersections and one dot product remain."""
+    locations) is gathered once, vectors and norms come with ``vectors``; per
+    pair only set intersections and one dot product remain."""
     ids = tuple(n.record_id for n in names)
-    if not len(ids) == len(domain_info) == len(embeddings) == len(records):
-        raise ValueError("names, domain_info, embeddings and records differ in length")
+    if not len(ids) == len(domain_info) == len(vectors) == len(records):
+        raise ValueError("names, domain_info, vectors and records differ in length")
     if any(r.record_id != rid for r, rid in zip(records, ids)):
         raise ValueError("records and names hold different record ids at the same position")
     a, b = np.asarray(pairs, dtype=np.int32).reshape(-1, 2).T
@@ -297,10 +298,9 @@ def score_pairs(
     domain_code = codes(info.domain for info in domain_info)
     domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
     location = np.array(intersect([r.locations for r in records], np.arange(len(a))), dtype=np.uint8)
-    degenerate = np.array([e.degenerate for e in embeddings], dtype=bool)
     cos = np.zeros(len(a))
-    live = np.flatnonzero(~(degenerate[a] | degenerate[b]))
-    cos[live] = pair_cosines([e.vector for e in embeddings], a[live], b[live])
+    live = np.flatnonzero(~(vectors.degenerate[a] | vectors.degenerate[b]))
+    cos[live] = pair_cosines(vectors.block, vectors.norms, a[live], b[live])
     return PairTable(ids, a, b, type1[a], token, first, url, domain, location, cos)
 
 

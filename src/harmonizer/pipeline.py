@@ -41,9 +41,9 @@ from .augment import (
     registrable_domains,
 )
 from .config import SEARCH_SPACE, PipelineConfig
-from .embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
+from .embed import HashingBackend, NameVectors, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
-from .evaluation import build_report, check_gold, compute_metrics, pairwise_confusion, reduction_rate
+from .evaluation import GoldPairs, build_report, check_gold, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from .match import ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
@@ -151,30 +151,31 @@ def read_mapping(path: str | Path) -> list[dict]:
     return rows
 
 
-def _degenerate(name: CleanName, embedding: NameEmbedding) -> bool:
-    """A name made of nothing but designators, or one whose embedding is the
-    zero vector and so scores cos 0 against every other name."""
-    return name.degenerate or embedding.degenerate
+def _degenerate(names: Sequence[CleanName], vectors: NameVectors) -> list[bool]:
+    """Per name: made of nothing but designators, or embedded to the zero
+    vector and so scoring cos 0 against every other name."""
+    return [name.degenerate or zero for name, zero in zip(names, vectors.degenerate.tolist())]
 
 
-def _write_cleaned(names: Sequence[CleanName], embeddings: Sequence[NameEmbedding], path: Path) -> None:
+def _write_cleaned(names: Sequence[CleanName], vectors: NameVectors, path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for name, embedding in zip(names, embeddings):
+        for name, degenerate in zip(names, _degenerate(names, vectors)):
             cls = name.name_class.name.lower() if name.name_class else ""
-            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(_degenerate(name, embedding))}\n")
+            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(degenerate)}\n")
 
 
 @dataclass
 class CorpusArtifacts:
     """Everything the matcher and filter need, reusable across tuning trials.
     The lists are aligned: entry i of each belongs to ``records[i]``, and
-    records are sorted by record id. ``candidates`` index them."""
+    records are sorted by record id; ``embeddings`` holds one vector row per
+    record. ``candidates`` index them."""
 
     records: list[AssigneeRecord]
     names: list[CleanName]
     domain_info: list[DomainInfo]
-    embeddings: list[NameEmbedding]
+    embeddings: NameVectors
     candidates: numpy.ndarray
 
 
@@ -247,7 +248,7 @@ def prepare_corpus(
     domain_info = build_domain_info(results, domains, blocklist, common)
     t = _charge(manifest, "domain", t)
 
-    embeddings = list(embed_corpus(names, HashingBackend(), compute_idf(names)).values())
+    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
     t = _charge(manifest, "embed", t)
 
     blocking: dict = {}
@@ -263,7 +264,7 @@ def prepare_corpus(
                 "corrected": n_corrected,
                 "type1": sum(1 for n in names if n.name_class is NameClass.TYPE1),
                 "type2": sum(1 for n in names if n.name_class is NameClass.TYPE2),
-                "degenerate": sum(map(_degenerate, names, embeddings)),
+                "degenerate": sum(_degenerate(names, embeddings)),
                 "candidate_pairs": len(candidates),
                 **blocking,
             }
@@ -462,19 +463,21 @@ def build_tuning_objective(
 ) -> Callable[[dict[str, float]], float]:
     """Pairwise-F1 objective over the prepared corpus.
 
-    The pair table is filled once for the blocked candidate set; each trial
-    rescores it with one vector expression and re-runs the filter stage on
-    the rows that clear its threshold.
+    The pair table and the gold side of the F1 are made once for the blocked
+    candidate set; each trial rescores the table with one vector expression,
+    re-runs the filter stage on the rows that clear its threshold and counts
+    its own (cluster, entity) cells.
     """
     table = score_pairs(
         artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
     )
+    gold_pairs = GoldPairs(gold, table.ids)
 
     def objective(params: dict[str, float]) -> float:
         weights, filter_params = config.params_at(params)
         graph = build_graph(table, table.scores(weights), filter_params)
         partition = refine_communities(graph, filter_params)
-        return compute_metrics(pairwise_confusion(partition.assignments, gold)).f1
+        return compute_metrics(gold_pairs.confusion(partition.community)).f1
 
     return objective
 

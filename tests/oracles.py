@@ -8,11 +8,13 @@ the scalar ``brandes_bridgeness`` check, to check the cases pruning settles
 without it. ``reference_louvain`` is networkx's own Louvain, of which the
 package's is a transcription. ``reference_prepare`` reuses the package's
 per-record functions, to check that ``prepare_corpus`` computing each
-distinct value once changes nothing.
+distinct value once changes nothing; it embeds each name with the scalar,
+dense ``embed_name`` here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import unicodedata
@@ -25,7 +27,7 @@ import networkx as nx
 import numpy as np
 
 from harmonizer.augment import DomainInfo, extract_domain, preprocess_url_text
-from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_name
+from harmonizer.embed import IdfTable, NameEmbedding, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
 from harmonizer.match import WeightVector, generate_candidate_pairs
@@ -43,6 +45,75 @@ from nxgraphs import from_networkx, to_networkx
 
 
 _EMPTY_INFO = DomainInfo(domain=None, url_tokens=frozenset())
+
+
+class ScalarHashing:
+    """The hashing scheme one token at a time, as a dense vector: each
+    character 3-gram of ``^token$`` adds its sign to its bucket, and the sum
+    is scaled to unit norm; a token whose grams all cancel is parked with 1.0
+    in one bucket instead."""
+
+    def __init__(self, dim: int = 256):
+        self.dim = dim
+
+    def token_vector(self, token: str) -> np.ndarray:
+        if not token:
+            raise InputError("cannot embed an empty token")
+        marked = f"^{token}$"
+        grams = [marked] if len(marked) <= 3 else [marked[i : i + 3] for i in range(len(marked) - 2)]
+        vec = np.zeros(self.dim, dtype=np.float64)
+        for gram in grams:
+            digest = hashlib.blake2b(f"0:{gram}".encode("utf-8"), digest_size=9).digest()
+            vec[int.from_bytes(digest[:8], "big") % self.dim] += 1.0 if digest[8] & 1 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            digest = hashlib.blake2b(f"0!{token}".encode("utf-8"), digest_size=8).digest()
+            vec[int.from_bytes(digest, "big") % self.dim] = 1.0
+            return vec
+        return vec / norm
+
+
+def embed_name(tokens, backend, idf: IdfTable) -> NameEmbedding:
+    """idf-weighted mean of ``backend.token_vector`` over ``tokens``, one
+    dense vector at a time; degenerate when the mean has norm zero."""
+    if not tokens:
+        raise InputError("cannot embed an empty token list")
+    total = np.zeros(backend.dim, dtype=np.float64)
+    weight_sum = 0.0
+    for token in tokens:
+        w = idf[token]
+        total += w * backend.token_vector(token)
+        weight_sum += w
+    vector = total / weight_sum
+    return NameEmbedding(vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
+
+
+def name_community_centroid(members, records, names, embeddings) -> str:
+    """Raw name of the member with the greatest mean cosine to the other
+    members, one community at a time: ties go to the smallest cleaned name,
+    then the smallest position; degenerate embeddings neither win nor vote,
+    and ValueError when no member has a usable one. ``members`` are
+    positions in the aligned ``records``, ``names`` and ``embeddings``. Each
+    member's cosines are summed over the others in member order."""
+    usable = [m for m in sorted(members) if not embeddings[m].degenerate]
+    if not usable:
+        raise ValueError("all members have degenerate embeddings")
+    if len(usable) == 1:
+        return records[usable[0]].raw_name
+    means = {}
+    for m in usable:
+        total = 0.0
+        for o in usable:
+            if o != m:
+                total += cosine_similarity(embeddings[m].vector, embeddings[o].vector)
+        means[m] = total / (len(usable) - 1)
+    return records[min(usable, key=lambda m: (-means[m], names[m].cleaned, m))].raw_name
+
+
+def name_community_volume(members, records, names) -> str:
+    """Raw name of the member with the largest patent count; ties go to the
+    smallest cleaned name, then the smallest position."""
+    return records[min(members, key=lambda m: (-records[m].patent_count, names[m].cleaned, m))].raw_name
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,7 +234,8 @@ def reference_prepare(config, records, cache) -> CorpusArtifacts:
     """``prepare_corpus`` offline, one record at a time: each record cleans
     its own name, extracts its own URL's domain (for the blocklist, then
     again for its domain info), tokenizes its own page text and embeds its
-    name with a fresh ``HashingBackend``."""
+    name one dense token vector at a time. Its ``embeddings`` are a list of
+    ``NameEmbedding``."""
     records = sorted(records, key=lambda r: r.record_id)
     results = [cache.get(record.raw_name) for record in records]
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
@@ -191,7 +263,7 @@ def reference_prepare(config, records, cache) -> CorpusArtifacts:
         text = result.first_text if result is not None else None
         domain_info.append(DomainInfo(None if d in blocklist else d, preprocess_url_text(text, common)))
     idf = compute_idf(names)
-    embeddings = [embed_name(name.tokens, HashingBackend(), idf) for name in names]
+    embeddings = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
     candidates = generate_candidate_pairs(names, domain_info, config.score_bound())
     return CorpusArtifacts(records, names, domain_info, embeddings, candidates)
 

@@ -141,7 +141,7 @@ def test_02_blocking_losslessness():
             names, domain_info = _random_matching_corpus(rng, n)
             records = name_records(names)
             idf = compute_idf(names)
-            embeddings = list(embed_corpus(names, HashingBackend(dim=32), idf).values())
+            embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
             blocked = generate_candidate_pairs(names, domain_info)
             brute = brute_force_candidates(names)
             scored_blocked = score_pairs(names, blocked, domain_info, embeddings, records)

@@ -1,4 +1,4 @@
-"""Token vectors, idf weighting, name embeddings, cosine."""
+"""Token vectors, idf weighting, the name-vector block, cosine."""
 
 import math
 import random
@@ -12,43 +12,52 @@ from harmonizer.embed import (
     MIN_HASH_DIM,
     HashingBackend,
     IdfTable,
+    NameVectors,
     compute_idf,
     embed_corpus,
-    embed_name,
     pair_cosines,
 )
 from harmonizer.errors import ConfigError, InputError
-from harmonizer.parse import clean_name
+from harmonizer.parse import CleanName, clean_name
 
-from oracles import brute_idf, cosine_similarity
+from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name
 
 
 def names_from(texts):
     return [clean_name(t, record_id=f"r{i}") for i, t in enumerate(texts)]
 
 
+def token_names(token_lists):
+    return [CleanName(f"r{i}", " ".join(tokens), tuple(tokens)) for i, tokens in enumerate(token_lists)]
+
+
+def token_vector(token, dim=256):
+    """The block row of a one-token name at idf weight 1, which is the
+    token's vector bit for bit: (0.0 + 1.0 * v) / 1.0 == v."""
+    return embed_corpus(token_names([[token]]), HashingBackend(dim), IdfTable(weights={})).block[0]
+
+
+def norms_of(vectors):
+    return np.array([np.linalg.norm(v) for v in vectors])
+
+
 class TestHashingBackend:
     def test_unit_norm(self):
-        backend = HashingBackend()
         for token in ["nokia", "a", "grundfos", "x" * 50]:
-            assert math.isclose(float(np.linalg.norm(backend.token_vector(token))), 1.0)
+            assert math.isclose(float(np.linalg.norm(token_vector(token))), 1.0)
 
     def test_deterministic(self):
-        a = HashingBackend().token_vector("nokia")
-        b = HashingBackend().token_vector("nokia")
-        assert np.array_equal(a, b)
+        assert np.array_equal(token_vector("nokia"), token_vector("nokia"))
 
     def test_similar_tokens_share_grams(self):
-        backend = HashingBackend()
-        near = cosine_similarity(backend.token_vector("nokia"), backend.token_vector("nokian"))
-        far = cosine_similarity(backend.token_vector("nokia"), backend.token_vector("samsung"))
+        near = cosine_similarity(token_vector("nokia"), token_vector("nokian"))
+        far = cosine_similarity(token_vector("nokia"), token_vector("samsung"))
         assert near > 0.5 > far
 
     def test_frozen_similarity_value(self):
         # Pinned against the default backend (dim 256); any change to
         # the gram scheme or hashing shows up here first.
-        backend = HashingBackend()
-        got = cosine_similarity(backend.token_vector("nokia"), backend.token_vector("nokian"))
+        got = cosine_similarity(token_vector("nokia"), token_vector("nokian"))
         assert math.isclose(got, 0.7302967433402214, rel_tol=0, abs_tol=1e-12)
 
     def test_min_dim_enforced(self):
@@ -56,11 +65,18 @@ class TestHashingBackend:
             HashingBackend(dim=MIN_HASH_DIM - 1)
 
     def test_short_token_single_gram(self):
-        backend = HashingBackend()
-        v = backend.token_vector("ab")
-        assert math.isclose(float(np.linalg.norm(v)), 1.0)
         # "^ab$" is 4 chars -> grams of "^ab", "ab$"; "a" -> single "^a$".
-        assert math.isclose(float(np.linalg.norm(backend.token_vector("a"))), 1.0)
+        assert HashingBackend().grams("ab") == ["^ab", "ab$"] and HashingBackend().grams("a") == ["^a$"]
+        assert math.isclose(float(np.linalg.norm(token_vector("ab"))), 1.0)
+        assert math.isclose(float(np.linalg.norm(token_vector("a"))), 1.0)
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        # Includes "b" and "p", whose single grams "^b$" and "^p$" share a
+        # bucket with opposite signs, and "or", whose two grams cancel at
+        # dim 32, so it is parked in one bucket.
+        for dim in (32, 256):
+            for token in ["nokia", "a", "b", "p", "or", "x" * 50, "grundfos"]:
+                assert token_vector(token, dim).tobytes() == ScalarHashing(dim).token_vector(token).tobytes()
 
 
 class TestComputeIdf:
@@ -137,50 +153,90 @@ class TestComputeIdf:
                     assert idf[a] >= idf[b]
 
 
+VOCAB = ["b", "p", "a", "or", "ab", "nokia", "nokian", "acme", "x" * 30]
+
+
 class TestEmbedName:
-    class Axes:
-        """Orthogonal unit axes: aa -> e0, anything else -> e1."""
+    class Axes(HashingBackend):
+        """Every token is its own single gram: aa -> e0, anything else -> e1."""
 
-        dim = 2
+        def __init__(self):
+            self.dim = 2
 
-        def token_vector(self, token):
-            v = np.zeros(2)
-            v[0 if token == "aa" else 1] = 1.0
-            return v
+        def grams(self, token):
+            return [token]
+
+        def hash_gram(self, gram):
+            return (0 if gram == "aa" else 1), 1.0
 
     def test_weighted_mean_frozen(self):
         # idf weights 1.0 and 0.5 over orthogonal axes -> (2/3, 1/3).
         idf = IdfTable(weights={"aa": 1.0, "bb": 0.5})
-        emb = embed_name(("aa", "bb"), self.Axes(), idf)
-        assert np.allclose(emb.vector, [2 / 3, 1 / 3])
-        assert not emb.degenerate
+        out = embed_corpus(token_names([["aa", "bb"]]), self.Axes(), idf)
+        assert np.allclose(out.block[0], [2 / 3, 1 / 3])
+        assert not out["r0"].degenerate
 
     def test_repeated_token_weighs_twice(self):
         idf = IdfTable(weights={"aa": 1.0, "bb": 1.0})
-        emb = embed_name(("aa", "aa", "bb"), self.Axes(), idf)
-        assert np.allclose(emb.vector, [2 / 3, 1 / 3])
+        out = embed_corpus(token_names([["aa", "aa", "bb"]]), self.Axes(), idf)
+        assert np.allclose(out.block[0], [2 / 3, 1 / 3])
 
     def test_empty_tokens_rejected(self):
+        with pytest.raises(InputError):
+            embed_corpus(token_names([["aa"], []]), HashingBackend(), IdfTable(weights={}))
         with pytest.raises(InputError):
             embed_name((), self.Axes(), IdfTable(weights={}))
 
     def test_cancelling_tokens_degenerate(self):
         # The hashed "b" and "p" are exact negatives, so under equal weights
         # their mean is the zero vector, which has no cosine.
-        backend = HashingBackend()
-        assert np.array_equal(backend.token_vector("b"), -backend.token_vector("p"))
+        assert np.array_equal(token_vector("b"), -token_vector("p"))
         idf = IdfTable(weights={"b": 0.5, "p": 0.5})
-        emb = embed_name(("b", "p"), backend, idf)
-        assert emb.degenerate
-        assert not emb.vector.any()
+        out = embed_corpus(token_names([["b", "p"], ["b"]]), HashingBackend(), idf)
+        assert out.degenerate.tolist() == [True, False] and out.norms[0] == 0.0
+        assert not out.block[0].any() and out["r0"].degenerate
+        assert embed_name(("b", "p"), ScalarHashing(), idf).degenerate
 
     def test_embed_corpus_sorted_and_keyed(self):
         names = names_from(["NOKIA CORP", "ACME LTD"])
         idf = compute_idf(names)
         out = embed_corpus(names, HashingBackend(), idf)
-        assert list(out) == ["r0", "r1"]
-        assert out["r0"].vector.shape == (256,)
-        assert np.array_equal(out["r1"].vector, embed_name(names[1].tokens, HashingBackend(), idf).vector)
+        assert list(out) == ["r0", "r1"] and out.ids == ("r0", "r1")
+        assert out["r0"].vector.shape == (256,) and out.block.shape == (2, 256)
+        assert np.array_equal(out["r1"].vector, embed_name(names[1].tokens, ScalarHashing(), idf).vector)
+        assert [e.degenerate for e in out.values()] == [False, False]
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(st.sampled_from([0.01, 0.3, 0.5, 1.0]), min_size=len(VOCAB), max_size=len(VOCAB)),
+        st.sampled_from([32, 256]),
+        st.booleans(),
+    )
+    def test_block_matches_scalar_oracle_bit_for_bit(self, token_lists, weights, dim, corpus_idf):
+        """Every row is the dense per-name mean bit for bit, under the
+        corpus idf or arbitrary weights (equal ones let b and p cancel), with
+        repeated tokens and a parked token ("or" at dim 32); every norm is
+        np.linalg.norm's and a row is flagged degenerate exactly when the
+        oracle's mean is zero."""
+        names = token_names(token_lists)
+        idf = compute_idf(names) if corpus_idf else IdfTable(weights=dict(zip(VOCAB, weights)))
+        out = embed_corpus(names, HashingBackend(dim), idf)
+        assert out.block.shape == (len(names), dim) and out.block.dtype == np.float64
+        for i, name in enumerate(names):
+            want = embed_name(name.tokens, ScalarHashing(dim), idf)
+            assert np.array_equal(out.block[i].view(np.int64), want.vector.view(np.int64)), name.tokens
+            assert out.norms[i].view(np.int64) == np.float64(np.linalg.norm(want.vector)).view(np.int64)
+            assert bool(out.degenerate[i]) == want.degenerate
+
+    def test_name_vectors_from_rows(self):
+        block = np.array([[3.0, 4.0], [0.0, 0.0]])
+        vectors = NameVectors(["a", "b"], block)
+        assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True]
+        assert vectors["b"].degenerate and vectors["a"].vector.tolist() == [3.0, 4.0]
 
 
 class TestCosine:
@@ -230,12 +286,14 @@ class TestPairCosines:
         vectors += [signed, np.where(signed == 0.0, -0.0, signed)]
         n = len(vectors)
         a, b = (np.array(col) for col in zip(*[(i, j) for i in range(n) for j in range(n) if i != j]))
-        got = pair_cosines(vectors, a, b).tolist()
+        got = pair_cosines(np.array(vectors), norms_of(vectors), a, b).tolist()
         assert got == [cosine_similarity(vectors[i], vectors[j]) for i, j in zip(a.tolist(), b.tolist())]
         assert got.count(1.0) >= 2 * 6
 
     def test_zero_norm_rejected_only_when_paired(self):
-        vectors = [np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])]
-        assert pair_cosines(vectors, np.array([0]), np.array([2])).tolist() == [cosine_similarity(vectors[0], vectors[2])]
+        vectors = np.array([np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])])
+        norms = norms_of(vectors)
+        got = pair_cosines(vectors, norms, np.array([0]), np.array([2])).tolist()
+        assert got == [cosine_similarity(vectors[0], vectors[2])]
         with pytest.raises(ValueError, match="zero-norm"):
-            pair_cosines(vectors, np.array([0]), np.array([1]))
+            pair_cosines(vectors, norms, np.array([0]), np.array([1]))

@@ -16,6 +16,7 @@ import harmonizer
 from harmonizer.errors import InputError
 from harmonizer.evaluation import (
     EvalReport,
+    GoldPairs,
     PairwiseConfusion,
     bcubed,
     build_report,
@@ -108,6 +109,31 @@ class TestPairwiseConfusion:
             assert math.isclose(metrics.precision, p, abs_tol=1e-12)
             assert math.isclose(metrics.recall, r, abs_tol=1e-12)
             assert math.isclose(metrics.f1, f1, abs_tol=1e-12)
+
+
+class TestGoldPairs:
+    @given(st.data())
+    def test_matches_pairwise_confusion(self, data):
+        """Random partitions of the table ids against gold in shuffled file
+        order, with gold records the table lacks and table records gold
+        lacks."""
+        n = data.draw(st.integers(1, 40))
+        ids = [f"r{i:02d}" for i in range(n)]
+        community = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        in_gold = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        in_gold[data.draw(st.integers(0, n - 1))] = True
+        labels = [rid for rid, kept in zip(ids, in_gold) if kept]
+        labels += [f"x{i}" for i in range(data.draw(st.integers(0, 5)))]
+        order = data.draw(st.permutations(labels))
+        gold = [GoldLabel(rid, f"e{data.draw(st.integers(0, 5))}") for rid in order]
+        confusion = GoldPairs(gold, ids).confusion(community)
+        assert confusion == pairwise_confusion(dict(zip(ids, community)), gold)
+
+    def test_rejects_gold_as_pairwise_confusion_does(self):
+        with pytest.raises(InputError, match="share no records"):
+            GoldPairs(gold_from({"b": "x"}), ["a"])
+        with pytest.raises(InputError, match="duplicate"):
+            GoldPairs([GoldLabel("a", "x"), GoldLabel("a", "y")], ["a"])
 
 
 class TestComputeMetrics:

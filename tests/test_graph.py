@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
 from harmonizer.augment import DomainInfo
-from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
+from harmonizer.embed import HashingBackend, NameVectors, compute_idf, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -23,8 +23,6 @@ from harmonizer.graph import (
     bridgeness_centrality,
     build_graph,
     louvain,
-    name_community_centroid,
-    name_community_volume,
     prune_global_bridges,
     refine_communities,
 )
@@ -39,6 +37,8 @@ from oracles import (
     connected_graphs,
     cosine_similarity,
     exact_bridgeness,
+    name_community_centroid,
+    name_community_volume,
     reference_louvain,
     reference_prune,
 )
@@ -50,7 +50,7 @@ def scored(records, *pairs):
     ids = [r.record_id for r in records]
     names = [clean_name(r.raw_name, record_id=r.record_id).with_class(NameClass.TYPE1) for r in records]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
-    embeddings = list(embed_corpus(names, HashingBackend(), compute_idf(names)).values())
+    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
     infos = [DomainInfo(None, frozenset())] * len(names)
     table = score_pairs(names, np.array([row[:2] for row in rows]), infos, embeddings, records)
     return table, np.array([row[2] for row in rows])
@@ -635,38 +635,49 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
 
 
 def naming_columns(cleaned, vectors=(), patents=()):
-    """Aligned records, names and embeddings of the members m00, m01, ...:
+    """Aligned records, names and vectors of the members m00, m01, ...:
     member i has the cleaned name ``cleaned[i]``, its upper case as raw name,
-    ``patents[i]`` patents (0 when none are given) and the embedding
-    ``vectors[i]``, degenerate when it is all zero."""
+    ``patents[i]`` patents (0 when none are given) and the vector
+    ``vectors[i]`` (all zero when none are given), degenerate when it is all
+    zero."""
     ids = [f"m{i:02d}" for i in range(len(cleaned))]
     patents = patents or [0] * len(cleaned)
     records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
     names = [CleanName(rid, c, tuple(c.split())) for rid, c in zip(ids, cleaned)]
-    embeddings = [NameEmbedding(np.array(v, dtype=float), degenerate=not any(v)) for v in vectors]
-    return records, names, embeddings
+    block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
+    return records, names, NameVectors(ids, block)
+
+
+def canonical_names(community, columns):
+    """``assign_canonical_names`` over the partition of the columns' members
+    into ``community`` (dense ids by position)."""
+    return assign_canonical_names(Partition(columns[2].ids, list(community)), *columns).canonical
 
 
 class TestNaming:
     def test_centroid_picks_most_central(self):
         columns = naming_columns(["acme", "acme corp", "zeta"], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         # b is closest to both a and c on average.
-        assert name_community_centroid([0, 1, 2], *columns) == "ACME CORP"
+        assert canonical_names([0, 0, 0], columns) == {0: "ACME CORP"}
 
     def test_centroid_tie_breaks_on_cleaned(self):
         columns = naming_columns(["zeta", "acme"], [[1.0, 0.0], [1.0, 0.0]])
-        assert name_community_centroid([0, 1], *columns) == "ACME"
+        assert canonical_names([0, 0], columns) == {0: "ACME"}
 
     def test_centroid_singleton(self):
-        assert name_community_centroid([0], *naming_columns(["acme"], [[1.0, 0.0]])) == "ACME"
+        assert canonical_names([0], naming_columns(["acme"], [[1.0, 0.0]])) == {0: "ACME"}
 
     def test_centroid_ignores_degenerate_voters(self):
         columns = naming_columns(["acme", "bbb", "ccme"], [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert name_community_centroid([0, 1, 2], *columns) == "ACME"
+        assert canonical_names([0, 0, 0], columns) == {0: "ACME"}
 
     def test_centroid_all_degenerate_raises(self):
+        # The per-community oracle raises; naming falls back to the volume
+        # name, here the only member's.
+        records, names, vectors = naming_columns(["acme"], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            name_community_centroid([0], *naming_columns(["acme"], [[0.0, 0.0]]))
+            name_community_centroid([0], records, names, list(vectors.values()))
+        assert canonical_names([0], (records, names, vectors)) == {0: "ACME"}
 
     def test_centroid_matches_scalar_definition(self):
         """Same winner as summing cosine_similarity over every ordered pair
@@ -681,28 +692,60 @@ class TestNaming:
             vectors[rng.random(size) < 0.1] = 0.0
             cleaned = [str(rng.integers(3)) + f"m{i:02d}" for i in range(size)]
             records, names, embs = naming_columns(cleaned, vectors.tolist())
-            usable = [m for m in range(size) if not embs[m].degenerate]
+            usable = [m for m in range(size) if vectors[m].any()]
             if not usable:
                 continue
             expected = min(
                 usable,
                 key=lambda m: (
-                    -sum(cosine_similarity(embs[m].vector, embs[o].vector) for o in usable if o != m)
+                    -sum(cosine_similarity(vectors[m], vectors[o]) for o in usable if o != m)
                     / max(1, len(usable) - 1),
                     cleaned[m],
                     m,
                 ),
             )
-            members = list(range(size))[::-1]
-            assert name_community_centroid(members, records, names, embs) == records[expected].raw_name
+            assert canonical_names([0] * size, (records, names, embs)) == {0: records[expected].raw_name}
 
+    def test_matches_per_community_oracle_on_random_partitions(self):
+        """Every community of random partitions of 1-40 members gets the
+        per-community oracle's name (its volume name when the oracle finds
+        no usable vector), with duplicated vectors (cosine ties), equal
+        cleaned names and degenerate members."""
+        rng = np.random.default_rng(17)
+        cases = Counter()
+        for _ in range(60):
+            size = int(rng.integers(1, 41))
+            vectors = rng.normal(size=(size, 5))
+            for i in rng.choice(size, size // 3):
+                vectors[i] = vectors[rng.integers(size)]
+            vectors[rng.random(size) < 0.15] = 0.0
+            cleaned = [f"n{rng.integers(4)}" for _ in range(size)]
+            columns = naming_columns(cleaned, vectors.tolist(), [int(p) for p in rng.integers(0, 5, size)])
+            labels = rng.integers(0, max(1, size // 4), size).tolist()
+            # Dense ids numbered by smallest member.
+            community = [list(dict.fromkeys(labels)).index(c) for c in labels]
+            got = canonical_names(community, columns)
+            embeddings = list(columns[2].values())
+            for cid in range(max(community) + 1):
+                members = [m for m, c in enumerate(community) if c == cid]
+                try:
+                    want = name_community_centroid(members, columns[0], columns[1], embeddings)
+                    cases["centroid"] += 1
+                except ValueError:
+                    want = name_community_volume(members, columns[0], columns[1])
+                    cases["volume"] += 1
+                assert got[cid] == want, (cid, members)
+        assert min(cases.values()) > 0, cases
+
+    # Without vectors every member is degenerate, so these communities are
+    # named by patent count.
     def test_volume_picks_biggest_portfolio(self):
-        records, names, _ = naming_columns(["acme", "acme inc"], patents=[10, 50])
-        assert name_community_volume([0, 1], records, names) == "ACME INC"
+        columns = naming_columns(["acme", "acme inc"], patents=[10, 50])
+        assert canonical_names([0, 0], columns) == {0: "ACME INC"}
 
     def test_volume_tie_breaks_on_cleaned(self):
-        records, names, _ = naming_columns(["zeta", "acme"], patents=[5, 5])
-        assert name_community_volume([0, 1], records, names) == "ACME"
+        columns = naming_columns(["zeta", "acme"], patents=[5, 5])
+        assert canonical_names([0, 0], columns) == {0: "ACME"}
 
     def test_assign_centroid_with_volume_fallback(self):
         part = Partition(("m00", "m01", "m02"), [0, 0, 1])

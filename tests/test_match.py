@@ -1,6 +1,7 @@
 """Condition vectors, matching scores, candidate blocking, and the pair table."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -10,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harmonizer.augment import DomainInfo
-from harmonizer.embed import HashingBackend, NameEmbedding, compute_idf, embed_corpus
+from harmonizer.embed import HashingBackend, NameEmbedding, NameVectors, compute_idf, embed_corpus
+from harmonizer import match
 from harmonizer.errors import InputError
 from harmonizer.match import (
     FULL_INDEX,
@@ -243,7 +245,7 @@ def small_corpus():
         "r09": info("zeta.io", {"zeta", "labs"}),
     }
     idf = compute_idf(names)
-    embeddings = list(embed_corpus(names, HashingBackend(dim=64), idf).values())
+    embeddings = embed_corpus(names, HashingBackend(dim=64), idf)
     return names, [infos.get(n.record_id, info()) for n in names], embeddings
 
 
@@ -334,13 +336,56 @@ def random_blocking_corpus(rng, n):
 class TestBoundedBlocking:
     DEFAULTS = WeightVector()
 
+    def test_every_kind_priced_by_its_bucket_sizes(self, monkeypatch):
+        """All six kinds reach ``blocking_key_kinds`` priced as the sum of
+        C(|bucket|, 2) over their keys, indexed or not, and only the chosen
+        kinds' buckets make candidates."""
+        names, infos = random_blocking_corpus(random.Random(5), 120)
+        priced = []
+
+        def spy(bound, costs):
+            priced.append(dict(costs))
+            return blocking_key_kinds(bound, costs)
+
+        monkeypatch.setattr(match, "blocking_key_kinds", spy)
+        stats: dict = {}
+        candidates = generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 3.9), stats)
+        buckets: dict[str, dict[str, list[int]]] = {kind: {} for kind in priced[0]}
+        for i, (name, inf) in enumerate(zip(names, infos)):
+            held = {"type2_domain": [inf.domain] if inf.domain else []}
+            if name.name_class is NameClass.TYPE1:
+                tokens = set(name.tokens)
+                held = {
+                    "first_token": [name.tokens[0]],
+                    "token": tokens,
+                    "domain": [inf.domain] if inf.domain else [],
+                    "url": inf.url_tokens if tokens & inf.url_tokens else [],
+                    "url_any": inf.url_tokens,
+                }
+            for kind, keys in held.items():
+                for key in keys:
+                    buckets[kind].setdefault(key, []).append(i)
+        assert len(priced) == 1 and len(priced[0]) == 6
+        assert priced[0] == {
+            kind: sum(len(p) * (len(p) - 1) // 2 for p in keyed.values()) for kind, keyed in buckets.items()
+        }
+        assert min(priced[0].values()) > 0
+        chosen = {
+            pair
+            for kind in stats["blocking_keys"]
+            for positions in buckets[kind].values()
+            for pair in itertools.combinations(positions, 2)
+        }
+        assert set(stats["blocking_keys"]) < set(priced[0])
+        assert sorted(chosen) == list(map(tuple, candidates.tolist()))
+
     def test_oracle_over_random_bounds(self):
         """Over random weights (zeros included) and thresholds, the bounded
         candidates keep exactly the pairs of the full index, and of brute
         force, that score >= threshold."""
         rng = random.Random(7)
         names, infos = random_blocking_corpus(rng, 160)
-        embeddings = list(embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).values())
+        embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
         brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
         full = set(id_pairs(names, generate_candidate_pairs(names, infos)))
@@ -441,13 +486,13 @@ def oracle_corpus(seed, n=70):
     some records carry a bitwise copy of another record's vector."""
     rng = random.Random(seed)
     names, infos = random_blocking_corpus(rng, n)
-    embeddings = list(embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).values())
+    block = embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).block
     rows = range(len(names))
     for i in rng.sample(rows, 6):
-        embeddings[i] = NameEmbedding(np.zeros(32), degenerate=True)
+        block[i] = 0.0
     for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
-        embeddings[i] = NameEmbedding(embeddings[source].vector.copy(), embeddings[source].degenerate)
-    return names, infos, embeddings
+        block[i] = block[source]
+    return names, infos, NameVectors([n.record_id for n in names], block)
 
 
 class TestScorePairs:
@@ -474,7 +519,8 @@ class TestScorePairs:
         with pytest.raises(ValueError, match="row 1: .*sorted"):
             score_pairs(names, [[0, 2], [0, 1]], infos, embeddings, records)
         with pytest.raises(ValueError, match="strictly ascending"):
-            score_pairs(names[::-1], [[0, 1]], infos[::-1], embeddings[::-1], records[::-1])
+            reversed_vectors = NameVectors(embeddings.ids[::-1], embeddings.block[::-1])
+            score_pairs(names[::-1], [[0, 1]], infos[::-1], reversed_vectors, records[::-1])
 
     @pytest.mark.parametrize(
         "column, reason",
@@ -493,6 +539,8 @@ class TestScorePairs:
         if column == "swapped_records":
             records = columns["records"]
             records[3], records[4] = records[4], records[3]
+        elif column == "embeddings":
+            columns[column] = NameVectors(embeddings.ids[:-1], embeddings.block[:-1])
         else:
             columns[column] = columns[column][:-1]
         with pytest.raises(ValueError, match=reason):
@@ -518,9 +566,10 @@ class TestScorePairs:
     def test_table_matches_scalar_oracle(self, seed):
         """Every column and every score equals evaluate_conditions and
         matching_score exactly, under random weights with zeros."""
-        names, infos, embeddings = oracle_corpus(seed)
+        names, infos, vectors = oracle_corpus(seed)
+        embeddings = list(vectors.values())
         candidates = brute_force_candidates(names)
-        table = score_pairs(names, candidates, infos, embeddings, name_records(names))
+        table = score_pairs(names, candidates, infos, vectors, name_records(names))
         pairs = id_pairs(names, candidates)
         assert pair_ids(table) == pairs
         rng = random.Random(seed)

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -302,8 +303,7 @@ class TestFailureHandling:
         table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + rows, encoding="utf-8")
         config = PipelineConfig.load(corpus60_paths["config"], environ={})
         artifacts = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
-        ids = [r.record_id for r in artifacts.records]
-        assert artifacts.embeddings[ids.index("r901")].degenerate and artifacts.embeddings[ids.index("r902")].degenerate
+        assert artifacts.embeddings["r901"].degenerate and artifacts.embeddings["r902"].degenerate
         run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out")
         mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
         assert len(mapping) == 62
@@ -602,9 +602,10 @@ class TestPrepareCorpus:
         ids = [r.record_id for r in artifacts.records]
         assert ids == sorted(r.record_id for r in records)
         assert [n.record_id for n in artifacts.names] == ids
-        columns = (artifacts.records, artifacts.names, artifacts.domain_info, artifacts.embeddings)
-        assert [len(column) for column in columns] == [60] * 4
+        columns = (artifacts.records, artifacts.names, artifacts.domain_info)
+        assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
+        assert artifacts.embeddings.ids == tuple(ids) and artifacts.embeddings.block.shape == (60, 256)
 
     def test_brute_force_candidates_superset(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
@@ -648,15 +649,17 @@ def assert_same_corpus(got, want):
     assert got.domain_info == want.domain_info
     assert np.array_equal(got.candidates, want.candidates)
     assert len(got.embeddings) == len(want.embeddings)
-    for a, b in zip(got.embeddings, want.embeddings):
+    for a, b, norm in zip(got.embeddings.values(), want.embeddings, got.embeddings.norms.tolist()):
         assert a.vector.shape == b.vector.shape and a.vector.tobytes() == b.vector.tobytes()
         assert a.degenerate == b.degenerate
+        assert np.float64(norm).tobytes() == np.linalg.norm(b.vector).tobytes()
 
 
 class TestPrepareOnceOracle:
-    """``prepare_corpus`` computes each distinct token vector, URL domain and
-    page token set once; the per-record oracle computes them for every
-    record, and both must give the same corpus, bit for bit."""
+    """``prepare_corpus`` hashes each distinct gram and computes each URL
+    domain and page token set once; the per-record oracle computes them for
+    every record, one dense vector per name, and both must give the same
+    corpus, bit for bit."""
 
     def test_corpus300(self, corpus300_paths, corpus300_config):
         records = load_assignee_table(corpus300_paths["input"])
@@ -676,7 +679,7 @@ class TestPrepareOnceOracle:
 
     def test_each_distinct_value_computed_once(self, monkeypatch):
         config, records, cache = mixed_corpus()
-        calls: dict[str, Counter] = {"token": Counter(), "url": Counter(), "text": Counter()}
+        calls: dict[str, Counter] = {"gram": Counter(), "url": Counter(), "text": Counter()}
 
         def spy(owner, attr, key, arg):
             fn = getattr(owner, attr)
@@ -687,17 +690,44 @@ class TestPrepareOnceOracle:
 
             monkeypatch.setattr(owner, attr, counted)
 
-        spy(embed.HashingBackend, "token_vector", "token", 1)
+        spy(embed.HashingBackend, "hash_gram", "gram", 1)
         spy(augment, "extract_domain", "url", 0)
         spy(augment, "preprocess_url_text", "text", 0)
         artifacts = prepare_corpus(config, records, cache)
         results = [cache.get(r.raw_name) for r in records]
-        assert set(calls["token"]) == {t for name in artifacts.names for t in name.tokens}
+        grams = [g for t in {t for name in artifacts.names for t in name.tokens} for g in embed.HashingBackend().grams(t)]
+        assert set(calls["gram"]) == set(grams)
         assert set(calls["url"]) == {r.first_url for r in results if r is not None and r.first_url}
         assert set(calls["text"]) == {r.first_text if r is not None else None for r in results}
-        assert len(calls["token"]) < sum(len(name.tokens) for name in artifacts.names)
+        assert len(calls["gram"]) < len(grams)
         for counter in calls.values():
             assert set(counter.values()) == {1}
+
+
+IMPORT_GUARD = """
+import json, sys
+import harmonizer.pipeline as pipeline
+from harmonizer.config import PipelineConfig
+
+paths = json.loads(sys.argv[1])
+config = PipelineConfig.load(paths["config"], environ={})
+before = set(sys.modules)
+pipeline.run_pipeline(config, paths["input"], paths["cache"], "out", gold_path=paths["gold"], offline=True)
+pipeline.tune_pipeline(config, paths["input"], paths["cache"], paths["gold"], n_trials=2)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_runs_import_nothing_beyond_the_package_data(corpus60_paths, tmp_path):
+    # A module first imported mid-run is paid for in every fresh process: the
+    # first np.unique call, for one, imports numpy.ma (about 26 ms).
+    env = dict(os.environ, PYTHONPATH=str(Path(embed.__file__).resolve().parent.parent))
+    paths = json.dumps({key: str(path) for key, path in corpus60_paths.items()})
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, paths], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == ["harmonizer.data"]
 
 
 @pytest.fixture(scope="module")
