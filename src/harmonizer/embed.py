@@ -98,17 +98,19 @@ class NameEmbedding:
 
 
 class NameVectors(Mapping[str, NameEmbedding]):
-    """Name vectors as the rows of one float64 block (names x dim), row i
-    belonging to ``ids[i]``, with each row's norm computed once. A row of
+    """Name vectors as the rows of one float64 block (rows x dim): record
+    ``ids[i]`` holds row ``rows[i]``, and records with the same token list
+    share one row. Each row's norm is computed once. A record whose row has
     norm zero has no cosine and is flagged ``degenerate``. As a mapping,
-    record id -> that row's ``NameEmbedding``."""
+    record id -> that record's ``NameEmbedding``."""
 
-    def __init__(self, ids: Sequence[str], block: np.ndarray):
+    def __init__(self, ids: Sequence[str], block: np.ndarray, rows: Sequence[int]):
         self.ids = tuple(ids)
         self.block = block
+        self.rows = np.asarray(rows, dtype=np.int64)
         # What np.linalg.norm computes for a 1-D float array.
         self.norms = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
-        self.degenerate = self.norms == 0.0
+        self.degenerate = (self.norms == 0.0)[self.rows]
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -116,7 +118,7 @@ class NameVectors(Mapping[str, NameEmbedding]):
 
     def __getitem__(self, record_id: str) -> NameEmbedding:
         i = self._position[record_id]
-        return NameEmbedding(self.block[i], bool(self.degenerate[i]))
+        return NameEmbedding(self.block[self.rows[i]], bool(self.degenerate[i]))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids)
@@ -126,39 +128,38 @@ class NameVectors(Mapping[str, NameEmbedding]):
 
 
 def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTable) -> NameVectors:
-    """Each name's idf-weighted mean of its token vectors, one row per name in
-    the order of ``names``. Each distinct gram is hashed once and each
-    distinct token's buckets are summed once; one ``np.bincount`` then adds
-    the names' weighted token entries in token order, as a dense sum over the
-    tokens does, so each row is bit for bit ``embed_name`` in
-    ``tests/oracles.py``. Cancelling tokens (the hashed ``b`` and ``p`` are
-    exact negatives) leave a zero, degenerate row."""
+    """Each name's idf-weighted mean of its token vectors, one block row per
+    distinct token list in first-seen order of ``names``. Each distinct gram
+    is hashed once and each distinct token's buckets are summed once; one
+    ``np.bincount`` then adds each row's weighted token entries in token
+    order, as a dense sum over the tokens does, so each row is bit for bit
+    ``embed_name`` in ``tests/oracles.py``. Cancelling tokens (the hashed
+    ``b`` and ``p`` are exact negatives) leave a zero, degenerate row."""
+    row_of: dict[tuple[str, ...], int] = {}
+    rows = [row_of.setdefault(name.tokens, len(row_of)) for name in names]
+    if () in row_of:
+        raise InputError(f"cannot embed the empty token list of {names[rows.index(row_of[()])].record_id!r}")
     features: dict[str, tuple[int, float]] = {}
-    token_index: dict[str, int] = {}
+    token_index = {token: k for k, token in enumerate(dict.fromkeys(t for tokens in row_of for t in tokens))}
     # Each distinct token's buckets and values, from starts[t].
     buckets, values, starts = [], [], [0]
-    for name in names:
-        if not name.tokens:
-            raise InputError(f"cannot embed the empty token list of {name.record_id!r}")
-        for token in name.tokens:
-            if token in token_index:
-                continue
-            token_index[token] = len(token_index)
-            counts: dict[int, float] = {}
-            for gram in backend.grams(token):
-                if gram not in features:
-                    features[gram] = backend.hash_gram(gram)
-                bucket, sign = features[gram]
-                counts[bucket] = counts.get(bucket, 0.0) + sign
-            # Small integer counts: every summation order is exact.
-            norm = math.sqrt(sum(c * c for c in counts.values()))
-            if norm == 0.0:
-                counts, norm = {backend.parked_bucket(token): 1.0}, 1.0
-            buckets.extend(counts)
-            values.extend(c / norm for c in counts.values())
-            starts.append(len(buckets))
-    occurrence = np.array([token_index[t] for name in names for t in name.tokens], dtype=np.int64)
-    row = np.repeat(np.arange(len(names)), [len(name.tokens) for name in names])
+    for token in token_index:
+        counts: dict[int, float] = {}
+        for gram in backend.grams(token):
+            if gram not in features:
+                features[gram] = backend.hash_gram(gram)
+            bucket, sign = features[gram]
+            counts[bucket] = counts.get(bucket, 0.0) + sign
+        # Small integer counts: every summation order is exact.
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        if norm == 0.0:
+            counts, norm = {backend.parked_bucket(token): 1.0}, 1.0
+        buckets.extend(counts)
+        values.extend(c / norm for c in counts.values())
+        starts.append(len(buckets))
+    n_rows = len(row_of)
+    occurrence = np.array([token_index[t] for tokens in row_of for t in tokens], dtype=np.int64)
+    row = np.repeat(np.arange(n_rows), [len(tokens) for tokens in row_of])
     weight = np.array([idf[t] for t in token_index], dtype=np.float64)[occurrence]
     first = np.array(starts, dtype=np.int64)
     length = (first[1:] - first[:-1])[occurrence]
@@ -166,26 +167,36 @@ def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTa
     entry = np.arange(int(length.sum())) + np.repeat(first[occurrence] - (np.cumsum(length) - length), length)
     bins = np.repeat(row * backend.dim, length) + np.array(buckets, dtype=np.int64)[entry]
     added = np.repeat(weight, length) * np.array(values, dtype=np.float64)[entry]
-    block = np.bincount(bins, added, minlength=len(names) * backend.dim).reshape(len(names), backend.dim)
-    block /= np.bincount(row, weight, minlength=len(names))[:, None]
-    return NameVectors([name.record_id for name in names], block)
+    block = np.bincount(bins, added, minlength=n_rows * backend.dim).reshape(n_rows, backend.dim)
+    block /= np.bincount(row, weight, minlength=n_rows)[:, None]
+    return NameVectors([name.record_id for name in names], block, rows)
 
 
-def pair_cosines(vectors: np.ndarray, norms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine in [-1, 1] of rows ``vectors[i]`` and ``vectors[j]`` for every
-    (i, j) in ``zip(a, b)``, given each row's norm (``NameVectors.norms``),
-    bit for bit what the scalar ``cosine_similarity`` in ``tests/oracles.py``
-    gives. Only pairs of equal norm are compared element by element, and
-    equal vectors get exactly 1.0; every other pair costs one ``np.dot``, as
-    a batched product would sum in another order."""
-    if (norms[a] == 0.0).any() or (norms[b] == 0.0).any():
+def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine in [-1, 1] of the vectors of records ``a[k]`` and ``b[k]``
+    (positions in ``vectors.ids``), bit for bit the scalar
+    ``cosine_similarity`` in ``tests/oracles.py``. Each distinct unordered
+    pair of block rows is computed once (``np.dot`` is symmetric bit for bit)
+    and copied to every pair holding it. Rows of equal norm are compared
+    element by element, and equal vectors get exactly 1.0; every other row
+    pair costs one ``np.dot``: a batched product would sum in another order."""
+    rows, norms, block = vectors.rows, vectors.norms, vectors.block
+    if vectors.degenerate[a].any() or vectors.degenerate[b].any():
         raise ValueError("cosine undefined for zero-norm vector")
-    same = norms[a] == norms[b]
-    same[same] = [np.array_equal(vectors[i], vectors[j]) for i, j in zip(a[same].tolist(), b[same].tolist())]
-    rows = np.flatnonzero(~same)
-    ra, rb = a[rows], b[rows]
-    dots = np.array([vectors[i].dot(vectors[j]) for i, j in zip(ra.tolist(), rb.tolist())], dtype=np.float64)
-    out = np.ones(len(a))
+    # One stable sort over the unordered row-pair keys groups equal pairs.
+    key = np.minimum(rows[a], rows[b]) * len(block) + np.maximum(rows[a], rows[b])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    i, j = np.divmod(key[new], len(block))
+    same = norms[i] == norms[j]
+    same[same] = [x == y or np.array_equal(block[x], block[y]) for x, y in zip(i[same].tolist(), j[same].tolist())]
+    differ = np.flatnonzero(~same)
+    ri, rj = i[differ], j[differ]
+    dots = np.array([block[x].dot(block[y]) for x, y in zip(ri.tolist(), rj.tolist())], dtype=np.float64)
+    cos = np.ones(len(i))
     # fmin/fmax clamp NaN to 1.0, as the scalar max/min do.
-    out[rows] = np.fmax(-1.0, np.fmin(1.0, dots / (norms[ra] * norms[rb])))
+    cos[differ] = np.fmax(-1.0, np.fmin(1.0, dots / (norms[ri] * norms[rj])))
+    out = np.empty(len(a))
+    out[order] = cos[np.cumsum(new) - 1]
     return out

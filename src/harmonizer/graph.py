@@ -497,7 +497,7 @@ def assign_canonical_names(
     usable = [[m for m in rows if not vectors.degenerate[m]] for rows in groups]
     chained = itertools.chain.from_iterable(p for rows in usable for p in itertools.combinations(rows, 2))
     a, b = np.fromiter(chained, dtype=np.int64).reshape(-1, 2).T
-    cos = pair_cosines(vectors.block, vectors.norms, a, b)
+    cos = pair_cosines(vectors, a, b)
     totals = np.bincount(np.concatenate([b, a]), np.concatenate([cos, cos]), minlength=len(records)).tolist()
     canonical: dict[int, str] = {}
     for cid, rows in enumerate(usable):

@@ -139,36 +139,38 @@ FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
 _BOUND_SLACK = 1e-9
 
 
-def _blocking_keys(
-    names: Sequence[CleanName],
-    domain_info: Sequence[DomainInfo],
-) -> dict[str, tuple[list[int], list[str]]]:
-    """Key kind -> (positions, keys): one entry per key of that kind that a
-    name in ``names`` holds, positions ascending, for every kind either index
-    may use; ``domain_info`` is aligned with ``names``. Type-2 names carry
-    domain keys only, under their own kind so the two classes never pair."""
-    kinds = ("first_token", "token", "domain", "url", "url_any", "type2_domain")
-    held: dict[str, tuple[list[int], list[str]]] = {kind: ([], []) for kind in kinds}
-
-    def add(kind: str, position: int, keys: Collection[str]) -> None:
-        held[kind][0].extend([position] * len(keys))
-        held[kind][1].extend(keys)
-
+def _blocking_keys(names: Sequence[CleanName], domain_info: Sequence[DomainInfo]) -> dict[str, dict]:
+    """Key kind -> {position: key set} over the names in ``names``, positions
+    ascending, for every kind either index may use; ``domain_info`` is
+    aligned with ``names`` (records with the same page share one url key
+    set). Type-2 names carry domain keys only, under their own kind."""
+    held: dict[str, dict] = {k: {} for k in ("first_token", "token", "domain", "url", "url_any", "type2_domain")}
     for i, (name, info) in enumerate(zip(names, domain_info, strict=True)):
         if name.name_class is None:
             raise ValueError(f"name {name.record_id!r} is not classified")
         domain = () if info.domain is None else (info.domain,)
         if name.name_class is NameClass.TYPE2:
-            add("type2_domain", i, domain)
+            held["type2_domain"][i] = domain
             continue
-        tokens = set(name.tokens)
-        add("first_token", i, name.tokens[:1])
-        add("token", i, tokens)
-        add("domain", i, domain)
-        add("url_any", i, info.url_tokens)
+        tokens = frozenset(name.tokens)
+        held["first_token"][i] = name.tokens[:1]
+        held["token"][i] = tokens
+        held["domain"][i] = domain
+        held["url_any"][i] = info.url_tokens
         if not tokens.isdisjoint(info.url_tokens):
-            add("url", i, info.url_tokens)
+            held["url"][i] = info.url_tokens
     return held
+
+
+def _pairs_cost(held: Iterable[Collection[str]]) -> int:
+    """Sum of C(|bucket|, 2) over ``held``, one key set per record; each distinct set counts once, times its holders."""
+    key_sets = Counter(held)
+    counts = Counter(itertools.chain.from_iterable(key_sets))
+    for keys, holders in key_sets.items():
+        if holders > 1:
+            for key in keys:
+                counts[key] += holders - 1
+    return sum(c * (c - 1) // 2 for c in counts.values())
 
 
 def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) -> tuple[str, ...]:
@@ -223,22 +225,23 @@ def generate_candidate_pairs(
     shares a key; type-2 names only ever fire the domain condition and are
     indexed on domains alone. With a bound, only the key kinds that
     ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
-    reach the bound's threshold. Every kind is priced from key counts alone.
+    reach the bound's threshold. Every kind is priced from key counts alone,
+    once per distinct key set.
     ``stats``, when given, receives the kinds used and the size of the
     largest block. Output is an int32 ``(n, 2)`` array holding each
     unordered pair once as positions ``i < j`` in ``names``, rows ascending.
     """
     held = _blocking_keys(names, domain_info)
-    costs = {kind: sum(c * (c - 1) // 2 for c in Counter(keys).values()) for kind, (_, keys) in held.items()}
-    kinds = blocking_key_kinds(bound, costs)
+    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(key_sets.values()) for kind, key_sets in held.items()})
     # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
     n = len(names)
     keys: set[int] = set()
     largest = 0
     for kind in kinds:
         index: dict[str, list[int]] = {}
-        for i, key in zip(*held[kind]):
-            index.setdefault(key, []).append(i)
+        for i, key_set in held[kind].items():
+            for key in key_set:
+                index.setdefault(key, []).append(i)
         for positions in index.values():
             largest = max(largest, len(positions))
             keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
@@ -264,8 +267,8 @@ def score_pairs(
     ``pairs`` holds ascending rows of positions ``i < j`` in them, as
     ``generate_candidate_pairs`` returns, and becomes the table's ``a`` and
     ``b``. Per-record data (token set, first token, own-page flag, domain,
-    locations) is gathered once, vectors and norms come with ``vectors``; per
-    pair only set intersections and one dot product remain."""
+    locations) is gathered once; per pair only set intersections remain, and
+    ``pair_cosines`` computes each distinct pair of vector rows once."""
     ids = tuple(n.record_id for n in names)
     if not len(ids) == len(domain_info) == len(vectors) == len(records):
         raise ValueError("names, domain_info, vectors and records differ in length")
@@ -300,16 +303,23 @@ def score_pairs(
     location = np.array(intersect([r.locations for r in records], np.arange(len(a))), dtype=np.uint8)
     cos = np.zeros(len(a))
     live = np.flatnonzero(~(vectors.degenerate[a] | vectors.degenerate[b]))
-    cos[live] = pair_cosines(vectors.block, vectors.norms, a[live], b[live])
+    cos[live] = pair_cosines(vectors, a[live], b[live])
     return PairTable(ids, a, b, type1[a], token, first, url, domain, location, cos)
 
 
 def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:
     """Write the rows whose score is >= ``threshold``, in table order."""
     rows = np.flatnonzero(scores >= threshold)
-    columns = (table.a, table.b, table.type1, table.token, table.first, table.url, table.domain, table.cos, scores)
+    # token, first and url by the binary code type1 token first url; empty for type 2.
+    binaries = ["\t\t"] * 8 + [f"{t}\t{f}\t{u}" for t in (0, 1) for f in (0, 1) for u in (0, 1)]
+    code = table.type1[rows] * 8 + table.token[rows] * 4 + table.first[rows] * 2 + table.url[rows]
+    columns = (table.a[rows], table.b[rows], code, table.domain[rows], table.cos[rows], scores[rows])
+    ids = table.ids
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("\t".join(PAIRS_HEADER) + "\n")
-        for i, j, type1, token, first, url, domain, cos, score in zip(*(col[rows].tolist() for col in columns)):
-            binaries = f"{token}\t{first}\t{url}" if type1 else "\t\t"
-            fh.write(f"{table.ids[i]}\t{table.ids[j]}\t{binaries}\t{domain}\t{cos:.12g}\t{score:.12g}\n")
+        # 1,024 rows per write: one string for the whole table would grow with it.
+        for start in range(0, len(rows), 1024):
+            chunk = zip(*(col[start : start + 1024].tolist() for col in columns))
+            lines = [f"{ids[i]}\t{ids[j]}\t{binaries[c]}\t{domain}\t{cos:.12g}\t{score:.12g}\n"
+                     for i, j, c, domain, cos, score in chunk]
+            fh.write("".join(lines))

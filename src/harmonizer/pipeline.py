@@ -170,7 +170,7 @@ class CorpusArtifacts:
     """Everything the matcher and filter need, reusable across tuning trials.
     The lists are aligned: entry i of each belongs to ``records[i]``, and
     records are sorted by record id; ``embeddings`` holds one vector row per
-    record. ``candidates`` index them."""
+    distinct token list. ``candidates`` index them."""
 
     records: list[AssigneeRecord]
     names: list[CleanName]
@@ -265,6 +265,7 @@ def prepare_corpus(
                 "type1": sum(1 for n in names if n.name_class is NameClass.TYPE1),
                 "type2": sum(1 for n in names if n.name_class is NameClass.TYPE2),
                 "degenerate": sum(_degenerate(names, embeddings)),
+                "vector_rows": len(embeddings.block),
                 "candidate_pairs": len(candidates),
                 **blocking,
             }

@@ -37,10 +37,6 @@ def token_vector(token, dim=256):
     return embed_corpus(token_names([[token]]), HashingBackend(dim), IdfTable(weights={})).block[0]
 
 
-def norms_of(vectors):
-    return np.array([np.linalg.norm(v) for v in vectors])
-
-
 class TestHashingBackend:
     def test_unit_norm(self):
         for token in ["nokia", "a", "grundfos", "x" * 50]:
@@ -207,36 +203,40 @@ class TestEmbedName:
         assert [e.degenerate for e in out.values()] == [False, False]
 
     @given(
-        st.lists(
-            st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5),
-            min_size=1,
-            max_size=12,
+        st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5), min_size=1, max_size=6).flatmap(
+            lambda lists: st.lists(st.sampled_from(lists).flatmap(st.permutations), min_size=1, max_size=12)
         ),
         st.lists(st.sampled_from([0.01, 0.3, 0.5, 1.0]), min_size=len(VOCAB), max_size=len(VOCAB)),
         st.sampled_from([32, 256]),
         st.booleans(),
     )
     def test_block_matches_scalar_oracle_bit_for_bit(self, token_lists, weights, dim, corpus_idf):
-        """Every row is the dense per-name mean bit for bit, under the
-        corpus idf or arbitrary weights (equal ones let b and p cancel), with
-        repeated tokens and a parked token ("or" at dim 32); every norm is
-        np.linalg.norm's and a row is flagged degenerate exactly when the
+        """Names repeat and permute a few token lists. The block holds one
+        row per distinct token list, in first-seen order, and every record's
+        row is the dense per-name mean bit for bit, under the corpus idf or
+        arbitrary weights (equal ones let b and p cancel), with repeated
+        tokens and a parked token ("or" at dim 32); every norm is
+        np.linalg.norm's and a record is flagged degenerate exactly when the
         oracle's mean is zero."""
         names = token_names(token_lists)
         idf = compute_idf(names) if corpus_idf else IdfTable(weights=dict(zip(VOCAB, weights)))
         out = embed_corpus(names, HashingBackend(dim), idf)
-        assert out.block.shape == (len(names), dim) and out.block.dtype == np.float64
+        distinct = list(dict.fromkeys(name.tokens for name in names))
+        assert out.block.shape == (len(distinct), dim) and out.block.dtype == np.float64
+        assert out.rows.tolist() == [distinct.index(name.tokens) for name in names]
         for i, name in enumerate(names):
             want = embed_name(name.tokens, ScalarHashing(dim), idf)
-            assert np.array_equal(out.block[i].view(np.int64), want.vector.view(np.int64)), name.tokens
-            assert out.norms[i].view(np.int64) == np.float64(np.linalg.norm(want.vector)).view(np.int64)
+            row = out.rows[i]
+            assert np.array_equal(out.block[row].view(np.int64), want.vector.view(np.int64)), name.tokens
+            assert out[name.record_id].vector.tobytes() == want.vector.tobytes()
+            assert out.norms[row].view(np.int64) == np.float64(np.linalg.norm(want.vector)).view(np.int64)
             assert bool(out.degenerate[i]) == want.degenerate
 
     def test_name_vectors_from_rows(self):
         block = np.array([[3.0, 4.0], [0.0, 0.0]])
-        vectors = NameVectors(["a", "b"], block)
-        assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True]
-        assert vectors["b"].degenerate and vectors["a"].vector.tolist() == [3.0, 4.0]
+        vectors = NameVectors(["a", "b", "c"], block, [0, 1, 0])
+        assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True, False]
+        assert vectors["b"].degenerate and vectors["c"].vector.tolist() == [3.0, 4.0]
 
 
 class TestCosine:
@@ -277,23 +277,46 @@ class TestCosine:
 class TestPairCosines:
     def test_bit_identical_to_cosine_similarity(self):
         """Random, rescaled, duplicated, sign-of-zero and near-opposite
-        vectors: every value equals cosine_similarity exactly, both ways."""
+        rows, read by records of their own and by records sharing a row:
+        every value over every ordered record pair, each pair twice and a
+        record with itself, equals cosine_similarity exactly."""
         rng = np.random.default_rng(11)
         vectors = list(rng.normal(size=(40, 32)))
         vectors += [v * 3.0 for v in vectors[:5]] + [v.copy() for v in vectors[5:10]] + [-vectors[10]]
         signed = np.zeros(32)
         signed[0] = 1.0
         vectors += [signed, np.where(signed == 0.0, -0.0, signed)]
-        n = len(vectors)
-        a, b = (np.array(col) for col in zip(*[(i, j) for i in range(n) for j in range(n) if i != j]))
-        got = pair_cosines(np.array(vectors), norms_of(vectors), a, b).tolist()
-        assert got == [cosine_similarity(vectors[i], vectors[j]) for i, j in zip(a.tolist(), b.tolist())]
-        assert got.count(1.0) >= 2 * 6
+        rows = list(range(len(vectors))) + rng.integers(len(vectors), size=15).tolist()
+        records = NameVectors([f"r{i:02d}" for i in range(len(rows))], np.array(vectors), rows)
+        n = len(rows)
+        pairs = [(i, j) for i in range(n) for j in range(n)] * 2
+        a, b = (np.array(col) for col in zip(*pairs))
+        got = pair_cosines(records, a, b).tolist()
+        assert got == [cosine_similarity(vectors[rows[i]], vectors[rows[j]]) for i, j in pairs]
+        assert sum(x == 1.0 for x, (i, j) in zip(got, pairs) if rows[i] != rows[j]) >= 2 * 2 * 6
+
+    def test_each_distinct_row_pair_computed_once(self):
+        """Twelve records on six rows, every ordered pair of records: one
+        dot product per unordered pair of distinct rows, none on one row."""
+        calls = []
+
+        class Counted(np.ndarray):
+            def dot(self, other):
+                calls.append(1)
+                return np.ndarray.dot(self, other)
+
+        block = np.random.default_rng(3).normal(size=(6, 8)).view(Counted)
+        records = NameVectors([f"r{i:02d}" for i in range(12)], block, list(range(6)) * 2)
+        calls.clear()
+        a, b = (np.array(col) for col in zip(*[(i, j) for i in range(12) for j in range(12) if i != j]))
+        assert pair_cosines(records, a, b)[(a % 6) == (b % 6)].tolist() == [1.0] * 12
+        assert len(calls) == 15
 
     def test_zero_norm_rejected_only_when_paired(self):
         vectors = np.array([np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])])
-        norms = norms_of(vectors)
-        got = pair_cosines(vectors, norms, np.array([0]), np.array([2])).tolist()
+        records = NameVectors(["a", "b", "c", "d"], vectors, [0, 1, 2, 1])
+        got = pair_cosines(records, np.array([0]), np.array([2])).tolist()
         assert got == [cosine_similarity(vectors[0], vectors[2])]
+        assert pair_cosines(records, np.array([], dtype=int), np.array([], dtype=int)).tolist() == []
         with pytest.raises(ValueError, match="zero-norm"):
-            pair_cosines(vectors, norms, np.array([0]), np.array([1]))
+            pair_cosines(records, np.array([0]), np.array([3]))

@@ -634,18 +634,18 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
         assert min(levels) >= 2, levels
 
 
-def naming_columns(cleaned, vectors=(), patents=()):
+def naming_columns(cleaned, vectors=(), patents=(), rows=None):
     """Aligned records, names and vectors of the members m00, m01, ...:
     member i has the cleaned name ``cleaned[i]``, its upper case as raw name,
     ``patents[i]`` patents (0 when none are given) and the vector
-    ``vectors[i]`` (all zero when none are given), degenerate when it is all
-    zero."""
+    ``vectors[rows[i]]`` (row i when no rows are given; all zero when no
+    vectors are given), degenerate when it is all zero."""
     ids = [f"m{i:02d}" for i in range(len(cleaned))]
     patents = patents or [0] * len(cleaned)
     records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
     names = [CleanName(rid, c, tuple(c.split())) for rid, c in zip(ids, cleaned)]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
-    return records, names, NameVectors(ids, block)
+    return records, names, NameVectors(ids, block, np.arange(len(ids)) if rows is None else rows)
 
 
 def canonical_names(community, columns):
@@ -709,8 +709,8 @@ class TestNaming:
     def test_matches_per_community_oracle_on_random_partitions(self):
         """Every community of random partitions of 1-40 members gets the
         per-community oracle's name (its volume name when the oracle finds
-        no usable vector), with duplicated vectors (cosine ties), equal
-        cleaned names and degenerate members."""
+        no usable vector), with duplicated vectors (cosine ties), members
+        sharing a vector row, equal cleaned names and degenerate members."""
         rng = np.random.default_rng(17)
         cases = Counter()
         for _ in range(60):
@@ -720,7 +720,9 @@ class TestNaming:
                 vectors[i] = vectors[rng.integers(size)]
             vectors[rng.random(size) < 0.15] = 0.0
             cleaned = [f"n{rng.integers(4)}" for _ in range(size)]
-            columns = naming_columns(cleaned, vectors.tolist(), [int(p) for p in rng.integers(0, 5, size)])
+            rows = np.where(rng.random(size) < 0.3, rng.integers(size, size=size), np.arange(size))
+            patents = [int(p) for p in rng.integers(0, 5, size)]
+            columns = naming_columns(cleaned, vectors.tolist(), patents, rows)
             labels = rng.integers(0, max(1, size // 4), size).tolist()
             # Dense ids numbered by smallest member.
             community = [list(dict.fromkeys(labels)).index(c) for c in labels]

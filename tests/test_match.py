@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -338,9 +339,15 @@ class TestBoundedBlocking:
 
     def test_every_kind_priced_by_its_bucket_sizes(self, monkeypatch):
         """All six kinds reach ``blocking_key_kinds`` priced as the sum of
-        C(|bucket|, 2) over their keys, indexed or not, and only the chosen
-        kinds' buckets make candidates."""
+        C(|bucket|, 2) over their keys, indexed or not, also when records
+        share a page's url token set, and only the chosen kinds' buckets
+        make candidates."""
         names, infos = random_blocking_corpus(random.Random(5), 120)
+        rng = random.Random(6)
+        for i, source in zip(rng.sample(range(120), 30), rng.sample(range(120), 30)):
+            infos[i] = DomainInfo(infos[i].domain, infos[source].url_tokens)
+        shared = Counter(inf.url_tokens for nm, inf in zip(names, infos) if nm.name_class is NameClass.TYPE1)
+        assert any(len(keys) and holders > 1 for keys, holders in shared.items())
         priced = []
 
         def spy(bound, costs):
@@ -482,17 +489,22 @@ def pair_ids(table, rows=None):
 
 def oracle_corpus(seed, n=70):
     """Classified names, domain info and embeddings where every condition
-    fires somewhere, type-2 names pair, some embeddings are degenerate and
-    some records carry a bitwise copy of another record's vector."""
+    fires somewhere, type-2 names pair, some embeddings are degenerate, some
+    records carry a bitwise copy of another record's vector in a row of
+    their own and some share another record's row."""
     rng = random.Random(seed)
     names, infos = random_blocking_corpus(rng, n)
-    block = embed_corpus(names, HashingBackend(dim=32), compute_idf(names)).block
+    embedded = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
+    block = embedded.block[embedded.rows]
     rows = range(len(names))
     for i in rng.sample(rows, 6):
         block[i] = 0.0
     for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
         block[i] = block[source]
-    return names, infos, NameVectors([n.record_id for n in names], block)
+    shared = np.arange(len(names))
+    for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
+        shared[i] = shared[source]
+    return names, infos, NameVectors([n.record_id for n in names], block, shared)
 
 
 class TestScorePairs:
@@ -519,7 +531,7 @@ class TestScorePairs:
         with pytest.raises(ValueError, match="row 1: .*sorted"):
             score_pairs(names, [[0, 2], [0, 1]], infos, embeddings, records)
         with pytest.raises(ValueError, match="strictly ascending"):
-            reversed_vectors = NameVectors(embeddings.ids[::-1], embeddings.block[::-1])
+            reversed_vectors = NameVectors(embeddings.ids[::-1], embeddings.block, embeddings.rows[::-1])
             score_pairs(names[::-1], [[0, 1]], infos[::-1], reversed_vectors, records[::-1])
 
     @pytest.mark.parametrize(
@@ -540,7 +552,7 @@ class TestScorePairs:
             records = columns["records"]
             records[3], records[4] = records[4], records[3]
         elif column == "embeddings":
-            columns[column] = NameVectors(embeddings.ids[:-1], embeddings.block[:-1])
+            columns[column] = NameVectors(embeddings.ids[:-1], embeddings.block, embeddings.rows[:-1])
         else:
             columns[column] = columns[column][:-1]
         with pytest.raises(ValueError, match=reason):

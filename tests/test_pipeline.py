@@ -122,7 +122,7 @@ class TestArtifacts:
     def test_manifest_stage_counts(self, corpus60_run):
         counts = corpus60_run["manifest"]["stage_counts"]
         assert set(counts) == {
-            "records", "augmented", "corrected", "type1", "type2", "degenerate",
+            "records", "augmented", "corrected", "type1", "type2", "degenerate", "vector_rows",
             "candidate_pairs", "edges", "communities",
         }
         assert counts["records"] == 60
@@ -131,6 +131,7 @@ class TestArtifacts:
         assert counts["type1"] == 60
         assert counts["type2"] == 0
         assert counts["degenerate"] == 0
+        assert counts["vector_rows"] == 36
         assert counts["communities"] == 12
         assert counts["candidate_pairs"] >= counts["edges"] > 0
         assert counts["candidate_pairs"] == corpus60_run["manifest"]["blocking"]["candidate_pairs"]
@@ -605,7 +606,11 @@ class TestPrepareCorpus:
         columns = (artifacts.records, artifacts.names, artifacts.domain_info)
         assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
-        assert artifacts.embeddings.ids == tuple(ids) and artifacts.embeddings.block.shape == (60, 256)
+        # One vector row per distinct token list, in first-seen order.
+        distinct = list(dict.fromkeys(n.tokens for n in artifacts.names))
+        assert artifacts.embeddings.ids == tuple(ids) and artifacts.embeddings.block.shape == (len(distinct), 256)
+        assert artifacts.embeddings.rows.tolist() == [distinct.index(n.tokens) for n in artifacts.names]
+        assert counts["vector_rows"] == len(distinct) < 60
 
     def test_brute_force_candidates_superset(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
@@ -649,7 +654,8 @@ def assert_same_corpus(got, want):
     assert got.domain_info == want.domain_info
     assert np.array_equal(got.candidates, want.candidates)
     assert len(got.embeddings) == len(want.embeddings)
-    for a, b, norm in zip(got.embeddings.values(), want.embeddings, got.embeddings.norms.tolist()):
+    norms = got.embeddings.norms[got.embeddings.rows].tolist()
+    for a, b, norm in zip(got.embeddings.values(), want.embeddings, norms):
         assert a.vector.shape == b.vector.shape and a.vector.tobytes() == b.vector.tobytes()
         assert a.degenerate == b.degenerate
         assert np.float64(norm).tobytes() == np.linalg.norm(b.vector).tobytes()
