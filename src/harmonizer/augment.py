@@ -13,7 +13,7 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
@@ -51,17 +51,7 @@ class AugmentationResult:
             raise InputError(f"{self.query_name!r}: first_text without first_url")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "query_name": self.query_name,
-                "corrected_name": self.corrected_name,
-                "first_url": self.first_url,
-                "first_text": self.first_text,
-                "fetched_at": self.fetched_at,
-                "provider_id": self.provider_id,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "AugmentationResult":
@@ -69,12 +59,14 @@ class AugmentationResult:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad cache line: {exc}") from exc
-        unknown = set(payload) - {
-            "query_name", "corrected_name", "first_url", "first_text", "fetched_at", "provider_id",
-        }
+        unknown = set(payload) - _RESULT_KEYS
         if unknown:
             raise InputError(f"bad cache line: unknown keys {sorted(unknown)}")
         return cls(**payload)
+
+
+# The keys a cache line may hold, built once: every line is checked.
+_RESULT_KEYS = frozenset(f.name for f in fields(AugmentationResult))
 
 
 class AugmentationCache:

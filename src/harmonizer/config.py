@@ -88,6 +88,22 @@ TUNED: dict[str, tuple[tuple[str, ...], float, float]] = {
 SEARCH_SPACE = SearchSpace([(name, lo, hi) for name, (_, lo, hi) in TUNED.items()])
 
 
+def _paths(node: Mapping, prefix: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    """The path of every section and key under ``node``, depth first."""
+    out = []
+    for key, value in node.items():
+        out.append(prefix + (key,))
+        if isinstance(value, dict):
+            out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+# Each section's and key's environment spelling: the prefix, then its path
+# joined by "_" and upper-cased (keys hold underscores themselves).
+_ENV_PATHS = {ENV_PREFIX + "_".join(path).upper(): path for path in _paths(DEFAULTS)}
+assert len(_ENV_PATHS) == len(_paths(DEFAULTS)), "two config paths share an environment spelling"
+
+
 def _merge(base: dict, override: Mapping, path: str) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -139,36 +155,17 @@ def _apply_env(config: dict, environ: Mapping[str, str]) -> dict:
     for env_name in sorted(environ):
         if not env_name.startswith(ENV_PREFIX):
             continue
-        dotted = env_name[len(ENV_PREFIX):].lower()
         try:
             raw = yaml.safe_load(environ[env_name])
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {env_name}: {exc}")
-        node = out
-        parts = dotted.split("_")
-        # Greedily match underscore-joined path segments against known keys
-        # (keys themselves contain underscores, e.g. blocklist_k).
-        path: list[str] = []
-        i = 0
-        while i < len(parts):
-            matched = None
-            for j in range(len(parts), i, -1):
-                candidate = "_".join(parts[i:j])
-                if isinstance(node, dict) and candidate in node:
-                    matched = (candidate, j)
-                    break
-            if matched is None:
-                raise ConfigError(f"{env_name}: no config key matches '{dotted}'")
-            key, i = matched
-            path.append(key)
-            if i < len(parts):
-                node = node[key]
-                if not isinstance(node, dict):
-                    raise ConfigError(f"{env_name}: '{'.'.join(path)}' is not a section")
-            else:
-                if isinstance(node[key], dict):
-                    raise ConfigError(f"{env_name}: '{'.'.join(path)}' is a section, not a key")
-                node[key] = _coerce(_at(DEFAULTS, path), raw, ".".join(path))
+        path = _ENV_PATHS.get(env_name.upper())
+        if path is None:
+            raise ConfigError(f"{env_name}: no config key matches '{env_name[len(ENV_PREFIX):].lower()}'")
+        dotted = ".".join(path)
+        if isinstance(_at(DEFAULTS, path), dict):
+            raise ConfigError(f"{env_name}: '{dotted}' is a section, not a key")
+        _at(out, path[:-1])[path[-1]] = _coerce(_at(DEFAULTS, path), raw, dotted)
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -97,34 +96,28 @@ class NameEmbedding:
     degenerate: bool = False
 
 
-class NameVectors(Mapping[str, NameEmbedding]):
-    """Name vectors as the rows of one float64 block (rows x dim): record
-    ``ids[i]`` holds row ``rows[i]``, and records with the same token list
-    share one row. Each row's norm is computed once. A record whose row has
-    norm zero has no cosine and is flagged ``degenerate``. As a mapping,
-    record id -> that record's ``NameEmbedding``."""
+class NameVectors(Mapping[int, NameEmbedding]):
+    """Name vectors as the rows of one float64 block (rows x dim): the
+    record at position i holds row ``rows[i]``, and records with the same
+    token list share one row. Each row's norm is computed once. A record
+    whose row has norm zero has no cosine and is flagged ``degenerate``. As
+    a mapping, record position -> that record's ``NameEmbedding``."""
 
-    def __init__(self, ids: Sequence[str], block: np.ndarray, rows: Sequence[int]):
-        self.ids = tuple(ids)
+    def __init__(self, block: np.ndarray, rows: Sequence[int]):
         self.block = block
         self.rows = np.asarray(rows, dtype=np.int64)
         # What np.linalg.norm computes for a 1-D float array.
         self.norms = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
         self.degenerate = (self.norms == 0.0)[self.rows]
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.ids)}
+    def __getitem__(self, position: int) -> NameEmbedding:
+        return NameEmbedding(self.block[self.rows[position]], bool(self.degenerate[position]))
 
-    def __getitem__(self, record_id: str) -> NameEmbedding:
-        i = self._position[record_id]
-        return NameEmbedding(self.block[self.rows[i]], bool(self.degenerate[i]))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids)
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.rows)))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
 
 def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTable) -> NameVectors:
@@ -169,12 +162,12 @@ def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTa
     added = np.repeat(weight, length) * np.array(values, dtype=np.float64)[entry]
     block = np.bincount(bins, added, minlength=n_rows * backend.dim).reshape(n_rows, backend.dim)
     block /= np.bincount(row, weight, minlength=n_rows)[:, None]
-    return NameVectors([name.record_id for name in names], block, rows)
+    return NameVectors(block, rows)
 
 
 def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine in [-1, 1] of the vectors of records ``a[k]`` and ``b[k]``
-    (positions in ``vectors.ids``), bit for bit the scalar
+    """Cosine in [-1, 1] of the vectors of the records at positions ``a[k]``
+    and ``b[k]``, bit for bit the scalar
     ``cosine_similarity`` in ``tests/oracles.py``. Each distinct unordered
     pair of block rows is computed once (``np.dot`` is symmetric bit for bit)
     and copied to every pair holding it. Rows of equal norm are compared

@@ -53,21 +53,8 @@ def _cells(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> list[tupl
     return [(pred.get(label.record_id, ("__missing__", label.record_id)), label.entity_id) for label in gold]
 
 
-def pairwise_confusion(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> PairwiseConfusion:
-    """Count agreeing/disagreeing unordered pairs without enumerating them.
-
-    tp sums C(n, 2) over the sizes of (predicted cluster x gold entity)
-    intersections; fp and fn follow from the predicted and gold pair totals.
-    """
-    cells = _cells(pred, gold)
-    tp = sum(_pairs(n) for n in Counter(cells).values())
-    pred_pairs = sum(_pairs(n) for n in Counter(cid for cid, _ in cells).values())
-    gold_pairs = sum(_pairs(n) for n in Counter(eid for _, eid in cells).values())
-    return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=gold_pairs - tp)
-
-
 class GoldPairs:
-    """The gold side of ``pairwise_confusion`` for partitions of fixed record
+    """The gold side of a pairwise confusion for partitions of fixed record
     ``ids``, computed once: each gold record's position in ``ids`` with its
     entity, and the gold pair total. A gold record ``ids`` lack is a
     predicted singleton: it adds no predicted or agreeing pair."""
@@ -79,11 +66,21 @@ class GoldPairs:
         self.cells = [(position[label.record_id], label.entity_id) for label in gold if label.record_id in position]
 
     def confusion(self, community: Sequence[Hashable]) -> PairwiseConfusion:
-        """``pairwise_confusion(dict(zip(ids, community)), gold)``."""
+        """Agreeing and disagreeing unordered pairs when ``ids[i]`` is in
+        cluster ``community[i]``, counted without enumerating them: tp sums
+        C(n, 2) over the sizes of (predicted cluster x gold entity)
+        intersections; fp and fn follow from the predicted and gold pair
+        totals."""
         cells = Counter((community[i], e) for i, e in self.cells)
         tp = sum(_pairs(n) for n in cells.values())
         pred_pairs = sum(_pairs(n) for n in Counter(community[i] for i, _ in self.cells).values())
         return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=self.gold_pairs - tp)
+
+
+def pairwise_confusion(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> PairwiseConfusion:
+    """The pairwise confusion of ``pred`` (record id -> cluster) against
+    ``gold``, through ``GoldPairs``."""
+    return GoldPairs(gold, list(pred)).confusion(list(pred.values()))
 
 
 def compute_metrics(confusion: PairwiseConfusion) -> Metrics:

@@ -35,11 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import NameVectors, pair_cosines
+from .embed import pair_cosines
 from .errors import ConfigError
 from .ingest import AssigneeRecord
-from .match import PairTable
-from .parse import CleanName
+from .match import Corpus, PairTable
 
 log = logging.getLogger(__name__)
 
@@ -445,8 +444,10 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     its induced subgraph, and re-runs Louvain there. A community whose
     subgraph loses no edge is confirmed and kept intact: re-partitioning it
     anyway would let Louvain split dense communities that merely look uneven
-    in isolation. Communities only ever split, so the result refines the
-    first-pass partition.
+    in isolation. Louvain can group nodes that no edge joins, so every
+    community is then split into its connected components in ``graph``.
+    Communities only ever split, so the result refines the first-pass
+    partition.
 
     ``stats``, when given, receives the flagged bridge nodes and pruned
     edges, how many first-pass communities were split, and the final
@@ -456,10 +457,9 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
     # A split community's parts take fresh labels above the first-pass ids,
-    # and the final renumbering makes them dense again.
+    # and the components make them dense again.
     community = list(first.community)
     fresh = first.n_communities
-    split = 0
     for members in first.members():
         if len(members) > 2:
             before = counts["pruned_edges"]
@@ -469,30 +469,46 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
                 for position, part in zip(members, parts.community):
                     community[position] = fresh + part
                 fresh += parts.n_communities
-                # A flagged node loses all its edges and becomes a part.
-                split += 1
-    partition = Partition(graph.nodes, _first_seen(community))
+    partition = Partition(graph.nodes, _components(graph.adj, community))
+    # Each final community lies in one first-pass community.
+    finals = Counter(dict(zip(partition.community, first.community)).values())
     sizes = Counter(Counter(partition.community).values())
-    counts.update(communities_split=split, community_sizes=dict(sorted(sizes.items())))
+    counts.update(communities_split=sum(n > 1 for n in finals.values()), community_sizes=dict(sorted(sizes.items())))
     return partition
 
 
-def assign_canonical_names(
-    partition: Partition,
-    records: Sequence[AssigneeRecord],
-    names: Sequence[CleanName],
-    vectors: NameVectors,
-) -> Partition:
+def _components(adj: list[dict], labels: Sequence[int]) -> list[int]:
+    """The connected components of the subgraph each label induces in
+    ``adj``, numbered by smallest member."""
+    # A flagged bridge node is a singleton that keeps its edges in ``adj``,
+    # so singletons are not searched.
+    size = Counter(labels)
+    component = [-1] * len(adj)
+    n_components = 0
+    for start, label in enumerate(labels):
+        if component[start] < 0:
+            component[start] = n_components
+            stack = [start] if size[label] > 1 else []
+            while stack:
+                for v in adj[stack.pop()]:
+                    if component[v] < 0 and labels[v] == label:
+                        component[v] = n_components
+                        stack.append(v)
+            n_components += 1
+    return component
+
+
+def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:
     """Fill ``partition.canonical`` for every community with the raw name of
     the member of greatest mean cosine to the others (ties: smallest cleaned
     name, then record id); degenerate vectors neither win nor vote. A
     community without a usable vector takes its member with the most
-    patents (same ties). ``records``, ``names`` and ``vectors`` are aligned,
-    and ``records`` hold ``partition.nodes``' ids in order (ValueError
+    patents (same ties). ``partition.nodes`` are ``corpus.ids`` (ValueError
     otherwise). Each unordered pair of usable members is scored once (cosine
     is symmetric bit for bit); one ``np.bincount`` adds each member's
     cosines in member order: as the pairs' second member, then as the first."""
-    partition.check_records(records)
+    partition.check_records(corpus.records)
+    records, names, vectors = corpus.records, corpus.names, corpus.vectors
     groups = partition.members()
     usable = [[m for m in rows if not vectors.degenerate[m]] for rows in groups]
     chained = itertools.chain.from_iterable(p for rows in usable for p in itertools.combinations(rows, 2))

@@ -49,7 +49,7 @@ class WeightVector:
 class PairTable:
     """Candidate pairs as columns, one row per pair, sorted by (id_a, id_b).
 
-    ``a`` and ``b`` index the strictly ascending record ``ids``. ``token``
+    ``a`` and ``b`` index ``ids``, those of the scored ``Corpus``. ``token``
     is 1 when the two names share a token, ``first`` when they also share
     their first token, ``url`` when each name shares a word with its own
     page text and the two pages share a word, and ``domain`` when both have
@@ -78,8 +78,6 @@ class PairTable:
         columns = (self.b, self.type1, self.token, self.first, self.url, self.domain, self.location, self.cos)
         if any(len(col) != n for col in columns):
             raise ValueError("pair table columns differ in length")
-        if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
-            raise ValueError("pair table ids must be strictly ascending")
         key = self.a.astype(np.int64) * len(self.ids) + self.b
         binary = [(col == 0) | (col == 1) for col in (self.token, self.first, self.url, self.domain, self.location)]
         checks = (
@@ -227,9 +225,10 @@ def generate_candidate_pairs(
     ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
     reach the bound's threshold. Every kind is priced from key counts alone,
     once per distinct key set.
-    ``stats``, when given, receives the kinds used and the size of the
-    largest block. Output is an int32 ``(n, 2)`` array holding each
-    unordered pair once as positions ``i < j`` in ``names``, rows ascending.
+    ``stats``, when given, receives the kinds used (``keys``) and the size
+    of the largest block (``largest_block``). Output is an int32 ``(n, 2)``
+    array holding each unordered pair once as positions ``i < j`` in
+    ``names``, rows ascending.
     """
     held = _blocking_keys(names, domain_info)
     kinds = blocking_key_kinds(bound, {kind: _pairs_cost(key_sets.values()) for kind, key_sets in held.items()})
@@ -246,40 +245,57 @@ def generate_candidate_pairs(
             largest = max(largest, len(positions))
             keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
     if stats is not None:
-        stats["blocking_keys"] = list(kinds)
+        stats["keys"] = list(kinds)
         stats["largest_block"] = largest
     pairs = np.fromiter(keys, dtype=np.int64, count=len(keys))
     pairs.sort()
     return np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
 
 
-def score_pairs(
-    names: Sequence[CleanName],
-    pairs: np.ndarray,
-    domain_info: Sequence[DomainInfo],
-    vectors: NameVectors,
-    records: Sequence[AssigneeRecord],
-) -> PairTable:
-    """Evaluate the conditions of every candidate pair into a PairTable.
-    ``names`` are sorted by record id and become the table's ``ids``;
-    ``domain_info``, ``vectors`` and ``records`` hold the same records in
-    the same order, and a length or record-id mismatch raises ValueError.
-    ``pairs`` holds ascending rows of positions ``i < j`` in them, as
-    ``generate_candidate_pairs`` returns, and becomes the table's ``a`` and
-    ``b``. Per-record data (token set, first token, own-page flag, domain,
-    locations) is gathered once; per pair only set intersections remain, and
-    ``pair_cosines`` computes each distinct pair of vector rows once."""
-    ids = tuple(n.record_id for n in names)
-    if not len(ids) == len(domain_info) == len(vectors) == len(records):
-        raise ValueError("names, domain_info, vectors and records differ in length")
-    if any(r.record_id != rid for r, rid in zip(records, ids)):
-        raise ValueError("records and names hold different record ids at the same position")
-    a, b = np.asarray(pairs, dtype=np.int32).reshape(-1, 2).T
-    if any(n.name_class is None for n in names):
-        raise ValueError("names must be classified before condition evaluation")
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """The prepared corpus every stage after blocking reads, in one record
+    order: entry i of ``records``, ``names`` and ``domain_info`` and record i
+    of ``vectors`` belong to ``ids[i]``, and the ids ascend strictly.
+    ``candidates`` holds ascending rows of positions ``i < j``, as
+    ``generate_candidate_pairs`` returns. Construction raises ValueError
+    when the columns differ in length or record id, or a name is not
+    classified."""
+
+    records: Sequence[AssigneeRecord]
+    names: Sequence[CleanName]
+    domain_info: Sequence[DomainInfo]
+    vectors: NameVectors
+    candidates: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.records) == len(self.names) == len(self.domain_info) == len(self.vectors):
+            raise ValueError("records, names, domain_info and vectors differ in length")
+        if any(n.record_id != rid for n, rid in zip(self.names, self.ids)):
+            raise ValueError("records and names hold different record ids at the same position")
+        if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
+            raise ValueError("record ids must be strictly ascending")
+        if any(n.name_class is None for n in self.names):
+            raise ValueError("names must be classified")
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(r.record_id for r in self.records)
+
+
+def score_pairs(corpus: Corpus) -> PairTable:
+    """Evaluate the conditions of every candidate pair of ``corpus`` into a
+    PairTable whose ``ids`` are the corpus's and whose ``a`` and ``b`` are
+    its candidates. Per-record data (token set, first token, own-page flag,
+    domain, locations) is gathered once; per pair only set intersections
+    remain, and ``pair_cosines`` computes each distinct pair of vector rows
+    once."""
+    names, domain_info, vectors = corpus.names, corpus.domain_info, corpus.vectors
+    a, b = np.asarray(corpus.candidates, dtype=np.int32).reshape(-1, 2).T
     type1 = np.array([n.name_class is NameClass.TYPE1 for n in names], dtype=bool)
     mixed = np.flatnonzero(type1[a] != type1[b])
     if len(mixed):
+        ids = corpus.ids
         raise ValueError(f"cannot pair {ids[a[mixed[0]]]!r} with {ids[b[mixed[0]]]!r}: different name classes")
     tokens = [frozenset(n.tokens) for n in names]
     own = np.array([bool(t & info.url_tokens) for t, info in zip(tokens, domain_info)], dtype=bool)
@@ -300,11 +316,11 @@ def score_pairs(
     first = token & (first_code[a] == first_code[b])
     domain_code = codes(info.domain for info in domain_info)
     domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
-    location = np.array(intersect([r.locations for r in records], np.arange(len(a))), dtype=np.uint8)
+    location = np.array(intersect([r.locations for r in corpus.records], np.arange(len(a))), dtype=np.uint8)
     cos = np.zeros(len(a))
     live = np.flatnonzero(~(vectors.degenerate[a] | vectors.degenerate[b]))
     cos[live] = pair_cosines(vectors, a[live], b[live])
-    return PairTable(ids, a, b, type1[a], token, first, url, domain, location, cos)
+    return PairTable(corpus.ids, a, b, type1[a], token, first, url, domain, location, cos)
 
 
 def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:

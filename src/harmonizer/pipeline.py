@@ -32,7 +32,6 @@ from . import __version__
 from .augment import (
     AugmentationCache,
     AugmentationResult,
-    DomainInfo,
     HtmlSearchProvider,
     SearchProvider,
     build_domain_info,
@@ -41,12 +40,12 @@ from .augment import (
     registrable_domains,
 )
 from .config import SEARCH_SPACE, PipelineConfig
-from .embed import HashingBackend, NameVectors, compute_idf, embed_corpus
+from .embed import HashingBackend, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import GoldPairs, build_report, check_gold, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from .match import ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
+from .match import Corpus, ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
 from .parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -151,32 +150,17 @@ def read_mapping(path: str | Path) -> list[dict]:
     return rows
 
 
-def _degenerate(names: Sequence[CleanName], vectors: NameVectors) -> list[bool]:
+def _degenerate(corpus: Corpus) -> list[bool]:
     """Per name: made of nothing but designators, or embedded to the zero
     vector and so scoring cos 0 against every other name."""
-    return [name.degenerate or zero for name, zero in zip(names, vectors.degenerate.tolist())]
+    return [name.degenerate or zero for name, zero in zip(corpus.names, corpus.vectors.degenerate.tolist())]
 
 
-def _write_cleaned(names: Sequence[CleanName], vectors: NameVectors, path: Path) -> None:
+def _write_cleaned(corpus: Corpus, path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for name, degenerate in zip(names, _degenerate(names, vectors)):
-            cls = name.name_class.name.lower() if name.name_class else ""
-            fh.write(f"{name.record_id}\t{name.cleaned}\t{cls}\t{int(degenerate)}\n")
-
-
-@dataclass
-class CorpusArtifacts:
-    """Everything the matcher and filter need, reusable across tuning trials.
-    The lists are aligned: entry i of each belongs to ``records[i]``, and
-    records are sorted by record id; ``embeddings`` holds one vector row per
-    distinct token list. ``candidates`` index them."""
-
-    records: list[AssigneeRecord]
-    names: list[CleanName]
-    domain_info: list[DomainInfo]
-    embeddings: NameVectors
-    candidates: numpy.ndarray
+        for name, degenerate in zip(corpus.names, _degenerate(corpus)):
+            fh.write(f"{name.record_id}\t{name.cleaned}\t{name.name_class.name.lower()}\t{int(degenerate)}\n")
 
 
 def _augment_stage(
@@ -213,25 +197,22 @@ def prepare_corpus(
     records: Sequence[AssigneeRecord],
     cache: AugmentationCache,
     provider: Optional[SearchProvider] = None,
-    counts: Optional[dict] = None,
     bound: Optional[ScoreBound] = None,
     manifest: Optional[RunManifest] = None,
-) -> CorpusArtifacts:
+) -> Corpus:
     """Augment (from cache), parse, classify, embed, and block the corpus,
     with the records sorted by record id.
 
     Blocking keeps every pair able to reach ``bound``, which defaults to the
     configured weights and edge threshold (what ``run`` scores with).
-    ``counts``, when given, receives the stage counts plus the blocking key
-    kinds used and the largest block; ``manifest`` the time spent in the
-    augment, parse, domain, embed and block layers and the peak RSS after
-    each.
+    ``manifest``, when given, receives the stage counts, the blocking key
+    kinds used with the candidate count and the largest block, and the time
+    spent in the augment, parse, domain, embed and block layers with the
+    peak RSS after each.
     """
     t = time.perf_counter()
     records = sorted(records, key=lambda r: r.record_id)
     results = list(_augment_stage(records, cache, provider, config["run"]["threads"]).values())
-    n_augmented = sum(1 for r in results if r is not None)
-    n_corrected = sum(1 for r in results if r is not None and r.corrected_name)
     t = _charge(manifest, "augment", t)
 
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
@@ -248,29 +229,28 @@ def prepare_corpus(
     domain_info = build_domain_info(results, domains, blocklist, common)
     t = _charge(manifest, "domain", t)
 
-    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
+    vectors = embed_corpus(names, HashingBackend(), compute_idf(names))
     t = _charge(manifest, "embed", t)
 
-    blocking: dict = {}
+    blocking = manifest.blocking if manifest is not None else {}
     bound = bound if bound is not None else config.score_bound()
     candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
+    blocking["candidate_pairs"] = len(candidates)
+    corpus = Corpus(records, names, domain_info, vectors, candidates)
     _charge(manifest, "block", t)
 
-    if counts is not None:
-        counts.update(
-            {
-                "records": len(records),
-                "augmented": n_augmented,
-                "corrected": n_corrected,
-                "type1": sum(1 for n in names if n.name_class is NameClass.TYPE1),
-                "type2": sum(1 for n in names if n.name_class is NameClass.TYPE2),
-                "degenerate": sum(_degenerate(names, embeddings)),
-                "vector_rows": len(embeddings.block),
-                "candidate_pairs": len(candidates),
-                **blocking,
-            }
+    if manifest is not None:
+        manifest.stage_counts.update(
+            records=len(records),
+            augmented=sum(1 for r in results if r is not None),
+            corrected=sum(1 for r in results if r is not None and r.corrected_name),
+            type1=sum(1 for n in names if n.name_class is NameClass.TYPE1),
+            type2=sum(1 for n in names if n.name_class is NameClass.TYPE2),
+            degenerate=sum(_degenerate(corpus)),
+            vector_rows=len(vectors.block),
+            candidate_pairs=len(candidates),
         )
-    return CorpusArtifacts(records, names, domain_info, embeddings, candidates)
+    return corpus
 
 
 def make_provider(config: PipelineConfig, offline: bool) -> Optional[SearchProvider]:
@@ -330,7 +310,6 @@ def run_pipeline(
     manifest = RunManifest(
         config_hash=config.config_hash(), seed=config["run"]["seed"], config=json.loads(config.canonical_json())
     )
-    counts = manifest.stage_counts
     stage = "ingest"
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
     try:
@@ -354,23 +333,16 @@ def run_pipeline(
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
         provider = make_provider(config, offline)
         _charge(manifest, "augment", t)
-        artifacts = prepare_corpus(config, records, cache, provider, counts, manifest=manifest)
-        manifest.blocking = {
-            "keys": counts.pop("blocking_keys"),
-            "candidate_pairs": counts["candidate_pairs"],
-            "largest_block": counts.pop("largest_block"),
-        }
+        corpus = prepare_corpus(config, records, cache, provider, manifest=manifest)
 
         stage = "parse"
         t = time.perf_counter()
-        _write_cleaned(artifacts.names, artifacts.embeddings, work / "cleaned.tsv")
+        _write_cleaned(corpus, work / "cleaned.tsv")
         t = _charge(manifest, "write", t)
 
         stage = "match"
         weights, params = config.params_at({})
-        table = score_pairs(
-            artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
-        )
+        table = score_pairs(corpus)
         scores = table.scores(weights)
         t = _charge(manifest, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
@@ -380,14 +352,14 @@ def run_pipeline(
         graph = build_graph(table, scores, params)
         partition = refine_communities(graph, params, manifest.filter)
         t = _charge(manifest, "graph", t)
-        partition = assign_canonical_names(partition, artifacts.records, artifacts.names, artifacts.embeddings)
+        partition = assign_canonical_names(partition, corpus)
         t = _charge(manifest, "naming", t)
-        write_mapping(partition, artifacts.records, work / "mapping.tsv")
+        write_mapping(partition, corpus.records, work / "mapping.tsv")
         t = _charge(manifest, "write", t)
-        counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
+        manifest.stage_counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
-        summary = summarize_partition(partition.communities(), partition.canonical, artifacts.records)
+        summary = summarize_partition(partition.communities(), partition.canonical, corpus.records)
         summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (work / "summary.json").write_text(summary_text, encoding="utf-8")
         t = _charge(manifest, "summary", t)
@@ -459,7 +431,7 @@ def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRe
 
 def build_tuning_objective(
     config: PipelineConfig,
-    artifacts: CorpusArtifacts,
+    corpus: Corpus,
     gold: Sequence,
 ) -> Callable[[dict[str, float]], float]:
     """Pairwise-F1 objective over the prepared corpus.
@@ -469,9 +441,7 @@ def build_tuning_objective(
     re-runs the filter stage on the rows that clear its threshold and counts
     its own (cluster, entity) cells.
     """
-    table = score_pairs(
-        artifacts.names, artifacts.candidates, artifacts.domain_info, artifacts.embeddings, artifacts.records
-    )
+    table = score_pairs(corpus)
     gold_pairs = GoldPairs(gold, table.ids)
 
     def objective(params: dict[str, float]) -> float:
@@ -506,8 +476,8 @@ def tune_pipeline(
     check_gold(gold, {record.record_id for record in records})
     cache_path = Path(cache_path)
     cache = AugmentationCache(cache_path if cache_path.exists() else None)
-    artifacts = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
-    objective = build_tuning_objective(config, artifacts, gold)
+    corpus = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
+    objective = build_tuning_objective(config, corpus, gold)
     return optimize(
         objective,
         SEARCH_SPACE,

@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
@@ -73,17 +73,7 @@ class Trial:
     error: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trial_id": self.trial_id,
-                "params": self.params,
-                "objective": self.objective,
-                "seed": self.seed,
-                "elapsed_s": self.elapsed_s,
-                "error": self.error,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonizer.augment import AugmentationCache
 from harmonizer.config import PipelineConfig
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
+from harmonizer.match import Corpus
 from harmonizer.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
@@ -60,14 +62,15 @@ def corpus60_config(corpus60_paths) -> PipelineConfig:
     return PipelineConfig.load(corpus60_paths["config"])
 
 
-def name_records(names, locations=None) -> list[AssigneeRecord]:
-    """A record for every name, in the order of ``names`` as ``score_pairs``
-    takes them, with the location keys ``locations`` gives its id (none by
-    default)."""
+def make_corpus(names, infos, vectors, candidates=(), locations=None) -> Corpus:
+    """The ``Corpus`` of ``names``, ``infos`` and ``vectors`` with the given
+    candidate pairs (none by default) and a record for every name, which
+    holds the location keys ``locations`` gives its id (none by default)."""
     locations = locations or {}
-    return [
+    records = [
         AssigneeRecord(n.record_id, f"NAME {n.record_id}", 0, frozenset(locations.get(n.record_id, ()))) for n in names
     ]
+    return Corpus(records, names, infos, vectors, np.asarray(candidates, dtype=np.int32).reshape(-1, 2))
 
 
 def read_pairs_tsv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -30,7 +30,7 @@ from harmonizer.augment import DomainInfo, extract_domain, preprocess_url_text
 from harmonizer.embed import IdfTable, NameEmbedding, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
-from harmonizer.match import WeightVector, generate_candidate_pairs
+from harmonizer.match import Corpus, WeightVector, generate_candidate_pairs
 from harmonizer.parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -39,7 +39,6 @@ from harmonizer.parse import (
     classify_name_type,
     clean_name,
 )
-from harmonizer.pipeline import CorpusArtifacts
 
 from nxgraphs import from_networkx, to_networkx
 
@@ -230,11 +229,11 @@ def reference_fold_text(raw: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
 
 
-def reference_prepare(config, records, cache) -> CorpusArtifacts:
+def reference_prepare(config, records, cache) -> Corpus:
     """``prepare_corpus`` offline, one record at a time: each record cleans
     its own name, extracts its own URL's domain (for the blocklist, then
     again for its domain info), tokenizes its own page text and embeds its
-    name one dense token vector at a time. Its ``embeddings`` are a list of
+    name one dense token vector at a time. Its ``vectors`` are a list of
     ``NameEmbedding``."""
     records = sorted(records, key=lambda r: r.record_id)
     results = [cache.get(record.raw_name) for record in records]
@@ -263,9 +262,9 @@ def reference_prepare(config, records, cache) -> CorpusArtifacts:
         text = result.first_text if result is not None else None
         domain_info.append(DomainInfo(None if d in blocklist else d, preprocess_url_text(text, common)))
     idf = compute_idf(names)
-    embeddings = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
+    vectors = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
     candidates = generate_candidate_pairs(names, domain_info, config.score_bound())
-    return CorpusArtifacts(records, names, domain_info, embeddings, candidates)
+    return Corpus(records, names, domain_info, vectors, candidates)
 
 
 def brute_idf(token_lists, floor=0.01):

@@ -9,6 +9,7 @@ must not be loosened to make a failing criterion pass.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 import statistics
 import string
@@ -17,7 +18,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import name_records, run_fixture_pipeline
+from conftest import make_corpus, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
 from harmonizer.evaluation import compute_metrics, pairwise_confusion
@@ -139,13 +140,11 @@ def test_02_blocking_losslessness():
         for n, seed in ((500, 11), (1200, 22), (2000, 33)):
             rng = random.Random(seed)
             names, domain_info = _random_matching_corpus(rng, n)
-            records = name_records(names)
             idf = compute_idf(names)
             embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
-            blocked = generate_candidate_pairs(names, domain_info)
-            brute = brute_force_candidates(names)
-            scored_blocked = score_pairs(names, blocked, domain_info, embeddings, records)
-            scored_brute = score_pairs(names, brute, domain_info, embeddings, records)
+            corpus = make_corpus(names, domain_info, embeddings, generate_candidate_pairs(names, domain_info))
+            scored_blocked = score_pairs(corpus)
+            scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(names)))
             cutoff = unit.cos + 1e-9
             above_blocked, above_brute = (
                 {(t.ids[i], t.ids[j]) for i, j, score in zip(t.a, t.b, t.scores(unit)) if score > cutoff}

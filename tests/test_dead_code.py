@@ -1,16 +1,19 @@
-"""Every module-level function, class and assigned name of the package has a
-caller.
+"""Every module-level function, class and assigned name of the package, and
+every method and property of its classes, has a caller.
 
 A definition counts as used when its name appears outside its own body, as
 a name, an attribute or an exact string (``perfbench`` wraps functions by
 name), in ``src/harmonizer``, ``scripts`` or ``perfbench``. Tests do not
-count: code that only tests call belongs with the tests.
+count: code that only tests call belongs with the tests. Dunder methods and
+overrides of a standard-library base's methods are called by Python itself.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
+from collections.abc import Mapping
+from html.parser import HTMLParser
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,6 +21,9 @@ PACKAGE = ROOT / "src" / "harmonizer"
 CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 ALLOWED: set[str] = set()
+# The standard-library classes package classes derive from, by the name
+# they derive under.
+STDLIB_BASES = {"HTMLParser": HTMLParser, "Mapping": Mapping, "Exception": Exception}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -48,6 +54,22 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
+def _methods(node: ast.stmt) -> list[tuple[str, ast.AST]]:
+    """(``Class.method``, its definition) for every method and property a
+    module-level class defines, bar dunders and standard-library overrides."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    bases = [base.value if isinstance(base, ast.Subscript) else base for base in node.bases]
+    stdlib = [STDLIB_BASES[base.id] for base in bases if isinstance(base, ast.Name) and base.id in STDLIB_BASES]
+    return [
+        (f"{node.name}.{sub.name}", sub)
+        for sub in node.body
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (sub.name.startswith("__") and sub.name.endswith("__"))
+        and not any(hasattr(base, sub.name) for base in stdlib)
+    ]
+
+
 def unused_definitions() -> set[str]:
     trees = {
         directory: [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
@@ -56,13 +78,19 @@ def unused_definitions() -> set[str]:
     everywhere: Counter = Counter()
     for tree in (tree for parsed in trees.values() for tree in parsed):
         everywhere.update(_references(tree))
-    return {
+    unused = {
         name
         for tree in trees[PACKAGE]
         for node in tree.body
         for name in _defined_names(node)
         if everywhere[name] == _references(node)[name]
     }
+    for node in (node for tree in trees[PACKAGE] for node in tree.body):
+        for qualified, method in _methods(node):
+            name = qualified.rpartition(".")[2]
+            if everywhere[name] == _references(method)[name]:
+                unused.add(qualified)
+    return unused
 
 
 def test_every_module_level_definition_has_a_caller():

@@ -170,7 +170,7 @@ class TestEmbedName:
         idf = IdfTable(weights={"aa": 1.0, "bb": 0.5})
         out = embed_corpus(token_names([["aa", "bb"]]), self.Axes(), idf)
         assert np.allclose(out.block[0], [2 / 3, 1 / 3])
-        assert not out["r0"].degenerate
+        assert not out[0].degenerate
 
     def test_repeated_token_weighs_twice(self):
         idf = IdfTable(weights={"aa": 1.0, "bb": 1.0})
@@ -190,16 +190,16 @@ class TestEmbedName:
         idf = IdfTable(weights={"b": 0.5, "p": 0.5})
         out = embed_corpus(token_names([["b", "p"], ["b"]]), HashingBackend(), idf)
         assert out.degenerate.tolist() == [True, False] and out.norms[0] == 0.0
-        assert not out.block[0].any() and out["r0"].degenerate
+        assert not out.block[0].any() and out[0].degenerate
         assert embed_name(("b", "p"), ScalarHashing(), idf).degenerate
 
     def test_embed_corpus_sorted_and_keyed(self):
         names = names_from(["NOKIA CORP", "ACME LTD"])
         idf = compute_idf(names)
         out = embed_corpus(names, HashingBackend(), idf)
-        assert list(out) == ["r0", "r1"] and out.ids == ("r0", "r1")
-        assert out["r0"].vector.shape == (256,) and out.block.shape == (2, 256)
-        assert np.array_equal(out["r1"].vector, embed_name(names[1].tokens, ScalarHashing(), idf).vector)
+        assert list(out) == [0, 1]
+        assert out[0].vector.shape == (256,) and out.block.shape == (2, 256)
+        assert np.array_equal(out[1].vector, embed_name(names[1].tokens, ScalarHashing(), idf).vector)
         assert [e.degenerate for e in out.values()] == [False, False]
 
     @given(
@@ -228,15 +228,15 @@ class TestEmbedName:
             want = embed_name(name.tokens, ScalarHashing(dim), idf)
             row = out.rows[i]
             assert np.array_equal(out.block[row].view(np.int64), want.vector.view(np.int64)), name.tokens
-            assert out[name.record_id].vector.tobytes() == want.vector.tobytes()
+            assert out[i].vector.tobytes() == want.vector.tobytes()
             assert out.norms[row].view(np.int64) == np.float64(np.linalg.norm(want.vector)).view(np.int64)
             assert bool(out.degenerate[i]) == want.degenerate
 
     def test_name_vectors_from_rows(self):
         block = np.array([[3.0, 4.0], [0.0, 0.0]])
-        vectors = NameVectors(["a", "b", "c"], block, [0, 1, 0])
+        vectors = NameVectors(block, [0, 1, 0])
         assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True, False]
-        assert vectors["b"].degenerate and vectors["c"].vector.tolist() == [3.0, 4.0]
+        assert vectors[1].degenerate and vectors[2].vector.tolist() == [3.0, 4.0]
 
 
 class TestCosine:
@@ -287,7 +287,7 @@ class TestPairCosines:
         signed[0] = 1.0
         vectors += [signed, np.where(signed == 0.0, -0.0, signed)]
         rows = list(range(len(vectors))) + rng.integers(len(vectors), size=15).tolist()
-        records = NameVectors([f"r{i:02d}" for i in range(len(rows))], np.array(vectors), rows)
+        records = NameVectors(np.array(vectors), rows)
         n = len(rows)
         pairs = [(i, j) for i in range(n) for j in range(n)] * 2
         a, b = (np.array(col) for col in zip(*pairs))
@@ -306,7 +306,7 @@ class TestPairCosines:
                 return np.ndarray.dot(self, other)
 
         block = np.random.default_rng(3).normal(size=(6, 8)).view(Counted)
-        records = NameVectors([f"r{i:02d}" for i in range(12)], block, list(range(6)) * 2)
+        records = NameVectors(block, list(range(6)) * 2)
         calls.clear()
         a, b = (np.array(col) for col in zip(*[(i, j) for i in range(12) for j in range(12) if i != j]))
         assert pair_cosines(records, a, b)[(a % 6) == (b % 6)].tolist() == [1.0] * 12
@@ -314,7 +314,7 @@ class TestPairCosines:
 
     def test_zero_norm_rejected_only_when_paired(self):
         vectors = np.array([np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])])
-        records = NameVectors(["a", "b", "c", "d"], vectors, [0, 1, 2, 1])
+        records = NameVectors(vectors, [0, 1, 2, 1])
         got = pair_cosines(records, np.array([0]), np.array([2])).tolist()
         assert got == [cosine_similarity(vectors[0], vectors[2])]
         assert pair_cosines(records, np.array([], dtype=int), np.array([], dtype=int)).tolist() == []

@@ -27,7 +27,7 @@ from harmonizer.graph import (
     refine_communities,
 )
 from harmonizer.ingest import AssigneeRecord
-from harmonizer.match import score_pairs
+from harmonizer.match import Corpus, score_pairs
 from harmonizer.parse import CleanName, NameClass, clean_name
 
 from nxgraphs import from_networkx, to_networkx
@@ -52,7 +52,7 @@ def scored(records, *pairs):
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
     embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
     infos = [DomainInfo(None, frozenset())] * len(names)
-    table = score_pairs(names, np.array([row[:2] for row in rows]), infos, embeddings, records)
+    table = score_pairs(Corpus(records, names, infos, embeddings, np.array([row[:2] for row in rows])))
     return table, np.array([row[2] for row in rows])
 
 
@@ -506,6 +506,26 @@ def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
     assert list(stats["community_sizes"].items()) == sorted(sizes.items())
 
 
+# A star on n05 with two isolated nodes, n01 and n02. At resolution 1.5 and
+# seed 2 the first Louvain pass (networkx's too) puts the leaves n03 and n04
+# in one community although no edge joins them.
+DISCONNECTED_FIRST_PASS = [("n00", "n05", 3.793), ("n03", "n05", 1.09), ("n04", "n05", 1.344)]
+
+
+def test_disconnected_louvain_community_is_split():
+    g = nx.Graph()
+    g.add_nodes_from(f"n{i:02d}" for i in range(6))
+    g.add_weighted_edges_from(DISCONNECTED_FIRST_PASS)
+    params = FilterParams(resolution=1.5, bridgeness_threshold=0.0, seed=2)
+    first = louvain(from_networkx(g), params.resolution, params.seed)
+    assert first.assignments == reference_louvain(from_networkx(g), params.resolution, params.seed)
+    assert ["n03", "n04"] in first.communities().values()
+    stats: dict = {}
+    partition = refine_communities(from_networkx(g), params, stats)
+    assert list(partition.communities().values()) == [["n00", "n05"], ["n01"], ["n02"], ["n03"], ["n04"]]
+    assert stats["communities_split"] == 1 and stats["community_sizes"] == {1: 4, 2: 1}
+
+
 @st.composite
 def near_cliques(draw):
     """One to three cliques of 3-8 nodes, each missing up to two edges and
@@ -634,50 +654,51 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
         assert min(levels) >= 2, levels
 
 
-def naming_columns(cleaned, vectors=(), patents=(), rows=None):
-    """Aligned records, names and vectors of the members m00, m01, ...:
-    member i has the cleaned name ``cleaned[i]``, its upper case as raw name,
-    ``patents[i]`` patents (0 when none are given) and the vector
-    ``vectors[rows[i]]`` (row i when no rows are given; all zero when no
-    vectors are given), degenerate when it is all zero."""
+def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
+    """The corpus of the members m00, m01, ...: member i has the cleaned
+    name ``cleaned[i]``, its upper case as raw name, ``patents[i]`` patents
+    (0 when none are given) and the vector ``vectors[rows[i]]`` (row i when
+    no rows are given; all zero when no vectors are given), degenerate when
+    it is all zero."""
     ids = [f"m{i:02d}" for i in range(len(cleaned))]
     patents = patents or [0] * len(cleaned)
     records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
-    names = [CleanName(rid, c, tuple(c.split())) for rid, c in zip(ids, cleaned)]
+    names = [CleanName(rid, c, tuple(c.split())).with_class(NameClass.TYPE1) for rid, c in zip(ids, cleaned)]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
-    return records, names, NameVectors(ids, block, np.arange(len(ids)) if rows is None else rows)
+    vectors = NameVectors(block, np.arange(len(ids)) if rows is None else rows)
+    return Corpus(records, names, [DomainInfo(None, frozenset())] * len(ids), vectors, np.zeros((0, 2)))
 
 
-def canonical_names(community, columns):
-    """``assign_canonical_names`` over the partition of the columns' members
+def canonical_names(community, corpus):
+    """``assign_canonical_names`` over the partition of the corpus's members
     into ``community`` (dense ids by position)."""
-    return assign_canonical_names(Partition(columns[2].ids, list(community)), *columns).canonical
+    return assign_canonical_names(Partition(corpus.ids, list(community)), corpus).canonical
 
 
 class TestNaming:
     def test_centroid_picks_most_central(self):
-        columns = naming_columns(["acme", "acme corp", "zeta"], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
+        corpus = naming_corpus(["acme", "acme corp", "zeta"], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
         # b is closest to both a and c on average.
-        assert canonical_names([0, 0, 0], columns) == {0: "ACME CORP"}
+        assert canonical_names([0, 0, 0], corpus) == {0: "ACME CORP"}
 
     def test_centroid_tie_breaks_on_cleaned(self):
-        columns = naming_columns(["zeta", "acme"], [[1.0, 0.0], [1.0, 0.0]])
-        assert canonical_names([0, 0], columns) == {0: "ACME"}
+        corpus = naming_corpus(["zeta", "acme"], [[1.0, 0.0], [1.0, 0.0]])
+        assert canonical_names([0, 0], corpus) == {0: "ACME"}
 
     def test_centroid_singleton(self):
-        assert canonical_names([0], naming_columns(["acme"], [[1.0, 0.0]])) == {0: "ACME"}
+        assert canonical_names([0], naming_corpus(["acme"], [[1.0, 0.0]])) == {0: "ACME"}
 
     def test_centroid_ignores_degenerate_voters(self):
-        columns = naming_columns(["acme", "bbb", "ccme"], [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert canonical_names([0, 0, 0], columns) == {0: "ACME"}
+        corpus = naming_corpus(["acme", "bbb", "ccme"], [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert canonical_names([0, 0, 0], corpus) == {0: "ACME"}
 
     def test_centroid_all_degenerate_raises(self):
         # The per-community oracle raises; naming falls back to the volume
         # name, here the only member's.
-        records, names, vectors = naming_columns(["acme"], [[0.0, 0.0]])
+        corpus = naming_corpus(["acme"], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            name_community_centroid([0], records, names, list(vectors.values()))
-        assert canonical_names([0], (records, names, vectors)) == {0: "ACME"}
+            name_community_centroid([0], corpus.records, corpus.names, list(corpus.vectors.values()))
+        assert canonical_names([0], corpus) == {0: "ACME"}
 
     def test_centroid_matches_scalar_definition(self):
         """Same winner as summing cosine_similarity over every ordered pair
@@ -691,7 +712,7 @@ class TestNaming:
                 vectors[i] = vectors[rng.integers(size)]
             vectors[rng.random(size) < 0.1] = 0.0
             cleaned = [str(rng.integers(3)) + f"m{i:02d}" for i in range(size)]
-            records, names, embs = naming_columns(cleaned, vectors.tolist())
+            corpus = naming_corpus(cleaned, vectors.tolist())
             usable = [m for m in range(size) if vectors[m].any()]
             if not usable:
                 continue
@@ -704,7 +725,7 @@ class TestNaming:
                     m,
                 ),
             )
-            assert canonical_names([0] * size, (records, names, embs)) == {0: records[expected].raw_name}
+            assert canonical_names([0] * size, corpus) == {0: corpus.records[expected].raw_name}
 
     def test_matches_per_community_oracle_on_random_partitions(self):
         """Every community of random partitions of 1-40 members gets the
@@ -722,19 +743,19 @@ class TestNaming:
             cleaned = [f"n{rng.integers(4)}" for _ in range(size)]
             rows = np.where(rng.random(size) < 0.3, rng.integers(size, size=size), np.arange(size))
             patents = [int(p) for p in rng.integers(0, 5, size)]
-            columns = naming_columns(cleaned, vectors.tolist(), patents, rows)
+            corpus = naming_corpus(cleaned, vectors.tolist(), patents, rows)
             labels = rng.integers(0, max(1, size // 4), size).tolist()
             # Dense ids numbered by smallest member.
             community = [list(dict.fromkeys(labels)).index(c) for c in labels]
-            got = canonical_names(community, columns)
-            embeddings = list(columns[2].values())
+            got = canonical_names(community, corpus)
+            embeddings = list(corpus.vectors.values())
             for cid in range(max(community) + 1):
                 members = [m for m, c in enumerate(community) if c == cid]
                 try:
-                    want = name_community_centroid(members, columns[0], columns[1], embeddings)
+                    want = name_community_centroid(members, corpus.records, corpus.names, embeddings)
                     cases["centroid"] += 1
                 except ValueError:
-                    want = name_community_volume(members, columns[0], columns[1])
+                    want = name_community_volume(members, corpus.records, corpus.names)
                     cases["volume"] += 1
                 assert got[cid] == want, (cid, members)
         assert min(cases.values()) > 0, cases
@@ -742,28 +763,28 @@ class TestNaming:
     # Without vectors every member is degenerate, so these communities are
     # named by patent count.
     def test_volume_picks_biggest_portfolio(self):
-        columns = naming_columns(["acme", "acme inc"], patents=[10, 50])
-        assert canonical_names([0, 0], columns) == {0: "ACME INC"}
+        corpus = naming_corpus(["acme", "acme inc"], patents=[10, 50])
+        assert canonical_names([0, 0], corpus) == {0: "ACME INC"}
 
     def test_volume_tie_breaks_on_cleaned(self):
-        columns = naming_columns(["zeta", "acme"], patents=[5, 5])
-        assert canonical_names([0, 0], columns) == {0: "ACME"}
+        corpus = naming_corpus(["zeta", "acme"], patents=[5, 5])
+        assert canonical_names([0, 0], corpus) == {0: "ACME"}
 
     def test_assign_centroid_with_volume_fallback(self):
         part = Partition(("m00", "m01", "m02"), [0, 0, 1])
-        columns = naming_columns(
+        corpus = naming_corpus(
             ["acme", "acme inc", "loner"], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], patents=[1, 9, 2]
         )
         # Community 0 has no usable embeddings -> volume fallback inside centroid mode.
-        named = assign_canonical_names(part, *columns)
+        named = assign_canonical_names(part, corpus)
         assert named.canonical[0] == "ACME INC"
         assert named.canonical[1] == "LONER"
 
     def test_assign_rejects_records_of_other_ids(self):
-        columns = naming_columns(["acme", "acme inc", "loner"], patents=[1, 9, 2])
+        corpus = naming_corpus(["acme", "acme inc", "loner"], patents=[1, 9, 2])
         for nodes in (("m00", "m01", "m03"), ("m00", "m01")):
             with pytest.raises(ValueError, match="different record ids"):
-                assign_canonical_names(Partition(nodes, [0] * len(nodes)), *columns)
+                assign_canonical_names(Partition(nodes, [0] * len(nodes)), corpus)
 
 
 class TestPartition:

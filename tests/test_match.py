@@ -34,7 +34,7 @@ from harmonizer.parse import (
     classify_name_type,
 )
 
-from conftest import name_records, read_pairs_tsv
+from conftest import make_corpus, read_pairs_tsv
 from oracles import ConditionVector, brute_force_candidates, evaluate_conditions, matching_score
 
 
@@ -296,7 +296,7 @@ class TestCandidates:
         names, infos, embeddings = small_corpus()
         weights = WeightVector()
         blocked = set(id_pairs(names, generate_candidate_pairs(names, infos)))
-        brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
+        brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
         for row in np.flatnonzero(brute.scores(weights) > weights.cos):
             assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in blocked
 
@@ -379,11 +379,11 @@ class TestBoundedBlocking:
         assert min(priced[0].values()) > 0
         chosen = {
             pair
-            for kind in stats["blocking_keys"]
+            for kind in stats["keys"]
             for positions in buckets[kind].values()
             for pair in itertools.combinations(positions, 2)
         }
-        assert set(stats["blocking_keys"]) < set(priced[0])
+        assert set(stats["keys"]) < set(priced[0])
         assert sorted(chosen) == list(map(tuple, candidates.tolist()))
 
     def test_oracle_over_random_bounds(self):
@@ -393,7 +393,7 @@ class TestBoundedBlocking:
         rng = random.Random(7)
         names, infos = random_blocking_corpus(rng, 160)
         embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
-        brute = score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
+        brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
         full = set(id_pairs(names, generate_candidate_pairs(names, infos)))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
@@ -447,7 +447,7 @@ class TestBoundedBlocking:
         names, infos, _ = small_corpus()
         stats = {}
         assert generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
-        assert stats == {"blocking_keys": [], "largest_block": 0}
+        assert stats == {"keys": [], "largest_block": 0}
 
     def test_url_keys_need_own_page_overlap(self):
         # Only url tokens decide; r1 and r2 share "shared" in their page text.
@@ -465,19 +465,18 @@ class TestBoundedBlocking:
         keys; the default tune box falls back to the full index."""
         from harmonizer.augment import AugmentationCache
         from harmonizer.ingest import load_assignee_table
-        from harmonizer.pipeline import prepare_corpus
+        from harmonizer.pipeline import RunManifest, prepare_corpus
 
         records = load_assignee_table(corpus300_paths["input"])
         cache = AugmentationCache(corpus300_paths["cache"])
-        counts = {}
-        run = prepare_corpus(corpus300_config, records, cache, counts=counts)
-        assert counts["blocking_keys"] == ["first_token", "domain"]
-        assert counts["type2"] > 0
-        tune_counts = {}
+        run_manifest, tune_manifest = RunManifest("", 0), RunManifest("", 0)
+        run = prepare_corpus(corpus300_config, records, cache, manifest=run_manifest)
+        assert run_manifest.blocking["keys"] == ["first_token", "domain"]
+        assert run_manifest.stage_counts["type2"] > 0
         tune = prepare_corpus(
-            corpus300_config, records, cache, counts=tune_counts, bound=corpus300_config.tuning_score_bound()
+            corpus300_config, records, cache, bound=corpus300_config.tuning_score_bound(), manifest=tune_manifest
         )
-        assert tune_counts["blocking_keys"] == list(FULL_INDEX)
+        assert tune_manifest.blocking["keys"] == list(FULL_INDEX)
         assert np.array_equal(tune.candidates, generate_candidate_pairs(tune.names, tune.domain_info))
         assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
 
@@ -504,14 +503,14 @@ def oracle_corpus(seed, n=70):
     shared = np.arange(len(names))
     for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
         shared[i] = shared[source]
-    return names, infos, NameVectors([n.record_id for n in names], block, shared)
+    return names, infos, NameVectors(block, shared)
 
 
 class TestScorePairs:
     def test_sorted_and_scored(self):
         names, infos, embeddings = small_corpus()
         pairs = generate_candidate_pairs(names, infos)
-        table = score_pairs(names, pairs, infos, embeddings, name_records(names))
+        table = score_pairs(make_corpus(names, infos, embeddings, pairs))
         assert table.ids == tuple(n.record_id for n in names)
         assert table.a.tolist() == pairs[:, 0].tolist() and table.b.tolist() == pairs[:, 1].tolist()
         assert pair_ids(table) == sorted(pair_ids(table))
@@ -522,17 +521,17 @@ class TestScorePairs:
 
     def test_pair_order_normalized(self):
         # Blocking hands over pairs as ascending rows of i < j; the table
-        # keeps them as given and rejects any other order.
+        # keeps them as given and rejects any other order. The corpus
+        # rejects records out of id order.
         names, infos, embeddings = small_corpus()
-        records = name_records(names)
-        assert pair_ids(score_pairs(names, [[0, 1]], infos, embeddings, records)) == [("r01", "r02")]
+        corpus = make_corpus(names, infos, embeddings, [[0, 1]])
+        assert pair_ids(score_pairs(corpus)) == [("r01", "r02")]
         with pytest.raises(ValueError, match="row 0: .*id_a < id_b"):
-            score_pairs(names, [[1, 0]], infos, embeddings, records)
+            score_pairs(dataclasses.replace(corpus, candidates=np.array([[1, 0]])))
         with pytest.raises(ValueError, match="row 1: .*sorted"):
-            score_pairs(names, [[0, 2], [0, 1]], infos, embeddings, records)
+            score_pairs(dataclasses.replace(corpus, candidates=np.array([[0, 2], [0, 1]])))
         with pytest.raises(ValueError, match="strictly ascending"):
-            reversed_vectors = NameVectors(embeddings.ids[::-1], embeddings.block, embeddings.rows[::-1])
-            score_pairs(names[::-1], [[0, 1]], infos[::-1], reversed_vectors, records[::-1])
+            make_corpus(names[::-1], infos[::-1], NameVectors(embeddings.block, embeddings.rows[::-1]))
 
     @pytest.mark.parametrize(
         "column, reason",
@@ -544,19 +543,21 @@ class TestScorePairs:
         ],
     )
     def test_rejects_misaligned_columns(self, column, reason):
-        # Positional columns cannot fall back on ids, so one that is out of
-        # step with ``names`` is an error rather than a silent mis-score.
+        # Positional columns cannot fall back on ids, so a corpus with one
+        # out of step with ``names`` is an error rather than a silent
+        # mis-score.
         names, infos, embeddings = small_corpus()
-        columns = {"infos": infos, "embeddings": embeddings, "records": name_records(names)}
-        if column == "swapped_records":
-            records = columns["records"]
-            records[3], records[4] = records[4], records[3]
-        elif column == "embeddings":
-            columns[column] = NameVectors(embeddings.ids[:-1], embeddings.block, embeddings.rows[:-1])
-        else:
-            columns[column] = columns[column][:-1]
+        corpus = make_corpus(names, infos, embeddings)
+        records = list(corpus.records)
+        records[3], records[4] = records[4], records[3]
+        changed = {
+            "infos": {"domain_info": infos[:-1]},
+            "embeddings": {"vectors": NameVectors(embeddings.block, embeddings.rows[:-1])},
+            "records": {"records": corpus.records[:-1]},
+            "swapped_records": {"records": records},
+        }[column]
         with pytest.raises(ValueError, match=reason):
-            score_pairs(names, [[0, 1]], columns["infos"], columns["embeddings"], columns["records"])
+            dataclasses.replace(corpus, **changed)
 
     def test_location_column(self):
         # Records share a location when they share a location key.
@@ -569,7 +570,7 @@ class TestScorePairs:
             "r08": {"york||uk"},
         }
         pairs = brute_force_candidates(names)
-        table = score_pairs(names, pairs, infos, embeddings, name_records(names, locations))
+        table = score_pairs(make_corpus(names, infos, embeddings, pairs, locations))
         shared = {pair for pair, flag in zip(pair_ids(table), table.location) if flag}
         assert shared == {("r01", "r02"), ("r04", "r08")}
         assert table.location.dtype == np.uint8
@@ -581,7 +582,7 @@ class TestScorePairs:
         names, infos, vectors = oracle_corpus(seed)
         embeddings = list(vectors.values())
         candidates = brute_force_candidates(names)
-        table = score_pairs(names, candidates, infos, vectors, name_records(names))
+        table = score_pairs(make_corpus(names, infos, vectors, candidates))
         pairs = id_pairs(names, candidates)
         assert pair_ids(table) == pairs
         rng = random.Random(seed)
@@ -614,19 +615,18 @@ class TestScorePairs:
 
     def test_rejects_cross_class_and_unclassified(self):
         names, infos, embeddings = small_corpus()
-        records = name_records(names)
         with pytest.raises(ValueError, match="cannot pair 'r01' with 'r06'"):
-            score_pairs(names, [[0, 5]], infos, embeddings, records)
+            score_pairs(make_corpus(names, infos, embeddings, [[0, 5]]))
         names[9] = clean_name("OMEGA DEVICES", record_id="r10")
         with pytest.raises(ValueError, match="classified"):
-            score_pairs(names, [[0, 1]], infos, embeddings, records)
+            make_corpus(names, infos, embeddings)
 
 
 class TestPairTable:
     @pytest.fixture()
     def table(self):
         names, infos, embeddings = small_corpus()
-        return score_pairs(names, brute_force_candidates(names), infos, embeddings, name_records(names))
+        return score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
 
     @pytest.mark.parametrize(
         "column, value, reason",
@@ -663,14 +663,12 @@ class TestPairTable:
             dataclasses.replace(table, **columns)
         with pytest.raises(ValueError, match="length"):
             dataclasses.replace(table, cos=table.cos[:-1])
-        with pytest.raises(ValueError, match="strictly ascending"):
-            dataclasses.replace(table, ids=table.ids[:2] + table.ids[1:])
 
 
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        table = score_pairs(names, generate_candidate_pairs(names, infos), infos, embeddings, name_records(names))
+        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos)))
         scores = table.scores(WeightVector())
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path)
@@ -685,7 +683,7 @@ class TestPairsIO:
 
     def test_threshold_keeps_rows_at_or_above(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        table = score_pairs(names, generate_candidate_pairs(names, infos), infos, embeddings, name_records(names))
+        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos)))
         scores = table.scores(WeightVector())
         threshold = float(np.sort(scores)[len(scores) // 2])
         path = tmp_path / "pairs.tsv"

@@ -29,6 +29,7 @@ from harmonizer.pipeline import _dependency_versions
 from harmonizer.pipeline import (
     CLEANED_HEADER,
     MAPPING_HEADER,
+    RunManifest,
     _augment_stage,
     build_tuning_objective,
     make_provider,
@@ -303,8 +304,8 @@ class TestFailureHandling:
         rows = "r901\tB.P. INC.\t5\t\nr902\tB.P. CORPORATION\t3\t\n"
         table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + rows, encoding="utf-8")
         config = PipelineConfig.load(corpus60_paths["config"], environ={})
-        artifacts = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
-        assert artifacts.embeddings["r901"].degenerate and artifacts.embeddings["r902"].degenerate
+        corpus = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
+        assert all(corpus.vectors[corpus.ids.index(rid)].degenerate for rid in ("r901", "r902"))
         run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out")
         mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
         assert len(mapping) == 62
@@ -589,27 +590,29 @@ class TestPrepareCorpus:
     def test_counts_and_artifacts(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
-        counts: dict = {}
-        artifacts = prepare_corpus(corpus60_config, records[::-1], cache, counts=counts)
+        manifest = RunManifest("", 0)
+        corpus = prepare_corpus(corpus60_config, records[::-1], cache, manifest=manifest)
+        counts = manifest.stage_counts
         assert counts["records"] == 60
         assert counts["augmented"] == 60
         assert counts["corrected"] == 0
         assert counts["type1"] == 60
         assert counts["type2"] == 0
         assert counts["degenerate"] == 0
-        assert counts["candidate_pairs"] == len(artifacts.candidates) > 0
+        assert counts["candidate_pairs"] == len(corpus.candidates) > 0
+        assert manifest.blocking["candidate_pairs"] == len(corpus.candidates)
         # One entry per record in every column, all in ascending id order,
         # whatever order the table gave the records in.
-        ids = [r.record_id for r in artifacts.records]
-        assert ids == sorted(r.record_id for r in records)
-        assert [n.record_id for n in artifacts.names] == ids
-        columns = (artifacts.records, artifacts.names, artifacts.domain_info)
+        ids = [r.record_id for r in corpus.records]
+        assert ids == sorted(r.record_id for r in records) and corpus.ids == tuple(ids)
+        assert [n.record_id for n in corpus.names] == ids
+        columns = (corpus.records, corpus.names, corpus.domain_info)
         assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
         # One vector row per distinct token list, in first-seen order.
-        distinct = list(dict.fromkeys(n.tokens for n in artifacts.names))
-        assert artifacts.embeddings.ids == tuple(ids) and artifacts.embeddings.block.shape == (len(distinct), 256)
-        assert artifacts.embeddings.rows.tolist() == [distinct.index(n.tokens) for n in artifacts.names]
+        distinct = list(dict.fromkeys(n.tokens for n in corpus.names))
+        assert len(corpus.vectors) == 60 and corpus.vectors.block.shape == (len(distinct), 256)
+        assert corpus.vectors.rows.tolist() == [distinct.index(n.tokens) for n in corpus.names]
         assert counts["vector_rows"] == len(distinct) < 60
 
     def test_brute_force_candidates_superset(self, corpus60_paths, corpus60_config):
@@ -653,9 +656,9 @@ def assert_same_corpus(got, want):
     assert got.names == want.names
     assert got.domain_info == want.domain_info
     assert np.array_equal(got.candidates, want.candidates)
-    assert len(got.embeddings) == len(want.embeddings)
-    norms = got.embeddings.norms[got.embeddings.rows].tolist()
-    for a, b, norm in zip(got.embeddings.values(), want.embeddings, norms):
+    assert len(got.vectors) == len(want.vectors)
+    norms = got.vectors.norms[got.vectors.rows].tolist()
+    for a, b, norm in zip(got.vectors.values(), want.vectors, norms):
         assert a.vector.shape == b.vector.shape and a.vector.tobytes() == b.vector.tobytes()
         assert a.degenerate == b.degenerate
         assert np.float64(norm).tobytes() == np.linalg.norm(b.vector).tobytes()
@@ -675,11 +678,11 @@ class TestPrepareOnceOracle:
 
     def test_mixed_corpus(self):
         config, records, cache = mixed_corpus()
-        counts: dict = {}
-        got = prepare_corpus(config, records, cache, counts=counts)
+        manifest = RunManifest("", 0)
+        got = prepare_corpus(config, records, cache, manifest=manifest)
         assert_same_corpus(got, reference_prepare(config, records, cache))
         # The corpus exercises what it is built for.
-        assert counts["corrected"] == 1 and counts["augmented"] == 11
+        assert manifest.stage_counts["corrected"] == 1 and manifest.stage_counts["augmented"] == 11
         assert {info.domain for info in got.domain_info} == {None, "acme.com", "fujitsu.com"}
         assert got.names[3].cleaned == "societe generale" and got.names[5].cleaned == "fujitsu"
 
@@ -699,9 +702,9 @@ class TestPrepareOnceOracle:
         spy(embed.HashingBackend, "hash_gram", "gram", 1)
         spy(augment, "extract_domain", "url", 0)
         spy(augment, "preprocess_url_text", "text", 0)
-        artifacts = prepare_corpus(config, records, cache)
+        corpus = prepare_corpus(config, records, cache)
         results = [cache.get(r.raw_name) for r in records]
-        grams = [g for t in {t for name in artifacts.names for t in name.tokens} for g in embed.HashingBackend().grams(t)]
+        grams = [g for t in {t for name in corpus.names for t in name.tokens} for g in embed.HashingBackend().grams(t)]
         assert set(calls["gram"]) == set(grams)
         assert set(calls["url"]) == {r.first_url for r in results if r is not None and r.first_url}
         assert set(calls["text"]) == {r.first_text if r is not None else None for r in results}
@@ -737,17 +740,17 @@ def test_runs_import_nothing_beyond_the_package_data(corpus60_paths, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def tuning_artifacts(corpus60_paths, corpus60_config):
+def tuning_corpus(corpus60_paths, corpus60_config):
     records = load_assignee_table(corpus60_paths["input"])
     cache = AugmentationCache(corpus60_paths["cache"])
-    artifacts = prepare_corpus(corpus60_config, records, cache, bound=corpus60_config.tuning_score_bound())
-    return artifacts, load_gold_standard(corpus60_paths["gold"])
+    corpus = prepare_corpus(corpus60_config, records, cache, bound=corpus60_config.tuning_score_bound())
+    return corpus, load_gold_standard(corpus60_paths["gold"])
 
 
 @pytest.fixture(scope="module")
-def tuning_setup(tuning_artifacts, corpus60_config):
-    artifacts, gold = tuning_artifacts
-    return corpus60_config, build_tuning_objective(corpus60_config, artifacts, gold)
+def tuning_setup(tuning_corpus, corpus60_config):
+    corpus, gold = tuning_corpus
+    return corpus60_config, build_tuning_objective(corpus60_config, corpus, gold)
 
 
 class TestTuningObjective:
@@ -768,22 +771,16 @@ class TestTuningObjective:
         hostile["threshold"] = 5.0
         assert objective(hostile) < objective(incumbent)
 
-    def test_edge_only_rescoring_matches_full_path(self, tuning_setup, tuning_artifacts):
+    def test_edge_only_rescoring_matches_full_path(self, tuning_setup, tuning_corpus):
         # A trial rescores the table it filled once; filling a fresh table
         # and scoring it must give the same F1 at any point of the search box.
         config, objective = tuning_setup
-        artifacts, gold = tuning_artifacts
+        corpus, gold = tuning_corpus
         rng = random.Random(20)
         for _ in range(20):
             point = SEARCH_SPACE.uniform(rng)
             weights, params = config.params_at(point)
-            table = score_pairs(
-                artifacts.names,
-                artifacts.candidates,
-                artifacts.domain_info,
-                artifacts.embeddings,
-                artifacts.records,
-            )
+            table = score_pairs(corpus)
             graph = build_graph(table, table.scores(weights), params)
             partition = refine_communities(graph, params)
             assert objective(point) == build_report(partition.assignments, gold).f1, point
