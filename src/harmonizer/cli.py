@@ -146,12 +146,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_mapping(args.pred)
     gold = load_gold_standard(args.gold)
     pred = {row["record_id"]: row["community_id"] for row in rows}
-    report = build_report(
-        pred,
-        gold,
-        n_before=len(rows),
-        n_after=len({row["community_id"] for row in rows}),
-    )
+    report = build_report(pred, gold)
     payload = report.to_json()
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")

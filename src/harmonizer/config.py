@@ -153,15 +153,16 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
 def _apply_env(config: dict, environ: Mapping[str, str]) -> dict:
     out = copy.deepcopy(config)
     for env_name in sorted(environ):
-        if not env_name.startswith(ENV_PREFIX):
+        key = env_name.upper()
+        if not key.startswith(ENV_PREFIX):
             continue
         try:
             raw = yaml.safe_load(environ[env_name])
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {env_name}: {exc}")
-        path = _ENV_PATHS.get(env_name.upper())
+        path = _ENV_PATHS.get(key)
         if path is None:
-            raise ConfigError(f"{env_name}: no config key matches '{env_name[len(ENV_PREFIX):].lower()}'")
+            raise ConfigError(f"{env_name}: no config key matches '{key[len(ENV_PREFIX):].lower()}'")
         dotted = ".".join(path)
         if isinstance(_at(DEFAULTS, path), dict):
             raise ConfigError(f"{env_name}: '{dotted}' is a section, not a key")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .ingest import GoldLabel
@@ -171,21 +171,13 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def build_report(
-    pred: Mapping[str, Hashable],
-    gold: Sequence[GoldLabel],
-    n_before: Optional[int] = None,
-    n_after: Optional[int] = None,
-) -> EvalReport:
-    """Assemble the full evaluation report. Reduction counts default to the
+def build_report(pred: Mapping[str, Hashable], gold: Sequence[GoldLabel]) -> EvalReport:
+    """Assemble the full evaluation report. The reduction counts are the
     prediction's own record and community counts."""
     confusion = pairwise_confusion(pred, gold)
     metrics = compute_metrics(confusion)
     bc = bcubed(pred, gold)
-    if n_before is None:
-        n_before = len(pred)
-    if n_after is None:
-        n_after = len(set(pred.values()))
+    n_before, n_after = len(pred), len(set(pred.values()))
     return EvalReport(
         precision=metrics.precision,
         recall=metrics.recall,
@@ -194,7 +186,7 @@ def build_report(
         fp=confusion.fp,
         fn=confusion.fn,
         n_records=len(gold),
-        n_pred_communities=len(set(pred.values())),
+        n_pred_communities=n_after,
         n_gold_entities=len({label.entity_id for label in gold}),
         n_before=n_before,
         n_after=n_after,

@@ -7,10 +7,10 @@ Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
 on the unweighted skeleton. Joint-venture style names sit between two dense
 clusters and light up under exactly this measure. It is computed per
-community with Brandes' dependency accumulation, run level by level for all
-sources at once as dense matrix products; the levels are exact, the path
-counts exact below 2^53, and the float sums run in another order than one
-source at a time, which moves a value by a few ulps at most.
+community with Brandes' dependency accumulation, run level by level for a
+block of sources at once, gathering along the adjacency; the levels are
+exact, the path counts exact below 2^53, and the float sums run in another
+order than one source at a time, which moves a value by a few ulps at most.
 A node is flagged only when its bridgeness clears the threshold by a
 relative 1e-9, so a value equal to the threshold is never flagged whatever
 the rounding. Pruning skips the computation where its outcome is known: a
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -302,97 +301,80 @@ def _gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
     return H
 
 
-# OpenBLAS, as numpy ships it, runs a matrix product of fewer than 2^19
-# multiply-adds on the calling thread. A larger one wakes worker threads,
-# which on a 2-core VM stalled some products of 0.2 ms for 5-67 ms. Every
-# product of the bridgeness kernel stays under this budget: a block of
-# sources, at least _MIN_SOURCES of them, times a square tile of the
-# adjacency matrix.
-_PRODUCT_BUDGET = 2**19 - 1
-_MIN_SOURCES = 16
+# The entries of one source block, sources times max(n, 2m), are kept near
+# this bound, so its arrays of σ and δ and its stored edges stay small.
+_BLOCK_ENTRIES = 2**16
 
 
 def bridgeness_centrality(graph: Graph) -> dict:
-    """Exact bridgeness on the unweighted skeleton, for all sources at once.
+    """Exact bridgeness on the unweighted skeleton, by blocks of sources.
 
-    Brandes' recipe, level-synchronously over a block of sources with dense
-    matrices: the forward pass multiplies each BFS frontier, holding the
-    shortest-path counts σ of its nodes, by the adjacency matrix, which
-    gives the σ of the next level; the backward pass walks the levels up,
-    where one product gives the dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w))
-    over the successors w of v, and another the bridge term Σ σ_v/σ_w ·
-    δ(w). Every target counted in δ(w) lies two or more levels below v, so
-    none is in N[v]: a node at distance >= 2 from s gains the bridge term,
-    which is its bridgeness from s with nothing to subtract. Each unordered
-    pair is counted from both ends, so the sums are halved. The result maps
-    each node to its value, in node order.
+    Brandes' recipe, level-synchronously over a block of sources. An entry
+    k·n + v stands for node v seen from the block's k-th source. The forward
+    pass expands the current frontier's entries along the adjacency, keeps
+    the edges into entries not yet reached, sums their σ into the next level
+    with one ``np.bincount`` and stores each level's edges. The backward pass
+    walks those stored edges up, where two ``np.bincount`` calls give the
+    dependency δ(v) = Σ σ_v/σ_w · (1 + δ(w)) over the successors w of v, and
+    the bridge term Σ σ_v/σ_w · δ(w). Every target counted in δ(w) lies two
+    or more levels below v, so none is in N[v]: a node at distance >= 2 from
+    s gains the bridge term, which is its bridgeness from s with nothing to
+    subtract. Each unordered pair is counted from both ends, so the sums are
+    halved. The result maps each node to its value, in node order.
 
-    σ is a float64 count, exact below 2^53 and within about 1e-16 relative
-    above it; the sums run in another order than one source at a time, so
-    values can differ from a scalar Brandes by a few ulps, far inside the
-    margin ``prune_global_bridges`` flags with. Memory is the n x n
-    adjacency matrix plus a few arrays of block x n floats.
+    Work is O(n·m) over all sources. σ is a float64 count, exact below 2^53
+    and within about 1e-16 relative above it; each source's δ is summed in
+    the order a scalar Brandes sums it, but the totals add up level by level,
+    so values can differ from it by a few ulps, far inside the margin
+    ``prune_global_bridges`` flags with.
     """
     n = len(graph.adj)
-    adjacency = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in graph.adj])
-    adjacency[rows, [v for nbrs in graph.adj for v in nbrs]] = 1.0
-    # The widest tile a block of _MIN_SOURCES sources can take, then tiles of
-    # equal side covering the n nodes, and as many sources as the budget
-    # allows against that side.
-    widest = math.isqrt(_PRODUCT_BUDGET // _MIN_SOURCES)
-    side = -(-n // max(1, -(-n // widest)))
-    block = _PRODUCT_BUDGET // max(1, side * side)
+    degree = np.fromiter(map(len, graph.adj), dtype=np.int64, count=n)
+    neighbours = np.fromiter(itertools.chain.from_iterable(graph.adj), dtype=np.int64, count=int(degree.sum()))
+    csr = (degree, np.cumsum(degree) - degree, neighbours)
+    block = max(1, _BLOCK_ENTRIES // max(1, n, len(neighbours)))
     totals = np.zeros(n)
     for start in range(0, n, block):
-        totals += _bridgeness_from(adjacency, np.arange(start, min(n, start + block)), side)
+        totals += _bridgeness_from(csr, np.arange(start, min(n, start + block)))
     return dict(zip(graph.nodes, (totals / 2).tolist()))
 
 
-def _product(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
-    """``left @ right``, summed over square tiles of ``right`` of the given
-    side."""
-    if len(right) <= side:
-        return left @ right
-    out = np.zeros((len(left), right.shape[1]))
-    for k in range(0, len(right), side):
-        for j in range(0, right.shape[1], side):
-            out[:, j : j + side] += left[:, k : k + side] @ right[k : k + side, j : j + side]
-    return out
-
-
-def _bridgeness_from(adjacency: np.ndarray, sources: np.ndarray, side: int) -> np.ndarray:
+def _bridgeness_from(csr: tuple, sources: np.ndarray) -> np.ndarray:
     """Each node's bridgeness summed over the ordered pairs whose source is
-    in ``sources``, multiplying by tiles of ``adjacency`` of the given side."""
-    b, n = len(sources), len(adjacency)
-    sigma = np.zeros((b, n))
-    sigma[np.arange(b), sources] = 1.0
-    dist = np.where(sigma > 0, 0, -1).astype(np.int32)
-    frontier, depth = sigma, 0
+    in ``sources``; ``csr`` holds each node's degree, the offset of its
+    first neighbour, and the neighbours in node order."""
+    degree, first, neighbours = csr
+    n = len(degree)
+    size = len(sources) * n
+    frontier = np.arange(0, size, n) + sources
+    sigma = np.zeros(size)
+    sigma[frontier] = 1.0
+    # levels[d] holds the edges from the entries at distance d to those at d + 1.
+    levels = []
     while True:
-        frontier = _product(frontier, adjacency, side)
-        frontier[dist >= 0] = 0.0
-        reached = frontier > 0
-        if not reached.any():
+        nodes = frontier % n
+        counts = degree[nodes]
+        ends = np.cumsum(counts)
+        parent = np.repeat(frontier, counts)
+        offsets = np.repeat(first[nodes] - ends + counts, counts) + np.arange(ends[-1])
+        child = parent - np.repeat(nodes, counts) + neighbours[offsets]
+        unseen = sigma[child] == 0.0
+        parent, child = parent[unseen], child[unseen]
+        if not len(child):
             break
-        depth += 1
-        dist[reached] = depth
-        sigma += frontier
+        reached = np.bincount(child, sigma[parent], minlength=size)
+        frontier = np.flatnonzero(reached)
+        sigma[frontier] = reached[frontier]
+        levels.append((parent, child))
     totals = np.zeros(n)
-    delta = np.zeros((b, n))
-    below = dist == depth
+    delta = np.zeros(size)
     # Nodes within distance 1 of the source gain nothing, and only they
-    # would read the dependencies of the nodes at distance 2.
-    for level in range(depth - 1, 1, -1):
-        # (1 + δ(w)) / σ_w and δ(w) / σ_w on the level below, summed over
-        # each node's neighbours there.
-        dependency = np.divide(1.0 + delta, sigma, out=np.zeros((b, n)), where=below)
-        bridge = np.divide(delta, sigma, out=np.zeros((b, n)), where=below)
-        on_level = dist == level
-        # Only the entries on this level are read, by the next level up.
-        delta = sigma * _product(dependency, adjacency, side)
-        totals += (sigma * _product(bridge, adjacency, side)).sum(axis=0, where=on_level)
-        below = on_level
+    # would read the dependencies of the nodes at distance 2. Only the
+    # entries on a level are read, by the level above.
+    for parent, child in reversed(levels[2:]):
+        ratio = sigma[parent] / sigma[child]
+        totals += np.bincount(parent % n, ratio * delta[child], minlength=n)
+        delta = np.bincount(parent, ratio * (1.0 + delta[child]), minlength=size)
     return totals
 
 

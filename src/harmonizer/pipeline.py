@@ -366,7 +366,7 @@ def run_pipeline(
 
         if gold is not None:
             stage = "evaluate"
-            report = build_report(partition.assignments, gold, n_before=len(records), n_after=partition.n_communities)
+            report = build_report(partition.assignments, gold)
             (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
             t = _charge(manifest, "evaluate", t)
 

@@ -147,6 +147,14 @@ class TestEnvLayer:
         with pytest.raises(ConfigError, match="no config key matches"):
             load(environ={ENV_PREFIX + "GRAPH_TRESHOLD": "1"})
 
+    @pytest.mark.parametrize("name", ["HARMONIZER_RUN_SEED", "HARMONIZER_run_seed", "harmonizer_run_seed", "Harmonizer_RUN_SEED"])
+    def test_env_names_match_regardless_of_case(self, name):
+        assert load(environ={name: "2"})["run"]["seed"] == 2
+
+    def test_unknown_lower_case_env_key_rejected(self):
+        with pytest.raises(ConfigError, match="harmonizer_graph_treshold: no config key matches 'graph_treshold'"):
+            load(environ={"harmonizer_graph_treshold": "1"})
+
     def test_env_pointing_at_section_rejected(self):
         with pytest.raises(ConfigError, match="section, not a key"):
             load(environ={"HARMONIZER_MATCH_WEIGHTS": "1"})

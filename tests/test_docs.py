@@ -1,5 +1,6 @@
-"""README stays in step with the code: its configuration block loads, and
-every flag its CLI synopsis shows is accepted."""
+"""README stays in step with the code: its configuration block loads, every
+flag its CLI synopsis shows is accepted, and every code name it shows
+exists."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import pytest
 from harmonizer.cli import build_parser
 from harmonizer.config import PipelineConfig
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def fenced_block(section: str, lang: str) -> str:
@@ -45,3 +47,19 @@ def test_synopsis_flags_parse(line):
         argv.append(token if token.startswith("--") else "1")
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def readme_code_names() -> set[str]:
+    """Backticked README spans that name code, alone or called: snake_case
+    with an inner underscore, or CamelCase."""
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    calls = (re.sub(r"\(.*\)$", "", span) for span in spans)
+    return {name for name in calls if re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+|(?:[A-Z][a-z0-9]+)+", name)}
+
+
+def test_readme_names_exist():
+    sources = [path for part in ("src/harmonizer", "tests", "scripts") for path in (ROOT / part).rglob("*.py")]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sources)
+    names = readme_code_names()
+    missing = sorted(name for name in names if not re.search(rf"\b{name}\b", text))
+    assert len(names) > 20 and not missing, missing

@@ -247,9 +247,3 @@ class TestReport:
         assert payload["n_records"] == 4
         assert payload["n_pred_communities"] == 2
         assert payload["n_gold_entities"] == 2
-
-    def test_explicit_reduction_counts(self):
-        pred = {"a": 0, "b": 0}
-        gold = gold_from({"a": "x", "b": "x"})
-        report = build_report(pred, gold, n_before=100, n_after=58)
-        assert report.reduction == 0.42

@@ -261,10 +261,46 @@ def _diamond_chain(k):
     return g
 
 
+def _matches_brandes(graph):
+    """The kernel's values and the scalar Brandes' on ``graph``, after
+    checking that they agree within 1e-12 relative, key for key."""
+    values = bridgeness_centrality(graph)
+    expected = brandes_bridgeness(graph)
+    assert list(values) == list(expected)
+    for node, value in expected.items():
+        assert math.isclose(values[node], value, rel_tol=1e-12, abs_tol=0.0), (node, values[node], value)
+    return values, expected
+
+
+def _with_isolated_nodes():
+    """A connected Watts-Strogatz graph with isolated nodes between its
+    nodes in id order. Refinement prunes such a subgraph when a Louvain
+    community holds a member whose neighbours all lie outside it."""
+    g = nx.connected_watts_strogatz_graph(40, 4, 0.2, seed=3)
+    g = nx.relabel_nodes(g, {i: f"n{2 * i:03d}" for i in g})
+    g.add_nodes_from(f"n{2 * i + 1:03d}" for i in range(0, 40, 7))
+    return from_networkx(g)
+
+
+def test_bridgeness_with_isolated_nodes_matches_brandes():
+    values, _ = _matches_brandes(_with_isolated_nodes())
+    assert values["n001"] == 0.0 and max(values.values()) > 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_bridgeness_over_several_source_blocks_matches_brandes(block, monkeypatch):
+    """Blocks of one source, and blocks of 7 over 46 nodes, whose last block
+    holds 4."""
+    graph = _with_isolated_nodes()
+    entries = max(len(graph.nodes), 2 * graph.number_of_edges())
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block * entries)
+    _matches_brandes(graph)
+
+
 _LARGE_BRIDGENESS_CASES = {
     **{
         f"watts_strogatz_{n}": (lambda n=n, k=k, p=p: nx.connected_watts_strogatz_graph(n, k, p, seed=n))
-        for n, k, p in [(150, 6, 0.3), (230, 4, 0.1), (310, 6, 0.05), (400, 4, 0.2)]
+        for n, k, p in [(150, 6, 0.3), (230, 4, 0.1), (310, 6, 0.05), (400, 4, 0.2), (800, 6, 0.1)]
     },
     "diamond_chain_40": lambda: _diamond_chain(40),
 }
@@ -277,11 +313,7 @@ def test_bridgeness_matches_brandes_on_large_graphs(name):
     node's value. The diamond chain counts 3^40 > 2^53 shortest paths end
     to end, so its σ are no longer exact floats."""
     graph = from_networkx(_LARGE_BRIDGENESS_CASES[name]())
-    values = bridgeness_centrality(graph)
-    expected = brandes_bridgeness(graph)
-    assert list(values) == list(expected)
-    for node, value in expected.items():
-        assert math.isclose(values[node], value, rel_tol=1e-12, abs_tol=0.0), (node, values[node], value)
+    values, expected = _matches_brandes(graph)
     flags = {}
     for beta in sorted(set(expected.values())):
         cutoff = beta + graph_module._BETA_MARGIN * max(1.0, beta)
