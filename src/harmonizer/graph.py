@@ -1,25 +1,17 @@
 """Graph filtering: build the similarity graph from scored pairs, partition it
 with seeded Louvain, then split chained-together communities by deleting edges
 at high-bridgeness nodes and re-partitioning inside each community. The whole
-stage runs on ``Graph``, an index adjacency over the sorted record ids.
+stage runs on ``Graph``, one CSR structure over the sorted record ids.
 
 Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
 on the unweighted skeleton. Joint-venture style names sit between two dense
-clusters and light up under exactly this measure. It is computed per
-community with Brandes' dependency accumulation, run level by level for a
-block of sources at once, gathering along the adjacency; the levels are
-exact, the path counts exact below 2^53, and the float sums run in another
-order than one source at a time, which moves a value by a few ulps at most.
-A node is flagged only when its bridgeness clears the threshold by a
-relative 1e-9, so a value equal to the threshold is never flagged whatever
-the rounding. Pruning skips the computation where its outcome is known: a
-threshold below 0 flags every node, and a community of at most 4 nodes or a
-clique has no nonzero value.
+clusters and light up under exactly this measure. It is computed exactly per
+community, with Brandes' dependency accumulation over blocks of sources, and
+a node is flagged only when it clears the threshold by a relative 1e-9.
 
-Louvain skips only work whose outcome is fixed: a node with no neighbour but
-itself can neither move nor be joined, so a level's moves never visit it,
-and modularity leaves out nodes without edges, whose terms are exactly 0.
+Louvain transcribes networkx's step for step and holds each level as a
+``Graph`` too, its rows in the order networkx's dicts list them.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +64,7 @@ class Partition:
         """record_id -> community id."""
         return dict(zip(self.nodes, self.community))
 
-    @property
+    @cached_property
     def n_communities(self) -> int:
         return len(set(self.community))
 
@@ -94,39 +86,68 @@ class Partition:
             raise ValueError("partition and records hold different record ids at the same position")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph without self-loops, on the indices of its
-    sorted ``nodes`` (record ids). ``adj[i]`` maps every neighbour index of
-    node ``i`` to the edge's weight, in ascending index order; each edge is
-    held by both ends."""
+    """Undirected weighted graph in CSR form on the indices of its ``nodes``:
+    row i, entries ``offsets[i]`` to ``offsets[i + 1]`` of ``neighbours`` and
+    ``weights``, lists each neighbour of node i once with the edge's weight,
+    and every edge is held by both ends. The graphs the filter stage builds
+    have the sorted record ids as ``nodes``, no self-loops and ascending
+    rows. Louvain's level graphs have ``range(k)`` as ``nodes``, hold each
+    self-loop once and list each row in order of first appearance."""
 
-    nodes: tuple
-    adj: list[dict[int, float]]
+    nodes: Sequence
+    offsets: np.ndarray
+    neighbours: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_entries(cls, nodes: Sequence, rows: np.ndarray, neighbours: np.ndarray, weights: np.ndarray) -> "Graph":
+        """The graph of these entries, given in row order."""
+        counts = np.bincount(rows, minlength=len(nodes))
+        return cls(nodes, np.concatenate([[0], np.cumsum(counts)]), neighbours, weights)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self.nodes)), np.diff(self.offsets))
 
     def number_of_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        return len(self.neighbours) // 2
 
-    def subgraph(self, indices: Sequence[int]) -> "Graph":
-        """The subgraph induced by ``indices`` (ascending), renumbered from 0
-        in that order, so its neighbours stay ascending too."""
-        position = {i: k for k, i in enumerate(indices)}
-        adj = [{position[j]: w for j, w in self.adj[i].items() if j in position} for i in indices]
-        return Graph(tuple(self.nodes[i] for i in indices), adj)
+    def subgraphs(self, groups: Sequence[Sequence[int]]) -> Iterator["Graph"]:
+        """The subgraph each of the disjoint, ascending ``groups`` of node
+        indices induces, renumbered from 0 in that order, so its rows ascend
+        too; one stable sort of the entries inside groups makes each a slice."""
+        n = len(self.nodes)
+        members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64)
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        group, local = np.full(n, -1), np.zeros(n, dtype=np.int64)
+        group[members] = np.repeat(np.arange(len(groups)), sizes)
+        local[members] = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        inside = np.flatnonzero((group[self.rows] == group[self.neighbours]) & (group[self.rows] >= 0))
+        inside = inside[np.argsort(group[self.rows[inside]], kind="stable")]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(self.rows[inside], minlength=n)[members])])
+        neighbours, weights, start = local[self.neighbours[inside]], self.weights[inside], 0
+        for indices in groups:
+            offsets = bounds[start:start + len(indices) + 1]
+            start += len(indices)
+            lo, hi = offsets[0], offsets[-1]
+            yield Graph(tuple(self.nodes[i] for i in indices), offsets - lo, neighbours[lo:hi], weights[lo:hi])
 
 
 def build_graph(table: PairTable, scores: np.ndarray, params: FilterParams) -> Graph:
     """Similarity graph on the table's ids: every record is a node; an edge
     exists iff the pair score clears the threshold, and a row whose records
     share a location adds the boost on top of the score (membership is
-    decided before the boost). Rows are sorted by (id_a, id_b), so adding
-    them in table order leaves every neighbour dict ascending."""
-    adj: list[dict[int, float]] = [{} for _ in table.ids]
+    decided before the boost). Each edge enters the rows of both its ends:
+    row b lists its neighbours a < b in table order, then row a its b > a,
+    so a stable sort by row leaves every row ascending."""
     rows = np.flatnonzero(scores >= params.threshold)
     weights = np.where(table.location[rows], scores[rows] + params.location_boost, scores[rows])
-    for u, v, weight in zip(table.a[rows].tolist(), table.b[rows].tolist(), weights.tolist()):
-        adj[u][v] = adj[v][u] = weight
-    return Graph(table.ids, adj)
+    ends, others = np.concatenate([table.b[rows], table.a[rows]]), np.concatenate([table.a[rows], table.b[rows]])
+    order = np.argsort(ends, kind="stable")
+    return Graph.from_entries(table.ids, ends[order], others[order], np.concatenate([weights, weights])[order])
 
 
 # Louvain stops once a level gains no more modularity than this (networkx's
@@ -139,29 +160,40 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
 
     A transcription of networkx 3.6.1's ``louvain_communities`` (its
     ``louvain_partitions``, ``_one_level``, ``_neighbor_weights`` and
-    ``_gen_graph``) onto lists of dicts, run on the graph in sorted node and
+    ``_gen_graph``) onto CSR levels, run on the graph in sorted node and
     neighbour order: every float expression and summation order, the
     insertion order of the neighbour weights per community (reading the
-    node's own community inserts it), the strict ``gain > best_mod``, and
-    one ``random.Random(seed)`` shared across levels are kept, and
+    node's own community inserts it), each level graph's rows in the order
+    networkx's dicts insert them, the strict ``gain > best_mod``, and one
+    ``random.Random(seed)`` shared across levels are kept, and
     ``tests/oracles.py`` holds networkx as its oracle. One thing differs:
     modularity sums each community's members in ascending index order, where
     networkx sums them in set order, which for string ids follows the hash
     seed. The two sums can differ by a few ulps, which changes the result
     only when a level's gain lies within ulps of the 1e-7 stop threshold.
 
-    Work whose outcome is fixed is skipped, which changes no result. A node
-    with no neighbour but itself (an isolated record, or a community that
-    settled in an earlier level and is now a node with only its self-loop)
-    sees no community but its own, at a gain of exactly 0, so it never moves
-    and none can join it: the moves skip it after the shuffle, which still
-    draws the whole node list. Modularity leaves out nodes without edges,
-    whose terms are exactly 0.
-
     Communities are numbered by their smallest member so the mapping is stable
     across runs; isolated nodes come out as singletons.
     """
-    community = _louvain_communities(graph.adj, resolution, random.Random(seed))
+    rng = random.Random(seed)
+    # ``community`` maps each input node to its node in the current level,
+    # which stands for the input nodes networkx keeps in ``partition``.
+    level, community = graph, list(range(len(graph.nodes)))
+    if len(graph.neighbours):
+        degrees = _degrees(level)
+        m = sum(degrees) / 2
+        mod = _modularity(level, degrees, community, resolution)
+        community = inner = _one_level(level, degrees, m, resolution, rng)[0]
+        improvement = True
+        while improvement:
+            new_mod = _modularity(level, degrees, inner, resolution)
+            if new_mod - mod <= _LOUVAIN_THRESHOLD:
+                break
+            mod = new_mod
+            level = _gen_graph(level, inner)
+            degrees = _degrees(level)
+            inner, improvement = _one_level(level, degrees, m, resolution, rng)
+            community = [inner[c] for c in community]
     return Partition(graph.nodes, _first_seen(community))
 
 
@@ -173,68 +205,34 @@ def _first_seen(labels: Sequence[int]) -> list[int]:
     return [dense.setdefault(label, len(dense)) for label in labels]
 
 
-def _louvain_communities(adj: list[dict], resolution: float, rng: random.Random) -> list[int]:
-    """``louvain_partitions``: the community of every node of ``adj`` in its
-    last level. ``community`` maps each input node to its node in the
-    current level's graph, which stands for the input nodes networkx keeps
-    in ``partition``. Each level's degrees are computed once, for both its
-    moves and its modularity."""
-    community = list(range(len(adj)))
-    if not any(adj):
-        return community
-    degrees = _degrees(adj)
-    m = sum(degrees) / 2
-    mod = _modularity(adj, degrees, community, resolution)
-    inner, _ = _one_level(adj, degrees, m, resolution, rng)
-    community = inner
-    improvement = True
-    while improvement:
-        new_mod = _modularity(adj, degrees, inner, resolution)
-        if new_mod - mod <= _LOUVAIN_THRESHOLD:
-            break
-        mod = new_mod
-        adj = _gen_graph(adj, inner)
-        degrees = _degrees(adj)
-        inner, improvement = _one_level(adj, degrees, m, resolution, rng)
-        community = [inner[c] for c in community]
-    return community
+def _degrees(level: Graph) -> list[float]:
+    """Weighted degrees as networkx's ``DegreeView`` sums them: each row in
+    entry order, then its self-loop once more."""
+    n = len(level.nodes)
+    loops = np.where(level.neighbours == level.rows, level.weights, 0.0)
+    return (np.bincount(level.rows, level.weights, minlength=n) + np.bincount(level.rows, loops, minlength=n)).tolist()
 
 
-def _degrees(adj: list[dict]) -> list:
-    """Weighted degrees as networkx's ``DegreeView`` sums them: a self-loop
-    counts twice."""
-    return [sum(nbrs.values()) + (u in nbrs and nbrs[u]) for u, nbrs in enumerate(adj)]
-
-
-def _modularity(adj: list[dict], degree: list, community: list[int], resolution: float) -> float:
-    """networkx's ``modularity`` of the partition of ``adj`` given by
+def _modularity(level: Graph, degree: list, community: list[int], resolution: float) -> float:
+    """networkx's ``modularity`` of the partition of ``level`` given by
     ``community`` (dense ids), its members summed in ascending order: a
     community's inner weight takes each of its edges once, from its smaller
-    end, in that end's neighbour order. ``degree`` is ``_degrees(adj)``.
-
-    Nodes without edges are left out. Such a node adds the integer 0 to its
-    community's inner weight and degree sum, and a community of nothing but
-    such nodes contributes exactly 0.0, so leaving them out changes no sum
-    by a single bit (bar the sign of a zero)."""
+    end, in entry order, and the communities' terms are added in id order.
+    ``degree`` is ``_degrees(level)``. An id no node holds, or a community
+    of nodes without edges, adds a term of exactly 0.0, which changes no sum
+    (bar the sign of a zero)."""
     deg_sum = sum(degree)
     m = deg_sum / 2
     norm = 1 / deg_sum**2
-    members: list[list[int]] = [[] for _ in range(max(community) + 1)]
-    for u, com in enumerate(community):
-        if adj[u]:
-            members[com].append(u)
-
-    def community_contribution(comm):
-        c = community[comm[0]]
-        L_c = sum(wt for u in comm for v, wt in adj[u].items() if v >= u and community[v] == c)
-        degree_sum = sum(degree[u] for u in comm)
-        return L_c / m - resolution * degree_sum * degree_sum * norm
-
-    return sum(map(community_contribution, filter(None, members)))
+    labels = np.asarray(community)
+    inner = (level.neighbours >= level.rows) & (labels[level.neighbours] == labels[level.rows])
+    L_c = np.bincount(labels[level.rows[inner]], level.weights[inner], minlength=len(degree))
+    degree_sum = np.bincount(labels, degree, minlength=len(degree))
+    return sum((L_c / m - resolution * degree_sum * degree_sum * norm).tolist())
 
 
 def _one_level(
-    adj: list[dict], degrees: list, m: float, resolution: float, rng: random.Random
+    level: Graph, degrees: list, m: float, resolution: float, rng: random.Random
 ) -> tuple[list[int], bool]:
     """One level of moves. Returns each node's community, numbered in
     ascending order of the community's index as ``list(filter(len,
@@ -246,12 +244,15 @@ def _one_level(
     whose gain is exactly 0, so it never moves and leaves ``Stot`` as it
     found it (``d - d + d`` is ``d``), and as no node is its neighbour, none
     can join it."""
-    node2com = list(range(len(adj)))
+    n = len(degrees)
+    other = level.neighbours != level.rows
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(level.rows[other], minlength=n))]).tolist()
+    nbrs, wts = level.neighbours[other].tolist(), level.weights[other].tolist()
+    node2com = list(range(n))
     Stot = list(degrees)
-    nbrs = [{v: wt for v, wt in nbrs.items() if v != u} if u in nbrs else nbrs for u, nbrs in enumerate(adj)]
-    rand_nodes = list(range(len(adj)))
+    rand_nodes = list(range(n))
     rng.shuffle(rand_nodes)
-    rand_nodes = [u for u in rand_nodes if nbrs[u]]
+    rand_nodes = [u for u in rand_nodes if bounds[u] < bounds[u + 1]]
     two_m_sq = 2 * m**2
     nb_moves = 1
     improvement = False
@@ -264,7 +265,7 @@ def _one_level(
             # community; reading the node's own community inserts it last
             # when no neighbour shares it, which fixes the tie order.
             weights2com: dict[int, float] = {}
-            for v, wt in nbrs[u].items():
+            for v, wt in zip(nbrs[bounds[u]:bounds[u + 1]], wts[bounds[u]:bounds[u + 1]]):
                 com = node2com[v]
                 weights2com[com] = weights2com.get(com, 0.0) + wt
             degree = degrees[u]
@@ -285,20 +286,27 @@ def _one_level(
     return [dense[com] for com in node2com], improvement
 
 
-def _gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
-    """The graph of the communities: each edge, taken once from its smaller
-    end in node order, adds its weight to the edge (or self-loop) between its
-    ends' communities, which enters each end's dict where it first appears."""
-    H: list[dict] = [{} for _ in range(max(community) + 1)]
-    for node1, nbrs in enumerate(adj):
-        for node2, wt in nbrs.items():
-            if node2 < node1:
-                continue
-            com1 = community[node1]
-            com2 = community[node2]
-            temp = H[com1].get(com2, 0)
-            H[com1][com2] = H[com2][com1] = wt + temp
-    return H
+def _gen_graph(level: Graph, community: list[int]) -> Graph:
+    """The graph of the communities. Each edge, taken once from its smaller
+    end in entry order, adds its weight to the edge (or self-loop) between
+    its ends' communities: a stable sort groups the edges by community pair
+    and ``np.bincount`` sums each group in entry order. As networkx's dicts
+    do, a pair's first edge e, from c1 to c2, enters c2 into row c1 at time
+    2e, then c1 into row c2 at 2e + 1, and each row lists its neighbours by
+    that time."""
+    k = max(community) + 1
+    labels = np.asarray(community)
+    upper = level.neighbours >= level.rows
+    c1, c2 = labels[level.rows[upper]], labels[level.neighbours[upper]]
+    pair = np.minimum(c1, c2) * k + np.maximum(c1, c2)
+    order = np.argsort(pair, kind="stable")
+    starts = np.diff(pair[order], prepend=-1) != 0
+    totals = np.bincount(np.cumsum(starts) - 1, level.weights[upper][order])
+    first = order[starts]
+    c1, c2, two = c1[first], c2[first], c1[first] != c2[first]
+    rows, cols = np.concatenate([c1, c2[two]]), np.concatenate([c2, c1[two]])
+    arranged = np.lexsort((np.concatenate([2 * first, 2 * first[two] + 1]), rows))
+    return Graph.from_entries(range(k), rows[arranged], cols[arranged], np.concatenate([totals, totals[two]])[arranged])
 
 
 # The entries of one source block, sources times max(n, 2m), are kept near
@@ -328,23 +336,18 @@ def bridgeness_centrality(graph: Graph) -> dict:
     so values can differ from it by a few ulps, far inside the margin
     ``prune_global_bridges`` flags with.
     """
-    n = len(graph.adj)
-    degree = np.fromiter(map(len, graph.adj), dtype=np.int64, count=n)
-    neighbours = np.fromiter(itertools.chain.from_iterable(graph.adj), dtype=np.int64, count=int(degree.sum()))
-    csr = (degree, np.cumsum(degree) - degree, neighbours)
-    block = max(1, _BLOCK_ENTRIES // max(1, n, len(neighbours)))
+    n = len(graph.nodes)
+    block = max(1, _BLOCK_ENTRIES // max(1, n, len(graph.neighbours)))
     totals = np.zeros(n)
     for start in range(0, n, block):
-        totals += _bridgeness_from(csr, np.arange(start, min(n, start + block)))
+        totals += _bridgeness_from(graph, np.arange(start, min(n, start + block)))
     return dict(zip(graph.nodes, (totals / 2).tolist()))
 
 
-def _bridgeness_from(csr: tuple, sources: np.ndarray) -> np.ndarray:
+def _bridgeness_from(graph: Graph, sources: np.ndarray) -> np.ndarray:
     """Each node's bridgeness summed over the ordered pairs whose source is
-    in ``sources``; ``csr`` holds each node's degree, the offset of its
-    first neighbour, and the neighbours in node order."""
-    degree, first, neighbours = csr
-    n = len(degree)
+    in ``sources``."""
+    n = len(graph.nodes)
     size = len(sources) * n
     frontier = np.arange(0, size, n) + sources
     sigma = np.zeros(size)
@@ -353,11 +356,10 @@ def _bridgeness_from(csr: tuple, sources: np.ndarray) -> np.ndarray:
     levels = []
     while True:
         nodes = frontier % n
-        counts = degree[nodes]
-        ends = np.cumsum(counts)
+        counts = graph.offsets[nodes + 1] - graph.offsets[nodes]
+        entries = np.repeat(graph.offsets[nodes] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         parent = np.repeat(frontier, counts)
-        offsets = np.repeat(first[nodes] - ends + counts, counts) + np.arange(ends[-1])
-        child = parent - np.repeat(nodes, counts) + neighbours[offsets]
+        child = parent - np.repeat(nodes, counts) + graph.neighbours[entries]
         unseen = sigma[child] == 0.0
         parent, child = parent[unseen], child[unseen]
         if not len(child):
@@ -401,21 +403,18 @@ def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
     n = len(graph.nodes)
     if cutoff < 0:
-        flagged = set(range(n))
+        flagged = np.ones(n, dtype=bool)
     elif n <= 4 or 2 * graph.number_of_edges() == n * (n - 1):
-        flagged = set()
+        flagged = np.zeros(n, dtype=bool)
     else:
-        values = bridgeness_centrality(graph).values()
-        flagged = {i for i, value in enumerate(values) if value > cutoff}
-    pruned, removed = graph, 0
-    if flagged:
-        adj = [{j: w for j, w in nbrs.items() if j not in flagged} if i not in flagged else {}
-               for i, nbrs in enumerate(graph.adj)]
-        pruned = Graph(graph.nodes, adj)
-        removed = graph.number_of_edges() - pruned.number_of_edges()
+        flagged = np.fromiter(bridgeness_centrality(graph).values(), dtype=float, count=n) > cutoff
+    pruned = graph
+    if flagged.any():
+        keep = ~(flagged[graph.rows] | flagged[graph.neighbours])
+        pruned = Graph.from_entries(graph.nodes, graph.rows[keep], graph.neighbours[keep], graph.weights[keep])
     if stats is not None:
-        stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
-        stats["pruned_edges"] = stats.get("pruned_edges", 0) + removed
+        stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + int(flagged.sum())
+        stats["pruned_edges"] = stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
     return pruned
 
 
@@ -442,42 +441,42 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     # and the components make them dense again.
     community = list(first.community)
     fresh = first.n_communities
-    for members in first.members():
-        if len(members) > 2:
-            before = counts["pruned_edges"]
-            pruned = prune_global_bridges(graph.subgraph(members), params.bridgeness_threshold, counts)
-            if counts["pruned_edges"] > before:
-                parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
-                for position, part in zip(members, parts.community):
-                    community[position] = fresh + part
-                fresh += parts.n_communities
-    partition = Partition(graph.nodes, _components(graph.adj, community))
-    # Each final community lies in one first-pass community.
-    finals = Counter(dict(zip(partition.community, first.community)).values())
-    sizes = Counter(Counter(partition.community).values())
-    counts.update(communities_split=sum(n > 1 for n in finals.values()), community_sizes=dict(sorted(sizes.items())))
+    groups = [members for members in first.members() if len(members) > 2]
+    for members, subgraph in zip(groups, graph.subgraphs(groups)):
+        before = counts["pruned_edges"]
+        pruned = prune_global_bridges(subgraph, params.bridgeness_threshold, counts)
+        if counts["pruned_edges"] > before:
+            parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
+            for position, part in zip(members, parts.community):
+                community[position] = fresh + part
+            fresh += parts.n_communities
+    partition = Partition(graph.nodes, _components(graph, community))
+    if stats is not None:
+        # Each final community lies in one first-pass community.
+        finals = Counter(dict(zip(partition.community, first.community)).values())
+        sizes = Counter(Counter(partition.community).values())
+        stats.update(communities_split=sum(n > 1 for n in finals.values()), community_sizes=dict(sorted(sizes.items())))
     return partition
 
 
-def _components(adj: list[dict], labels: Sequence[int]) -> list[int]:
+def _components(graph: Graph, labels: Sequence[int]) -> list[int]:
     """The connected components of the subgraph each label induces in
-    ``adj``, numbered by smallest member."""
-    # A flagged bridge node is a singleton that keeps its edges in ``adj``,
-    # so singletons are not searched.
-    size = Counter(labels)
-    component = [-1] * len(adj)
-    n_components = 0
-    for start, label in enumerate(labels):
-        if component[start] < 0:
-            component[start] = n_components
-            stack = [start] if size[label] > 1 else []
-            while stack:
-                for v in adj[stack.pop()]:
-                    if component[v] < 0 and labels[v] == label:
-                        component[v] = n_components
-                        stack.append(v)
-            n_components += 1
-    return component
+    ``graph``, numbered by smallest member. Every node points at a smaller
+    one of its component, or at itself; each round hooks each tree's root to
+    the smallest root next to the tree, then points every node at its root,
+    so a tree merges within two rounds and O(log n) rounds suffice."""
+    labels = np.asarray(labels)
+    inside = labels[graph.rows] == labels[graph.neighbours]
+    ends, others = graph.rows[inside], graph.neighbours[inside]
+    smallest = np.arange(len(labels))
+    while True:
+        lowered = smallest.copy()
+        np.minimum.at(lowered, smallest[ends], smallest[others])
+        while not np.array_equal(lowered[lowered], lowered):
+            lowered = lowered[lowered]
+        if np.array_equal(lowered, smallest):
+            return _first_seen(smallest.tolist())
+        smallest = lowered
 
 
 def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:

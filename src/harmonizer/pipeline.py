@@ -11,6 +11,7 @@ the data artifacts.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import hashlib
 import json
 import logging
@@ -81,12 +82,22 @@ class RunManifest:
     stage_counts: dict[str, int] = field(default_factory=dict)
     layer_seconds: dict[str, float] = field(default_factory=dict)
     layer_rss_mb: dict[str, float] = field(default_factory=dict)
+    layer_full_collections: dict[str, int] = field(default_factory=dict)
     blocking: dict = field(default_factory=dict)
     filter: dict = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=_dependency_versions)
+    # Full collections started since a layer was last charged; not a field,
+    # so the manifest does not write it.
+    _uncharged_collections = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+    def _count_collection(self, phase: str, info: dict) -> None:
+        """A ``gc.callbacks`` hook: a generation-2 collection that starts
+        counts towards the next layer charged."""
+        if phase == "start" and info["generation"] == 2:
+            self._uncharged_collections += 1
 
 
 def _sha256(path: Path) -> str:
@@ -98,12 +109,17 @@ def _sha256(path: Path) -> str:
 
 
 def _charge(manifest: Optional[RunManifest], layer: str, since: float) -> float:
-    """Add the time since ``since`` to ``layer_seconds[layer]``, and set
-    ``layer_rss_mb[layer]``, moved last so its values rise in dict order, to
-    the peak RSS so far; return the time now."""
+    """Add the time since ``since`` to ``layer_seconds[layer]`` and the full
+    collections counted since the last charge to
+    ``layer_full_collections[layer]``, and set ``layer_rss_mb[layer]``, moved
+    last so its values rise in dict order, to the peak RSS so far; return
+    the time now."""
     now = time.perf_counter()
     if manifest is not None:
         manifest.layer_seconds[layer] = round(manifest.layer_seconds.get(layer, 0.0) + now - since, 6)
+        collections = manifest.layer_full_collections.get(layer, 0) + manifest._uncharged_collections
+        manifest.layer_full_collections[layer] = collections
+        manifest._uncharged_collections = 0
         manifest.layer_rss_mb.pop(layer, None)
         manifest.layer_rss_mb[layer] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB, 1)
     return now
@@ -312,6 +328,8 @@ def run_pipeline(
     )
     stage = "ingest"
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
+    count_collection = manifest._count_collection
+    gc.callbacks.append(count_collection)
     try:
         t = time.perf_counter()
         input_path = Path(input_path)
@@ -387,6 +405,7 @@ def run_pipeline(
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
     finally:
+        gc.callbacks.remove(count_collection)
         shutil.rmtree(work, ignore_errors=True)
 
 

@@ -6,7 +6,9 @@ package's internals beyond plain data types, except ``reference_prune``: it
 reuses ``bridgeness_centrality``, which the path-counting oracles here and
 the scalar ``brandes_bridgeness`` check, to check the cases pruning settles
 without it. ``reference_louvain`` is networkx's own Louvain, of which the
-package's is a transcription. ``reference_prepare`` reuses the package's
+package's is a transcription; ``dict_degrees``, ``dict_modularity`` and
+``dict_gen_graph`` are that transcription's level steps over lists of
+neighbour dicts, one edge at a time. ``reference_prepare`` reuses the package's
 per-record functions, to check that ``prepare_corpus`` computing each
 distinct value once changes nothing; it embeds each name with the scalar,
 dense ``embed_name`` here.
@@ -339,8 +341,9 @@ def brandes_bridgeness(graph: Graph) -> dict:
     from s gains σ_v/σ_w · δ(w) from each successor, which is its
     bridgeness from s with nothing to subtract. Each unordered pair is
     counted from both ends, so the sums are halved."""
-    adjacency = graph.adj
-    n = len(adjacency)
+    n = len(graph.nodes)
+    offsets, neighbours = graph.offsets.tolist(), graph.neighbours.tolist()
+    adjacency = [neighbours[offsets[u]:offsets[u + 1]] for u in range(n)]
     totals = [0.0] * n
     for source in range(n):
         dist = [-1] * n
@@ -399,6 +402,62 @@ def reference_louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> d
     )
     ordered = sorted((sorted(c) for c in communities), key=lambda c: c[0])
     return {node: cid for cid, members in enumerate(ordered) for node in members}
+
+
+def from_adjacency(adj: list[dict]) -> Graph:
+    """The ``Graph`` on nodes ``range(len(adj))`` whose row u lists ``adj[u]``
+    in its dict order, self-loops included, as Louvain's level graphs hold
+    them."""
+    entries = [(u, v, w) for u, nbrs in enumerate(adj) for v, w in nbrs.items()]
+    rows, neighbours, weights = np.array(entries, dtype=float).reshape(-1, 3).T
+    return Graph.from_entries(range(len(adj)), rows.astype(np.int64), neighbours.astype(np.int64), weights)
+
+
+def dict_degrees(adj: list[dict]) -> list:
+    """Weighted degrees as networkx's ``DegreeView`` sums them, over lists of
+    neighbour dicts: a self-loop counts twice."""
+    return [sum(nbrs.values()) + (u in nbrs and nbrs[u]) for u, nbrs in enumerate(adj)]
+
+
+def dict_modularity(adj: list[dict], degree: list, community: list[int], resolution: float) -> float:
+    """networkx's ``modularity`` of the partition of ``adj`` given by
+    ``community`` (dense ids), one community at a time, its members summed
+    in ascending order: a community's inner weight takes each of its edges
+    once, from its smaller end, in that end's neighbour order. ``degree`` is
+    ``dict_degrees(adj)``; nodes without edges are left out, as their terms
+    are exactly 0."""
+    deg_sum = sum(degree)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+    members: list[list[int]] = [[] for _ in range(max(community) + 1)]
+    for u, com in enumerate(community):
+        if adj[u]:
+            members[com].append(u)
+
+    def community_contribution(comm):
+        c = community[comm[0]]
+        L_c = sum(wt for u in comm for v, wt in adj[u].items() if v >= u and community[v] == c)
+        degree_sum = sum(degree[u] for u in comm)
+        return L_c / m - resolution * degree_sum * degree_sum * norm
+
+    return sum(map(community_contribution, filter(None, members)))
+
+
+def dict_gen_graph(adj: list[dict], community: list[int]) -> list[dict]:
+    """networkx's ``_gen_graph`` over lists of neighbour dicts: each edge,
+    taken once from its smaller end in node order, adds its weight to the
+    edge (or self-loop) between its ends' communities, which enters each
+    end's dict where it first appears."""
+    H: list[dict] = [{} for _ in range(max(community) + 1)]
+    for node1, nbrs in enumerate(adj):
+        for node2, wt in nbrs.items():
+            if node2 < node1:
+                continue
+            com1 = community[node1]
+            com2 = community[node2]
+            temp = H[com1].get(com2, 0)
+            H[com1][com2] = H[com2][com1] = wt + temp
+    return H
 
 
 def brute_pairwise_confusion(predicted: dict, gold: dict):

@@ -18,6 +18,7 @@ from harmonizer.embed import HashingBackend, NameVectors, compute_idf, embed_cor
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
+    Graph,
     Partition,
     assign_canonical_names,
     bridgeness_centrality,
@@ -36,7 +37,11 @@ from oracles import (
     brute_bridgeness,
     connected_graphs,
     cosine_similarity,
+    dict_degrees,
+    dict_gen_graph,
+    dict_modularity,
     exact_bridgeness,
+    from_adjacency,
     name_community_centroid,
     name_community_volume,
     reference_louvain,
@@ -369,9 +374,9 @@ class TestPruning:
         assert stats == {"flagged_nodes": 5, "pruned_edges": 4}
 
     def test_pruned_graph_is_built_in_sorted_order(self):
-        # The pruned graph keeps the nodes, every neighbour dict stays in
-        # ascending index order, as Louvain's transcription needs, and
-        # weights carry over.
+        # The pruned graph keeps the nodes, every row stays in ascending
+        # index order, as Louvain's transcription needs, and weights carry
+        # over.
         rng = random.Random(3)
         edges = [(u, v) for u, v in itertools.combinations(range(12), 2) if rng.random() < 0.3]
         rng.shuffle(edges)
@@ -382,7 +387,8 @@ class TestPruning:
         pruned = prune_global_bridges(graph, beta=0.5)
         assert pruned is not graph and 0 < pruned.number_of_edges() < graph.number_of_edges()
         assert pruned.nodes == tuple(sorted(g.nodes))
-        assert all(list(nbrs) == sorted(nbrs) for nbrs in pruned.adj)
+        rows = np.split(pruned.neighbours, pruned.offsets[1:-1])
+        assert len(rows) == 12 and all(list(row) == sorted(row) for row in rows)
         assert all(g[u][v]["weight"] == w for u, v, w in to_networkx(pruned).edges(data="weight"))
 
 
@@ -580,6 +586,27 @@ def near_cliques(draw):
     return g
 
 
+@settings(max_examples=200, deadline=None)
+@given(graph=weighted_graphs(), data=st.data())
+def test_subgraphs_match_networkx(graph, data):
+    """Each of some disjoint groups of nodes induces the subgraph networkx
+    induces, nodes in group order, rows ascending and weights carried over."""
+    nodes = sorted(graph.nodes)
+    # Label 4 leaves a node out of every group.
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=len(nodes), max_size=len(nodes)))
+    groups = [[i for i, label in enumerate(labels) if label == g] for g in range(4)]
+    groups = [group for group in groups if group]
+    subgraphs = list(from_networkx(graph).subgraphs(groups))
+    assert len(subgraphs) == len(groups)
+    for group, sub in zip(groups, subgraphs):
+        assert sub.nodes == tuple(nodes[i] for i in group)
+        rows = np.split(sub.neighbours, sub.offsets[1:-1])
+        assert len(rows) == len(group) and all(list(row) == sorted(row) for row in rows)
+        expected = graph.subgraph(sub.nodes)
+        assert sorted(map(sorted, to_networkx(sub).edges)) == sorted(map(sorted, expected.edges))
+        assert all(expected[u][v]["weight"] == w for u, v, w in to_networkx(sub).edges(data="weight"))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     graph=st.one_of(weighted_graphs(), near_cliques()),
@@ -684,6 +711,74 @@ def test_louvain_matches_networkx_on_edge_cases(name, resolution):
         levels = [len(list(nx.community.louvain_partitions(to_networkx(graph), resolution=resolution, seed=seed)))
                   for seed in range(6)]
         assert min(levels) >= 2, levels
+
+
+@st.composite
+def level_graphs(draw):
+    """Weighted graphs of the shape Louvain's levels take from the second
+    on: self-loops, isolated nodes, and rows in any order, as first
+    appearance lists them; with a partition into dense community ids."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(1, 20)
+    density = rng.uniform(0.0, 0.6)
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < (0.5 if u == v else density)]
+    rng.shuffle(edges)
+    adj: list[dict] = [{} for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = rng.choice([1.0, 2.0, rng.uniform(0.5, 60.0)])
+    labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    dense: dict = {}
+    return adj, [dense.setdefault(label, len(dense)) for label in labels]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=level_graphs(), resolution=st.floats(min_value=0.001, max_value=2.0))
+def test_level_steps_match_the_dict_oracles(case, resolution):
+    """Degrees and modularity are bit for bit those summed over neighbour
+    dicts, and the community graph has the same weights with each row's
+    neighbours in the same order."""
+    adj, community = case
+    level = from_adjacency(adj)
+    degrees = graph_module._degrees(level)
+    assert [float(d).hex() for d in degrees] == [float(d).hex() for d in dict_degrees(adj)]
+    if any(adj):
+        got = graph_module._modularity(level, degrees, community, resolution)
+        assert got.hex() == dict_modularity(adj, dict_degrees(adj), community, resolution).hex()
+    merged = graph_module._gen_graph(level, community)
+    rows = zip(np.split(merged.neighbours, merged.offsets[1:-1]), np.split(merged.weights, merged.offsets[1:-1]))
+    assert [list(zip(nbrs.tolist(), weights.tolist())) for nbrs, weights in rows] == [
+        list(nbrs.items()) for nbrs in dict_gen_graph(adj, community)
+    ]
+
+
+# At resolution 0.5 and seed 0, Louvain's second level meets two moves of
+# equal gain, and the order in which the level graph lists a node's
+# neighbours picks one. Found by a search over random graphs of 4-24 nodes
+# with weights 1, 2 and 3.
+NEIGHBOUR_ORDER_CASE = [
+    ("n00", "n04", 2.0), ("n00", "n07", 1.0), ("n01", "n04", 1.0),
+    ("n01", "n05", 1.0), ("n02", "n07", 1.0), ("n03", "n04", 1.0),
+]
+
+
+def test_level_graph_rows_in_order_of_first_appearance(monkeypatch):
+    g = nx.Graph()
+    g.add_nodes_from(f"n{i:02d}" for i in range(8))
+    g.add_weighted_edges_from(NEIGHBOUR_ORDER_CASE)
+    graph = from_networkx(g)
+    expected = [["n00", "n02", "n03", "n04", "n07"], ["n01", "n05"], ["n06"]]
+    assert list(louvain(graph, 0.5, 0).communities().values()) == expected
+    assert louvain(graph, 0.5, 0).assignments == reference_louvain(graph, 0.5, 0)
+    # Listing each row by neighbour id instead gives another partition.
+    gen_graph = graph_module._gen_graph
+
+    def rows_by_id(level, community):
+        merged = gen_graph(level, community)
+        order = np.lexsort((merged.neighbours, merged.rows))
+        return Graph(merged.nodes, merged.offsets, merged.neighbours[order], merged.weights[order])
+
+    monkeypatch.setattr(graph_module, "_gen_graph", rows_by_id)
+    assert list(louvain(graph, 0.5, 0).communities().values()) != expected
 
 
 def naming_corpus(cleaned, vectors=(), patents=(), rows=None):

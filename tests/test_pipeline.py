@@ -3,6 +3,7 @@ failure cleanup, and the tuning objective."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -190,6 +191,30 @@ class TestArtifacts:
         assert set(rss) == set(manifest.layer_seconds)
         assert list(rss.values()) == sorted(rss.values()) and rss["ingest"] > 0
         assert json.loads((tmp_path / "manifest.json").read_text())["layer_rss_mb"] == rss
+
+    def test_manifest_layer_full_collections(self, corpus60_paths, tmp_path, monkeypatch):
+        """The generation-2 collections started in each timed layer: a full
+        collection made while the mapping is written counts in ``write``,
+        none counts twice, and the run's hook is gone once it returns."""
+        import harmonizer.pipeline as pipeline_mod
+
+        config = PipelineConfig.load(corpus60_paths["config"], environ={})
+        write_mapping = pipeline_mod.write_mapping
+
+        def collect_then_write(*args):
+            gc.collect()
+            write_mapping(*args)
+
+        monkeypatch.setattr(pipeline_mod, "write_mapping", collect_then_write)
+        hooks = list(gc.callbacks)
+        before = gc.get_stats()[2]["collections"]
+        manifest = run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path)
+        counts = manifest.layer_full_collections
+        assert list(counts) == list(manifest.layer_seconds)
+        assert all(type(v) is int and v >= 0 for v in counts.values()) and counts["write"] >= 1
+        assert sum(counts.values()) <= gc.get_stats()[2]["collections"] - before
+        assert json.loads((tmp_path / "manifest.json").read_text())["layer_full_collections"] == counts
+        assert gc.callbacks == hooks
 
     def test_no_eval_without_gold(self, corpus60_paths, tmp_path):
         run = run_fixture_pipeline(corpus60_paths, tmp_path, with_gold=False)
