@@ -235,17 +235,25 @@ class TestDeterminism:
         by_name = lambda m: {p.rsplit("/", 1)[-1]: h for p, h in m["outputs"].items()}
         assert by_name(rerun["manifest"]) == by_name(corpus60_run["manifest"])
 
-    # sha256 of `run` outputs on the committed corpora, recorded before pairs
-    # became a columnar table, under python 3.11.7, numpy 2.4.6 and networkx
-    # 3.6.1, whose Louvain the package's transcribes.
+    # sha256 of `run` outputs on the committed corpora, under python 3.11.7,
+    # numpy 2.4.6 and networkx 3.6.1, whose Louvain the package's
+    # transcribes. mapping.tsv and pairs.tsv were recorded before pairs became
+    # a columnar table; the other artifacts before evaluation read one
+    # GoldPairs.
     PINNED = {
         "corpus60": {
             "mapping.tsv": "88be9a79b612a8165e1cd6ab4281008408a4d0e6a4acbaef82d9868fed80dd1d",
             "pairs.tsv": "226f814579a599c3174d0cf3cb0917e46be75c7216b56ebaf80c3f4b9fbed239",
+            "cleaned.tsv": "c5476e76f63eb8dd42e96535abc9203e6b6a59de1289659aa7a0e93086d22489",
+            "summary.json": "3b89f592a460c2487e652873b1c819ac1384c5d3ec16db0f27bc15a180f8ff5e",
+            "eval.json": "71873177ce83addeac04ed4379ad03e050494a46d8517c273e0a4afd431e2082",
         },
         "corpus300": {
             "mapping.tsv": "b490b5127f05ee5c62e2c573998aa8662ced2d59ad3dc8bd1be872b65e0f589c",
             "pairs.tsv": "3f106b1e6c2d1ee7a981013062aac9f1edc1af967e3e68ae421fd0a9a47a4574",
+            "cleaned.tsv": "8837e13d70f59251c298849892c4578a6f671d67b9fd23d9764c0ab04cd64176",
+            "summary.json": "e1685acef8b1859ab871a1a7b7669b10abe5a451d7e495d334bdc7ee9c1e8e92",
+            "eval.json": "a3a03f5138f6a3ff5d9d09b75f67d42e0b0673b2c22641b0d8b0309ff9c4e0d4",
         },
     }
 
