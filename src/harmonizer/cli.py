@@ -17,7 +17,7 @@ from . import __version__
 from .augment import AugmentationCache
 from .config import PipelineConfig
 from .errors import ConfigError, HarmonizerError, InputError, StageError
-from .evaluation import build_report
+from .evaluation import GoldPairs, build_report
 from .ingest import load_assignee_table, load_gold_standard
 from .pipeline import (
     _augment_stage,
@@ -112,8 +112,8 @@ def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = load_assignee_table(args.input)
     cache_path = Path(args.cache)
     cache = AugmentationCache(cache_path)
-    provider = make_provider(config, offline=args.offline)
-    if provider is None and not args.offline and not config["run"]["offline"]:
+    provider = make_provider(config)
+    if provider is None and not config["run"]["offline"]:
         raise ConfigError("augment needs augment.provider.endpoint (or --offline to only check the cache)")
     _augment_stage(records, cache, provider, config["run"]["threads"], refresh=args.refresh)
     # All three counts are over distinct names so the line adds up.
@@ -124,14 +124,13 @@ def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
-    offline = args.offline or config["run"]["offline"]
     manifest = run_pipeline(
         config,
         input_path=args.input,
         cache_path=args.cache,
         out_dir=args.out,
         gold_path=args.gold,
-        offline=offline,
+        offline=config["run"]["offline"],
     )
     counts = manifest.stage_counts
     print(
@@ -144,13 +143,12 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_mapping(args.pred)
-    gold = load_gold_standard(args.gold)
-    pred = {row["record_id"]: row["community_id"] for row in rows}
-    report = build_report(pred, gold)
-    payload = report.to_json()
+    gold = GoldPairs(load_gold_standard(args.gold), [row["record_id"] for row in rows])
+    report = build_report(gold, [row["community_id"] for row in rows])
+    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
-        print(f"evaluate: wrote {args.out} (f1={report.f1:.4f})")
+        print(f"evaluate: wrote {args.out} (f1={report['f1']:.4f})")
     else:
         print(payload, end="")
     return EXIT_OK

@@ -223,15 +223,15 @@ def generate_candidate_pairs(
     shares a key; type-2 names only ever fire the domain condition and are
     indexed on domains alone. With a bound, only the key kinds that
     ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
-    reach the bound's threshold. Every kind is priced from key counts alone,
-    once per distinct key set.
+    reach the bound's threshold. Each kind the bound can choose is priced
+    from key counts alone, once per distinct key set.
     ``stats``, when given, receives the kinds used (``keys``) and the size
     of the largest block (``largest_block``). Output is an int32 ``(n, 2)``
     array holding each unordered pair once as positions ``i < j`` in
     ``names``, rows ascending.
     """
     held = _blocking_keys(names, domain_info)
-    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(key_sets.values()) for kind, key_sets in held.items()})
+    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
     # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
     n = len(names)
     keys: set[int] = set()

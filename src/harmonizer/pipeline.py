@@ -43,7 +43,7 @@ from .augment import (
 from .config import SEARCH_SPACE, PipelineConfig
 from .embed import HashingBackend, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
-from .evaluation import GoldPairs, build_report, check_gold, compute_metrics, reduction_rate
+from .evaluation import GoldPairs, build_report, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from .match import Corpus, ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
@@ -269,9 +269,10 @@ def prepare_corpus(
     return corpus
 
 
-def make_provider(config: PipelineConfig, offline: bool) -> Optional[SearchProvider]:
-    """Build the live provider, or None when offline or unconfigured."""
-    if offline or config["run"]["offline"]:
+def make_provider(config: PipelineConfig) -> Optional[SearchProvider]:
+    """Build the live provider, or None when ``run.offline`` is set or no
+    endpoint is configured."""
+    if config["run"]["offline"]:
         return None
     endpoint = config["augment"]["provider"]["endpoint"]
     if not endpoint:
@@ -319,6 +320,9 @@ def run_pipeline(
     removed from it. On error ``out_dir`` is left as it was, or absent if it
     was, and a StageError names the stage. The sibling's name carries the
     pid of its run, so one left by a killed run is removed by the next.
+
+    The gold labels are checked where they are read, before any stage runs.
+    With ``offline`` no search provider is made.
     """
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -343,13 +347,13 @@ def run_pipeline(
         gold = None
         if gold_path is not None:
             gold_path = Path(gold_path)
-            gold = load_gold_standard(gold_path)
+            gold = GoldPairs(load_gold_standard(gold_path), sorted(record.record_id for record in records))
             manifest.inputs[str(gold_path)] = _sha256(gold_path)
         t = _charge(manifest, "ingest", t)
 
         stage = "augment"
         cache = AugmentationCache(cache_path if cache_path.exists() else None)
-        provider = make_provider(config, offline)
+        provider = None if offline else make_provider(config)
         _charge(manifest, "augment", t)
         corpus = prepare_corpus(config, records, cache, provider, manifest=manifest)
 
@@ -384,8 +388,8 @@ def run_pipeline(
 
         if gold is not None:
             stage = "evaluate"
-            report = build_report(partition.assignments, gold)
-            (work / "eval.json").write_text(report.to_json(), encoding="utf-8")
+            report = build_report(gold, partition.community)
+            (work / "eval.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
             t = _charge(manifest, "evaluate", t)
 
         for name in ARTIFACTS[:-1]:
@@ -451,23 +455,23 @@ def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRe
 def build_tuning_objective(
     config: PipelineConfig,
     corpus: Corpus,
-    gold: Sequence,
+    gold: GoldPairs,
 ) -> Callable[[dict[str, float]], float]:
-    """Pairwise-F1 objective over the prepared corpus.
+    """Pairwise-F1 objective over the prepared corpus, against ``gold`` built
+    over ``corpus.ids``.
 
-    The pair table and the gold side of the F1 are made once for the blocked
-    candidate set; each trial rescores the table with one vector expression,
-    re-runs the filter stage on the rows that clear its threshold and counts
-    its own (cluster, entity) cells.
+    The pair table is made once for the blocked candidate set; each trial
+    rescores the table with one vector expression, re-runs the filter stage
+    on the rows that clear its threshold and counts its own (cluster, entity)
+    cells.
     """
     table = score_pairs(corpus)
-    gold_pairs = GoldPairs(gold, table.ids)
 
     def objective(params: dict[str, float]) -> float:
         weights, filter_params = config.params_at(params)
         graph = build_graph(table, table.scores(weights), filter_params)
         partition = refine_communities(graph, filter_params)
-        return compute_metrics(gold_pairs.confusion(partition.community)).f1
+        return compute_metrics(gold.confusion(partition.community)).f1
 
     return objective
 
@@ -485,14 +489,14 @@ def tune_pipeline(
     The incumbent configuration runs as trial 0, so the best trial can never
     fall below the configured baseline. The trial budget and the TPE
     settings are checked before the input is read, and a gold standard that
-    shares no record with the input fails before any trial runs.
+    is empty or shares no record with the input fails before the corpus is
+    prepared.
     """
     trials = n_trials if n_trials is not None else config["tune"]["trials"]
     check_budget(trials)
     tpe = config.tpe_config()
     records = load_assignee_table(input_path)
-    gold = load_gold_standard(gold_path)
-    check_gold(gold, {record.record_id for record in records})
+    gold = GoldPairs(load_gold_standard(gold_path), sorted(record.record_id for record in records))
     cache_path = Path(cache_path)
     cache = AugmentationCache(cache_path if cache_path.exists() else None)
     corpus = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())

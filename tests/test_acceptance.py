@@ -21,7 +21,7 @@ import pytest
 from conftest import make_corpus, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
-from harmonizer.evaluation import compute_metrics, pairwise_confusion
+from harmonizer.evaluation import GoldPairs, compute_metrics
 from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
 from harmonizer.ingest import GoldLabel
 from harmonizer.match import WeightVector, generate_candidate_pairs, score_pairs
@@ -203,7 +203,7 @@ def test_04_planted_partition_recovery():
                 for block_index, block in enumerate(graph.graph["partition"])
                 for node in block
             ]
-            metrics = compute_metrics(pairwise_confusion(pred, gold))
+            metrics = compute_metrics(GoldPairs(gold, list(pred)).confusion(list(pred.values())))
             f1_scores.append(metrics.f1)
         mean_f1 = sum(f1_scores) / len(f1_scores)
         assert mean_f1 >= 0.95, f"mean pairwise F1 {mean_f1:.4f} below 0.95: {f1_scores}"
@@ -237,7 +237,7 @@ def test_06_metric_oracle():
             GoldLabel(record_id="c", entity_id="e1"),
             GoldLabel(record_id="d", entity_id="e2"),
         ]
-        confusion = pairwise_confusion(hand_pred, hand_gold)
+        confusion = GoldPairs(hand_gold, list(hand_pred)).confusion(list(hand_pred.values()))
         assert (confusion.tp, confusion.fp, confusion.fn) == (1, 1, 2)
         assert compute_metrics(confusion).f1 == pytest.approx(0.4)
 
@@ -251,7 +251,7 @@ def test_06_metric_oracle():
             for r in record_ids:
                 if rng.random() < 0.1:
                     pred.pop(r)
-            confusion = pairwise_confusion(pred, gold)
+            confusion = GoldPairs(gold, list(pred)).confusion(list(pred.values()))
             assert (confusion.tp, confusion.fp, confusion.fn) == brute_pairwise_confusion(
                 pred, gold_map
             ), f"seed {seed}"

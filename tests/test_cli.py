@@ -74,6 +74,22 @@ class TestRunCommand:
         report = json.loads((tmp_path / "eval.json").read_text())
         assert report["f1"] == 1.0
 
+    @pytest.mark.parametrize("rows", ["", "nobody\te1\nnoone\te1\n"], ids=["header only", "unknown ids"])
+    def test_gold_sharing_no_record_exits_3_before_any_stage(self, corpus60_paths, tmp_path, capsys, monkeypatch, rows):
+        import harmonizer.pipeline as pipeline
+
+        def prepare_corpus(*args, **kwargs):
+            raise AssertionError("prepare_corpus ran")
+
+        monkeypatch.setattr(pipeline, "prepare_corpus", prepare_corpus)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("record_id\tentity_id\n" + rows)
+        out = tmp_path / "out"
+        rc = cli(*self.run_args(corpus60_paths, out, "--gold", str(gold)))
+        assert rc == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_lands_in_manifest(self, corpus60_paths, tmp_path, capsys):
         rc = cli(*self.run_args(corpus60_paths, tmp_path, "--seed", "5"))
         assert rc == EXIT_OK

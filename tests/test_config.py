@@ -362,7 +362,7 @@ class TestEveryKeyRead:
         tune_pipeline(recorded({"tune": {"trials": 2}}), *paths, corpus60_paths["gold"])
 
         online = recorded({"augment": {"provider": {"endpoint": "https://search.example/s"}}})
-        assert make_provider(online, offline=False) is not None
+        assert make_provider(online) is not None
 
         assert _leaves(DEFAULTS) - seen == set()
 

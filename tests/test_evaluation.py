@@ -14,16 +14,7 @@ from hypothesis import strategies as st
 
 import harmonizer
 from harmonizer.errors import InputError
-from harmonizer.evaluation import (
-    EvalReport,
-    GoldPairs,
-    PairwiseConfusion,
-    bcubed,
-    build_report,
-    compute_metrics,
-    pairwise_confusion,
-    reduction_rate,
-)
+from harmonizer.evaluation import GoldPairs, PairwiseConfusion, build_report, compute_metrics, reduction_rate
 from harmonizer.ingest import GoldLabel
 
 from oracles import brute_bcubed, brute_f1, brute_pairwise_confusion
@@ -33,12 +24,23 @@ def gold_from(mapping):
     return [GoldLabel(rid, eid) for rid, eid in sorted(mapping.items())]
 
 
+def confusion_of(pred, gold):
+    """The pairwise confusion of ``pred`` (record id -> cluster) against
+    ``gold``, through GoldPairs over ``pred``'s ids."""
+    return GoldPairs(gold, list(pred)).confusion(list(pred.values()))
+
+
+def bcubed_of(pred, gold):
+    """B-cubed of ``pred`` (record id -> cluster) against ``gold``."""
+    return GoldPairs(gold, list(pred)).bcubed(list(pred.values()))
+
+
 class TestPairwiseConfusion:
     def test_hand_case(self):
         # pred {a,b} {c,d}; gold {a,b,c} {d}: tp=1 (a,b), fp=1 (c,d), fn=2.
         pred = {"a": 0, "b": 0, "c": 1, "d": 1}
         gold = gold_from({"a": "x", "b": "x", "c": "x", "d": "y"})
-        confusion = pairwise_confusion(pred, gold)
+        confusion = confusion_of(pred, gold)
         assert (confusion.tp, confusion.fp, confusion.fn) == (1, 1, 2)
         metrics = compute_metrics(confusion)
         assert metrics.precision == 0.5
@@ -48,13 +50,13 @@ class TestPairwiseConfusion:
     def test_perfect(self):
         pred = {"a": 0, "b": 0, "c": 1}
         gold = gold_from({"a": "x", "b": "x", "c": "y"})
-        metrics = compute_metrics(pairwise_confusion(pred, gold))
+        metrics = compute_metrics(confusion_of(pred, gold))
         assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
 
     def test_all_singletons_against_one_entity(self):
         pred = {"a": 0, "b": 1, "c": 2}
         gold = gold_from({"a": "x", "b": "x", "c": "x"})
-        confusion = pairwise_confusion(pred, gold)
+        confusion = confusion_of(pred, gold)
         assert (confusion.tp, confusion.fp, confusion.fn) == (0, 0, 3)
         metrics = compute_metrics(confusion)
         # No predicted pairs at all: precision degenerates to 0 because pairs
@@ -65,28 +67,28 @@ class TestPairwiseConfusion:
     def test_missing_records_become_singletons(self):
         pred = {"a": 0, "b": 0}
         gold = gold_from({"a": "x", "b": "x", "c": "x"})
-        confusion = pairwise_confusion(pred, gold)
+        confusion = confusion_of(pred, gold)
         # (a,b) correct; (a,c) and (b,c) missed.
         assert (confusion.tp, confusion.fp, confusion.fn) == (1, 0, 2)
 
     def test_extra_predicted_records_ignored(self):
         pred = {"a": 0, "b": 0, "zzz": 0}
         gold = gold_from({"a": "x", "b": "x"})
-        confusion = pairwise_confusion(pred, gold)
+        confusion = confusion_of(pred, gold)
         assert (confusion.tp, confusion.fp, confusion.fn) == (1, 0, 0)
 
     def test_duplicate_gold_rejected(self):
         gold = [GoldLabel("a", "x"), GoldLabel("a", "y")]
         with pytest.raises(InputError, match="duplicate"):
-            pairwise_confusion({"a": 0}, gold)
+            confusion_of({"a": 0}, gold)
 
     def test_empty_gold_rejected(self):
         with pytest.raises(InputError):
-            pairwise_confusion({"a": 0}, [])
+            confusion_of({"a": 0}, [])
 
     def test_disjoint_universes_rejected(self):
         with pytest.raises(InputError, match="share no records"):
-            pairwise_confusion({"a": 0}, gold_from({"b": "x"}))
+            confusion_of({"a": 0}, gold_from({"b": "x"}))
 
     def test_matches_brute_enumerator_on_random_partitions(self):
         rng = random.Random(99)
@@ -101,7 +103,7 @@ class TestPairwiseConfusion:
                     del pred[rid]
             if not set(pred) & set(gold_map):
                 continue
-            confusion = pairwise_confusion(pred, gold_from(gold_map))
+            confusion = confusion_of(pred, gold_from(gold_map))
             tp, fp, fn = brute_pairwise_confusion(pred, gold_map)
             assert (confusion.tp, confusion.fp, confusion.fn) == (tp, fp, fn)
             metrics = compute_metrics(confusion)
@@ -127,7 +129,8 @@ class TestGoldPairs:
         order = data.draw(st.permutations(labels))
         gold = [GoldLabel(rid, f"e{data.draw(st.integers(0, 5))}") for rid in order]
         confusion = GoldPairs(gold, ids).confusion(community)
-        assert confusion == pairwise_confusion(dict(zip(ids, community)), gold)
+        expected = brute_pairwise_confusion(dict(zip(ids, community)), {g.record_id: g.entity_id for g in gold})
+        assert (confusion.tp, confusion.fp, confusion.fn) == expected
 
     def test_rejects_gold_as_pairwise_confusion_does(self):
         with pytest.raises(InputError, match="share no records"):
@@ -176,21 +179,21 @@ class TestBcubed:
     def test_perfect_is_one(self):
         pred = {"a": 0, "b": 0, "c": 1}
         gold = gold_from({"a": "x", "b": "x", "c": "y"})
-        metrics = bcubed(pred, gold)
+        metrics = bcubed_of(pred, gold)
         assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
 
     def test_hand_case(self):
         # pred {a,b,c}, gold {a,b} {c}: per-record precision 2/3,2/3,1/3; recall 1.
         pred = {"a": 0, "b": 0, "c": 0}
         gold = gold_from({"a": "x", "b": "x", "c": "y"})
-        metrics = bcubed(pred, gold)
+        metrics = bcubed_of(pred, gold)
         assert math.isclose(metrics.precision, (2 / 3 + 2 / 3 + 1 / 3) / 3)
         assert metrics.recall == 1.0
 
     def test_all_singletons_precision_one(self):
         pred = {"a": 0, "b": 1, "c": 2}
         gold = gold_from({"a": "x", "b": "x", "c": "x"})
-        metrics = bcubed(pred, gold)
+        metrics = bcubed_of(pred, gold)
         assert metrics.precision == 1.0
         assert math.isclose(metrics.recall, 1 / 3)
 
@@ -207,7 +210,7 @@ class TestBcubed:
         pred.update({f"x{i}": i % 3 for i in range(data.draw(st.integers(0, 3)))})
         if not any(cid is not None for cid in cluster):
             pred["r0"] = 0
-        metrics = bcubed(pred, gold)
+        metrics = bcubed_of(pred, gold)
         expected = brute_bcubed(pred, {label.record_id: label.entity_id for label in gold})
         assert (metrics.precision, metrics.recall, metrics.f1) == expected
 
@@ -216,13 +219,13 @@ class TestBcubed:
         # the hash seed; the float sums must not.
         script = (
             "import random\n"
-            "from harmonizer.evaluation import bcubed\n"
+            "from harmonizer.evaluation import GoldPairs\n"
             "from harmonizer.ingest import GoldLabel\n"
             "rng = random.Random(0)\n"
             "ids = [f'r{i:03d}' for i in range(500)]\n"
             "gold = [GoldLabel(rid, f'e{rng.randrange(60)}') for rid in ids]\n"
             "pred = {rid: f'c{rng.randrange(80)}' for rid in ids if rng.random() < 0.9}\n"
-            "print(repr(bcubed(pred, gold)))\n"
+            "print(repr(GoldPairs(gold, list(pred)).bcubed(list(pred.values()))))\n"
         )
         outputs = []
         for seed in ("0", "1"):
@@ -237,9 +240,9 @@ class TestReport:
     def test_build_and_serialize(self):
         pred = {"a": 0, "b": 0, "c": 1, "d": 1}
         gold = gold_from({"a": "x", "b": "x", "c": "x", "d": "y"})
-        report = build_report(pred, gold)
-        assert isinstance(report, EvalReport)
-        payload = json.loads(report.to_json())
+        report = build_report(GoldPairs(gold, list(pred)), list(pred.values()))
+        payload = json.loads(json.dumps(report, indent=2, sort_keys=True))
+        assert payload == report
         assert payload["tp"] == 1 and payload["fp"] == 1 and payload["fn"] == 2
         assert math.isclose(payload["f1"], 0.4)
         assert payload["reduction"] == {"n_before": 4, "n_after": 2, "rate": 0.5}

@@ -338,10 +338,10 @@ class TestBoundedBlocking:
     DEFAULTS = WeightVector()
 
     def test_every_kind_priced_by_its_bucket_sizes(self, monkeypatch):
-        """All six kinds reach ``blocking_key_kinds`` priced as the sum of
-        C(|bucket|, 2) over their keys, indexed or not, also when records
-        share a page's url token set, and only the chosen kinds' buckets
-        make candidates."""
+        """The four kinds a bound can choose, and only those, reach
+        ``blocking_key_kinds`` priced as the sum of C(|bucket|, 2) over their
+        keys, indexed or not, also when records share a page's url token set,
+        and only the chosen kinds' buckets make candidates."""
         names, infos = random_blocking_corpus(random.Random(5), 120)
         rng = random.Random(6)
         for i, source in zip(rng.sample(range(120), 30), rng.sample(range(120), 30)):
@@ -357,7 +357,9 @@ class TestBoundedBlocking:
         monkeypatch.setattr(match, "blocking_key_kinds", spy)
         stats: dict = {}
         candidates = generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 3.9), stats)
-        buckets: dict[str, dict[str, list[int]]] = {kind: {} for kind in priced[0]}
+        buckets: dict[str, dict[str, list[int]]] = {
+            kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
+        }
         for i, (name, inf) in enumerate(zip(names, infos)):
             held = {"type2_domain": [inf.domain] if inf.domain else []}
             if name.name_class is NameClass.TYPE1:
@@ -372,9 +374,9 @@ class TestBoundedBlocking:
             for kind, keys in held.items():
                 for key in keys:
                     buckets[kind].setdefault(key, []).append(i)
-        assert len(priced) == 1 and len(priced[0]) == 6
+        assert len(priced) == 1 and set(priced[0]) == {"first_token", "token", "domain", "url"}
         assert priced[0] == {
-            kind: sum(len(p) * (len(p) - 1) // 2 for p in keyed.values()) for kind, keyed in buckets.items()
+            kind: sum(len(p) * (len(p) - 1) // 2 for p in buckets[kind].values()) for kind in priced[0]
         }
         assert min(priced[0].values()) > 0
         chosen = {

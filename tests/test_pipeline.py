@@ -22,7 +22,7 @@ from harmonizer import augment, embed
 from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
 from harmonizer.config import SEARCH_SPACE, PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
-from harmonizer.evaluation import build_report
+from harmonizer.evaluation import GoldPairs, build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.match import PAIRS_HEADER, score_pairs
@@ -507,11 +507,14 @@ class TestSummarizeMapping:
 
 
 class TestMakeProvider:
-    def test_offline_flag_suppresses_provider(self):
-        config = PipelineConfig.load(
-            environ={"HARMONIZER_AUGMENT_PROVIDER_ENDPOINT": "https://search.example/s"}
-        )
-        assert make_provider(config, offline=True) is None
+    def test_offline_flag_suppresses_provider(self, monkeypatch):
+        # The CLI folds --offline into run.offline, the one switch make_provider reads.
+        from harmonizer.cli import _load_config, build_parser
+
+        monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
+        argv = ["augment", "--input", "in.tsv", "--cache", "cache.jsonl"]
+        assert make_provider(_load_config(build_parser().parse_args(argv))) is not None
+        assert make_provider(_load_config(build_parser().parse_args([*argv, "--offline"]))) is None
 
     def test_config_offline_suppresses_provider(self):
         config = PipelineConfig.load(
@@ -520,11 +523,11 @@ class TestMakeProvider:
                 "HARMONIZER_RUN_OFFLINE": "true",
             }
         )
-        assert make_provider(config, offline=False) is None
+        assert make_provider(config) is None
 
     def test_no_endpoint_means_no_provider(self):
         config = PipelineConfig.load(environ={})
-        assert make_provider(config, offline=False) is None
+        assert make_provider(config) is None
 
     def test_provider_built_from_config(self):
         config = PipelineConfig.load(
@@ -533,7 +536,7 @@ class TestMakeProvider:
                 "HARMONIZER_AUGMENT_PROVIDER_RETRIES": "5",
             }
         )
-        provider = make_provider(config, offline=False)
+        provider = make_provider(config)
         assert provider is not None
         assert provider.endpoint == "https://search.example/s"
         assert provider.retries == 5
@@ -777,7 +780,7 @@ def tuning_corpus(corpus60_paths, corpus60_config):
     records = load_assignee_table(corpus60_paths["input"])
     cache = AugmentationCache(corpus60_paths["cache"])
     corpus = prepare_corpus(corpus60_config, records, cache, bound=corpus60_config.tuning_score_bound())
-    return corpus, load_gold_standard(corpus60_paths["gold"])
+    return corpus, GoldPairs(load_gold_standard(corpus60_paths["gold"]), corpus.ids)
 
 
 @pytest.fixture(scope="module")
@@ -816,7 +819,7 @@ class TestTuningObjective:
             table = score_pairs(corpus)
             graph = build_graph(table, table.scores(weights), params)
             partition = refine_communities(graph, params)
-            assert objective(point) == build_report(partition.assignments, gold).f1, point
+            assert objective(point) == build_report(gold, partition.community)["f1"], point
 
     def test_tune_pipeline_runs_incumbent_first(self, corpus60_paths, corpus60_config, tmp_path):
         history = tune_pipeline(
