@@ -110,8 +110,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = load_assignee_table(args.input)
-    cache_path = Path(args.cache)
-    cache = AugmentationCache(cache_path)
+    cache = AugmentationCache(args.cache)
     provider = make_provider(config)
     if provider is None and not config["run"]["offline"]:
         raise ConfigError("augment needs augment.provider.endpoint (or --offline to only check the cache)")

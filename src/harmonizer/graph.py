@@ -1,7 +1,8 @@
 """Graph filtering: build the similarity graph from scored pairs, partition it
 with seeded Louvain, then split chained-together communities by deleting edges
 at high-bridgeness nodes and re-partitioning inside each community. The whole
-stage runs on ``Graph``, one CSR structure over the sorted record ids.
+stage runs on ``Graph``, one CSR structure over record positions; only
+``match.Corpus`` holds the record ids.
 
 Bridgeness of a node v counts, over unordered pairs (s, t) where neither
 endpoint is v or adjacent to v, the fraction of shortest s-t paths through v
@@ -28,7 +29,6 @@ import numpy as np
 
 from .embed import pair_cosines
 from .errors import ConfigError
-from .ingest import AssigneeRecord
 from .match import Corpus, PairTable
 
 log = logging.getLogger(__name__)
@@ -51,66 +51,58 @@ class FilterParams:
 
 @dataclass
 class Partition:
-    """``community[i]`` is the community of ``nodes[i]``, the graph's record
-    ids in ascending order; ids are dense and numbered by smallest member.
-    Optional canonical names per community. Not mutated once made."""
+    """``community[i]`` is the community of record position i; ids are dense
+    and numbered by smallest member. Optional canonical names per community.
+    Not mutated once made."""
 
-    nodes: tuple
     community: list[int]
     canonical: dict[int, str] = field(default_factory=dict)
 
     @cached_property
-    def assignments(self) -> dict[str, int]:
-        """record_id -> community id."""
-        return dict(zip(self.nodes, self.community))
+    def assignments(self) -> dict[int, int]:
+        """record position -> community id."""
+        return dict(enumerate(self.community))
 
     @cached_property
     def n_communities(self) -> int:
         return len(set(self.community))
 
-    def members(self) -> list[list[int]]:
-        """The ascending positions of each community's members, indexed by
-        community id."""
-        out: list[list[int]] = [[] for _ in range(self.n_communities)]
+    def communities(self) -> dict[int, list[int]]:
+        """community id -> its members' positions, ascending, in id order."""
+        out: dict[int, list[int]] = {cid: [] for cid in range(self.n_communities)}
         for position, cid in enumerate(self.community):
             out[cid].append(position)
         return out
 
-    def communities(self) -> dict[int, list[str]]:
-        """community id -> its members' record ids, ascending."""
-        return {cid: [self.nodes[i] for i in rows] for cid, rows in enumerate(self.members())}
-
-    def check_records(self, records: Sequence[AssigneeRecord]) -> None:
-        """ValueError unless ``records`` hold ``nodes``' ids in their order."""
-        if [record.record_id for record in records] != list(self.nodes):
-            raise ValueError("partition and records hold different record ids at the same position")
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph in CSR form on the indices of its ``nodes``:
-    row i, entries ``offsets[i]`` to ``offsets[i + 1]`` of ``neighbours`` and
+    """Undirected weighted graph in CSR form on the nodes 0 .. n-1: row i,
+    entries ``offsets[i]`` to ``offsets[i + 1]`` of ``neighbours`` and
     ``weights``, lists each neighbour of node i once with the edge's weight,
     and every edge is held by both ends. The graphs the filter stage builds
-    have the sorted record ids as ``nodes``, no self-loops and ascending
-    rows. Louvain's level graphs have ``range(k)`` as ``nodes``, hold each
-    self-loop once and list each row in order of first appearance."""
+    have the record positions as nodes, no self-loops and ascending rows.
+    Louvain's level graphs have one node per community, hold each self-loop
+    once and list each row in order of first appearance."""
 
-    nodes: Sequence
     offsets: np.ndarray
     neighbours: np.ndarray
     weights: np.ndarray
 
     @classmethod
-    def from_entries(cls, nodes: Sequence, rows: np.ndarray, neighbours: np.ndarray, weights: np.ndarray) -> "Graph":
-        """The graph of these entries, given in row order."""
-        counts = np.bincount(rows, minlength=len(nodes))
-        return cls(nodes, np.concatenate([[0], np.cumsum(counts)]), neighbours, weights)
+    def from_entries(cls, n: int, rows: np.ndarray, neighbours: np.ndarray, weights: np.ndarray) -> "Graph":
+        """The graph on n nodes of these entries, given in row order."""
+        counts = np.bincount(rows, minlength=n)
+        return cls(np.concatenate([[0], np.cumsum(counts)]), neighbours, weights)
+
+    @property
+    def n(self) -> int:
+        return len(self.offsets) - 1
 
     @cached_property
     def rows(self) -> np.ndarray:
         """The row of every entry."""
-        return np.repeat(np.arange(len(self.nodes)), np.diff(self.offsets))
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
 
     def number_of_edges(self) -> int:
         return len(self.neighbours) // 2
@@ -119,7 +111,7 @@ class Graph:
         """The subgraph each of the disjoint, ascending ``groups`` of node
         indices induces, renumbered from 0 in that order, so its rows ascend
         too; one stable sort of the entries inside groups makes each a slice."""
-        n = len(self.nodes)
+        n = self.n
         members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64)
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
         group, local = np.full(n, -1), np.zeros(n, dtype=np.int64)
@@ -133,21 +125,21 @@ class Graph:
             offsets = bounds[start:start + len(indices) + 1]
             start += len(indices)
             lo, hi = offsets[0], offsets[-1]
-            yield Graph(tuple(self.nodes[i] for i in indices), offsets - lo, neighbours[lo:hi], weights[lo:hi])
+            yield Graph(offsets - lo, neighbours[lo:hi], weights[lo:hi])
 
 
 def build_graph(table: PairTable, scores: np.ndarray, params: FilterParams) -> Graph:
-    """Similarity graph on the table's ids: every record is a node; an edge
-    exists iff the pair score clears the threshold, and a row whose records
-    share a location adds the boost on top of the score (membership is
-    decided before the boost). Each edge enters the rows of both its ends:
-    row b lists its neighbours a < b in table order, then row a its b > a,
-    so a stable sort by row leaves every row ascending."""
+    """Similarity graph on the table's record positions: every record is a
+    node; an edge exists iff the pair score clears the threshold, and a row
+    whose records share a location adds the boost on top of the score
+    (membership is decided before the boost). Each edge enters the rows of
+    both its ends: row b lists its neighbours a < b in table order, then row
+    a its b > a, so a stable sort by row leaves every row ascending."""
     rows = np.flatnonzero(scores >= params.threshold)
     weights = np.where(table.location[rows], scores[rows] + params.location_boost, scores[rows])
     ends, others = np.concatenate([table.b[rows], table.a[rows]]), np.concatenate([table.a[rows], table.b[rows]])
     order = np.argsort(ends, kind="stable")
-    return Graph.from_entries(table.ids, ends[order], others[order], np.concatenate([weights, weights])[order])
+    return Graph.from_entries(len(table.ids), ends[order], others[order], np.concatenate([weights, weights])[order])
 
 
 # Louvain stops once a level gains no more modularity than this (networkx's
@@ -178,7 +170,7 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     rng = random.Random(seed)
     # ``community`` maps each input node to its node in the current level,
     # which stands for the input nodes networkx keeps in ``partition``.
-    level, community = graph, list(range(len(graph.nodes)))
+    level, community = graph, list(range(graph.n))
     if len(graph.neighbours):
         degrees = _degrees(level)
         m = sum(degrees) / 2
@@ -194,13 +186,12 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
             degrees = _degrees(level)
             inner, improvement = _one_level(level, degrees, m, resolution, rng)
             community = [inner[c] for c in community]
-    return Partition(graph.nodes, _first_seen(community))
+    return Partition(_first_seen(community))
 
 
 def _first_seen(labels: Sequence[int]) -> list[int]:
     """``labels`` renumbered densely in order of first appearance: over
-    positions in ascending record id order, that numbers communities by
-    smallest member."""
+    record positions, that numbers communities by smallest member."""
     dense: dict[int, int] = {}
     return [dense.setdefault(label, len(dense)) for label in labels]
 
@@ -208,7 +199,7 @@ def _first_seen(labels: Sequence[int]) -> list[int]:
 def _degrees(level: Graph) -> list[float]:
     """Weighted degrees as networkx's ``DegreeView`` sums them: each row in
     entry order, then its self-loop once more."""
-    n = len(level.nodes)
+    n = level.n
     loops = np.where(level.neighbours == level.rows, level.weights, 0.0)
     return (np.bincount(level.rows, level.weights, minlength=n) + np.bincount(level.rows, loops, minlength=n)).tolist()
 
@@ -306,7 +297,7 @@ def _gen_graph(level: Graph, community: list[int]) -> Graph:
     c1, c2, two = c1[first], c2[first], c1[first] != c2[first]
     rows, cols = np.concatenate([c1, c2[two]]), np.concatenate([c2, c1[two]])
     arranged = np.lexsort((np.concatenate([2 * first, 2 * first[two] + 1]), rows))
-    return Graph.from_entries(range(k), rows[arranged], cols[arranged], np.concatenate([totals, totals[two]])[arranged])
+    return Graph.from_entries(k, rows[arranged], cols[arranged], np.concatenate([totals, totals[two]])[arranged])
 
 
 # The entries of one source block, sources times max(n, 2m), are kept near
@@ -314,7 +305,7 @@ def _gen_graph(level: Graph, community: list[int]) -> Graph:
 _BLOCK_ENTRIES = 2**16
 
 
-def bridgeness_centrality(graph: Graph) -> dict:
+def bridgeness_centrality(graph: Graph) -> np.ndarray:
     """Exact bridgeness on the unweighted skeleton, by blocks of sources.
 
     Brandes' recipe, level-synchronously over a block of sources. An entry
@@ -328,7 +319,7 @@ def bridgeness_centrality(graph: Graph) -> dict:
     or more levels below v, so none is in N[v]: a node at distance >= 2 from
     s gains the bridge term, which is its bridgeness from s with nothing to
     subtract. Each unordered pair is counted from both ends, so the sums are
-    halved. The result maps each node to its value, in node order.
+    halved. The result holds each node's value, in node order.
 
     Work is O(n·m) over all sources. σ is a float64 count, exact below 2^53
     and within about 1e-16 relative above it; each source's δ is summed in
@@ -336,18 +327,18 @@ def bridgeness_centrality(graph: Graph) -> dict:
     so values can differ from it by a few ulps, far inside the margin
     ``prune_global_bridges`` flags with.
     """
-    n = len(graph.nodes)
+    n = graph.n
     block = max(1, _BLOCK_ENTRIES // max(1, n, len(graph.neighbours)))
     totals = np.zeros(n)
     for start in range(0, n, block):
         totals += _bridgeness_from(graph, np.arange(start, min(n, start + block)))
-    return dict(zip(graph.nodes, (totals / 2).tolist()))
+    return totals / 2
 
 
 def _bridgeness_from(graph: Graph, sources: np.ndarray) -> np.ndarray:
     """Each node's bridgeness summed over the ordered pairs whose source is
     in ``sources``."""
-    n = len(graph.nodes)
+    n = graph.n
     size = len(sources) * n
     frontier = np.arange(0, size, n) + sources
     sigma = np.zeros(size)
@@ -401,17 +392,17 @@ def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None
     -1e-9) has a cutoff above 0, so it flags no node of bridgeness 0.
     """
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
-    n = len(graph.nodes)
+    n = graph.n
     if cutoff < 0:
         flagged = np.ones(n, dtype=bool)
     elif n <= 4 or 2 * graph.number_of_edges() == n * (n - 1):
         flagged = np.zeros(n, dtype=bool)
     else:
-        flagged = np.fromiter(bridgeness_centrality(graph).values(), dtype=float, count=n) > cutoff
+        flagged = bridgeness_centrality(graph) > cutoff
     pruned = graph
     if flagged.any():
         keep = ~(flagged[graph.rows] | flagged[graph.neighbours])
-        pruned = Graph.from_entries(graph.nodes, graph.rows[keep], graph.neighbours[keep], graph.weights[keep])
+        pruned = Graph.from_entries(n, graph.rows[keep], graph.neighbours[keep], graph.weights[keep])
     if stats is not None:
         stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + int(flagged.sum())
         stats["pruned_edges"] = stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
@@ -441,7 +432,7 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     # and the components make them dense again.
     community = list(first.community)
     fresh = first.n_communities
-    groups = [members for members in first.members() if len(members) > 2]
+    groups = [members for members in first.communities().values() if len(members) > 2]
     for members, subgraph in zip(groups, graph.subgraphs(groups)):
         before = counts["pruned_edges"]
         pruned = prune_global_bridges(subgraph, params.bridgeness_threshold, counts)
@@ -450,7 +441,7 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
             for position, part in zip(members, parts.community):
                 community[position] = fresh + part
             fresh += parts.n_communities
-    partition = Partition(graph.nodes, _components(graph, community))
+    partition = Partition(_components(graph, community))
     if stats is not None:
         # Each final community lies in one first-pass community.
         finals = Counter(dict(zip(partition.community, first.community)).values())
@@ -484,13 +475,14 @@ def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:
     the member of greatest mean cosine to the others (ties: smallest cleaned
     name, then record id); degenerate vectors neither win nor vote. A
     community without a usable vector takes its member with the most
-    patents (same ties). ``partition.nodes`` are ``corpus.ids`` (ValueError
-    otherwise). Each unordered pair of usable members is scored once (cosine
+    patents (same ties). A partition of another record count is a
+    ValueError. Each unordered pair of usable members is scored once (cosine
     is symmetric bit for bit); one ``np.bincount`` adds each member's
     cosines in member order: as the pairs' second member, then as the first."""
-    partition.check_records(corpus.records)
     records, names, vectors = corpus.records, corpus.names, corpus.vectors
-    groups = partition.members()
+    if len(partition.community) != len(records):
+        raise ValueError("partition and corpus differ in record count")
+    groups = list(partition.communities().values())
     usable = [[m for m in rows if not vectors.degenerate[m]] for rows in groups]
     chained = itertools.chain.from_iterable(p for rows in usable for p in itertools.combinations(rows, 2))
     a, b = np.fromiter(chained, dtype=np.int64).reshape(-1, 2).T

@@ -131,7 +131,8 @@ _KIND_COVERS: dict[str, frozenset[str]] = {
     "domain": frozenset({"domain"}),
     "url": frozenset({"url_text"}),
 }
-# The index without a bound: every token, every url token and every domain.
+# The index for a bound that cos alone can reach: every token, every url
+# token and every domain.
 FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
 # Keeps float rounding in the score on the safe side of the bound.
 _BOUND_SLACK = 1e-9
@@ -171,7 +172,7 @@ def _pairs_cost(held: Iterable[Collection[str]]) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
-def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) -> tuple[str, ...]:
+def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str, ...]:
     """Key kinds to index so that every pair able to score >= the bound's
     threshold shares at least one key.
 
@@ -180,11 +181,9 @@ def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) ->
     weights sum to at least ``threshold - w_cos``. A choice of type-1 kinds is
     valid when it covers a condition of every such set; among valid choices
     the one with the least estimated work (``costs``: pairs per kind) wins.
-    Type-2 names can fire the domain condition only. Without a bound, or when
-    cos alone can reach the threshold, the full index is returned.
+    Type-2 names can fire the domain condition only. When cos alone can
+    reach the threshold, the full index is returned.
     """
-    if bound is None:
-        return FULL_INDEX
     w = bound.weights.as_dict()
     needed = bound.threshold - _BOUND_SLACK - w["cos"]
     if needed <= 0:
@@ -213,17 +212,17 @@ def blocking_key_kinds(bound: Optional[ScoreBound], costs: Mapping[str, int]) ->
 def generate_candidate_pairs(
     names: Sequence[CleanName],
     domain_info: Sequence[DomainInfo],
-    bound: Optional[ScoreBound] = None,
+    bound: ScoreBound,
     stats: Optional[dict] = None,
 ) -> np.ndarray:
     """Blocked candidate pairs: same class and at least one shared index key.
 
-    Without a bound, type-1 names are indexed on every name token, their
-    domain, and their url tokens, so any pair able to fire a binary condition
-    shares a key; type-2 names only ever fire the domain condition and are
-    indexed on domains alone. With a bound, only the key kinds that
-    ``blocking_key_kinds`` picks are indexed, which keeps every pair able to
-    reach the bound's threshold. Each kind the bound can choose is priced
+    Only the key kinds that ``blocking_key_kinds`` picks are indexed, which
+    keeps every pair able to reach the bound's threshold. The full index, for
+    a bound that cos alone can reach, holds every name token, domain and url
+    token of type-1 names, so any pair able to fire a binary condition shares
+    a key; type-2 names only ever fire the domain condition and are indexed
+    on domains alone. Each kind the bound can choose is priced
     from key counts alone, once per distinct key set.
     ``stats``, when given, receives the kinds used (``keys``) and the size
     of the largest block (``largest_block``). Output is an int32 ``(n, 2)``

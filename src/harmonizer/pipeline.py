@@ -23,6 +23,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -126,9 +127,10 @@ def _charge(manifest: Optional[RunManifest], layer: str, since: float) -> float:
 
 
 def write_mapping(partition: Partition, records: Sequence[AssigneeRecord], path: Path) -> None:
-    """One row per record, in the order of ``records``, which hold
-    ``partition.nodes``' ids in their order (ValueError otherwise)."""
-    partition.check_records(records)
+    """One row per record, in the order of ``records``, whose positions
+    ``partition`` covers (ValueError, before the file is opened, otherwise)."""
+    if len(partition.community) != len(records):
+        raise ValueError("partition and records differ in record count")
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(MAPPING_HEADER) + "\n")
         for record, cid in zip(records, partition.community):
@@ -188,9 +190,9 @@ def _augment_stage(
 ) -> dict[str, Optional[AugmentationResult]]:
     """Resolve augmentation for every record, keyed by record id in record
     order, fetching misses (every name, with ``refresh``) when a provider is
-    available. Each distinct name is resolved once, in first-seen order, and
-    its result goes to every record that holds it. Fetches may run in
-    parallel. A failed fetch resolves to None."""
+    available; the cache file's directory is made first. Each distinct name is
+    resolved once, in first-seen order, and its result goes to every record
+    that holds it. Fetches may run in parallel. A failed fetch resolves to None."""
 
     def fetch_one(name: str) -> Optional[AugmentationResult]:
         try:
@@ -200,6 +202,8 @@ def _augment_stage(
             return None
 
     names = list(dict.fromkeys(record.raw_name for record in records))
+    if provider is not None and cache.path is not None:
+        cache.path.parent.mkdir(parents=True, exist_ok=True)
     if provider is not None and threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             resolved = dict(zip(names, pool.map(fetch_one, names)))
@@ -352,7 +356,7 @@ def run_pipeline(
         t = _charge(manifest, "ingest", t)
 
         stage = "augment"
-        cache = AugmentationCache(cache_path if cache_path.exists() else None)
+        cache = AugmentationCache(cache_path)
         provider = None if offline else make_provider(config)
         _charge(manifest, "augment", t)
         corpus = prepare_corpus(config, records, cache, provider, manifest=manifest)
@@ -381,7 +385,8 @@ def run_pipeline(
         manifest.stage_counts.update(edges=graph.number_of_edges(), communities=partition.n_communities)
 
         stage = "summary"
-        summary = summarize_partition(partition.communities(), partition.canonical, corpus.records)
+        patents = [record.patent_count for record in corpus.records]
+        summary = summarize_partition(partition.community, partition.canonical, patents)
         summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (work / "summary.json").write_text(summary_text, encoding="utf-8")
         t = _charge(manifest, "summary", t)
@@ -414,18 +419,20 @@ def run_pipeline(
 
 
 def summarize_partition(
-    groups: Mapping[int, Sequence[str]],
+    community: Sequence[int],
     canonical: Mapping[int, str],
-    records: Iterable[AssigneeRecord],
+    patents: Sequence[int],
     top_k: int = 10,
 ) -> dict:
-    """Reduction rate, community count, and the largest of ``groups``
-    (community id -> member record ids; ties go to the smaller id), whose
-    portfolio sums the patent counts of the members among ``records``."""
-    patents = {r.record_id: r.patent_count for r in records}
-    n_before = sum(map(len, groups.values()))
-    n_after = len(groups)
-    largest = sorted(groups.items(), key=lambda item: (-len(item[1]), item[0]))[:top_k]
+    """Reduction rate, community count, and the largest communities of
+    ``community`` (one id per record position; ties go to the smaller id),
+    whose portfolios sum ``patents`` (one count per position) over members."""
+    sizes, portfolios = Counter(community), Counter()
+    for cid, count in zip(community, patents, strict=True):
+        portfolios[cid] += count
+    n_before = len(community)
+    n_after = len(sizes)
+    largest = sorted(sizes.items(), key=lambda item: (-item[1], item[0]))[:top_k]
     return {
         "n_records": n_before,
         "n_communities": n_after,
@@ -433,11 +440,11 @@ def summarize_partition(
         "largest_communities": [
             {
                 "community_id": cid,
-                "size": len(members),
+                "size": size,
                 "canonical_name": canonical.get(cid, ""),
-                "portfolio": sum(patents.get(m, 0) for m in members),
+                "portfolio": portfolios[cid],
             }
-            for cid, members in largest
+            for cid, size in largest
         ],
     }
 
@@ -445,11 +452,11 @@ def summarize_partition(
 def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRecord] = (), top_k: int = 10) -> dict:
     """Summary for an already-written mapping file; members without a record
     count no patents."""
-    groups: dict[int, list[str]] = {}
-    for row in mapping_rows:
-        groups.setdefault(row["community_id"], []).append(row["record_id"])
+    patents = {r.record_id: r.patent_count for r in records}
+    community = [row["community_id"] for row in mapping_rows]
     canonical = {row["community_id"]: row["canonical_name"] for row in mapping_rows}
-    return summarize_partition(groups, canonical, records, top_k=top_k)
+    counts = [patents.get(row["record_id"], 0) for row in mapping_rows]
+    return summarize_partition(community, canonical, counts, top_k=top_k)
 
 
 def build_tuning_objective(
@@ -497,8 +504,7 @@ def tune_pipeline(
     tpe = config.tpe_config()
     records = load_assignee_table(input_path)
     gold = GoldPairs(load_gold_standard(gold_path), sorted(record.record_id for record in records))
-    cache_path = Path(cache_path)
-    cache = AugmentationCache(cache_path if cache_path.exists() else None)
+    cache = AugmentationCache(cache_path)
     corpus = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
     objective = build_tuning_objective(config, corpus, gold)
     return optimize(

@@ -329,7 +329,7 @@ def exact_bridgeness(graph: nx.Graph) -> dict:
     return acc
 
 
-def brandes_bridgeness(graph: Graph) -> dict:
+def brandes_bridgeness(graph: Graph) -> list[float]:
     """Bridgeness by Brandes' dependency accumulation, one source at a time
     in pure Python, with σ as exact integers: the reference for graphs too
     large for the path-enumerating oracles above.
@@ -340,8 +340,9 @@ def brandes_bridgeness(graph: Graph) -> dict:
     or more levels below v, so none is in N[v]: a node at distance >= 2
     from s gains σ_v/σ_w · δ(w) from each successor, which is its
     bridgeness from s with nothing to subtract. Each unordered pair is
-    counted from both ends, so the sums are halved."""
-    n = len(graph.nodes)
+    counted from both ends, so the sums are halved. The values are by
+    position."""
+    n = graph.n
     offsets, neighbours = graph.offsets.tolist(), graph.neighbours.tolist()
     adjacency = [neighbours[offsets[u]:offsets[u + 1]] for u in range(n)]
     totals = [0.0] * n
@@ -374,7 +375,7 @@ def brandes_bridgeness(graph: Graph) -> dict:
                     bridge += ratio * delta[w]
             delta[v] = dependency
             totals[v] += bridge
-    return {v: total / 2 for v, total in zip(graph.nodes, totals)}
+    return [total / 2 for total in totals]
 
 
 def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:
@@ -383,7 +384,7 @@ def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> 
     oracles above), then removes the flagged edges from a networkx copy."""
     bridgeness = bridgeness_centrality(graph)
     cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
-    flagged = {v for v, value in bridgeness.items() if value > cutoff}
+    flagged = {v for v, value in enumerate(bridgeness.tolist()) if value > cutoff}
     pruned = to_networkx(graph)
     before = pruned.number_of_edges()
     pruned.remove_edges_from([(u, v) for u, v in pruned.edges if u in flagged or v in flagged])
@@ -395,7 +396,7 @@ def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> 
 
 def reference_louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> dict:
     """networkx's ``louvain_communities`` on ``graph`` rebuilt in networkx in
-    sorted node and neighbour order, as node -> community id, communities
+    sorted node and neighbour order, as position -> community id, communities
     numbered by their smallest member."""
     communities = nx.community.louvain_communities(
         to_networkx(graph), weight="weight", resolution=resolution, seed=seed
@@ -410,7 +411,7 @@ def from_adjacency(adj: list[dict]) -> Graph:
     them."""
     entries = [(u, v, w) for u, nbrs in enumerate(adj) for v, w in nbrs.items()]
     rows, neighbours, weights = np.array(entries, dtype=float).reshape(-1, 3).T
-    return Graph.from_entries(range(len(adj)), rows.astype(np.int64), neighbours.astype(np.int64), weights)
+    return Graph.from_entries(len(adj), rows.astype(np.int64), neighbours.astype(np.int64), weights)
 
 
 def dict_degrees(adj: list[dict]) -> list:

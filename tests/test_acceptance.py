@@ -24,7 +24,7 @@ from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
 from harmonizer.evaluation import GoldPairs, compute_metrics
 from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
 from harmonizer.ingest import GoldLabel
-from harmonizer.match import WeightVector, generate_candidate_pairs, score_pairs
+from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name
 from harmonizer.pipeline import tune_pipeline
 from harmonizer.tune import SearchSpace, TpeConfig, optimize
@@ -142,7 +142,7 @@ def test_02_blocking_losslessness():
             names, domain_info = _random_matching_corpus(rng, n)
             idf = compute_idf(names)
             embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
-            corpus = make_corpus(names, domain_info, embeddings, generate_candidate_pairs(names, domain_info))
+            corpus = make_corpus(names, domain_info, embeddings, generate_candidate_pairs(names, domain_info, ScoreBound(unit, 1.0)))
             scored_blocked = score_pairs(corpus)
             scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(names)))
             cutoff = unit.cos + 1e-9

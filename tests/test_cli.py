@@ -309,6 +309,17 @@ class TestAugmentCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cache.jsonl").exists()
 
+    def test_live_augment_creates_the_cache_directory(self, corpus60_paths, tmp_path, capsys, monkeypatch):
+        from harmonizer import cli as cli_module
+        from test_pipeline import _CannedProvider
+
+        monkeypatch.setattr(cli_module, "make_provider", lambda config: _CannedProvider())
+        cache = tmp_path / "absent" / "cache.jsonl"
+        rc = cli("augment", "--input", str(corpus60_paths["input"]), "--cache", str(cache))
+        assert rc == EXIT_OK
+        assert "augment: 60 names, 60 cached, 0 un-augmented" in capsys.readouterr().out
+        assert len(cache.read_text().splitlines()) == 60
+
     def test_online_without_endpoint_exits_2(self, corpus60_paths, tmp_path, capsys):
         rc = cli(
             "augment",

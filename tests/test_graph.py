@@ -31,7 +31,7 @@ from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import Corpus, score_pairs
 from harmonizer.parse import CleanName, NameClass, clean_name
 
-from nxgraphs import from_networkx, to_networkx
+from nxgraphs import from_networkx, positions, to_networkx
 from oracles import (
     brandes_bridgeness,
     brute_bridgeness,
@@ -89,30 +89,34 @@ class TestBuildGraph:
     def test_threshold_is_inclusive(self):
         records = records_for(["a", "b", "c"])
         table, scores = scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999))
-        graph = to_networkx(build_graph(table, scores, FilterParams()))
+        graph = to_networkx(build_graph(table, scores, FilterParams()), table.ids)
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "c")
 
     def test_every_record_is_a_node(self):
         records = records_for(["a", "b", "loner"])
-        graph = build_graph(*scored(records, ("a", "b", 4.5)), FilterParams())
-        assert set(graph.nodes) == {"a", "b", "loner"}
+        table, scores = scored(records, ("a", "b", 4.5))
+        graph = build_graph(table, scores, FilterParams())
+        assert graph.n == len(table.ids) == 3 and set(table.ids) == {"a", "b", "loner"}
 
     def test_boost_applies_after_threshold(self):
         # Shared location must NOT rescue a sub-threshold pair...
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 3.5)), FilterParams(location_boost=1.0)))
+        table, scores = scored(records, ("a", "b", 3.5))
+        graph = to_networkx(build_graph(table, scores, FilterParams(location_boost=1.0)), table.ids)
         assert not graph.has_edge("a", "b")
 
     def test_boost_added_to_weight(self):
         # ...but it strengthens an edge that already cleared it.
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams(location_boost=1.0)))
+        table, scores = scored(records, ("a", "b", 4.0))
+        graph = to_networkx(build_graph(table, scores, FilterParams(location_boost=1.0)), table.ids)
         assert graph["a"]["b"]["weight"] == 5.0
 
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
-        graph = to_networkx(build_graph(*scored(records, ("a", "b", 4.0)), FilterParams()))
+        table, scores = scored(records, ("a", "b", 4.0))
+        graph = to_networkx(build_graph(table, scores, FilterParams()), table.ids)
         assert graph["a"]["b"]["weight"] == 4.0
 
 
@@ -132,18 +136,18 @@ class TestLouvain:
         right = [f"r{i}" for i in range(4)]
         for group in (left, right):
             g.add_edges_from((a, b) for i, a in enumerate(group) for b in group[i + 1:])
-        part = louvain(from_networkx(g))
-        assert len({part.assignments[n] for n in left}) == 1
-        assert len({part.assignments[n] for n in right}) == 1
-        assert part.assignments["l0"] != part.assignments["r0"]
+        part, at = louvain(from_networkx(g)), positions(g)
+        assert len({part.assignments[at[n]] for n in left}) == 1
+        assert len({part.assignments[at[n]] for n in right}) == 1
+        assert part.assignments[at["l0"]] != part.assignments[at["r0"]]
 
     def test_dense_ids_ordered_by_smallest_member(self):
         g = nx.Graph()
         g.add_edge("z1", "z2")
         g.add_edge("a1", "a2")
-        part = louvain(from_networkx(g))
-        assert part.assignments["a1"] == 0
-        assert part.assignments["z1"] == 1
+        part, at = louvain(from_networkx(g)), positions(g)
+        assert part.assignments[at["a1"]] == 0
+        assert part.assignments[at["z1"]] == 1
 
     def test_deterministic_across_calls(self):
         rng = random.Random(5)
@@ -184,7 +188,7 @@ class TestBridgeness:
         # admissible pair outside its closed neighborhood.
         g = nx.path_graph(5)
         b = bridgeness_centrality(from_networkx(g))
-        assert b == {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 0.0}
+        assert b.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_two_cliques_bridge_node(self):
         # Two 3-cliques joined through one cut vertex: every cross pair (3x3)
@@ -216,14 +220,14 @@ class TestBridgeness:
         g.add_edges_from([(10, 11), (11, 12), (12, 13)])  # separate path
         b = bridgeness_centrality(from_networkx(g))
         oracle = brute_bridgeness(g)
-        for node in g.nodes:
-            assert math.isclose(b[node], oracle[node], abs_tol=1e-9)
+        for node, position in positions(g).items():
+            assert math.isclose(b[position], oracle[node], abs_tol=1e-9)
 
     def test_tiny_graphs(self):
-        assert bridgeness_centrality(from_networkx(nx.Graph())) == {}
+        assert bridgeness_centrality(from_networkx(nx.Graph())).tolist() == []
         g = nx.Graph()
         g.add_edge(0, 1)
-        assert bridgeness_centrality(from_networkx(g)) == {0: 0.0, 1: 0.0}
+        assert bridgeness_centrality(from_networkx(g)).tolist() == [0.0, 0.0]
 
     def test_matches_oracle_on_random_graphs(self):
         for seed in range(12):
@@ -267,12 +271,13 @@ def _diamond_chain(k):
 
 
 def _matches_brandes(graph):
-    """The kernel's values and the scalar Brandes' on ``graph``, after
-    checking that they agree within 1e-12 relative, key for key."""
-    values = bridgeness_centrality(graph)
+    """The kernel's values and the scalar Brandes' on ``graph``, as lists by
+    position, after checking that they agree within 1e-12 relative, node for
+    node."""
+    values = bridgeness_centrality(graph).tolist()
     expected = brandes_bridgeness(graph)
-    assert list(values) == list(expected)
-    for node, value in expected.items():
+    assert len(values) == len(expected) == graph.n
+    for node, value in enumerate(expected):
         assert math.isclose(values[node], value, rel_tol=1e-12, abs_tol=0.0), (node, values[node], value)
     return values, expected
 
@@ -284,20 +289,21 @@ def _with_isolated_nodes():
     g = nx.connected_watts_strogatz_graph(40, 4, 0.2, seed=3)
     g = nx.relabel_nodes(g, {i: f"n{2 * i:03d}" for i in g})
     g.add_nodes_from(f"n{2 * i + 1:03d}" for i in range(0, 40, 7))
-    return from_networkx(g)
+    return from_networkx(g), positions(g)
 
 
 def test_bridgeness_with_isolated_nodes_matches_brandes():
-    values, _ = _matches_brandes(_with_isolated_nodes())
-    assert values["n001"] == 0.0 and max(values.values()) > 0.0
+    graph, at = _with_isolated_nodes()
+    values, _ = _matches_brandes(graph)
+    assert values[at["n001"]] == 0.0 and max(values) > 0.0
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_bridgeness_over_several_source_blocks_matches_brandes(block, monkeypatch):
     """Blocks of one source, and blocks of 7 over 46 nodes, whose last block
     holds 4."""
-    graph = _with_isolated_nodes()
-    entries = max(len(graph.nodes), 2 * graph.number_of_edges())
+    graph, _ = _with_isolated_nodes()
+    entries = max(graph.n, 2 * graph.number_of_edges())
     monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block * entries)
     _matches_brandes(graph)
 
@@ -320,10 +326,10 @@ def test_bridgeness_matches_brandes_on_large_graphs(name):
     graph = from_networkx(_LARGE_BRIDGENESS_CASES[name]())
     values, expected = _matches_brandes(graph)
     flags = {}
-    for beta in sorted(set(expected.values())):
+    for beta in sorted(set(expected)):
         cutoff = beta + graph_module._BETA_MARGIN * max(1.0, beta)
-        flags[beta] = {node for node, value in expected.items() if value > cutoff}
-        assert {node for node, value in values.items() if value > cutoff} == flags[beta], beta
+        flags[beta] = {node for node, value in enumerate(expected) if value > cutoff}
+        assert {node for node, value in enumerate(values) if value > cutoff} == flags[beta], beta
     # Pruning flags the same nodes at one of those β.
     beta = sorted(flags)[len(flags) // 2]
     stats = {}
@@ -370,7 +376,7 @@ class TestPruning:
         # Bridgeness is never negative, so every node clears a cutoff below 0.
         stats = {}
         pruned = prune_global_bridges(from_networkx(nx.path_graph(5)), beta=beta, stats=stats)
-        assert sorted(pruned.nodes) == list(range(5)) and pruned.number_of_edges() == 0
+        assert pruned.n == 5 and pruned.number_of_edges() == 0
         assert stats == {"flagged_nodes": 5, "pruned_edges": 4}
 
     def test_pruned_graph_is_built_in_sorted_order(self):
@@ -386,10 +392,11 @@ class TestPruning:
         graph = from_networkx(g)
         pruned = prune_global_bridges(graph, beta=0.5)
         assert pruned is not graph and 0 < pruned.number_of_edges() < graph.number_of_edges()
-        assert pruned.nodes == tuple(sorted(g.nodes))
+        assert pruned.n == graph.n == 12
         rows = np.split(pruned.neighbours, pruned.offsets[1:-1])
         assert len(rows) == 12 and all(list(row) == sorted(row) for row in rows)
-        assert all(g[u][v]["weight"] == w for u, v, w in to_networkx(pruned).edges(data="weight"))
+        named = to_networkx(pruned, sorted(g.nodes))
+        assert all(g[u][v]["weight"] == w for u, v, w in named.edges(data="weight"))
 
 
 def _boundary_family(kind):
@@ -430,7 +437,8 @@ def test_flags_match_exact_bridgeness_at_the_boundary(kind):
 class TestRefine:
     def _joint_venture_motif(self):
         """Two 5-cliques plus a connector matching two members of each; the
-        connector is the only node with bridgeness above 1."""
+        connector is the only node with bridgeness above 1. Returns the graph,
+        the position of each node and the two cliques."""
         g = nx.Graph()
         left = [f"a{i}" for i in range(5)]
         right = [f"b{i}" for i in range(5)]
@@ -438,7 +446,7 @@ class TestRefine:
             g.add_edges_from((u, v, {"weight": 4.5}) for i, u in enumerate(group) for v in group[i + 1:])
         for end in ("a0", "a1", "b0", "b1"):
             g.add_edge("jv", end, weight=4.0)
-        return from_networkx(g), left, right
+        return from_networkx(g), positions(g), left, right
 
     def _two_cliques_with_bridge(self):
         g = nx.Graph()
@@ -450,16 +458,16 @@ class TestRefine:
         return from_networkx(g), left, right
 
     def test_splits_joint_venture_community(self):
-        g, left, right = self._joint_venture_motif()
+        g, at, left, right = self._joint_venture_motif()
         # At this resolution the first pass merges all 11 nodes; pruning the
         # connector's edges is what separates the cliques.
         assert louvain(g, resolution=0.1, seed=0).n_communities == 1
         part = refine_communities(g, FilterParams(resolution=0.1, bridgeness_threshold=1.0))
-        left_ids = {part.assignments[n] for n in left}
-        right_ids = {part.assignments[n] for n in right}
+        left_ids = {part.assignments[at[n]] for n in left}
+        right_ids = {part.assignments[at[n]] for n in right}
         assert len(left_ids) == 1 and len(right_ids) == 1
         assert left_ids != right_ids
-        assert part.assignments["jv"] not in left_ids | right_ids
+        assert part.assignments[at["jv"]] not in left_ids | right_ids
 
     def test_no_pruning_keeps_partition(self):
         # Every node here has bridgeness 0, so the merged community must
@@ -473,11 +481,11 @@ class TestRefine:
     def test_small_communities_kept_intact(self):
         g = nx.Graph()
         g.add_edge("a", "b", weight=4.0)
-        part = refine_communities(from_networkx(g), FilterParams())
-        assert part.assignments["a"] == part.assignments["b"]
+        part, at = refine_communities(from_networkx(g), FilterParams()), positions(g)
+        assert part.assignments[at["a"]] == part.assignments[at["b"]]
 
     def test_stats_report_pruning_and_splits(self):
-        g, _, _ = self._joint_venture_motif()
+        g, _, _, _ = self._joint_venture_motif()
         stats = {}
         part = refine_communities(g, FilterParams(resolution=0.1, bridgeness_threshold=1.0), stats)
         assert stats["flagged_nodes"] > 0 and stats["pruned_edges"] > 0
@@ -486,18 +494,18 @@ class TestRefine:
         assert sum(stats["community_sizes"].values()) == part.n_communities
 
     def test_deterministic(self):
-        g, _, _ = self._joint_venture_motif()
+        g, _, _, _ = self._joint_venture_motif()
         p1 = refine_communities(g, FilterParams(resolution=0.1))
         p2 = refine_communities(g, FilterParams(resolution=0.1))
         assert p1.assignments == p2.assignments
 
     def test_dense_ids(self):
-        g, _, _ = self._joint_venture_motif()
+        g, at, _, _ = self._joint_venture_motif()
         part = refine_communities(g, FilterParams(resolution=0.1))
         ids = sorted(set(part.assignments.values()))
         assert ids == list(range(len(ids)))
         # Numbered by smallest member: the community of "a0" comes first.
-        assert part.assignments["a0"] == 0
+        assert part.assignments[at["a0"]] == 0
 
 
 @st.composite
@@ -532,11 +540,12 @@ def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
     params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
     stats: dict = {}
     partition = refine_communities(from_networkx(graph), params, stats)
-    assert set(partition.assignments) == set(graph.nodes)
+    ids = sorted(graph.nodes)
+    assert {ids[position] for position in partition.assignments} == set(graph.nodes)
     groups = partition.communities()
     for members in groups.values():
         if len(members) > 1:
-            assert nx.is_connected(graph.subgraph(members)), members
+            assert nx.is_connected(graph.subgraph(ids[m] for m in members)), members
     first = louvain(from_networkx(graph), resolution=params.resolution, seed=seed).communities()
     split = sum(1 for members in first.values() if len({partition.assignments[m] for m in members}) > 1)
     assert stats["communities_split"] == split
@@ -557,10 +566,12 @@ def test_disconnected_louvain_community_is_split():
     params = FilterParams(resolution=1.5, bridgeness_threshold=0.0, seed=2)
     first = louvain(from_networkx(g), params.resolution, params.seed)
     assert first.assignments == reference_louvain(from_networkx(g), params.resolution, params.seed)
-    assert ["n03", "n04"] in first.communities().values()
+    at = positions(g)
+    assert [at["n03"], at["n04"]] in first.communities().values()
     stats: dict = {}
     partition = refine_communities(from_networkx(g), params, stats)
-    assert list(partition.communities().values()) == [["n00", "n05"], ["n01"], ["n02"], ["n03"], ["n04"]]
+    expected = [["n00", "n05"], ["n01"], ["n02"], ["n03"], ["n04"]]
+    assert list(partition.communities().values()) == [[at[v] for v in members] for members in expected]
     assert stats["communities_split"] == 1 and stats["community_sizes"] == {1: 4, 2: 1}
 
 
@@ -599,12 +610,13 @@ def test_subgraphs_match_networkx(graph, data):
     subgraphs = list(from_networkx(graph).subgraphs(groups))
     assert len(subgraphs) == len(groups)
     for group, sub in zip(groups, subgraphs):
-        assert sub.nodes == tuple(nodes[i] for i in group)
+        assert sub.n == len(group)
         rows = np.split(sub.neighbours, sub.offsets[1:-1])
         assert len(rows) == len(group) and all(list(row) == sorted(row) for row in rows)
-        expected = graph.subgraph(sub.nodes)
-        assert sorted(map(sorted, to_networkx(sub).edges)) == sorted(map(sorted, expected.edges))
-        assert all(expected[u][v]["weight"] == w for u, v, w in to_networkx(sub).edges(data="weight"))
+        named = to_networkx(sub, [nodes[i] for i in group])
+        expected = graph.subgraph(named.nodes)
+        assert sorted(map(sorted, named.edges)) == sorted(map(sorted, expected.edges))
+        assert all(expected[u][v]["weight"] == w for u, v, w in named.edges(data="weight"))
 
 
 @settings(max_examples=400, deadline=None)
@@ -765,8 +777,8 @@ def test_level_graph_rows_in_order_of_first_appearance(monkeypatch):
     g = nx.Graph()
     g.add_nodes_from(f"n{i:02d}" for i in range(8))
     g.add_weighted_edges_from(NEIGHBOUR_ORDER_CASE)
-    graph = from_networkx(g)
-    expected = [["n00", "n02", "n03", "n04", "n07"], ["n01", "n05"], ["n06"]]
+    graph, at = from_networkx(g), positions(g)
+    expected = [[at[v] for v in c] for c in (["n00", "n02", "n03", "n04", "n07"], ["n01", "n05"], ["n06"])]
     assert list(louvain(graph, 0.5, 0).communities().values()) == expected
     assert louvain(graph, 0.5, 0).assignments == reference_louvain(graph, 0.5, 0)
     # Listing each row by neighbour id instead gives another partition.
@@ -775,7 +787,7 @@ def test_level_graph_rows_in_order_of_first_appearance(monkeypatch):
     def rows_by_id(level, community):
         merged = gen_graph(level, community)
         order = np.lexsort((merged.neighbours, merged.rows))
-        return Graph(merged.nodes, merged.offsets, merged.neighbours[order], merged.weights[order])
+        return Graph(merged.offsets, merged.neighbours[order], merged.weights[order])
 
     monkeypatch.setattr(graph_module, "_gen_graph", rows_by_id)
     assert list(louvain(graph, 0.5, 0).communities().values()) != expected
@@ -799,7 +811,7 @@ def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
 def canonical_names(community, corpus):
     """``assign_canonical_names`` over the partition of the corpus's members
     into ``community`` (dense ids by position)."""
-    return assign_canonical_names(Partition(corpus.ids, list(community)), corpus).canonical
+    return assign_canonical_names(Partition(list(community)), corpus).canonical
 
 
 class TestNaming:
@@ -898,7 +910,7 @@ class TestNaming:
         assert canonical_names([0, 0], corpus) == {0: "ACME"}
 
     def test_assign_centroid_with_volume_fallback(self):
-        part = Partition(("m00", "m01", "m02"), [0, 0, 1])
+        part = Partition([0, 0, 1])
         corpus = naming_corpus(
             ["acme", "acme inc", "loner"], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], patents=[1, 9, 2]
         )
@@ -907,15 +919,15 @@ class TestNaming:
         assert named.canonical[0] == "ACME INC"
         assert named.canonical[1] == "LONER"
 
-    def test_assign_rejects_records_of_other_ids(self):
+    def test_assign_rejects_partition_of_another_record_count(self):
         corpus = naming_corpus(["acme", "acme inc", "loner"], patents=[1, 9, 2])
-        for nodes in (("m00", "m01", "m03"), ("m00", "m01")):
-            with pytest.raises(ValueError, match="different record ids"):
-                assign_canonical_names(Partition(nodes, [0] * len(nodes)), corpus)
+        for community in ([0, 0], [0, 0, 0, 1]):
+            with pytest.raises(ValueError, match="differ in record count"):
+                assign_canonical_names(Partition(community), corpus)
 
 
 class TestPartition:
     def test_communities_sorted(self):
-        part = Partition(("a", "b", "c"), [0, 1, 1])
-        assert part.communities() == {0: ["a"], 1: ["b", "c"]}
+        part = Partition([0, 1, 1])
+        assert part.communities() == {0: [0], 1: [1, 2]}
         assert part.n_communities == 2

@@ -37,6 +37,10 @@ from harmonizer.parse import (
 from conftest import make_corpus, read_pairs_tsv
 from oracles import ConditionVector, brute_force_candidates, evaluate_conditions, matching_score
 
+# At unit weights cos alone reaches a threshold of 1.0, so this bound blocks
+# with FULL_INDEX.
+FULL = ScoreBound(WeightVector(), 1.0)
+
 
 def classified(raw, record_id, common=None):
     common = common if common is not None else CommonWordList([])
@@ -258,7 +262,7 @@ def id_pairs(names, pairs):
 class TestCandidates:
     def test_blocking_contains_all_binary_capable_pairs(self):
         names, infos, _ = small_corpus()
-        pairs = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        pairs = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
         # Shared token "nokia":
         assert ("r01", "r02") in pairs
         # Shared domain, type-2 names:
@@ -272,7 +276,7 @@ class TestCandidates:
 
     def test_url_token_bucket_pairs(self):
         names, infos, _ = small_corpus()
-        pairs = id_pairs(names, generate_candidate_pairs(names, infos))
+        pairs = id_pairs(names, generate_candidate_pairs(names, infos, FULL))
         # r03's url token "nokian" equals r03's name token only; no cross pair
         # through it, but r01/r02 share the "nokia" url token bucket.
         assert ("r01", "r02") in pairs
@@ -288,14 +292,14 @@ class TestCandidates:
 
     def test_blocked_is_subset_of_brute(self):
         names, infos, _ = small_corpus()
-        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
         assert blocked <= set(id_pairs(names, brute_force_candidates(names)))
 
     def test_blocking_lossless_above_cos_weight(self):
         """Any pair scoring above w_cos must appear among blocked candidates."""
         names, infos, embeddings = small_corpus()
         weights = WeightVector()
-        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
         brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
         for row in np.flatnonzero(brute.scores(weights) > weights.cos):
             assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in blocked
@@ -303,7 +307,7 @@ class TestCandidates:
     def test_unclassified_rejected(self):
         names = [clean_name("NOKIA CORPORATION", record_id="a")]
         with pytest.raises(ValueError):
-            generate_candidate_pairs(names, [info()])
+            generate_candidate_pairs(names, [info()], FULL)
         with pytest.raises(ValueError):
             brute_force_candidates(names)
 
@@ -397,7 +401,7 @@ class TestBoundedBlocking:
         embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
         brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
-        full = set(id_pairs(names, generate_candidate_pairs(names, infos)))
+        full = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
@@ -443,7 +447,6 @@ class TestBoundedBlocking:
     def test_cos_alone_reaching_gives_full_index(self):
         costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
         assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs) == FULL_INDEX
-        assert blocking_key_kinds(None, costs) == FULL_INDEX
 
     def test_unreachable_threshold_indexes_nothing(self):
         names, infos, _ = small_corpus()
@@ -460,7 +463,7 @@ class TestBoundedBlocking:
         assert generate_candidate_pairs(names, own, bound).tolist() == [[0, 1]]
         foreign = [own[0], info(url_tokens={"shared"}), info()]
         assert generate_candidate_pairs(names, foreign, bound).tolist() == []
-        assert generate_candidate_pairs(names, foreign).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, foreign, FULL).tolist() == [[0, 1]]
 
     def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
         """At the defaults, run indexes first tokens and domains and no type-2
@@ -479,7 +482,7 @@ class TestBoundedBlocking:
             corpus300_config, records, cache, bound=corpus300_config.tuning_score_bound(), manifest=tune_manifest
         )
         assert tune_manifest.blocking["keys"] == list(FULL_INDEX)
-        assert np.array_equal(tune.candidates, generate_candidate_pairs(tune.names, tune.domain_info))
+        assert np.array_equal(tune.candidates, generate_candidate_pairs(tune.names, tune.domain_info, FULL))
         assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
 
 
@@ -511,7 +514,7 @@ def oracle_corpus(seed, n=70):
 class TestScorePairs:
     def test_sorted_and_scored(self):
         names, infos, embeddings = small_corpus()
-        pairs = generate_candidate_pairs(names, infos)
+        pairs = generate_candidate_pairs(names, infos, FULL)
         table = score_pairs(make_corpus(names, infos, embeddings, pairs))
         assert table.ids == tuple(n.record_id for n in names)
         assert table.a.tolist() == pairs[:, 0].tolist() and table.b.tolist() == pairs[:, 1].tolist()
@@ -670,7 +673,7 @@ class TestPairTable:
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos)))
+        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos, FULL)))
         scores = table.scores(WeightVector())
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path)
@@ -685,7 +688,7 @@ class TestPairsIO:
 
     def test_threshold_keeps_rows_at_or_above(self, tmp_path):
         names, infos, embeddings = small_corpus()
-        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos)))
+        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos, FULL)))
         scores = table.scores(WeightVector())
         threshold = float(np.sort(scores)[len(scores) // 2])
         path = tmp_path / "pairs.tsv"

@@ -69,3 +69,58 @@ def test_install_spans_traces_run_and_tune(corpus60_paths, tmp_path):
     assert sorted(set(out["spans"]) - set(RUN_SPANS)) == ["pipeline.tune", "tune.objective", "tune.suggest"]
     assert out["trials"] == 2
     assert out["alloc_calls_missing"] == []
+
+
+HUB_SCRIPT = """
+import hashlib, json, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import corpus
+from spans import Tracer, install_spans
+
+tracer = Tracer()
+install_spans(tracer)
+import harmonizer.pipeline as pipeline
+from harmonizer.config import PipelineConfig
+
+rows = corpus.hub_rows(1, n_big=7, n_pairs=2, n_singletons=48)
+draw = corpus.write_corpus(rows, corpus.HUB_CONFIG, Path("in"), 1)
+config = PipelineConfig.load(draw.config, environ={})
+manifest = pipeline.run_pipeline(config, draw.records, draw.cache, Path("out"), gold_path=draw.gold, offline=True)
+print(json.dumps({
+    "n_records": draw.n_records,
+    "inputs": draw.sha256,
+    "filter": manifest.filter,
+    "counts": tracer.counts,
+    "outputs": {name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest()
+                for name in ("mapping.tsv", "summary.json")},
+}))
+"""
+
+
+def test_hub_draw_prunes_and_splits(tmp_path):
+    """The committed corpora never prune or split, so this draw pins the
+    refine, prune and bridgeness path: the manifest's filter counts, the
+    traced ones, and the mapping and summary bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harmonizer.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", HUB_SCRIPT, str(ROOT / "perfbench")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["n_records"] == 285
+    assert {key: out["inputs"][key] for key in ("records", "cache", "gold")} == {
+        "records": "ca47ee4bed56044ba5987cadd44af37fd5418b57a11b90d3f25251effb29b6cd",
+        "cache": "001329370c4a9c82bc83109c061bae8089a3926bb5d8c5aa7d6732788403f3b5",
+        "gold": "b64f8a3a3946953b453047a277d76f257f2ab12ba0109cb0c2780ccebc9d5db0",
+    }
+    largest = max(int(size) for size in out["filter"]["community_sizes"])
+    assert (out["filter"]["pruned_edges"], out["filter"]["communities_split"], largest) == (14, 2, 38)
+    traced = [out["counts"][f"graph.{key}"] for key in ("pruned_edges", "communities_split", "largest_community")]
+    assert traced == [14, 2, 38]
+    assert out["outputs"] == {
+        "mapping.tsv": "bddc7b8c286436690b57557309d9a2a207699364d394e929b84e8541334bb217",
+        "summary.json": "5040e93237b334fbdd6e8970a0a9205601b6fb66568035028b043e7a8b77d646",
+    }

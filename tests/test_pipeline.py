@@ -406,7 +406,7 @@ class TestAtomicOutput:
 
 class TestMappingIo:
     def rows(self):
-        partition = Partition(("r1", "r2", "r3"), [0, 0, 1], canonical={0: "ACME CORP", 1: "ZETA"})
+        partition = Partition([0, 0, 1], canonical={0: "ACME CORP", 1: "ZETA"})
         records = [
             AssigneeRecord(record_id="r1", raw_name="ACME CORP"),
             AssigneeRecord(record_id="r2", raw_name="ACME CORP."),
@@ -427,11 +427,12 @@ class TestMappingIo:
             "canonical_name": "ACME CORP",
         }
 
-    def test_records_of_other_ids_rejected(self, tmp_path):
+    def test_records_of_another_count_rejected(self, tmp_path):
         partition, records = self.rows()
-        for others in (records[:2], [records[0], records[2], records[1]]):
-            with pytest.raises(ValueError, match="different record ids"):
+        for others in (records[:2], [*records, AssigneeRecord(record_id="r4", raw_name="OMEGA")]):
+            with pytest.raises(ValueError, match="differ in record count"):
                 write_mapping(partition, others, tmp_path / "mapping.tsv")
+            assert not (tmp_path / "mapping.tsv").exists()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mapping.tsv"
@@ -620,6 +621,28 @@ class TestAugmentStage:
         assert list(results) == [r.record_id for r in records]
         assert all(results[r.record_id] is results["r0"] for r in records if r.raw_name == "ACME CORP")
         assert {r.provider_id for r in results.values()} == {"canned"}
+
+    def test_live_run_creates_the_cache_it_fetches_into(self, corpus60_paths, corpus60_config, tmp_path, monkeypatch):
+        from harmonizer import pipeline
+
+        monkeypatch.setattr(pipeline, "make_provider", lambda config: _CannedProvider())
+        cache = tmp_path / "cache.jsonl"
+        paths = (corpus60_paths["input"], cache)
+        run_pipeline(corpus60_config, *paths, tmp_path / "live", offline=False)
+        names = {r.raw_name for r in load_assignee_table(corpus60_paths["input"])}
+        assert sorted(json.loads(line)["query_name"] for line in cache.read_text().splitlines()) == sorted(names)
+        run_pipeline(corpus60_config, *paths, tmp_path / "offline", offline=True)
+        mapping = [(tmp_path / run / "mapping.tsv").read_bytes() for run in ("live", "offline")]
+        assert mapping[0] == mapping[1]
+
+    def test_live_run_creates_the_cache_directory(self, corpus60_paths, corpus60_config, tmp_path, monkeypatch):
+        from harmonizer import pipeline
+
+        monkeypatch.setattr(pipeline, "make_provider", lambda config: _CannedProvider())
+        cache = tmp_path / "absent" / "dir" / "cache.jsonl"
+        run_pipeline(corpus60_config, corpus60_paths["input"], cache, tmp_path / "live", offline=False)
+        names = {r.raw_name for r in load_assignee_table(corpus60_paths["input"])}
+        assert sorted(json.loads(line)["query_name"] for line in cache.read_text().splitlines()) == sorted(names)
 
 
 class TestPrepareCorpus:
