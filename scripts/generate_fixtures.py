@@ -295,7 +295,7 @@ def sanity_parse(prefix: str, config_path: Path):
     stems = {s for s, _ in STEMS}
     overlap = stems & set(common.ordered)
     assert not overlap, f"entity stems leaked into common words: {overlap}"
-    n_type2 = sum(1 for n in artifacts.names if n.name_class and n.name_class.name == "TYPE2")
+    n_type2 = int((~artifacts.type1).sum())
     print(f"{prefix}: {n_type2} type-2 names, {len(artifacts.candidates)} candidate pairs")
 
 

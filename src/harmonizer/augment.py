@@ -57,16 +57,23 @@ class AugmentationResult:
     def from_json(cls, line: str) -> "AugmentationResult":
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"bad cache line: {exc}") from exc
-        unknown = set(payload) - _RESULT_KEYS
+        if not isinstance(payload, dict) or "query_name" not in payload:
+            raise InputError("bad cache line: not a JSON object with a query_name")
+        unknown = set(payload) - _RESULT_TYPES.keys()
         if unknown:
             raise InputError(f"bad cache line: unknown keys {sorted(unknown)}")
+        for key, value in payload.items():
+            # A JSON true is a Python int, but it is no number.
+            if isinstance(value, bool) or not isinstance(value, _RESULT_TYPES[key]):
+                raise InputError(f"bad cache line: {key} cannot hold {json.dumps(value)[:40]}")
         return cls(**payload)
 
 
-# The keys a cache line may hold, built once: every line is checked.
-_RESULT_KEYS = frozenset(f.name for f in fields(AugmentationResult))
+# The JSON types each key of a cache line may hold, by its field's annotation.
+_JSON_TYPES = {"str": (str,), "Optional[str]": (str, type(None)), "float": (int, float)}
+_RESULT_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(AugmentationResult)}
 
 
 class AugmentationCache:

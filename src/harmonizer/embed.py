@@ -131,7 +131,7 @@ def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTa
     row_of: dict[tuple[str, ...], int] = {}
     rows = [row_of.setdefault(name.tokens, len(row_of)) for name in names]
     if () in row_of:
-        raise InputError(f"cannot embed the empty token list of {names[rows.index(row_of[()])].record_id!r}")
+        raise InputError(f"cannot embed the empty token list of the name at position {rows.index(row_of[()])}")
     features: dict[str, tuple[int, float]] = {}
     token_index = {token: k for k, token in enumerate(dict.fromkeys(t for tokens in row_of for t in tokens))}
     # Each distinct token's buckets and values, from starts[t].

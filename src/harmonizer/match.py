@@ -23,7 +23,7 @@ from .augment import DomainInfo
 from .embed import NameVectors, pair_cosines
 from .errors import InputError
 from .ingest import AssigneeRecord
-from .parse import CleanName, NameClass
+from .parse import CleanName
 
 PAIRS_HEADER = ["id_a", "id_b", "token", "first", "urltext", "domain", "cos", "score"]
 
@@ -138,17 +138,15 @@ FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
 _BOUND_SLACK = 1e-9
 
 
-def _blocking_keys(names: Sequence[CleanName], domain_info: Sequence[DomainInfo]) -> dict[str, dict]:
+def _blocking_keys(names: Sequence[CleanName], type1: np.ndarray, domain_info: Sequence[DomainInfo]) -> dict[str, dict]:
     """Key kind -> {position: key set} over the names in ``names``, positions
-    ascending, for every kind either index may use; ``domain_info`` is
-    aligned with ``names`` (records with the same page share one url key
-    set). Type-2 names carry domain keys only, under their own kind."""
+    ascending, for every kind either index may use; ``type1`` and ``domain_info``
+    are aligned with ``names`` (records with the same page share one url key set).
+    Type-2 names carry domain keys only, under their own kind."""
     held: dict[str, dict] = {k: {} for k in ("first_token", "token", "domain", "url", "url_any", "type2_domain")}
-    for i, (name, info) in enumerate(zip(names, domain_info, strict=True)):
-        if name.name_class is None:
-            raise ValueError(f"name {name.record_id!r} is not classified")
+    for i, (name, is_type1, info) in enumerate(zip(names, type1, domain_info, strict=True)):
         domain = () if info.domain is None else (info.domain,)
-        if name.name_class is NameClass.TYPE2:
+        if not is_type1:
             held["type2_domain"][i] = domain
             continue
         tokens = frozenset(name.tokens)
@@ -211,11 +209,12 @@ def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str
 
 def generate_candidate_pairs(
     names: Sequence[CleanName],
+    type1: np.ndarray,
     domain_info: Sequence[DomainInfo],
     bound: ScoreBound,
     stats: Optional[dict] = None,
 ) -> np.ndarray:
-    """Blocked candidate pairs: same class and at least one shared index key.
+    """Blocked candidate pairs: same ``type1`` flag and at least one shared index key.
 
     Only the key kinds that ``blocking_key_kinds`` picks are indexed, which
     keeps every pair able to reach the bound's threshold. The full index, for
@@ -229,7 +228,7 @@ def generate_candidate_pairs(
     array holding each unordered pair once as positions ``i < j`` in
     ``names``, rows ascending.
     """
-    held = _blocking_keys(names, domain_info)
+    held = _blocking_keys(names, type1, domain_info)
     kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
     # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
     n = len(names)
@@ -254,28 +253,25 @@ def generate_candidate_pairs(
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """The prepared corpus every stage after blocking reads, in one record
-    order: entry i of ``records``, ``names`` and ``domain_info`` and record i
-    of ``vectors`` belong to ``ids[i]``, and the ids ascend strictly.
+    order: entry i of ``records``, ``names``, ``type1`` and ``domain_info``
+    and record i of ``vectors`` belong to ``ids[i]``, and the ids ascend
+    strictly. ``type1`` is a bool array, true where the name is type-1.
     ``candidates`` holds ascending rows of positions ``i < j``, as
     ``generate_candidate_pairs`` returns. Construction raises ValueError
-    when the columns differ in length or record id, or a name is not
-    classified."""
+    when the columns differ in length or the ids do not ascend."""
 
     records: Sequence[AssigneeRecord]
     names: Sequence[CleanName]
+    type1: np.ndarray
     domain_info: Sequence[DomainInfo]
     vectors: NameVectors
     candidates: np.ndarray
 
     def __post_init__(self):
-        if not len(self.records) == len(self.names) == len(self.domain_info) == len(self.vectors):
-            raise ValueError("records, names, domain_info and vectors differ in length")
-        if any(n.record_id != rid for n, rid in zip(self.names, self.ids)):
-            raise ValueError("records and names hold different record ids at the same position")
+        if len({len(col) for col in (self.records, self.names, self.type1, self.domain_info, self.vectors)}) > 1:
+            raise ValueError("records, names, type1, domain_info and vectors differ in length")
         if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
             raise ValueError("record ids must be strictly ascending")
-        if any(n.name_class is None for n in self.names):
-            raise ValueError("names must be classified")
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -289,9 +285,8 @@ def score_pairs(corpus: Corpus) -> PairTable:
     domain, locations) is gathered once; per pair only set intersections
     remain, and ``pair_cosines`` computes each distinct pair of vector rows
     once."""
-    names, domain_info, vectors = corpus.names, corpus.domain_info, corpus.vectors
+    names, type1, domain_info, vectors = corpus.names, corpus.type1, corpus.domain_info, corpus.vectors
     a, b = np.asarray(corpus.candidates, dtype=np.int32).reshape(-1, 2).T
-    type1 = np.array([n.name_class is NameClass.TYPE1 for n in names], dtype=bool)
     mixed = np.flatnonzero(type1[a] != type1[b])
     if len(mixed):
         ids = corpus.ids

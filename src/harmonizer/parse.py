@@ -35,14 +35,9 @@ class NameClass(enum.Enum):
 
 @dataclass(frozen=True)
 class CleanName:
-    record_id: str
     cleaned: str
     tokens: tuple[str, ...]
     degenerate: bool = False
-    name_class: Optional[NameClass] = None
-
-    def with_class(self, name_class: NameClass) -> "CleanName":
-        return CleanName(self.record_id, self.cleaned, self.tokens, self.degenerate, name_class)
 
 
 def fold_text(raw: str) -> str:
@@ -54,10 +49,10 @@ def fold_text(raw: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
 
 
-def normalize_tokens(raw: str, substitutions: Mapping[str, str] = DEFAULT_SUBSTITUTIONS) -> list[str]:
-    """Fold, apply substitutions, map punctuation to space, split."""
+def normalize_tokens(raw: str) -> list[str]:
+    """Fold, apply the substitutions, map punctuation to space, split."""
     text = fold_text(raw)
-    for src, dst in substitutions.items():
+    for src, dst in DEFAULT_SUBSTITUTIONS.items():
         text = text.replace(src, dst)
     text = _NON_WORD_RE.sub(" ", text)
     return text.split()
@@ -128,9 +123,6 @@ def clean_name(
     raw: str,
     correction: Optional[str] = None,
     designators: Optional[LegalDesignatorDictionary] = None,
-    *,
-    record_id: str = "",
-    substitutions: Mapping[str, str] = DEFAULT_SUBSTITUTIONS,
 ) -> CleanName:
     """Clean one name. When a spelling correction is given it replaces the
     raw text as the starting point; the raw name stays the record identity.
@@ -138,7 +130,7 @@ def clean_name(
     if designators is None:
         designators = default_designators()
     source = correction if correction and correction.strip() else raw
-    base_tokens = normalize_tokens(source, substitutions)
+    base_tokens = normalize_tokens(source)
     if not base_tokens:
         raise InputError(f"name normalizes to nothing: {raw!r}")
     tokens = strip_legal_suffixes(base_tokens, designators)
@@ -147,7 +139,6 @@ def clean_name(
         # Nothing but designators ("L.L.C."): keep the pre-strip form.
         tokens = list(base_tokens)
     return CleanName(
-        record_id=record_id,
         cleaned=" ".join(tokens),
         tokens=tuple(tokens),
         degenerate=degenerate,

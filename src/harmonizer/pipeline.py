@@ -177,8 +177,8 @@ def _degenerate(corpus: Corpus) -> list[bool]:
 def _write_cleaned(corpus: Corpus, path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for name, degenerate in zip(corpus.names, _degenerate(corpus)):
-            fh.write(f"{name.record_id}\t{name.cleaned}\t{name.name_class.name.lower()}\t{int(degenerate)}\n")
+        for rid, name, type1, degenerate in zip(corpus.ids, corpus.names, corpus.type1.tolist(), _degenerate(corpus)):
+            fh.write(f"{rid}\t{name.cleaned}\t{'type1' if type1 else 'type2'}\t{int(degenerate)}\n")
 
 
 def _augment_stage(
@@ -239,9 +239,9 @@ def prepare_corpus(
     names: list[CleanName] = []
     for record, result in zip(records, results):
         correction = result.corrected_name if result is not None else None
-        names.append(clean_name(record.raw_name, correction, designators, record_id=record.record_id))
+        names.append(clean_name(record.raw_name, correction, designators))
     common = build_common_word_list(names, config["parse"]["common_words_n"])
-    names = [n.with_class(classify_name_type(n.tokens, common)) for n in names]
+    type1 = numpy.array([classify_name_type(n.tokens, common) is NameClass.TYPE1 for n in names], dtype=bool)
     t = _charge(manifest, "parse", t)
 
     domains = registrable_domains(results)
@@ -254,9 +254,9 @@ def prepare_corpus(
 
     blocking = manifest.blocking if manifest is not None else {}
     bound = bound if bound is not None else config.score_bound()
-    candidates = generate_candidate_pairs(names, domain_info, bound, stats=blocking)
+    candidates = generate_candidate_pairs(names, type1, domain_info, bound, stats=blocking)
     blocking["candidate_pairs"] = len(candidates)
-    corpus = Corpus(records, names, domain_info, vectors, candidates)
+    corpus = Corpus(records, names, type1, domain_info, vectors, candidates)
     _charge(manifest, "block", t)
 
     if manifest is not None:
@@ -264,8 +264,8 @@ def prepare_corpus(
             records=len(records),
             augmented=sum(1 for r in results if r is not None),
             corrected=sum(1 for r in results if r is not None and r.corrected_name),
-            type1=sum(1 for n in names if n.name_class is NameClass.TYPE1),
-            type2=sum(1 for n in names if n.name_class is NameClass.TYPE2),
+            type1=int(type1.sum()),
+            type2=int((~type1).sum()),
             degenerate=sum(_degenerate(corpus)),
             vector_rows=len(vectors.block),
             candidate_pairs=len(candidates),

@@ -62,15 +62,15 @@ def corpus60_config(corpus60_paths) -> PipelineConfig:
     return PipelineConfig.load(corpus60_paths["config"])
 
 
-def make_corpus(names, infos, vectors, candidates=(), locations=None) -> Corpus:
-    """The ``Corpus`` of ``names``, ``infos`` and ``vectors`` with the given
-    candidate pairs (none by default) and a record for every name, which
-    holds the location keys ``locations`` gives its id (none by default)."""
+def make_corpus(ids, names, type1, infos, vectors, candidates=(), locations=None) -> Corpus:
+    """The ``Corpus`` of ``names``, their classes ``type1``, ``infos`` and
+    ``vectors`` with the given candidate pairs (none by default) and a record
+    for every id of ``ids``, which holds the location keys ``locations``
+    gives it (none by default)."""
     locations = locations or {}
-    records = [
-        AssigneeRecord(n.record_id, f"NAME {n.record_id}", 0, frozenset(locations.get(n.record_id, ()))) for n in names
-    ]
-    return Corpus(records, names, infos, vectors, np.asarray(candidates, dtype=np.int32).reshape(-1, 2))
+    records = [AssigneeRecord(rid, f"NAME {rid}", 0, frozenset(locations.get(rid, ()))) for rid in ids]
+    candidates = np.asarray(candidates, dtype=np.int32).reshape(-1, 2)
+    return Corpus(records, names, np.asarray(type1, dtype=bool), infos, vectors, candidates)
 
 
 def read_pairs_tsv(path: Path) -> tuple[list[str], list[list[str]]]:

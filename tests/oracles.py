@@ -164,19 +164,17 @@ class ConditionVector:
 def evaluate_conditions(
     a: CleanName,
     b: CleanName,
+    type1_a: bool,
+    type1_b: bool,
     info_a: Optional[DomainInfo],
     info_b: Optional[DomainInfo],
     emb_a: NameEmbedding,
     emb_b: NameEmbedding,
 ) -> ConditionVector:
-    """Evaluate the condition vector for one same-class pair."""
-    if a.name_class is None or b.name_class is None:
-        raise ValueError("names must be classified before condition evaluation")
-    if a.name_class is not b.name_class:
-        raise ValueError(
-            f"cannot pair {a.record_id!r} ({a.name_class.name}) with "
-            f"{b.record_id!r} ({b.name_class.name})"
-        )
+    """Evaluate the condition vector for one same-class pair; ``type1_a``
+    and ``type1_b`` are the two names' classes."""
+    if type1_a != type1_b:
+        raise ValueError(f"cannot pair {a.cleaned!r} (type-1: {type1_a}) with {b.cleaned!r} (type-1: {type1_b})")
     info_a = info_a or _EMPTY_INFO
     info_b = info_b or _EMPTY_INFO
     domain_common = int(info_a.domain is not None and info_a.domain == info_b.domain)
@@ -184,7 +182,7 @@ def evaluate_conditions(
         cos, cos_degenerate = 0.0, True
     else:
         cos, cos_degenerate = cosine_similarity(emb_a.vector, emb_b.vector), False
-    if a.name_class is NameClass.TYPE2:
+    if not type1_a:
         return ConditionVector(NameClass.TYPE2, None, None, None, domain_common, cos, cos_degenerate)
     tokens_a, tokens_b = set(a.tokens), set(b.tokens)
     token_common = int(bool(tokens_a & tokens_b))
@@ -212,16 +210,11 @@ def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
     )
 
 
-def brute_force_candidates(names) -> np.ndarray:
+def brute_force_candidates(type1) -> np.ndarray:
     """Every same-class unordered pair, the set blocking must cover, as
     ``generate_candidate_pairs`` gives pairs: ascending rows of positions
-    i < j in ``names``."""
-    for name in names:
-        if name.name_class is None:
-            raise ValueError(f"name {name.record_id!r} is not classified")
-    pairs = [
-        (i, j) for i, j in itertools.combinations(range(len(names)), 2) if names[i].name_class is names[j].name_class
-    ]
+    i < j in ``type1``, the names' classes."""
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(type1)), 2) if type1[i] == type1[j]]
     return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
@@ -241,11 +234,11 @@ def reference_prepare(config, records, cache) -> Corpus:
     results = [cache.get(record.raw_name) for record in records]
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
     names = [
-        clean_name(r.raw_name, res.corrected_name if res else None, designators, record_id=r.record_id)
+        clean_name(r.raw_name, res.corrected_name if res else None, designators)
         for r, res in zip(records, results)
     ]
     common = build_common_word_list(names, config["parse"]["common_words_n"])
-    names = [name.with_class(classify_name_type(name.tokens, common)) for name in names]
+    type1 = np.array([classify_name_type(name.tokens, common) is NameClass.TYPE1 for name in names])
 
     def domain(result):
         if result is None or not result.first_url:
@@ -265,8 +258,8 @@ def reference_prepare(config, records, cache) -> Corpus:
         domain_info.append(DomainInfo(None if d in blocklist else d, preprocess_url_text(text, common)))
     idf = compute_idf(names)
     vectors = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
-    candidates = generate_candidate_pairs(names, domain_info, config.score_bound())
-    return Corpus(records, names, domain_info, vectors, candidates)
+    candidates = generate_candidate_pairs(names, type1, domain_info, config.score_bound())
+    return Corpus(records, names, type1, domain_info, vectors, candidates)
 
 
 def brute_idf(token_lists, floor=0.01):

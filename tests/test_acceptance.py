@@ -104,8 +104,9 @@ def test_01_score_bounds():
 
 
 def _random_matching_corpus(rng: random.Random, n: int):
-    """Random classified names plus domain info, with engineered overlap so
-    that token, domain, and url-text conditions all fire somewhere."""
+    """Random names, their type-1 flags and domain info, with engineered
+    overlap so that token, domain, and url-text conditions all fire
+    somewhere."""
     vocab = sorted({random_word(rng) for _ in range(1200)})
     hot = vocab[:25]
     domains = [f"{random_word(rng)}.example" for _ in range(max(10, n // 25))]
@@ -117,9 +118,9 @@ def _random_matching_corpus(rng: random.Random, n: int):
             tokens = rng.sample(vocab, rng.randint(1, 4))
             if rng.random() < 0.5:
                 tokens[rng.randrange(len(tokens))] = rng.choice(hot)
-        names.append(clean_name(" ".join(tokens).upper(), record_id=f"r{i:05d}"))
+        names.append(clean_name(" ".join(tokens).upper()))
     common = build_common_word_list(names, 25)
-    names = [nm.with_class(classify_name_type(nm.tokens, common)) for nm in names]
+    type1 = [classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names]
     from harmonizer.augment import DomainInfo
 
     domain_info = []
@@ -129,7 +130,7 @@ def _random_matching_corpus(rng: random.Random, n: int):
             frozenset(rng.sample(vocab, rng.randint(1, 4))) if rng.random() < 0.3 else frozenset()
         )
         domain_info.append(DomainInfo(domain=domain, url_tokens=url_tokens))
-    return names, domain_info
+    return names, type1, domain_info
 
 
 def test_02_blocking_losslessness():
@@ -139,12 +140,14 @@ def test_02_blocking_losslessness():
         unit = WeightVector()
         for n, seed in ((500, 11), (1200, 22), (2000, 33)):
             rng = random.Random(seed)
-            names, domain_info = _random_matching_corpus(rng, n)
+            names, type1, domain_info = _random_matching_corpus(rng, n)
+            ids = [f"r{i:05d}" for i in range(n)]
             idf = compute_idf(names)
             embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
-            corpus = make_corpus(names, domain_info, embeddings, generate_candidate_pairs(names, domain_info, ScoreBound(unit, 1.0)))
+            candidates = generate_candidate_pairs(names, type1, domain_info, ScoreBound(unit, 1.0))
+            corpus = make_corpus(ids, names, type1, domain_info, embeddings, candidates)
             scored_blocked = score_pairs(corpus)
-            scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(names)))
+            scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(type1)))
             cutoff = unit.cos + 1e-9
             above_blocked, above_brute = (
                 {(t.ids[i], t.ids[j]) for i, j, score in zip(t.a, t.b, t.scores(unit)) if score > cutoff}
@@ -325,7 +328,7 @@ def test_10_idf_oracle():
                 " ".join(rng.sample(vocab, rng.randint(1, 6))).upper()
                 for _ in range(rng.randint(2, 120))
             ]
-            names = [clean_name(t, record_id=f"r{i}") for i, t in enumerate(texts)]
+            names = [clean_name(t) for t in texts]
             idf = compute_idf(names)
             oracle = brute_idf([n.tokens for n in names])
             assert oracle, f"seed {seed}: empty corpus"

@@ -76,6 +76,36 @@ class TestAugmentationResult:
         with pytest.raises(InputError, match="surprise"):
             AugmentationResult.from_json(line)
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("5", "not a JSON object"),
+            ("[]", "not a JSON object"),
+            ("null", "not a JSON object"),
+            ('{"first_url": null}', "not a JSON object with a query_name"),
+            ('{"query_name": 5}', "query_name"),
+            ('{"query_name": "A", "corrected_name": 7}', "corrected_name"),
+            ('{"query_name": "A", "first_url": 5}', "first_url"),
+            ('{"query_name": "A", "first_url": "https://a.example/", "first_text": ["a"]}', "first_text"),
+            ('{"query_name": "A", "fetched_at": true}', "fetched_at"),
+            ('{"query_name": "A", "fetched_at": "0"}', "fetched_at"),
+            ('{"query_name": "A", "provider_id": null}', "provider_id"),
+            ("[" * 100_000 + "]" * 100_000, ""),
+            ("1" * 5_000, ""),
+        ],
+        ids=[
+            "int", "array", "null", "no query", "query", "correction", "url", "text", "bool time", "str time", "provider",
+            "deep", "long int",
+        ],
+    )
+    def test_json_of_another_shape_rejected(self, line, reason):
+        with pytest.raises(InputError, match=f"bad cache line: {reason}"):
+            AugmentationResult.from_json(line)
+
+    def test_integer_fetch_time_accepted(self):
+        line = '{"query_name": "A", "fetched_at": 5}'
+        assert AugmentationResult.from_json(line) == AugmentationResult("A", fetched_at=5)
+
 
 class TestAugmentationCache:
     def test_put_get(self, fresh_cache):
@@ -146,6 +176,24 @@ class TestAugmentationCache:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="line 2: bad cache line"):
             AugmentationCache(path)
+
+    @pytest.mark.parametrize("where", ["middle", "final with newline", "final without newline"])
+    def test_line_of_another_shape(self, tmp_path, caplog, where):
+        # Valid JSON of the wrong shape is a bad line like any other: an
+        # error that names it, or skipped when torn.
+        path = tmp_path / "c.jsonl"
+        lines = [result("A").to_json(), json.dumps({"query_name": "B", "first_url": 5})]
+        if where == "middle":
+            lines.append(result("C").to_json())
+        path.write_text("\n".join(lines) + ("" if where == "final without newline" else "\n"))
+        if where == "final without newline":
+            with caplog.at_level("WARNING", logger="harmonizer.augment"):
+                cache = AugmentationCache(path)
+            assert "A" in cache and "B" not in cache
+            assert "line 2" in caplog.text and "torn" in caplog.text
+        else:
+            with pytest.raises(InputError, match="line 2: bad cache line: first_url"):
+                AugmentationCache(path)
 
 
 class TestExtraction:

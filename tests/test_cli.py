@@ -133,6 +133,14 @@ class TestRunCommand:
         assert rc == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    def test_cache_line_of_another_shape_exits_3(self, corpus60_paths, tmp_path, capsys):
+        lines = corpus60_paths["cache"].read_text(encoding="utf-8").splitlines(keepends=True)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("".join(lines[:3]) + "5\n" + "".join(lines[3:]), encoding="utf-8")
+        rc = cli(*self.run_args(dict(corpus60_paths, cache=cache), tmp_path / "out"))
+        assert rc == EXIT_INPUT
+        assert "line 4: bad cache line: not a JSON object" in capsys.readouterr().err
+
     def test_stage_failure_exits_4(self, corpus60_paths, tmp_path, capsys, monkeypatch):
         import harmonizer.cli as cli_mod
 

@@ -24,11 +24,11 @@ from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name
 
 
 def names_from(texts):
-    return [clean_name(t, record_id=f"r{i}") for i, t in enumerate(texts)]
+    return [clean_name(t) for t in texts]
 
 
 def token_names(token_lists):
-    return [CleanName(f"r{i}", " ".join(tokens), tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    return [CleanName(" ".join(tokens), tuple(tokens)) for tokens in token_lists]
 
 
 def token_vector(token, dim=256):
@@ -178,7 +178,7 @@ class TestEmbedName:
         assert np.allclose(out.block[0], [2 / 3, 1 / 3])
 
     def test_empty_tokens_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="position 1"):
             embed_corpus(token_names([["aa"], []]), HashingBackend(), IdfTable(weights={}))
         with pytest.raises(InputError):
             embed_name((), self.Axes(), IdfTable(weights={}))

@@ -29,7 +29,7 @@ from harmonizer.graph import (
 )
 from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import Corpus, score_pairs
-from harmonizer.parse import CleanName, NameClass, clean_name
+from harmonizer.parse import CleanName, clean_name
 
 from nxgraphs import from_networkx, positions, to_networkx
 from oracles import (
@@ -53,11 +53,12 @@ def scored(records, *pairs):
     """The PairTable ``score_pairs`` fills over the records, as type-1
     names, with one row per (a, b, score), and that score column."""
     ids = [r.record_id for r in records]
-    names = [clean_name(r.raw_name, record_id=r.record_id).with_class(NameClass.TYPE1) for r in records]
+    names = [clean_name(r.raw_name) for r in records]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
     embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
     infos = [DomainInfo(None, frozenset())] * len(names)
-    table = score_pairs(Corpus(records, names, infos, embeddings, np.array([row[:2] for row in rows])))
+    type1 = np.ones(len(names), dtype=bool)
+    table = score_pairs(Corpus(records, names, type1, infos, embeddings, np.array([row[:2] for row in rows])))
     return table, np.array([row[2] for row in rows])
 
 
@@ -802,10 +803,11 @@ def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
     ids = [f"m{i:02d}" for i in range(len(cleaned))]
     patents = patents or [0] * len(cleaned)
     records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
-    names = [CleanName(rid, c, tuple(c.split())).with_class(NameClass.TYPE1) for rid, c in zip(ids, cleaned)]
+    names = [CleanName(c, tuple(c.split())) for c in cleaned]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
     vectors = NameVectors(block, np.arange(len(ids)) if rows is None else rows)
-    return Corpus(records, names, [DomainInfo(None, frozenset())] * len(ids), vectors, np.zeros((0, 2)))
+    infos = [DomainInfo(None, frozenset())] * len(ids)
+    return Corpus(records, names, np.ones(len(ids), dtype=bool), infos, vectors, np.zeros((0, 2)))
 
 
 def canonical_names(community, corpus):

@@ -42,10 +42,19 @@ from oracles import ConditionVector, brute_force_candidates, evaluate_conditions
 FULL = ScoreBound(WeightVector(), 1.0)
 
 
-def classified(raw, record_id, common=None):
+def classified(raw, common=None):
+    """The cleaned name of ``raw`` and whether it is type-1 under ``common``
+    (no common words by default)."""
     common = common if common is not None else CommonWordList([])
-    cn = clean_name(raw, record_id=record_id)
-    return cn.with_class(classify_name_type(cn.tokens, common))
+    cn = clean_name(raw)
+    return cn, classify_name_type(cn.tokens, common) is NameClass.TYPE1
+
+
+def conditions(raw_a, raw_b, *rest, common=None):
+    """``evaluate_conditions`` of the classified names of ``raw_a`` and
+    ``raw_b``; ``rest`` holds their domain infos and embeddings."""
+    (a, type1_a), (b, type1_b) = classified(raw_a, common), classified(raw_b, common)
+    return evaluate_conditions(a, b, type1_a, type1_b, *rest)
 
 
 def unit_embedding(direction, dim=8):
@@ -98,11 +107,9 @@ class TestConditionVector:
 
 class TestEvaluateConditions:
     def test_all_conditions_fire(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("NOKIA NETWORKS OY", "b")
-        cv = evaluate_conditions(
-            a,
-            b,
+        cv = conditions(
+            "NOKIA CORPORATION",
+            "NOKIA NETWORKS OY",
             info("nokia.com", {"nokia", "phones"}),
             info("nokia.com", {"nokia", "infrastructure"}),
             unit_embedding(0),
@@ -112,19 +119,15 @@ class TestEvaluateConditions:
         assert cv.cos == 1.0
 
     def test_first_token_needs_shared_first(self):
-        a = classified("NOKIA SIEMENS", "a")
-        b = classified("SIEMENS AG", "b")
-        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(1))
+        cv = conditions("NOKIA SIEMENS", "SIEMENS AG", None, None, unit_embedding(0), unit_embedding(1))
         assert cv.token_common == 1
         assert cv.first_token_common == 0
 
     def test_url_text_needs_own_overlap_on_both_sides(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("NOKIA OYJ", "b")
         # Shared page tokens, but b's name never appears in b's page text.
-        cv = evaluate_conditions(
-            a,
-            b,
+        cv = conditions(
+            "NOKIA CORPORATION",
+            "NOKIA OYJ",
             info(None, {"nokia", "finland"}),
             info(None, {"finland", "telecom"}),
             unit_embedding(0),
@@ -133,11 +136,9 @@ class TestEvaluateConditions:
         assert cv.url_text_common == 0
 
     def test_url_text_needs_cross_intersection(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("ACME LTD", "b")
-        cv = evaluate_conditions(
-            a,
-            b,
+        cv = conditions(
+            "NOKIA CORPORATION",
+            "ACME LTD",
             info(None, {"nokia"}),
             info(None, {"acme"}),
             unit_embedding(0),
@@ -146,46 +147,42 @@ class TestEvaluateConditions:
         assert cv.url_text_common == 0
 
     def test_domain_needs_both_present(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("NOKIA OYJ", "b")
-        cv = evaluate_conditions(a, b, info("nokia.com"), info(None), unit_embedding(0), unit_embedding(0))
+        cv = conditions(
+            "NOKIA CORPORATION", "NOKIA OYJ", info("nokia.com"), info(None), unit_embedding(0), unit_embedding(0)
+        )
         assert cv.domain_common == 0
 
     def test_missing_info_treated_as_empty(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("NOKIA OYJ", "b")
-        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
+        cv = conditions("NOKIA CORPORATION", "NOKIA OYJ", None, None, unit_embedding(0), unit_embedding(0))
         assert cv.domain_common == 0 and cv.url_text_common == 0
 
     def test_degenerate_embedding_zeroes_cos(self):
-        a = classified("NOKIA CORPORATION", "a")
-        b = classified("NOKIA OYJ", "b")
         dead = NameEmbedding(vector=np.zeros(8), degenerate=True)
-        cv = evaluate_conditions(a, b, None, None, unit_embedding(0), dead)
+        cv = conditions("NOKIA CORPORATION", "NOKIA OYJ", None, None, unit_embedding(0), dead)
         assert cv.cos == 0.0 and cv.cos_degenerate
 
     def test_type2_pair(self):
         common = CommonWordList(["global", "systems", "group"])
-        a = classified("GLOBAL SYSTEMS", "a", common)
-        b = classified("GLOBAL GROUP", "b", common)
-        assert a.name_class is NameClass.TYPE2
-        cv = evaluate_conditions(a, b, info("g.com"), info("g.com"), unit_embedding(0), unit_embedding(0))
+        assert not classified("GLOBAL SYSTEMS", common)[1]
+        cv = conditions(
+            "GLOBAL SYSTEMS",
+            "GLOBAL GROUP",
+            info("g.com"),
+            info("g.com"),
+            unit_embedding(0),
+            unit_embedding(0),
+            common=common,
+        )
         assert cv.kind is NameClass.TYPE2
         assert cv.token_common is None
         assert cv.domain_common == 1
 
     def test_cross_class_rejected(self):
         common = CommonWordList(["global", "systems"])
-        a = classified("GLOBAL SYSTEMS", "a", common)
-        b = classified("NOKIA CORPORATION", "b", common)
         with pytest.raises(ValueError, match="cannot pair"):
-            evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
-
-    def test_unclassified_rejected(self):
-        a = clean_name("NOKIA CORPORATION", record_id="a")
-        b = clean_name("NOKIA OYJ", record_id="b")
-        with pytest.raises(ValueError, match="classified"):
-            evaluate_conditions(a, b, None, None, unit_embedding(0), unit_embedding(0))
+            conditions(
+                "GLOBAL SYSTEMS", "NOKIA CORPORATION", None, None, unit_embedding(0), unit_embedding(0), common=common
+            )
 
 
 class TestMatchingScore:
@@ -224,8 +221,9 @@ class TestMatchingScore:
         assert -1.0 <= matching_score(cv, WeightVector()) <= 2.0
 
 
-def small_corpus():
-    """Mixed corpus with domains and url tokens for blocking tests."""
+def small_corpus(locations=None):
+    """Mixed corpus with domains and url tokens for blocking tests, as a
+    ``Corpus`` without candidates whose records hold ``locations``."""
     common = CommonWordList(["global", "systems", "industries"])
     texts = {
         "r01": "NOKIA CORPORATION",
@@ -239,7 +237,7 @@ def small_corpus():
         "r09": "ZETA LABS",
         "r10": "OMEGA DEVICES",
     }
-    names = [classified(t, rid, common) for rid, t in texts.items()]
+    names, type1 = map(list, zip(*(classified(t, common) for t in texts.values())))
     infos = {
         "r01": info("nokia.com", {"nokia", "phones"}),
         "r02": info("nokia.com", {"nokia", "espoo"}),
@@ -251,18 +249,24 @@ def small_corpus():
     }
     idf = compute_idf(names)
     embeddings = embed_corpus(names, HashingBackend(dim=64), idf)
-    return names, [infos.get(n.record_id, info()) for n in names], embeddings
+    infos = [infos.get(rid, info()) for rid in texts]
+    return make_corpus(list(texts), names, type1, infos, embeddings, locations=locations)
 
 
-def id_pairs(names, pairs):
-    """Rows of positions in ``names`` as (id_a, id_b) tuples."""
-    return [(names[i].record_id, names[j].record_id) for i, j in pairs.tolist()]
+def blocked(corpus, bound, stats=None):
+    """``generate_candidate_pairs`` over the columns of ``corpus``."""
+    return generate_candidate_pairs(corpus.names, corpus.type1, corpus.domain_info, bound, stats)
+
+
+def id_pairs(ids, pairs):
+    """Rows of positions in ``ids`` as (id_a, id_b) tuples."""
+    return [(ids[i], ids[j]) for i, j in pairs.tolist()]
 
 
 class TestCandidates:
     def test_blocking_contains_all_binary_capable_pairs(self):
-        names, infos, _ = small_corpus()
-        pairs = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
+        corpus = small_corpus()
+        pairs = set(id_pairs(corpus.ids, blocked(corpus, FULL)))
         # Shared token "nokia":
         assert ("r01", "r02") in pairs
         # Shared domain, type-2 names:
@@ -275,15 +279,15 @@ class TestCandidates:
         assert ("r04", "r06") not in pairs
 
     def test_url_token_bucket_pairs(self):
-        names, infos, _ = small_corpus()
-        pairs = id_pairs(names, generate_candidate_pairs(names, infos, FULL))
+        corpus = small_corpus()
+        pairs = id_pairs(corpus.ids, blocked(corpus, FULL))
         # r03's url token "nokian" equals r03's name token only; no cross pair
         # through it, but r01/r02 share the "nokia" url token bucket.
         assert ("r01", "r02") in pairs
 
     def test_brute_force_same_class_only(self):
-        names, _, _ = small_corpus()
-        pairs = id_pairs(names, brute_force_candidates(names))
+        corpus = small_corpus()
+        pairs = id_pairs(corpus.ids, brute_force_candidates(corpus.type1))
         type2 = {"r06", "r07"}
         for a, b in pairs:
             assert ((a in type2) == (b in type2))
@@ -291,31 +295,24 @@ class TestCandidates:
         assert len(pairs) == 29
 
     def test_blocked_is_subset_of_brute(self):
-        names, infos, _ = small_corpus()
-        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
-        assert blocked <= set(id_pairs(names, brute_force_candidates(names)))
+        corpus = small_corpus()
+        pairs = set(id_pairs(corpus.ids, blocked(corpus, FULL)))
+        assert pairs <= set(id_pairs(corpus.ids, brute_force_candidates(corpus.type1)))
 
     def test_blocking_lossless_above_cos_weight(self):
         """Any pair scoring above w_cos must appear among blocked candidates."""
-        names, infos, embeddings = small_corpus()
+        corpus = small_corpus()
         weights = WeightVector()
-        blocked = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
-        brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
+        pairs = set(id_pairs(corpus.ids, blocked(corpus, FULL)))
+        brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(corpus.type1)))
         for row in np.flatnonzero(brute.scores(weights) > weights.cos):
-            assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in blocked
-
-    def test_unclassified_rejected(self):
-        names = [clean_name("NOKIA CORPORATION", record_id="a")]
-        with pytest.raises(ValueError):
-            generate_candidate_pairs(names, [info()], FULL)
-        with pytest.raises(ValueError):
-            brute_force_candidates(names)
+            assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in pairs
 
 
 def random_blocking_corpus(rng, n):
-    """Classified names with a small shared vocabulary, so that every
-    condition fires on some pairs, type-2 names share domains, and some names
-    share a word with their own page text."""
+    """Names, their type-1 flags and domain infos with a small shared
+    vocabulary, so that every condition fires on some pairs, type-2 names
+    share domains, and some names share a word with their own page text."""
     vocab = [f"w{i:02d}" for i in range(40)]
     common_words = vocab[:6]
     domains = [f"d{i}.example" for i in range(8)]
@@ -323,9 +320,9 @@ def random_blocking_corpus(rng, n):
     for i in range(n):
         pool = common_words if rng.random() < 0.2 else vocab
         tokens = rng.sample(pool, rng.randint(1, 3))
-        names.append(clean_name(" ".join(tokens).upper(), record_id=f"r{i:03d}"))
+        names.append(clean_name(" ".join(tokens).upper()))
     common = build_common_word_list(names, len(common_words))
-    names = [nm.with_class(classify_name_type(nm.tokens, common)) for nm in names]
+    type1 = np.array([classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names])
     infos = []
     for nm in names:
         domain = rng.choice(domains) if rng.random() < 0.4 else None
@@ -335,7 +332,7 @@ def random_blocking_corpus(rng, n):
             if rng.random() < 0.5:
                 url_tokens.add(nm.tokens[0])
         infos.append(info(domain, url_tokens))
-    return names, infos
+    return names, type1, infos
 
 
 class TestBoundedBlocking:
@@ -346,11 +343,11 @@ class TestBoundedBlocking:
         ``blocking_key_kinds`` priced as the sum of C(|bucket|, 2) over their
         keys, indexed or not, also when records share a page's url token set,
         and only the chosen kinds' buckets make candidates."""
-        names, infos = random_blocking_corpus(random.Random(5), 120)
+        names, type1, infos = random_blocking_corpus(random.Random(5), 120)
         rng = random.Random(6)
         for i, source in zip(rng.sample(range(120), 30), rng.sample(range(120), 30)):
             infos[i] = DomainInfo(infos[i].domain, infos[source].url_tokens)
-        shared = Counter(inf.url_tokens for nm, inf in zip(names, infos) if nm.name_class is NameClass.TYPE1)
+        shared = Counter(inf.url_tokens for is_type1, inf in zip(type1, infos) if is_type1)
         assert any(len(keys) and holders > 1 for keys, holders in shared.items())
         priced = []
 
@@ -360,13 +357,13 @@ class TestBoundedBlocking:
 
         monkeypatch.setattr(match, "blocking_key_kinds", spy)
         stats: dict = {}
-        candidates = generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 3.9), stats)
+        candidates = generate_candidate_pairs(names, type1, infos, ScoreBound(self.DEFAULTS, 3.9), stats)
         buckets: dict[str, dict[str, list[int]]] = {
             kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
         }
-        for i, (name, inf) in enumerate(zip(names, infos)):
+        for i, (name, is_type1, inf) in enumerate(zip(names, type1, infos)):
             held = {"type2_domain": [inf.domain] if inf.domain else []}
-            if name.name_class is NameClass.TYPE1:
+            if is_type1:
                 tokens = set(name.tokens)
                 held = {
                     "first_token": [name.tokens[0]],
@@ -397,11 +394,12 @@ class TestBoundedBlocking:
         candidates keep exactly the pairs of the full index, and of brute
         force, that score >= threshold."""
         rng = random.Random(7)
-        names, infos = random_blocking_corpus(rng, 160)
+        names, type1, infos = random_blocking_corpus(rng, 160)
+        ids = [f"r{i:03d}" for i in range(len(names))]
         embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
-        brute = score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
+        brute = score_pairs(make_corpus(ids, names, type1, infos, embeddings, brute_force_candidates(type1)))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
-        full = set(id_pairs(names, generate_candidate_pairs(names, infos, FULL)))
+        full = set(id_pairs(ids, generate_candidate_pairs(names, type1, infos, FULL)))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
@@ -415,7 +413,7 @@ class TestBoundedBlocking:
                 seen["type2_reachable"] += 1
             else:
                 seen["type2_unreachable"] += 1
-            bounded = set(id_pairs(names, generate_candidate_pairs(names, infos, ScoreBound(weights, threshold))))
+            bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, infos, ScoreBound(weights, threshold))))
             reaching = {
                 brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
                 for row in np.flatnonzero(brute.scores(weights) >= threshold)
@@ -449,21 +447,20 @@ class TestBoundedBlocking:
         assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs) == FULL_INDEX
 
     def test_unreachable_threshold_indexes_nothing(self):
-        names, infos, _ = small_corpus()
         stats = {}
-        assert generate_candidate_pairs(names, infos, ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
+        assert blocked(small_corpus(), ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
         assert stats == {"keys": [], "largest_block": 0}
 
     def test_url_keys_need_own_page_overlap(self):
-        # Only url tokens decide; r1 and r2 share "shared" in their page text.
-        names = [classified("ALPHA", "r1"), classified("BETA", "r2"), classified("GAMMA", "r3")]
+        # Only url tokens decide; the first two names share "shared" in their page text.
+        names, type1 = zip(*map(classified, ("ALPHA", "BETA", "GAMMA")))
         weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
         bound = ScoreBound(weights, 1.4)
         own = [info(url_tokens={"alpha", "shared"}), info(url_tokens={"beta", "shared"}), info()]
-        assert generate_candidate_pairs(names, own, bound).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, type1, own, bound).tolist() == [[0, 1]]
         foreign = [own[0], info(url_tokens={"shared"}), info()]
-        assert generate_candidate_pairs(names, foreign, bound).tolist() == []
-        assert generate_candidate_pairs(names, foreign, FULL).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, type1, foreign, bound).tolist() == []
+        assert generate_candidate_pairs(names, type1, foreign, FULL).tolist() == [[0, 1]]
 
     def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
         """At the defaults, run indexes first tokens and domains and no type-2
@@ -482,7 +479,7 @@ class TestBoundedBlocking:
             corpus300_config, records, cache, bound=corpus300_config.tuning_score_bound(), manifest=tune_manifest
         )
         assert tune_manifest.blocking["keys"] == list(FULL_INDEX)
-        assert np.array_equal(tune.candidates, generate_candidate_pairs(tune.names, tune.domain_info, FULL))
+        assert np.array_equal(tune.candidates, blocked(tune, FULL))
         assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
 
 
@@ -492,12 +489,12 @@ def pair_ids(table, rows=None):
 
 
 def oracle_corpus(seed, n=70):
-    """Classified names, domain info and embeddings where every condition
+    """Names, type-1 flags, domain info and embeddings where every condition
     fires somewhere, type-2 names pair, some embeddings are degenerate, some
     records carry a bitwise copy of another record's vector in a row of
     their own and some share another record's row."""
     rng = random.Random(seed)
-    names, infos = random_blocking_corpus(rng, n)
+    names, type1, infos = random_blocking_corpus(rng, n)
     embedded = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
     block = embedded.block[embedded.rows]
     rows = range(len(names))
@@ -508,15 +505,15 @@ def oracle_corpus(seed, n=70):
     shared = np.arange(len(names))
     for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
         shared[i] = shared[source]
-    return names, infos, NameVectors(block, shared)
+    return names, type1, infos, NameVectors(block, shared)
 
 
 class TestScorePairs:
     def test_sorted_and_scored(self):
-        names, infos, embeddings = small_corpus()
-        pairs = generate_candidate_pairs(names, infos, FULL)
-        table = score_pairs(make_corpus(names, infos, embeddings, pairs))
-        assert table.ids == tuple(n.record_id for n in names)
+        corpus = small_corpus()
+        pairs = blocked(corpus, FULL)
+        table = score_pairs(dataclasses.replace(corpus, candidates=pairs))
+        assert table.ids == corpus.ids == tuple(f"r{i:02d}" for i in range(1, 11))
         assert table.a.tolist() == pairs[:, 0].tolist() and table.b.tolist() == pairs[:, 1].tolist()
         assert pair_ids(table) == sorted(pair_ids(table))
         assert table.a.dtype == np.int32 and table.token.dtype == np.uint8 and table.cos.dtype == np.float64
@@ -528,15 +525,20 @@ class TestScorePairs:
         # Blocking hands over pairs as ascending rows of i < j; the table
         # keeps them as given and rejects any other order. The corpus
         # rejects records out of id order.
-        names, infos, embeddings = small_corpus()
-        corpus = make_corpus(names, infos, embeddings, [[0, 1]])
+        corpus = dataclasses.replace(small_corpus(), candidates=np.array([[0, 1]]))
         assert pair_ids(score_pairs(corpus)) == [("r01", "r02")]
         with pytest.raises(ValueError, match="row 0: .*id_a < id_b"):
             score_pairs(dataclasses.replace(corpus, candidates=np.array([[1, 0]])))
         with pytest.raises(ValueError, match="row 1: .*sorted"):
             score_pairs(dataclasses.replace(corpus, candidates=np.array([[0, 2], [0, 1]])))
         with pytest.raises(ValueError, match="strictly ascending"):
-            make_corpus(names[::-1], infos[::-1], NameVectors(embeddings.block, embeddings.rows[::-1]))
+            make_corpus(
+                corpus.ids[::-1],
+                corpus.names[::-1],
+                corpus.type1[::-1],
+                corpus.domain_info[::-1],
+                NameVectors(corpus.vectors.block, corpus.vectors.rows[::-1]),
+            )
 
     @pytest.mark.parametrize(
         "column, reason",
@@ -544,21 +546,23 @@ class TestScorePairs:
             ("infos", "differ in length"),
             ("embeddings", "differ in length"),
             ("records", "differ in length"),
-            ("swapped_records", "different record ids"),
+            ("type1", "differ in length"),
+            ("swapped_records", "strictly ascending"),
         ],
     )
     def test_rejects_misaligned_columns(self, column, reason):
         # Positional columns cannot fall back on ids, so a corpus with one
         # out of step with ``names`` is an error rather than a silent
-        # mis-score.
-        names, infos, embeddings = small_corpus()
-        corpus = make_corpus(names, infos, embeddings)
+        # mis-score. Only the records hold ids, and a record out of place
+        # breaks their ascending order.
+        corpus = small_corpus()
         records = list(corpus.records)
         records[3], records[4] = records[4], records[3]
         changed = {
-            "infos": {"domain_info": infos[:-1]},
-            "embeddings": {"vectors": NameVectors(embeddings.block, embeddings.rows[:-1])},
+            "infos": {"domain_info": corpus.domain_info[:-1]},
+            "embeddings": {"vectors": NameVectors(corpus.vectors.block, corpus.vectors.rows[:-1])},
             "records": {"records": corpus.records[:-1]},
+            "type1": {"type1": corpus.type1[:-1]},
             "swapped_records": {"records": records},
         }[column]
         with pytest.raises(ValueError, match=reason):
@@ -566,7 +570,6 @@ class TestScorePairs:
 
     def test_location_column(self):
         # Records share a location when they share a location key.
-        names, infos, embeddings = small_corpus()
         locations = {
             "r01": {"espoo||fi"},
             "r02": {"espoo||fi"},
@@ -574,8 +577,8 @@ class TestScorePairs:
             "r05": {"leeds||uk"},
             "r08": {"york||uk"},
         }
-        pairs = brute_force_candidates(names)
-        table = score_pairs(make_corpus(names, infos, embeddings, pairs, locations))
+        corpus = small_corpus(locations)
+        table = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(corpus.type1)))
         shared = {pair for pair, flag in zip(pair_ids(table), table.location) if flag}
         assert shared == {("r01", "r02"), ("r04", "r08")}
         assert table.location.dtype == np.uint8
@@ -584,15 +587,18 @@ class TestScorePairs:
     def test_table_matches_scalar_oracle(self, seed):
         """Every column and every score equals evaluate_conditions and
         matching_score exactly, under random weights with zeros."""
-        names, infos, vectors = oracle_corpus(seed)
+        names, type1, infos, vectors = oracle_corpus(seed)
+        ids = [f"r{i:03d}" for i in range(len(names))]
         embeddings = list(vectors.values())
-        candidates = brute_force_candidates(names)
-        table = score_pairs(make_corpus(names, infos, vectors, candidates))
-        pairs = id_pairs(names, candidates)
+        candidates = brute_force_candidates(type1)
+        table = score_pairs(make_corpus(ids, names, type1, infos, vectors, candidates))
+        pairs = id_pairs(ids, candidates)
         assert pair_ids(table) == pairs
         rng = random.Random(seed)
         oracle = [
-            evaluate_conditions(names[i], names[j], infos[i], infos[j], embeddings[i], embeddings[j])
+            evaluate_conditions(
+                names[i], names[j], type1[i], type1[j], infos[i], infos[j], embeddings[i], embeddings[j]
+            )
             for i, j in candidates.tolist()
         ]
         for row, cv in enumerate(oracle):
@@ -619,19 +625,15 @@ class TestScorePairs:
         assert min(cases.values()) > 0, cases
 
     def test_rejects_cross_class_and_unclassified(self):
-        names, infos, embeddings = small_corpus()
         with pytest.raises(ValueError, match="cannot pair 'r01' with 'r06'"):
-            score_pairs(make_corpus(names, infos, embeddings, [[0, 5]]))
-        names[9] = clean_name("OMEGA DEVICES", record_id="r10")
-        with pytest.raises(ValueError, match="classified"):
-            make_corpus(names, infos, embeddings)
+            score_pairs(dataclasses.replace(small_corpus(), candidates=np.array([[0, 5]])))
 
 
 class TestPairTable:
     @pytest.fixture()
     def table(self):
-        names, infos, embeddings = small_corpus()
-        return score_pairs(make_corpus(names, infos, embeddings, brute_force_candidates(names)))
+        corpus = small_corpus()
+        return score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(corpus.type1)))
 
     @pytest.mark.parametrize(
         "column, value, reason",
@@ -672,8 +674,8 @@ class TestPairTable:
 
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
-        names, infos, embeddings = small_corpus()
-        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos, FULL)))
+        corpus = small_corpus()
+        table = score_pairs(dataclasses.replace(corpus, candidates=blocked(corpus, FULL)))
         scores = table.scores(WeightVector())
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path)
@@ -687,8 +689,8 @@ class TestPairsIO:
         assert np.allclose([float(row[7]) for row in rows], scores, rtol=0.0, atol=1e-9)
 
     def test_threshold_keeps_rows_at_or_above(self, tmp_path):
-        names, infos, embeddings = small_corpus()
-        table = score_pairs(make_corpus(names, infos, embeddings, generate_candidate_pairs(names, infos, FULL)))
+        corpus = small_corpus()
+        table = score_pairs(dataclasses.replace(corpus, candidates=blocked(corpus, FULL)))
         scores = table.scores(WeightVector())
         threshold = float(np.sort(scores)[len(scores) // 2])
         path = tmp_path / "pairs.tsv"

@@ -26,6 +26,7 @@ from harmonizer.evaluation import GoldPairs, build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.match import PAIRS_HEADER, score_pairs
+from harmonizer.parse import clean_name
 from harmonizer.pipeline import _dependency_versions
 from harmonizer.pipeline import (
     CLEANED_HEADER,
@@ -664,10 +665,11 @@ class TestPrepareCorpus:
         # whatever order the table gave the records in.
         ids = [r.record_id for r in corpus.records]
         assert ids == sorted(r.record_id for r in records) and corpus.ids == tuple(ids)
-        assert [n.record_id for n in corpus.names] == ids
+        assert corpus.names == [clean_name(r.raw_name) for r in corpus.records]
         columns = (corpus.records, corpus.names, corpus.domain_info)
         assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
+        assert corpus.type1.dtype == bool and corpus.type1.tolist() == [True] * 60
         # One vector row per distinct token list, in first-seen order.
         distinct = list(dict.fromkeys(n.tokens for n in corpus.names))
         assert len(corpus.vectors) == 60 and corpus.vectors.block.shape == (len(distinct), 256)
@@ -678,7 +680,7 @@ class TestPrepareCorpus:
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
         blocked = prepare_corpus(corpus60_config, records, cache)
-        brute = brute_force_candidates(blocked.names)
+        brute = brute_force_candidates(blocked.type1)
         assert set(map(tuple, blocked.candidates.tolist())) <= set(map(tuple, brute.tolist()))
 
 
@@ -713,6 +715,7 @@ def mixed_corpus():
 def assert_same_corpus(got, want):
     assert got.records == want.records
     assert got.names == want.names
+    assert got.type1.dtype == want.type1.dtype == bool and np.array_equal(got.type1, want.type1)
     assert got.domain_info == want.domain_info
     assert np.array_equal(got.candidates, want.candidates)
     assert len(got.vectors) == len(want.vectors)
