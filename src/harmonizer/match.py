@@ -132,10 +132,14 @@ _KIND_COVERS: dict[str, frozenset[str]] = {
     "url": frozenset({"url_text"}),
 }
 # The index for a bound that cos alone can reach: every token, every url
-# token and every domain.
+# token and every domain. It keeps every pair that fires a binary condition,
+# but not a pair whose cosine alone reaches the threshold and that shares no
+# key: mostly type-2 names without a domain.
 FULL_INDEX = ("token", "url_any", "domain", "type2_domain")
 # Keeps float rounding in the score on the safe side of the bound.
 _BOUND_SLACK = 1e-9
+# Pair keys made per step while the candidate buffer fills.
+_CHUNK_PAIRS = 1 << 16
 
 
 def _blocking_keys(names: Sequence[CleanName], type1: np.ndarray, domain_info: Sequence[DomainInfo]) -> dict[str, dict]:
@@ -207,6 +211,23 @@ def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str
     return kinds
 
 
+def _key_buckets(held: Mapping[int, Collection[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of ``held`` (position -> key set) grouped by key: each
+    key's holders in ascending order, keys in order of first holder, and the
+    size of each key's bucket."""
+    codes: dict[str, int] = {}
+    positions: list[int] = []
+    keys: list[int] = []
+    for i, key_set in held.items():
+        for key in key_set:
+            positions.append(i)
+            keys.append(codes.setdefault(key, len(codes)))
+    code = np.array(keys, dtype=np.int64)
+    # A stable sort keeps each bucket's positions ascending, as held lists them.
+    order = np.argsort(code, kind="stable")
+    return np.array(positions, dtype=np.int64)[order], np.bincount(code, minlength=len(codes))
+
+
 def generate_candidate_pairs(
     names: Sequence[CleanName],
     type1: np.ndarray,
@@ -216,38 +237,64 @@ def generate_candidate_pairs(
 ) -> np.ndarray:
     """Blocked candidate pairs: same ``type1`` flag and at least one shared index key.
 
-    Only the key kinds that ``blocking_key_kinds`` picks are indexed, which
-    keeps every pair able to reach the bound's threshold. The full index, for
-    a bound that cos alone can reach, holds every name token, domain and url
-    token of type-1 names, so any pair able to fire a binary condition shares
-    a key; type-2 names only ever fire the domain condition and are indexed
-    on domains alone. Each kind the bound can choose is priced
-    from key counts alone, once per distinct key set.
-    ``stats``, when given, receives the kinds used (``keys``) and the size
-    of the largest block (``largest_block``). Output is an int32 ``(n, 2)``
-    array holding each unordered pair once as positions ``i < j`` in
-    ``names``, rows ascending.
+    Only the key kinds that ``blocking_key_kinds`` picks are indexed. When
+    cos alone cannot reach the bound's threshold, every pair able to reach
+    it shares a key of those kinds. When cos alone can, the full index is
+    used: it holds every name token, domain and url token of type-1 names,
+    and the domains of type-2 names (the only condition they can fire), so
+    every pair able to fire a binary condition shares a key. A same-class
+    pair that fires none is not a candidate even if its cosine reaches the
+    threshold; finding those needs an exact cosine join. Each kind the bound
+    can choose is priced from key counts alone, once per distinct key set.
+
+    The pair keys ``i * n + j`` of every chosen kind's buckets go into one
+    int64 buffer, sized by their count before any is made and filled
+    ``_CHUNK_PAIRS`` at a time; the buffer is sorted in place and its
+    repeats dropped, so memory is about 8 bytes per pair key.
+    ``stats``, when given, receives the kinds used (``keys``), the size of
+    the largest block (``largest_block``) and each kind's pair keys before
+    deduplication (``pair_keys``). Output is an int32 ``(n, 2)`` array
+    holding each unordered pair once as positions ``i < j`` in ``names``,
+    rows ascending.
     """
     held = _blocking_keys(names, type1, domain_info)
     kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
+    buckets = [_key_buckets(held[kind]) for kind in kinds]
+    empty = np.zeros(0, dtype=np.int64)
+    positions = np.concatenate([empty, *(p for p, _ in buckets)])
+    sizes = np.concatenate([empty, *(s for _, s in buckets)])
+    # Entry k of positions pairs with the entries after it in its bucket:
+    # counts[k] pairs, which end at pair key done[k] of the buffer.
+    counts = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(len(positions))
+    done = np.cumsum(counts)
     # Pair (i, j) is kept as the key i * n + j, which sorts as (i, j) does.
     n = len(names)
-    keys: set[int] = set()
-    largest = 0
-    for kind in kinds:
-        index: dict[str, list[int]] = {}
-        for i, key_set in held[kind].items():
-            for key in key_set:
-                index.setdefault(key, []).append(i)
-        for positions in index.values():
-            largest = max(largest, len(positions))
-            keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
+    keys = np.empty(int(counts.sum()), dtype=np.int64)
+    # Each step fills the pairs of whole entries, at most _CHUNK_PAIRS keys
+    # unless one entry alone has more.
+    start = filled = 0
+    while filled < len(keys):
+        stop = max(int(np.searchsorted(done, filled + _CHUNK_PAIRS, side="right")), start + 1)
+        c = counts[start:stop]
+        end = int(done[stop - 1])
+        partner = np.repeat(np.arange(start + 1, stop + 1) - (np.cumsum(c) - c), c)
+        partner += np.arange(end - filled)
+        np.take(positions, partner, out=keys[filled:end])
+        keys[filled:end] += np.repeat(positions[start:stop] * n, c)
+        start, filled = stop, end
     if stats is not None:
         stats["keys"] = list(kinds)
-        stats["largest_block"] = largest
-    pairs = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    pairs.sort()
-    return np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
+        stats["largest_block"] = int(sizes.max(initial=0))
+        stats["pair_keys"] = {kind: int((s * (s - 1) // 2).sum()) for kind, (_, s) in zip(kinds, buckets)}
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    pairs = np.empty((len(keys), 2), dtype=np.int32)
+    np.floor_divide(keys, n, out=pairs[:, 0], casting="unsafe")
+    np.remainder(keys, n, out=pairs[:, 1], casting="unsafe")
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,9 @@ package's is a transcription; ``dict_degrees``, ``dict_modularity`` and
 neighbour dicts, one edge at a time. ``reference_prepare`` reuses the package's
 per-record functions, to check that ``prepare_corpus`` computing each
 distinct value once changes nothing; it embeds each name with the scalar,
-dense ``embed_name`` here.
+dense ``embed_name`` here. ``reference_candidate_pairs`` reuses the
+package's key sets and kind choice, and builds the pairs from them one
+Python int at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ from harmonizer.augment import DomainInfo, extract_domain, preprocess_url_text
 from harmonizer.embed import IdfTable, NameEmbedding, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
-from harmonizer.match import Corpus, WeightVector, generate_candidate_pairs
+from harmonizer.match import (
+    _KIND_COVERS,
+    Corpus,
+    WeightVector,
+    _blocking_keys,
+    _pairs_cost,
+    blocking_key_kinds,
+    generate_candidate_pairs,
+)
 from harmonizer.parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -216,6 +226,34 @@ def brute_force_candidates(type1) -> np.ndarray:
     i < j in ``type1``, the names' classes."""
     pairs = [(i, j) for i, j in itertools.combinations(range(len(type1)), 2) if type1[i] == type1[j]]
     return np.array(pairs, dtype=np.int32).reshape(-1, 2)
+
+
+def reference_candidate_pairs(names, type1, domain_info, bound, stats=None) -> np.ndarray:
+    """``generate_candidate_pairs`` as an inverted index: the same key kinds,
+    chosen by the package's own pricing, then a dict of position lists per
+    kind and a set of ``i * n + j`` keys over every list's pairs. ``stats``
+    receives the same ``keys``, ``largest_block`` and ``pair_keys``."""
+    held = _blocking_keys(names, type1, domain_info)
+    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
+    n = len(names)
+    keys: set[int] = set()
+    largest = 0
+    pair_keys = {}
+    for kind in kinds:
+        index: dict[str, list[int]] = {}
+        for i, key_set in held[kind].items():
+            for key in key_set:
+                index.setdefault(key, []).append(i)
+        pair_keys[kind] = 0
+        for positions in index.values():
+            largest = max(largest, len(positions))
+            pair_keys[kind] += len(positions) * (len(positions) - 1) // 2
+            keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
+    if stats is not None:
+        stats.update(keys=list(kinds), largest_block=largest, pair_keys=pair_keys)
+    pairs = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    pairs.sort()
+    return np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
 
 
 def reference_fold_text(raw: str) -> str:

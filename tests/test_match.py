@@ -4,11 +4,12 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer.augment import DomainInfo
@@ -27,6 +28,7 @@ from harmonizer.match import (
     write_scored_pairs,
 )
 from harmonizer.parse import (
+    CleanName,
     CommonWordList,
     NameClass,
     build_common_word_list,
@@ -35,7 +37,13 @@ from harmonizer.parse import (
 )
 
 from conftest import make_corpus, read_pairs_tsv
-from oracles import ConditionVector, brute_force_candidates, evaluate_conditions, matching_score
+from oracles import (
+    ConditionVector,
+    brute_force_candidates,
+    evaluate_conditions,
+    matching_score,
+    reference_candidate_pairs,
+)
 
 # At unit weights cos alone reaches a threshold of 1.0, so this bound blocks
 # with FULL_INDEX.
@@ -449,7 +457,7 @@ class TestBoundedBlocking:
     def test_unreachable_threshold_indexes_nothing(self):
         stats = {}
         assert blocked(small_corpus(), ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
-        assert stats == {"keys": [], "largest_block": 0}
+        assert stats == {"keys": [], "largest_block": 0, "pair_keys": {}}
 
     def test_url_keys_need_own_page_overlap(self):
         # Only url tokens decide; the first two names share "shared" in their page text.
@@ -481,6 +489,97 @@ class TestBoundedBlocking:
         assert tune_manifest.blocking["keys"] == list(FULL_INDEX)
         assert np.array_equal(tune.candidates, blocked(tune, FULL))
         assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
+
+
+def assert_same_as_reference(names, type1, infos, bound):
+    """``generate_candidate_pairs`` returns the reference's bytes and stats."""
+    stats, expected_stats = {}, {}
+    pairs = generate_candidate_pairs(names, type1, infos, bound, stats)
+    expected = reference_candidate_pairs(names, type1, infos, bound, expected_stats)
+    assert (pairs.dtype, pairs.shape, pairs.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    assert stats == expected_stats
+    return stats
+
+
+# Words that tokens, url tokens and domains all draw from, so one string is
+# a key of several kinds.
+SHARED_WORDS = ["acme", "beta", "corp", "delta", "echo", "fox", "golf"]
+
+
+@st.composite
+def blocking_draws(draw):
+    """Names with their type-1 flags and domain infos, zero names included."""
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(SHARED_WORDS), min_size=1, max_size=3, unique=True),
+                st.booleans(),
+                st.none() | st.sampled_from(SHARED_WORDS),
+                st.frozensets(st.sampled_from(SHARED_WORDS), max_size=3),
+            ),
+            max_size=14,
+        )
+    )
+    names = [CleanName(" ".join(tokens), tuple(tokens)) for tokens, _, _, _ in records]
+    type1 = np.array([is_type1 for _, is_type1, _, _ in records], dtype=bool)
+    infos = [DomainInfo(domain, url_tokens) for _, _, domain, url_tokens in records]
+    return names, type1, infos
+
+
+score_bounds = st.builds(
+    ScoreBound,
+    st.builds(WeightVector, *[st.sampled_from([0.0, 0.5, 1.0, 1.5])] * 5),
+    st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.9, 9.0]),
+)
+
+
+class TestCandidateBuffer:
+    """The sorted key arrays against the inverted-index reference."""
+
+    @pytest.mark.parametrize("corpus_name", ["corpus60", "corpus300"])
+    @pytest.mark.parametrize("bound_name", ["score_bound", "tuning_score_bound"])
+    def test_committed_corpora(self, request, corpus_name, bound_name):
+        from harmonizer.augment import AugmentationCache
+        from harmonizer.ingest import load_assignee_table
+        from harmonizer.pipeline import prepare_corpus
+
+        paths = request.getfixturevalue(f"{corpus_name}_paths")
+        config = request.getfixturevalue(f"{corpus_name}_config")
+        bound = getattr(config, bound_name)()
+        corpus = prepare_corpus(config, load_assignee_table(paths["input"]), AugmentationCache(paths["cache"]), bound=bound)
+        stats = assert_same_as_reference(corpus.names, corpus.type1, corpus.domain_info, bound)
+        assert len(corpus.candidates) <= sum(stats["pair_keys"].values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocking_draws(), score_bounds, st.sampled_from([1, 2, 3, 1 << 16]))
+    def test_drawn_key_sets(self, draw, bound, chunk):
+        """Keys shared across kinds, keys held once, empty kinds, type-2
+        domains and zero names; chunks of 1-3 pair keys end inside buckets
+        and between them."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(match, "_CHUNK_PAIRS", chunk)
+            assert_same_as_reference(*draw, bound)
+
+    def test_peak_memory_is_about_17_bytes_per_pair_key(self):
+        """One token held by 2,000 names, and a domain held by 1,900 of them
+        that repeats their pairs: the peak is the buffer, a keep mask and the
+        kept keys, plus a fixed few MB. Filling the buffer in one step, with
+        its index arrays as large as the buffer, peaks above this."""
+        n = 2000
+        names = [CleanName(f"acme n{i}", ("acme", f"n{i}")) for i in range(n)]
+        type1 = np.ones(n, dtype=bool)
+        infos = [info("acme.example" if i % 20 else None) for i in range(n)]
+        stats: dict = {}
+        tracemalloc.start()
+        try:
+            pairs = generate_candidate_pairs(names, type1, infos, FULL, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair_keys = sum(stats["pair_keys"].values())
+        assert stats["pair_keys"] == {"token": 1_999_000, "url_any": 0, "domain": 1_804_050, "type2_domain": 0}
+        assert len(pairs) == 1_999_000
+        assert peak <= 17 * pair_keys + 4 * 2**20, (peak, pair_keys)
 
 
 def pair_ids(table, rows=None):

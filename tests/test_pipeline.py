@@ -147,6 +147,10 @@ class TestArtifacts:
         assert blocking["keys"] and set(blocking["keys"]) <= {"first_token", "token", "domain", "url"}
         assert blocking["candidate_pairs"] == manifest["stage_counts"]["candidate_pairs"]
         assert 2 <= blocking["largest_block"] <= 60
+        # Pair keys per chosen kind before deduplication: each candidate is at least one.
+        assert set(blocking["pair_keys"]) == set(blocking["keys"])
+        assert sum(blocking["pair_keys"].values()) >= blocking["candidate_pairs"]
+        assert blocking["pair_keys"] == {"token": 192}
         versions = manifest["versions"]
         assert versions["numpy"] == numpy.__version__
         assert versions["python"].count(".") == 2
