@@ -31,7 +31,7 @@ DEFAULT_SUGGESTION_SELECTOR = "a.spelling-suggestion"
 DEFAULT_RESULT_SELECTOR = "a.result-link"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AugmentationResult:
     """What one provider round-trip produced for one query name."""
 
@@ -55,18 +55,23 @@ class AugmentationResult:
 
     @classmethod
     def from_json(cls, line: str) -> "AugmentationResult":
+        """The result one stripped cache line holds: one JSON object and
+        nothing after it, with a query_name, no key that is not a field, and
+        each value of a JSON type its field takes. Raises InputError
+        otherwise."""
         try:
-            payload = json.loads(line)
+            payload, end = _DECODER.raw_decode(line)
         except (ValueError, RecursionError) as exc:
             raise InputError(f"bad cache line: {exc}") from exc
-        if not isinstance(payload, dict) or "query_name" not in payload:
+        if end != len(line):
+            raise InputError(f"bad cache line: extra data from char {end}")
+        if type(payload) is not dict or "query_name" not in payload:
             raise InputError("bad cache line: not a JSON object with a query_name")
-        unknown = set(payload) - _RESULT_TYPES.keys()
-        if unknown:
-            raise InputError(f"bad cache line: unknown keys {sorted(unknown)}")
+        if not payload.keys() <= _RESULT_TYPES.keys():
+            raise InputError(f"bad cache line: unknown keys {sorted(payload.keys() - _RESULT_TYPES.keys())}")
         for key, value in payload.items():
-            # A JSON true is a Python int, but it is no number.
-            if isinstance(value, bool) or not isinstance(value, _RESULT_TYPES[key]):
+            # Exact types: a JSON true is a bool, which is no number.
+            if type(value) not in _RESULT_TYPES[key]:
                 raise InputError(f"bad cache line: {key} cannot hold {json.dumps(value)[:40]}")
         return cls(**payload)
 
@@ -74,6 +79,7 @@ class AugmentationResult:
 # The JSON types each key of a cache line may hold, by its field's annotation.
 _JSON_TYPES = {"str": (str,), "Optional[str]": (str, type(None)), "float": (int, float)}
 _RESULT_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(AugmentationResult)}
+_DECODER = json.JSONDecoder()
 
 
 class AugmentationCache:
@@ -350,7 +356,7 @@ def preprocess_url_text(text: Optional[str], common_words: CommonWordList) -> fr
     return frozenset(t for t in normalize_tokens(text) if t not in common_words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainInfo:
     """Per-record slice of augmentation used by the matcher."""
 

@@ -8,6 +8,7 @@ token vectors, held as the rows of one block.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -37,10 +38,14 @@ class HashingBackend:
         return [marked[i : i + 3] for i in range(len(marked) - 2)]
 
     # The "0:" and "0!" prefixes are part of the pinned hash scheme.
-    def hash_gram(self, gram: str) -> tuple[int, float]:
-        """The gram's bucket and sign."""
-        digest = hashlib.blake2b(f"0:{gram}".encode("utf-8"), digest_size=9).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim, 1.0 if digest[8] & 1 else -1.0
+    def hash_grams(self, grams: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each gram's bucket (int64) and sign (float64 +-1.0), read from its
+        9-byte digest: the first eight bytes, big-endian, modulo ``dim``, and
+        the low bit of the ninth. The digests are stacked and read in one
+        numpy pass."""
+        digests = b"".join([hashlib.blake2b(f"0:{gram}".encode("utf-8"), digest_size=9).digest() for gram in grams])
+        stacked = np.frombuffer(digests, dtype=np.dtype([("bucket", ">u8"), ("sign", "u1")]))
+        return (stacked["bucket"] % self.dim).astype(np.int64), np.where(stacked["sign"] & 1, 1.0, -1.0)
 
     def parked_bucket(self, token: str) -> int:
         digest = hashlib.blake2b(f"0!{token}".encode("utf-8"), digest_size=8).digest()
@@ -122,44 +127,56 @@ class NameVectors(Mapping[int, NameEmbedding]):
 
 def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTable) -> NameVectors:
     """Each name's idf-weighted mean of its token vectors, one block row per
-    distinct token list in first-seen order of ``names``. Each distinct gram
-    is hashed once and each distinct token's buckets are summed once; one
-    ``np.bincount`` then adds each row's weighted token entries in token
-    order, as a dense sum over the tokens does, so each row is bit for bit
-    ``embed_name`` in ``tests/oracles.py``. Cancelling tokens (the hashed
-    ``b`` and ``p`` are exact negatives) leave a zero, degenerate row."""
+    distinct token list in first-seen order of ``names``. The distinct grams
+    of the distinct tokens are hashed in one ``backend.hash_grams`` call. One
+    stable sort of (token, bucket) keys groups each token's grams by bucket
+    and ``np.bincount`` sums their signs; one more ``np.bincount`` then adds
+    each row's weighted token entries in token order, as a dense sum over the
+    tokens does, so each row is bit for bit ``embed_name`` in
+    ``tests/oracles.py``. Cancelling tokens (the hashed ``b`` and ``p`` are
+    exact negatives) leave a zero, degenerate row."""
     row_of: dict[tuple[str, ...], int] = {}
     rows = [row_of.setdefault(name.tokens, len(row_of)) for name in names]
     if () in row_of:
         raise InputError(f"cannot embed the empty token list of the name at position {rows.index(row_of[()])}")
-    features: dict[str, tuple[int, float]] = {}
-    token_index = {token: k for k, token in enumerate(dict.fromkeys(t for tokens in row_of for t in tokens))}
-    # Each distinct token's buckets and values, from starts[t].
-    buckets, values, starts = [], [], [0]
-    for token in token_index:
-        counts: dict[int, float] = {}
-        for gram in backend.grams(token):
-            if gram not in features:
-                features[gram] = backend.hash_gram(gram)
-            bucket, sign = features[gram]
-            counts[bucket] = counts.get(bucket, 0.0) + sign
-        # Small integer counts: every summation order is exact.
-        norm = math.sqrt(sum(c * c for c in counts.values()))
-        if norm == 0.0:
-            counts, norm = {backend.parked_bucket(token): 1.0}, 1.0
-        buckets.extend(counts)
-        values.extend(c / norm for c in counts.values())
-        starts.append(len(buckets))
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(row_of)))
+    token_index = {token: k for k, token in enumerate(distinct)}
+    token_grams = [backend.grams(token) for token in distinct]
+    all_grams = list(itertools.chain.from_iterable(token_grams))
+    gram_index = {g: k for k, g in enumerate(dict.fromkeys(all_grams))}
+    gram = np.fromiter(map(gram_index.__getitem__, all_grams), dtype=np.int64, count=len(all_grams))
+    gram_bucket, gram_sign = backend.hash_grams(list(gram_index))
+    # Each distinct token's (bucket, count) groups, ordered by token then bucket.
+    key = np.repeat(np.arange(len(distinct)) * backend.dim, [len(grams) for grams in token_grams])
+    key += gram_bucket[gram]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    counts = np.bincount(np.cumsum(new) - 1, gram_sign[gram[order]])
+    token, bucket = np.divmod(key[new], backend.dim)
+    # Small integer counts: every summation order is exact.
+    norm = np.sqrt(np.bincount(token, counts * counts, minlength=len(distinct)))
+    # A zero count adds nothing to a row. A token whose counts are all zero
+    # is parked instead: 1.0 in one bucket, in its place among the tokens.
+    kept = counts != 0.0
+    token, bucket, values = token[kept], bucket[kept], counts[kept] / norm[token[kept]]
+    parked = np.flatnonzero(norm == 0.0)
+    at = np.searchsorted(token, parked)
+    token = np.insert(token, at, parked)
+    bucket = np.insert(bucket, at, [backend.parked_bucket(distinct[t]) for t in parked.tolist()])
+    values = np.insert(values, at, 1.0)
     n_rows = len(row_of)
-    occurrence = np.array([token_index[t] for tokens in row_of for t in tokens], dtype=np.int64)
     row = np.repeat(np.arange(n_rows), [len(tokens) for tokens in row_of])
-    weight = np.array([idf[t] for t in token_index], dtype=np.float64)[occurrence]
-    first = np.array(starts, dtype=np.int64)
-    length = (first[1:] - first[:-1])[occurrence]
+    occurrence = np.fromiter(map(token_index.__getitem__, itertools.chain.from_iterable(row_of)), np.int64, len(row))
+    weight = np.array([idf[t] for t in distinct], dtype=np.float64)[occurrence]
+    # Each distinct token's entries start at first[token].
+    size = np.bincount(token, minlength=len(distinct))
+    first = np.cumsum(size) - size
+    length = size[occurrence]
     # Entry k of an occurrence is entry first[token] + k of its token.
     entry = np.arange(int(length.sum())) + np.repeat(first[occurrence] - (np.cumsum(length) - length), length)
-    bins = np.repeat(row * backend.dim, length) + np.array(buckets, dtype=np.int64)[entry]
-    added = np.repeat(weight, length) * np.array(values, dtype=np.float64)[entry]
+    bins = np.repeat(row * backend.dim, length) + bucket[entry]
+    added = np.repeat(weight, length) * values[entry]
     block = np.bincount(bins, added, minlength=n_rows * backend.dim).reshape(n_rows, backend.dim)
     block /= np.bincount(row, weight, minlength=n_rows)[:, None]
     return NameVectors(block, rows)

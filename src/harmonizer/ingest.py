@@ -19,7 +19,7 @@ ASSIGNEE_HEADER = ["record_id", "raw_name", "patent_count", "locations"]
 GOLD_HEADER = ["record_id", "entity_id"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssigneeRecord:
     record_id: str
     raw_name: str
@@ -37,7 +37,7 @@ class AssigneeRecord:
             raise InputError(f"record {self.record_id!r}: the all-empty location key '||' names no place")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldLabel:
     record_id: str
     entity_id: str
@@ -76,12 +76,15 @@ def _parse_locations(raw: str, line_no: int) -> frozenset[str]:
 
 
 def load_assignee_table(path: str | Path) -> list[AssigneeRecord]:
-    """Load and validate an assignee TSV. Raises InputError naming the bad line."""
+    """Load and validate an assignee TSV. Raises InputError naming the bad
+    line. Each distinct ``locations`` field is parsed once, at the first
+    line that holds it."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
     records: list[AssigneeRecord] = []
     seen: set[str] = set()
+    parsed_locations: dict[str, frozenset[str]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
@@ -110,12 +113,15 @@ def load_assignee_table(path: str | Path) -> list[AssigneeRecord]:
                 raise InputError(f"{path} line {line_no}: bad patent_count {count_s!r}")
             if count < 0:
                 raise InputError(f"{path} line {line_no}: negative patent_count {count}")
+            locations = parsed_locations.get(locations_s)
+            if locations is None:
+                locations = parsed_locations[locations_s] = _parse_locations(locations_s, line_no)
             records.append(
                 AssigneeRecord(
                     record_id=record_id,
                     raw_name=raw_name.strip(),
                     patent_count=count,
-                    locations=_parse_locations(locations_s, line_no),
+                    locations=locations,
                 )
             )
     return records

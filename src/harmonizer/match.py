@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -174,6 +174,26 @@ def _pairs_cost(held: Iterable[Collection[str]]) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
+class _KindCosts(Mapping[str, int]):
+    """``_pairs_cost`` of each kind a bound can choose, over ``held`` (kind
+    -> {position: key set}), priced when first read."""
+
+    def __init__(self, held: Mapping[str, Mapping[int, Collection[str]]]):
+        self._held = held
+        self._priced: dict[str, int] = {}
+
+    def __getitem__(self, kind: str) -> int:
+        if kind not in self._priced:
+            self._priced[kind] = _pairs_cost(self._held[kind].values())
+        return self._priced[kind]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_KIND_COVERS)
+
+    def __len__(self) -> int:
+        return len(_KIND_COVERS)
+
+
 def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str, ...]:
     """Key kinds to index so that every pair able to score >= the bound's
     threshold shares at least one key.
@@ -184,7 +204,8 @@ def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str
     valid when it covers a condition of every such set; among valid choices
     the one with the least estimated work (``costs``: pairs per kind) wins.
     Type-2 names can fire the domain condition only. When cos alone can
-    reach the threshold, the full index is returned.
+    reach the threshold, the full index is returned and ``costs`` is not
+    read.
     """
     w = bound.weights.as_dict()
     needed = bound.threshold - _BOUND_SLACK - w["cos"]
@@ -244,8 +265,9 @@ def generate_candidate_pairs(
     and the domains of type-2 names (the only condition they can fire), so
     every pair able to fire a binary condition shares a key. A same-class
     pair that fires none is not a candidate even if its cosine reaches the
-    threshold; finding those needs an exact cosine join. Each kind the bound
-    can choose is priced from key counts alone, once per distinct key set.
+    threshold; finding those needs an exact cosine join. When a choice is
+    made, each kind the bound can choose is priced from key counts alone,
+    once per distinct key set.
 
     The pair keys ``i * n + j`` of every chosen kind's buckets go into one
     int64 buffer, sized by their count before any is made and filled
@@ -258,7 +280,7 @@ def generate_candidate_pairs(
     rows ascending.
     """
     held = _blocking_keys(names, type1, domain_info)
-    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
+    kinds = blocking_key_kinds(bound, _KindCosts(held))
     buckets = [_key_buckets(held[kind]) for kind in kinds]
     empty = np.zeros(0, dtype=np.int64)
     positions = np.concatenate([empty, *(p for p, _ in buckets)])

@@ -33,7 +33,7 @@ class NameClass(enum.Enum):
     TYPE2 = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CleanName:
     cleaned: str
     tokens: tuple[str, ...]
@@ -59,7 +59,8 @@ def normalize_tokens(raw: str) -> list[str]:
 
 
 class LegalDesignatorDictionary:
-    """Whole-token designator sequences, matched longest-first at the tail."""
+    """Whole-token designator sequences, matched longest-first at the tail.
+    The lengths of the entries are indexed by their last token."""
 
     def __init__(self, sequences: Iterable[Sequence[str]]):
         entries = set()
@@ -69,7 +70,10 @@ class LegalDesignatorDictionary:
                 raise InputError(f"bad designator sequence: {seq!r}")
             entries.add(entry)
         self.entries: frozenset[tuple[str, ...]] = frozenset(entries)
-        self.max_len = max((len(e) for e in entries), default=0)
+        lengths: dict[str, set[int]] = {}
+        for entry in entries:
+            lengths.setdefault(entry[-1], set()).add(len(entry))
+        self._lengths = {last: sorted(held, reverse=True) for last, held in lengths.items()}
 
     @classmethod
     def from_file(cls, path: str | Path | None = None) -> "LegalDesignatorDictionary":
@@ -90,11 +94,13 @@ class LegalDesignatorDictionary:
         return cls(sequences)
 
     def tail_match(self, tokens: Sequence[str]) -> int:
-        """Length of the longest designator suffix of ``tokens`` (0 if none)."""
-        limit = min(self.max_len, len(tokens))
-        for length in range(limit, 0, -1):
-            if tuple(tokens[-length:]) in self.entries:
-                return length
+        """Length of the longest designator suffix of ``tokens`` (0 if none).
+        Only the lengths of the entries that end in the last token are
+        tried, longest first."""
+        if tokens:
+            for length in self._lengths.get(tokens[-1], ()):
+                if length <= len(tokens) and tuple(tokens[-length:]) in self.entries:
+                    return length
         return 0
 
 
@@ -171,4 +177,4 @@ def classify_name_type(tokens: Sequence[str], common: CommonWordList) -> NameCla
     """TYPE2 iff every token is a common word."""
     if not tokens:
         raise ValueError("cannot classify an empty token list")
-    return NameClass.TYPE2 if all(t in common for t in tokens) else NameClass.TYPE1
+    return NameClass.TYPE2 if common._members.issuperset(tokens) else NameClass.TYPE1

@@ -13,7 +13,9 @@ per-record functions, to check that ``prepare_corpus`` computing each
 distinct value once changes nothing; it embeds each name with the scalar,
 dense ``embed_name`` here. ``reference_candidate_pairs`` reuses the
 package's key sets and kind choice, and builds the pairs from them one
-Python int at a time.
+Python int at a time. ``longest_first_tail_match`` tries every suffix
+length of a designator dictionary, where the package tries only those of
+the entries ending in the last token.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class ScalarHashing:
     def __init__(self, dim: int = 256):
         self.dim = dim
 
+    def gram_feature(self, gram: str) -> tuple[int, float]:
+        """The gram's bucket and sign, from one digest at a time."""
+        digest = hashlib.blake2b(f"0:{gram}".encode("utf-8"), digest_size=9).digest()
+        return int.from_bytes(digest[:8], "big") % self.dim, 1.0 if digest[8] & 1 else -1.0
+
     def token_vector(self, token: str) -> np.ndarray:
         if not token:
             raise InputError("cannot embed an empty token")
@@ -74,14 +81,24 @@ class ScalarHashing:
         grams = [marked] if len(marked) <= 3 else [marked[i : i + 3] for i in range(len(marked) - 2)]
         vec = np.zeros(self.dim, dtype=np.float64)
         for gram in grams:
-            digest = hashlib.blake2b(f"0:{gram}".encode("utf-8"), digest_size=9).digest()
-            vec[int.from_bytes(digest[:8], "big") % self.dim] += 1.0 if digest[8] & 1 else -1.0
+            bucket, sign = self.gram_feature(gram)
+            vec[bucket] += sign
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             digest = hashlib.blake2b(f"0!{token}".encode("utf-8"), digest_size=8).digest()
             vec[int.from_bytes(digest, "big") % self.dim] = 1.0
             return vec
         return vec / norm
+
+
+def longest_first_tail_match(designators: LegalDesignatorDictionary, tokens) -> int:
+    """Length of the longest designator suffix of ``tokens``, trying every
+    length from the longest entry's down to 1."""
+    longest = max((len(entry) for entry in designators.entries), default=0)
+    for length in range(min(longest, len(tokens)), 0, -1):
+        if tuple(tokens[-length:]) in designators.entries:
+            return length
+    return 0
 
 
 def embed_name(tokens, backend, idf: IdfTable) -> NameEmbedding:

@@ -196,6 +196,31 @@ class TestAugmentationCache:
                 AugmentationCache(path)
 
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (result("B").to_json() + " " + result("C").to_json(), "extra data"),
+            ("\ufeff" + result("B").to_json(), ""),
+            ('{"query_name": "B", "fetched_at": true}', "fetched_at"),
+            ('{"query_name": "B", "surprise": 1}', "unknown keys \\['surprise'\\]"),
+        ],
+        ids=["two objects", "bom", "bool time", "unknown key"],
+    )
+    @pytest.mark.parametrize("where", ["middle", "final without newline"])
+    def test_bad_line_named_or_skipped_when_torn(self, tmp_path, caplog, line, reason, where):
+        path = tmp_path / "c.jsonl"
+        lines = [result("A").to_json(), line] + ([result("C").to_json()] if where == "middle" else [])
+        path.write_text("\n".join(lines) + ("\n" if where == "middle" else ""), encoding="utf-8")
+        if where == "middle":
+            with pytest.raises(InputError, match=f"line 2: bad cache line: {reason}"):
+                AugmentationCache(path)
+        else:
+            with caplog.at_level("WARNING", logger="harmonizer.augment"):
+                cache = AugmentationCache(path)
+            assert "A" in cache and "B" not in cache
+            assert "line 2" in caplog.text and "torn" in caplog.text
+
+
 class TestExtraction:
     def test_did_u_mean_from_fixture(self):
         # Nested <b> must flatten into a single suggestion string.

@@ -75,6 +75,36 @@ class TestHashingBackend:
                 assert token_vector(token, dim).tobytes() == ScalarHashing(dim).token_vector(token).tobytes()
 
 
+# One-character tokens, the cancelling b and p, tokens with repeated grams,
+# and any text, non-ASCII included.
+ANY_TOKEN = st.one_of(
+    st.sampled_from(["a", "b", "p", "or", "aaaa", "abab", "é", "日本"]), st.text(min_size=1, max_size=6)
+)
+
+
+class TestHashGrams:
+    @given(
+        st.lists(st.one_of(st.sampled_from(["^b$", "^p$", "aaa", "^é$"]), st.text(max_size=4)), max_size=30),
+        st.sampled_from([32, 256]),
+    )
+    def test_bulk_matches_scalar_bit_for_bit(self, grams, dim):
+        buckets, signs = HashingBackend(dim).hash_grams(grams)
+        want = [ScalarHashing(dim).gram_feature(gram) for gram in grams]
+        assert buckets.dtype == np.int64 and signs.dtype == np.float64
+        assert buckets.tolist() == [bucket for bucket, _ in want]
+        assert signs.tobytes() == np.array([sign for _, sign in want], dtype=np.float64).tobytes()
+
+    @given(st.lists(st.lists(ANY_TOKEN, min_size=1, max_size=4), min_size=1, max_size=8), st.sampled_from([32, 256]))
+    def test_rows_match_scalar_oracle_on_any_tokens(self, token_lists, dim):
+        names = token_names(token_lists)
+        idf = compute_idf(names)
+        out = embed_corpus(names, HashingBackend(dim), idf)
+        for i, name in enumerate(names):
+            want = embed_name(name.tokens, ScalarHashing(dim), idf)
+            assert out[i].vector.tobytes() == want.vector.tobytes(), name.tokens
+            assert bool(out.degenerate[i]) == want.degenerate
+
+
 class TestComputeIdf:
     def test_small_corpus_matches_oracle(self):
         names = names_from(
@@ -162,8 +192,8 @@ class TestEmbedName:
         def grams(self, token):
             return [token]
 
-        def hash_gram(self, gram):
-            return (0 if gram == "aa" else 1), 1.0
+        def hash_grams(self, grams):
+            return np.array([0 if gram == "aa" else 1 for gram in grams]), np.ones(len(grams))
 
     def test_weighted_mean_frozen(self):
         # idf weights 1.0 and 0.5 over orthogonal axes -> (2/3, 1/3).

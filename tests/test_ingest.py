@@ -1,9 +1,12 @@
 """Record loading and location keys."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harmonizer import ingest
 from harmonizer.errors import InputError
 from harmonizer.ingest import (
     AssigneeRecord,
@@ -98,6 +101,34 @@ class TestTableIO:
         path = tmp_path / "t.tsv"
         path.write_text("record_id\traw_name\tpatent_count\tlocations\n" + body)
         with pytest.raises(InputError, match=fragment):
+            load_assignee_table(path)
+
+    def test_each_locations_field_parsed_once(self, tmp_path, monkeypatch):
+        fields = ["york||uk", "", "york||uk;leeds||uk", "york||uk", " York | | UK ", "", "leeds||uk;york||uk"]
+        path = tmp_path / "t.tsv"
+        rows = [f"r{i}\tACME {i}\t1\t{field}" for i, field in enumerate(fields)]
+        path.write_text("record_id\traw_name\tpatent_count\tlocations\n" + "\n".join(rows) + "\n")
+        parsed = Counter()
+        parse = ingest._parse_locations
+
+        def counted(raw, line_no):
+            parsed[raw] += 1
+            return parse(raw, line_no)
+
+        monkeypatch.setattr(ingest, "_parse_locations", counted)
+        records = load_assignee_table(path)
+        assert [record.locations for record in records] == [parse(field, 0) for field in fields]
+        assert parsed == Counter(set(fields))
+
+    def test_bad_locations_field_reported_at_its_first_line(self, tmp_path):
+        # The bad field on lines 3 and 7.
+        rows = ["r1\tA\t1\tyork||uk", "r2\tB\t1\tyork|uk"] + [f"r{i}\tC\t1\t" for i in (3, 4, 5)] + ["r6\tF\t1\tyork|uk"]
+        path = tmp_path / "t.tsv"
+        path.write_text("record_id\traw_name\tpatent_count\tlocations\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match="line 3: location key"):
+            load_assignee_table(path)
+        path.write_text("record_id\traw_name\tpatent_count\tlocations\n" + "\n".join(rows[:1] + rows[2:]) + "\n")
+        with pytest.raises(InputError, match="line 6: location key"):
             load_assignee_table(path)
 
     def test_bad_header(self, tmp_path):

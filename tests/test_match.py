@@ -490,6 +490,22 @@ class TestBoundedBlocking:
         assert np.array_equal(tune.candidates, blocked(tune, FULL))
         assert set(map(tuple, run.candidates.tolist())) < set(map(tuple, tune.candidates.tolist()))
 
+    def test_tuning_bound_prices_no_kind(self, monkeypatch, corpus300_config):
+        """Under the tuning corner cos alone reaches the threshold, so the
+        full index is used and no kind is priced; candidates and stats are
+        the eagerly priced reference's."""
+        names, type1, infos = random_blocking_corpus(random.Random(5), 120)
+        bound = corpus300_config.tuning_score_bound()
+        expected_stats: dict = {}
+        expected = reference_candidate_pairs(names, type1, infos, bound, expected_stats)
+        priced = []
+        monkeypatch.setattr(match, "_pairs_cost", lambda held: priced.append(held) or 0)
+        stats: dict = {}
+        pairs = generate_candidate_pairs(names, type1, infos, bound, stats)
+        assert priced == [] and stats["keys"] == list(FULL_INDEX)
+        assert (pairs.dtype, pairs.shape, pairs.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+        assert stats == expected_stats
+
 
 def assert_same_as_reference(names, type1, infos, bound):
     """``generate_candidate_pairs`` returns the reference's bytes and stats."""

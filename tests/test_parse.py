@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from harmonizer.errors import InputError
 from harmonizer.parse import (
+    CommonWordList,
     LegalDesignatorDictionary,
     NameClass,
     build_common_word_list,
@@ -18,7 +19,7 @@ from harmonizer.parse import (
     normalize_tokens,
     strip_legal_suffixes,
 )
-from oracles import reference_fold_text
+from oracles import longest_first_tail_match, reference_fold_text
 
 
 class TestFoldText:
@@ -73,7 +74,6 @@ class TestDesignatorDictionary:
     def test_from_iterable(self):
         d = LegalDesignatorDictionary([("inc",), ("co", "ltd")])
         assert d.entries == {("inc",), ("co", "ltd")}
-        assert d.max_len == 2
 
     def test_tail_match_longest_first(self):
         d = LegalDesignatorDictionary([("ltd",), ("co", "ltd")])
@@ -85,6 +85,29 @@ class TestDesignatorDictionary:
         d = default_designators()
         for seq in [("inc",), ("gmbh",), ("kabushiki", "kaisha"), ("co", "ltd"), ("aktiengesellschaft",)]:
             assert seq in d.entries, seq
+
+    def test_every_default_entry_as_a_suffix(self):
+        d = default_designators()
+        for entry in sorted(d.entries):
+            for prefix in ([], ["acme"], ["acme", "co"], list(entry)):
+                tokens = prefix + list(entry)
+                assert d.tail_match(tokens) == longest_first_tail_match(d, tokens) >= len(entry), tokens
+
+    def test_overlapping_entries(self):
+        d = LegalDesignatorDictionary(
+            [("ltd",), ("co", "ltd"), ("x", "co", "ltd"), ("co",), ("ltd", "co"), ("a", "b", "c")]
+        )
+        for tokens in (["x", "co", "ltd"], ["y", "co", "ltd"], ["ltd", "co"], ["co"], ["b", "c"], ["a", "b", "c"], []):
+            assert d.tail_match(tokens) == longest_first_tail_match(d, tokens), tokens
+        assert d.tail_match(("x", "co", "ltd")) == 3 and d.tail_match(["b", "c"]) == 0
+
+    @given(
+        st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), max_size=8),
+        st.lists(st.sampled_from("abcde"), max_size=7),
+    )
+    def test_tail_match_matches_longest_first_oracle(self, entries, tokens):
+        d = LegalDesignatorDictionary(entries)
+        assert d.tail_match(tokens) == longest_first_tail_match(d, tokens)
 
 
 class TestStripLegalSuffixes:
@@ -196,3 +219,9 @@ class TestClassifyNameType:
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError):
             classify_name_type((), build_common_word_list([], 0))
+
+    @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5), st.sets(st.sampled_from("abcdef")))
+    def test_type2_exactly_when_every_token_is_common(self, tokens, common_words):
+        common = CommonWordList(sorted(common_words))
+        want = NameClass.TYPE2 if all(t in common_words for t in tokens) else NameClass.TYPE1
+        assert classify_name_type(tokens, common) is want

@@ -756,16 +756,16 @@ class TestPrepareOnceOracle:
         config, records, cache = mixed_corpus()
         calls: dict[str, Counter] = {"gram": Counter(), "url": Counter(), "text": Counter()}
 
-        def spy(owner, attr, key, arg):
+        def spy(owner, attr, key, arg, each=False):
             fn = getattr(owner, attr)
 
             def counted(*args):
-                calls[key][args[arg]] += 1
+                calls[key].update(args[arg] if each else [args[arg]])
                 return fn(*args)
 
             monkeypatch.setattr(owner, attr, counted)
 
-        spy(embed.HashingBackend, "hash_gram", "gram", 1)
+        spy(embed.HashingBackend, "hash_grams", "gram", 1, each=True)
         spy(augment, "extract_domain", "url", 0)
         spy(augment, "preprocess_url_text", "text", 0)
         corpus = prepare_corpus(config, records, cache)
