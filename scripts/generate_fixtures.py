@@ -284,16 +284,16 @@ def check(prefix: str, config_path: Path, f1_floor: float, reduction_lo: float, 
 def sanity_parse(prefix: str, config_path: Path):
     """The designated common words must actually be the corpus common words."""
     from harmonizer.ingest import load_assignee_table
-    from harmonizer.parse import build_common_word_list
+    from harmonizer.parse import build_common_word_list, document_frequencies
 
     config = PipelineConfig.load(config_path)
     records = load_assignee_table(DATA / f"{prefix}.tsv")
     cache = AugmentationCache(DATA / f"{prefix}_cache.jsonl")
     artifacts = prepare_corpus(config, records, cache)
-    common = build_common_word_list(artifacts.names, config["parse"]["common_words_n"])
-    print(f"{prefix} common words: {sorted(common.ordered)}")
+    common = build_common_word_list(document_frequencies(artifacts.names), config["parse"]["common_words_n"])
+    print(f"{prefix} common words: {sorted(common)}")
     stems = {s for s, _ in STEMS}
-    overlap = stems & set(common.ordered)
+    overlap = stems & common
     assert not overlap, f"entity stems leaked into common words: {overlap}"
     n_type2 = int((~artifacts.type1).sum())
     print(f"{prefix}: {n_type2} type-2 names, {len(artifacts.candidates)} candidate pairs")

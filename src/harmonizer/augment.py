@@ -20,8 +20,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 from urllib.parse import urljoin, urlparse
 
+import numpy as np
+
 from .errors import ConfigError, InputError, ProviderError
-from .parse import CommonWordList, normalize_tokens
+from .parse import normalize_tokens
 
 log = logging.getLogger(__name__)
 
@@ -349,36 +351,32 @@ def build_frequent_domain_blocklist(domains: Iterable[Optional[str]], k: int) ->
     return {domain for domain, _ in ranked[:k]}
 
 
-def preprocess_url_text(text: Optional[str], common_words: CommonWordList) -> frozenset[str]:
+def preprocess_url_text(text: Optional[str], common_words: frozenset[str]) -> frozenset[str]:
     """Token set of a landing page: normalized like names, common words dropped."""
     if not text:
         return frozenset()
     return frozenset(t for t in normalize_tokens(text) if t not in common_words)
 
 
-@dataclass(frozen=True, slots=True)
-class DomainInfo:
-    """Per-record slice of augmentation used by the matcher."""
-
-    domain: Optional[str]
-    url_tokens: frozenset[str]
-
-
 def build_domain_info(
     results: Iterable[Optional[AugmentationResult]],
     domains: Iterable[Optional[str]],
     blocklist: set[str] | frozenset[str],
-    common_words: CommonWordList,
-) -> list[DomainInfo]:
-    """Each record's domain (None when absent or blocklisted) and url tokens,
-    given its result and registrable domain. Records with the same page text
-    share one token set."""
+    common_words: frozenset[str],
+) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """Two columns, one entry per record, given each record's result and
+    registrable domain: ``domain``, an int64 array of domain codes numbered
+    by first appearance, -1 where the domain is None or blocklisted; and
+    ``url_tokens``, each record's page token set, one shared set for the
+    records with the same page text."""
     url_tokens = functools.cache(lambda text: preprocess_url_text(text, common_words))
-    texts = (result.first_text if result is not None else None for result in results)
-    return [
-        DomainInfo(None if domain in blocklist else domain, url_tokens(text))
-        for text, domain in zip(texts, domains, strict=True)
-    ]
+    codes: dict[str, int] = {}
+    domain, tokens = [], []
+    for result, registrable in zip(results, domains, strict=True):
+        blocked = registrable is None or registrable in blocklist
+        domain.append(-1 if blocked else codes.setdefault(registrable, len(codes)))
+        tokens.append(url_tokens(result.first_text if result is not None else None))
+    return np.array(domain, dtype=np.int64), tokens
 
 
 # --- provider ---------------------------------------------------------------

@@ -103,16 +103,14 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         run["seed"] = args.seed
     if args.threads is not None:
         run["threads"] = args.threads
-    if args.offline:
-        run["offline"] = True
     return PipelineConfig.load(args.config, overrides={"run": run})
 
 
 def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = load_assignee_table(args.input)
     cache = AugmentationCache(args.cache)
-    provider = make_provider(config)
-    if provider is None and not config["run"]["offline"]:
+    provider = None if args.offline else make_provider(config)
+    if provider is None and not args.offline:
         raise ConfigError("augment needs augment.provider.endpoint (or --offline to only check the cache)")
     _augment_stage(records, cache, provider, config["run"]["threads"], refresh=args.refresh)
     # All three counts are over distinct names so the line adds up.
@@ -129,7 +127,7 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
         cache_path=args.cache,
         out_dir=args.out,
         gold_path=args.gold,
-        offline=config["run"]["offline"],
+        offline=args.offline,
     )
     counts = manifest.stage_counts
     print(

@@ -28,7 +28,6 @@ DEFAULTS: dict[str, Any] = {
     "run": {
         "seed": 0,
         "threads": 1,
-        "offline": False,
     },
     "augment": {
         "blocklist_k": 100,
@@ -130,10 +129,6 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     if default is None:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path!r} must be a path string")
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {path!r} must be a boolean, got {value!r}")
         return value
     if isinstance(default, int) and not isinstance(default, bool):
         if isinstance(value, bool) or not isinstance(value, int):

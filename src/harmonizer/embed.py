@@ -56,43 +56,27 @@ class HashingBackend:
 IDF_FLOOR = 0.01
 
 
-@dataclass(frozen=True)
-class IdfTable:
-    """Rescaled idf weights in (IDF_FLOOR, 1]; unseen tokens count as maximally rare."""
-
-    weights: Mapping[str, float]
-
-    def __getitem__(self, token: str) -> float:
-        return self.weights.get(token, 1.0)
-
-
-def compute_idf(names: Sequence[CleanName]) -> IdfTable:
-    """idf_i = ln(N / n_i), min-max rescaled over the observed range to
-    (IDF_FLOOR, 1]. A token present in every name gets the floor; the rarest
-    gets exactly 1. Corpora with a single distinct raw idf map every token
-    to 1.
+def compute_idf(counts: Mapping[str, int], n_names: int) -> dict[str, float]:
+    """Each token's idf weight, from ``counts`` (how many of ``n_names``
+    names hold it): idf_i = ln(N / n_i), min-max rescaled over the observed
+    range to (IDF_FLOOR, 1]. A token present in every name gets the floor;
+    the rarest gets exactly 1. Corpora with a single distinct raw idf map
+    every token to 1.
     """
-    n_names = len(names)
-    if n_names == 0:
-        return IdfTable(weights={})
-    counts: dict[str, int] = {}
-    for name in names:
-        for token in set(name.tokens):
-            counts[token] = counts.get(token, 0) + 1
+    if not counts:
+        return {}
     raw = {t: math.log(n_names / c) for t, c in counts.items()}
     lo = min(raw.values())
     hi = max(raw.values())
     if hi == lo:
-        weights = {t: 1.0 for t in raw}
-    else:
-        span = hi - lo
-        # Pin the endpoints so the rarest token is exactly 1 and the most
-        # common exactly the floor, independent of rounding.
-        weights = {
-            t: 1.0 if r == hi else IDF_FLOOR if r == lo else IDF_FLOOR + (1.0 - IDF_FLOOR) * (r - lo) / span
-            for t, r in raw.items()
-        }
-    return IdfTable(weights=weights)
+        return {t: 1.0 for t in raw}
+    span = hi - lo
+    # Pin the endpoints so the rarest token is exactly 1 and the most
+    # common exactly the floor, independent of rounding.
+    return {
+        t: 1.0 if r == hi else IDF_FLOOR if r == lo else IDF_FLOOR + (1.0 - IDF_FLOOR) * (r - lo) / span
+        for t, r in raw.items()
+    }
 
 
 @dataclass(eq=False)
@@ -125,10 +109,11 @@ class NameVectors(Mapping[int, NameEmbedding]):
         return len(self.rows)
 
 
-def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: IdfTable) -> NameVectors:
-    """Each name's idf-weighted mean of its token vectors, one block row per
-    distinct token list in first-seen order of ``names``. The distinct grams
-    of the distinct tokens are hashed in one ``backend.hash_grams`` call. One
+def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: Mapping[str, float]) -> NameVectors:
+    """Each name's mean of its token vectors, weighted by ``idf``, which
+    holds every token of ``names``: one block row per distinct token list in
+    first-seen order of ``names``. The distinct grams of the distinct tokens
+    are hashed in one ``backend.hash_grams`` call. One
     stable sort of (token, bucket) keys groups each token's grams by bucket
     and ``np.bincount`` sums their signs; one more ``np.bincount`` then adds
     each row's weighted token entries in token order, as a dense sum over the

@@ -15,11 +15,10 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .augment import DomainInfo
 from .embed import NameVectors, pair_cosines
 from .errors import InputError
 from .ingest import AssigneeRecord
@@ -52,10 +51,11 @@ class PairTable:
     ``a`` and ``b`` index ``ids``, those of the scored ``Corpus``. ``token``
     is 1 when the two names share a token, ``first`` when they also share
     their first token, ``url`` when each name shares a word with its own
-    page text and the two pages share a word, and ``domain`` when both have
-    the same domain; type-2 rows hold 0 in the three token-based columns.
-    ``location`` is 1 when the two records share a location key; it adds the
-    graph's location boost and is not a matching condition. ``cos`` is the
+    page text and the two pages share a word, and ``domain`` when both hold
+    the same domain code in ``Corpus.domain`` and it is not -1; type-2 rows
+    hold 0 in the three token-based columns. ``location`` is 1 when the two
+    records share a location key; it adds the graph's location boost and is
+    not a matching condition. ``cos`` is the
     embedding cosine, 0 when either embedding is degenerate. ``score_pairs``
     fills int32 indices and uint8 conditions; the scalar
     ``evaluate_conditions`` in ``tests/oracles.py`` is its pair-by-pair
@@ -142,28 +142,31 @@ _BOUND_SLACK = 1e-9
 _CHUNK_PAIRS = 1 << 16
 
 
-def _blocking_keys(names: Sequence[CleanName], type1: np.ndarray, domain_info: Sequence[DomainInfo]) -> dict[str, dict]:
+def _blocking_keys(
+    names: Sequence[CleanName], type1: np.ndarray, domain: np.ndarray, url_tokens: Sequence[frozenset[str]]
+) -> dict[str, dict]:
     """Key kind -> {position: key set} over the names in ``names``, positions
-    ascending, for every kind either index may use; ``type1`` and ``domain_info``
-    are aligned with ``names`` (records with the same page share one url key set).
-    Type-2 names carry domain keys only, under their own kind."""
+    ascending, for every kind either index may use; ``type1``, ``domain``
+    (codes, -1 for none) and ``url_tokens`` are aligned with ``names``
+    (records with the same page share one url key set). Type-2 names carry
+    domain keys only, under their own kind."""
     held: dict[str, dict] = {k: {} for k in ("first_token", "token", "domain", "url", "url_any", "type2_domain")}
-    for i, (name, is_type1, info) in enumerate(zip(names, type1, domain_info, strict=True)):
-        domain = () if info.domain is None else (info.domain,)
+    for i, (name, is_type1, code, page) in enumerate(zip(names, type1, domain.tolist(), url_tokens, strict=True)):
+        codes = () if code < 0 else (code,)
         if not is_type1:
-            held["type2_domain"][i] = domain
+            held["type2_domain"][i] = codes
             continue
         tokens = frozenset(name.tokens)
         held["first_token"][i] = name.tokens[:1]
         held["token"][i] = tokens
-        held["domain"][i] = domain
-        held["url_any"][i] = info.url_tokens
-        if not tokens.isdisjoint(info.url_tokens):
-            held["url"][i] = info.url_tokens
+        held["domain"][i] = codes
+        held["url_any"][i] = page
+        if not tokens.isdisjoint(page):
+            held["url"][i] = page
     return held
 
 
-def _pairs_cost(held: Iterable[Collection[str]]) -> int:
+def _pairs_cost(held: Iterable[Collection]) -> int:
     """Sum of C(|bucket|, 2) over ``held``, one key set per record; each distinct set counts once, times its holders."""
     key_sets = Counter(held)
     counts = Counter(itertools.chain.from_iterable(key_sets))
@@ -174,27 +177,7 @@ def _pairs_cost(held: Iterable[Collection[str]]) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
-class _KindCosts(Mapping[str, int]):
-    """``_pairs_cost`` of each kind a bound can choose, over ``held`` (kind
-    -> {position: key set}), priced when first read."""
-
-    def __init__(self, held: Mapping[str, Mapping[int, Collection[str]]]):
-        self._held = held
-        self._priced: dict[str, int] = {}
-
-    def __getitem__(self, kind: str) -> int:
-        if kind not in self._priced:
-            self._priced[kind] = _pairs_cost(self._held[kind].values())
-        return self._priced[kind]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_KIND_COVERS)
-
-    def __len__(self) -> int:
-        return len(_KIND_COVERS)
-
-
-def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str, ...]:
+def blocking_key_kinds(bound: ScoreBound, cost: Callable[[str], int]) -> tuple[str, ...]:
     """Key kinds to index so that every pair able to score >= the bound's
     threshold shares at least one key.
 
@@ -202,15 +185,16 @@ def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str
     cos <= 1, so a set of fired conditions can reach the threshold only if its
     weights sum to at least ``threshold - w_cos``. A choice of type-1 kinds is
     valid when it covers a condition of every such set; among valid choices
-    the one with the least estimated work (``costs``: pairs per kind) wins.
+    the one with the least estimated work (``cost``: pairs of a kind) wins.
     Type-2 names can fire the domain condition only. When cos alone can
-    reach the threshold, the full index is returned and ``costs`` is not
-    read.
+    reach the threshold, the full index is returned and ``cost`` is not
+    called; otherwise it is called once per kind.
     """
     w = bound.weights.as_dict()
     needed = bound.threshold - _BOUND_SLACK - w["cos"]
     if needed <= 0:
         return FULL_INDEX
+    costs = {kind: cost(kind) for kind in _KIND_COVERS}
     conditions = ("token", "first_token", "url_text", "domain")
     reaching = [
         set(fired)
@@ -223,20 +207,20 @@ def blocking_key_kinds(bound: ScoreBound, costs: Mapping[str, int]) -> tuple[str
         for kinds in itertools.combinations(_KIND_COVERS, r):
             covered = set().union(*(_KIND_COVERS[k] for k in kinds))
             if all(fired & covered for fired in reaching):
-                cost = sum(costs[k] for k in kinds)
-                if best is None or cost < best[0]:
-                    best = (cost, kinds)
+                total = sum(costs[k] for k in kinds)
+                if best is None or total < best[0]:
+                    best = (total, kinds)
     kinds = best[1]
     if w["domain"] >= needed:
         kinds += ("type2_domain",)
     return kinds
 
 
-def _key_buckets(held: Mapping[int, Collection[str]]) -> tuple[np.ndarray, np.ndarray]:
+def _key_buckets(held: Mapping[int, Collection]) -> tuple[np.ndarray, np.ndarray]:
     """The positions of ``held`` (position -> key set) grouped by key: each
     key's holders in ascending order, keys in order of first holder, and the
     size of each key's bucket."""
-    codes: dict[str, int] = {}
+    codes: dict = {}
     positions: list[int] = []
     keys: list[int] = []
     for i, key_set in held.items():
@@ -252,11 +236,14 @@ def _key_buckets(held: Mapping[int, Collection[str]]) -> tuple[np.ndarray, np.nd
 def generate_candidate_pairs(
     names: Sequence[CleanName],
     type1: np.ndarray,
-    domain_info: Sequence[DomainInfo],
+    domain: np.ndarray,
+    url_tokens: Sequence[frozenset[str]],
     bound: ScoreBound,
     stats: Optional[dict] = None,
 ) -> np.ndarray:
     """Blocked candidate pairs: same ``type1`` flag and at least one shared index key.
+    ``type1``, ``domain`` and ``url_tokens`` are the ``Corpus`` columns of
+    ``names``; the domain kinds are keyed on the domain codes.
 
     Only the key kinds that ``blocking_key_kinds`` picks are indexed. When
     cos alone cannot reach the bound's threshold, every pair able to reach
@@ -279,8 +266,8 @@ def generate_candidate_pairs(
     holding each unordered pair once as positions ``i < j`` in ``names``,
     rows ascending.
     """
-    held = _blocking_keys(names, type1, domain_info)
-    kinds = blocking_key_kinds(bound, _KindCosts(held))
+    held = _blocking_keys(names, type1, domain, url_tokens)
+    kinds = blocking_key_kinds(bound, lambda kind: _pairs_cost(held[kind].values()))
     buckets = [_key_buckets(held[kind]) for kind in kinds]
     empty = np.zeros(0, dtype=np.int64)
     positions = np.concatenate([empty, *(p for p, _ in buckets)])
@@ -322,23 +309,27 @@ def generate_candidate_pairs(
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """The prepared corpus every stage after blocking reads, in one record
-    order: entry i of ``records``, ``names``, ``type1`` and ``domain_info``
-    and record i of ``vectors`` belong to ``ids[i]``, and the ids ascend
-    strictly. ``type1`` is a bool array, true where the name is type-1.
-    ``candidates`` holds ascending rows of positions ``i < j``, as
+    order: entry i of ``records``, ``names``, ``type1``, ``domain`` and
+    ``url_tokens`` and record i of ``vectors`` belong to ``ids[i]``, and the
+    ids ascend strictly. ``type1`` is a bool array, true where the name is
+    type-1. ``domain`` and ``url_tokens`` are the two columns of
+    ``build_domain_info``: int64 domain codes, -1 for none, and page token
+    sets. ``candidates`` holds ascending rows of positions ``i < j``, as
     ``generate_candidate_pairs`` returns. Construction raises ValueError
     when the columns differ in length or the ids do not ascend."""
 
     records: Sequence[AssigneeRecord]
     names: Sequence[CleanName]
     type1: np.ndarray
-    domain_info: Sequence[DomainInfo]
+    domain: np.ndarray
+    url_tokens: Sequence[frozenset[str]]
     vectors: NameVectors
     candidates: np.ndarray
 
     def __post_init__(self):
-        if len({len(col) for col in (self.records, self.names, self.type1, self.domain_info, self.vectors)}) > 1:
-            raise ValueError("records, names, type1, domain_info and vectors differ in length")
+        columns = (self.records, self.names, self.type1, self.domain, self.url_tokens, self.vectors)
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError("records, names, type1, domain, url_tokens and vectors differ in length")
         if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
             raise ValueError("record ids must be strictly ascending")
 
@@ -351,21 +342,17 @@ def score_pairs(corpus: Corpus) -> PairTable:
     """Evaluate the conditions of every candidate pair of ``corpus`` into a
     PairTable whose ``ids`` are the corpus's and whose ``a`` and ``b`` are
     its candidates. Per-record data (token set, first token, own-page flag,
-    domain, locations) is gathered once; per pair only set intersections
-    remain, and ``pair_cosines`` computes each distinct pair of vector rows
-    once."""
-    names, type1, domain_info, vectors = corpus.names, corpus.type1, corpus.domain_info, corpus.vectors
+    locations) is gathered once; per pair only set intersections remain,
+    the domain condition is one array expression over the domain codes, and
+    ``pair_cosines`` computes each distinct pair of vector rows once."""
+    names, type1, domain, url_tokens = corpus.names, corpus.type1, corpus.domain, corpus.url_tokens
     a, b = np.asarray(corpus.candidates, dtype=np.int32).reshape(-1, 2).T
     mixed = np.flatnonzero(type1[a] != type1[b])
     if len(mixed):
         ids = corpus.ids
         raise ValueError(f"cannot pair {ids[a[mixed[0]]]!r} with {ids[b[mixed[0]]]!r}: different name classes")
     tokens = [frozenset(n.tokens) for n in names]
-    own = np.array([bool(t & info.url_tokens) for t, info in zip(tokens, domain_info)], dtype=bool)
-
-    def codes(values: Iterable[Optional[str]]) -> np.ndarray:
-        seen: dict[str, int] = {}
-        return np.array([-1 if v is None else seen.setdefault(v, len(seen)) for v in values], dtype=np.int64)
+    own = np.array([bool(t & page) for t, page in zip(tokens, url_tokens)], dtype=bool)
 
     def intersect(sets: Sequence[frozenset], rows: np.ndarray) -> list[bool]:
         return [not sets[i].isdisjoint(sets[j]) for i, j in zip(a[rows].tolist(), b[rows].tolist())]
@@ -374,16 +361,16 @@ def score_pairs(corpus: Corpus) -> PairTable:
     rows = np.flatnonzero(type1[a])
     token[rows] = intersect(tokens, rows)
     rows = np.flatnonzero(type1[a] & own[a] & own[b])
-    url[rows] = intersect([info.url_tokens for info in domain_info], rows)
-    first_code = codes(n.tokens[0] if n.tokens else None for n in names)
+    url[rows] = intersect(url_tokens, rows)
+    firsts: dict[tuple[str, ...], int] = {}
+    first_code = np.array([firsts.setdefault(n.tokens[:1], len(firsts)) for n in names], dtype=np.int64)
     first = token & (first_code[a] == first_code[b])
-    domain_code = codes(info.domain for info in domain_info)
-    domain = ((domain_code[a] >= 0) & (domain_code[a] == domain_code[b])).astype(np.uint8)
+    same_domain = ((domain[a] >= 0) & (domain[a] == domain[b])).astype(np.uint8)
     location = np.array(intersect([r.locations for r in corpus.records], np.arange(len(a))), dtype=np.uint8)
     cos = np.zeros(len(a))
-    live = np.flatnonzero(~(vectors.degenerate[a] | vectors.degenerate[b]))
-    cos[live] = pair_cosines(vectors, a[live], b[live])
-    return PairTable(corpus.ids, a, b, type1[a], token, first, url, domain, location, cos)
+    live = np.flatnonzero(~(corpus.vectors.degenerate[a] | corpus.vectors.degenerate[b]))
+    cos[live] = pair_cosines(corpus.vectors, a[live], b[live])
+    return PairTable(corpus.ids, a, b, type1[a], token, first, url, same_domain, location, cos)
 
 
 def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:

@@ -151,30 +151,22 @@ def clean_name(
     )
 
 
-class CommonWordList:
-    """Top-n corpus tokens by name-presence count, ties lexicographic."""
-
-    def __init__(self, ordered: Sequence[str]):
-        self.ordered: tuple[str, ...] = tuple(ordered)
-        self._members = frozenset(self.ordered)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._members
+def document_frequencies(names: Iterable[CleanName]) -> Counter[str]:
+    """How many of ``names`` hold each token, counting a token once per name."""
+    return Counter(token for name in names for token in set(name.tokens))
 
 
-def build_common_word_list(names: Iterable[CleanName], n: int) -> CommonWordList:
-    """Count each token once per name it appears in; keep the top n."""
+def build_common_word_list(counts: Mapping[str, int], n: int) -> frozenset[str]:
+    """The n tokens held by the most names, ties lexicographic, from
+    ``document_frequencies``."""
     if n < 0:
         raise InputError(f"common-word count must be >= 0, got {n}")
-    counts: Counter[str] = Counter()
-    for name in names:
-        counts.update(set(name.tokens))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return CommonWordList([token for token, _ in ranked[:n]])
+    return frozenset(token for token, _ in ranked[:n])
 
 
-def classify_name_type(tokens: Sequence[str], common: CommonWordList) -> NameClass:
+def classify_name_type(tokens: Sequence[str], common: frozenset[str]) -> NameClass:
     """TYPE2 iff every token is a common word."""
     if not tokens:
         raise ValueError("cannot classify an empty token list")
-    return NameClass.TYPE2 if common._members.issuperset(tokens) else NameClass.TYPE1
+    return NameClass.TYPE2 if common.issuperset(tokens) else NameClass.TYPE1

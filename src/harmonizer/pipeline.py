@@ -55,6 +55,7 @@ from .parse import (
     build_common_word_list,
     classify_name_type,
     clean_name,
+    document_frequencies,
 )
 from .tune import TrialHistory, check_budget, optimize
 
@@ -240,23 +241,24 @@ def prepare_corpus(
     for record, result in zip(records, results):
         correction = result.corrected_name if result is not None else None
         names.append(clean_name(record.raw_name, correction, designators))
-    common = build_common_word_list(names, config["parse"]["common_words_n"])
+    counts = document_frequencies(names)
+    common = build_common_word_list(counts, config["parse"]["common_words_n"])
     type1 = numpy.array([classify_name_type(n.tokens, common) is NameClass.TYPE1 for n in names], dtype=bool)
     t = _charge(manifest, "parse", t)
 
     domains = registrable_domains(results)
     blocklist = build_frequent_domain_blocklist(domains, config["augment"]["blocklist_k"])
-    domain_info = build_domain_info(results, domains, blocklist, common)
+    domain, url_tokens = build_domain_info(results, domains, blocklist, common)
     t = _charge(manifest, "domain", t)
 
-    vectors = embed_corpus(names, HashingBackend(), compute_idf(names))
+    vectors = embed_corpus(names, HashingBackend(), compute_idf(counts, len(names)))
     t = _charge(manifest, "embed", t)
 
     blocking = manifest.blocking if manifest is not None else {}
     bound = bound if bound is not None else config.score_bound()
-    candidates = generate_candidate_pairs(names, type1, domain_info, bound, stats=blocking)
+    candidates = generate_candidate_pairs(names, type1, domain, url_tokens, bound, stats=blocking)
     blocking["candidate_pairs"] = len(candidates)
-    corpus = Corpus(records, names, type1, domain_info, vectors, candidates)
+    corpus = Corpus(records, names, type1, domain, url_tokens, vectors, candidates)
     _charge(manifest, "block", t)
 
     if manifest is not None:
@@ -274,23 +276,10 @@ def prepare_corpus(
 
 
 def make_provider(config: PipelineConfig) -> Optional[SearchProvider]:
-    """Build the live provider, or None when ``run.offline`` is set or no
-    endpoint is configured."""
-    if config["run"]["offline"]:
-        return None
-    endpoint = config["augment"]["provider"]["endpoint"]
-    if not endpoint:
-        return None
-    p = config["augment"]["provider"]
-    return HtmlSearchProvider(
-        endpoint=p["endpoint"],
-        query_param=p["query_param"],
-        suggestion_selector=p["suggestion_selector"],
-        result_selector=p["result_selector"],
-        rate_limit_per_s=p["rate_limit_per_s"],
-        timeout_s=p["timeout_s"],
-        retries=p["retries"],
-    )
+    """The live provider built from ``augment.provider``, whose keys are its
+    parameters, or None when no endpoint is configured."""
+    provider = config["augment"]["provider"]
+    return HtmlSearchProvider(**provider) if provider["endpoint"] else None
 
 
 def _remove_stale_work_dirs(out_dir: Path) -> None:

@@ -10,8 +10,10 @@ import pytest
 
 from harmonizer.augment import AugmentationCache
 from harmonizer.config import PipelineConfig
+from harmonizer.embed import compute_idf
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.match import Corpus
+from harmonizer.parse import document_frequencies
 from harmonizer.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
@@ -62,15 +64,29 @@ def corpus60_config(corpus60_paths) -> PipelineConfig:
     return PipelineConfig.load(corpus60_paths["config"])
 
 
+def corpus_idf(names) -> dict[str, float]:
+    """The idf weights ``prepare_corpus`` gives the tokens of ``names``."""
+    return compute_idf(document_frequencies(names), len(names))
+
+
+def domain_columns(infos) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """The ``domain`` and ``url_tokens`` columns of ``infos``, one
+    ``oracles.PageInfo`` per record, as ``build_domain_info`` makes them:
+    domains coded by first appearance, -1 for None."""
+    codes: dict[str, int] = {}
+    domain = [-1 if info.domain is None else codes.setdefault(info.domain, len(codes)) for info in infos]
+    return np.array(domain, dtype=np.int64), [info.url_tokens for info in infos]
+
+
 def make_corpus(ids, names, type1, infos, vectors, candidates=(), locations=None) -> Corpus:
-    """The ``Corpus`` of ``names``, their classes ``type1``, ``infos`` and
-    ``vectors`` with the given candidate pairs (none by default) and a record
-    for every id of ``ids``, which holds the location keys ``locations``
-    gives it (none by default)."""
+    """The ``Corpus`` of ``names``, their classes ``type1``, the columns of
+    ``infos`` (one ``oracles.PageInfo`` each) and ``vectors`` with the given
+    candidate pairs (none by default) and a record for every id of ``ids``,
+    which holds the location keys ``locations`` gives it (none by default)."""
     locations = locations or {}
     records = [AssigneeRecord(rid, f"NAME {rid}", 0, frozenset(locations.get(rid, ()))) for rid in ids]
     candidates = np.asarray(candidates, dtype=np.int32).reshape(-1, 2)
-    return Corpus(records, names, np.asarray(type1, dtype=bool), infos, vectors, candidates)
+    return Corpus(records, names, np.asarray(type1, dtype=bool), *domain_columns(infos), vectors, candidates)
 
 
 def read_pairs_tsv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -11,8 +11,11 @@ package's is a transcription; ``dict_degrees``, ``dict_modularity`` and
 neighbour dicts, one edge at a time. ``reference_prepare`` reuses the package's
 per-record functions, to check that ``prepare_corpus`` computing each
 distinct value once changes nothing; it embeds each name with the scalar,
-dense ``embed_name`` here. ``reference_candidate_pairs`` reuses the
-package's key sets and kind choice, and builds the pairs from them one
+dense ``embed_name`` here. ``evaluate_conditions`` and
+``reference_candidate_pairs`` read each record's web evidence as a
+``PageInfo``, its domain string and page tokens, not as the package's
+domain-code column. ``reference_candidate_pairs`` reuses the package's kind
+choice; it builds its own key sets and builds the pairs from them one
 Python int at a time. ``longest_first_tail_match`` tries every suffix
 length of a designator dictionary, where the package tries only those of
 the entries ending in the last token.
@@ -27,24 +30,16 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, NamedTuple, Optional
 
 import networkx as nx
 import numpy as np
 
-from harmonizer.augment import DomainInfo, extract_domain, preprocess_url_text
-from harmonizer.embed import IdfTable, NameEmbedding, compute_idf
+from harmonizer.augment import extract_domain, preprocess_url_text
+from harmonizer.embed import NameEmbedding, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
-from harmonizer.match import (
-    _KIND_COVERS,
-    Corpus,
-    WeightVector,
-    _blocking_keys,
-    _pairs_cost,
-    blocking_key_kinds,
-    generate_candidate_pairs,
-)
+from harmonizer.match import Corpus, WeightVector, blocking_key_kinds, generate_candidate_pairs
 from harmonizer.parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -57,7 +52,15 @@ from harmonizer.parse import (
 from nxgraphs import from_networkx, to_networkx
 
 
-_EMPTY_INFO = DomainInfo(domain=None, url_tokens=frozenset())
+class PageInfo(NamedTuple):
+    """One record's web evidence: its domain (None when it has none or it is
+    blocklisted) and its page token set."""
+
+    domain: Optional[str]
+    url_tokens: frozenset[str]
+
+
+_EMPTY_INFO = PageInfo(domain=None, url_tokens=frozenset())
 
 
 class ScalarHashing:
@@ -101,7 +104,7 @@ def longest_first_tail_match(designators: LegalDesignatorDictionary, tokens) -> 
     return 0
 
 
-def embed_name(tokens, backend, idf: IdfTable) -> NameEmbedding:
+def embed_name(tokens, backend, idf: Mapping[str, float]) -> NameEmbedding:
     """idf-weighted mean of ``backend.token_vector`` over ``tokens``, one
     dense vector at a time; degenerate when the mean has norm zero."""
     if not tokens:
@@ -193,8 +196,8 @@ def evaluate_conditions(
     b: CleanName,
     type1_a: bool,
     type1_b: bool,
-    info_a: Optional[DomainInfo],
-    info_b: Optional[DomainInfo],
+    info_a: Optional[PageInfo],
+    info_b: Optional[PageInfo],
     emb_a: NameEmbedding,
     emb_b: NameEmbedding,
 ) -> ConditionVector:
@@ -245,29 +248,45 @@ def brute_force_candidates(type1) -> np.ndarray:
     return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
-def reference_candidate_pairs(names, type1, domain_info, bound, stats=None) -> np.ndarray:
-    """``generate_candidate_pairs`` as an inverted index: the same key kinds,
-    chosen by the package's own pricing, then a dict of position lists per
-    kind and a set of ``i * n + j`` keys over every list's pairs. ``stats``
-    receives the same ``keys``, ``largest_block`` and ``pair_keys``."""
-    held = _blocking_keys(names, type1, domain_info)
-    kinds = blocking_key_kinds(bound, {kind: _pairs_cost(held[kind].values()) for kind in _KIND_COVERS})
+def reference_candidate_pairs(names, type1, infos, bound, stats=None) -> np.ndarray:
+    """``generate_candidate_pairs`` as an inverted index over ``infos``, one
+    ``PageInfo`` per name: each kind's key sets, a dict of position lists
+    per kind, the package's kind choice priced by those lists' pair counts,
+    and a set of ``i * n + j`` keys over every chosen list's pairs.
+    ``stats`` receives the same ``keys``, ``largest_block`` and
+    ``pair_keys``."""
+    index: dict[str, dict[str, list[int]]] = {
+        kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
+    }
+    for i, (name, is_type1, info) in enumerate(zip(names, type1, infos)):
+        domains = [] if info.domain is None else [info.domain]
+        held = {"type2_domain": domains}
+        if is_type1:
+            own = bool(set(name.tokens) & info.url_tokens)
+            held = {
+                "first_token": name.tokens[:1],
+                "token": set(name.tokens),
+                "domain": domains,
+                "url": info.url_tokens if own else (),
+                "url_any": info.url_tokens,
+            }
+        for kind, keys in held.items():
+            for key in keys:
+                index[kind].setdefault(key, []).append(i)
+    pair_counts = {
+        kind: sum(len(positions) * (len(positions) - 1) // 2 for positions in lists.values())
+        for kind, lists in index.items()
+    }
+    kinds = blocking_key_kinds(bound, pair_counts.__getitem__)
     n = len(names)
     keys: set[int] = set()
     largest = 0
-    pair_keys = {}
     for kind in kinds:
-        index: dict[str, list[int]] = {}
-        for i, key_set in held[kind].items():
-            for key in key_set:
-                index.setdefault(key, []).append(i)
-        pair_keys[kind] = 0
-        for positions in index.values():
+        for positions in index[kind].values():
             largest = max(largest, len(positions))
-            pair_keys[kind] += len(positions) * (len(positions) - 1) // 2
             keys.update(i * n + j for i, j in itertools.combinations(positions, 2))
     if stats is not None:
-        stats.update(keys=list(kinds), largest_block=largest, pair_keys=pair_keys)
+        stats.update(keys=list(kinds), largest_block=largest, pair_keys={kind: pair_counts[kind] for kind in kinds})
     pairs = np.fromiter(keys, dtype=np.int64, count=len(keys))
     pairs.sort()
     return np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
@@ -281,10 +300,10 @@ def reference_fold_text(raw: str) -> str:
 
 def reference_prepare(config, records, cache) -> Corpus:
     """``prepare_corpus`` offline, one record at a time: each record cleans
-    its own name, extracts its own URL's domain (for the blocklist, then
-    again for its domain info), tokenizes its own page text and embeds its
-    name one dense token vector at a time. Its ``vectors`` are a list of
-    ``NameEmbedding``."""
+    its own name, counts its own tokens, extracts its own URL's domain (for
+    the blocklist, then again for its domain code, numbered in record
+    order), tokenizes its own page text and embeds its name one dense token
+    vector at a time. Its ``vectors`` are a list of ``NameEmbedding``."""
     records = sorted(records, key=lambda r: r.record_id)
     results = [cache.get(record.raw_name) for record in records]
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
@@ -292,7 +311,10 @@ def reference_prepare(config, records, cache) -> Corpus:
         clean_name(r.raw_name, res.corrected_name if res else None, designators)
         for r, res in zip(records, results)
     ]
-    common = build_common_word_list(names, config["parse"]["common_words_n"])
+    presence = Counter()
+    for name in names:
+        presence.update(set(name.tokens))
+    common = build_common_word_list(presence, config["parse"]["common_words_n"])
     type1 = np.array([classify_name_type(name.tokens, common) is NameClass.TYPE1 for name in names])
 
     def domain(result):
@@ -306,15 +328,17 @@ def reference_prepare(config, records, cache) -> Corpus:
     counts = Counter(d for d in map(domain, results) if d is not None)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     blocklist = {d for d, _ in ranked[: config["augment"]["blocklist_k"]]}
-    domain_info = []
+    codes: dict[str, int] = {}
+    domain_codes, url_tokens = [], []
     for result in results:
         d = domain(result)
-        text = result.first_text if result is not None else None
-        domain_info.append(DomainInfo(None if d in blocklist else d, preprocess_url_text(text, common)))
-    idf = compute_idf(names)
+        domain_codes.append(-1 if d is None or d in blocklist else codes.setdefault(d, len(codes)))
+        url_tokens.append(preprocess_url_text(result.first_text if result is not None else None, common))
+    domain_codes = np.array(domain_codes, dtype=np.int64)
+    idf = compute_idf(presence, len(names))
     vectors = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
-    candidates = generate_candidate_pairs(names, type1, domain_info, config.score_bound())
-    return Corpus(records, names, type1, domain_info, vectors, candidates)
+    candidates = generate_candidate_pairs(names, type1, domain_codes, url_tokens, config.score_bound())
+    return Corpus(records, names, type1, domain_codes, url_tokens, vectors, candidates)
 
 
 def brute_idf(token_lists, floor=0.01):

@@ -18,20 +18,21 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import make_corpus, run_fixture_pipeline
+from conftest import corpus_idf, domain_columns, make_corpus, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
-from harmonizer.embed import HashingBackend, compute_idf, embed_corpus
+from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.evaluation import GoldPairs, compute_metrics
 from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
 from harmonizer.ingest import GoldLabel
 from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
-from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name
+from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name, document_frequencies
 from harmonizer.pipeline import tune_pipeline
 from harmonizer.tune import SearchSpace, TpeConfig, optimize
 from nxgraphs import from_networkx
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
     ConditionVector,
+    PageInfo,
     brute_bridgeness,
     brute_f1,
     brute_force_candidates,
@@ -104,7 +105,7 @@ def test_01_score_bounds():
 
 
 def _random_matching_corpus(rng: random.Random, n: int):
-    """Random names, their type-1 flags and domain info, with engineered
+    """Random names, their type-1 flags and page infos, with engineered
     overlap so that token, domain, and url-text conditions all fire
     somewhere."""
     vocab = sorted({random_word(rng) for _ in range(1200)})
@@ -119,17 +120,15 @@ def _random_matching_corpus(rng: random.Random, n: int):
             if rng.random() < 0.5:
                 tokens[rng.randrange(len(tokens))] = rng.choice(hot)
         names.append(clean_name(" ".join(tokens).upper()))
-    common = build_common_word_list(names, 25)
+    common = build_common_word_list(document_frequencies(names), 25)
     type1 = [classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names]
-    from harmonizer.augment import DomainInfo
-
     domain_info = []
     for nm in names:
         domain = rng.choice(domains) if rng.random() < 0.3 else None
         url_tokens = (
             frozenset(rng.sample(vocab, rng.randint(1, 4))) if rng.random() < 0.3 else frozenset()
         )
-        domain_info.append(DomainInfo(domain=domain, url_tokens=url_tokens))
+        domain_info.append(PageInfo(domain=domain, url_tokens=url_tokens))
     return names, type1, domain_info
 
 
@@ -142,9 +141,8 @@ def test_02_blocking_losslessness():
             rng = random.Random(seed)
             names, type1, domain_info = _random_matching_corpus(rng, n)
             ids = [f"r{i:05d}" for i in range(n)]
-            idf = compute_idf(names)
-            embeddings = embed_corpus(names, HashingBackend(dim=32), idf)
-            candidates = generate_candidate_pairs(names, type1, domain_info, ScoreBound(unit, 1.0))
+            embeddings = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
+            candidates = generate_candidate_pairs(names, type1, *domain_columns(domain_info), ScoreBound(unit, 1.0))
             corpus = make_corpus(ids, names, type1, domain_info, embeddings, candidates)
             scored_blocked = score_pairs(corpus)
             scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(type1)))
@@ -329,7 +327,7 @@ def test_10_idf_oracle():
                 for _ in range(rng.randint(2, 120))
             ]
             names = [clean_name(t) for t in texts]
-            idf = compute_idf(names)
+            idf = corpus_idf(names)
             oracle = brute_idf([n.tokens for n in names])
             assert oracle, f"seed {seed}: empty corpus"
             for token, expected in oracle.items():

@@ -5,13 +5,13 @@ import math
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonizer.augment import (
     MAX_TEXT_CHARS,
     AugmentationCache,
     AugmentationResult,
-    DomainInfo,
     HtmlSearchProvider,
     build_domain_info,
     build_frequent_domain_blocklist,
@@ -25,7 +25,6 @@ from harmonizer.augment import (
     registrable_domains,
 )
 from harmonizer.errors import ConfigError, InputError, ProviderError
-from harmonizer.parse import CommonWordList
 
 SEARCH_PAGE = (Path(__file__).parent / "data" / "search_page.html").read_text()
 LANDING_PAGE = (Path(__file__).parent / "data" / "landing_page.html").read_text()
@@ -331,7 +330,7 @@ class TestBlocklist:
 
 
 class TestDomainInfo:
-    COMMON = CommonWordList(["systems", "global"])
+    COMMON = frozenset({"systems", "global"})
 
     def test_url_text_drops_common_words(self):
         tokens = preprocess_url_text("Acme Global Systems builds turbines", self.COMMON)
@@ -340,28 +339,35 @@ class TestDomainInfo:
     def test_none_text(self):
         assert preprocess_url_text(None, self.COMMON) == frozenset()
 
-    def info(self, r, blocklist):
-        return build_domain_info([r], registrable_domains([r]), blocklist, self.COMMON)[0]
+    def columns(self, results, blocklist=frozenset()):
+        """The two columns as plain lists, after checking the code dtype."""
+        domain, url_tokens = build_domain_info(results, registrable_domains(results), blocklist, self.COMMON)
+        assert domain.dtype == np.int64
+        return domain.tolist(), url_tokens
 
     def test_build_with_everything(self):
         r = result(first_url="https://www.acme.com/", first_text="Acme builds turbines")
-        info = self.info(r, set())
-        assert info == DomainInfo("acme.com", frozenset({"acme", "builds", "turbines"}))
+        assert self.columns([r]) == ([0], [frozenset({"acme", "builds", "turbines"})])
 
     def test_blocklisted_domain_dropped(self):
         r = result(first_url="https://dir.example/co")
-        info = self.info(r, {"dir.example"})
-        assert info.domain is None
+        assert self.columns([r], {"dir.example"})[0] == [-1]
 
     def test_no_result(self):
-        info = self.info(None, set())
-        assert info.domain is None and info.url_tokens == frozenset()
+        assert self.columns([None]) == ([-1], [frozenset()])
+
+    def test_codes_numbered_by_first_appearance(self):
+        urls = [
+            "https://b.com/", "https://a.com/x", "https://www.b.com/y", "https://dir.example/", None, "https://a.com/"
+        ]
+        results = [result(f"N{i}", first_url=url) for i, url in enumerate(urls)]
+        assert self.columns(results, {"dir.example"})[0] == [0, 1, 0, -1, -1, 1]
 
     def test_same_text_shares_one_token_set(self):
         results = [result(n, first_url=f"https://{n}.com/", first_text="Acme builds turbines") for n in "ab"]
-        infos = build_domain_info(results, registrable_domains(results), set(), self.COMMON)
-        assert [i.domain for i in infos] == ["a.com", "b.com"]
-        assert infos[0].url_tokens is infos[1].url_tokens
+        domain, url_tokens = self.columns(results)
+        assert domain == [0, 1]
+        assert url_tokens[0] is url_tokens[1]
 
 
 class _FakeResponse:

@@ -89,10 +89,6 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="graph.threshold.*number"):
             load(tmp_path, "graph:\n  threshold: true\n")
 
-    def test_int_rejected_for_bool(self, tmp_path):
-        with pytest.raises(ConfigError, match="run.offline.*boolean"):
-            load(tmp_path, "run:\n  offline: 1\n")
-
     def test_number_rejected_for_string(self, tmp_path):
         with pytest.raises(ConfigError, match="augment.provider.query_param.*string"):
             load(tmp_path, "augment:\n  provider:\n    query_param: 3\n")
@@ -132,8 +128,8 @@ class TestEnvLayer:
         assert config["tune"]["n_startup"] == 3
 
     def test_yaml_scalar_parsing(self):
-        config = load(environ={"HARMONIZER_RUN_OFFLINE": "true"})
-        assert config["run"]["offline"] is True
+        config = load(environ={"HARMONIZER_RUN_THREADS": "4"})
+        assert config["run"]["threads"] == 4
 
     def test_string_value_passthrough(self):
         config = load(environ={"HARMONIZER_AUGMENT_PROVIDER_QUERY_PARAM": "query"})
@@ -300,7 +296,8 @@ class TestTuningBridge:
 
 class _Recording(dict):
     """A config section that adds the dotted path of every key read to
-    ``seen``. Iterating or serializing it reads nothing."""
+    ``seen``. Iterating or serializing it reads nothing; unpacking it into a
+    call (``**section``) reads every key."""
 
     def __init__(self, data: dict, seen: set, path: str = ""):
         super().__init__(
@@ -317,6 +314,11 @@ class _Recording(dict):
     def get(self, key, default=None):
         self.seen.add(self.path + key)
         return super().get(key, default)
+
+    def __iter__(self):
+        # Not dict's own iterator, so ``**`` reads each key through
+        # __getitem__ rather than copying the entries directly.
+        return super().__iter__()
 
 
 def _leaves(node: dict, path: str = "") -> set:
@@ -344,6 +346,7 @@ REMOVED_KEYS = [
     ("tune", "n_candidates", 24),
     ("graph", "refine_passes", 1),
     ("tune", "space", "{threshold: [1.0, 4.0]}"),
+    ("run", "offline", "false"),
 ]
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from harmonizer.embed import (
     MIN_HASH_DIM,
     HashingBackend,
-    IdfTable,
     NameVectors,
     compute_idf,
     embed_corpus,
@@ -20,6 +19,7 @@ from harmonizer.embed import (
 from harmonizer.errors import ConfigError, InputError
 from harmonizer.parse import CleanName, clean_name
 
+from conftest import corpus_idf
 from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name
 
 
@@ -34,7 +34,7 @@ def token_names(token_lists):
 def token_vector(token, dim=256):
     """The block row of a one-token name at idf weight 1, which is the
     token's vector bit for bit: (0.0 + 1.0 * v) / 1.0 == v."""
-    return embed_corpus(token_names([[token]]), HashingBackend(dim), IdfTable(weights={})).block[0]
+    return embed_corpus(token_names([[token]]), HashingBackend(dim), {token: 1.0}).block[0]
 
 
 class TestHashingBackend:
@@ -97,7 +97,7 @@ class TestHashGrams:
     @given(st.lists(st.lists(ANY_TOKEN, min_size=1, max_size=4), min_size=1, max_size=8), st.sampled_from([32, 256]))
     def test_rows_match_scalar_oracle_on_any_tokens(self, token_lists, dim):
         names = token_names(token_lists)
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         out = embed_corpus(names, HashingBackend(dim), idf)
         for i, name in enumerate(names):
             want = embed_name(name.tokens, ScalarHashing(dim), idf)
@@ -113,13 +113,13 @@ class TestComputeIdf:
              "EVERY RARE6", "EVERY RARE7", "EVERY RARE8",
              "EVERY ANCHORLESS"]
         )
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         for token, expected in brute_idf([n.tokens for n in names]).items():
             assert math.isclose(idf[token], expected, abs_tol=1e-12)
 
     def test_endpoints_exact(self):
         names = names_from(["AA BB", "AA CC", "AA DD"])
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         assert idf["aa"] == 0.01  # most frequent: exactly the floor
         assert idf["bb"] == 1.0 and idf["cc"] == 1.0 and idf["dd"] == 1.0
 
@@ -132,22 +132,16 @@ class TestComputeIdf:
             + [f"Y{i} COM" for i in range(6)]
             + ["Z0 UNIQ"]
         )
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         assert math.isclose(idf["mid"], 0.505, abs_tol=1e-12)
 
     def test_single_distinct_count_all_ones(self):
         names = names_from(["AA BB", "BB AA"])
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         assert idf["aa"] == 1.0 and idf["bb"] == 1.0
 
-    def test_oov_reads_as_one(self):
-        idf = compute_idf(names_from(["AA BB", "AA CC"]))
-        assert idf["never-seen"] == 1.0
-
     def test_empty_corpus_gives_empty_table(self):
-        idf = compute_idf([])
-        assert idf.weights == {}
-        assert idf["anything"] == 1.0
+        assert compute_idf({}, 0) == {}
 
     def test_matches_brute_oracle_on_random_corpora(self):
         rng = random.Random(1234)
@@ -158,7 +152,7 @@ class TestComputeIdf:
                 for _ in range(rng.randint(2, 40))
             ]
             names = names_from(texts)
-            idf = compute_idf(names)
+            idf = corpus_idf(names)
             oracle = brute_idf([n.tokens for n in names])
             assert set(oracle) == {t for n in names for t in n.tokens}
             for token, expected in oracle.items():
@@ -168,7 +162,7 @@ class TestComputeIdf:
     def test_antitone_in_presence(self, token_lists):
         texts = [" ".join(tokens).upper() for tokens in token_lists]
         names = names_from(texts)
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         presence = {}
         for n in names:
             for t in set(n.tokens):
@@ -197,27 +191,27 @@ class TestEmbedName:
 
     def test_weighted_mean_frozen(self):
         # idf weights 1.0 and 0.5 over orthogonal axes -> (2/3, 1/3).
-        idf = IdfTable(weights={"aa": 1.0, "bb": 0.5})
+        idf = {"aa": 1.0, "bb": 0.5}
         out = embed_corpus(token_names([["aa", "bb"]]), self.Axes(), idf)
         assert np.allclose(out.block[0], [2 / 3, 1 / 3])
         assert not out[0].degenerate
 
     def test_repeated_token_weighs_twice(self):
-        idf = IdfTable(weights={"aa": 1.0, "bb": 1.0})
+        idf = {"aa": 1.0, "bb": 1.0}
         out = embed_corpus(token_names([["aa", "aa", "bb"]]), self.Axes(), idf)
         assert np.allclose(out.block[0], [2 / 3, 1 / 3])
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(InputError, match="position 1"):
-            embed_corpus(token_names([["aa"], []]), HashingBackend(), IdfTable(weights={}))
+            embed_corpus(token_names([["aa"], []]), HashingBackend(), {"aa": 1.0})
         with pytest.raises(InputError):
-            embed_name((), self.Axes(), IdfTable(weights={}))
+            embed_name((), self.Axes(), {})
 
     def test_cancelling_tokens_degenerate(self):
         # The hashed "b" and "p" are exact negatives, so under equal weights
         # their mean is the zero vector, which has no cosine.
         assert np.array_equal(token_vector("b"), -token_vector("p"))
-        idf = IdfTable(weights={"b": 0.5, "p": 0.5})
+        idf = {"b": 0.5, "p": 0.5}
         out = embed_corpus(token_names([["b", "p"], ["b"]]), HashingBackend(), idf)
         assert out.degenerate.tolist() == [True, False] and out.norms[0] == 0.0
         assert not out.block[0].any() and out[0].degenerate
@@ -225,7 +219,7 @@ class TestEmbedName:
 
     def test_embed_corpus_sorted_and_keyed(self):
         names = names_from(["NOKIA CORP", "ACME LTD"])
-        idf = compute_idf(names)
+        idf = corpus_idf(names)
         out = embed_corpus(names, HashingBackend(), idf)
         assert list(out) == [0, 1]
         assert out[0].vector.shape == (256,) and out.block.shape == (2, 256)
@@ -240,7 +234,7 @@ class TestEmbedName:
         st.sampled_from([32, 256]),
         st.booleans(),
     )
-    def test_block_matches_scalar_oracle_bit_for_bit(self, token_lists, weights, dim, corpus_idf):
+    def test_block_matches_scalar_oracle_bit_for_bit(self, token_lists, weights, dim, corpus_weights):
         """Names repeat and permute a few token lists. The block holds one
         row per distinct token list, in first-seen order, and every record's
         row is the dense per-name mean bit for bit, under the corpus idf or
@@ -249,7 +243,7 @@ class TestEmbedName:
         np.linalg.norm's and a record is flagged degenerate exactly when the
         oracle's mean is zero."""
         names = token_names(token_lists)
-        idf = compute_idf(names) if corpus_idf else IdfTable(weights=dict(zip(VOCAB, weights)))
+        idf = corpus_idf(names) if corpus_weights else dict(zip(VOCAB, weights))
         out = embed_corpus(names, HashingBackend(dim), idf)
         distinct = list(dict.fromkeys(name.tokens for name in names))
         assert out.block.shape == (len(distinct), dim) and out.block.dtype == np.float64

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
-from harmonizer.augment import DomainInfo
-from harmonizer.embed import HashingBackend, NameVectors, compute_idf, embed_corpus
+from harmonizer.embed import HashingBackend, NameVectors, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -31,6 +30,7 @@ from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import Corpus, score_pairs
 from harmonizer.parse import CleanName, clean_name
 
+from conftest import corpus_idf
 from nxgraphs import from_networkx, positions, to_networkx
 from oracles import (
     brandes_bridgeness,
@@ -55,10 +55,11 @@ def scored(records, *pairs):
     ids = [r.record_id for r in records]
     names = [clean_name(r.raw_name) for r in records]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
-    embeddings = embed_corpus(names, HashingBackend(), compute_idf(names))
-    infos = [DomainInfo(None, frozenset())] * len(names)
+    embeddings = embed_corpus(names, HashingBackend(), corpus_idf(names))
     type1 = np.ones(len(names), dtype=bool)
-    table = score_pairs(Corpus(records, names, type1, infos, embeddings, np.array([row[:2] for row in rows])))
+    no_domain, no_page = np.full(len(names), -1), [frozenset()] * len(names)
+    candidates = np.array([row[:2] for row in rows])
+    table = score_pairs(Corpus(records, names, type1, no_domain, no_page, embeddings, candidates))
     return table, np.array([row[2] for row in rows])
 
 
@@ -806,8 +807,8 @@ def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
     names = [CleanName(c, tuple(c.split())) for c in cleaned]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
     vectors = NameVectors(block, np.arange(len(ids)) if rows is None else rows)
-    infos = [DomainInfo(None, frozenset())] * len(ids)
-    return Corpus(records, names, np.ones(len(ids), dtype=bool), infos, vectors, np.zeros((0, 2)))
+    no_domain, no_page = np.full(len(ids), -1), [frozenset()] * len(ids)
+    return Corpus(records, names, np.ones(len(ids), dtype=bool), no_domain, no_page, vectors, np.zeros((0, 2)))
 
 
 def canonical_names(community, corpus):

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonizer.augment import DomainInfo
-from harmonizer.embed import HashingBackend, NameEmbedding, NameVectors, compute_idf, embed_corpus
+from harmonizer.embed import HashingBackend, NameEmbedding, NameVectors, embed_corpus
 from harmonizer import match
 from harmonizer.errors import InputError
 from harmonizer.match import (
@@ -29,16 +28,17 @@ from harmonizer.match import (
 )
 from harmonizer.parse import (
     CleanName,
-    CommonWordList,
     NameClass,
     build_common_word_list,
     clean_name,
     classify_name_type,
+    document_frequencies,
 )
 
-from conftest import make_corpus, read_pairs_tsv
+from conftest import corpus_idf, domain_columns, make_corpus, read_pairs_tsv
 from oracles import (
     ConditionVector,
+    PageInfo,
     brute_force_candidates,
     evaluate_conditions,
     matching_score,
@@ -53,14 +53,14 @@ FULL = ScoreBound(WeightVector(), 1.0)
 def classified(raw, common=None):
     """The cleaned name of ``raw`` and whether it is type-1 under ``common``
     (no common words by default)."""
-    common = common if common is not None else CommonWordList([])
+    common = common if common is not None else frozenset()
     cn = clean_name(raw)
     return cn, classify_name_type(cn.tokens, common) is NameClass.TYPE1
 
 
 def conditions(raw_a, raw_b, *rest, common=None):
     """``evaluate_conditions`` of the classified names of ``raw_a`` and
-    ``raw_b``; ``rest`` holds their domain infos and embeddings."""
+    ``raw_b``; ``rest`` holds their page infos and embeddings."""
     (a, type1_a), (b, type1_b) = classified(raw_a, common), classified(raw_b, common)
     return evaluate_conditions(a, b, type1_a, type1_b, *rest)
 
@@ -77,7 +77,7 @@ def unit_embedding(direction, dim=8):
 
 
 def info(domain=None, url_tokens=()):
-    return DomainInfo(domain=domain, url_tokens=frozenset(url_tokens))
+    return PageInfo(domain=domain, url_tokens=frozenset(url_tokens))
 
 
 class TestWeightVector:
@@ -170,7 +170,7 @@ class TestEvaluateConditions:
         assert cv.cos == 0.0 and cv.cos_degenerate
 
     def test_type2_pair(self):
-        common = CommonWordList(["global", "systems", "group"])
+        common = frozenset({"global", "systems", "group"})
         assert not classified("GLOBAL SYSTEMS", common)[1]
         cv = conditions(
             "GLOBAL SYSTEMS",
@@ -186,7 +186,7 @@ class TestEvaluateConditions:
         assert cv.domain_common == 1
 
     def test_cross_class_rejected(self):
-        common = CommonWordList(["global", "systems"])
+        common = frozenset({"global", "systems"})
         with pytest.raises(ValueError, match="cannot pair"):
             conditions(
                 "GLOBAL SYSTEMS", "NOKIA CORPORATION", None, None, unit_embedding(0), unit_embedding(0), common=common
@@ -232,7 +232,7 @@ class TestMatchingScore:
 def small_corpus(locations=None):
     """Mixed corpus with domains and url tokens for blocking tests, as a
     ``Corpus`` without candidates whose records hold ``locations``."""
-    common = CommonWordList(["global", "systems", "industries"])
+    common = frozenset({"global", "systems", "industries"})
     texts = {
         "r01": "NOKIA CORPORATION",
         "r02": "NOKIA OYJ",
@@ -255,15 +255,14 @@ def small_corpus(locations=None):
         "r07": info("dir.example"),
         "r09": info("zeta.io", {"zeta", "labs"}),
     }
-    idf = compute_idf(names)
-    embeddings = embed_corpus(names, HashingBackend(dim=64), idf)
+    embeddings = embed_corpus(names, HashingBackend(dim=64), corpus_idf(names))
     infos = [infos.get(rid, info()) for rid in texts]
     return make_corpus(list(texts), names, type1, infos, embeddings, locations=locations)
 
 
 def blocked(corpus, bound, stats=None):
     """``generate_candidate_pairs`` over the columns of ``corpus``."""
-    return generate_candidate_pairs(corpus.names, corpus.type1, corpus.domain_info, bound, stats)
+    return generate_candidate_pairs(corpus.names, corpus.type1, corpus.domain, corpus.url_tokens, bound, stats)
 
 
 def id_pairs(ids, pairs):
@@ -318,7 +317,7 @@ class TestCandidates:
 
 
 def random_blocking_corpus(rng, n):
-    """Names, their type-1 flags and domain infos with a small shared
+    """Names, their type-1 flags and page infos with a small shared
     vocabulary, so that every condition fires on some pairs, type-2 names
     share domains, and some names share a word with their own page text."""
     vocab = [f"w{i:02d}" for i in range(40)]
@@ -329,7 +328,7 @@ def random_blocking_corpus(rng, n):
         pool = common_words if rng.random() < 0.2 else vocab
         tokens = rng.sample(pool, rng.randint(1, 3))
         names.append(clean_name(" ".join(tokens).upper()))
-    common = build_common_word_list(names, len(common_words))
+    common = build_common_word_list(document_frequencies(names), len(common_words))
     type1 = np.array([classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names])
     infos = []
     for nm in names:
@@ -354,18 +353,24 @@ class TestBoundedBlocking:
         names, type1, infos = random_blocking_corpus(random.Random(5), 120)
         rng = random.Random(6)
         for i, source in zip(rng.sample(range(120), 30), rng.sample(range(120), 30)):
-            infos[i] = DomainInfo(infos[i].domain, infos[source].url_tokens)
+            infos[i] = PageInfo(infos[i].domain, infos[source].url_tokens)
         shared = Counter(inf.url_tokens for is_type1, inf in zip(type1, infos) if is_type1)
         assert any(len(keys) and holders > 1 for keys, holders in shared.items())
         priced = []
 
-        def spy(bound, costs):
-            priced.append(dict(costs))
-            return blocking_key_kinds(bound, costs)
+        def spy(bound, cost):
+            priced.append({})
+
+            def recorded(kind):
+                priced[-1][kind] = cost(kind)
+                return priced[-1][kind]
+
+            return blocking_key_kinds(bound, recorded)
 
         monkeypatch.setattr(match, "blocking_key_kinds", spy)
         stats: dict = {}
-        candidates = generate_candidate_pairs(names, type1, infos, ScoreBound(self.DEFAULTS, 3.9), stats)
+        bound = ScoreBound(self.DEFAULTS, 3.9)
+        candidates = generate_candidate_pairs(names, type1, *domain_columns(infos), bound, stats)
         buckets: dict[str, dict[str, list[int]]] = {
             kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
         }
@@ -404,10 +409,11 @@ class TestBoundedBlocking:
         rng = random.Random(7)
         names, type1, infos = random_blocking_corpus(rng, 160)
         ids = [f"r{i:03d}" for i in range(len(names))]
-        embeddings = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
+        embeddings = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
         brute = score_pairs(make_corpus(ids, names, type1, infos, embeddings, brute_force_candidates(type1)))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
-        full = set(id_pairs(ids, generate_candidate_pairs(names, type1, infos, FULL)))
+        columns = domain_columns(infos)
+        full = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, FULL)))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
@@ -421,7 +427,8 @@ class TestBoundedBlocking:
                 seen["type2_reachable"] += 1
             else:
                 seen["type2_unreachable"] += 1
-            bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, infos, ScoreBound(weights, threshold))))
+            bound = ScoreBound(weights, threshold)
+            bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, bound)))
             reaching = {
                 brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
                 for row in np.flatnonzero(brute.scores(weights) >= threshold)
@@ -443,16 +450,16 @@ class TestBoundedBlocking:
         ],
     )
     def test_cheapest_valid_kinds_win(self, costs, expected):
-        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs) == expected
+        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs.__getitem__) == expected
 
     def test_type2_domain_keys_only_when_reachable(self):
         costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
-        assert "type2_domain" not in blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs)
-        assert "type2_domain" in blocking_key_kinds(ScoreBound(self.DEFAULTS, 2.0), costs)
+        assert "type2_domain" not in blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs.__getitem__)
+        assert "type2_domain" in blocking_key_kinds(ScoreBound(self.DEFAULTS, 2.0), costs.__getitem__)
 
     def test_cos_alone_reaching_gives_full_index(self):
         costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
-        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs) == FULL_INDEX
+        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs.__getitem__) == FULL_INDEX
 
     def test_unreachable_threshold_indexes_nothing(self):
         stats = {}
@@ -465,10 +472,10 @@ class TestBoundedBlocking:
         weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
         bound = ScoreBound(weights, 1.4)
         own = [info(url_tokens={"alpha", "shared"}), info(url_tokens={"beta", "shared"}), info()]
-        assert generate_candidate_pairs(names, type1, own, bound).tolist() == [[0, 1]]
-        foreign = [own[0], info(url_tokens={"shared"}), info()]
-        assert generate_candidate_pairs(names, type1, foreign, bound).tolist() == []
-        assert generate_candidate_pairs(names, type1, foreign, FULL).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, type1, *domain_columns(own), bound).tolist() == [[0, 1]]
+        foreign = domain_columns([own[0], info(url_tokens={"shared"}), info()])
+        assert generate_candidate_pairs(names, type1, *foreign, bound).tolist() == []
+        assert generate_candidate_pairs(names, type1, *foreign, FULL).tolist() == [[0, 1]]
 
     def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
         """At the defaults, run indexes first tokens and domains and no type-2
@@ -501,7 +508,7 @@ class TestBoundedBlocking:
         priced = []
         monkeypatch.setattr(match, "_pairs_cost", lambda held: priced.append(held) or 0)
         stats: dict = {}
-        pairs = generate_candidate_pairs(names, type1, infos, bound, stats)
+        pairs = generate_candidate_pairs(names, type1, *domain_columns(infos), bound, stats)
         assert priced == [] and stats["keys"] == list(FULL_INDEX)
         assert (pairs.dtype, pairs.shape, pairs.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
         assert stats == expected_stats
@@ -510,7 +517,7 @@ class TestBoundedBlocking:
 def assert_same_as_reference(names, type1, infos, bound):
     """``generate_candidate_pairs`` returns the reference's bytes and stats."""
     stats, expected_stats = {}, {}
-    pairs = generate_candidate_pairs(names, type1, infos, bound, stats)
+    pairs = generate_candidate_pairs(names, type1, *domain_columns(infos), bound, stats)
     expected = reference_candidate_pairs(names, type1, infos, bound, expected_stats)
     assert (pairs.dtype, pairs.shape, pairs.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
     assert stats == expected_stats
@@ -524,7 +531,7 @@ SHARED_WORDS = ["acme", "beta", "corp", "delta", "echo", "fox", "golf"]
 
 @st.composite
 def blocking_draws(draw):
-    """Names with their type-1 flags and domain infos, zero names included."""
+    """Names with their type-1 flags and page infos, zero names included."""
     records = draw(
         st.lists(
             st.tuples(
@@ -538,7 +545,7 @@ def blocking_draws(draw):
     )
     names = [CleanName(" ".join(tokens), tuple(tokens)) for tokens, _, _, _ in records]
     type1 = np.array([is_type1 for _, is_type1, _, _ in records], dtype=bool)
-    infos = [DomainInfo(domain, url_tokens) for _, _, domain, url_tokens in records]
+    infos = [PageInfo(domain, url_tokens) for _, _, domain, url_tokens in records]
     return names, type1, infos
 
 
@@ -563,7 +570,10 @@ class TestCandidateBuffer:
         config = request.getfixturevalue(f"{corpus_name}_config")
         bound = getattr(config, bound_name)()
         corpus = prepare_corpus(config, load_assignee_table(paths["input"]), AugmentationCache(paths["cache"]), bound=bound)
-        stats = assert_same_as_reference(corpus.names, corpus.type1, corpus.domain_info, bound)
+        # Blocking reads only whether two domains are equal, so each code
+        # stands for its domain.
+        infos = [PageInfo(None if d < 0 else f"d{d}", u) for d, u in zip(corpus.domain.tolist(), corpus.url_tokens)]
+        stats = assert_same_as_reference(corpus.names, corpus.type1, infos, bound)
         assert len(corpus.candidates) <= sum(stats["pair_keys"].values())
 
     @settings(max_examples=300, deadline=None)
@@ -584,11 +594,11 @@ class TestCandidateBuffer:
         n = 2000
         names = [CleanName(f"acme n{i}", ("acme", f"n{i}")) for i in range(n)]
         type1 = np.ones(n, dtype=bool)
-        infos = [info("acme.example" if i % 20 else None) for i in range(n)]
+        columns = domain_columns([info("acme.example" if i % 20 else None) for i in range(n)])
         stats: dict = {}
         tracemalloc.start()
         try:
-            pairs = generate_candidate_pairs(names, type1, infos, FULL, stats)
+            pairs = generate_candidate_pairs(names, type1, *columns, FULL, stats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -604,13 +614,13 @@ def pair_ids(table, rows=None):
 
 
 def oracle_corpus(seed, n=70):
-    """Names, type-1 flags, domain info and embeddings where every condition
+    """Names, type-1 flags, page infos and embeddings where every condition
     fires somewhere, type-2 names pair, some embeddings are degenerate, some
     records carry a bitwise copy of another record's vector in a row of
     their own and some share another record's row."""
     rng = random.Random(seed)
     names, type1, infos = random_blocking_corpus(rng, n)
-    embedded = embed_corpus(names, HashingBackend(dim=32), compute_idf(names))
+    embedded = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
     block = embedded.block[embedded.rows]
     rows = range(len(names))
     for i in rng.sample(rows, 6):
@@ -647,18 +657,22 @@ class TestScorePairs:
         with pytest.raises(ValueError, match="row 1: .*sorted"):
             score_pairs(dataclasses.replace(corpus, candidates=np.array([[0, 2], [0, 1]])))
         with pytest.raises(ValueError, match="strictly ascending"):
-            make_corpus(
-                corpus.ids[::-1],
-                corpus.names[::-1],
-                corpus.type1[::-1],
-                corpus.domain_info[::-1],
-                NameVectors(corpus.vectors.block, corpus.vectors.rows[::-1]),
+            dataclasses.replace(
+                corpus,
+                records=corpus.records[::-1],
+                names=corpus.names[::-1],
+                type1=corpus.type1[::-1],
+                domain=corpus.domain[::-1],
+                url_tokens=corpus.url_tokens[::-1],
+                vectors=NameVectors(corpus.vectors.block, corpus.vectors.rows[::-1]),
             )
 
     @pytest.mark.parametrize(
         "column, reason",
         [
             ("infos", "differ in length"),
+            ("domain", "differ in length"),
+            ("url_tokens", "differ in length"),
             ("embeddings", "differ in length"),
             ("records", "differ in length"),
             ("type1", "differ in length"),
@@ -674,7 +688,9 @@ class TestScorePairs:
         records = list(corpus.records)
         records[3], records[4] = records[4], records[3]
         changed = {
-            "infos": {"domain_info": corpus.domain_info[:-1]},
+            "infos": {"domain": corpus.domain[:-1], "url_tokens": corpus.url_tokens[:-1]},
+            "domain": {"domain": corpus.domain[:-1]},
+            "url_tokens": {"url_tokens": corpus.url_tokens[:-1]},
             "embeddings": {"vectors": NameVectors(corpus.vectors.block, corpus.vectors.rows[:-1])},
             "records": {"records": corpus.records[:-1]},
             "type1": {"type1": corpus.type1[:-1]},

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from harmonizer.errors import InputError
 from harmonizer.parse import (
-    CommonWordList,
     LegalDesignatorDictionary,
     NameClass,
     build_common_word_list,
     classify_name_type,
+    document_frequencies,
     clean_name,
     default_designators,
     fold_text,
@@ -179,49 +179,46 @@ class TestCleanName:
 
 
 class TestCommonWords:
-    def _names(self, texts):
-        return [clean_name(t) for t in texts]
+    def _counts(self, texts):
+        return document_frequencies(clean_name(t) for t in texts)
 
     def test_presence_counted_once_per_name(self):
         # "alpha alpha beta" counts alpha once.
-        names = self._names(["ALPHA ALPHA BETA", "ALPHA GAMMA", "BETA GAMMA", "GAMMA DELTA"])
-        common = build_common_word_list(names, 1)
-        assert common.ordered == ("gamma",)
+        counts = self._counts(["ALPHA ALPHA BETA", "ALPHA GAMMA", "BETA GAMMA", "GAMMA DELTA"])
+        assert counts == {"alpha": 2, "beta": 2, "gamma": 3, "delta": 1}
+        assert build_common_word_list(counts, 1) == {"gamma"}
 
     def test_tie_breaks_lexicographic(self):
-        names = self._names(["ZETA ALPHA", "ZETA ALPHA", "BETA", "BETA"])
-        common = build_common_word_list(names, 2)
+        common = build_common_word_list(self._counts(["ZETA ALPHA", "ZETA ALPHA", "BETA", "BETA"]), 2)
         # alpha, beta, zeta all have count 2; lexicographic order wins.
-        assert common.ordered == ("alpha", "beta")
+        assert common == {"alpha", "beta"}
 
     def test_counts_post_strip(self):
         # "corporation" is stripped before counting, so it cannot be common.
-        names = self._names(["A CORPORATION", "B CORPORATION", "C CORPORATION", "A B"])
-        common = build_common_word_list(names, 2)
-        assert "corporation" not in common
+        counts = self._counts(["A CORPORATION", "B CORPORATION", "C CORPORATION", "A B"])
+        assert "corporation" not in build_common_word_list(counts, 2)
 
     def test_zero_n(self):
-        assert build_common_word_list(self._names(["A B"]), 0).ordered == ()
+        assert build_common_word_list(self._counts(["A B"]), 0) == frozenset()
 
     def test_negative_n_rejected(self):
         with pytest.raises(InputError):
-            build_common_word_list([], -1)
+            build_common_word_list({}, -1)
 
 
 class TestClassifyNameType:
     def test_type2_all_common(self):
-        common = build_common_word_list(
-            [clean_name(t) for t in ["GLOBAL SYSTEMS", "GLOBAL TECH", "SYSTEMS TECH"]], 3
-        )
+        counts = document_frequencies(clean_name(t) for t in ["GLOBAL SYSTEMS", "GLOBAL TECH", "SYSTEMS TECH"])
+        common = build_common_word_list(counts, 3)
         assert classify_name_type(("global", "systems"), common) is NameClass.TYPE2
         assert classify_name_type(("global", "nokia"), common) is NameClass.TYPE1
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError):
-            classify_name_type((), build_common_word_list([], 0))
+            classify_name_type((), frozenset())
 
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5), st.sets(st.sampled_from("abcdef")))
     def test_type2_exactly_when_every_token_is_common(self, tokens, common_words):
-        common = CommonWordList(sorted(common_words))
+        common = frozenset(common_words)
         want = NameClass.TYPE2 if all(t in common_words for t in tokens) else NameClass.TYPE1
         assert classify_name_type(tokens, common) is want

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import read_pairs_tsv, run_fixture_pipeline
 from harmonizer import augment, embed
-from harmonizer.augment import AugmentationCache, AugmentationResult, SearchProvider
+from harmonizer.augment import AugmentationCache, AugmentationResult, HtmlSearchProvider, SearchProvider
 from harmonizer.config import SEARCH_SPACE, PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.evaluation import GoldPairs, build_report
@@ -513,23 +513,26 @@ class TestSummarizeMapping:
 
 
 class TestMakeProvider:
-    def test_offline_flag_suppresses_provider(self, monkeypatch):
-        # The CLI folds --offline into run.offline, the one switch make_provider reads.
-        from harmonizer.cli import _load_config, build_parser
+    def test_offline_flag_suppresses_provider(self, monkeypatch, corpus60_paths):
+        # --offline is the one switch: run passes it to run_pipeline, and
+        # augment makes no provider with it, even with an endpoint set.
+        import harmonizer.cli as cli
 
         monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
-        argv = ["augment", "--input", "in.tsv", "--cache", "cache.jsonl"]
-        assert make_provider(_load_config(build_parser().parse_args(argv))) is not None
-        assert make_provider(_load_config(build_parser().parse_args([*argv, "--offline"]))) is None
+        offline, providers = [], []
 
-    def test_config_offline_suppresses_provider(self):
-        config = PipelineConfig.load(
-            environ={
-                "HARMONIZER_AUGMENT_PROVIDER_ENDPOINT": "https://search.example/s",
-                "HARMONIZER_RUN_OFFLINE": "true",
-            }
-        )
-        assert make_provider(config) is None
+        def run_pipeline(config, **kwargs):
+            offline.append(kwargs["offline"])
+            return RunManifest("", 0)
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(cli, "_augment_stage", lambda records, cache, provider, *rest, **kw: providers.append(provider))
+        run = ["run", "--input", "in.tsv", "--cache", "cache.jsonl", "--out", "out"]
+        augment = ["augment", "--input", str(corpus60_paths["input"]), "--cache", str(corpus60_paths["cache"])]
+        for argv in (run, [*run, "--offline"], augment, [*augment, "--offline"]):
+            assert cli.main(argv) == 0
+        assert offline == [False, True]
+        assert isinstance(providers[0], HtmlSearchProvider) and providers[1] is None
 
     def test_no_endpoint_means_no_provider(self):
         config = PipelineConfig.load(environ={})
@@ -539,13 +542,20 @@ class TestMakeProvider:
         config = PipelineConfig.load(
             environ={
                 "HARMONIZER_AUGMENT_PROVIDER_ENDPOINT": "https://search.example/s",
+                "HARMONIZER_AUGMENT_PROVIDER_QUERY_PARAM": "query",
+                "HARMONIZER_AUGMENT_PROVIDER_SUGGESTION_SELECTOR": "a.fix",
+                "HARMONIZER_AUGMENT_PROVIDER_RESULT_SELECTOR": "a.hit",
+                "HARMONIZER_AUGMENT_PROVIDER_RATE_LIMIT_PER_S": "4",
+                "HARMONIZER_AUGMENT_PROVIDER_TIMEOUT_S": "2.5",
                 "HARMONIZER_AUGMENT_PROVIDER_RETRIES": "5",
             }
         )
         provider = make_provider(config)
-        assert provider is not None
+        assert isinstance(provider, HtmlSearchProvider)
         assert provider.endpoint == "https://search.example/s"
-        assert provider.retries == 5
+        selectors = (provider.suggestion_selector, provider.result_selector)
+        assert provider.query_param == "query" and selectors == ("a.fix", "a.hit")
+        assert (provider._min_interval, provider.timeout_s, provider.retries) == (0.25, 2.5, 5)
 
 
 class _CannedProvider(SearchProvider):
@@ -670,10 +680,11 @@ class TestPrepareCorpus:
         ids = [r.record_id for r in corpus.records]
         assert ids == sorted(r.record_id for r in records) and corpus.ids == tuple(ids)
         assert corpus.names == [clean_name(r.raw_name) for r in corpus.records]
-        columns = (corpus.records, corpus.names, corpus.domain_info)
+        columns = (corpus.records, corpus.names, corpus.url_tokens)
         assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
         assert corpus.type1.dtype == bool and corpus.type1.tolist() == [True] * 60
+        assert corpus.domain.dtype == np.int64 and corpus.domain.shape == (60,)
         # One vector row per distinct token list, in first-seen order.
         distinct = list(dict.fromkeys(n.tokens for n in corpus.names))
         assert len(corpus.vectors) == 60 and corpus.vectors.block.shape == (len(distinct), 256)
@@ -720,7 +731,8 @@ def assert_same_corpus(got, want):
     assert got.records == want.records
     assert got.names == want.names
     assert got.type1.dtype == want.type1.dtype == bool and np.array_equal(got.type1, want.type1)
-    assert got.domain_info == want.domain_info
+    assert got.domain.dtype == want.domain.dtype == np.int64 and np.array_equal(got.domain, want.domain)
+    assert got.url_tokens == want.url_tokens
     assert np.array_equal(got.candidates, want.candidates)
     assert len(got.vectors) == len(want.vectors)
     norms = got.vectors.norms[got.vectors.rows].tolist()
@@ -749,7 +761,9 @@ class TestPrepareOnceOracle:
         assert_same_corpus(got, reference_prepare(config, records, cache))
         # The corpus exercises what it is built for.
         assert manifest.stage_counts["corrected"] == 1 and manifest.stage_counts["augmented"] == 11
-        assert {info.domain for info in got.domain_info} == {None, "acme.com", "fujitsu.com"}
+        # acme.com is 0 and fujitsu.com 1; the blocklisted directory, the
+        # malformed URLs and the records without a URL hold -1.
+        assert got.domain.tolist() == [0, 0, 0, -1, -1, 1, -1, -1, -1, -1, -1, -1]
         assert got.names[3].cleaned == "societe generale" and got.names[5].cleaned == "fujitsu"
 
     def test_each_distinct_value_computed_once(self, monkeypatch):
