@@ -95,8 +95,9 @@ class NameVectors(Mapping[int, NameEmbedding]):
     def __init__(self, block: np.ndarray, rows: Sequence[int]):
         self.block = block
         self.rows = np.asarray(rows, dtype=np.int64)
-        # What np.linalg.norm computes for a 1-D float array.
-        self.norms = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
+        # What np.linalg.norm computes for a 1-D float array, sqrt(row.dot(row)),
+        # bit for bit: a stack of (1 x dim) @ (dim x 1) products.
+        self.norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
         self.degenerate = (self.norms == 0.0)[self.rows]
 
     def __getitem__(self, position: int) -> NameEmbedding:

@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError
 from .ingest import GoldLabel
 
@@ -36,6 +38,12 @@ def _pairs(count: int) -> int:
     return count * (count - 1) // 2
 
 
+def _run_pairs(values: np.ndarray) -> int:
+    """The sum of C(n, 2) over the runs of equal values in sorted ``values``."""
+    sizes = np.diff(np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True]))))
+    return int((sizes * (sizes - 1)).sum()) // 2
+
+
 def check_gold(gold: Sequence[GoldLabel], record_ids: Iterable[str]) -> None:
     """InputError unless the gold standard is non-empty, repeats no id and
     shares a record with ``record_ids``."""
@@ -53,8 +61,8 @@ class GoldPairs:
     partitions of fixed record ``ids``: ``cells`` holds, in gold-file order,
     each gold record's position in ``ids`` (None when ``ids`` lack it) with
     its entity. A partition is given as ``community``, where ``ids[i]`` is in
-    cluster ``community[i]``; a gold record ``ids`` lack is a predicted
-    singleton."""
+    the cluster of integer id ``community[i]``; a gold record ``ids`` lack is
+    a predicted singleton."""
 
     def __init__(self, gold: Sequence[GoldLabel], ids: Sequence[str]):
         check_gold(gold, ids)
@@ -63,16 +71,23 @@ class GoldPairs:
         entity_sizes = Counter(e for _, e in self.cells)
         self.gold_pairs = sum(_pairs(n) for n in entity_sizes.values())
         self.n_entities = len(entity_sizes)
+        # The gold records ``ids`` hold: their positions and entity codes.
+        codes = {entity: code for code, entity in enumerate(entity_sizes)}
+        present = [(i, codes[e]) for i, e in self.cells if i is not None]
+        self._positions, self._entities = np.array(present, dtype=np.int64).reshape(-1, 2).T
 
-    def confusion(self, community: Sequence[Hashable]) -> PairwiseConfusion:
+    def confusion(self, community: Sequence[int]) -> PairwiseConfusion:
         """Agreeing and disagreeing unordered pairs, counted without
         enumerating them: tp sums C(n, 2) over the sizes of (predicted cluster
         x gold entity) intersections; fp and fn follow from the predicted and
         gold pair totals. An absent record adds no predicted or agreeing
-        pair."""
-        cells = Counter((community[i], e) for i, e in self.cells if i is not None)
-        tp = sum(_pairs(n) for n in cells.values())
-        pred_pairs = sum(_pairs(n) for n in Counter(community[i] for i, _ in self.cells if i is not None).values())
+        pair. One sort of the gold records' (cluster, entity) codes makes
+        every cell a run, and every cluster a run of cells; a count array
+        indexed by the codes would grow with clusters x entities."""
+        clusters = np.asarray(community, dtype=np.int64)[self._positions]
+        cells = np.sort(clusters * self.n_entities + self._entities)
+        tp = _run_pairs(cells)
+        pred_pairs = _run_pairs(cells // self.n_entities)
         return PairwiseConfusion(tp=tp, fp=pred_pairs - tp, fn=self.gold_pairs - tp)
 
     def bcubed(self, community: Sequence[Hashable]) -> Metrics:
@@ -123,7 +138,7 @@ def reduction_rate(n_before: int, n_after: int) -> float:
     return (n_before - n_after) / n_before
 
 
-def build_report(gold: GoldPairs, community: Sequence[Hashable]) -> dict:
+def build_report(gold: GoldPairs, community: Sequence[int]) -> dict:
     """The eval.json report of the partition ``community`` over ``gold``'s
     ids. The reduction counts are the partition's own record and community
     counts."""

@@ -377,28 +377,21 @@ def _bridgeness_from(graph: Graph, sources: np.ndarray) -> np.ndarray:
 _BETA_MARGIN = 1e-9
 
 
+def _cutoff(beta: float) -> float:
+    """The value a node's bridgeness must exceed to be flagged at ``beta``."""
+    return beta + _BETA_MARGIN * max(1.0, abs(beta))
+
+
 def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:
     """``graph`` without the edges that touch a node whose bridgeness exceeds
     ``beta``; a value equal to ``beta`` is never flagged. When no node is
     flagged the result is ``graph`` itself, not a copy, so a caller must not
     mutate it. ``stats``, when given, has its ``flagged_nodes`` and
-    ``pruned_edges`` counts raised.
-
-    Two cases are settled without computing bridgeness. It is never negative,
-    so a cutoff below 0 flags every node. And a node interior to a shortest
-    s-t path with s and t outside its closed neighbourhood has d(s, t) >= 4,
-    so on a graph of at most 4 nodes, or a clique, every node's bridgeness is
-    exactly 0 and a cutoff of 0 or more flags none. A β just below 0 (above
-    -1e-9) has a cutoff above 0, so it flags no node of bridgeness 0.
-    """
-    cutoff = beta + _BETA_MARGIN * max(1.0, abs(beta))
+    ``pruned_edges`` counts raised. Bridgeness is always computed: the cases
+    that need none are settled by ``refine_communities`` before it cuts a
+    subgraph."""
     n = graph.n
-    if cutoff < 0:
-        flagged = np.ones(n, dtype=bool)
-    elif n <= 4 or 2 * graph.number_of_edges() == n * (n - 1):
-        flagged = np.zeros(n, dtype=bool)
-    else:
-        flagged = bridgeness_centrality(graph) > cutoff
+    flagged = bridgeness_centrality(graph) > _cutoff(beta)
     pruned = graph
     if flagged.any():
         keep = ~(flagged[graph.rows] | flagged[graph.neighbours])
@@ -412,14 +405,25 @@ def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None
 def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
     """Louvain, then per-community prune-and-repartition.
 
-    One pass takes every first-pass community, prunes bridge edges inside
-    its induced subgraph, and re-runs Louvain there. A community whose
-    subgraph loses no edge is confirmed and kept intact: re-partitioning it
-    anyway would let Louvain split dense communities that merely look uneven
-    in isolation. Louvain can group nodes that no edge joins, so every
-    community is then split into its connected components in ``graph``.
-    Communities only ever split, so the result refines the first-pass
-    partition.
+    Every first-pass community of more than 2 nodes has the bridge edges
+    inside its induced subgraph pruned, and is re-partitioned by Louvain
+    there if it lost an edge. A community that loses no edge is confirmed
+    and kept intact: re-partitioning it anyway would let Louvain split dense
+    communities that merely look uneven in isolation. Louvain can group
+    nodes that no edge joins, so every community is then split into its
+    connected components in ``graph``. Communities only ever split, so the
+    result refines the first-pass partition.
+
+    Two rules settle whole communities in one pass, from each community's
+    size and inner edge count, before any subgraph is cut. Bridgeness is
+    never negative, so a cutoff below 0 flags every member: each becomes its
+    own part, and all inner edges are pruned. A node interior to a shortest
+    s-t path with s and t outside its closed neighbourhood has d(s, t) >= 4,
+    so in a community of at most 4 nodes, or a clique, every bridgeness is
+    exactly 0 and a cutoff of 0 or more keeps it as it is. A β just below 0
+    (above -1e-9) has a cutoff above 0, so it falls under the second rule.
+    Only the other communities get a subgraph and ``prune_global_bridges``,
+    in community-id order.
 
     ``stats``, when given, receives the flagged bridge nodes and pruned
     edges, how many first-pass communities were split, and the final
@@ -428,25 +432,43 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     counts = stats if stats is not None else {}
     counts.update(flagged_nodes=0, pruned_edges=0)
     first = louvain(graph, resolution=params.resolution, seed=params.seed)
-    # A split community's parts take fresh labels above the first-pass ids,
-    # and the components make them dense again.
-    community = list(first.community)
-    fresh = first.n_communities
-    groups = [members for members in first.communities().values() if len(members) > 2]
-    for members, subgraph in zip(groups, graph.subgraphs(groups)):
-        before = counts["pruned_edges"]
-        pruned = prune_global_bridges(subgraph, params.bridgeness_threshold, counts)
-        if counts["pruned_edges"] > before:
-            parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
-            for position, part in zip(members, parts.community):
-                community[position] = fresh + part
-            fresh += parts.n_communities
+    labels = np.asarray(first.community, dtype=np.int64)
+    k = first.n_communities
+    sizes = np.bincount(labels, minlength=k)
+    inner = labels[graph.rows] == labels[graph.neighbours]
+    # Each inner edge is held by both its ends.
+    entries = np.bincount(labels[graph.rows[inner]], minlength=k)
+    # Parts take fresh labels above the first-pass ids, and the components
+    # make them dense again.
+    community = labels.copy()
+    if _cutoff(params.bridgeness_threshold) < 0:
+        # Every member of a community of more than 2 nodes is flagged.
+        large = sizes > 2
+        counts["flagged_nodes"] += int(sizes[large].sum())
+        counts["pruned_edges"] += int(entries[large].sum()) // 2
+        alone = np.flatnonzero(large[labels])
+        community[alone] = k + alone
+    else:
+        # Only a community of more than 4 nodes that is no clique can hold
+        # a node of nonzero bridgeness.
+        unsettled = np.flatnonzero((sizes > 4) & (entries != sizes * (sizes - 1))).tolist()
+        if unsettled:
+            members_of = first.communities()
+            groups = [members_of[cid] for cid in unsettled]
+            fresh = k
+            for members, subgraph in zip(groups, graph.subgraphs(groups)):
+                before = counts["pruned_edges"]
+                pruned = prune_global_bridges(subgraph, params.bridgeness_threshold, counts)
+                if counts["pruned_edges"] > before:
+                    parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
+                    community[members] = fresh + np.asarray(parts.community)
+                    fresh += parts.n_communities
     partition = Partition(_components(graph, community))
     if stats is not None:
         # Each final community lies in one first-pass community.
         finals = Counter(dict(zip(partition.community, first.community)).values())
-        sizes = Counter(Counter(partition.community).values())
-        stats.update(communities_split=sum(n > 1 for n in finals.values()), community_sizes=dict(sorted(sizes.items())))
+        histogram = Counter(Counter(partition.community).values())
+        stats.update(communities_split=sum(n > 1 for n in finals.values()), community_sizes=dict(sorted(histogram.items())))
     return partition
 
 

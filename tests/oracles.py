@@ -2,11 +2,12 @@
 
 Everything here favors obviousness over speed: direct formula transcription,
 explicit path enumeration, O(n^2) pair loops. None of it imports from the
-package's internals beyond plain data types, except ``reference_prune``: it
+package's internals beyond plain data types, except two. ``reference_prune``
 reuses ``bridgeness_centrality``, which the path-counting oracles here and
-the scalar ``brandes_bridgeness`` check, to check the cases pruning settles
-without it. ``reference_louvain`` is networkx's own Louvain, of which the
-package's is a transcription; ``dict_degrees``, ``dict_modularity`` and
+the scalar ``brandes_bridgeness`` check, to check the cases refinement
+settles without it; ``reference_refine`` runs refinement one community at a
+time with it and the package's ``louvain``. ``reference_louvain`` is
+networkx's own Louvain, of which the package's is a transcription; ``dict_degrees``, ``dict_modularity`` and
 ``dict_gen_graph`` are that transcription's level steps over lists of
 neighbour dicts, one edge at a time. ``reference_prepare`` reuses the package's
 per-record functions, to check that ``prepare_corpus`` computing each
@@ -38,7 +39,7 @@ import numpy as np
 from harmonizer.augment import extract_domain, preprocess_url_text
 from harmonizer.embed import NameEmbedding, compute_idf
 from harmonizer.errors import InputError
-from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality
+from harmonizer.graph import _BETA_MARGIN, FilterParams, Graph, bridgeness_centrality, louvain
 from harmonizer.match import Corpus, WeightVector, blocking_key_kinds, generate_candidate_pairs
 from harmonizer.parse import (
     CleanName,
@@ -464,6 +465,43 @@ def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> 
         stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + len(flagged)
         stats["pruned_edges"] = stats.get("pruned_edges", 0) + before - pruned.number_of_edges()
     return from_networkx(pruned)
+
+
+def reference_refine(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> list[int]:
+    """``refine_communities`` as one loop over the first-pass communities of
+    more than 2 nodes, in id order, with no rule that settles a community
+    in bulk: each one's induced subgraph (networkx's) is pruned by
+    ``reference_prune``, which always computes bridgeness, and re-partitioned
+    by the package's ``louvain`` when it lost an edge. Every community then
+    splits into its connected components in ``graph`` (networkx's), numbered
+    by smallest member. Returns each node's community and fills ``stats`` as
+    ``refine_communities`` does."""
+    counts = stats if stats is not None else {}
+    counts.update(flagged_nodes=0, pruned_edges=0)
+    first = louvain(graph, resolution=params.resolution, seed=params.seed).community
+    g = to_networkx(graph)
+    labels: list = list(first)
+    for cid in range(len(set(first))):
+        members = [v for v in range(graph.n) if first[v] == cid]
+        if len(members) <= 2:
+            continue
+        before = counts["pruned_edges"]
+        pruned = reference_prune(from_networkx(g.subgraph(members)), params.bridgeness_threshold, counts)
+        if counts["pruned_edges"] > before:
+            parts = louvain(pruned, resolution=params.resolution, seed=params.seed).community
+            for v, part in zip(members, parts):
+                labels[v] = (cid, part)
+    smallest = {}
+    for label in set(labels):
+        for component in nx.connected_components(g.subgraph(v for v in range(graph.n) if labels[v] == label)):
+            smallest.update(dict.fromkeys(component, min(component)))
+    dense: dict[int, int] = {}
+    community = [dense.setdefault(smallest[v], len(dense)) for v in range(graph.n)]
+    if stats is not None:
+        finals = {cid: {community[v] for v in range(graph.n) if first[v] == cid} for cid in set(first)}
+        stats["communities_split"] = sum(len(parts) > 1 for parts in finals.values())
+        stats["community_sizes"] = dict(sorted(Counter(Counter(community).values()).items()))
+    return community
 
 
 def reference_louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> dict:

@@ -262,6 +262,23 @@ class TestEmbedName:
         assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True, False]
         assert vectors[1].degenerate and vectors[2].vector.tolist() == [3.0, 4.0]
 
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.2, 1.0])
+    def test_norms_match_the_per_row_form(self, density):
+        """Every norm is bit for bit ``math.sqrt(row.dot(row))``, the form
+        np.linalg.norm takes for a 1-D array, on random sparse blocks of
+        several shapes and scales, zero rows and an empty block included."""
+        rng = np.random.default_rng(int(density * 100))
+        for rows, dim in [(0, 32), (1, 32), (7, 32), (300, 256), (800, 256)]:
+            block = rng.normal(scale=rng.uniform(0.01, 10.0), size=(rows, dim)) * (rng.random((rows, dim)) < density)
+            want = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
+            assert NameVectors(block, range(rows)).norms.tobytes() == want.tobytes(), (rows, dim)
+
+    def test_corpus_norms_match_the_per_row_form(self, corpus300_records):
+        names = [clean_name(record.raw_name) for record in corpus300_records]
+        block = embed_corpus(names, HashingBackend(), corpus_idf(names)).block
+        want = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
+        assert NameVectors(block, range(len(block))).norms.tobytes() == want.tobytes()
+
 
 class TestCosine:
     def test_frozen_value(self):

@@ -45,7 +45,7 @@ from oracles import (
     name_community_centroid,
     name_community_volume,
     reference_louvain,
-    reference_prune,
+    reference_refine,
 )
 
 
@@ -621,28 +621,112 @@ def test_subgraphs_match_networkx(graph, data):
         assert all(expected[u][v]["weight"] == w for u, v, w in named.edges(data="weight"))
 
 
+@st.composite
+def small_communities(draw):
+    """One to five groups of 3-5 nodes, each a random connected graph (a
+    spanning tree plus random edges) with heavy weights, tied by up to two
+    light edges: first-pass communities of 3-5 nodes, cliques and not, some
+    of 5 nodes with a member of nonzero bridgeness."""
+    rng = draw(st.randoms(use_true_random=True))
+    g = nx.Graph()
+    nodes: list = []
+    for k in range(draw(st.integers(min_value=1, max_value=5))):
+        members = [f"s{k}{i}" for i in range(rng.randint(3, 5))]
+        for i in range(1, len(members)):
+            g.add_edge(members[i], rng.choice(members[:i]), weight=rng.uniform(4.0, 6.0))
+        for u, v in itertools.combinations(members, 2):
+            if not g.has_edge(u, v) and rng.random() < 0.4:
+                g.add_edge(u, v, weight=rng.uniform(4.0, 6.0))
+        nodes += members
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(nodes, 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, weight=rng.uniform(0.5, 1.0))
+    return g
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    graph=st.one_of(weighted_graphs(), near_cliques()),
+    graph=st.one_of(weighted_graphs(), near_cliques(), small_communities(), st.just(nx.Graph())),
     log_resolution=st.floats(min_value=-3.0, max_value=math.log10(2.0)),
     beta=st.one_of(
         st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=-1e-9, max_value=0.0, exclude_min=True),
+        st.floats(min_value=-1e-9, max_value=0.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=2.0),
     ),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_pruning_shortcuts_match_the_reference(graph, log_resolution, beta, seed):
+def test_refinement_matches_the_reference(graph, log_resolution, beta, seed):
     """Refinement gives the same partition and the same filter stats whether
-    pruning skips bridgeness and filters the adjacency, or always computes
-    bridgeness and prunes a networkx copy."""
+    it settles communities in bulk or takes each one through
+    ``reference_prune``, which always computes bridgeness, and a networkx
+    subgraph. β covers cutoffs below 0, β in (-1e-9, 0), whose cutoff lies
+    above 0, and β >= 0."""
     graph = from_networkx(graph)
     params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
     stats: dict = {}
     partition = refine_communities(graph, params, stats)
     expected_stats: dict = {}
-    with mock.patch.object(graph_module, "prune_global_bridges", reference_prune):
-        expected = refine_communities(graph, params, expected_stats)
-    assert partition.assignments == expected.assignments
+    assert partition.community == reference_refine(graph, params, expected_stats)
+    assert stats == expected_stats
+
+
+def test_dense_community_with_a_tail_is_pruned():
+    """An 8-clique with a 3-node tail is dense (31 of 55 pairs joined) but
+    its far tail node lies 4 hops from the clique, so the tail's first node
+    has nonzero bridgeness: no bulk rule may settle it at β = 0."""
+    g = _disjoint_cliques([8])
+    g.add_edges_from([("c07", "t0"), ("t0", "t1"), ("t1", "t2")], weight=5.0)
+    graph = from_networkx(g)
+    params = FilterParams(resolution=0.01, bridgeness_threshold=0.0)
+    assert louvain(graph, params.resolution).n_communities == 1
+    stats: dict = {}
+    partition = refine_communities(graph, params, stats)
+    expected_stats: dict = {}
+    assert partition.community == reference_refine(graph, params, expected_stats)
+    assert stats == expected_stats and stats["flagged_nodes"] > 0
+
+
+def _disjoint_cliques(sizes):
+    """Cliques of the given sizes, each tied to the next by one light edge."""
+    g = nx.Graph()
+    previous = None
+    for k, size in enumerate(sizes):
+        members = [f"c{k}{i}" for i in range(size)]
+        g.add_edges_from(itertools.combinations(members, 2), weight=5.0)
+        if previous:
+            g.add_edge(previous, members[0], weight=0.5)
+        previous = members[-1]
+    return g
+
+
+@pytest.mark.parametrize(
+    "g, beta",
+    [
+        (nx.path_graph(9), -0.5),
+        (_disjoint_cliques([5, 6]), -2.0),
+        (_disjoint_cliques([3, 5, 6, 8]), 0.0),
+        (_disjoint_cliques([5, 7]), -1e-10),
+        (_disjoint_cliques([6, 6, 6]), 1.0),
+    ],
+)
+def test_settled_communities_make_no_subgraph_calls(g, beta):
+    """At a cutoff below 0, or when every first-pass community is a clique,
+    refinement makes one Louvain call, the first pass, and no
+    ``prune_global_bridges`` call, and still matches the reference."""
+    graph = from_networkx(g)
+    params = FilterParams(bridgeness_threshold=beta)
+    if beta >= -1e-9:
+        for members in louvain(graph).communities().values():
+            assert nx.density(to_networkx(graph).subgraph(members)) == 1.0 or len(members) == 1
+    louvain_spy = mock.patch.object(graph_module, "louvain", wraps=graph_module.louvain)
+    prune_spy = mock.patch.object(graph_module, "prune_global_bridges", wraps=graph_module.prune_global_bridges)
+    stats: dict = {}
+    with louvain_spy as louvain_calls, prune_spy as prune_calls:
+        partition = refine_communities(graph, params, stats)
+    assert louvain_calls.call_count == 1 and prune_calls.call_count == 0
+    expected_stats: dict = {}
+    assert partition.community == reference_refine(graph, params, expected_stats)
     assert stats == expected_stats
 
 
