@@ -21,7 +21,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from harmonizer.augment import AugmentationCache, AugmentationResult
 from harmonizer.config import PipelineConfig
-from harmonizer.ingest import AssigneeRecord, GoldLabel, write_assignee_table, write_gold_standard
+from harmonizer.ingest import AssigneeRecord, write_assignee_table, write_gold_standard
 from harmonizer.pipeline import prepare_corpus, run_pipeline
 
 DATA = REPO / "tests" / "data"
@@ -237,17 +237,17 @@ def write_fixture(rows, prefix: str, seed: int):
     rng = random.Random(seed)
     order = list(range(len(rows)))
     rng.shuffle(order)
-    records, gold, cache_lines = [], [], []
+    records, gold, cache_lines = [], {}, []
     for new_idx, old_idx in enumerate(order, start=1):
         name, entity, locs, res, patents = rows[old_idx]
         rid = f"r{new_idx:03d}"
         loc_set = frozenset(x for x in locs.split(";") if x) if locs else frozenset()
         records.append(AssigneeRecord(record_id=rid, raw_name=name, patent_count=patents, locations=loc_set))
-        gold.append(GoldLabel(record_id=rid, entity_id=entity))
+        gold[rid] = entity
         if res is not None:
             cache_lines.append(res.to_json())
     records.sort(key=lambda r: r.record_id)
-    gold.sort(key=lambda g: g.record_id)
+    gold = dict(sorted(gold.items()))
     write_assignee_table(records, DATA / f"{prefix}.tsv")
     write_gold_standard(gold, DATA / f"{prefix}_gold.tsv")
     (DATA / f"{prefix}_cache.jsonl").write_text("\n".join(cache_lines) + "\n", encoding="utf-8")

@@ -344,8 +344,6 @@ def build_frequent_domain_blocklist(domains: Iterable[Optional[str]], k: int) ->
     Directory-style hosts (encyclopedias, listings) dominate first-result URLs;
     blocking them keeps the domain condition meaningful.
     """
-    if k < 0:
-        raise InputError(f"blocklist size must be >= 0, got {k}")
     counts = Counter(domain for domain in domains if domain is not None)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return {domain for domain, _ in ranked[:k]}

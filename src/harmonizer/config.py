@@ -85,6 +85,9 @@ TUNED: dict[str, tuple[tuple[str, ...], float, float]] = {
     "location_boost": (("graph", "location_boost"), 0.0, 2.0),
 }
 SEARCH_SPACE = SearchSpace([(name, lo, hi) for name, (_, lo, hi) in TUNED.items()])
+# Keys that count something, so no value below 0 means anything; they are
+# checked as the config loads, before any input is read.
+COUNTS = {"augment.blocklist_k", "parse.common_words_n"}
 
 
 def _paths(node: Mapping, prefix: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
@@ -133,6 +136,8 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     if isinstance(default, int) and not isinstance(default, bool):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
+        if path in COUNTS and value < 0:
+            raise ConfigError(f"{path} must be >= 0, got {value}")
         return value
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):

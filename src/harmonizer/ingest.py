@@ -1,4 +1,5 @@
-"""Input loading: assignee records, gold labels, location keys.
+"""Input loading: assignee records, gold labels, location keys, and the TSV
+format every table of the package shares.
 
 The assignee table is a TSV with header ``record_id	raw_name	patent_count	locations``
 where ``locations`` holds zero or more ``city|state|country`` keys separated by ``;``.
@@ -11,7 +12,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -37,10 +38,48 @@ class AssigneeRecord:
             raise InputError(f"record {self.record_id!r}: the all-empty location key '||' names no place")
 
 
-@dataclass(frozen=True, slots=True)
-class GoldLabel:
-    record_id: str
-    entity_id: str
+def read_tsv(path: str | Path, header: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank data line of the TSV at
+    ``path``, whose first field is stripped. InputError, naming the line
+    where there is one, unless the file exists (``what`` names it), its
+    first line is ``header``, and each data line has one field per header
+    column and a non-empty first field no earlier line holds."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{what} file not found: {path}")
+    seen: set[str] = set()
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+        first = next(reader, None)
+        if first is None:
+            raise InputError(f"{path}: empty file, expected header {header}")
+        if first != header:
+            raise InputError(f"{path}: bad header {first!r}, expected {header}")
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise InputError(f"{path} line {line_no}: expected {len(header)} fields, got {len(fields)}")
+            key = fields[0] = fields[0].strip()
+            if not key:
+                raise InputError(f"{path} line {line_no}: empty {header[0]}")
+            if key in seen:
+                raise InputError(f"{path} line {line_no}: duplicate {header[0]} {key!r}")
+            seen.add(key)
+            yield line_no, fields
+
+
+def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """``header``, then one line per row of ``rows``, each a sequence of
+    strings. InputError, naming the row by its first field, when a field
+    holds a tab or a newline."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            line = "\t".join(row)
+            if line.count("\t") != len(header) - 1 or "\n" in line:
+                raise InputError(f"{path}: {header[0]} {row[0]!r}: field contains tab/newline")
+            fh.write(line + "\n")
 
 
 def harmonize_location(city: str, state: str, country: str) -> str:
@@ -79,100 +118,39 @@ def load_assignee_table(path: str | Path) -> list[AssigneeRecord]:
     """Load and validate an assignee TSV. Raises InputError naming the bad
     line. Each distinct ``locations`` field is parsed once, at the first
     line that holds it."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
     records: list[AssigneeRecord] = []
-    seen: set[str] = set()
     parsed_locations: dict[str, frozenset[str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+    for line_no, (record_id, raw_name, count_s, locations_s) in read_tsv(path, ASSIGNEE_HEADER, "input"):
+        if not raw_name.strip():
+            raise InputError(f"{path} line {line_no}: empty raw_name")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected header {ASSIGNEE_HEADER}")
-        if header != ASSIGNEE_HEADER:
-            raise InputError(f"{path}: bad header {header!r}, expected {ASSIGNEE_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path} line {line_no}: expected 4 fields, got {len(row)}")
-            record_id, raw_name, count_s, locations_s = row
-            record_id = record_id.strip()
-            if not record_id:
-                raise InputError(f"{path} line {line_no}: empty record_id")
-            if record_id in seen:
-                raise InputError(f"{path} line {line_no}: duplicate record_id {record_id!r}")
-            seen.add(record_id)
-            if not raw_name.strip():
-                raise InputError(f"{path} line {line_no}: empty raw_name")
-            try:
-                count = int(count_s) if count_s.strip() else 0
-            except ValueError:
-                raise InputError(f"{path} line {line_no}: bad patent_count {count_s!r}")
-            if count < 0:
-                raise InputError(f"{path} line {line_no}: negative patent_count {count}")
-            locations = parsed_locations.get(locations_s)
-            if locations is None:
-                locations = parsed_locations[locations_s] = _parse_locations(locations_s, line_no)
-            records.append(
-                AssigneeRecord(
-                    record_id=record_id,
-                    raw_name=raw_name.strip(),
-                    patent_count=count,
-                    locations=locations,
-                )
-            )
+            count = int(count_s) if count_s.strip() else 0
+        except ValueError:
+            raise InputError(f"{path} line {line_no}: bad patent_count {count_s!r}")
+        if count < 0:
+            raise InputError(f"{path} line {line_no}: negative patent_count {count}")
+        locations = parsed_locations.get(locations_s)
+        if locations is None:
+            locations = parsed_locations[locations_s] = _parse_locations(locations_s, line_no)
+        records.append(AssigneeRecord(record_id, raw_name.strip(), count, locations))
     return records
 
 
 def write_assignee_table(records: Iterable[AssigneeRecord], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("\t".join(ASSIGNEE_HEADER) + "\n")
-        for rec in records:
-            for piece in (rec.record_id, rec.raw_name):
-                if "\t" in piece or "\n" in piece:
-                    raise InputError(f"record {rec.record_id!r}: field contains tab/newline")
-            locs = ";".join(sorted(rec.locations))
-            fh.write(f"{rec.record_id}\t{rec.raw_name}\t{rec.patent_count}\t{locs}\n")
+    rows = ((rec.record_id, rec.raw_name, str(rec.patent_count), ";".join(sorted(rec.locations))) for rec in records)
+    write_tsv(path, ASSIGNEE_HEADER, rows)
 
 
-def load_gold_standard(path: str | Path) -> list[GoldLabel]:
-    """Load a record_id -> entity_id gold TSV."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"gold file not found: {path}")
-    labels: list[GoldLabel] = []
-    seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected header {GOLD_HEADER}")
-        if header != GOLD_HEADER:
-            raise InputError(f"{path}: bad header {header!r}, expected {GOLD_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
-            record_id, entity_id = (row[0].strip(), row[1].strip())
-            if not record_id or not entity_id:
-                raise InputError(f"{path} line {line_no}: empty field")
-            if record_id in seen:
-                raise InputError(f"{path} line {line_no}: duplicate record_id {record_id!r}")
-            seen.add(record_id)
-            labels.append(GoldLabel(record_id=record_id, entity_id=entity_id))
-    return labels
+def load_gold_standard(path: str | Path) -> dict[str, str]:
+    """The record_id -> entity_id labels of a gold TSV, in file order."""
+    gold: dict[str, str] = {}
+    for line_no, (record_id, entity_id) in read_tsv(path, GOLD_HEADER, "gold"):
+        entity_id = entity_id.strip()
+        if not entity_id:
+            raise InputError(f"{path} line {line_no}: empty entity_id")
+        gold[record_id] = entity_id
+    return gold
 
 
-def write_gold_standard(labels: Iterable[GoldLabel], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("\t".join(GOLD_HEADER) + "\n")
-        for label in labels:
-            fh.write(f"{label.record_id}\t{label.entity_id}\n")
-
+def write_gold_standard(gold: Mapping[str, str], path: str | Path) -> None:
+    write_tsv(path, GOLD_HEADER, gold.items())

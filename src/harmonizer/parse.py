@@ -159,8 +159,6 @@ def document_frequencies(names: Iterable[CleanName]) -> Counter[str]:
 def build_common_word_list(counts: Mapping[str, int], n: int) -> frozenset[str]:
     """The n tokens held by the most names, ties lexicographic, from
     ``document_frequencies``."""
-    if n < 0:
-        raise InputError(f"common-word count must be >= 0, got {n}")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return frozenset(token for token, _ in ranked[:n])
 

@@ -46,7 +46,7 @@ from .embed import HashingBackend, compute_idf, embed_corpus
 from .errors import ConfigError, InputError, ProviderError, StageError
 from .evaluation import GoldPairs, build_report, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
-from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard
+from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard, read_tsv, write_tsv
 from .match import Corpus, ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
 from .parse import (
     CleanName,
@@ -132,40 +132,21 @@ def write_mapping(partition: Partition, records: Sequence[AssigneeRecord], path:
     ``partition`` covers (ValueError, before the file is opened, otherwise)."""
     if len(partition.community) != len(records):
         raise ValueError("partition and records differ in record count")
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("\t".join(MAPPING_HEADER) + "\n")
-        for record, cid in zip(records, partition.community):
-            canonical = partition.canonical.get(cid, "")
-            fh.write(f"{record.record_id}\t{record.raw_name}\t{cid}\t{canonical}\n")
+    canonical = [partition.canonical.get(cid, "") for cid in partition.community]
+    rows = zip(records, partition.community, canonical)
+    write_tsv(path, MAPPING_HEADER, ((rec.record_id, rec.raw_name, str(cid), name) for rec, cid, name in rows))
 
 
 def read_mapping(path: str | Path) -> list[dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"mapping file not found: {path}")
     rows = []
-    seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != MAPPING_HEADER:
-            raise InputError(f"{path}: bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise InputError(f"{path} line {line_no}: expected 4 fields")
-            try:
-                cid = int(cols[2])
-            except ValueError:
-                raise InputError(f"{path} line {line_no}: bad community_id {cols[2]!r}")
-            if cols[0] in seen:
-                raise InputError(f"{path} line {line_no}: duplicate record_id {cols[0]!r}")
-            seen.add(cols[0])
-            rows.append(
-                {"record_id": cols[0], "raw_name": cols[1], "community_id": cid, "canonical_name": cols[3]}
-            )
+    for line_no, (record_id, raw_name, cid, canonical) in read_tsv(path, MAPPING_HEADER, "mapping"):
+        try:
+            community_id = int(cid)
+        except ValueError:
+            raise InputError(f"{path} line {line_no}: bad community_id {cid!r}")
+        rows.append(
+            {"record_id": record_id, "raw_name": raw_name, "community_id": community_id, "canonical_name": canonical}
+        )
     return rows
 
 
@@ -176,10 +157,9 @@ def _degenerate(corpus: Corpus) -> list[bool]:
 
 
 def _write_cleaned(corpus: Corpus, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("\t".join(CLEANED_HEADER) + "\n")
-        for rid, name, type1, degenerate in zip(corpus.ids, corpus.names, corpus.type1.tolist(), _degenerate(corpus)):
-            fh.write(f"{rid}\t{name.cleaned}\t{'type1' if type1 else 'type2'}\t{int(degenerate)}\n")
+    cleaned = [name.cleaned for name in corpus.names]
+    classes = ["type1" if type1 else "type2" for type1 in corpus.type1.tolist()]
+    write_tsv(path, CLEANED_HEADER, zip(corpus.ids, cleaned, classes, [str(int(d)) for d in _degenerate(corpus)]))
 
 
 def _augment_stage(

@@ -23,7 +23,6 @@ from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.evaluation import GoldPairs, compute_metrics
 from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
-from harmonizer.ingest import GoldLabel
 from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name, document_frequencies
 from harmonizer.pipeline import tune_pipeline
@@ -199,11 +198,11 @@ def test_04_planted_partition_recovery():
             nx.set_edge_attributes(graph, 1.0, "weight")
             partition = refine_communities(from_networkx(graph), FilterParams(seed=seed))
             pred = {str(node): cid for node, cid in partition.assignments.items()}
-            gold = [
-                GoldLabel(record_id=str(node), entity_id=f"b{block_index}")
+            gold = {
+                str(node): f"b{block_index}"
                 for block_index, block in enumerate(graph.graph["partition"])
                 for node in block
-            ]
+            }
             metrics = compute_metrics(GoldPairs(gold, list(pred)).confusion(list(pred.values())))
             f1_scores.append(metrics.f1)
         mean_f1 = sum(f1_scores) / len(f1_scores)
@@ -232,12 +231,7 @@ def test_06_metric_oracle():
     partitions; the hand-derived confusion (1, 1, 2) gives F1 = 0.4."""
     with criterion(6, "pairwise metric oracle", 10.0):
         hand_pred = {"a": 0, "b": 0, "c": 1, "d": 1}
-        hand_gold = [
-            GoldLabel(record_id="a", entity_id="e1"),
-            GoldLabel(record_id="b", entity_id="e1"),
-            GoldLabel(record_id="c", entity_id="e1"),
-            GoldLabel(record_id="d", entity_id="e2"),
-        ]
+        hand_gold = {"a": "e1", "b": "e1", "c": "e1", "d": "e2"}
         confusion = GoldPairs(hand_gold, list(hand_pred)).confusion(list(hand_pred.values()))
         assert (confusion.tp, confusion.fp, confusion.fn) == (1, 1, 2)
         assert compute_metrics(confusion).f1 == pytest.approx(0.4)
@@ -247,12 +241,11 @@ def test_06_metric_oracle():
             n = rng.randint(1, 200)
             record_ids = [f"r{i}" for i in range(n)]
             gold_map = {r: f"e{rng.randrange(1, max(2, n // 4))}" for r in record_ids}
-            gold = [GoldLabel(record_id=r, entity_id=e) for r, e in gold_map.items()]
             pred = {r: rng.randrange(max(1, n // 3)) for r in record_ids}
             for r in record_ids:
                 if rng.random() < 0.1:
                     pred.pop(r)
-            confusion = GoldPairs(gold, list(pred)).confusion(list(pred.values()))
+            confusion = GoldPairs(gold_map, list(pred)).confusion(list(pred.values()))
             assert (confusion.tp, confusion.fp, confusion.fn) == brute_pairwise_confusion(
                 pred, gold_map
             ), f"seed {seed}"

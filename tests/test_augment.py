@@ -316,10 +316,6 @@ class TestBlocklist:
     def test_zero_k(self):
         assert build_frequent_domain_blocklist(registrable_domains([result(first_url="https://a.com/")]), 0) == set()
 
-    def test_negative_k_rejected(self):
-        with pytest.raises(InputError):
-            build_frequent_domain_blocklist([], -1)
-
     def test_skips_missing_and_malformed(self):
         results = [result("A"), result("B", first_url="https://.."), result("C", first_url="https://ok.com/")]
         assert build_frequent_domain_blocklist(registrable_domains(results), 5) == {"ok.com"}

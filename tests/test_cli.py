@@ -15,6 +15,8 @@ import harmonizer
 from harmonizer import __version__
 from harmonizer.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_STAGE, main
 from harmonizer.errors import StageError
+from harmonizer.ingest import write_tsv
+from harmonizer.pipeline import MAPPING_HEADER, read_mapping
 
 
 def cli(*argv):
@@ -185,6 +187,19 @@ class TestEvaluateCommand:
         assert json.loads(target.read_text())["f1"] == 1.0
         assert "f1=1.0000" in capsys.readouterr().out
 
+    def test_ids_past_int64_score_as_the_originals(self, corpus60_run, corpus60_paths, tmp_path, capsys):
+        # Every community id times 2**63: all but 0 lie past int64.
+        mapping = corpus60_run["dir"] / "mapping.tsv"
+        scaled = tmp_path / "scaled.tsv"
+        rows = [list(row.values()) for row in read_mapping(mapping)]
+        write_tsv(scaled, MAPPING_HEADER, [(rid, name, str(cid * 2**63), canonical) for rid, name, cid, canonical in rows])
+        reports = []
+        for pred in (mapping, scaled):
+            out = tmp_path / f"{pred.stem}.json"
+            assert cli("evaluate", "--pred", str(pred), "--gold", str(corpus60_paths["gold"]), "--out", str(out)) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_missing_mapping_exits_3(self, corpus60_paths, tmp_path, capsys):
         rc = cli(
             "evaluate",
@@ -192,6 +207,19 @@ class TestEvaluateCommand:
             "--gold", str(corpus60_paths["gold"]),
         )
         assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+@pytest.mark.parametrize("key", ["augment.blocklist_k", "parse.common_words_n"])
+def test_negative_count_exits_2_before_the_input_is_read(tmp_path, capsys, command, key):
+    section, name = key.split(".")
+    config = tmp_path / "bad.yaml"
+    config.write_text(f"{section}:\n  {name}: -1\n")
+    missing = str(tmp_path / "missing.tsv")
+    args = [command, "--config", str(config), "--input", missing, "--cache", missing, "--offline"]
+    args += ["--out", str(tmp_path / "out")] if command == "run" else ["--gold", missing]
+    assert cli(*args) == EXIT_CONFIG
+    assert f"config error: {key} must be >= 0, got -1" in capsys.readouterr().err
 
 
 def duplicated_mapping(tmp_path):

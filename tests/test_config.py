@@ -110,6 +110,19 @@ class TestCoercion:
             load(tmp_path, "parse:\n  designators: 9\n")
 
 
+    @pytest.mark.parametrize("key", ["augment.blocklist_k", "parse.common_words_n"])
+    def test_negative_count_rejected_in_every_layer(self, tmp_path, key):
+        section, name = key.split(".")
+        message = f"{key} must be >= 0, got -1"
+        with pytest.raises(ConfigError, match=message):
+            load(tmp_path, f"{section}:\n  {name}: -1\n")
+        with pytest.raises(ConfigError, match=message):
+            load(environ={f"{ENV_PREFIX}{section}_{name}".upper(): "-1"})
+        with pytest.raises(ConfigError, match=message):
+            load(overrides={section: {name: -1}})
+        assert load(overrides={section: {name: 0}})[section][name] == 0
+
+
 class TestEnvLayer:
     def test_simple_env_override(self):
         config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "2.5"})

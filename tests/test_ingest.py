@@ -1,4 +1,4 @@
-"""Record loading and location keys."""
+"""Record loading, location keys, and the checks every TSV table shares."""
 
 from collections import Counter
 
@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from harmonizer import ingest
 from harmonizer.errors import InputError
 from harmonizer.ingest import (
+    ASSIGNEE_HEADER,
+    GOLD_HEADER,
     AssigneeRecord,
-    GoldLabel,
     harmonize_location,
     load_assignee_table,
     load_gold_standard,
     write_assignee_table,
     write_gold_standard,
 )
+from harmonizer.pipeline import MAPPING_HEADER, read_mapping
 
 
 class TestAssigneeRecord:
@@ -89,11 +91,9 @@ class TestTableIO:
     @pytest.mark.parametrize(
         "body,fragment",
         [
-            ("r1\tACME\t1\t\nr1\tOTHER\t2\t\n", "duplicate"),
             ("r1\tACME\tabc\t\n", "patent_count"),
             ("r1\tACME\t-2\t\n", "negative"),
             ("r1\t\t1\t\n", "empty raw_name"),
-            ("r1\tACME\t1\n", "4 fields"),
             ("r1\tACME\t1\tyork|uk\n", "city|state|country"),
         ],
     )
@@ -131,12 +131,6 @@ class TestTableIO:
         with pytest.raises(InputError, match="line 6: location key"):
             load_assignee_table(path)
 
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("id\tname\n")
-        with pytest.raises(InputError, match="header"):
-            load_assignee_table(path)
-
     def test_write_rejects_tab_in_name(self, tmp_path):
         rec = AssigneeRecord("r1", "ACME\tCORP")
         with pytest.raises(InputError, match="tab"):
@@ -145,13 +139,67 @@ class TestTableIO:
 
 class TestGoldIO:
     def test_round_trip(self, tmp_path):
-        labels = [GoldLabel("r1", "e1"), GoldLabel("r2", "e1"), GoldLabel("r3", "e2")]
+        labels = {"r2": "e1", "r1": "e1", "r3": "e2"}
         path = tmp_path / "g.tsv"
         write_gold_standard(labels, path)
-        assert load_gold_standard(path) == labels
+        assert list(load_gold_standard(path).items()) == list(labels.items())
 
-    def test_duplicate_record(self, tmp_path):
+    def test_empty_entity_rejected(self, tmp_path):
         path = tmp_path / "g.tsv"
-        path.write_text("record_id\tentity_id\nr1\te1\nr1\te2\n")
-        with pytest.raises(InputError, match="duplicate"):
+        path.write_text("record_id\tentity_id\nr1\te1\nr2\t \n")
+        with pytest.raises(InputError, match="line 3: empty entity_id"):
             load_gold_standard(path)
+
+
+# Each reader of a TSV table, with its header and two good data lines.
+READERS = {
+    "assignee": (load_assignee_table, ASSIGNEE_HEADER, [["r1", "ACME", "1", ""], ["r2", "BETA", "2", "york||uk"]]),
+    "gold": (load_gold_standard, GOLD_HEADER, [["r1", "e1"], ["r2", "e1"]]),
+    "mapping": (read_mapping, MAPPING_HEADER, [["r1", "ACME", "0", "ACME"], ["r2", "BETA", "1", "BETA"]]),
+}
+
+
+def table(lines, end="\n"):
+    return "".join("\t".join(line) + end for line in lines)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing_file",
+        "empty_file",
+        "bad_header",
+        "wrong_field_count",
+        "empty_first_column",
+        "repeated_first_column",
+        "blank_line",
+        "crlf",
+    ],
+)
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_table_shares_the_line_checks(tmp_path, reader, case):
+    """An error names its line where it has one; a blank line is skipped
+    and CRLF line ends read as LF ones do."""
+    load, header, (first, second) = READERS[reader]
+    n = len(header)
+    text, message = {
+        "missing_file": (None, "file not found: "),
+        "empty_file": ("", "empty file, expected header"),
+        "bad_header": (table([["id", *header[1:]], first, second]), r"bad header \['id'"),
+        "wrong_field_count": (table([header, first, second[:-1]]), f"line 3: expected {n} fields, got {n - 1}"),
+        "empty_first_column": (table([header, first, [" ", *second[1:]]]), "line 3: empty record_id"),
+        "repeated_first_column": (table([header, first, [" r1", *second[1:]]]), "line 3: duplicate record_id 'r1'"),
+        "blank_line": (table([header, first, [], second, []]), None),
+        "crlf": (table([header, first, second], "\r\n"), None),
+    }[case]
+    path = tmp_path / "table.tsv"
+    if text is not None:
+        path.write_bytes(text.encode("utf-8"))
+    if message is not None:
+        with pytest.raises(InputError, match=message):
+            load(path)
+        return
+    plain = tmp_path / "plain.tsv"
+    plain.write_text(table([header, first, second]), encoding="utf-8")
+    assert load(path) == load(plain)
+    assert len(load(path)) == 2

@@ -201,10 +201,6 @@ class TestCommonWords:
     def test_zero_n(self):
         assert build_common_word_list(self._counts(["A B"]), 0) == frozenset()
 
-    def test_negative_n_rejected(self):
-        with pytest.raises(InputError):
-            build_common_word_list({}, -1)
-
 
 class TestClassifyNameType:
     def test_type2_all_common(self):

@@ -439,28 +439,11 @@ class TestMappingIo:
                 write_mapping(partition, others, tmp_path / "mapping.tsv")
             assert not (tmp_path / "mapping.tsv").exists()
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "mapping.tsv"
-        path.write_text("record_id\traw\tcid\tname\n")
-        with pytest.raises(InputError, match="bad header"):
-            read_mapping(path)
-
-    def test_field_count_checked_with_line_number(self, tmp_path):
-        path = tmp_path / "mapping.tsv"
-        path.write_text("\t".join(MAPPING_HEADER) + "\nr1\tACME\t0\n")
-        with pytest.raises(InputError, match="line 2"):
-            read_mapping(path)
-
     def test_non_integer_community_rejected(self, tmp_path):
         path = tmp_path / "mapping.tsv"
         path.write_text("\t".join(MAPPING_HEADER) + "\nr1\tACME\tzero\tACME\n")
         with pytest.raises(InputError, match="bad community_id"):
             read_mapping(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "mapping.tsv"
-        path.write_text("\t".join(MAPPING_HEADER) + "\nr1\tACME\t0\tACME\n\n")
-        assert len(read_mapping(path)) == 1
 
 
 class TestSummarizeMapping:
