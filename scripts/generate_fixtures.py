@@ -265,7 +265,6 @@ def check(prefix: str, config_path: Path, f1_floor: float, reduction_lo: float, 
             cache_path=DATA / f"{prefix}_cache.jsonl",
             out_dir=tmp,
             gold_path=DATA / f"{prefix}_gold.tsv",
-            offline=True,
         )
         report = json.loads((Path(tmp) / "eval.json").read_text())
         summary = json.loads((Path(tmp) / "summary.json").read_text())

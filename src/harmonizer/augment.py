@@ -1,11 +1,12 @@
 """Knowledge augmentation: query a configurable HTML search provider for each
 name, keep the spelling suggestion, the first result URL, and the landing
 page's visible text. Everything fetched lands in an append-only JSONL cache
-keyed by the exact query string, so pipeline runs are reproducible offline.
+keyed by the exact query string, which pipeline runs only read.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import json
 import logging
@@ -415,7 +416,7 @@ class HtmlSearchProvider(SearchProvider):
         clock=time.monotonic,
     ):
         if not endpoint:
-            raise ConfigError("provider.endpoint must be configured for live augmentation")
+            raise ConfigError("augment.provider.endpoint must be set to fetch (augment --offline only counts the cache)")
         if rate_limit_per_s <= 0:
             raise ConfigError("provider.rate_limit_per_s must be > 0")
         if timeout_s <= 0:
@@ -480,22 +481,19 @@ class HtmlSearchProvider(SearchProvider):
 
 def fetch_augmentation(
     name: str,
-    provider: Optional[SearchProvider],
+    provider: SearchProvider,
     cache: AugmentationCache,
     *,
     refresh: bool = False,
     now=time.time,
-) -> Optional[AugmentationResult]:
+) -> AugmentationResult:
     """Augment one name. Cache hits cost zero requests; misses go through the
-    provider and are appended to the cache. With no provider (offline) a miss
-    simply returns None and the name stays un-augmented. Transient provider
-    failure raises ProviderError for the caller to log and move past."""
+    provider and are appended to the cache. Transient provider failure raises
+    ProviderError for the caller to log and move past."""
     if not refresh:
         hit = cache.get(name)
         if hit is not None:
             return hit
-    if provider is None:
-        return None
     page = provider.search_page(name)
     corrected = extract_did_u_mean(page, provider.suggestion_selector)
     first_url = extract_first_result_url(page, provider.result_selector)
@@ -517,3 +515,29 @@ def fetch_augmentation(
     )
     cache.put(result)
     return result
+
+
+def fetch_names(
+    names: Iterable[str],
+    provider: SearchProvider,
+    cache: AugmentationCache,
+    threads: int,
+    refresh: bool = False,
+) -> dict[str, Optional[AugmentationResult]]:
+    """Fill ``cache`` for every distinct name of ``names``: fetch each miss
+    (every name, with ``refresh``) once, on up to ``threads`` threads, after
+    making the cache file's directory. Returns each distinct name's result in
+    first-seen order; a failed fetch is logged and resolves to None."""
+
+    def fetch_one(name: str) -> Optional[AugmentationResult]:
+        try:
+            return fetch_augmentation(name, provider, cache, refresh=refresh)
+        except ProviderError as exc:
+            log.warning("augmentation failed for %r: %s", name, exc)
+            return None
+
+    names = list(dict.fromkeys(names))
+    if cache.path is not None:
+        cache.path.parent.mkdir(parents=True, exist_ok=True)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        return dict(zip(names, pool.map(fetch_one, names)))

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: augment (fill the cache), run (full pipeline), evaluate (score a
-mapping against gold), tune (TPE search), summarize (inspect a mapping).
+Subcommands: augment (fetch into the cache), run (full pipeline), evaluate
+(score a mapping against gold), tune (TPE search), summarize (inspect a mapping).
 Exit codes: 0 ok, 2 configuration error, 3 input error, 4 stage failure.
 """
 
@@ -14,19 +14,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .augment import AugmentationCache
+from .augment import AugmentationCache, HtmlSearchProvider, fetch_names
 from .config import PipelineConfig
 from .errors import ConfigError, HarmonizerError, InputError, StageError
 from .evaluation import GoldPairs, build_report
 from .ingest import load_assignee_table, load_gold_standard
-from .pipeline import (
-    _augment_stage,
-    make_provider,
-    read_mapping,
-    run_pipeline,
-    summarize_mapping,
-    tune_pipeline,
-)
+from .pipeline import read_mapping, run_pipeline, summarize_mapping, tune_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,8 +36,6 @@ def _global_flags(for_subcommand: bool = False) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", metavar="PATH", default=default, help="YAML config file")
     parent.add_argument("--seed", type=int, metavar="S", default=default, help="override run.seed")
-    parent.add_argument("--threads", type=int, metavar="N", default=default, help="override run.threads")
-    parent.add_argument("--offline", action="store_true", default=flag_default, help="never touch the network")
     parent.add_argument("--verbose", action="store_true", default=flag_default, help="INFO-level logging")
     return parent
 
@@ -70,6 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_augment.add_argument("--input", required=True, help="assignee TSV")
     p_augment.add_argument("--cache", required=True, help="augmentation cache JSONL (appended to)")
     p_augment.add_argument("--refresh", action="store_true", help="re-fetch names already cached")
+    p_augment.add_argument("--threads", type=int, metavar="N", help="override run.threads")
+    p_augment.add_argument("--offline", action="store_true", help="fetch nothing; only count what the cache covers")
 
     p_run = sub.add_parser("run", parents=[parent], help="run the full pipeline")
     p_run.add_argument("--input", required=True, help="assignee TSV")
@@ -101,18 +94,25 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     run: dict = {}
     if args.seed is not None:
         run["seed"] = args.seed
-    if args.threads is not None:
+    if getattr(args, "threads", None) is not None:
         run["threads"] = args.threads
     return PipelineConfig.load(args.config, overrides={"run": run})
 
 
+def make_provider(config: PipelineConfig) -> HtmlSearchProvider:
+    """The live provider built from ``augment.provider``, whose keys are its
+    parameters."""
+    return HtmlSearchProvider(**config["augment"]["provider"])
+
+
 def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
+    # The provider settings are checked before the input is read.
+    provider = None if args.offline else make_provider(config)
     records = load_assignee_table(args.input)
     cache = AugmentationCache(args.cache)
-    provider = None if args.offline else make_provider(config)
-    if provider is None and not args.offline:
-        raise ConfigError("augment needs augment.provider.endpoint (or --offline to only check the cache)")
-    _augment_stage(records, cache, provider, config["run"]["threads"], refresh=args.refresh)
+    if provider is not None:
+        threads = config["run"]["threads"]
+        fetch_names([record.raw_name for record in records], provider, cache, threads, refresh=args.refresh)
     # All three counts are over distinct names so the line adds up.
     names = {record.raw_name for record in records}
     covered = sum(1 for name in names if name in cache)
@@ -127,7 +127,6 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
         cache_path=args.cache,
         out_dir=args.out,
         gold_path=args.gold,
-        offline=args.offline,
     )
     counts = manifest.stage_counts
     print(

@@ -172,10 +172,13 @@ def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """Cosine in [-1, 1] of the vectors of the records at positions ``a[k]``
     and ``b[k]``, bit for bit the scalar
     ``cosine_similarity`` in ``tests/oracles.py``. Each distinct unordered
-    pair of block rows is computed once (``np.dot`` is symmetric bit for bit)
-    and copied to every pair holding it. Rows of equal norm are compared
+    pair of block rows is computed once, smaller row first, and copied to
+    every pair holding it. Rows whose norms agree to 1e-12 are compared
     element by element, and equal vectors get exactly 1.0; every other row
-    pair costs one ``np.dot``: a batched product would sum in another order."""
+    pair costs one ``np.dot``: a batched product would sum in another order.
+    Some BLAS kernels (OpenBLAS's Prescott) round a row's dot and norm by its
+    memory alignment, so ``np.dot`` need not be symmetric, nor equal rows'
+    norms equal."""
     rows, norms, block = vectors.rows, vectors.norms, vectors.block
     if vectors.degenerate[a].any() or vectors.degenerate[b].any():
         raise ValueError("cosine undefined for zero-norm vector")
@@ -185,7 +188,7 @@ def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarr
     key = key[order]
     new = np.diff(key, prepend=-1) != 0
     i, j = np.divmod(key[new], len(block))
-    same = norms[i] == norms[j]
+    same = np.isclose(norms[i], norms[j], rtol=1e-12, atol=0.0)
     same[same] = [x == y or np.array_equal(block[x], block[y]) for x, y in zip(i[same].tolist(), j[same].tolist())]
     differ = np.flatnonzero(~same)
     ri, rj = i[differ], j[differ]

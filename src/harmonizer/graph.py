@@ -22,7 +22,8 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -153,7 +154,8 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     A transcription of networkx 3.6.1's ``louvain_communities`` (its
     ``louvain_partitions``, ``_one_level``, ``_neighbor_weights`` and
     ``_gen_graph``) onto CSR levels, run on the graph in sorted node and
-    neighbour order: every float expression and summation order, the
+    neighbour order: every float expression and summation order (``reduce``
+    adds left to right, as ``sum`` did before Python 3.12), the
     insertion order of the neighbour weights per community (reading the
     node's own community inserts it), each level graph's rows in the order
     networkx's dicts insert them, the strict ``gain > best_mod``, and one
@@ -173,7 +175,7 @@ def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
     level, community = graph, list(range(graph.n))
     if len(graph.neighbours):
         degrees = _degrees(level)
-        m = sum(degrees) / 2
+        m = reduce(add, degrees, 0.0) / 2
         mod = _modularity(level, degrees, community, resolution)
         community = inner = _one_level(level, degrees, m, resolution, rng)[0]
         improvement = True
@@ -212,14 +214,14 @@ def _modularity(level: Graph, degree: list, community: list[int], resolution: fl
     ``degree`` is ``_degrees(level)``. An id no node holds, or a community
     of nodes without edges, adds a term of exactly 0.0, which changes no sum
     (bar the sign of a zero)."""
-    deg_sum = sum(degree)
+    deg_sum = reduce(add, degree, 0.0)
     m = deg_sum / 2
     norm = 1 / deg_sum**2
     labels = np.asarray(community)
     inner = (level.neighbours >= level.rows) & (labels[level.neighbours] == labels[level.rows])
     L_c = np.bincount(labels[level.rows[inner]], level.weights[inner], minlength=len(degree))
     degree_sum = np.bincount(labels, degree, minlength=len(degree))
-    return sum((L_c / m - resolution * degree_sum * degree_sum * norm).tolist())
+    return reduce(add, (L_c / m - resolution * degree_sum * degree_sum * norm).tolist(), 0.0)
 
 
 def _one_level(
@@ -498,14 +500,16 @@ def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:
     name, then record id); degenerate vectors neither win nor vote. A
     community without a usable vector takes its member with the most
     patents (same ties). A partition of another record count is a
-    ValueError. Each unordered pair of usable members is scored once (cosine
-    is symmetric bit for bit); one ``np.bincount`` adds each member's
-    cosines in member order: as the pairs' second member, then as the first."""
+    ValueError. Each unordered pair of usable members is scored once, by
+    ``pair_cosines``; one ``np.bincount`` adds each member's cosines
+    from 0.0 in (vector row, position) order, as the pairs' second member,
+    then as the first, so members who share a row tie exactly on any BLAS."""
     records, names, vectors = corpus.records, corpus.names, corpus.vectors
     if len(partition.community) != len(records):
         raise ValueError("partition and corpus differ in record count")
     groups = list(partition.communities().values())
-    usable = [[m for m in rows if not vectors.degenerate[m]] for rows in groups]
+    row, degenerate = vectors.rows.tolist(), vectors.degenerate.tolist()
+    usable = [sorted((m for m in rows if not degenerate[m]), key=row.__getitem__) for rows in groups]
     chained = itertools.chain.from_iterable(p for rows in usable for p in itertools.combinations(rows, 2))
     a, b = np.fromiter(chained, dtype=np.int64).reshape(-1, 2).T
     cos = pair_cosines(vectors, a, b)

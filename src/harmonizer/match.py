@@ -13,7 +13,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -196,11 +197,12 @@ def blocking_key_kinds(bound: ScoreBound, cost: Callable[[str], int]) -> tuple[s
         return FULL_INDEX
     costs = {kind: cost(kind) for kind in _KIND_COVERS}
     conditions = ("token", "first_token", "url_text", "domain")
+    # Added left to right from 0.0: from Python 3.12, sum() compensates.
     reaching = [
         set(fired)
         for r in range(1, len(conditions) + 1)
         for fired in itertools.combinations(conditions, r)
-        if ("first_token" not in fired or "token" in fired) and sum(w[c] for c in fired) >= needed
+        if ("first_token" not in fired or "token" in fired) and reduce(add, (w[c] for c in fired), 0.0) >= needed
     ]
     best: Optional[tuple[int, tuple[str, ...]]] = None
     for r in range(len(_KIND_COVERS) + 1):

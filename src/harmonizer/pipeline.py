@@ -10,7 +10,6 @@ the data artifacts.
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import hashlib
 import json
@@ -34,16 +33,13 @@ from . import __version__
 from .augment import (
     AugmentationCache,
     AugmentationResult,
-    HtmlSearchProvider,
-    SearchProvider,
     build_domain_info,
     build_frequent_domain_blocklist,
-    fetch_augmentation,
     registrable_domains,
 )
 from .config import SEARCH_SPACE, PipelineConfig
 from .embed import HashingBackend, compute_idf, embed_corpus
-from .errors import ConfigError, InputError, ProviderError, StageError
+from .errors import ConfigError, InputError, StageError
 from .evaluation import GoldPairs, build_report, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard, read_tsv, write_tsv
@@ -163,41 +159,17 @@ def _write_cleaned(corpus: Corpus, path: Path) -> None:
 
 
 def _augment_stage(
-    records: Sequence[AssigneeRecord],
-    cache: AugmentationCache,
-    provider: Optional[SearchProvider],
-    threads: int,
-    refresh: bool = False,
+    records: Sequence[AssigneeRecord], cache: AugmentationCache
 ) -> dict[str, Optional[AugmentationResult]]:
-    """Resolve augmentation for every record, keyed by record id in record
-    order, fetching misses (every name, with ``refresh``) when a provider is
-    available; the cache file's directory is made first. Each distinct name is
-    resolved once, in first-seen order, and its result goes to every record
-    that holds it. Fetches may run in parallel. A failed fetch resolves to None."""
-
-    def fetch_one(name: str) -> Optional[AugmentationResult]:
-        try:
-            return fetch_augmentation(name, provider, cache, refresh=refresh)
-        except ProviderError as exc:
-            log.warning("augmentation failed for %r: %s", name, exc)
-            return None
-
-    names = list(dict.fromkeys(record.raw_name for record in records))
-    if provider is not None and cache.path is not None:
-        cache.path.parent.mkdir(parents=True, exist_ok=True)
-    if provider is not None and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            resolved = dict(zip(names, pool.map(fetch_one, names)))
-    else:
-        resolved = {name: fetch_one(name) for name in names}
-    return {record.record_id: resolved[record.raw_name] for record in records}
+    """Each record's cached augmentation, keyed by record id in record order;
+    None for a name the cache lacks."""
+    return {record.record_id: cache.get(record.raw_name) for record in records}
 
 
 def prepare_corpus(
     config: PipelineConfig,
     records: Sequence[AssigneeRecord],
     cache: AugmentationCache,
-    provider: Optional[SearchProvider] = None,
     bound: Optional[ScoreBound] = None,
     manifest: Optional[RunManifest] = None,
 ) -> Corpus:
@@ -213,7 +185,7 @@ def prepare_corpus(
     """
     t = time.perf_counter()
     records = sorted(records, key=lambda r: r.record_id)
-    results = list(_augment_stage(records, cache, provider, config["run"]["threads"]).values())
+    results = list(_augment_stage(records, cache).values())
     t = _charge(manifest, "augment", t)
 
     designators = LegalDesignatorDictionary.from_file(config["parse"]["designators"])
@@ -255,13 +227,6 @@ def prepare_corpus(
     return corpus
 
 
-def make_provider(config: PipelineConfig) -> Optional[SearchProvider]:
-    """The live provider built from ``augment.provider``, whose keys are its
-    parameters, or None when no endpoint is configured."""
-    provider = config["augment"]["provider"]
-    return HtmlSearchProvider(**provider) if provider["endpoint"] else None
-
-
 def _remove_stale_work_dirs(out_dir: Path) -> None:
     """Remove the ``.<out>.<pid>.<suffix>`` siblings of ``out_dir`` whose
     pid no longer exists; those of a live process stay."""
@@ -295,7 +260,9 @@ def run_pipeline(
     pid of its run, so one left by a killed run is removed by the next.
 
     The gold labels are checked where they are read, before any stage runs.
-    With ``offline`` no search provider is made.
+    The run reads the augmentation cache and fetches nothing: a name the
+    cache lacks stays un-augmented. ``offline`` has no effect; it is kept
+    because ``perfbench/child.py`` still passes it.
     """
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -326,9 +293,8 @@ def run_pipeline(
 
         stage = "augment"
         cache = AugmentationCache(cache_path)
-        provider = None if offline else make_provider(config)
         _charge(manifest, "augment", t)
-        corpus = prepare_corpus(config, records, cache, provider, manifest=manifest)
+        corpus = prepare_corpus(config, records, cache, manifest=manifest)
 
         stage = "parse"
         t = time.perf_counter()
@@ -474,7 +440,7 @@ def tune_pipeline(
     records = load_assignee_table(input_path)
     gold = GoldPairs(load_gold_standard(gold_path), sorted(record.record_id for record in records))
     cache = AugmentationCache(cache_path)
-    corpus = prepare_corpus(config, records, cache, provider=None, bound=config.tuning_score_bound())
+    corpus = prepare_corpus(config, records, cache, bound=config.tuning_score_bound())
     objective = build_tuning_objective(config, corpus, gold)
     return optimize(
         objective,

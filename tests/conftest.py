@@ -105,7 +105,6 @@ def run_fixture_pipeline(paths: dict, out_dir: Path, overrides: dict | None = No
         cache_path=paths["cache"],
         out_dir=out_dir,
         gold_path=paths["gold"] if with_gold else None,
-        offline=True,
     )
     out = {"dir": out_dir}
     for name in ("summary", "manifest"):

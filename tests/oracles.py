@@ -120,14 +120,18 @@ def embed_name(tokens, backend, idf: Mapping[str, float]) -> NameEmbedding:
     return NameEmbedding(vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
 
 
-def name_community_centroid(members, records, names, embeddings) -> str:
+def name_community_centroid(members, records, names, embeddings, rows) -> str:
     """Raw name of the member with the greatest mean cosine to the other
     members, one community at a time: ties go to the smallest cleaned name,
     then the smallest position; degenerate embeddings neither win nor vote,
     and ValueError when no member has a usable one. ``members`` are
-    positions in the aligned ``records``, ``names`` and ``embeddings``. Each
-    member's cosines are summed over the others in member order."""
-    usable = [m for m in sorted(members) if not embeddings[m].degenerate]
+    positions in the aligned ``records``, ``names``, ``embeddings`` and
+    ``rows`` (each position's vector row). Each member's cosines are summed
+    from 0.0 over the others in (row, position) order, each one taken with
+    the smaller row's vector first: ``np.dot`` of two rows at different
+    alignments can round differently with them swapped (OpenBLAS's Prescott
+    kernel does)."""
+    usable = sorted((m for m in members if not embeddings[m].degenerate), key=lambda m: (rows[m], m))
     if not usable:
         raise ValueError("all members have degenerate embeddings")
     if len(usable) == 1:
@@ -137,7 +141,8 @@ def name_community_centroid(members, records, names, embeddings) -> str:
         total = 0.0
         for o in usable:
             if o != m:
-                total += cosine_similarity(embeddings[m].vector, embeddings[o].vector)
+                first, second = sorted((m, o), key=lambda p: rows[p])
+                total += cosine_similarity(embeddings[first].vector, embeddings[second].vector)
         means[m] = total / (len(usable) - 1)
     return records[min(usable, key=lambda m: (-means[m], names[m].cleaned, m))].raw_name
 

@@ -504,9 +504,6 @@ class TestFetchAugmentation:
         assert out.first_url == "https://acme.com/"
         assert session.calls == []
 
-    def test_offline_miss_returns_none(self, fresh_cache):
-        assert fetch_augmentation("ACME", None, fresh_cache) is None
-
     def test_full_flow_and_caching(self, fresh_cache):
         provider, session, _ = self._provider(
             [_FakeResponse(200, SEARCH_PAGE), _FakeResponse(200, LANDING_PAGE)]

@@ -23,6 +23,17 @@ def cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture()
+def no_provider(monkeypatch):
+    """Building a search provider fails the test."""
+    from harmonizer.augment import HtmlSearchProvider
+
+    def built(*args, **kwargs):
+        raise AssertionError("a search provider was built")
+
+    monkeypatch.setattr(HtmlSearchProvider, "__init__", built)
+
+
 def test_import_leaves_networkx_unloaded():
     # networkx is a test-only dependency: the CLI must not import it.
     env = dict(os.environ, PYTHONPATH=str(Path(harmonizer.__file__).resolve().parent.parent))
@@ -57,7 +68,6 @@ class TestRunCommand:
             "--input", str(paths["input"]),
             "--cache", str(paths["cache"]),
             "--out", str(out_dir),
-            "--offline",
             *extra,
         ]
 
@@ -100,7 +110,7 @@ class TestRunCommand:
 
     def test_global_flags_before_subcommand(self, corpus60_paths, tmp_path, capsys):
         # The subparsers must not clobber flags the root parser already read.
-        rc = cli("--seed", "5", "--offline", *self.run_args(corpus60_paths, tmp_path)[:-1])
+        rc = cli("--seed", "5", *self.run_args(corpus60_paths, tmp_path))
         assert rc == EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 5
@@ -153,6 +163,33 @@ class TestRunCommand:
         rc = cli(*self.run_args(corpus60_paths, tmp_path))
         assert rc == EXIT_STAGE
         assert "stage 'match' failed" in capsys.readouterr().err
+
+    def test_run_with_an_endpoint_reads_the_cache_only(self, corpus60_paths, tmp_path, capsys, monkeypatch, no_provider):
+        # Only augment fetches: with an endpoint set and half the names
+        # missing from the cache, a run builds no provider, leaves the cache
+        # as it was and writes what a run without an endpoint writes.
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b"".join(corpus60_paths["cache"].read_bytes().splitlines(keepends=True)[::2]))
+        before = cache.read_bytes()
+        paths = dict(corpus60_paths, cache=cache)
+        assert cli(*self.run_args(paths, tmp_path / "plain")) == EXIT_OK
+        monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
+        assert cli(*self.run_args(paths, tmp_path / "endpoint")) == EXIT_OK
+        assert cache.read_bytes() == before
+        for name in ("cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json"):
+            assert (tmp_path / "endpoint" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+        counts = json.loads((tmp_path / "endpoint" / "manifest.json").read_text())["stage_counts"]
+        assert (counts["records"], counts["augmented"]) == (60, 30)
+
+    @pytest.mark.parametrize("command, flag", [("run", ["--offline"]), ("tune", ["--threads", "2"])])
+    def test_network_flags_belong_to_augment(self, corpus60_paths, tmp_path, capsys, command, flag):
+        args = [command, "--input", str(corpus60_paths["input"]), "--cache", str(corpus60_paths["cache"])]
+        args += ["--out", str(tmp_path / "out")] if command == "run" else ["--gold", str(corpus60_paths["gold"])]
+        with pytest.raises(SystemExit) as excinfo:
+            cli(*args, *flag)
+        assert excinfo.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_brute_force_flag(self, corpus60_paths, tmp_path, capsys):
         # Blocking is the only candidate path; the flag is gone.
@@ -216,7 +253,7 @@ def test_negative_count_exits_2_before_the_input_is_read(tmp_path, capsys, comma
     config = tmp_path / "bad.yaml"
     config.write_text(f"{section}:\n  {name}: -1\n")
     missing = str(tmp_path / "missing.tsv")
-    args = [command, "--config", str(config), "--input", missing, "--cache", missing, "--offline"]
+    args = [command, "--config", str(config), "--input", missing, "--cache", missing]
     args += ["--out", str(tmp_path / "out")] if command == "run" else ["--gold", missing]
     assert cli(*args) == EXIT_CONFIG
     assert f"config error: {key} must be >= 0, got -1" in capsys.readouterr().err
@@ -285,7 +322,6 @@ class TestTuneCommand:
             "--cache", str(corpus60_paths["cache"]),
             "--trials", "2",
             "--out", str(store),
-            "--offline",
         )
         assert rc == EXIT_OK
         out = capsys.readouterr().out
@@ -308,7 +344,6 @@ class TestTuneCommand:
             "--gold", str(gold),
             "--cache", str(corpus60_paths["cache"]),
             "--out", str(store),
-            "--offline",
         )
         assert rc == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
@@ -317,7 +352,9 @@ class TestTuneCommand:
 
 
 class TestAugmentCommand:
-    def test_offline_cache_inventory(self, corpus60_paths, tmp_path, capsys):
+    def test_offline_cache_inventory(self, corpus60_paths, tmp_path, capsys, monkeypatch, no_provider):
+        # --offline builds no provider, even with an endpoint set.
+        monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
         cache = tmp_path / "cache.jsonl"
         shutil.copy(corpus60_paths["cache"], cache)
         rc = cli(
@@ -330,15 +367,21 @@ class TestAugmentCommand:
         assert "augment: 60 names, 60 cached, 0 un-augmented" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "setting, message", [("retries: -1", "retries must be >= 0"), ("timeout_s: 0", "timeout_s must be > 0")]
+        "setting, message",
+        [
+            ("retries: -1", "retries must be >= 0"),
+            ("timeout_s: 0", "timeout_s must be > 0"),
+            ("rate_limit_per_s: 0", "rate_limit_per_s must be > 0"),
+        ],
     )
-    def test_unusable_provider_settings_exit_2(self, corpus60_paths, tmp_path, capsys, setting, message):
+    def test_unusable_provider_settings_exit_2(self, tmp_path, capsys, setting, message):
+        # The provider settings are checked before the input is read.
         config = tmp_path / "provider.yaml"
         config.write_text(f"augment:\n  provider:\n    endpoint: http://127.0.0.1:9/s\n    {setting}\n")
         rc = cli(
             "augment",
             "--config", str(config),
-            "--input", str(corpus60_paths["input"]),
+            "--input", str(tmp_path / "missing.tsv"),
             "--cache", str(tmp_path / "cache.jsonl"),
         )
         assert rc == EXIT_CONFIG

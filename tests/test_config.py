@@ -364,8 +364,12 @@ REMOVED_KEYS = [
 
 
 class TestEveryKeyRead:
-    def test_run_tune_and_provider_read_every_key(self, corpus60_paths, tmp_path):
-        from harmonizer.pipeline import make_provider, run_pipeline, tune_pipeline
+    def test_run_tune_and_provider_read_every_key(self, corpus60_paths, tmp_path, monkeypatch):
+        import argparse
+
+        from harmonizer import cli
+        from harmonizer.pipeline import run_pipeline, tune_pipeline
+        from test_pipeline import _CannedProvider
 
         seen: set = set()
 
@@ -377,8 +381,12 @@ class TestEveryKeyRead:
         run_pipeline(recorded(None), *paths, tmp_path / "out", gold_path=corpus60_paths["gold"])
         tune_pipeline(recorded({"tune": {"trials": 2}}), *paths, corpus60_paths["gold"])
 
+        # augment builds its provider from every provider key and fetches on
+        # run.threads threads.
+        monkeypatch.setattr(cli, "HtmlSearchProvider", lambda **settings: _CannedProvider())
         online = recorded({"augment": {"provider": {"endpoint": "https://search.example/s"}}})
-        assert make_provider(online) is not None
+        args = argparse.Namespace(input=corpus60_paths["input"], cache=tmp_path / "cache.jsonl", offline=False, refresh=False)
+        assert cli._cmd_augment(args, online) == cli.EXIT_OK
 
         assert _leaves(DEFAULTS) - seen == set()
 

@@ -353,6 +353,15 @@ class TestPairCosines:
         assert pair_cosines(records, a, b)[(a % 6) == (b % 6)].tolist() == [1.0] * 12
         assert len(calls) == 15
 
+    def test_equal_rows_with_norms_an_ulp_apart_get_one(self):
+        # Under OpenBLAS's Prescott kernel equal 5-wide rows at different
+        # alignments get norms an ulp apart; here one norm is nudged by hand.
+        block = np.array([[0.3, 0.4, 1.2, -0.7, 2.0]] * 2 + [[1.0, 0.0, 0.0, 0.0, 0.0]])
+        records = NameVectors(block, [0, 1, 2])
+        records.norms[1] = np.nextafter(records.norms[1], 3.0)
+        assert pair_cosines(records, np.array([0, 1]), np.array([1, 0])).tolist() == [1.0, 1.0]
+        assert pair_cosines(records, np.array([2]), np.array([1])).tolist() != [1.0]
+
     def test_zero_norm_rejected_only_when_paired(self):
         vectors = np.array([np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])])
         records = NameVectors(vectors, [0, 1, 2, 1])

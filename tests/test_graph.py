@@ -923,13 +923,14 @@ class TestNaming:
         # name, here the only member's.
         corpus = naming_corpus(["acme"], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            name_community_centroid([0], corpus.records, corpus.names, list(corpus.vectors.values()))
+            name_community_centroid([0], corpus.records, corpus.names, list(corpus.vectors.values()), [0])
         assert canonical_names([0], corpus) == {0: "ACME"}
 
     def test_centroid_matches_scalar_definition(self):
-        """Same winner as summing cosine_similarity over every ordered pair
-        in member order, on random communities with duplicated vectors
-        (exact ties) and degenerate members."""
+        """Same winner as summing cosine_similarity from 0.0 over the other
+        members in (row, position) order, on random communities with
+        duplicated vectors, members sharing a row (exact ties, so the
+        cleaned name decides) and degenerate members."""
         rng = np.random.default_rng(3)
         for _ in range(200):
             size = int(rng.integers(2, 14))
@@ -937,20 +938,21 @@ class TestNaming:
             for i in rng.choice(size, size // 2):
                 vectors[i] = vectors[rng.integers(size)]
             vectors[rng.random(size) < 0.1] = 0.0
+            rows = np.where(rng.random(size) < 0.4, rng.integers(size, size=size), np.arange(size))
             cleaned = [str(rng.integers(3)) + f"m{i:02d}" for i in range(size)]
-            corpus = naming_corpus(cleaned, vectors.tolist())
-            usable = [m for m in range(size) if vectors[m].any()]
+            corpus = naming_corpus(cleaned, vectors.tolist(), rows=rows)
+            usable = sorted((m for m in range(size) if vectors[rows[m]].any()), key=lambda m: (rows[m], m))
             if not usable:
                 continue
-            expected = min(
-                usable,
-                key=lambda m: (
-                    -sum(cosine_similarity(vectors[m], vectors[o]) for o in usable if o != m)
-                    / max(1, len(usable) - 1),
-                    cleaned[m],
-                    m,
-                ),
-            )
+
+            def mean(m):
+                total = 0.0
+                for o in usable:
+                    if o != m:
+                        total += cosine_similarity(vectors[min(rows[m], rows[o])], vectors[max(rows[m], rows[o])])
+                return total / max(1, len(usable) - 1)
+
+            expected = min(usable, key=lambda m: (-mean(m), cleaned[m], m))
             assert canonical_names([0] * size, corpus) == {0: corpus.records[expected].raw_name}
 
     def test_matches_per_community_oracle_on_random_partitions(self):
@@ -978,7 +980,7 @@ class TestNaming:
             for cid in range(max(community) + 1):
                 members = [m for m, c in enumerate(community) if c == cid]
                 try:
-                    want = name_community_centroid(members, corpus.records, corpus.names, embeddings)
+                    want = name_community_centroid(members, corpus.records, corpus.names, embeddings, rows)
                     cases["centroid"] += 1
                 except ValueError:
                     want = name_community_volume(members, corpus.records, corpus.names)

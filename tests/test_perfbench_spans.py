@@ -32,9 +32,7 @@ from harmonizer.config import PipelineConfig
 
 paths = json.loads(sys.argv[2])
 config = PipelineConfig.load(paths["config"])
-manifest = pipeline.run_pipeline(
-    config, paths["input"], paths["cache"], Path("out"), gold_path=paths["gold"], offline=True
-)
+manifest = pipeline.run_pipeline(config, paths["input"], paths["cache"], Path("out"), gold_path=paths["gold"])
 run = {"spans": sorted({span[0] for span in tracer.spans}), "counts": dict(tracer.counts)}
 history = pipeline.tune_pipeline(config, paths["input"], paths["cache"], paths["gold"], n_trials=2)
 print(json.dumps({
@@ -87,7 +85,7 @@ from harmonizer.config import PipelineConfig
 rows = corpus.hub_rows(1, n_big=7, n_pairs=2, n_singletons=48)
 draw = corpus.write_corpus(rows, corpus.HUB_CONFIG, Path("in"), 1)
 config = PipelineConfig.load(draw.config, environ={})
-manifest = pipeline.run_pipeline(config, draw.records, draw.cache, Path("out"), gold_path=draw.gold, offline=True)
+manifest = pipeline.run_pipeline(config, draw.records, draw.cache, Path("out"), gold_path=draw.gold)
 print(json.dumps({
     "n_records": draw.n_records,
     "inputs": draw.sha256,
@@ -121,6 +119,6 @@ def test_hub_draw_prunes_and_splits(tmp_path):
     traced = [out["counts"][f"graph.{key}"] for key in ("pruned_edges", "communities_split", "largest_community")]
     assert traced == [14, 2, 38]
     assert out["outputs"] == {
-        "mapping.tsv": "bddc7b8c286436690b57557309d9a2a207699364d394e929b84e8541334bb217",
-        "summary.json": "5040e93237b334fbdd6e8970a0a9205601b6fb66568035028b043e7a8b77d646",
+        "mapping.tsv": "b90b4026f952e0624bc52fd084739d65ce8ba73abf6bdb3e677be00bd87e8955",
+        "summary.json": "b412ef13ff3ac1ae2d69d901c77f53616a02708cc8347b4a4ab873934e71191b",
     }

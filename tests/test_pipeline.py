@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ import pytest
 
 from conftest import read_pairs_tsv, run_fixture_pipeline
 from harmonizer import augment, embed
-from harmonizer.augment import AugmentationCache, AugmentationResult, HtmlSearchProvider, SearchProvider
+from harmonizer.augment import AugmentationCache, AugmentationResult, HtmlSearchProvider, SearchProvider, fetch_names
+from harmonizer.cli import make_provider
 from harmonizer.config import SEARCH_SPACE, PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.evaluation import GoldPairs, build_report
@@ -34,7 +36,6 @@ from harmonizer.pipeline import (
     RunManifest,
     _augment_stage,
     build_tuning_objective,
-    make_provider,
     prepare_corpus,
     read_mapping,
     run_pipeline,
@@ -228,7 +229,59 @@ class TestArtifacts:
         assert "evaluate" not in run["manifest"]["layer_seconds"]
 
 
+KERNEL_SCRIPT = """
+import hashlib, json, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import corpus
+from harmonizer.config import PipelineConfig
+from harmonizer.pipeline import run_pipeline
+
+data = Path(sys.argv[2])
+runs = {name: (data / f"{name}.yaml", data / f"{name}.tsv", data / f"{name}_cache.jsonl", data / f"{name}_gold.tsv")
+        for name in ("corpus60", "corpus300")}
+draw = corpus.write_corpus(corpus.hub_rows(1, n_big=7, n_pairs=2, n_singletons=48), corpus.HUB_CONFIG, Path("in"), 1)
+runs["hub"] = (draw.config, draw.records, draw.cache, draw.gold)
+digests = {}
+for name, (config, records, cache, gold) in runs.items():
+    run_pipeline(PipelineConfig.load(config, environ={}), records, cache, Path(name), gold_path=gold)
+    for artifact in ("cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json"):
+        digests[f"{name}/{artifact}"] = hashlib.sha256((Path(name) / artifact).read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+# The kernels OpenBLAS can be told to use on x86-64, newest first.
+BLAS_KERNELS = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Nehalem", "Prescott")
+
+
 class TestDeterminism:
+    def test_artifacts_match_under_every_blas_kernel(self, data_dir, tmp_path):
+        """corpus60, corpus300 and the hub draw of
+        ``test_hub_draw_prunes_and_splits`` give the same data artifacts
+        whichever kernel OpenBLAS runs; ``OPENBLAS_CORETYPE`` acts on each
+        child process alone."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+            print(f"numpy's BLAS ({blas.get('name')}) is no DYNAMIC_ARCH OpenBLAS: the kernels could not be varied")
+        env = dict(os.environ, PYTHONPATH=str(Path(embed.__file__).resolve().parent.parent))
+        digests = {}
+        for kernel in BLAS_KERNELS:
+            (tmp_path / kernel).mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", KERNEL_SCRIPT, str(Path(__file__).resolve().parent.parent / "perfbench"), str(data_dir)],
+                cwd=tmp_path / kernel, env=dict(env, OPENBLAS_CORETYPE=kernel), capture_output=True, text=True, timeout=300,
+            )
+            if done.returncode == -signal.SIGILL:
+                print(f"OPENBLAS_CORETYPE={kernel}: this CPU cannot run the kernel")
+                continue
+            assert done.returncode == 0, done.stderr
+            digests[kernel] = json.loads(done.stdout.splitlines()[-1])
+        reference = next(iter(digests.values()))
+        assert len(reference) == 15
+        for kernel, got in digests.items():
+            assert got == reference, kernel
+
     def test_rerun_is_byte_identical(self, corpus60_run, corpus60_paths, tmp_path):
         rerun = run_fixture_pipeline(corpus60_paths, tmp_path)
         assert rerun["mapping_bytes"] == corpus60_run["mapping_bytes"]
@@ -242,19 +295,20 @@ class TestDeterminism:
 
     # sha256 of `run` outputs on the committed corpora, under python 3.11.7,
     # numpy 2.4.6 and networkx 3.6.1, whose Louvain the package's
-    # transcribes. mapping.tsv and pairs.tsv were recorded before pairs became
-    # a columnar table; the other artifacts before evaluation read one
-    # GoldPairs.
+    # transcribes, and the same under every OpenBLAS kernel. mapping.tsv was
+    # recorded once naming added cosines in (row, position) order, pairs.tsv
+    # before pairs became a columnar table, the other artifacts before
+    # evaluation read one GoldPairs.
     PINNED = {
         "corpus60": {
-            "mapping.tsv": "88be9a79b612a8165e1cd6ab4281008408a4d0e6a4acbaef82d9868fed80dd1d",
+            "mapping.tsv": "cea660bba4471b4d2879d77496a2dd5ad5f57918d8e807fdb7b844294e95ca93",
             "pairs.tsv": "226f814579a599c3174d0cf3cb0917e46be75c7216b56ebaf80c3f4b9fbed239",
             "cleaned.tsv": "c5476e76f63eb8dd42e96535abc9203e6b6a59de1289659aa7a0e93086d22489",
             "summary.json": "3b89f592a460c2487e652873b1c819ac1384c5d3ec16db0f27bc15a180f8ff5e",
             "eval.json": "71873177ce83addeac04ed4379ad03e050494a46d8517c273e0a4afd431e2082",
         },
         "corpus300": {
-            "mapping.tsv": "b490b5127f05ee5c62e2c573998aa8662ced2d59ad3dc8bd1be872b65e0f589c",
+            "mapping.tsv": "a36a4755f9f7d1dc876a8ae80516fd7c2a750e3df068e675a6a23671f49111cd",
             "pairs.tsv": "3f106b1e6c2d1ee7a981013062aac9f1edc1af967e3e68ae421fd0a9a47a4574",
             "cleaned.tsv": "8837e13d70f59251c298849892c4578a6f671d67b9fd23d9764c0ab04cd64176",
             "summary.json": "e1685acef8b1859ab871a1a7b7669b10abe5a451d7e495d334bdc7ee9c1e8e92",
@@ -496,30 +550,10 @@ class TestSummarizeMapping:
 
 
 class TestMakeProvider:
-    def test_offline_flag_suppresses_provider(self, monkeypatch, corpus60_paths):
-        # --offline is the one switch: run passes it to run_pipeline, and
-        # augment makes no provider with it, even with an endpoint set.
-        import harmonizer.cli as cli
-
-        monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
-        offline, providers = [], []
-
-        def run_pipeline(config, **kwargs):
-            offline.append(kwargs["offline"])
-            return RunManifest("", 0)
-
-        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
-        monkeypatch.setattr(cli, "_augment_stage", lambda records, cache, provider, *rest, **kw: providers.append(provider))
-        run = ["run", "--input", "in.tsv", "--cache", "cache.jsonl", "--out", "out"]
-        augment = ["augment", "--input", str(corpus60_paths["input"]), "--cache", str(corpus60_paths["cache"])]
-        for argv in (run, [*run, "--offline"], augment, [*augment, "--offline"]):
-            assert cli.main(argv) == 0
-        assert offline == [False, True]
-        assert isinstance(providers[0], HtmlSearchProvider) and providers[1] is None
-
     def test_no_endpoint_means_no_provider(self):
         config = PipelineConfig.load(environ={})
-        assert make_provider(config) is None
+        with pytest.raises(ConfigError, match="augment.provider.endpoint"):
+            make_provider(config)
 
     def test_provider_built_from_config(self):
         config = PipelineConfig.load(
@@ -562,28 +596,34 @@ class _CannedProvider(SearchProvider):
 
 
 class TestAugmentStage:
-    def records(self, n=3):
-        return [AssigneeRecord(record_id=f"r{i}", raw_name=f"NAME {i}") for i in range(n)]
+    """``_augment_stage`` reads the cache; ``augment.fetch_names``, which
+    only ``harmonizer augment`` calls, fills it."""
+
+    def names(self, n=3):
+        return [f"NAME {i}" for i in range(n)]
 
     def test_provider_error_leaves_name_unaugmented(self, caplog):
-        records = self.records()
         cache = AugmentationCache(None)
-        with caplog.at_level("WARNING", logger="harmonizer.pipeline"):
-            results = _augment_stage(records, cache, _CannedProvider(fail=True), threads=1)
-        assert all(results[r.record_id] is None for r in records)
+        with caplog.at_level("WARNING", logger="harmonizer.augment"):
+            results = fetch_names(self.names(), _CannedProvider(fail=True), cache, threads=1)
+        assert results == dict.fromkeys(self.names())
+        assert not any(name in cache for name in self.names())
         assert "augmentation failed" in caplog.text
 
     def test_threaded_fetch_keys_results_by_record(self):
-        records = self.records(8)
-        results = _augment_stage(records, AugmentationCache(None), _CannedProvider(), threads=4)
-        assert set(results) == {r.record_id for r in records}
+        names = self.names(8)
+        cache = AugmentationCache(None)
+        results = fetch_names(names, _CannedProvider(), cache, threads=4)
+        assert list(results) == names
         assert all(r.first_url == "https://www.acme.example/" for r in results.values())
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(names)]
+        assert list(_augment_stage(records, cache).values()) == list(results.values())
 
     def test_refresh_refetches_and_survives_one_failure(self):
-        records = self.records()
+        names = self.names()
         cache = AugmentationCache(None)
-        for r in records:
-            cache.put(AugmentationResult(query_name=r.raw_name, provider_id="stale"))
+        for name in names:
+            cache.put(AugmentationResult(query_name=name, provider_id="stale"))
 
         class OneFails(_CannedProvider):
             def search_page(self, query):
@@ -592,55 +632,39 @@ class TestAugmentStage:
                 return super().search_page(query)
 
         provider = OneFails()
-        results = _augment_stage(records, cache, provider, threads=2, refresh=True)
+        results = fetch_names(names, provider, cache, threads=2, refresh=True)
         assert sorted(provider.queries) == ["NAME 0", "NAME 2"]
-        assert results["r1"] is None
-        for rid in ("r0", "r2"):
-            assert results[rid].provider_id == "canned"
-            assert cache.get(results[rid].query_name) == results[rid]
+        assert results["NAME 1"] is None
+        assert cache.get("NAME 1").provider_id == "stale"
+        for name in ("NAME 0", "NAME 2"):
+            assert results[name].provider_id == "canned"
+            assert cache.get(name) == results[name]
 
     def test_no_provider_and_empty_cache_yields_none(self):
-        records = self.records()
-        results = _augment_stage(records, AugmentationCache(None), None, threads=1)
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(self.names())]
+        results = _augment_stage(records, AugmentationCache(None))
+        assert list(results) == ["r0", "r1", "r2"]
         assert all(v is None for v in results.values())
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("refresh", [False, True])
     def test_each_distinct_name_searched_once(self, threads, refresh):
         names = ["ACME CORP", "ACME CORP", "OTHER CO", "ACME CORP", "ACME CORP", "ACME CORP"]
-        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(names)]
         cache = AugmentationCache(None)
         if refresh:
             for name in set(names):
                 cache.put(AugmentationResult(query_name=name, provider_id="stale"))
         provider = _CannedProvider()
-        results = _augment_stage(records, cache, provider, threads=threads, refresh=refresh)
+        results = fetch_names(names, provider, cache, threads=threads, refresh=refresh)
         assert sorted(provider.queries) == ["ACME CORP", "OTHER CO"]
-        assert list(results) == [r.record_id for r in records]
-        assert all(results[r.record_id] is results["r0"] for r in records if r.raw_name == "ACME CORP")
+        assert list(results) == ["ACME CORP", "OTHER CO"]
         assert {r.provider_id for r in results.values()} == {"canned"}
 
-    def test_live_run_creates_the_cache_it_fetches_into(self, corpus60_paths, corpus60_config, tmp_path, monkeypatch):
-        from harmonizer import pipeline
-
-        monkeypatch.setattr(pipeline, "make_provider", lambda config: _CannedProvider())
-        cache = tmp_path / "cache.jsonl"
-        paths = (corpus60_paths["input"], cache)
-        run_pipeline(corpus60_config, *paths, tmp_path / "live", offline=False)
-        names = {r.raw_name for r in load_assignee_table(corpus60_paths["input"])}
-        assert sorted(json.loads(line)["query_name"] for line in cache.read_text().splitlines()) == sorted(names)
-        run_pipeline(corpus60_config, *paths, tmp_path / "offline", offline=True)
-        mapping = [(tmp_path / run / "mapping.tsv").read_bytes() for run in ("live", "offline")]
-        assert mapping[0] == mapping[1]
-
-    def test_live_run_creates_the_cache_directory(self, corpus60_paths, corpus60_config, tmp_path, monkeypatch):
-        from harmonizer import pipeline
-
-        monkeypatch.setattr(pipeline, "make_provider", lambda config: _CannedProvider())
-        cache = tmp_path / "absent" / "dir" / "cache.jsonl"
-        run_pipeline(corpus60_config, corpus60_paths["input"], cache, tmp_path / "live", offline=False)
-        names = {r.raw_name for r in load_assignee_table(corpus60_paths["input"])}
-        assert sorted(json.loads(line)["query_name"] for line in cache.read_text().splitlines()) == sorted(names)
+    def test_fetch_creates_the_cache_file_and_directory(self, tmp_path):
+        cache = AugmentationCache(tmp_path / "absent" / "dir" / "cache.jsonl")
+        fetch_names(self.names(), _CannedProvider(), cache, threads=2)
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["query_name"] for line in lines) == self.names()
 
 
 class TestPrepareCorpus:
@@ -784,7 +808,7 @@ from harmonizer.config import PipelineConfig
 paths = json.loads(sys.argv[1])
 config = PipelineConfig.load(paths["config"], environ={})
 before = set(sys.modules)
-pipeline.run_pipeline(config, paths["input"], paths["cache"], "out", gold_path=paths["gold"], offline=True)
+pipeline.run_pipeline(config, paths["input"], paths["cache"], "out", gold_path=paths["gold"])
 pipeline.tune_pipeline(config, paths["input"], paths["cache"], paths["gold"], n_trials=2)
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
