@@ -146,10 +146,10 @@ _VOID_TAGS = frozenset(
 _SELECTOR_RE = re.compile(r"^([a-zA-Z][\w-]*)?(?:\.([\w-]+))?(?:#([\w-]+))?$")
 
 
-def _parse_selector(selector: str) -> tuple[Optional[str], Optional[str], Optional[str]]:
+def _parse_selector(selector: str, key: str = "selector") -> tuple[Optional[str], Optional[str], Optional[str]]:
     match = _SELECTOR_RE.match(selector.strip())
     if not match or not any(match.groups()):
-        raise ConfigError(f"unsupported selector {selector!r} (use tag, .class, tag.class, tag#id)")
+        raise ConfigError(f"{key} {selector!r} is unsupported (use tag, .class, tag.class, tag#id)")
     tag, cls, elem_id = match.groups()
     return (tag.lower() if tag else None, cls, elem_id)
 
@@ -417,12 +417,6 @@ class HtmlSearchProvider(SearchProvider):
     ):
         if not endpoint:
             raise ConfigError("augment.provider.endpoint must be set to fetch (augment --offline only counts the cache)")
-        if rate_limit_per_s <= 0:
-            raise ConfigError("provider.rate_limit_per_s must be > 0")
-        if timeout_s <= 0:
-            raise ConfigError("provider.timeout_s must be > 0")
-        if retries < 0:
-            raise ConfigError("provider.retries must be >= 0")
         import requests  # deferred: offline paths never need it
 
         self._requests = requests
@@ -539,5 +533,5 @@ def fetch_names(
     names = list(dict.fromkeys(names))
     if cache.path is not None:
         cache.path.parent.mkdir(parents=True, exist_ok=True)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return dict(zip(names, pool.map(fetch_one, names)))

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--input", required=True, help="assignee TSV")
     p_tune.add_argument("--gold", required=True, help="gold TSV")
     p_tune.add_argument("--cache", required=True, help="augmentation cache JSONL")
-    p_tune.add_argument("--trials", type=int, help="trial budget (default: tune.trials)")
+    p_tune.add_argument("--trials", type=int, metavar="N", help="override tune.trials")
     p_tune.add_argument("--out", help="append trials to this JSONL store")
 
     p_summarize = sub.add_parser("summarize", parents=[parent], help="reduction and largest communities of a mapping")
@@ -96,7 +96,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         run["seed"] = args.seed
     if getattr(args, "threads", None) is not None:
         run["threads"] = args.threads
-    return PipelineConfig.load(args.config, overrides={"run": run})
+    tune = {} if getattr(args, "trials", None) is None else {"trials": args.trials}
+    return PipelineConfig.load(args.config, overrides={"run": run, "tune": tune})
 
 
 def make_provider(config: PipelineConfig) -> HtmlSearchProvider:
@@ -106,7 +107,7 @@ def make_provider(config: PipelineConfig) -> HtmlSearchProvider:
 
 
 def _cmd_augment(args: argparse.Namespace, config: PipelineConfig) -> int:
-    # The provider settings are checked before the input is read.
+    # The endpoint, like every other setting, is checked before the input is read.
     provider = None if args.offline else make_provider(config)
     records = load_assignee_table(args.input)
     cache = AugmentationCache(args.cache)
@@ -156,7 +157,6 @@ def _cmd_tune(args: argparse.Namespace, config: PipelineConfig) -> int:
         input_path=args.input,
         cache_path=args.cache,
         gold_path=args.gold,
-        n_trials=args.trials,
         store_path=args.out,
     )
     best = history.best

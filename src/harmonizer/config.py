@@ -2,8 +2,8 @@
 
 Environment variables use the ``HARMONIZER_<SECTION>_<KEY>`` convention
 (``HARMONIZER_GRAPH_THRESHOLD=2.5``, ``HARMONIZER_MATCH_WEIGHTS_COS=0.8``);
-values are parsed as YAML scalars. Unknown keys anywhere are rejected, and the
-fully resolved config is serializable and hashable for the run manifest.
+values are parsed as YAML scalars. Unknown keys, type mismatches and values out
+of range are rejected as the config loads, and what shapes a run is hashable.
 """
 
 from __future__ import annotations
@@ -11,16 +11,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
+from .augment import _parse_selector
 from .errors import ConfigError
 from .graph import FilterParams
 from .match import ScoreBound, WeightVector
-from .tune import SearchSpace, TpeConfig
+from .tune import SearchSpace
 
 ENV_PREFIX = "HARMONIZER_"
 
@@ -85,9 +87,24 @@ TUNED: dict[str, tuple[tuple[str, ...], float, float]] = {
     "location_boost": (("graph", "location_boost"), 0.0, 2.0),
 }
 SEARCH_SPACE = SearchSpace([(name, lo, hi) for name, (_, lo, hi) in TUNED.items()])
-# Keys that count something, so no value below 0 means anything; they are
-# checked as the config loads, before any input is read.
-COUNTS = {"augment.blocklist_k", "parse.common_words_n"}
+# The legal range of every bounded key: a comparison and its bound. Every
+# float key must also be finite; the seed and the two graph thresholds take
+# any other value.
+RANGES: dict[str, tuple[str, int]] = {
+    "run.threads": (">=", 1),
+    "augment.blocklist_k": (">=", 0),
+    "augment.provider.rate_limit_per_s": (">", 0),
+    "augment.provider.timeout_s": (">", 0),
+    "augment.provider.retries": (">=", 0),
+    "parse.common_words_n": (">=", 0),
+    **{f"match.weights.{name}": (">=", 0) for name in DEFAULTS["match"]["weights"]},
+    "graph.resolution": (">", 0),
+    "graph.location_boost": (">=", 0),
+    "tune.n_startup": (">=", 0),
+    "tune.trials": (">=", 1),
+}
+# Keys that hold a CSS selector, parsed as the config loads.
+SELECTORS = {"augment.provider.suggestion_selector", "augment.provider.result_selector"}
 
 
 def _paths(node: Mapping, prefix: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
@@ -123,8 +140,8 @@ def _merge(base: dict, override: Mapping, path: str) -> dict:
 
 
 def _coerce(default: Any, value: Any, path: str) -> Any:
-    # A key whose default is None (a path) takes null or any string; every
-    # other default pins its type.
+    # A key whose default is None (a path) takes null or an existing file's
+    # path; every other default pins its type, and RANGES bounds a number.
     if value is None:
         if default is None:
             return None
@@ -132,22 +149,36 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     if default is None:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path!r} must be a path string")
+        if not Path(value).is_file():
+            raise ConfigError(f"{path}: file not found: {value}")
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
-        if path in COUNTS and value < 0:
-            raise ConfigError(f"{path} must be >= 0, got {value}")
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {path!r} must be a string, got {value!r}")
+        if path in SELECTORS:
+            _parse_selector(value, path)
         return value
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {path!r} must be a string, got {value!r}")
-        return value
-    raise ConfigError(f"config key {path!r} has unsupported type {type(default).__name__}")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value}")
+    elif isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
+    else:
+        raise ConfigError(f"config key {path!r} has unsupported type {type(default).__name__}")
+    if path in RANGES:
+        op, bound = RANGES[path]
+        if not (value > bound if op == ">" else value >= bound):
+            raise ConfigError(f"{path} must be {op} {bound}, got {value}")
+    return value
+
+
+def checked(path: str, value: Any) -> Any:
+    """``value`` checked for the dotted key ``path`` as a config layer sets it."""
+    return _coerce(_at(DEFAULTS, path.split(".")), value, path)
 
 
 def _apply_env(config: dict, environ: Mapping[str, str]) -> dict:
@@ -166,7 +197,7 @@ def _apply_env(config: dict, environ: Mapping[str, str]) -> dict:
         dotted = ".".join(path)
         if isinstance(_at(DEFAULTS, path), dict):
             raise ConfigError(f"{env_name}: '{dotted}' is a section, not a key")
-        _at(out, path[:-1])[path[-1]] = _coerce(_at(DEFAULTS, path), raw, dotted)
+        _at(out, path[:-1])[path[-1]] = checked(dotted, raw)
     return out
 
 
@@ -213,8 +244,15 @@ class PipelineConfig:
     def __getitem__(self, section: str) -> Any:
         return self.data[section]
 
+    def run_settings(self) -> dict[str, Any]:
+        """The keys that shape what a run writes, which its manifest records."""
+        settings = {section: self.data[section] for section in ("parse", "match", "graph")}
+        settings["run"] = {"seed": self.data["run"]["seed"]}
+        settings["augment"] = {"blocklist_k": self.data["augment"]["blocklist_k"]}
+        return settings
+
     def canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.run_settings(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -246,9 +284,6 @@ class PipelineConfig:
         }
         weights, params = self.params_at(corner)
         return ScoreBound(weights, params.threshold)
-
-    def tpe_config(self) -> TpeConfig:
-        return TpeConfig(n_startup=self.data["tune"]["n_startup"], seed=self.data["run"]["seed"])
 
     def incumbent_point(self) -> dict[str, float]:
         """The current config expressed as a search-space point (clipped into

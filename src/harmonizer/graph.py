@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .embed import pair_cosines
-from .errors import ConfigError
 from .match import Corpus, PairTable
 
 log = logging.getLogger(__name__)
@@ -42,12 +41,6 @@ class FilterParams:
     bridgeness_threshold: float = 1.0
     location_boost: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise ConfigError(f"graph.resolution must be > 0, got {self.resolution}")
-        if self.location_boost < 0:
-            raise ConfigError(f"graph.location_boost must be >= 0, got {self.location_boost}")
 
 
 @dataclass

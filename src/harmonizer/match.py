@@ -21,7 +21,6 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .embed import NameVectors, pair_cosines
-from .errors import InputError
 from .ingest import AssigneeRecord
 from .parse import CleanName
 
@@ -35,11 +34,6 @@ class WeightVector:
     url_text: float = 1.0
     domain: float = 1.0
     cos: float = 1.0
-
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value) or value < 0:
-                raise InputError(f"weight {name} must be finite and >= 0, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -114,8 +108,8 @@ class PairTable:
 
 @dataclass(frozen=True)
 class ScoreBound:
-    """Weights and edge threshold: blocking only has to keep the pairs whose
-    score can still reach ``threshold`` under ``weights``."""
+    """Weights (each finite and >= 0, see ``config.RANGES``) and threshold:
+    blocking keeps only the pairs whose score can still reach ``threshold``."""
 
     weights: WeightVector
     threshold: float

@@ -37,9 +37,9 @@ from .augment import (
     build_frequent_domain_blocklist,
     registrable_domains,
 )
-from .config import SEARCH_SPACE, PipelineConfig
+from .config import SEARCH_SPACE, PipelineConfig, checked
 from .embed import HashingBackend, compute_idf, embed_corpus
-from .errors import ConfigError, InputError, StageError
+from .errors import InputError, StageError
 from .evaluation import GoldPairs, build_report, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard, read_tsv, write_tsv
@@ -53,7 +53,7 @@ from .parse import (
     clean_name,
     document_frequencies,
 )
-from .tune import TrialHistory, check_budget, optimize
+from .tune import TrialHistory, optimize
 
 log = logging.getLogger(__name__)
 
@@ -344,7 +344,7 @@ def run_pipeline(
             else:
                 (out_dir / name).unlink(missing_ok=True)
         return manifest
-    except (ConfigError, InputError):
+    except InputError:
         raise
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
@@ -428,15 +428,13 @@ def tune_pipeline(
 ) -> TrialHistory:
     """Prepare the corpus once, then TPE-search the filter/score parameters.
 
-    The incumbent configuration runs as trial 0, so the best trial can never
-    fall below the configured baseline. The trial budget and the TPE
-    settings are checked before the input is read, and a gold standard that
-    is empty or shares no record with the input fails before the corpus is
-    prepared.
+    Trial 0 is the configuration clipped into the search box, which is the
+    configured baseline when the config lies inside the box. ``n_trials``
+    replaces ``tune.trials`` and is checked against its range before the input
+    is read. A gold standard that is empty or shares no record with the input
+    fails before the corpus is prepared.
     """
-    trials = n_trials if n_trials is not None else config["tune"]["trials"]
-    check_budget(trials)
-    tpe = config.tpe_config()
+    trials = config["tune"]["trials"] if n_trials is None else checked("tune.trials", n_trials)
     records = load_assignee_table(input_path)
     gold = GoldPairs(load_gold_standard(gold_path), sorted(record.record_id for record in records))
     cache = AugmentationCache(cache_path)
@@ -446,7 +444,8 @@ def tune_pipeline(
         objective,
         SEARCH_SPACE,
         trials,
-        tpe,
+        n_startup=config["tune"]["n_startup"],
+        seed=config["run"]["seed"],
         initial=[config.incumbent_point()],
         store_path=store_path,
     )

@@ -76,16 +76,6 @@ class Trial:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class TpeConfig:
-    n_startup: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_startup < 0:
-            raise ConfigError(f"tune.n_startup must be >= 0, got {self.n_startup}")
-
-
 def split_trials(history: Sequence[Trial], gamma: float) -> tuple[list[Trial], list[Trial]]:
     """Top ceil(gamma * n) trials by objective (ties by trial_id) vs the rest."""
     if not history:
@@ -146,12 +136,12 @@ class ParzenEstimator:
 def suggest(
     history: Sequence[Trial],
     space: SearchSpace,
-    config: TpeConfig,
+    n_startup: int,
     rng: random.Random,
 ) -> dict[str, float]:
     """Next point to try. Uniform during startup; afterwards, per dimension,
     the candidate maximizing l(x)/g(x) among draws from l."""
-    if len(history) < config.n_startup:
+    if len(history) < n_startup:
         return space.uniform(rng)
     good, bad = split_trials(history, GAMMA)
     point: dict[str, float] = {}
@@ -182,18 +172,13 @@ class TrialHistory:
         return max(self.trials, key=lambda t: (t.objective, -t.trial_id))
 
 
-def check_budget(n_trials: int) -> None:
-    """Reject a trial budget below 1."""
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-
-
 def optimize(
     objective: Callable[[dict[str, float]], float],
     space: SearchSpace,
     n_trials: int,
-    config: TpeConfig = TpeConfig(),
     *,
+    n_startup: int = 10,
+    seed: int = 0,
     initial: Optional[Sequence[dict[str, float]]] = None,
     store_path: str | Path | None = None,
 ) -> TrialHistory:
@@ -203,8 +188,7 @@ def optimize(
     any sampling. A trial whose objective raises is recorded with objective
     0.0 and the error message; it still counts toward the budget.
     """
-    check_budget(n_trials)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     history = TrialHistory()
     store = Path(store_path).open("a", encoding="utf-8") if store_path else None
     t_start = time.perf_counter()
@@ -214,7 +198,7 @@ def optimize(
                 params = dict(initial[trial_id])
                 space.validate_point(params)
             else:
-                params = suggest(history.trials, space, config, rng)
+                params = suggest(history.trials, space, n_startup, rng)
             t0 = time.perf_counter()
             error = None
             try:
@@ -227,7 +211,7 @@ def optimize(
                 trial_id=trial_id,
                 params=params,
                 objective=value,
-                seed=config.seed,
+                seed=seed,
                 elapsed_s=time.perf_counter() - t0,
                 error=error,
             )

@@ -26,7 +26,7 @@ from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communi
 from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name, document_frequencies
 from harmonizer.pipeline import tune_pipeline
-from harmonizer.tune import SearchSpace, TpeConfig, optimize
+from harmonizer.tune import SearchSpace, optimize
 from nxgraphs import from_networkx
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
@@ -266,7 +266,7 @@ def test_07_tpe_beats_random():
         tpe_best, tpe_x = [], []
         random_best = []
         for seed in range(20):
-            history = optimize(objective, space, 50, TpeConfig(seed=seed))
+            history = optimize(objective, space, 50, seed=seed)
             tpe_best.append(history.best.objective)
             tpe_x.append(history.best.params["x"])
             rng = random.Random(10_000 + seed)

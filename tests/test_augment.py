@@ -24,6 +24,7 @@ from harmonizer.augment import (
     preprocess_url_text,
     registrable_domains,
 )
+from harmonizer.config import PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError
 
 SEARCH_PAGE = (Path(__file__).parent / "data" / "search_page.html").read_text()
@@ -432,9 +433,10 @@ class TestHtmlSearchProvider:
     )
     def test_rejects_negative_retries_and_nonpositive_timeout(self, kwargs, message):
         # Either would fail every fetch: -1 retries makes no attempt at all,
-        # and requests raises ValueError on a zero timeout.
+        # and requests raises ValueError on a zero timeout. The config checks
+        # the provider settings as it loads.
         with pytest.raises(ConfigError, match=message):
-            make_provider([], **kwargs)
+            PipelineConfig.load(environ={}, overrides={"augment": {"provider": kwargs}})
 
     def test_zero_retries_makes_one_attempt(self):
         provider, session, _ = make_provider([_FakeResponse(200, "ok")], retries=0)

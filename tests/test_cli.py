@@ -259,6 +259,68 @@ def test_negative_count_exits_2_before_the_input_is_read(tmp_path, capsys, comma
     assert f"config error: {key} must be >= 0, got -1" in capsys.readouterr().err
 
 
+# One value out of range per bounded kind, and the flag that can set it.
+OUT_OF_RANGE = [
+    ("match.weights.token", "-1", None),
+    ("match.weights.cos", "-0.5", None),
+    ("graph.resolution", "0", None),
+    ("graph.location_boost", "-1", None),
+    ("graph.threshold", ".nan", None),
+    ("tune.n_startup", "-1", None),
+    ("tune.trials", "0", "--trials"),
+    ("run.threads", "0", "--threads"),
+    ("augment.provider.retries", "-1", None),
+    ("augment.provider.timeout_s", "0", None),
+    ("augment.provider.rate_limit_per_s", "0", None),
+]
+
+
+@pytest.mark.parametrize("key, value, flag", OUT_OF_RANGE, ids=[key for key, _, _ in OUT_OF_RANGE])
+def test_out_of_range_setting_exits_2_in_every_command(tmp_path, capsys, monkeypatch, key, value, flag):
+    # Set by YAML, by HARMONIZER_* or by a flag, the value fails as the config
+    # loads: before the missing input is read, and before augment's provider
+    # is built (the endpoint is set, so it would be).
+    from test_config import nested_yaml
+
+    monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "http://127.0.0.1:9/s")
+    config = tmp_path / "bad.yaml"
+    config.write_text(nested_yaml(key, value))
+    env = f"HARMONIZER_{key.replace('.', '_').upper()}"
+    missing = str(tmp_path / "missing.tsv")
+    commands = {
+        "run": ["run", "--input", missing, "--cache", missing, "--out", str(tmp_path / "out")],
+        "tune": ["tune", "--input", missing, "--cache", missing, "--gold", missing],
+        "augment": ["augment", "--input", missing, "--cache", str(tmp_path / "cache.jsonl")],
+    }
+    for command, args in commands.items():
+        layers = {"yaml": (["--config", str(config)], {}), "env": ([], {env: value})}
+        if flag and flag == {"tune": "--trials", "augment": "--threads"}.get(command):
+            layers["flag"] = ([flag, value], {})
+        for layer, (extra, environ) in layers.items():
+            with monkeypatch.context() as patch:
+                for name, text in environ.items():
+                    patch.setenv(name, text)
+                assert cli(*args, *extra) == EXIT_CONFIG, (command, layer)
+            assert capsys.readouterr().err.startswith(f"config error: {key} must be"), (command, layer)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache.jsonl").exists()
+
+
+def test_unusable_selector_exits_2_before_the_input_is_read(tmp_path, capsys):
+    config = tmp_path / "selector.yaml"
+    config.write_text('augment:\n  provider:\n    result_selector: "div > a"\n')
+    missing = str(tmp_path / "missing.tsv")
+    assert cli("run", "--config", str(config), "--input", missing, "--cache", missing, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert "config error: augment.provider.result_selector 'div > a' is unsupported" in capsys.readouterr().err
+
+
+def test_missing_designators_file_exits_2(corpus60_paths, tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "designators.txt"
+    monkeypatch.setenv("HARMONIZER_PARSE_DESIGNATORS", str(missing))
+    args = ["--input", str(corpus60_paths["input"]), "--cache", str(corpus60_paths["cache"])]
+    assert cli("run", *args, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: parse.designators: file not found: {missing}\n"
+
+
 def duplicated_mapping(tmp_path):
     """A mapping that lists r1 twice, on lines 2 and 3."""
     path = tmp_path / "mapping.tsv"

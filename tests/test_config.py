@@ -2,13 +2,45 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from harmonizer.config import DEFAULTS, ENV_PREFIX, SEARCH_SPACE, TUNED, PipelineConfig
+from harmonizer.config import DEFAULTS, ENV_PREFIX, RANGES, SEARCH_SPACE, TUNED, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
 from harmonizer.match import ScoreBound, WeightVector
-from harmonizer.tune import TpeConfig
+
+
+# The numeric keys that take any finite value.
+UNBOUNDED = {"run.seed", "graph.threshold", "graph.bridgeness_threshold"}
+
+
+def _leaves(node: dict, path: str = "") -> set:
+    out = set()
+    for key, value in node.items():
+        out |= _leaves(value, f"{path}{key}.") if isinstance(value, dict) else {path + key}
+    return out
+
+
+def _at(dotted: str, node: dict = DEFAULTS):
+    for key in dotted.split("."):
+        node = node[key]
+    return node
+
+
+def nested(dotted: str, value) -> dict:
+    """``{"a": {"b": value}}`` for ``"a.b"``."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+def nested_yaml(dotted: str, text) -> str:
+    """The YAML document that sets ``dotted`` to the scalar ``text``."""
+    keys = dotted.split(".")
+    lines = [f"{'  ' * depth}{key}:" for depth, key in enumerate(keys[:-1])]
+    return "\n".join(lines + [f"{'  ' * (len(keys) - 1)}{keys[-1]}: {text}"]) + "\n"
 
 
 def load(tmp_path=None, text=None, environ=None, overrides=None):
@@ -102,25 +134,61 @@ class TestCoercion:
         assert config["parse"]["designators"] is None
 
     def test_nullable_path_accepts_string(self, tmp_path):
-        config = load(tmp_path, "parse:\n  designators: designators.txt\n")
-        assert config["parse"]["designators"] == "designators.txt"
+        (tmp_path / "designators.txt").write_text("inc\n", encoding="utf-8")
+        config = load(tmp_path, f"parse:\n  designators: {tmp_path / 'designators.txt'}\n")
+        assert config["parse"]["designators"] == str(tmp_path / "designators.txt")
+
+    def test_missing_path_rejected(self, tmp_path):
+        missing = tmp_path / "designators.txt"
+        with pytest.raises(ConfigError, match=f"parse.designators: file not found: {missing}"):
+            load(environ={"HARMONIZER_PARSE_DESIGNATORS": str(missing)})
 
     def test_nullable_path_rejects_number(self, tmp_path):
         with pytest.raises(ConfigError, match="path string"):
             load(tmp_path, "parse:\n  designators: 9\n")
 
 
-    @pytest.mark.parametrize("key", ["augment.blocklist_k", "parse.common_words_n"])
+    @pytest.mark.parametrize("key", sorted(RANGES))
     def test_negative_count_rejected_in_every_layer(self, tmp_path, key):
-        section, name = key.split(".")
-        message = f"{key} must be >= 0, got -1"
+        # Every bounded key rejects the nearest whole number outside its
+        # range, whichever layer sets it, and takes the nearest one inside.
+        op, bound = RANGES[key]
+        bad, good = (bound - 1, bound) if op == ">=" else (bound, bound + 1)
+        shown = float(bad) if isinstance(_at(key), float) else bad
+        message = re.escape(f"{key} must be {op} {bound}, got {shown}")
         with pytest.raises(ConfigError, match=message):
-            load(tmp_path, f"{section}:\n  {name}: -1\n")
+            load(tmp_path, nested_yaml(key, bad))
         with pytest.raises(ConfigError, match=message):
-            load(environ={f"{ENV_PREFIX}{section}_{name}".upper(): "-1"})
+            load(environ={f"{ENV_PREFIX}{key.replace('.', '_')}".upper(): str(bad)})
         with pytest.raises(ConfigError, match=message):
-            load(overrides={section: {name: -1}})
-        assert load(overrides={section: {name: 0}})[section][name] == 0
+            load(overrides=nested(key, bad))
+        assert _at(key, load(overrides=nested(key, good)).data) == good
+        assert _at(key, load(tmp_path, nested_yaml(key, good)).data) == good
+
+    @pytest.mark.parametrize("key", sorted(path for path in _leaves(DEFAULTS) if isinstance(_at(path), float)))
+    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+    def test_float_must_be_finite_in_every_layer(self, tmp_path, key, text):
+        value = float(text.replace(".", ""))
+        message = f"{key} must be finite, got {value}"
+        with pytest.raises(ConfigError, match=message):
+            load(tmp_path, nested_yaml(key, text))
+        with pytest.raises(ConfigError, match=message):
+            load(environ={f"{ENV_PREFIX}{key.replace('.', '_')}".upper(): text})
+        with pytest.raises(ConfigError, match=message):
+            load(overrides=nested(key, value))
+
+    def test_every_number_is_bounded_or_named_unbounded(self):
+        # A numeric key added later must get a range in RANGES or join
+        # UNBOUNDED, the keys that take any finite value.
+        numbers = {path for path in _leaves(DEFAULTS) if isinstance(_at(path), (int, float))}
+        assert set(RANGES) <= numbers
+        assert numbers - set(RANGES) == UNBOUNDED
+
+    @pytest.mark.parametrize("key", ["suggestion_selector", "result_selector"])
+    def test_selectors_parsed_at_load(self, key):
+        with pytest.raises(ConfigError, match=f"augment.provider.{key} 'div > a' is unsupported"):
+            load(overrides={"augment": {"provider": {key: "div > a"}}})
+        assert load(overrides={"augment": {"provider": {key: "p#hit"}}})["augment"]["provider"][key] == "p#hit"
 
 
 class TestEnvLayer:
@@ -240,9 +308,15 @@ class TestBuilders:
         config = load(environ={"HARMONIZER_RUN_SEED": "9"})
         assert config.params_at({})[1].seed == 9
 
-    def test_tpe_config(self):
+    def test_tpe_config(self, corpus60_paths, monkeypatch):
+        # tune.n_startup and run.seed reach the TPE search as plain ints.
+        from harmonizer import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "optimize", lambda *args, **kwargs: calls.append(kwargs))
         config = load(environ={"HARMONIZER_TUNE_N_STARTUP": "31", "HARMONIZER_RUN_SEED": "3"})
-        assert config.tpe_config() == TpeConfig(n_startup=31, seed=3)
+        pipeline.tune_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], corpus60_paths["gold"])
+        assert (calls[0]["n_startup"], calls[0]["seed"]) == (31, 3)
 
 
 class TestTuningBridge:
@@ -332,13 +406,6 @@ class _Recording(dict):
         # Not dict's own iterator, so ``**`` reads each key through
         # __getitem__ rather than copying the entries directly.
         return super().__iter__()
-
-
-def _leaves(node: dict, path: str = "") -> set:
-    out = set()
-    for key, value in node.items():
-        out |= _leaves(value, f"{path}{key}.") if isinstance(value, dict) else {path + key}
-    return out
 
 
 REMOVED_KEYS = [

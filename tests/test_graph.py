@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
+from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, NameVectors, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
@@ -83,8 +84,10 @@ class TestFilterParams:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
-            FilterParams(**kwargs)
+        # The filter parameters are checked as the config loads.
+        (key,) = kwargs
+        with pytest.raises(ConfigError, match=f"graph.{key} must be"):
+            PipelineConfig.load(environ={}, overrides={"graph": kwargs})
 
 
 class TestBuildGraph:

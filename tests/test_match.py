@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, NameEmbedding, NameVectors, embed_corpus
 from harmonizer import match
-from harmonizer.errors import InputError
+from harmonizer.errors import ConfigError
 from harmonizer.match import (
     FULL_INDEX,
     PAIRS_HEADER,
@@ -87,8 +88,9 @@ class TestWeightVector:
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_invalid(self, bad):
-        with pytest.raises(InputError):
-            WeightVector(token=bad)
+        # Weights are checked as the config loads.
+        with pytest.raises(ConfigError, match="match.weights.token must be"):
+            PipelineConfig.load(environ={}, overrides={"match": {"weights": {"token": bad}}})
 
 
 class TestConditionVector:

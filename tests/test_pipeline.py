@@ -117,11 +117,29 @@ class TestArtifacts:
         assert manifest["package_version"]
 
     def test_manifest_config_hashes_to_config_hash(self, corpus60_run, corpus60_paths):
-        # The resolved config read back from manifest.json is the one hashed.
+        # The run settings read back from manifest.json are the ones hashed.
         manifest = corpus60_run["manifest"]
         canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == manifest["config_hash"]
-        assert manifest["config"] == PipelineConfig.load(corpus60_paths["config"]).data
+        assert manifest["config"] == PipelineConfig.load(corpus60_paths["config"]).run_settings()
+        assert {section: set(keys) for section, keys in manifest["config"].items()} == {
+            "run": {"seed"},
+            "augment": {"blocklist_k"},
+            "parse": {"common_words_n", "designators"},
+            "match": {"weights"},
+            "graph": {"threshold", "resolution", "bridgeness_threshold", "location_boost"},
+        }
+
+    def test_config_hash_covers_only_what_shapes_a_run(self, corpus60_run, corpus60_paths, tmp_path, monkeypatch):
+        # run.threads and the provider keys reach only augment; the threshold
+        # shapes the run.
+        monkeypatch.setenv("HARMONIZER_RUN_THREADS", "4")
+        monkeypatch.setenv("HARMONIZER_AUGMENT_PROVIDER_ENDPOINT", "https://search.example/s")
+        base = corpus60_run["manifest"]
+        same = run_fixture_pipeline(corpus60_paths, tmp_path / "same")["manifest"]
+        assert same["config_hash"] == base["config_hash"] and same["config"] == base["config"]
+        moved = run_fixture_pipeline(corpus60_paths, tmp_path / "moved", overrides={"graph": {"threshold": 3.8}})
+        assert moved["manifest"]["config_hash"] != same["config_hash"]
 
     def test_manifest_stage_counts(self, corpus60_run):
         counts = corpus60_run["manifest"]["stage_counts"]
@@ -378,15 +396,6 @@ class TestFailureHandling:
                 gold_path=corpus60_paths["gold"],
             )
         assert excinfo.value.stage == "match"
-        assert not list(tmp_path.iterdir())
-
-    def test_config_error_passes_through_and_cleans_up(self, corpus60_paths, tmp_path):
-        # The resolution is checked when the run builds its filter parameters.
-        config = PipelineConfig.load(
-            corpus60_paths["config"], environ={}, overrides={"graph": {"resolution": 0.0}}
-        )
-        with pytest.raises(ConfigError, match="graph.resolution"):
-            run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_names_whose_vectors_cancel_run(self, corpus60_paths, tmp_path):
@@ -890,16 +899,17 @@ class TestTuningObjective:
     @pytest.mark.parametrize(
         "overrides, n_trials, message",
         [
-            ({}, 0, "n_trials must be >= 1, got 0"),
-            ({"tune": {"trials": 0}}, None, "n_trials must be >= 1, got 0"),
+            ({}, 0, "tune.trials must be >= 1, got 0"),
+            ({"tune": {"trials": 0}}, None, "tune.trials must be >= 1, got 0"),
             ({"tune": {"n_startup": -1}}, 3, "tune.n_startup must be >= 0"),
         ],
     )
     def test_settings_checked_before_the_input_is_read(self, tmp_path, overrides, n_trials, message):
-        # Every path is missing, which would raise InputError on reading;
-        # the trial budget and the TPE settings fail first.
-        config = PipelineConfig.load(environ={}, overrides=overrides)
+        # Every path is missing, which would raise InputError on reading. A
+        # config setting fails as the config loads; the n_trials argument,
+        # checked against tune.trials's range, fails as tune_pipeline starts.
         missing = tmp_path / "missing.tsv"
         with pytest.raises(ConfigError, match=message):
+            config = PipelineConfig.load(environ={}, overrides=overrides)
             tune_pipeline(config, missing, missing, missing, n_trials=n_trials)
         assert not missing.exists()

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonizer.config import SEARCH_SPACE, TUNED
+from harmonizer.config import SEARCH_SPACE, TUNED, PipelineConfig
 from harmonizer.errors import ConfigError, InputError
 from harmonizer.tune import (
     ParzenEstimator,
     SearchSpace,
-    TpeConfig,
     Trial,
     TrialHistory,
     optimize,
@@ -75,10 +74,11 @@ class TestTrial:
 
 
 class TestTpeConfig:
+    # The TPE's settings, the tune section, are checked as the config loads.
     @pytest.mark.parametrize("kwargs", [{"n_startup": -10}, {"n_startup": -2}, {"n_startup": -1}])
     def test_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
-            TpeConfig(**kwargs)
+        with pytest.raises(ConfigError, match="tune.n_startup must be >= 0"):
+            PipelineConfig.load(environ={}, overrides={"tune": kwargs})
 
 
 class TestSplitTrials:
@@ -151,22 +151,19 @@ class TestSuggest:
 
     def test_startup_is_uniform_sampling(self):
         space = SearchSpace([("x", 0.0, 1.0)])
-        config = TpeConfig(n_startup=10)
-        point = suggest(self._history(5), space, config, random.Random(0))
+        point = suggest(self._history(5), space, 10, random.Random(0))
         assert 0.0 <= point["x"] <= 1.0
 
     def test_post_startup_in_bounds(self):
         space = SearchSpace([("x", 0.0, 1.0)])
-        config = TpeConfig(n_startup=10)
         for seed in range(20):
-            point = suggest(self._history(30), space, config, random.Random(seed))
+            point = suggest(self._history(30), space, 10, random.Random(seed))
             assert 0.0 <= point["x"] <= 1.0
 
     def test_deterministic_given_rng_state(self):
         space = SearchSpace([("x", 0.0, 1.0)])
-        config = TpeConfig()
-        p1 = suggest(self._history(30), space, config, random.Random(42))
-        p2 = suggest(self._history(30), space, config, random.Random(42))
+        p1 = suggest(self._history(30), space, 10, random.Random(42))
+        p2 = suggest(self._history(30), space, 10, random.Random(42))
         assert p1 == p2
 
     @given(st.integers(0, 10_000))
@@ -178,7 +175,7 @@ class TestSuggest:
             trial(i, rng.random(), x=rng.uniform(-3.0, -1.0), y=rng.uniform(5.0, 6.0))
             for i in range(15)
         ]
-        point = suggest(history, space, TpeConfig(n_startup=5), rng)
+        point = suggest(history, space, 5, rng)
         assert -3.0 <= point["x"] <= -1.0
         assert 5.0 <= point["y"] <= 6.0
 
@@ -187,7 +184,7 @@ class TestOptimize:
     def test_quadratic_converges_reasonably(self):
         space = SearchSpace([("x", 0.0, 1.0)])
         history = optimize(
-            lambda p: -((p["x"] - 0.3) ** 2), space, 40, TpeConfig(seed=11)
+            lambda p: -((p["x"] - 0.3) ** 2), space, 40, seed=11
         )
         assert len(history.trials) == 40
         assert abs(history.best.params["x"] - 0.3) < 0.15
@@ -195,7 +192,7 @@ class TestOptimize:
     def test_initial_points_run_first(self):
         space = SearchSpace([("x", 0.0, 1.0)])
         history = optimize(
-            lambda p: p["x"], space, 5, TpeConfig(seed=0), initial=[{"x": 0.123}, {"x": 0.456}]
+            lambda p: p["x"], space, 5, seed=0, initial=[{"x": 0.123}, {"x": 0.456}]
         )
         assert history.trials[0].params == {"x": 0.123}
         assert history.trials[1].params == {"x": 0.456}
@@ -211,7 +208,7 @@ class TestOptimize:
         def boom(params):
             raise RuntimeError("kaput")
 
-        history = optimize(boom, space, 3, TpeConfig(seed=0))
+        history = optimize(boom, space, 3, seed=0)
         assert all(t.objective == 0.0 for t in history.trials)
         assert all("kaput" in t.error for t in history.trials)
 
@@ -226,17 +223,18 @@ class TestOptimize:
     def test_store_round_trip(self, tmp_path):
         space = SearchSpace([("x", 0.0, 1.0)])
         store = tmp_path / "trials.jsonl"
-        history = optimize(lambda p: p["x"], space, 4, TpeConfig(seed=3), store_path=store)
+        history = optimize(lambda p: p["x"], space, 4, seed=3, store_path=store)
         lines = store.read_text(encoding="utf-8").splitlines()
         assert lines == [t.to_json() for t in history.trials]
         assert [json.loads(line) for line in lines] == [dataclasses.asdict(t) for t in history.trials]
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(ConfigError):
-            optimize(lambda p: 0.0, SearchSpace([("x", 0.0, 1.0)]), 0)
+        # The trial budget is checked as the config loads.
+        with pytest.raises(ConfigError, match="tune.trials must be >= 1, got 0"):
+            PipelineConfig.load(environ={}, overrides={"tune": {"trials": 0}})
 
     def test_deterministic_with_seed(self):
         space = SearchSpace([("x", 0.0, 1.0)])
-        h1 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, TpeConfig(seed=5))
-        h2 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, TpeConfig(seed=5))
+        h1 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, seed=5)
+        h2 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, seed=5)
         assert [t.params for t in h1.trials] == [t.params for t in h2.trials]
