@@ -161,7 +161,10 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {path!r} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} must be finite, got an integer of {value.bit_length()} bits") from None
         if not math.isfinite(value):
             raise ConfigError(f"{path} must be finite, got {value}")
     elif isinstance(default, int) and not isinstance(default, bool):

@@ -496,7 +496,7 @@ def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:
     ValueError. Each unordered pair of usable members is scored once, by
     ``pair_cosines``; one ``np.bincount`` adds each member's cosines
     from 0.0 in (vector row, position) order, as the pairs' second member,
-    then as the first, so members who share a row tie exactly on any BLAS."""
+    then as the first, so members who share a row tie exactly."""
     records, names, vectors = corpus.records, corpus.names, corpus.vectors
     if len(partition.community) != len(records):
         raise ValueError("partition and corpus differ in record count")

@@ -192,7 +192,10 @@ def prepare_corpus(
     names: list[CleanName] = []
     for record, result in zip(records, results):
         correction = result.corrected_name if result is not None else None
-        names.append(clean_name(record.raw_name, correction, designators))
+        try:
+            names.append(clean_name(record.raw_name, correction, designators))
+        except InputError as exc:
+            raise InputError(f"record {record.record_id!r}: {exc}") from None
     counts = document_frequencies(names)
     common = build_common_word_list(counts, config["parse"]["common_words_n"])
     type1 = numpy.array([classify_name_type(n.tokens, common) is NameClass.TYPE1 for n in names], dtype=bool)
@@ -221,7 +224,7 @@ def prepare_corpus(
             type1=int(type1.sum()),
             type2=int((~type1).sum()),
             degenerate=sum(_degenerate(corpus)),
-            vector_rows=len(vectors.block),
+            vector_rows=len(vectors.norms),
             candidate_pairs=len(candidates),
         )
     return corpus

@@ -24,9 +24,11 @@ the entries ending in the last token.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ import networkx as nx
 import numpy as np
 
 from harmonizer.augment import extract_domain, preprocess_url_text
-from harmonizer.embed import NameEmbedding, compute_idf
+from harmonizer.embed import NameEmbedding, NameVectors, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, FilterParams, Graph, bridgeness_centrality, louvain
 from harmonizer.match import Corpus, WeightVector, blocking_key_kinds, generate_candidate_pairs
@@ -117,7 +119,26 @@ def embed_name(tokens, backend, idf: Mapping[str, float]) -> NameEmbedding:
         total += w * backend.token_vector(token)
         weight_sum += w
     vector = total / weight_sum
-    return NameEmbedding(vector=vector, degenerate=float(np.linalg.norm(vector)) == 0.0)
+    return NameEmbedding(vector=vector, degenerate=ordered_norm(vector) == 0.0)
+
+
+def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The products a[k] * b[k] added from 0.0, left to right over k."""
+    return functools.reduce(operator.add, (x * y for x, y in zip(a.tolist(), b.tolist())), 0.0)
+
+
+def ordered_norm(v: np.ndarray) -> float:
+    return math.sqrt(ordered_dot(v, v))
+
+
+def sparse_vectors(block, rows) -> NameVectors:
+    """The ``NameVectors`` of a dense block (one row per vector row) and
+    each record's row: every non-zero entry, bucket by bucket."""
+    block = np.asarray(block, dtype=np.float64)
+    n_rows, dim = block.shape
+    row, bucket = np.nonzero(block)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows))])
+    return NameVectors(indptr, bucket, block[row, bucket], rows, dim)
 
 
 def name_community_centroid(members, records, names, embeddings, rows) -> str:
@@ -127,10 +148,7 @@ def name_community_centroid(members, records, names, embeddings, rows) -> str:
     and ValueError when no member has a usable one. ``members`` are
     positions in the aligned ``records``, ``names``, ``embeddings`` and
     ``rows`` (each position's vector row). Each member's cosines are summed
-    from 0.0 over the others in (row, position) order, each one taken with
-    the smaller row's vector first: ``np.dot`` of two rows at different
-    alignments can round differently with them swapped (OpenBLAS's Prescott
-    kernel does)."""
+    from 0.0 over the others in (row, position) order."""
     usable = sorted((m for m in members if not embeddings[m].degenerate), key=lambda m: (rows[m], m))
     if not usable:
         raise ValueError("all members have degenerate embeddings")
@@ -141,8 +159,7 @@ def name_community_centroid(members, records, names, embeddings, rows) -> str:
         total = 0.0
         for o in usable:
             if o != m:
-                first, second = sorted((m, o), key=lambda p: rows[p])
-                total += cosine_similarity(embeddings[first].vector, embeddings[second].vector)
+                total += cosine_similarity(embeddings[m].vector, embeddings[o].vector)
         means[m] = total / (len(usable) - 1)
     return records[min(usable, key=lambda m: (-means[m], names[m].cleaned, m))].raw_name
 
@@ -154,16 +171,17 @@ def name_community_volume(members, records, names) -> str:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine in [-1, 1]; exactly 1.0 for bitwise-identical vectors."""
+    """Cosine in [-1, 1]; exactly 1.0 for equal vectors. The dot and both
+    norms add left to right over the buckets, from 0.0."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    norm_a = ordered_norm(a)
+    norm_b = ordered_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine undefined for zero-norm vector")
     if np.array_equal(a, b):
         return 1.0
-    value = float(np.dot(a, b) / (norm_a * norm_b))
+    value = ordered_dot(a, b) / (norm_a * norm_b)
     return max(-1.0, min(1.0, value))
 
 

@@ -138,6 +138,15 @@ class TestRunCommand:
         assert cli(*args) == EXIT_CONFIG
         assert "unknown config key 'graph.naming'" in capsys.readouterr().err
 
+    def test_name_that_normalizes_to_nothing_exits_3_naming_its_record(self, corpus60_paths, tmp_path, capsys):
+        table = tmp_path / "input.tsv"
+        table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + "r061\t---\t1\t\n", encoding="utf-8")
+        args = self.run_args(corpus60_paths, tmp_path / "out")
+        args[4] = str(table)
+        assert cli(*args) == EXIT_INPUT
+        assert "input error: record 'r061': name normalizes to nothing: '---'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_exits_3(self, corpus60_paths, tmp_path, capsys):
         args = self.run_args(corpus60_paths, tmp_path)
         args[4] = str(tmp_path / "nope.tsv")

@@ -177,6 +177,28 @@ class TestCoercion:
         with pytest.raises(ConfigError, match=message):
             load(overrides=nested(key, value))
 
+    @pytest.mark.parametrize("key", sorted(path for path in _leaves(DEFAULTS) if isinstance(_at(path), float)))
+    def test_integer_too_large_for_a_float_rejected_in_every_layer(self, tmp_path, key):
+        # float() of 10**400 overflows; the key is refused as an infinity is.
+        huge = 10**400
+        message = re.escape(f"{key} must be finite, got an integer of {huge.bit_length()} bits")
+        with pytest.raises(ConfigError, match=message):
+            load(tmp_path, nested_yaml(key, str(huge)))
+        with pytest.raises(ConfigError, match=message):
+            load(environ={f"{ENV_PREFIX}{key.replace('.', '_')}".upper(): str(huge)})
+        with pytest.raises(ConfigError, match=message):
+            load(overrides=nested(key, huge))
+
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        from harmonizer.cli import EXIT_CONFIG, main
+
+        config = tmp_path / "huge.yaml"
+        config.write_text("graph:\n  threshold: 1" + "0" * 400 + "\n")
+        missing = str(tmp_path / "missing.tsv")
+        args = ["run", "--config", str(config), "--input", missing, "--cache", missing, "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONFIG
+        assert "config error: graph.threshold must be finite, got an integer of 1329 bits" in capsys.readouterr().err
+
     def test_every_number_is_bounded_or_named_unbounded(self):
         # A numeric key added later must get a range in RANGES or join
         # UNBOUNDED, the keys that take any finite value.

@@ -1,13 +1,17 @@
-"""Token vectors, idf weighting, the name-vector block, cosine."""
+"""Token vectors, idf weighting, the sparse name-vector rows, cosine."""
 
+import ast
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import harmonizer.embed as embed_module
 from harmonizer.embed import (
     MIN_HASH_DIM,
     HashingBackend,
@@ -20,7 +24,7 @@ from harmonizer.errors import ConfigError, InputError
 from harmonizer.parse import CleanName, clean_name
 
 from conftest import corpus_idf
-from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name
+from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name, ordered_norm, sparse_vectors
 
 
 def names_from(texts):
@@ -32,9 +36,9 @@ def token_names(token_lists):
 
 
 def token_vector(token, dim=256):
-    """The block row of a one-token name at idf weight 1, which is the
-    token's vector bit for bit: (0.0 + 1.0 * v) / 1.0 == v."""
-    return embed_corpus(token_names([[token]]), HashingBackend(dim), {token: 1.0}).block[0]
+    """The row of a one-token name at idf weight 1, as a dense vector, which
+    is the token's vector bit for bit: (0.0 + 1.0 * v) / 1.0 == v."""
+    return embed_corpus(token_names([[token]]), HashingBackend(dim), {token: 1.0})[0].vector
 
 
 class TestHashingBackend:
@@ -193,13 +197,13 @@ class TestEmbedName:
         # idf weights 1.0 and 0.5 over orthogonal axes -> (2/3, 1/3).
         idf = {"aa": 1.0, "bb": 0.5}
         out = embed_corpus(token_names([["aa", "bb"]]), self.Axes(), idf)
-        assert np.allclose(out.block[0], [2 / 3, 1 / 3])
+        assert np.allclose(out[0].vector, [2 / 3, 1 / 3])
         assert not out[0].degenerate
 
     def test_repeated_token_weighs_twice(self):
         idf = {"aa": 1.0, "bb": 1.0}
         out = embed_corpus(token_names([["aa", "aa", "bb"]]), self.Axes(), idf)
-        assert np.allclose(out.block[0], [2 / 3, 1 / 3])
+        assert np.allclose(out[0].vector, [2 / 3, 1 / 3])
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(InputError, match="position 1"):
@@ -214,7 +218,7 @@ class TestEmbedName:
         idf = {"b": 0.5, "p": 0.5}
         out = embed_corpus(token_names([["b", "p"], ["b"]]), HashingBackend(), idf)
         assert out.degenerate.tolist() == [True, False] and out.norms[0] == 0.0
-        assert not out.block[0].any() and out[0].degenerate
+        assert out.indptr[1] == 0 and not out[0].vector.any() and out[0].degenerate
         assert embed_name(("b", "p"), ScalarHashing(), idf).degenerate
 
     def test_embed_corpus_sorted_and_keyed(self):
@@ -222,7 +226,7 @@ class TestEmbedName:
         idf = corpus_idf(names)
         out = embed_corpus(names, HashingBackend(), idf)
         assert list(out) == [0, 1]
-        assert out[0].vector.shape == (256,) and out.block.shape == (2, 256)
+        assert out[0].vector.shape == (256,) and len(out.norms) == 2 and out.dim == 256
         assert np.array_equal(out[1].vector, embed_name(names[1].tokens, ScalarHashing(), idf).vector)
         assert [e.degenerate for e in out.values()] == [False, False]
 
@@ -235,49 +239,51 @@ class TestEmbedName:
         st.booleans(),
     )
     def test_block_matches_scalar_oracle_bit_for_bit(self, token_lists, weights, dim, corpus_weights):
-        """Names repeat and permute a few token lists. The block holds one
+        """Names repeat and permute a few token lists. There is one sparse
         row per distinct token list, in first-seen order, and every record's
-        row is the dense per-name mean bit for bit, under the corpus idf or
-        arbitrary weights (equal ones let b and p cancel), with repeated
-        tokens and a parked token ("or" at dim 32); every norm is
-        np.linalg.norm's and a record is flagged degenerate exactly when the
-        oracle's mean is zero."""
+        row holds the non-zero entries of the dense per-name mean bit for
+        bit, at ascending buckets, under the corpus idf or arbitrary weights
+        (equal ones let b and p cancel), with repeated tokens and a parked
+        token ("or" at dim 32); every norm is the oracle's and a record is
+        flagged degenerate exactly when the oracle's mean is zero."""
         names = token_names(token_lists)
         idf = corpus_idf(names) if corpus_weights else dict(zip(VOCAB, weights))
         out = embed_corpus(names, HashingBackend(dim), idf)
         distinct = list(dict.fromkeys(name.tokens for name in names))
-        assert out.block.shape == (len(distinct), dim) and out.block.dtype == np.float64
+        assert len(out.indptr) == len(distinct) + 1 and out.data.dtype == np.float64
         assert out.rows.tolist() == [distinct.index(name.tokens) for name in names]
         for i, name in enumerate(names):
             want = embed_name(name.tokens, ScalarHashing(dim), idf)
             row = out.rows[i]
-            assert np.array_equal(out.block[row].view(np.int64), want.vector.view(np.int64)), name.tokens
+            entries = slice(out.indptr[row], out.indptr[row + 1])
+            assert out.buckets[entries].tolist() == np.flatnonzero(want.vector).tolist(), name.tokens
+            assert out.data[entries].tobytes() == want.vector[want.vector != 0.0].tobytes(), name.tokens
             assert out[i].vector.tobytes() == want.vector.tobytes()
-            assert out.norms[row].view(np.int64) == np.float64(np.linalg.norm(want.vector)).view(np.int64)
+            assert out.norms[row].tobytes() == np.float64(ordered_norm(want.vector)).tobytes()
             assert bool(out.degenerate[i]) == want.degenerate
 
     def test_name_vectors_from_rows(self):
-        block = np.array([[3.0, 4.0], [0.0, 0.0]])
-        vectors = NameVectors(block, [0, 1, 0])
+        vectors = NameVectors([0, 2, 2], [0, 1], [3.0, 4.0], [0, 1, 0], 2)
         assert vectors.norms.tolist() == [5.0, 0.0] and vectors.degenerate.tolist() == [False, True, False]
         assert vectors[1].degenerate and vectors[2].vector.tolist() == [3.0, 4.0]
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.2, 1.0])
     def test_norms_match_the_per_row_form(self, density):
-        """Every norm is bit for bit ``math.sqrt(row.dot(row))``, the form
-        np.linalg.norm takes for a 1-D array, on random sparse blocks of
-        several shapes and scales, zero rows and an empty block included."""
+        """Every norm is bit for bit the square root of the row's squares
+        added left to right from 0.0, on random sparse blocks of several
+        shapes and scales, zero rows and an empty block included."""
         rng = np.random.default_rng(int(density * 100))
         for rows, dim in [(0, 32), (1, 32), (7, 32), (300, 256), (800, 256)]:
             block = rng.normal(scale=rng.uniform(0.01, 10.0), size=(rows, dim)) * (rng.random((rows, dim)) < density)
-            want = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
-            assert NameVectors(block, range(rows)).norms.tobytes() == want.tobytes(), (rows, dim)
+            want = np.array([ordered_norm(row) for row in block], dtype=np.float64)
+            assert sparse_vectors(block, range(rows)).norms.tobytes() == want.tobytes(), (rows, dim)
 
     def test_corpus_norms_match_the_per_row_form(self, corpus300_records):
         names = [clean_name(record.raw_name) for record in corpus300_records]
-        block = embed_corpus(names, HashingBackend(), corpus_idf(names)).block
-        want = np.array([math.sqrt(row.dot(row)) for row in block], dtype=np.float64)
-        assert NameVectors(block, range(len(block))).norms.tobytes() == want.tobytes()
+        out = embed_corpus(names, HashingBackend(), corpus_idf(names))
+        first = {row: i for i, row in reversed(list(enumerate(out.rows.tolist())))}
+        want = np.array([ordered_norm(out[first[row]].vector) for row in range(len(first))], dtype=np.float64)
+        assert len(first) == len(out.norms) and out.norms.tobytes() == want.tobytes()
 
 
 class TestCosine:
@@ -311,7 +317,7 @@ class TestCosine:
         if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
             return
         s1, s2 = cosine_similarity(a, b), cosine_similarity(b, a)
-        assert math.isclose(s1, s2, abs_tol=1e-12)
+        assert s1 == s2
         assert -1.0 <= s1 <= 1.0
 
 
@@ -328,7 +334,7 @@ class TestPairCosines:
         signed[0] = 1.0
         vectors += [signed, np.where(signed == 0.0, -0.0, signed)]
         rows = list(range(len(vectors))) + rng.integers(len(vectors), size=15).tolist()
-        records = NameVectors(np.array(vectors), rows)
+        records = sparse_vectors(vectors, rows)
         n = len(rows)
         pairs = [(i, j) for i in range(n) for j in range(n)] * 2
         a, b = (np.array(col) for col in zip(*pairs))
@@ -336,37 +342,97 @@ class TestPairCosines:
         assert got == [cosine_similarity(vectors[rows[i]], vectors[rows[j]]) for i, j in pairs]
         assert sum(x == 1.0 for x, (i, j) in zip(got, pairs) if rows[i] != rows[j]) >= 2 * 2 * 6
 
-    def test_each_distinct_row_pair_computed_once(self):
+    def test_each_distinct_row_pair_computed_once(self, monkeypatch):
         """Twelve records on six rows, every ordered pair of records: one
-        dot product per unordered pair of distinct rows, none on one row."""
-        calls = []
+        cosine per unordered pair of distinct rows, none on one row."""
+        computed = []
 
-        class Counted(np.ndarray):
-            def dot(self, other):
-                calls.append(1)
-                return np.ndarray.dot(self, other)
+        def counted(vectors, x, y):
+            computed.extend(zip(x.tolist(), y.tolist()))
+            return cosines(vectors, x, y)
 
-        block = np.random.default_rng(3).normal(size=(6, 8)).view(Counted)
-        records = NameVectors(block, list(range(6)) * 2)
-        calls.clear()
+        cosines = embed_module._cosines
+        monkeypatch.setattr(embed_module, "_cosines", counted)
+        records = sparse_vectors(np.random.default_rng(3).normal(size=(6, 8)), list(range(6)) * 2)
         a, b = (np.array(col) for col in zip(*[(i, j) for i in range(12) for j in range(12) if i != j]))
         assert pair_cosines(records, a, b)[(a % 6) == (b % 6)].tolist() == [1.0] * 12
-        assert len(calls) == 15
-
-    def test_equal_rows_with_norms_an_ulp_apart_get_one(self):
-        # Under OpenBLAS's Prescott kernel equal 5-wide rows at different
-        # alignments get norms an ulp apart; here one norm is nudged by hand.
-        block = np.array([[0.3, 0.4, 1.2, -0.7, 2.0]] * 2 + [[1.0, 0.0, 0.0, 0.0, 0.0]])
-        records = NameVectors(block, [0, 1, 2])
-        records.norms[1] = np.nextafter(records.norms[1], 3.0)
-        assert pair_cosines(records, np.array([0, 1]), np.array([1, 0])).tolist() == [1.0, 1.0]
-        assert pair_cosines(records, np.array([2]), np.array([1])).tolist() != [1.0]
+        assert sorted(computed) == [(x, y) for x in range(6) for y in range(x + 1, 6)]
 
     def test_zero_norm_rejected_only_when_paired(self):
         vectors = np.array([np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0])])
-        records = NameVectors(vectors, [0, 1, 2, 1])
+        records = sparse_vectors(vectors, [0, 1, 2, 1])
         got = pair_cosines(records, np.array([0]), np.array([2])).tolist()
         assert got == [cosine_similarity(vectors[0], vectors[2])]
         assert pair_cosines(records, np.array([], dtype=int), np.array([], dtype=int)).tolist() == []
         with pytest.raises(ValueError, match="zero-norm"):
             pair_cosines(records, np.array([0]), np.array([3]))
+
+
+# The numpy names that reach BLAS, whose summation order depends on the
+# kernel OpenBLAS picks for the CPU.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_package_makes_no_blas_call():
+    """No module of the package names a BLAS routine or uses ``@``, so no
+    artifact's bits depend on the machine's BLAS kernel."""
+    for path in sorted(Path(embed_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.MatMult), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in BLAS_NAMES, f"{path.name}:{node.lineno}: {node.attr}"
+
+
+# Sparse rows over 16 buckets, from values that repeat (so rows coincide and
+# dots cancel) and any float whose square neither overflows nor underflows.
+SPARSE_ROW = st.dictionaries(
+    st.integers(0, 15),
+    st.one_of(st.sampled_from([1.0, -1.0, 0.5, 0.1, 3.0]), st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-100)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestSparseKernel:
+    @given(
+        st.lists(SPARSE_ROW, min_size=1, max_size=8).flatmap(
+            lambda rows: st.tuples(st.just(rows), st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=10))
+        )
+    )
+    def test_pair_cosines_match_scalar_oracle(self, drawn):
+        """Over every ordered pair of records, a record with itself included:
+        each cosine is the scalar oracle's bit for bit in both orders, equal
+        rows give exactly 1.0, and rows that share no bucket give 0.0."""
+        rows, records = drawn
+        block = np.zeros((len(rows), 16))
+        for r, row in enumerate(rows):
+            block[r, list(row)] = list(row.values())
+        vectors = sparse_vectors(block, records)
+        a, b = (np.array(col) for col in zip(*[(i, j) for i in range(len(records)) for j in range(len(records))]))
+        got = pair_cosines(vectors, a, b)
+        assert got.tobytes() == pair_cosines(vectors, b, a).tobytes()
+        for k, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+            x, y = block[records[i]], block[records[j]]
+            assert got[k] == cosine_similarity(x, y) == cosine_similarity(y, x), (i, j)
+            if np.array_equal(x, y):
+                assert got[k] == 1.0
+            if not (x.astype(bool) & y.astype(bool)).any():
+                assert got[k] == 0.0
+
+    def test_pair_cosines_peak_stays_bounded(self):
+        """200,000 pairs over 300 rows hold 44,850 distinct row pairs; their
+        gathered entries, a batch at a time, stay well under a fixed bound,
+        which all of them at once (about 36 MB) would break."""
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(300, 256)) * (rng.random((300, 256)) < 17 / 256)
+        block[:, 0] += 1.0
+        vectors = sparse_vectors(block, np.arange(300))
+        a, b = rng.integers(300, size=200_000), rng.integers(300, size=200_000)
+        tracemalloc.start()
+        try:
+            pair_cosines(vectors, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak

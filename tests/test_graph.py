@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from harmonizer import graph as graph_module
 from harmonizer.config import PipelineConfig
-from harmonizer.embed import HashingBackend, NameVectors, embed_corpus
+from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
     FilterParams,
@@ -47,6 +47,7 @@ from oracles import (
     name_community_volume,
     reference_louvain,
     reference_refine,
+    sparse_vectors,
 )
 
 
@@ -893,7 +894,7 @@ def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
     records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
     names = [CleanName(c, tuple(c.split())) for c in cleaned]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
-    vectors = NameVectors(block, np.arange(len(ids)) if rows is None else rows)
+    vectors = sparse_vectors(block, np.arange(len(ids)) if rows is None else rows)
     no_domain, no_page = np.full(len(ids), -1), [frozenset()] * len(ids)
     return Corpus(records, names, np.ones(len(ids), dtype=bool), no_domain, no_page, vectors, np.zeros((0, 2)))
 

@@ -44,6 +44,7 @@ from oracles import (
     evaluate_conditions,
     matching_score,
     reference_candidate_pairs,
+    sparse_vectors,
 )
 
 # At unit weights cos alone reaches a threshold of 1.0, so this bound blocks
@@ -623,7 +624,7 @@ def oracle_corpus(seed, n=70):
     rng = random.Random(seed)
     names, type1, infos = random_blocking_corpus(rng, n)
     embedded = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
-    block = embedded.block[embedded.rows]
+    block = np.array([embedding.vector for embedding in embedded.values()])
     rows = range(len(names))
     for i in rng.sample(rows, 6):
         block[i] = 0.0
@@ -632,7 +633,12 @@ def oracle_corpus(seed, n=70):
     shared = np.arange(len(names))
     for i, source in zip(rng.sample(rows, 10), rng.sample(rows, 10)):
         shared[i] = shared[source]
-    return names, type1, infos, NameVectors(block, shared)
+    return names, type1, infos, sparse_vectors(block, shared)
+
+
+def with_rows(vectors, rows):
+    """``vectors``' rows, read by records on ``rows``."""
+    return NameVectors(vectors.indptr, vectors.buckets, vectors.data, rows, vectors.dim)
 
 
 class TestScorePairs:
@@ -666,7 +672,7 @@ class TestScorePairs:
                 type1=corpus.type1[::-1],
                 domain=corpus.domain[::-1],
                 url_tokens=corpus.url_tokens[::-1],
-                vectors=NameVectors(corpus.vectors.block, corpus.vectors.rows[::-1]),
+                vectors=with_rows(corpus.vectors, corpus.vectors.rows[::-1]),
             )
 
     @pytest.mark.parametrize(
@@ -693,7 +699,7 @@ class TestScorePairs:
             "infos": {"domain": corpus.domain[:-1], "url_tokens": corpus.url_tokens[:-1]},
             "domain": {"domain": corpus.domain[:-1]},
             "url_tokens": {"url_tokens": corpus.url_tokens[:-1]},
-            "embeddings": {"vectors": NameVectors(corpus.vectors.block, corpus.vectors.rows[:-1])},
+            "embeddings": {"vectors": with_rows(corpus.vectors, corpus.vectors.rows[:-1])},
             "records": {"records": corpus.records[:-1]},
             "type1": {"type1": corpus.type1[:-1]},
             "swapped_records": {"records": records},

@@ -43,7 +43,7 @@ from harmonizer.pipeline import (
     tune_pipeline,
     write_mapping,
 )
-from oracles import brute_force_candidates, reference_prepare
+from oracles import brute_force_candidates, ordered_norm, reference_prepare
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
 
@@ -703,7 +703,7 @@ class TestPrepareCorpus:
         assert corpus.domain.dtype == np.int64 and corpus.domain.shape == (60,)
         # One vector row per distinct token list, in first-seen order.
         distinct = list(dict.fromkeys(n.tokens for n in corpus.names))
-        assert len(corpus.vectors) == 60 and corpus.vectors.block.shape == (len(distinct), 256)
+        assert len(corpus.vectors) == 60 and len(corpus.vectors.norms) == len(distinct) and corpus.vectors.dim == 256
         assert corpus.vectors.rows.tolist() == [distinct.index(n.tokens) for n in corpus.names]
         assert counts["vector_rows"] == len(distinct) < 60
 
@@ -755,7 +755,7 @@ def assert_same_corpus(got, want):
     for a, b, norm in zip(got.vectors.values(), want.vectors, norms):
         assert a.vector.shape == b.vector.shape and a.vector.tobytes() == b.vector.tobytes()
         assert a.degenerate == b.degenerate
-        assert np.float64(norm).tobytes() == np.linalg.norm(b.vector).tobytes()
+        assert np.float64(norm).tobytes() == np.float64(ordered_norm(b.vector)).tobytes()
 
 
 class TestPrepareOnceOracle:
