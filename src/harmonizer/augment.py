@@ -30,9 +30,6 @@ log = logging.getLogger(__name__)
 
 MAX_TEXT_CHARS = 10_000
 
-DEFAULT_SUGGESTION_SELECTOR = "a.spelling-suggestion"
-DEFAULT_RESULT_SELECTOR = "a.result-link"
-
 
 @dataclass(frozen=True, slots=True)
 class AugmentationResult:
@@ -90,14 +87,14 @@ class AugmentationCache:
     appending a fresh fetch overwrites without rewriting the file. Writes are
     serialized behind a lock; reads are plain dict lookups."""
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._store: dict[str, AugmentationResult] = {}
         self._lock = threading.Lock()
         # Byte length of the file without a torn final line, cut before the
         # next append so the fragment cannot run into a good line.
         self._torn_at: Optional[int] = None
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
@@ -126,12 +123,11 @@ class AugmentationCache:
     def put(self, result: AugmentationResult) -> None:
         with self._lock:
             self._store[result.query_name] = result
-            if self.path is not None:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    if self._torn_at is not None:
-                        fh.truncate(self._torn_at)
-                        self._torn_at = None
-                    fh.write(result.to_json() + "\n")
+            with self.path.open("a", encoding="utf-8") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
+                fh.write(result.to_json() + "\n")
 
     def __contains__(self, query_name: str) -> bool:
         return query_name in self._store
@@ -215,7 +211,7 @@ def _find_all(html: str, selector: str) -> list[tuple[dict, str]]:
     return finder.matches
 
 
-def extract_did_u_mean(result_page: str, selector: str = DEFAULT_SUGGESTION_SELECTOR) -> Optional[str]:
+def extract_did_u_mean(result_page: str, selector: str) -> Optional[str]:
     """Text of the provider's spelling-suggestion element, or None.
 
     Nested markup is flattened and whitespace collapsed, so
@@ -227,7 +223,7 @@ def extract_did_u_mean(result_page: str, selector: str = DEFAULT_SUGGESTION_SELE
     return None
 
 
-def extract_first_result_url(result_page: str, selector: str = DEFAULT_RESULT_SELECTOR) -> Optional[str]:
+def extract_first_result_url(result_page: str, selector: str) -> Optional[str]:
     """href of the first organic result link, or None."""
     for attrs, _ in _find_all(result_page, selector):
         href = attrs.get("href")
@@ -257,13 +253,13 @@ class _TextExtractor(HTMLParser):
             self.parts.append(data)
 
 
-def extract_visible_text(page: str, limit: int = MAX_TEXT_CHARS) -> str:
-    """Visible text of a page, whitespace-collapsed, truncated to ``limit``."""
+def extract_visible_text(page: str) -> str:
+    """Visible text of a page, whitespace-collapsed, cut to MAX_TEXT_CHARS."""
     extractor = _TextExtractor()
     extractor.feed(page)
     extractor.close()
     text = " ".join(" ".join(extractor.parts).split())
-    return text[:limit]
+    return text[:MAX_TEXT_CHARS]
 
 
 # --- domains ----------------------------------------------------------------
@@ -283,7 +279,7 @@ def load_public_suffixes() -> frozenset[str]:
 _IP_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
 
 
-def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
+def extract_domain(url: str) -> str:
     """Registrable domain of a URL: one label plus the public suffix.
 
     ``http://patents.example.co.uk/x`` -> ``example.co.uk``. Hosts whose tail
@@ -291,8 +287,6 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
     address comes back whole, an IPv6 one without its brackets. Raises
     InputError when no host can be found.
     """
-    if suffixes is None:
-        suffixes = load_public_suffixes()
     if not url or not url.strip():
         raise InputError("empty URL")
     try:
@@ -316,6 +310,7 @@ def extract_domain(url: str, suffixes: Optional[frozenset[str]] = None) -> str:
     if len(labels) == 1:
         return labels[0]
     # Longest matching suffix wins; unknown tails fall back to the final label.
+    suffixes = load_public_suffixes()
     suffix_len = 1
     for take in range(min(len(labels) - 1, 4), 1, -1):
         if ".".join(labels[-take:]) in suffixes:
@@ -381,13 +376,13 @@ def build_domain_info(
 # --- provider ---------------------------------------------------------------
 
 class SearchProvider:
-    """Interface the augmentation stage talks to. Concrete adapters do their
-    own rate limiting and retries; callers only see ProviderError."""
+    """The interface augmentation talks to. Adapters set the attributes and
+    do their own rate limiting and retries; callers only see ProviderError."""
 
-    provider_id: str = "abstract"
-    suggestion_selector: str = DEFAULT_SUGGESTION_SELECTOR
-    result_selector: str = DEFAULT_RESULT_SELECTOR
-    base_url: Optional[str] = None
+    provider_id: str
+    suggestion_selector: str
+    result_selector: str
+    base_url: Optional[str]
 
     def search_page(self, query: str) -> str:
         raise NotImplementedError
@@ -404,12 +399,12 @@ class HtmlSearchProvider(SearchProvider):
     def __init__(
         self,
         endpoint: str,
-        query_param: str = "q",
-        suggestion_selector: str = DEFAULT_SUGGESTION_SELECTOR,
-        result_selector: str = DEFAULT_RESULT_SELECTOR,
-        rate_limit_per_s: float = 1.0,
-        timeout_s: float = 10.0,
-        retries: int = 3,
+        query_param: str,
+        suggestion_selector: str,
+        result_selector: str,
+        rate_limit_per_s: float,
+        timeout_s: float,
+        retries: int,
         backoff_s: float = 0.5,
         session=None,
         sleep=time.sleep,
@@ -531,7 +526,6 @@ def fetch_names(
             return None
 
     names = list(dict.fromkeys(names))
-    if cache.path is not None:
-        cache.path.parent.mkdir(parents=True, exist_ok=True)
+    cache.path.parent.mkdir(parents=True, exist_ok=True)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return dict(zip(names, pool.map(fetch_one, names)))

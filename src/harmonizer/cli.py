@@ -100,6 +100,21 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig.load(args.config, overrides={"run": run, "tune": tune})
 
 
+def _output_file(path: str) -> Path:
+    """``path`` once its directory is made and a file there opens for
+    appending (a file this makes is removed); InputError names it if not."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        path.open("a", encoding="utf-8").close()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    if not existed:
+        path.unlink()
+    return path
+
+
 def make_provider(config: PipelineConfig) -> HtmlSearchProvider:
     """The live provider built from ``augment.provider``, whose keys are its
     parameters."""
@@ -144,7 +159,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     report = build_report(gold, [row["community_id"] for row in rows])
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        _output_file(args.out).write_text(payload, encoding="utf-8")
         print(f"evaluate: wrote {args.out} (f1={report['f1']:.4f})")
     else:
         print(payload, end="")
@@ -152,6 +167,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace, config: PipelineConfig) -> int:
+    if args.out:
+        _output_file(args.out)
     history = tune_pipeline(
         config,
         input_path=args.input,

@@ -22,7 +22,6 @@ from .augment import _parse_selector
 from .errors import ConfigError
 from .graph import FilterParams
 from .match import ScoreBound, WeightVector
-from .tune import SearchSpace
 
 ENV_PREFIX = "HARMONIZER_"
 
@@ -86,7 +85,7 @@ TUNED: dict[str, tuple[tuple[str, ...], float, float]] = {
     "bridgeness": (("graph", "bridgeness_threshold"), -2.0, 2.0),
     "location_boost": (("graph", "location_boost"), 0.0, 2.0),
 }
-SEARCH_SPACE = SearchSpace([(name, lo, hi) for name, (_, lo, hi) in TUNED.items()])
+SEARCH_SPACE = tuple((name, lo, hi) for name, (_, lo, hi) in TUNED.items())
 # The legal range of every bounded key: a comparison and its bound. Every
 # float key must also be finite; the seed and the two graph thresholds take
 # any other value.

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .parse import CleanName
 
 MIN_HASH_DIM = 32
@@ -175,12 +175,11 @@ def embed_corpus(names: Sequence[CleanName], backend: HashingBackend, idf: Mappi
     row's weighted token entries by (row, bucket), and ``np.bincount`` adds
     each group in token order, as a dense sum over the tokens does, so each
     row is bit for bit ``embed_name`` in ``tests/oracles.py``; entries that
-    come to 0.0 are dropped. Cancelling tokens (the hashed ``b`` and ``p``
-    are exact negatives) leave an empty, degenerate row."""
+    come to 0.0 are dropped. An empty token list, and cancelling tokens (the
+    hashed ``b`` and ``p`` are exact negatives), leave an empty, degenerate
+    row."""
     row_of: dict[tuple[str, ...], int] = {}
     rows = [row_of.setdefault(name.tokens, len(row_of)) for name in names]
-    if () in row_of:
-        raise InputError(f"cannot embed the empty token list of the name at position {rows.index(row_of[()])}")
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(row_of)))
     token_index = {token: k for k, token in enumerate(distinct)}
     token, bucket, values = _token_entries(distinct, backend)

@@ -377,12 +377,12 @@ def _cutoff(beta: float) -> float:
     return beta + _BETA_MARGIN * max(1.0, abs(beta))
 
 
-def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None) -> Graph:
+def prune_global_bridges(graph: Graph, beta: float, stats: dict) -> Graph:
     """``graph`` without the edges that touch a node whose bridgeness exceeds
     ``beta``; a value equal to ``beta`` is never flagged. When no node is
     flagged the result is ``graph`` itself, not a copy, so a caller must not
-    mutate it. ``stats``, when given, has its ``flagged_nodes`` and
-    ``pruned_edges`` counts raised. Bridgeness is always computed: the cases
+    mutate it. ``stats`` has its ``flagged_nodes`` and ``pruned_edges``
+    counts raised. Bridgeness is always computed: the cases
     that need none are settled by ``refine_communities`` before it cuts a
     subgraph."""
     n = graph.n
@@ -391,9 +391,8 @@ def prune_global_bridges(graph: Graph, beta: float, stats: Optional[dict] = None
     if flagged.any():
         keep = ~(flagged[graph.rows] | flagged[graph.neighbours])
         pruned = Graph.from_entries(n, graph.rows[keep], graph.neighbours[keep], graph.weights[keep])
-    if stats is not None:
-        stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + int(flagged.sum())
-        stats["pruned_edges"] = stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
+    stats["flagged_nodes"] = stats.get("flagged_nodes", 0) + int(flagged.sum())
+    stats["pruned_edges"] = stats.get("pruned_edges", 0) + graph.number_of_edges() - pruned.number_of_edges()
     return pruned
 
 

@@ -10,7 +10,6 @@ weights the score lives in [-1, 5] for type-1 and [-1, 2] for type-2.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
@@ -235,7 +234,7 @@ def generate_candidate_pairs(
     domain: np.ndarray,
     url_tokens: Sequence[frozenset[str]],
     bound: ScoreBound,
-    stats: Optional[dict] = None,
+    stats: dict,
 ) -> np.ndarray:
     """Blocked candidate pairs: same ``type1`` flag and at least one shared index key.
     ``type1``, ``domain`` and ``url_tokens`` are the ``Corpus`` columns of
@@ -256,7 +255,7 @@ def generate_candidate_pairs(
     int64 buffer, sized by their count before any is made and filled
     ``_CHUNK_PAIRS`` at a time; the buffer is sorted in place and its
     repeats dropped, so memory is about 8 bytes per pair key.
-    ``stats``, when given, receives the kinds used (``keys``), the size of
+    ``stats`` receives the kinds used (``keys``), the size of
     the largest block (``largest_block``) and each kind's pair keys before
     deduplication (``pair_keys``). Output is an int32 ``(n, 2)`` array
     holding each unordered pair once as positions ``i < j`` in ``names``,
@@ -287,10 +286,9 @@ def generate_candidate_pairs(
         np.take(positions, partner, out=keys[filled:end])
         keys[filled:end] += np.repeat(positions[start:stop] * n, c)
         start, filled = stop, end
-    if stats is not None:
-        stats["keys"] = list(kinds)
-        stats["largest_block"] = int(sizes.max(initial=0))
-        stats["pair_keys"] = {kind: int((s * (s - 1) // 2).sum()) for kind, (_, s) in zip(kinds, buckets)}
+    stats["keys"] = list(kinds)
+    stats["largest_block"] = int(sizes.max(initial=0))
+    stats["pair_keys"] = {kind: int((s * (s - 1) // 2).sum()) for kind, (_, s) in zip(kinds, buckets)}
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
@@ -369,7 +367,7 @@ def score_pairs(corpus: Corpus) -> PairTable:
     return PairTable(corpus.ids, a, b, type1[a], token, first, url, same_domain, location, cos)
 
 
-def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float = -math.inf) -> None:
+def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float) -> None:
     """Write the rows whose score is >= ``threshold``, in table order."""
     rows = np.flatnonzero(scores >= threshold)
     # token, first and url by the binary code type1 token first url; empty for type 2.

@@ -2,7 +2,7 @@
 stripping, the corpus common-word list, and the type-1/type-2 split.
 
 Names made of nothing but designators keep their pre-strip tokens and carry a
-``degenerate`` flag.
+``degenerate`` flag, as do names with no letter or digit, which have no tokens.
 """
 
 from __future__ import annotations
@@ -104,16 +104,6 @@ class LegalDesignatorDictionary:
         return 0
 
 
-_default_designators: Optional[LegalDesignatorDictionary] = None
-
-
-def default_designators() -> LegalDesignatorDictionary:
-    global _default_designators
-    if _default_designators is None:
-        _default_designators = LegalDesignatorDictionary.from_file()
-    return _default_designators
-
-
 def strip_legal_suffixes(tokens: Sequence[str], designators: LegalDesignatorDictionary) -> list[str]:
     """Remove designator sequences from the token tail, repeatedly."""
     out = list(tokens)
@@ -127,18 +117,15 @@ def strip_legal_suffixes(tokens: Sequence[str], designators: LegalDesignatorDict
 
 def clean_name(
     raw: str,
-    correction: Optional[str] = None,
-    designators: Optional[LegalDesignatorDictionary] = None,
+    correction: Optional[str],
+    designators: LegalDesignatorDictionary,
 ) -> CleanName:
     """Clean one name. When a spelling correction is given it replaces the
     raw text as the starting point; the raw name stays the record identity.
+    A name with no letter or digit ("---") has no tokens and is degenerate.
     """
-    if designators is None:
-        designators = default_designators()
     source = correction if correction and correction.strip() else raw
     base_tokens = normalize_tokens(source)
-    if not base_tokens:
-        raise InputError(f"name normalizes to nothing: {raw!r}")
     tokens = strip_legal_suffixes(base_tokens, designators)
     degenerate = len(tokens) == 0
     if degenerate:
@@ -164,7 +151,5 @@ def build_common_word_list(counts: Mapping[str, int], n: int) -> frozenset[str]:
 
 
 def classify_name_type(tokens: Sequence[str], common: frozenset[str]) -> NameClass:
-    """TYPE2 iff every token is a common word."""
-    if not tokens:
-        raise ValueError("cannot classify an empty token list")
+    """TYPE2 iff every token is a common word, so an empty list is TYPE2."""
     return NameClass.TYPE2 if common.issuperset(tokens) else NameClass.TYPE1

@@ -192,10 +192,7 @@ def prepare_corpus(
     names: list[CleanName] = []
     for record, result in zip(records, results):
         correction = result.corrected_name if result is not None else None
-        try:
-            names.append(clean_name(record.raw_name, correction, designators))
-        except InputError as exc:
-            raise InputError(f"record {record.record_id!r}: {exc}") from None
+        names.append(clean_name(record.raw_name, correction, designators))
     counts = document_frequencies(names)
     common = build_common_word_list(counts, config["parse"]["common_words_n"])
     type1 = numpy.array([classify_name_type(n.tokens, common) is NameClass.TYPE1 for n in names], dtype=bool)
@@ -260,7 +257,8 @@ def run_pipeline(
     then, and an artifact this run did not write (eval.json without gold) is
     removed from it. On error ``out_dir`` is left as it was, or absent if it
     was, and a StageError names the stage. The sibling's name carries the
-    pid of its run, so one left by a killed run is removed by the next.
+    pid of its run, so one left by a killed run is removed by the next. An
+    ``out_dir`` that cannot be written raises InputError before any read.
 
     The gold labels are checked where they are read, before any stage runs.
     The run reads the augmentation cache and fetches nothing: a name the
@@ -268,13 +266,18 @@ def run_pipeline(
     because ``perfbench/child.py`` still passes it.
     """
     out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    _remove_stale_work_dirs(out_dir)
+    try:
+        if out_dir.exists() and not out_dir.is_dir():
+            raise NotADirectoryError("not a directory")
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        _remove_stale_work_dirs(out_dir)
+        work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc.strerror or exc}") from None
     manifest = RunManifest(
         config_hash=config.config_hash(), seed=config["run"]["seed"], config=json.loads(config.canonical_json())
     )
     stage = "ingest"
-    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.{os.getpid()}.", dir=out_dir.parent))
     count_collection = manifest._count_collection
     gc.callbacks.append(count_collection)
     try:

@@ -31,38 +31,6 @@ GAMMA = 0.25
 N_CANDIDATES = 24
 
 
-class SearchSpace:
-    """Ordered box bounds, one (name, lo, hi) per dimension."""
-
-    def __init__(self, dims: Sequence[tuple[str, float, float]]):
-        if not dims:
-            raise ConfigError("search space needs at least one dimension")
-        seen = set()
-        for name, lo, hi in dims:
-            if name in seen:
-                raise ConfigError(f"duplicate search dimension {name!r}")
-            seen.add(name)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise ConfigError(f"dimension {name!r} needs finite lo < hi, got [{lo}, {hi}]")
-        self.dims: tuple[tuple[str, float, float], ...] = tuple(
-            (name, float(lo), float(hi)) for name, lo, hi in dims
-        )
-
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _, _ in self.dims]
-
-    def validate_point(self, params: dict[str, float]) -> None:
-        if set(params) != set(self.names):
-            raise ConfigError(f"point keys {sorted(params)} do not match space {self.names}")
-        for name, lo, hi in self.dims:
-            if not lo <= params[name] <= hi:
-                raise ConfigError(f"{name}={params[name]} outside [{lo}, {hi}]")
-
-    def uniform(self, rng: random.Random) -> dict[str, float]:
-        return {name: rng.uniform(lo, hi) for name, lo, hi in self.dims}
-
-
 @dataclass(frozen=True)
 class Trial:
     trial_id: int
@@ -78,8 +46,6 @@ class Trial:
 
 def split_trials(history: Sequence[Trial], gamma: float) -> tuple[list[Trial], list[Trial]]:
     """Top ceil(gamma * n) trials by objective (ties by trial_id) vs the rest."""
-    if not history:
-        return [], []
     n_good = math.ceil(gamma * len(history))
     ranked = sorted(history, key=lambda t: (-t.objective, t.trial_id))
     return list(ranked[:n_good]), list(ranked[n_good:])
@@ -135,17 +101,18 @@ class ParzenEstimator:
 
 def suggest(
     history: Sequence[Trial],
-    space: SearchSpace,
+    space: Sequence[tuple[str, float, float]],
     n_startup: int,
     rng: random.Random,
 ) -> dict[str, float]:
-    """Next point to try. Uniform during startup; afterwards, per dimension,
-    the candidate maximizing l(x)/g(x) among draws from l."""
+    """Next point to try in the box ``space``, one (name, lo, hi) per
+    dimension in draw order. Uniform during startup; afterwards, per
+    dimension, the candidate maximizing l(x)/g(x) among draws from l."""
     if len(history) < n_startup:
-        return space.uniform(rng)
+        return {name: rng.uniform(lo, hi) for name, lo, hi in space}
     good, bad = split_trials(history, GAMMA)
     point: dict[str, float] = {}
-    for name, lo, hi in space.dims:
+    for name, lo, hi in space:
         l_est = ParzenEstimator([t.params[name] for t in good], lo, hi)
         g_est = ParzenEstimator([t.params[name] for t in bad], lo, hi)
         best_x = None
@@ -174,7 +141,7 @@ class TrialHistory:
 
 def optimize(
     objective: Callable[[dict[str, float]], float],
-    space: SearchSpace,
+    space: Sequence[tuple[str, float, float]],
     n_trials: int,
     *,
     n_startup: int = 10,
@@ -184,9 +151,9 @@ def optimize(
 ) -> TrialHistory:
     """Run n_trials sequential trials and return them all plus the argmax.
 
-    ``initial`` points (the incumbent config, say) are evaluated first, before
-    any sampling. A trial whose objective raises is recorded with objective
-    0.0 and the error message; it still counts toward the budget.
+    ``initial`` points, each inside ``space`` (the incumbent config, say),
+    are evaluated first. A trial whose objective raises is recorded with
+    objective 0.0 and the error message; it still counts toward the budget.
     """
     rng = random.Random(seed)
     history = TrialHistory()
@@ -196,7 +163,6 @@ def optimize(
         for trial_id in range(n_trials):
             if initial is not None and trial_id < len(initial):
                 params = dict(initial[trial_id])
-                space.validate_point(params)
             else:
                 params = suggest(history.trials, space, n_startup, rng)
             t0 = time.perf_counter()

@@ -13,10 +13,15 @@ from harmonizer.config import PipelineConfig
 from harmonizer.embed import compute_idf
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
 from harmonizer.match import Corpus
-from harmonizer.parse import document_frequencies
+from harmonizer.parse import LegalDesignatorDictionary, document_frequencies
 from harmonizer.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
+# The bundled designator dictionary, which a run loads when
+# parse.designators is unset: the one ``clean_name`` takes in tests.
+DESIGNATORS = LegalDesignatorDictionary.from_file()
+# The provider settings a config without an augment section gives.
+PROVIDER = PipelineConfig.load(environ={})["augment"]["provider"]
 
 
 @pytest.fixture(scope="session")

@@ -109,9 +109,10 @@ def longest_first_tail_match(designators: LegalDesignatorDictionary, tokens) -> 
 
 def embed_name(tokens, backend, idf: Mapping[str, float]) -> NameEmbedding:
     """idf-weighted mean of ``backend.token_vector`` over ``tokens``, one
-    dense vector at a time; degenerate when the mean has norm zero."""
+    dense vector at a time; degenerate when the mean has norm zero, and the
+    zero vector for no tokens."""
     if not tokens:
-        raise InputError("cannot embed an empty token list")
+        return NameEmbedding(vector=np.zeros(backend.dim), degenerate=True)
     total = np.zeros(backend.dim, dtype=np.float64)
     weight_sum = 0.0
     for token in tokens:
@@ -361,7 +362,7 @@ def reference_prepare(config, records, cache) -> Corpus:
     domain_codes = np.array(domain_codes, dtype=np.int64)
     idf = compute_idf(presence, len(names))
     vectors = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
-    candidates = generate_candidate_pairs(names, type1, domain_codes, url_tokens, config.score_bound())
+    candidates = generate_candidate_pairs(names, type1, domain_codes, url_tokens, config.score_bound(), {})
     return Corpus(records, names, type1, domain_codes, url_tokens, vectors, candidates)
 
 

@@ -18,7 +18,7 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import corpus_idf, domain_columns, make_corpus, run_fixture_pipeline
+from conftest import DESIGNATORS, corpus_idf, domain_columns, make_corpus, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.evaluation import GoldPairs, compute_metrics
@@ -26,7 +26,7 @@ from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communi
 from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name, document_frequencies
 from harmonizer.pipeline import tune_pipeline
-from harmonizer.tune import SearchSpace, optimize
+from harmonizer.tune import optimize
 from nxgraphs import from_networkx
 from oracles import (
     CONNECTED_GRAPH_COUNTS,
@@ -118,7 +118,7 @@ def _random_matching_corpus(rng: random.Random, n: int):
             tokens = rng.sample(vocab, rng.randint(1, 4))
             if rng.random() < 0.5:
                 tokens[rng.randrange(len(tokens))] = rng.choice(hot)
-        names.append(clean_name(" ".join(tokens).upper()))
+        names.append(clean_name(" ".join(tokens).upper(), None, DESIGNATORS))
     common = build_common_word_list(document_frequencies(names), 25)
     type1 = [classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names]
     domain_info = []
@@ -141,7 +141,7 @@ def test_02_blocking_losslessness():
             names, type1, domain_info = _random_matching_corpus(rng, n)
             ids = [f"r{i:05d}" for i in range(n)]
             embeddings = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
-            candidates = generate_candidate_pairs(names, type1, *domain_columns(domain_info), ScoreBound(unit, 1.0))
+            candidates = generate_candidate_pairs(names, type1, *domain_columns(domain_info), ScoreBound(unit, 1.0), {})
             corpus = make_corpus(ids, names, type1, domain_info, embeddings, candidates)
             scored_blocked = score_pairs(corpus)
             scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(type1)))
@@ -258,7 +258,7 @@ def test_07_tpe_beats_random():
     """On f(x) = -(x - 0.3)^2 with 50 trials x 20 seeds, the TPE median best
     is at least random search's median and lands within 0.05 of the optimum."""
     with criterion(7, "tpe beats random search", 30.0):
-        space = SearchSpace([("x", 0.0, 1.0)])
+        space = [("x", 0.0, 1.0)]
 
         def objective(params):
             return -((params["x"] - 0.3) ** 2)
@@ -319,7 +319,7 @@ def test_10_idf_oracle():
                 " ".join(rng.sample(vocab, rng.randint(1, 6))).upper()
                 for _ in range(rng.randint(2, 120))
             ]
-            names = [clean_name(t) for t in texts]
+            names = [clean_name(t, None, DESIGNATORS) for t in texts]
             idf = corpus_idf(names)
             oracle = brute_idf([n.tokens for n in names])
             assert oracle, f"seed {seed}: empty corpus"

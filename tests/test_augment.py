@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PROVIDER
+from harmonizer import augment
 from harmonizer.augment import (
     MAX_TEXT_CHARS,
     AugmentationCache,
@@ -29,6 +31,7 @@ from harmonizer.errors import ConfigError, InputError, ProviderError
 
 SEARCH_PAGE = (Path(__file__).parent / "data" / "search_page.html").read_text()
 LANDING_PAGE = (Path(__file__).parent / "data" / "landing_page.html").read_text()
+SUGGESTION, RESULT = PROVIDER["suggestion_selector"], PROVIDER["result_selector"]
 
 
 def result(name="ACME", **kwargs) -> AugmentationResult:
@@ -136,11 +139,6 @@ class TestAugmentationCache:
         cache.put(result("B"))
         assert len(path.read_text().strip().splitlines()) == 2
 
-    def test_memory_only(self):
-        cache = AugmentationCache(None)
-        cache.put(result())
-        assert cache.get("ACME") is not None
-
     def test_concurrent_puts(self, tmp_path):
         cache = AugmentationCache(tmp_path / "c.jsonl")
         names = [f"N{i}" for i in range(50)]
@@ -224,18 +222,18 @@ class TestAugmentationCache:
 class TestExtraction:
     def test_did_u_mean_from_fixture(self):
         # Nested <b> must flatten into a single suggestion string.
-        assert extract_did_u_mean(SEARCH_PAGE) == "veltrona corporation"
+        assert extract_did_u_mean(SEARCH_PAGE, SUGGESTION) == "veltrona corporation"
 
     def test_did_u_mean_absent(self):
-        assert extract_did_u_mean("<html><body><p>no suggestions</p></body></html>") is None
+        assert extract_did_u_mean("<html><body><p>no suggestions</p></body></html>", SUGGESTION) is None
 
     def test_first_result_url_from_fixture(self):
-        assert extract_first_result_url(SEARCH_PAGE) == "https://www.veltrona.com/"
+        assert extract_first_result_url(SEARCH_PAGE, RESULT) == "https://www.veltrona.com/"
 
     def test_first_result_skips_other_anchors(self):
         # The sponsored ad anchor has a different class and must be ignored.
         page = SEARCH_PAGE.replace('class="result-link"', 'class="other"', 0)
-        assert "ads.example" not in (extract_first_result_url(page) or "")
+        assert "ads.example" not in (extract_first_result_url(page, RESULT) or "")
 
     def test_selector_by_id(self):
         html = '<div><a id="main" href="/x">X</a></div>'
@@ -296,8 +294,11 @@ class TestExtractDomain:
         with pytest.raises(InputError):
             extract_domain(url)
 
-    def test_custom_suffixes(self):
-        assert extract_domain("https://x.acme.custom", frozenset({"custom"})) == "acme.custom"
+    def test_custom_suffixes(self, monkeypatch):
+        # The snapshot decides: a tail it lists is one suffix.
+        assert extract_domain("https://x.acme.custom") == "acme.custom"
+        monkeypatch.setattr(augment, "load_public_suffixes", lambda: frozenset({"acme.custom"}))
+        assert extract_domain("https://x.acme.custom") == "x.acme.custom"
 
     def test_suffix_snapshot_loads(self):
         suffixes = load_public_suffixes()
@@ -405,6 +406,7 @@ def make_provider(script, **kwargs):
     clock = _FakeClock()
     session = _FakeSession(script)
     defaults = dict(
+        PROVIDER,
         endpoint="https://search.example/s",
         rate_limit_per_s=10.0,
         retries=2,
@@ -421,7 +423,7 @@ def make_provider(script, **kwargs):
 class TestHtmlSearchProvider:
     def test_requires_endpoint(self):
         with pytest.raises(ConfigError):
-            HtmlSearchProvider(endpoint="")
+            HtmlSearchProvider(**PROVIDER)
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -138,14 +138,33 @@ class TestRunCommand:
         assert cli(*args) == EXIT_CONFIG
         assert "unknown config key 'graph.naming'" in capsys.readouterr().err
 
-    def test_name_that_normalizes_to_nothing_exits_3_naming_its_record(self, corpus60_paths, tmp_path, capsys):
-        table = tmp_path / "input.tsv"
-        table.write_text(corpus60_paths["input"].read_text(encoding="utf-8") + "r061\t---\t1\t\n", encoding="utf-8")
-        args = self.run_args(corpus60_paths, tmp_path / "out")
+    def test_name_that_normalizes_to_nothing_is_a_degenerate_singleton(self, corpus60_paths, corpus60_run, tmp_path):
+        # Names with no letter or digit have no tokens: each is a degenerate
+        # singleton named by its raw name, and the other rows do not move.
+        table, gold = tmp_path / "input.tsv", tmp_path / "gold.tsv"
+        table.write_text(corpus60_paths["input"].read_text() + "r061\t---\t1\t\nr062\t!!!\t1\t\n")
+        gold.write_text(corpus60_paths["gold"].read_text() + "r061\tE90\nr062\tE91\n")
+        out = tmp_path / "out"
+        args = self.run_args(corpus60_paths, out, "--gold", str(gold))
         args[4] = str(table)
-        assert cli(*args) == EXIT_INPUT
-        assert "input error: record 'r061': name normalizes to nothing: '---'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert cli(*args) == EXIT_OK
+        mapping = (out / "mapping.tsv").read_text().splitlines()
+        assert mapping[:61] == corpus60_run["mapping_bytes"].decode().splitlines()
+        assert [row.split("\t")[1::2] for row in mapping[61:]] == [["---", "---"], ["!!!", "!!!"]]
+        communities = [row.split("\t")[2] for row in mapping[1:]]
+        assert communities.count(mapping[61].split("\t")[2]) == communities.count(mapping[62].split("\t")[2]) == 1
+        cleaned = (out / "cleaned.tsv").read_text().splitlines()
+        assert cleaned[61:] == ["r061\t\ttype2\t1", "r062\t\ttype2\t1"]
+        assert json.loads((out / "manifest.json").read_text())["stage_counts"]["degenerate"] == 2
+        assert json.loads((out / "eval.json").read_text())["f1"] == 1.0
+
+    @pytest.mark.parametrize("out", ["FILE/out", "FILE"])
+    def test_output_that_cannot_be_written_exits_3(self, corpus60_paths, tmp_path, capsys, out):
+        (tmp_path / "FILE").write_text("")
+        out = tmp_path / out
+        assert cli(*self.run_args(corpus60_paths, out)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: cannot write {out}: ")
+        assert (tmp_path / "FILE").read_text() == "" and not list(tmp_path.glob(".*"))
 
     def test_missing_input_exits_3(self, corpus60_paths, tmp_path, capsys):
         args = self.run_args(corpus60_paths, tmp_path)
@@ -245,6 +264,18 @@ class TestEvaluateCommand:
             assert cli("evaluate", "--pred", str(pred), "--gold", str(corpus60_paths["gold"]), "--out", str(out)) == EXIT_OK
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("out, code", [("nodir/r.json", EXIT_OK), ("FILE/r.json", EXIT_INPUT), ("DIR", EXIT_INPUT)])
+    def test_out_makes_its_directory_or_exits_3(self, corpus60_run, corpus60_paths, tmp_path, capsys, out, code):
+        (tmp_path / "FILE").write_text("")
+        (tmp_path / "DIR").mkdir()
+        out = tmp_path / out
+        args = ["--pred", str(corpus60_run["dir"] / "mapping.tsv"), "--gold", str(corpus60_paths["gold"])]
+        assert cli("evaluate", *args, "--out", str(out)) == code
+        if code == EXIT_OK:
+            assert json.loads(out.read_text())["f1"] == 1.0
+        else:
+            assert capsys.readouterr().err.startswith(f"input error: cannot write {out}: ")
 
     def test_missing_mapping_exits_3(self, corpus60_paths, tmp_path, capsys):
         rc = cli(
@@ -420,6 +451,30 @@ class TestTuneCommand:
         assert "input error" in capsys.readouterr().err
         assert trials == []
         assert not store.exists()
+
+
+    @pytest.mark.parametrize("out, code", [("nodir/t.jsonl", EXIT_OK), ("FILE/t.jsonl", EXIT_INPUT), ("DIR", EXIT_INPUT)])
+    def test_out_makes_its_directory_or_exits_3_before_reading_input(
+        self, corpus60_paths, tmp_path, capsys, out, code
+    ):
+        # An unwritable store fails before the input, here missing, is read.
+        (tmp_path / "FILE").write_text("")
+        (tmp_path / "DIR").mkdir()
+        store = tmp_path / out
+        rc = cli(
+            "tune",
+            "--config", str(corpus60_paths["config"]),
+            "--input", str(corpus60_paths["input"] if code == EXIT_OK else tmp_path / "missing.tsv"),
+            "--gold", str(corpus60_paths["gold"]),
+            "--cache", str(corpus60_paths["cache"]),
+            "--trials", "2",
+            "--out", str(store),
+        )
+        assert rc == code
+        if code == EXIT_OK:
+            assert store.read_text().count("\n") == 2
+        else:
+            assert capsys.readouterr().err.startswith(f"input error: cannot write {store}: ")
 
 
 class TestAugmentCommand:

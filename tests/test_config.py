@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from harmonizer.config import DEFAULTS, ENV_PREFIX, RANGES, SEARCH_SPACE, TUNED, PipelineConfig
+from harmonizer.config import DEFAULTS, ENV_PREFIX, RANGES, TUNED, PipelineConfig
 from harmonizer.errors import ConfigError
 from harmonizer.graph import FilterParams
 from harmonizer.match import ScoreBound, WeightVector
@@ -399,8 +399,12 @@ class TestTuningBridge:
         bound = load().tuning_score_bound()
         assert bound == ScoreBound(WeightVector(domain=0.6, cos=0.3), 3.0)
 
-    def test_incumbent_point_inside_space(self):
-        SEARCH_SPACE.validate_point(load().incumbent_point())
+    def test_incumbent_point_inside_space(self, monkeypatch):
+        # Clipped into the box, so optimize takes it as trial 0 unchecked.
+        monkeypatch.setitem(TUNED, "threshold", (TUNED["threshold"][0], 0.5, 3.0))
+        point = load().incumbent_point()
+        assert list(point) == list(TUNED) and point["threshold"] == 3.0
+        assert all(lo <= point[name] <= hi for name, (_, lo, hi) in TUNED.items())
 
 
 class _Recording(dict):

@@ -6,6 +6,10 @@ a name, an attribute or an exact string (``perfbench`` wraps functions by
 name), in ``src/harmonizer``, ``scripts`` or ``perfbench``. Tests do not
 count: code that only tests call belongs with the tests. Dunder methods and
 overrides of a standard-library base's methods are called by Python itself.
+
+Likewise every parameter with a default of a module-level function or a
+method is passed by some call there, bar the test seams in ``TEST_SEAMS``:
+a default that only tests override is a branch that only tests take.
 """
 
 from __future__ import annotations
@@ -15,12 +19,17 @@ from collections import Counter
 from collections.abc import Mapping
 from html.parser import HTMLParser
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "harmonizer"
 CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 ALLOWED: set[str] = set()
+# Parameters with a default that no caller passes: the seams tests use in
+# place of the command line, the environment and the clock, and the hash
+# width tests shrink to force bucket collisions.
+TEST_SEAMS = {"main.argv", "PipelineConfig.load.environ", "fetch_augmentation.now", "HashingBackend.__init__.dim"}
 # The standard-library classes package classes derive from, by the name
 # they derive under.
 STDLIB_BASES = {"HTMLParser": HTMLParser, "Mapping": Mapping, "Exception": Exception}
@@ -70,11 +79,15 @@ def _methods(node: ast.stmt) -> list[tuple[str, ast.AST]]:
     ]
 
 
-def unused_definitions() -> set[str]:
-    trees = {
+def _trees() -> dict[Path, list[ast.Module]]:
+    return {
         directory: [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
         for directory in CALLERS
     }
+
+
+def unused_definitions() -> set[str]:
+    trees = _trees()
     everywhere: Counter = Counter()
     for tree in (tree for parsed in trees.values() for tree in parsed):
         everywhere.update(_references(tree))
@@ -93,7 +106,69 @@ def unused_definitions() -> set[str]:
     return unused
 
 
+def _functions(node: ast.stmt) -> list[tuple[str, str, ast.AST, bool]]:
+    """(qualified name, the name a call uses, definition, whether it is a
+    method) for a module-level function, or each method of a module-level
+    class; ``__init__`` is called by its class's name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(node.name, node.name, node, False)]
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        (f"{node.name}.{sub.name}", node.name if sub.name == "__init__" else sub.name, sub, True)
+        for sub in node.body
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _passes(call: ast.Call, name: str, position: Optional[int]) -> bool:
+    """Whether ``call`` passes the parameter ``name``, the ``position``-th
+    positional one (None if keyword-only), or may through ``*``/``**``."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unpassed_defaults() -> set[str]:
+    """``function.parameter`` for every parameter with a default that no
+    call in ``CALLERS`` passes."""
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in (tree for parsed in trees.values() for tree in parsed):
+        for call in (sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)):
+            func = call.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(called, []).append(call)
+    unpassed = set()
+    for node in (node for tree in trees[PACKAGE] for node in tree.body):
+        for qualified, called, function, method in _functions(node):
+            args = function.args
+            positional = args.posonlyargs + args.args
+            # A call passes a method's arguments after its self or cls.
+            skip = 1 if method else 0
+            with_default = [
+                (arg.arg, index - skip)
+                for index, arg in enumerate(positional)
+                if index >= len(positional) - len(args.defaults)
+            ]
+            with_default += [
+                (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+            ]
+            for name, position in with_default:
+                if not any(_passes(call, name, position) for call in calls.get(called, [])):
+                    unpassed.add(f"{qualified}.{name}")
+    return unpassed
+
+
 def test_every_module_level_definition_has_a_caller():
     unused = unused_definitions()
     assert sorted(unused - ALLOWED) == [], "defined in src/harmonizer but called only from tests, or not at all"
     assert sorted(ALLOWED - unused) == [], "allowlisted but now called: drop it from ALLOWED"
+
+
+def test_every_default_is_passed_by_a_caller():
+    unpassed = unpassed_defaults()
+    assert sorted(unpassed - TEST_SEAMS) == [], "a default that only tests override, or none"
+    assert sorted(TEST_SEAMS - unpassed) == [], "a test seam now passed by a caller: drop it from TEST_SEAMS"

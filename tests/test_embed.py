@@ -20,15 +20,15 @@ from harmonizer.embed import (
     embed_corpus,
     pair_cosines,
 )
-from harmonizer.errors import ConfigError, InputError
+from harmonizer.errors import ConfigError
 from harmonizer.parse import CleanName, clean_name
 
-from conftest import corpus_idf
+from conftest import DESIGNATORS, corpus_idf
 from oracles import ScalarHashing, brute_idf, cosine_similarity, embed_name, ordered_norm, sparse_vectors
 
 
 def names_from(texts):
-    return [clean_name(t) for t in texts]
+    return [clean_name(t, None, DESIGNATORS) for t in texts]
 
 
 def token_names(token_lists):
@@ -205,11 +205,14 @@ class TestEmbedName:
         out = embed_corpus(token_names([["aa", "aa", "bb"]]), self.Axes(), idf)
         assert np.allclose(out[0].vector, [2 / 3, 1 / 3])
 
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(InputError, match="position 1"):
-            embed_corpus(token_names([["aa"], []]), HashingBackend(), {"aa": 1.0})
-        with pytest.raises(InputError):
-            embed_name((), self.Axes(), {})
+    def test_empty_tokens_give_an_empty_degenerate_row(self):
+        # A name with no letter or digit has no tokens: its row holds no
+        # entry, so its norm is 0 and it has no cosine, as in the oracle.
+        out = embed_corpus(token_names([["aa"], [], ["aa"]]), HashingBackend(), {"aa": 1.0})
+        assert out.rows.tolist() == [0, 1, 0] and out.indptr[2] == out.indptr[1]
+        assert out.norms[1] == 0.0 and out.degenerate.tolist() == [False, True, False]
+        want = embed_name((), ScalarHashing(), {})
+        assert want.degenerate and out[1].vector.tobytes() == want.vector.tobytes()
 
     def test_cancelling_tokens_degenerate(self):
         # The hashed "b" and "p" are exact negatives, so under equal weights
@@ -279,7 +282,7 @@ class TestEmbedName:
             assert sparse_vectors(block, range(rows)).norms.tobytes() == want.tobytes(), (rows, dim)
 
     def test_corpus_norms_match_the_per_row_form(self, corpus300_records):
-        names = [clean_name(record.raw_name) for record in corpus300_records]
+        names = [clean_name(record.raw_name, None, DESIGNATORS) for record in corpus300_records]
         out = embed_corpus(names, HashingBackend(), corpus_idf(names))
         first = {row: i for i, row in reversed(list(enumerate(out.rows.tolist())))}
         want = np.array([ordered_norm(out[first[row]].vector) for row in range(len(first))], dtype=np.float64)

@@ -31,7 +31,7 @@ from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import Corpus, score_pairs
 from harmonizer.parse import CleanName, clean_name
 
-from conftest import corpus_idf
+from conftest import DESIGNATORS, corpus_idf
 from nxgraphs import from_networkx, positions, to_networkx
 from oracles import (
     brandes_bridgeness,
@@ -55,7 +55,7 @@ def scored(records, *pairs):
     """The PairTable ``score_pairs`` fills over the records, as type-1
     names, with one row per (a, b, score), and that score column."""
     ids = [r.record_id for r in records]
-    names = [clean_name(r.raw_name) for r in records]
+    names = [clean_name(r.raw_name, None, DESIGNATORS) for r in records]
     rows = sorted((ids.index(min(a, b)), ids.index(max(a, b)), score) for a, b, score in pairs)
     embeddings = embed_corpus(names, HashingBackend(), corpus_idf(names))
     type1 = np.ones(len(names), dtype=bool)
@@ -346,7 +346,7 @@ def test_bridgeness_matches_brandes_on_large_graphs(name):
 class TestPruning:
     def test_five_path_beta_half(self):
         # Only the center exceeds 0.5; dropping its edges leaves the two ends.
-        pruned = to_networkx(prune_global_bridges(from_networkx(nx.path_graph(5)), beta=0.5))
+        pruned = to_networkx(prune_global_bridges(from_networkx(nx.path_graph(5)), beta=0.5, stats={}))
         assert sorted(pruned.edges) == [(0, 1), (3, 4)]
         assert set(pruned.nodes) == set(range(5))
 
@@ -354,13 +354,13 @@ class TestPruning:
         # B(center) == 1.0 is not > 1.0: nothing flagged, and the input
         # itself comes back rather than a copy.
         g = from_networkx(nx.path_graph(5))
-        pruned = prune_global_bridges(g, beta=1.0)
+        pruned = prune_global_bridges(g, beta=1.0, stats={})
         assert pruned is g
         assert sorted(to_networkx(pruned).edges) == sorted(nx.path_graph(5).edges)
 
     def test_input_not_mutated(self):
         g = from_networkx(nx.path_graph(5))
-        prune_global_bridges(g, beta=0.5)
+        prune_global_bridges(g, beta=0.5, stats={})
         assert g.number_of_edges() == 4
 
     def test_stats_count_flagged_nodes_and_pruned_edges(self):
@@ -396,7 +396,7 @@ class TestPruning:
         g.add_nodes_from(f"n{i:02d}" for i in rng.sample(range(12), 12))
         g.add_edges_from((f"n{v:02d}", f"n{u:02d}", {"weight": float(u + v)}) for u, v in edges)
         graph = from_networkx(g)
-        pruned = prune_global_bridges(graph, beta=0.5)
+        pruned = prune_global_bridges(graph, beta=0.5, stats={})
         assert pruned is not graph and 0 < pruned.number_of_edges() < graph.number_of_edges()
         assert pruned.n == graph.n == 12
         rows = np.split(pruned.neighbours, pruned.offsets[1:-1])

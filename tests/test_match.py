@@ -36,7 +36,7 @@ from harmonizer.parse import (
     document_frequencies,
 )
 
-from conftest import corpus_idf, domain_columns, make_corpus, read_pairs_tsv
+from conftest import DESIGNATORS, corpus_idf, domain_columns, make_corpus, read_pairs_tsv
 from oracles import (
     ConditionVector,
     PageInfo,
@@ -56,7 +56,7 @@ def classified(raw, common=None):
     """The cleaned name of ``raw`` and whether it is type-1 under ``common``
     (no common words by default)."""
     common = common if common is not None else frozenset()
-    cn = clean_name(raw)
+    cn = clean_name(raw, None, DESIGNATORS)
     return cn, classify_name_type(cn.tokens, common) is NameClass.TYPE1
 
 
@@ -265,6 +265,7 @@ def small_corpus(locations=None):
 
 def blocked(corpus, bound, stats=None):
     """``generate_candidate_pairs`` over the columns of ``corpus``."""
+    stats = {} if stats is None else stats
     return generate_candidate_pairs(corpus.names, corpus.type1, corpus.domain, corpus.url_tokens, bound, stats)
 
 
@@ -330,7 +331,7 @@ def random_blocking_corpus(rng, n):
     for i in range(n):
         pool = common_words if rng.random() < 0.2 else vocab
         tokens = rng.sample(pool, rng.randint(1, 3))
-        names.append(clean_name(" ".join(tokens).upper()))
+        names.append(clean_name(" ".join(tokens).upper(), None, DESIGNATORS))
     common = build_common_word_list(document_frequencies(names), len(common_words))
     type1 = np.array([classify_name_type(nm.tokens, common) is NameClass.TYPE1 for nm in names])
     infos = []
@@ -416,7 +417,7 @@ class TestBoundedBlocking:
         brute = score_pairs(make_corpus(ids, names, type1, infos, embeddings, brute_force_candidates(type1)))
         brute_ids = [(brute.ids[i], brute.ids[j]) for i, j in zip(brute.a, brute.b)]
         columns = domain_columns(infos)
-        full = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, FULL)))
+        full = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, FULL, {})))
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
@@ -431,7 +432,7 @@ class TestBoundedBlocking:
             else:
                 seen["type2_unreachable"] += 1
             bound = ScoreBound(weights, threshold)
-            bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, bound)))
+            bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, bound, {})))
             reaching = {
                 brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
                 for row in np.flatnonzero(brute.scores(weights) >= threshold)
@@ -475,10 +476,10 @@ class TestBoundedBlocking:
         weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
         bound = ScoreBound(weights, 1.4)
         own = [info(url_tokens={"alpha", "shared"}), info(url_tokens={"beta", "shared"}), info()]
-        assert generate_candidate_pairs(names, type1, *domain_columns(own), bound).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, type1, *domain_columns(own), bound, {}).tolist() == [[0, 1]]
         foreign = domain_columns([own[0], info(url_tokens={"shared"}), info()])
-        assert generate_candidate_pairs(names, type1, *foreign, bound).tolist() == []
-        assert generate_candidate_pairs(names, type1, *foreign, FULL).tolist() == [[0, 1]]
+        assert generate_candidate_pairs(names, type1, *foreign, bound, {}).tolist() == []
+        assert generate_candidate_pairs(names, type1, *foreign, FULL, {}).tolist() == [[0, 1]]
 
     def test_default_run_and_tune_keys_on_corpus300(self, corpus300_paths, corpus300_config):
         """At the defaults, run indexes first tokens and domains and no type-2
@@ -817,7 +818,7 @@ class TestPairsIO:
         table = score_pairs(dataclasses.replace(corpus, candidates=blocked(corpus, FULL)))
         scores = table.scores(WeightVector())
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs(table, scores, path)
+        write_scored_pairs(table, scores, path, -math.inf)
         header, rows = read_pairs_tsv(path)
         assert header == PAIRS_HEADER
         assert [tuple(row[:2]) for row in rows] == pair_ids(table)
@@ -844,7 +845,7 @@ class TestPairsIO:
             ("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, zero, np.array([0.25])
         )
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs(table, table.scores(WeightVector()), path)
+        write_scored_pairs(table, table.scores(WeightVector()), path, -math.inf)
         row = path.read_text().splitlines()[1].split("\t")
         assert row[2] == row[3] == row[4] == ""
         assert float(row[7]) == matching_score(cv, WeightVector())

@@ -3,18 +3,18 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonizer.errors import InputError
+from conftest import DESIGNATORS
 from harmonizer.parse import (
+    CleanName,
     LegalDesignatorDictionary,
     NameClass,
     build_common_word_list,
     classify_name_type,
     document_frequencies,
     clean_name,
-    default_designators,
     fold_text,
     normalize_tokens,
     strip_legal_suffixes,
@@ -82,12 +82,12 @@ class TestDesignatorDictionary:
         assert d.tail_match(["acme"]) == 0
 
     def test_default_dictionary_entries(self):
-        d = default_designators()
+        d = DESIGNATORS
         for seq in [("inc",), ("gmbh",), ("kabushiki", "kaisha"), ("co", "ltd"), ("aktiengesellschaft",)]:
             assert seq in d.entries, seq
 
     def test_every_default_entry_as_a_suffix(self):
-        d = default_designators()
+        d = DESIGNATORS
         for entry in sorted(d.entries):
             for prefix in ([], ["acme"], ["acme", "co"], list(entry)):
                 tokens = prefix + list(entry)
@@ -112,11 +112,11 @@ class TestDesignatorDictionary:
 
 class TestStripLegalSuffixes:
     def test_single(self):
-        d = default_designators()
+        d = DESIGNATORS
         assert strip_legal_suffixes(["nokia", "corporation"], d) == ["nokia"]
 
     def test_multi_token_tail(self):
-        d = default_designators()
+        d = DESIGNATORS
         assert strip_legal_suffixes(["toyo", "seikan", "kabushiki", "kaisha"], d) == ["toyo", "seikan"]
 
     def test_repeated_strip(self):
@@ -125,17 +125,17 @@ class TestStripLegalSuffixes:
         assert strip_legal_suffixes(["acme", "holding", "co", "ltd"], d) == ["acme"]
 
     def test_interior_off_by_default(self):
-        d = default_designators()
+        d = DESIGNATORS
         assert strip_legal_suffixes(["acme", "gmbh", "packaging"], d) == ["acme", "gmbh", "packaging"]
 
     def test_all_designators_strip_to_nothing(self):
-        d = default_designators()
+        d = DESIGNATORS
         assert strip_legal_suffixes(["l", "l", "c"], d) == []
 
 
 class TestCleanName:
     def test_basic(self):
-        cn = clean_name("NOKIA CORPORATION")
+        cn = clean_name("NOKIA CORPORATION", None, DESIGNATORS)
         assert cn.cleaned == "nokia"
         assert cn.tokens == ("nokia",)
         assert not cn.degenerate
@@ -143,36 +143,37 @@ class TestCleanName:
         assert [f.name for f in dataclasses.fields(cn)] == ["cleaned", "tokens", "degenerate"]
 
     def test_correction_replaces_raw(self):
-        cn = clean_name("NOKAI CORPORATION", correction="NOKIA CORPORATION")
+        cn = clean_name("NOKAI CORPORATION", "NOKIA CORPORATION", DESIGNATORS)
         assert cn.tokens == ("nokia",)
 
     def test_blank_correction_ignored(self):
-        cn = clean_name("NOKIA OYJ", correction="   ")
+        cn = clean_name("NOKIA OYJ", "   ", DESIGNATORS)
         assert cn.tokens == ("nokia",)
 
     def test_degenerate_keeps_base_tokens(self):
-        cn = clean_name("L.L.C.")
+        cn = clean_name("L.L.C.", None, DESIGNATORS)
         assert cn.degenerate
         assert cn.tokens == ("l", "l", "c")
 
-    def test_unparseable_raises(self):
-        with pytest.raises(InputError):
-            clean_name("...")
+    @pytest.mark.parametrize("raw,correction", [("...", None), ("- -", "  "), ("ACME", "---")])
+    def test_unparseable_is_degenerate_with_no_tokens(self, raw, correction):
+        # Nothing left after folding and punctuation, the correction's or
+        # the raw name's: an empty, degenerate name.
+        assert clean_name(raw, correction, DESIGNATORS) == CleanName("", (), degenerate=True)
 
     def test_ampersand(self):
-        assert clean_name("AT&T CORP").tokens == ("at", "and", "t")
+        assert clean_name("AT&T CORP", None, DESIGNATORS).tokens == ("at", "and", "t")
 
     def test_idempotent_on_cleaned_text(self):
         for raw in ["NOKIA CORPORATION", "TOYO SEIKAN KABUSHIKI KAISHA", "SIEMENS A.G."]:
-            cn = clean_name(raw)
-            again = clean_name(cn.cleaned)
+            cn = clean_name(raw, None, DESIGNATORS)
+            again = clean_name(cn.cleaned, None, DESIGNATORS)
             assert again.tokens == cn.tokens
 
     @given(st.text(min_size=1, max_size=40))
     def test_never_returns_empty_tokens(self, raw):
-        try:
-            cn = clean_name(raw)
-        except InputError:
+        cn = clean_name(raw, None, DESIGNATORS)
+        if not normalize_tokens(raw):
             return
         assert len(cn.tokens) >= 1
         assert cn.cleaned
@@ -180,7 +181,7 @@ class TestCleanName:
 
 class TestCommonWords:
     def _counts(self, texts):
-        return document_frequencies(clean_name(t) for t in texts)
+        return document_frequencies(clean_name(t, None, DESIGNATORS) for t in texts)
 
     def test_presence_counted_once_per_name(self):
         # "alpha alpha beta" counts alpha once.
@@ -204,16 +205,13 @@ class TestCommonWords:
 
 class TestClassifyNameType:
     def test_type2_all_common(self):
-        counts = document_frequencies(clean_name(t) for t in ["GLOBAL SYSTEMS", "GLOBAL TECH", "SYSTEMS TECH"])
+        counts = document_frequencies(clean_name(t, None, DESIGNATORS) for t in ["GLOBAL SYSTEMS", "GLOBAL TECH", "SYSTEMS TECH"])
         common = build_common_word_list(counts, 3)
         assert classify_name_type(("global", "systems"), common) is NameClass.TYPE2
         assert classify_name_type(("global", "nokia"), common) is NameClass.TYPE1
 
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            classify_name_type((), frozenset())
-
-    @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5), st.sets(st.sampled_from("abcdef")))
+    @given(st.lists(st.sampled_from("abcdef"), max_size=5), st.sets(st.sampled_from("abcdef")))
+    @example([], set())
     def test_type2_exactly_when_every_token_is_common(self, tokens, common_words):
         common = frozenset(common_words)
         want = NameClass.TYPE2 if all(t in common_words for t in tokens) else NameClass.TYPE1

@@ -17,8 +17,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import read_pairs_tsv, run_fixture_pipeline
+from conftest import DESIGNATORS, PROVIDER, read_pairs_tsv, run_fixture_pipeline
 from harmonizer import augment, embed
 from harmonizer.augment import AugmentationCache, AugmentationResult, HtmlSearchProvider, SearchProvider, fetch_names
 from harmonizer.cli import make_provider
@@ -26,7 +28,7 @@ from harmonizer.config import SEARCH_SPACE, PipelineConfig
 from harmonizer.errors import ConfigError, InputError, ProviderError, StageError
 from harmonizer.evaluation import GoldPairs, build_report
 from harmonizer.graph import Partition, build_graph, refine_communities
-from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
+from harmonizer.ingest import ASSIGNEE_HEADER, AssigneeRecord, load_assignee_table, load_gold_standard, read_tsv, write_tsv
 from harmonizer.match import PAIRS_HEADER, score_pairs
 from harmonizer.parse import clean_name
 from harmonizer.pipeline import _dependency_versions
@@ -43,7 +45,13 @@ from harmonizer.pipeline import (
     tune_pipeline,
     write_mapping,
 )
-from oracles import brute_force_candidates, ordered_norm, reference_prepare
+from oracles import (
+    brute_f1,
+    brute_force_candidates,
+    brute_pairwise_confusion,
+    ordered_norm,
+    reference_prepare,
+)
 
 ARTIFACTS = ["cleaned.tsv", "pairs.tsv", "mapping.tsv", "summary.json", "eval.json", "manifest.json"]
 
@@ -419,6 +427,63 @@ class TestFailureHandling:
         assert manifest["stage_counts"]["degenerate"] == 2
 
 
+# Raw names a table row can hold: any character but a control character (a
+# tab or line break would split the row) or a surrogate, and not blank.
+_NAME_CHARS = st.characters(blacklist_categories=("Cc", "Cs"))
+RAW_NAMES = st.one_of(
+    st.text(st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")), min_size=1, max_size=6),
+    st.text(st.characters(whitelist_categories=("Sm", "Sc", "Sk", "So")), min_size=1, max_size=6),
+    st.text(st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Mn", "Mc", "Me")), min_size=1, max_size=8),
+    st.lists(st.text(_NAME_CHARS, min_size=1, max_size=6), min_size=2, max_size=3).map("\u3000 ".join),
+    st.text(_NAME_CHARS, min_size=300, max_size=600),
+    st.sampled_from(["---", "!!!", "ACME INC", "ACME, INC.", "L.L.C.", "株式会社東芝", "😀 GROUP", "A\u0301\u0327"]),
+).filter(str.strip)
+# A cached result for a name, or none: an odd correction, URL and page text.
+RESULTS = st.none() | st.tuples(
+    st.none() | RAW_NAMES,
+    st.none() | st.sampled_from(["https://www.acme.com/", "http://[bad", "https://..", "acme.co.uk/x"]) | st.text(_NAME_CHARS),
+    st.none() | st.text(_NAME_CHARS, max_size=200),
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(RAW_NAMES, st.integers(0, 2), RESULTS), min_size=1, max_size=6))
+def test_any_raw_names_run_and_map_every_record(tmp_path_factory, rows):
+    """Whatever the raw names and their cached results, a run exits cleanly
+    with one mapping.tsv and one cleaned.tsv row per record; a name with no
+    tokens is a degenerate singleton named by its raw name, and eval.json's
+    F1 is the one the mapping gives."""
+    work = tmp_path_factory.mktemp("names")
+    gold = {f"r{i}": f"E{entity}" for i, (_, entity, _) in enumerate(rows)}
+    raw = {f"r{i}": name.strip() for i, (name, _, _) in enumerate(rows)}
+    write_tsv(work / "input.tsv", ASSIGNEE_HEADER, [(rid, name, "1", "") for rid, name in raw.items()])
+    write_tsv(work / "gold.tsv", ["record_id", "entity_id"], gold.items())
+    cache = AugmentationCache(work / "cache.jsonl")
+    for name, (_, _, result) in zip(raw.values(), rows):
+        if result is not None:
+            correction, url, text = result
+            cache.put(AugmentationResult(name, correction, url, text if url is not None else None))
+    config = PipelineConfig.load(environ={})
+    run_pipeline(config, work / "input.tsv", work / "cache.jsonl", work / "out", gold_path=work / "gold.tsv")
+    mapping = read_mapping(work / "out" / "mapping.tsv")
+    assert [(row["record_id"], row["raw_name"]) for row in mapping] == sorted(raw.items())
+    cleaned = [fields for _, fields in read_tsv(work / "out" / "cleaned.tsv", CLEANED_HEADER, "cleaned")]
+    corrections = {rid: getattr(cache.get(name), "corrected_name", None) for rid, name in raw.items()}
+    names = {rid: clean_name(name, corrections[rid], DESIGNATORS) for rid, name in raw.items()}
+    assert [fields[0] for fields in cleaned] == sorted(raw)
+    for rid, text, name_class, flag in cleaned:
+        assert text == names[rid].cleaned and flag in ("0", "1")
+        assert flag == "1" or not names[rid].degenerate
+        assert names[rid].tokens or (name_class, flag) == ("type2", "1")
+    sizes = Counter(row["community_id"] for row in mapping)
+    for row in mapping:
+        if not names[row["record_id"]].tokens:
+            assert sizes[row["community_id"]] == 1 and row["canonical_name"] == row["raw_name"]
+    predicted = {row["record_id"]: row["community_id"] for row in mapping}
+    report = json.loads((work / "out" / "eval.json").read_text(encoding="utf-8"))
+    assert report["f1"] == brute_f1(*brute_pairwise_confusion(predicted, gold))[2]
+
+
 class TestAtomicOutput:
     def test_rerun_without_gold_removes_stale_eval(self, corpus60_paths, tmp_path):
         run_fixture_pipeline(corpus60_paths, tmp_path)
@@ -585,10 +650,13 @@ class TestMakeProvider:
 
 
 class _CannedProvider(SearchProvider):
-    """Offline stand-in returning one scripted results page."""
+    """Offline stand-in returning one scripted results page, read with the
+    configured selectors."""
 
     provider_id = "canned"
     base_url = "https://search.example/s"
+    suggestion_selector = PROVIDER["suggestion_selector"]
+    result_selector = PROVIDER["result_selector"]
 
     def __init__(self, fail=False):
         self.fail = fail
@@ -611,26 +679,26 @@ class TestAugmentStage:
     def names(self, n=3):
         return [f"NAME {i}" for i in range(n)]
 
-    def test_provider_error_leaves_name_unaugmented(self, caplog):
-        cache = AugmentationCache(None)
+    def test_provider_error_leaves_name_unaugmented(self, caplog, fresh_cache):
+        cache = fresh_cache
         with caplog.at_level("WARNING", logger="harmonizer.augment"):
             results = fetch_names(self.names(), _CannedProvider(fail=True), cache, threads=1)
         assert results == dict.fromkeys(self.names())
         assert not any(name in cache for name in self.names())
         assert "augmentation failed" in caplog.text
 
-    def test_threaded_fetch_keys_results_by_record(self):
+    def test_threaded_fetch_keys_results_by_record(self, fresh_cache):
         names = self.names(8)
-        cache = AugmentationCache(None)
+        cache = fresh_cache
         results = fetch_names(names, _CannedProvider(), cache, threads=4)
         assert list(results) == names
         assert all(r.first_url == "https://www.acme.example/" for r in results.values())
         records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(names)]
         assert list(_augment_stage(records, cache).values()) == list(results.values())
 
-    def test_refresh_refetches_and_survives_one_failure(self):
+    def test_refresh_refetches_and_survives_one_failure(self, fresh_cache):
         names = self.names()
-        cache = AugmentationCache(None)
+        cache = fresh_cache
         for name in names:
             cache.put(AugmentationResult(query_name=name, provider_id="stale"))
 
@@ -649,17 +717,17 @@ class TestAugmentStage:
             assert results[name].provider_id == "canned"
             assert cache.get(name) == results[name]
 
-    def test_no_provider_and_empty_cache_yields_none(self):
+    def test_no_provider_and_empty_cache_yields_none(self, fresh_cache):
         records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(self.names())]
-        results = _augment_stage(records, AugmentationCache(None))
+        results = _augment_stage(records, fresh_cache)
         assert list(results) == ["r0", "r1", "r2"]
         assert all(v is None for v in results.values())
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("refresh", [False, True])
-    def test_each_distinct_name_searched_once(self, threads, refresh):
+    def test_each_distinct_name_searched_once(self, threads, refresh, fresh_cache):
         names = ["ACME CORP", "ACME CORP", "OTHER CO", "ACME CORP", "ACME CORP", "ACME CORP"]
-        cache = AugmentationCache(None)
+        cache = fresh_cache
         if refresh:
             for name in set(names):
                 cache.put(AugmentationResult(query_name=name, provider_id="stale"))
@@ -695,7 +763,7 @@ class TestPrepareCorpus:
         # whatever order the table gave the records in.
         ids = [r.record_id for r in corpus.records]
         assert ids == sorted(r.record_id for r in records) and corpus.ids == tuple(ids)
-        assert corpus.names == [clean_name(r.raw_name) for r in corpus.records]
+        assert corpus.names == [clean_name(r.raw_name, None, DESIGNATORS) for r in corpus.records]
         columns = (corpus.records, corpus.names, corpus.url_tokens)
         assert [len(column) for column in columns] == [60] * 3
         assert all(isinstance(column, list) for column in columns)
@@ -715,10 +783,11 @@ class TestPrepareCorpus:
         assert set(map(tuple, blocked.candidates.tolist())) <= set(map(tuple, brute.tolist()))
 
 
-def mixed_corpus():
-    """Records and a cache that repeat tokens, URLs and page texts, with a
-    malformed URL in two records, a blocklisted domain (at ``blocklist_k``
-    1), a spelling correction and non-ASCII names."""
+def mixed_corpus(cache_path):
+    """Records and a cache at ``cache_path`` that repeat tokens, URLs and
+    page texts, with a malformed URL in two records, a blocklisted domain
+    (at ``blocklist_k`` 1), a spelling correction, non-ASCII names and a
+    name with no letter or digit."""
     acme, directory, bad = "https://www.acme.com/", "https://www.directory.example/co", "https://.."
     rows = [
         ("r01", "ACME ROBOTICS INC", None, acme, "Acme builds industrial robots"),
@@ -733,11 +802,12 @@ def mixed_corpus():
         ("r10", "GLOBAL ROBOTICS", None, directory, None),
         ("r11", "BOSCH", None, None, None),
         ("r12", "ROBERT BOSCH GMBH", None, None, None),
+        ("r13", "---", None, None, None),
     ]
     records = [AssigneeRecord(rid, raw, 1, frozenset()) for rid, raw, *_ in rows]
-    cache = AugmentationCache(None)
+    cache = AugmentationCache(cache_path)
     for rid, raw, correction, url, text in rows:
-        if rid != "r12":
+        if rid not in ("r12", "r13"):
             cache.put(AugmentationResult(raw, correction, url, text))
     config = PipelineConfig.load(environ={}, overrides={"augment": {"blocklist_k": 1}, "parse": {"common_words_n": 2}})
     return config, records[::-1], cache
@@ -770,8 +840,8 @@ class TestPrepareOnceOracle:
         got = prepare_corpus(corpus300_config, records, cache)
         assert_same_corpus(got, reference_prepare(corpus300_config, records, cache))
 
-    def test_mixed_corpus(self):
-        config, records, cache = mixed_corpus()
+    def test_mixed_corpus(self, tmp_path):
+        config, records, cache = mixed_corpus(tmp_path / "cache.jsonl")
         manifest = RunManifest("", 0)
         got = prepare_corpus(config, records, cache, manifest=manifest)
         assert_same_corpus(got, reference_prepare(config, records, cache))
@@ -779,11 +849,12 @@ class TestPrepareOnceOracle:
         assert manifest.stage_counts["corrected"] == 1 and manifest.stage_counts["augmented"] == 11
         # acme.com is 0 and fujitsu.com 1; the blocklisted directory, the
         # malformed URLs and the records without a URL hold -1.
-        assert got.domain.tolist() == [0, 0, 0, -1, -1, 1, -1, -1, -1, -1, -1, -1]
+        assert got.domain.tolist() == [0, 0, 0, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1]
         assert got.names[3].cleaned == "societe generale" and got.names[5].cleaned == "fujitsu"
+        assert got.names[12].tokens == () and got.vectors.degenerate[12] and manifest.stage_counts["degenerate"] == 1
 
-    def test_each_distinct_value_computed_once(self, monkeypatch):
-        config, records, cache = mixed_corpus()
+    def test_each_distinct_value_computed_once(self, monkeypatch, tmp_path):
+        config, records, cache = mixed_corpus(tmp_path / "cache.jsonl")
         calls: dict[str, Counter] = {"gram": Counter(), "url": Counter(), "text": Counter()}
 
         def spy(owner, attr, key, arg, each=False):
@@ -874,7 +945,7 @@ class TestTuningObjective:
         corpus, gold = tuning_corpus
         rng = random.Random(20)
         for _ in range(20):
-            point = SEARCH_SPACE.uniform(rng)
+            point = {name: rng.uniform(lo, hi) for name, lo, hi in SEARCH_SPACE}
             weights, params = config.params_at(point)
             table = score_pairs(corpus)
             graph = build_graph(table, table.scores(weights), params)
