@@ -95,6 +95,8 @@ class AugmentationCache:
         # next append so the fragment cannot run into a good line.
         self._torn_at: Optional[int] = None
         if self.path.exists():
+            if not self.path.is_file():
+                raise InputError(f"cache {self.path} is not a file")
             self._load(self.path)
 
     def _load(self, path: Path) -> None:

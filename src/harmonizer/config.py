@@ -139,8 +139,8 @@ def _merge(base: dict, override: Mapping, path: str) -> dict:
 
 
 def _coerce(default: Any, value: Any, path: str) -> Any:
-    # A key whose default is None (a path) takes null or an existing file's
-    # path; every other default pins its type, and RANGES bounds a number.
+    # A key whose default is None (a path) takes null or the path of a UTF-8
+    # file; every other default pins its type, and RANGES bounds a number.
     if value is None:
         if default is None:
             return None
@@ -148,8 +148,7 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     if default is None:
         if not isinstance(value, str):
             raise ConfigError(f"config key {path!r} must be a path string")
-        if not Path(value).is_file():
-            raise ConfigError(f"{path}: file not found: {value}")
+        _read_text(Path(value), path)
         return value
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -176,6 +175,17 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
         if not (value > bound if op == ">" else value >= bound):
             raise ConfigError(f"{path} must be {op} {bound}, got {value}")
     return value
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``; ConfigError, naming ``what``,
+    when there is no file there or it cannot be read as UTF-8."""
+    if not path.is_file():
+        raise ConfigError(f"{what}: file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc}") from None
 
 
 def checked(path: str, value: Any) -> Any:
@@ -227,10 +237,9 @@ class PipelineConfig:
         resolved = copy.deepcopy(DEFAULTS)
         if path is not None:
             path = Path(path)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
+            text = _read_text(path, "config")
             try:
-                loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+                loaded = yaml.safe_load(text)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"cannot parse {path}: {exc}")
             if loaded is None:

@@ -15,10 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .parse import CleanName
-
-MIN_HASH_DIM = 32
 
 
 class HashingBackend:
@@ -29,8 +26,6 @@ class HashingBackend:
     cancel."""
 
     def __init__(self, dim: int = 256):
-        if dim < MIN_HASH_DIM:
-            raise ConfigError(f"hashing dim must be >= {MIN_HASH_DIM}, got {dim}")
         self.dim = dim
 
     def grams(self, token: str) -> list[str]:
@@ -205,13 +200,12 @@ _CHUNK_PAIRS = 1024
 
 def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine in [-1, 1] of the vectors of the records at positions ``a[k]``
-    and ``b[k]``, bit for bit the scalar ``cosine_similarity`` in
-    ``tests/oracles.py``. Each distinct unordered pair of rows is computed
-    once, by ``_cosines`` in batches of ``_CHUNK_PAIRS``, and copied to every
-    pair holding it; two records on one row get exactly 1.0."""
+    and ``b[k]``, none of them degenerate, bit for bit the scalar
+    ``cosine_similarity`` in ``tests/oracles.py``. Each distinct unordered
+    pair of rows is computed once, by ``_cosines`` in batches of
+    ``_CHUNK_PAIRS``, and copied to every pair holding it; two records on
+    one row get exactly 1.0."""
     rows, norms = vectors.rows, vectors.norms
-    if vectors.degenerate[a].any() or vectors.degenerate[b].any():
-        raise ValueError("cosine undefined for zero-norm vector")
     # One stable sort over the unordered row-pair keys groups equal pairs.
     key = np.minimum(rows[a], rows[b]) * len(norms) + np.maximum(rows[a], rows[b])
     order = np.argsort(key, kind="stable")

@@ -129,11 +129,7 @@ def compute_metrics(confusion: PairwiseConfusion) -> Metrics:
 
 
 def reduction_rate(n_before: int, n_after: int) -> float:
-    """(names in - communities out) / names in."""
-    if n_before <= 0:
-        raise InputError(f"reduction rate undefined for n_before={n_before}")
-    if n_after < 0 or n_after > n_before:
-        raise InputError(f"n_after={n_after} must be in [0, n_before={n_before}]")
+    """(names in - communities out) / names in, for at least one name in."""
     return (n_before - n_after) / n_before
 
 

@@ -491,14 +491,11 @@ def assign_canonical_names(partition: Partition, corpus: Corpus) -> Partition:
     the member of greatest mean cosine to the others (ties: smallest cleaned
     name, then record id); degenerate vectors neither win nor vote. A
     community without a usable vector takes its member with the most
-    patents (same ties). A partition of another record count is a
-    ValueError. Each unordered pair of usable members is scored once, by
-    ``pair_cosines``; one ``np.bincount`` adds each member's cosines
-    from 0.0 in (vector row, position) order, as the pairs' second member,
-    then as the first, so members who share a row tie exactly."""
+    patents (same ties). Each unordered pair of usable members is scored
+    once, by ``pair_cosines``; one ``np.bincount`` adds each member's
+    cosines from 0.0 in (vector row, position) order, as the pairs' second
+    member, then as the first, so members who share a row tie exactly."""
     records, names, vectors = corpus.records, corpus.names, corpus.vectors
-    if len(partition.community) != len(records):
-        raise ValueError("partition and corpus differ in record count")
     groups = list(partition.communities().values())
     row, degenerate = vectors.rows.tolist(), vectors.degenerate.tolist()
     usable = [sorted((m for m in rows if not degenerate[m]), key=row.__getitem__) for rows in groups]

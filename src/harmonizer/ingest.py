@@ -27,46 +27,43 @@ class AssigneeRecord:
     patent_count: int = 0
     locations: frozenset[str] = field(default_factory=frozenset)
 
-    def __post_init__(self):
-        if not self.record_id:
-            raise InputError("record_id must be non-empty")
-        if not self.raw_name or not self.raw_name.strip():
-            raise InputError(f"record {self.record_id!r}: raw_name must be non-empty")
-        if self.patent_count < 0:
-            raise InputError(f"record {self.record_id!r}: patent_count must be >= 0")
-        if "||" in self.locations:
-            raise InputError(f"record {self.record_id!r}: the all-empty location key '||' names no place")
-
 
 def read_tsv(path: str | Path, header: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) for each non-blank data line of the TSV at
     ``path``, whose first field is stripped. InputError, naming the line
-    where there is one, unless the file exists (``what`` names it), its
-    first line is ``header``, and each data line has one field per header
-    column and a non-empty first field no earlier line holds."""
+    where there is one, unless the file exists (``what`` names it), is
+    UTF-8, its first line is ``header``, and each data line has one field
+    per header column and a non-empty first field no earlier line holds."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} file not found: {path}")
     seen: set[str] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        first = next(reader, None)
-        if first is None:
-            raise InputError(f"{path}: empty file, expected header {header}")
-        if first != header:
-            raise InputError(f"{path}: bad header {first!r}, expected {header}")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise InputError(f"{path} line {line_no}: expected {len(header)} fields, got {len(fields)}")
-            key = fields[0] = fields[0].strip()
-            if not key:
-                raise InputError(f"{path} line {line_no}: empty {header[0]}")
-            if key in seen:
-                raise InputError(f"{path} line {line_no}: duplicate {header[0]} {key!r}")
-            seen.add(key)
-            yield line_no, fields
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise InputError(f"{path}: empty file, expected header {header}")
+            if first != header:
+                raise InputError(f"{path}: bad header {first!r}, expected {header}")
+            for line_no, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise InputError(f"{path} line {line_no}: expected {len(header)} fields, got {len(fields)}")
+                key = fields[0] = fields[0].strip()
+                if not key:
+                    raise InputError(f"{path} line {line_no}: empty {header[0]}")
+                if key in seen:
+                    raise InputError(f"{path} line {line_no}: duplicate {header[0]} {key!r}")
+                seen.add(key)
+                yield line_no, fields
+        except UnicodeDecodeError as exc:
+            # The first line whose bytes do not survive a decode: no UTF-8
+            # character holds a newline byte, so each line decodes alone.
+            with path.open("rb") as raw:
+                bad = next(n for n, line in enumerate(raw, 1) if line.decode("utf-8", "ignore").encode() != line)
+            raise InputError(f"{path} line {bad}: not UTF-8 ({exc.reason})") from None
 
 
 def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -83,7 +80,8 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 
 def harmonize_location(city: str, state: str, country: str) -> str:
-    """Build the canonical ``city|state|country`` key.
+    """Build the canonical ``city|state|country`` key from three components
+    that hold no ``|``.
 
     Components are lowercased, trimmed, and internal whitespace is collapsed,
     so the key is idempotent under re-parsing.
@@ -91,8 +89,6 @@ def harmonize_location(city: str, state: str, country: str) -> str:
     parts = []
     for component in (city, state, country):
         component = re.sub(r"\s+", " ", (component or "").strip().lower())
-        if "|" in component:
-            raise InputError(f"location component may not contain '|': {component!r}")
         parts.append(component)
     return "|".join(parts)
 

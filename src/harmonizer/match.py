@@ -67,25 +67,6 @@ class PairTable:
     location: np.ndarray
     cos: np.ndarray
 
-    def __post_init__(self):
-        n = len(self)
-        columns = (self.b, self.type1, self.token, self.first, self.url, self.domain, self.location, self.cos)
-        if any(len(col) != n for col in columns):
-            raise ValueError("pair table columns differ in length")
-        key = self.a.astype(np.int64) * len(self.ids) + self.b
-        binary = [(col == 0) | (col == 1) for col in (self.token, self.first, self.url, self.domain, self.location)]
-        checks = (
-            ((self.a >= 0) & (self.a < self.b) & (self.b < len(self.ids)), "pair ids must satisfy id_a < id_b"),
-            (np.logical_and.reduce(binary), "binary condition out of range"),
-            (self.first <= self.token, "first_token_common cannot exceed token_common"),
-            (self.type1 | ((self.token == 0) & (self.url == 0)), "type-2 rows must leave token-based fields unset"),
-            ((self.cos >= -1.0) & (self.cos <= 1.0), "cos out of range"),
-            (np.r_[True, key[1:] >= key[:-1]], "rows must be sorted by (id_a, id_b)"),
-        )
-        for ok, reason in checks:
-            if not ok.all():
-                raise ValueError(f"row {int(np.argmin(ok))}: {reason}")
-
     def __len__(self) -> int:
         return len(self.a)
 
@@ -309,8 +290,7 @@ class Corpus:
     type-1. ``domain`` and ``url_tokens`` are the two columns of
     ``build_domain_info``: int64 domain codes, -1 for none, and page token
     sets. ``candidates`` holds ascending rows of positions ``i < j``, as
-    ``generate_candidate_pairs`` returns. Construction raises ValueError
-    when the columns differ in length or the ids do not ascend."""
+    ``generate_candidate_pairs`` returns."""
 
     records: Sequence[AssigneeRecord]
     names: Sequence[CleanName]
@@ -319,13 +299,6 @@ class Corpus:
     url_tokens: Sequence[frozenset[str]]
     vectors: NameVectors
     candidates: np.ndarray
-
-    def __post_init__(self):
-        columns = (self.records, self.names, self.type1, self.domain, self.url_tokens, self.vectors)
-        if len({len(col) for col in columns}) > 1:
-            raise ValueError("records, names, type1, domain, url_tokens and vectors differ in length")
-        if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
-            raise ValueError("record ids must be strictly ascending")
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -341,10 +314,6 @@ def score_pairs(corpus: Corpus) -> PairTable:
     ``pair_cosines`` computes each distinct pair of vector rows once."""
     names, type1, domain, url_tokens = corpus.names, corpus.type1, corpus.domain, corpus.url_tokens
     a, b = np.asarray(corpus.candidates, dtype=np.int32).reshape(-1, 2).T
-    mixed = np.flatnonzero(type1[a] != type1[b])
-    if len(mixed):
-        ids = corpus.ids
-        raise ValueError(f"cannot pair {ids[a[mixed[0]]]!r} with {ids[b[mixed[0]]]!r}: different name classes")
     tokens = [frozenset(n.tokens) for n in names]
     own = np.array([bool(t & page) for t, page in zip(tokens, url_tokens)], dtype=bool)
 

@@ -16,8 +16,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError
-
 # Punctuation is mapped to space, not deleted, so "AT&T-style" names keep
 # their token boundaries. The ampersand becomes a word first.
 DEFAULT_SUBSTITUTIONS: Mapping[str, str] = {"&": " and "}
@@ -59,19 +57,14 @@ def normalize_tokens(raw: str) -> list[str]:
 
 
 class LegalDesignatorDictionary:
-    """Whole-token designator sequences, matched longest-first at the tail.
-    The lengths of the entries are indexed by their last token."""
+    """Whole-token designator sequences, each a non-empty list of non-empty
+    tokens, matched longest-first at the tail. The lengths of the entries
+    are indexed by their last token."""
 
     def __init__(self, sequences: Iterable[Sequence[str]]):
-        entries = set()
-        for seq in sequences:
-            entry = tuple(seq)
-            if not entry or not all(entry):
-                raise InputError(f"bad designator sequence: {seq!r}")
-            entries.add(entry)
-        self.entries: frozenset[tuple[str, ...]] = frozenset(entries)
+        self.entries: frozenset[tuple[str, ...]] = frozenset(tuple(seq) for seq in sequences)
         lengths: dict[str, set[int]] = {}
-        for entry in entries:
+        for entry in self.entries:
             lengths.setdefault(entry[-1], set()).add(len(entry))
         self._lengths = {last: sorted(held, reverse=True) for last, held in lengths.items()}
 

@@ -125,9 +125,7 @@ def _charge(manifest: Optional[RunManifest], layer: str, since: float) -> float:
 
 def write_mapping(partition: Partition, records: Sequence[AssigneeRecord], path: Path) -> None:
     """One row per record, in the order of ``records``, whose positions
-    ``partition`` covers (ValueError, before the file is opened, otherwise)."""
-    if len(partition.community) != len(records):
-        raise ValueError("partition and records differ in record count")
+    ``partition`` covers."""
     canonical = [partition.canonical.get(cid, "") for cid in partition.community]
     rows = zip(records, partition.community, canonical)
     write_tsv(path, MAPPING_HEADER, ((rec.record_id, rec.raw_name, str(cid), name) for rec, cid, name in rows))
@@ -288,8 +286,6 @@ def run_pipeline(
         if not records:
             raise InputError(f"{input_path}: no records")
         manifest.inputs[str(input_path)] = _sha256(input_path)
-        if cache_path.exists():
-            manifest.inputs[str(cache_path)] = _sha256(cache_path)
         gold = None
         if gold_path is not None:
             gold_path = Path(gold_path)
@@ -299,6 +295,8 @@ def run_pipeline(
 
         stage = "augment"
         cache = AugmentationCache(cache_path)
+        if cache_path.exists():
+            manifest.inputs[str(cache_path)] = _sha256(cache_path)
         _charge(manifest, "augment", t)
         corpus = prepare_corpus(config, records, cache, manifest=manifest)
 

@@ -19,8 +19,6 @@ from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
-from .errors import ConfigError, InputError
-
 log = logging.getLogger(__name__)
 
 _STD_NORMAL = NormalDist()
@@ -52,16 +50,12 @@ def split_trials(history: Sequence[Trial], gamma: float) -> tuple[list[Trial], l
 
 
 class ParzenEstimator:
-    """1-D mixture over [lo, hi]: one truncated Gaussian per sample plus a
-    flat prior component, all equally weighted. Integrates to 1 over the
-    bounds; with no samples the density is exactly uniform."""
+    """1-D mixture over [lo, hi]: one truncated Gaussian per sample, each
+    in [lo, hi], plus a flat prior component, all equally weighted.
+    Integrates to 1 over the bounds; with no samples the density is exactly
+    uniform."""
 
     def __init__(self, samples: Sequence[float], lo: float, hi: float):
-        if not lo < hi:
-            raise ConfigError(f"ParzenEstimator needs lo < hi, got [{lo}, {hi}]")
-        for x in samples:
-            if not lo <= x <= hi:
-                raise ConfigError(f"sample {x} outside [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
         self.samples = list(samples)
@@ -134,8 +128,6 @@ class TrialHistory:
 
     @property
     def best(self) -> Trial:
-        if not self.trials:
-            raise InputError("no trials recorded")
         return max(self.trials, key=lambda t: (t.objective, -t.trial_id))
 
 
@@ -146,14 +138,15 @@ def optimize(
     *,
     n_startup: int = 10,
     seed: int = 0,
-    initial: Optional[Sequence[dict[str, float]]] = None,
+    initial: Sequence[dict[str, float]],
     store_path: str | Path | None = None,
 ) -> TrialHistory:
     """Run n_trials sequential trials and return them all plus the argmax.
 
-    ``initial`` points, each inside ``space`` (the incumbent config, say),
-    are evaluated first. A trial whose objective raises is recorded with
-    objective 0.0 and the error message; it still counts toward the budget.
+    The ``initial`` points, each inside ``space`` (``tune_pipeline`` passes
+    the incumbent config clipped into the box), are evaluated first. A
+    trial whose objective raises is recorded with objective 0.0 and the
+    error message; it still counts toward the budget.
     """
     rng = random.Random(seed)
     history = TrialHistory()
@@ -161,7 +154,7 @@ def optimize(
     t_start = time.perf_counter()
     try:
         for trial_id in range(n_trials):
-            if initial is not None and trial_id < len(initial):
+            if trial_id < len(initial):
                 params = dict(initial[trial_id])
             else:
                 params = suggest(history.trials, space, n_startup, rng)

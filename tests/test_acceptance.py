@@ -266,7 +266,7 @@ def test_07_tpe_beats_random():
         tpe_best, tpe_x = [], []
         random_best = []
         for seed in range(20):
-            history = optimize(objective, space, 50, seed=seed)
+            history = optimize(objective, space, 50, seed=seed, initial=[])
             tpe_best.append(history.best.objective)
             tpe_x.append(history.best.params["x"])
             rng = random.Random(10_000 + seed)

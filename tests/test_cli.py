@@ -361,6 +361,64 @@ def test_missing_designators_file_exits_2(corpus60_paths, tmp_path, capsys, monk
     assert capsys.readouterr().err == f"config error: parse.designators: file not found: {missing}\n"
 
 
+# Every file each command reads, by the flag or config key that names it.
+# ``parse.designators`` is set through the environment, on top of --config.
+FILE_INPUTS = {
+    "augment": ("--input", "--cache", "--config", "parse.designators"),
+    "run": ("--input", "--cache", "--gold", "--config", "parse.designators"),
+    "evaluate": ("--pred", "--gold", "--config", "parse.designators"),
+    "tune": ("--input", "--gold", "--cache", "--config", "parse.designators"),
+    "summarize": ("--mapping", "--input", "--config", "parse.designators"),
+}
+# Files the config names are configuration; every other file is data.
+CONFIG_FILES = {"--config", "parse.designators"}
+
+
+@pytest.mark.parametrize(
+    "command, source, case",
+    [
+        (command, source, case)
+        for command, sources in FILE_INPUTS.items()
+        for source in sources
+        for case in ("missing", "directory", "not_utf8")
+        # A missing cache is an empty one.
+        if (source, case) != ("--cache", "missing")
+    ],
+)
+def test_unreadable_file_exits_2_or_3_in_every_command(
+    corpus60_paths, tmp_path, capsys, monkeypatch, command, source, case
+):
+    """A file that is missing, a directory or not UTF-8 ends a command with
+    one error line and exit 2 (files the config names) or 3 (data files),
+    never a traceback."""
+    mapping = tmp_path / "mapping.tsv"
+    write_tsv(mapping, MAPPING_HEADER, [("r001", "OSTRELLA, INC.", "0", "OSTRELLA"), ("r002", "GANDARA, INC.", "1", "GANDARA")])
+    paths = {
+        "--input": corpus60_paths["input"],
+        "--cache": corpus60_paths["cache"],
+        "--gold": corpus60_paths["gold"],
+        "--config": corpus60_paths["config"],
+        "--pred": mapping,
+        "--mapping": mapping,
+    }
+    bad = tmp_path / "bad"
+    if case == "directory":
+        bad.mkdir()
+    elif case == "not_utf8":
+        bad.write_bytes(b"\xff\xfe\n")
+    if source == "parse.designators":
+        monkeypatch.setenv("HARMONIZER_PARSE_DESIGNATORS", str(bad))
+    else:
+        paths[source] = bad
+    extra = {"augment": ["--offline"], "run": ["--out", str(tmp_path / "out")]}.get(command, [])
+    args = [arg for flag in FILE_INPUTS[command] if flag in paths for arg in (flag, str(paths[flag]))]
+    code = cli(command, *args, *extra)
+    err = capsys.readouterr().err
+    expected = (EXIT_CONFIG, "config error: ") if source in CONFIG_FILES else (EXIT_INPUT, "input error: ")
+    assert (code, err[: len(expected[1])]) == expected, err
+    assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
+
+
 def duplicated_mapping(tmp_path):
     """A mapping that lists r1 twice, on lines 2 and 3."""
     path = tmp_path / "mapping.tsv"

@@ -9,7 +9,9 @@ overrides of a standard-library base's methods are called by Python itself.
 
 Likewise every parameter with a default of a module-level function or a
 method is passed by some call there, bar the test seams in ``TEST_SEAMS``:
-a default that only tests override is a branch that only tests take.
+a default that only tests override is a branch that only tests take. And
+no module of ``src/harmonizer`` or ``scripts`` imports a name it never
+reads.
 """
 
 from __future__ import annotations
@@ -162,6 +164,28 @@ def unpassed_defaults() -> set[str]:
     return unpassed
 
 
+def unused_imports() -> set[str]:
+    """``file: name`` for every name a module of ``src/harmonizer`` or
+    ``scripts`` binds by an import and never reads: no ``Name`` node and no
+    string (a quoted annotation) holds it."""
+    unused = set()
+    for path in (path for directory in (PACKAGE, ROOT / "scripts") for path in sorted(directory.glob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {
+            sub.id if isinstance(sub, ast.Name) else sub.value
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) or (isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+        }
+        unused.update(f"{path.relative_to(ROOT)}: {name}" for name in imported - read)
+    return unused
+
+
 def test_every_module_level_definition_has_a_caller():
     unused = unused_definitions()
     assert sorted(unused - ALLOWED) == [], "defined in src/harmonizer but called only from tests, or not at all"
@@ -172,3 +196,7 @@ def test_every_default_is_passed_by_a_caller():
     unpassed = unpassed_defaults()
     assert sorted(unpassed - TEST_SEAMS) == [], "a default that only tests override, or none"
     assert sorted(TEST_SEAMS - unpassed) == [], "a test seam now passed by a caller: drop it from TEST_SEAMS"
+
+
+def test_every_import_is_read():
+    assert sorted(unused_imports()) == [], "imported but never read: drop the import"

@@ -182,11 +182,6 @@ class TestReductionRate:
     def test_no_reduction(self):
         assert reduction_rate(10, 10) == 0.0
 
-    @pytest.mark.parametrize("before,after", [(0, 0), (-1, 0), (5, 6), (5, -1)])
-    def test_invalid(self, before, after):
-        with pytest.raises(InputError):
-            reduction_rate(before, after)
-
 
 class TestBcubed:
     def test_perfect_is_one(self):

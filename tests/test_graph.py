@@ -1012,12 +1012,6 @@ class TestNaming:
         assert named.canonical[0] == "ACME INC"
         assert named.canonical[1] == "LONER"
 
-    def test_assign_rejects_partition_of_another_record_count(self):
-        corpus = naming_corpus(["acme", "acme inc", "loner"], patents=[1, 9, 2])
-        for community in ([0, 0], [0, 0, 0, 1]):
-            with pytest.raises(ValueError, match="differ in record count"):
-                assign_canonical_names(Partition(community), corpus)
-
 
 class TestPartition:
     def test_communities_sorted(self):

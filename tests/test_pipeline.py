@@ -560,13 +560,6 @@ class TestMappingIo:
             "canonical_name": "ACME CORP",
         }
 
-    def test_records_of_another_count_rejected(self, tmp_path):
-        partition, records = self.rows()
-        for others in (records[:2], [*records, AssigneeRecord(record_id="r4", raw_name="OMEGA")]):
-            with pytest.raises(ValueError, match="differ in record count"):
-                write_mapping(partition, others, tmp_path / "mapping.tsv")
-            assert not (tmp_path / "mapping.tsv").exists()
-
     def test_non_integer_community_rejected(self, tmp_path):
         path = tmp_path / "mapping.tsv"
         path.write_text("\t".join(MAPPING_HEADER) + "\nr1\tACME\tzero\tACME\n")
