@@ -475,7 +475,7 @@ def fetch_augmentation(
     provider: SearchProvider,
     cache: AugmentationCache,
     *,
-    refresh: bool = False,
+    refresh: bool,
     now=time.time,
 ) -> AugmentationResult:
     """Augment one name. Cache hits cost zero requests; misses go through the
@@ -513,7 +513,7 @@ def fetch_names(
     provider: SearchProvider,
     cache: AugmentationCache,
     threads: int,
-    refresh: bool = False,
+    refresh: bool,
 ) -> dict[str, Optional[AugmentationResult]]:
     """Fill ``cache`` for every distinct name of ``names``: fetch each miss
     (every name, with ``refresh``) once, on up to ``threads`` threads, after

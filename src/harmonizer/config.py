@@ -20,8 +20,7 @@ import yaml
 
 from .augment import _parse_selector
 from .errors import ConfigError
-from .graph import FilterParams
-from .match import ScoreBound, WeightVector
+from .match import Params
 
 ENV_PREFIX = "HARMONIZER_"
 
@@ -67,9 +66,9 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-# The box ``tune`` searches: each dimension's config key, whose last part is
-# the WeightVector or FilterParams field it fills, and its bounds, in the
-# order TPE draws them. Bounds: weights stay in (0, 1]; the threshold spans
+# The box ``tune`` searches: each dimension, named as the ``match.Params``
+# field it fills, with its config key and its bounds, in the order TPE draws
+# them. Bounds: weights stay in [0.1, 1]; the threshold spans
 # the useful score range; resolution reaches past 1 so communities can be
 # forced smaller; bridgeness above 1 loosens pruning. Bridgeness is never
 # negative, so a point below 0 flags every node and breaks each community of
@@ -168,8 +167,6 @@ def _coerce(default: Any, value: Any, path: str) -> Any:
     elif isinstance(default, int) and not isinstance(default, bool):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
-    else:
-        raise ConfigError(f"config key {path!r} has unsupported type {type(default).__name__}")
     if path in RANGES:
         op, bound = RANGES[path]
         if not (value > bound if op == ">" else value >= bound):
@@ -181,7 +178,7 @@ def _read_text(path: Path, what: str) -> str:
     """The text of the UTF-8 file at ``path``; ConfigError, naming ``what``,
     when there is no file there or it cannot be read as UTF-8."""
     if not path.is_file():
-        raise ConfigError(f"{what}: file not found: {path}")
+        raise ConfigError(f"{what}: {path} is not a file" if path.exists() else f"{what}: file not found: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -228,7 +225,7 @@ class PipelineConfig:
     @classmethod
     def load(
         cls,
-        path: str | Path | None = None,
+        path: str | Path | None,
         environ: Optional[Mapping[str, str]] = None,
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> "PipelineConfig":
@@ -270,21 +267,14 @@ class PipelineConfig:
 
     # --- typed builders ---
 
-    def params_at(self, point: Mapping[str, float]) -> tuple[WeightVector, FilterParams]:
-        """The weights and filter parameters at a point of the search box; a
-        dimension the point lacks (all of them, for ``{}``) takes its
-        configured value."""
-        fields: dict[str, dict[str, float]] = {"match": {}, "graph": {}}
-        for name, (path, _, _) in TUNED.items():
-            fields[path[0]][path[-1]] = point.get(name, _at(self.data, path))
-        return WeightVector(**fields["match"]), FilterParams(**fields["graph"], seed=self.data["run"]["seed"])
+    def params_at(self, point: Mapping[str, float]) -> Params:
+        """The parameters at a point of the search box, with the configured
+        seed; a dimension the point lacks (all of them, for ``{}``, which
+        ``run`` uses) takes its configured value."""
+        values = {name: point.get(name, _at(self.data, path)) for name, (path, _, _) in TUNED.items()}
+        return Params(**values, seed=self.data["run"]["seed"])
 
-    def score_bound(self) -> ScoreBound:
-        """The configured weights and edge threshold, which ``run`` uses."""
-        weights, params = self.params_at({})
-        return ScoreBound(weights, params.threshold)
-
-    def tuning_score_bound(self) -> ScoreBound:
+    def tuning_score_bound(self) -> Params:
         """The most permissive corner of the search box: every tuned weight at
         its upper bound and the threshold at its lower bound. A pair that can
         reach no trial's threshold under this corner can reach none."""
@@ -293,8 +283,7 @@ class PipelineConfig:
             for name, (path, lo, hi) in TUNED.items()
             if name == "threshold" or path[0] == "match"
         }
-        weights, params = self.params_at(corner)
-        return ScoreBound(weights, params.threshold)
+        return self.params_at(corner)
 
     def incumbent_point(self) -> dict[str, float]:
         """The current config expressed as a search-space point (clipped into

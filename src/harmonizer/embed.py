@@ -77,7 +77,7 @@ def compute_idf(counts: Mapping[str, int], n_names: int) -> dict[str, float]:
 @dataclass(eq=False)
 class NameEmbedding:
     vector: np.ndarray
-    degenerate: bool = False
+    degenerate: bool
 
 
 class NameVectors(Mapping[int, NameEmbedding]):

@@ -29,18 +29,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .embed import pair_cosines
-from .match import Corpus, PairTable
+from .match import Corpus, PairTable, Params
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    threshold: float = 3.9
-    resolution: float = 1.0
-    bridgeness_threshold: float = 1.0
-    location_boost: float = 1.0
-    seed: int = 0
 
 
 @dataclass
@@ -122,7 +113,7 @@ class Graph:
             yield Graph(offsets - lo, neighbours[lo:hi], weights[lo:hi])
 
 
-def build_graph(table: PairTable, scores: np.ndarray, params: FilterParams) -> Graph:
+def build_graph(table: PairTable, scores: np.ndarray, params: Params) -> Graph:
     """Similarity graph on the table's record positions: every record is a
     node; an edge exists iff the pair score clears the threshold, and a row
     whose records share a location adds the boost on top of the score
@@ -141,7 +132,7 @@ def build_graph(table: PairTable, scores: np.ndarray, params: FilterParams) -> G
 _LOUVAIN_THRESHOLD = 0.0000001
 
 
-def louvain(graph: Graph, resolution: float = 1.0, seed: int = 0) -> Partition:
+def louvain(graph: Graph, resolution: float, seed: int) -> Partition:
     """Seeded Louvain partition with dense community ids.
 
     A transcription of networkx 3.6.1's ``louvain_communities`` (its
@@ -396,7 +387,7 @@ def prune_global_bridges(graph: Graph, beta: float, stats: dict) -> Graph:
     return pruned
 
 
-def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> Partition:
+def refine_communities(graph: Graph, params: Params, stats: Optional[dict] = None) -> Partition:
     """Louvain, then per-community prune-and-repartition.
 
     Every first-pass community of more than 2 nodes has the bridge edges
@@ -435,7 +426,7 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
     # Parts take fresh labels above the first-pass ids, and the components
     # make them dense again.
     community = labels.copy()
-    if _cutoff(params.bridgeness_threshold) < 0:
+    if _cutoff(params.bridgeness) < 0:
         # Every member of a community of more than 2 nodes is flagged.
         large = sizes > 2
         counts["flagged_nodes"] += int(sizes[large].sum())
@@ -452,7 +443,7 @@ def refine_communities(graph: Graph, params: FilterParams, stats: Optional[dict]
             fresh = k
             for members, subgraph in zip(groups, graph.subgraphs(groups)):
                 before = counts["pruned_edges"]
-                pruned = prune_global_bridges(subgraph, params.bridgeness_threshold, counts)
+                pruned = prune_global_bridges(subgraph, params.bridgeness, counts)
                 if counts["pruned_edges"] > before:
                     parts = louvain(pruned, resolution=params.resolution, seed=params.seed)
                     community[members] = fresh + np.asarray(parts.community)

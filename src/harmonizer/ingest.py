@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,8 +24,8 @@ GOLD_HEADER = ["record_id", "entity_id"]
 class AssigneeRecord:
     record_id: str
     raw_name: str
-    patent_count: int = 0
-    locations: frozenset[str] = field(default_factory=frozenset)
+    patent_count: int
+    locations: frozenset[str]
 
 
 def read_tsv(path: str | Path, header: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
@@ -36,7 +36,7 @@ def read_tsv(path: str | Path, header: Sequence[str], what: str) -> Iterator[tup
     per header column and a non-empty first field no earlier line holds."""
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"{what} file not found: {path}")
+        raise InputError(f"{what} {path} is not a file" if path.exists() else f"{what} file not found: {path}")
     seen: set[str] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
@@ -27,15 +27,24 @@ PAIRS_HEADER = ["id_a", "id_b", "token", "first", "urltext", "domain", "cos", "s
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    token: float = 1.0
-    first_token: float = 1.0
-    url_text: float = 1.0
-    domain: float = 1.0
-    cos: float = 1.0
+class Params:
+    """One point of the tuned parameters and the seed, each field named as
+    ``config.TUNED`` names its dimension: the five condition weights (each
+    finite and >= 0, see ``config.RANGES``), the edge threshold, which
+    blocking keeps every pair able to reach, the Louvain resolution, the
+    bridgeness threshold and the location boost. Only
+    ``PipelineConfig.params_at`` builds one."""
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+    w_token: float
+    w_first_token: float
+    w_url_text: float
+    w_domain: float
+    w_cos: float
+    threshold: float
+    resolution: float
+    bridgeness: float
+    location_boost: float
+    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +84,15 @@ class PairTable:
         # float64 once per table: numpy 1.x would scale a uint8 column in float16.
         return tuple(c.astype(np.float64) for c in (self.token, self.first, self.url, self.domain))
 
-    def scores(self, weights: WeightVector) -> np.ndarray:
+    def scores(self, params: Params) -> np.ndarray:
         """The weighted sum of every row's conditions, over domain and cos
         only for type-2 rows. Terms are added in one fixed order, which a
         matmul would not keep, so each score is bit for bit the scalar
         ``matching_score`` in ``tests/oracles.py``."""
         token, first, url, domain = self._conditions
-        base = weights.domain * domain + weights.cos * self.cos
-        full = base + weights.token * token + weights.first_token * first + weights.url_text * url
+        base = params.w_domain * domain + params.w_cos * self.cos
+        full = base + params.w_token * token + params.w_first_token * first + params.w_url_text * url
         return np.where(self.type1, full, base)
-
-
-@dataclass(frozen=True)
-class ScoreBound:
-    """Weights (each finite and >= 0, see ``config.RANGES``) and threshold:
-    blocking keeps only the pairs whose score can still reach ``threshold``."""
-
-    weights: WeightVector
-    threshold: float
 
 
 # Type-1 key kinds a bound may choose from, each with the conditions whose
@@ -152,7 +152,7 @@ def _pairs_cost(held: Iterable[Collection]) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
-def blocking_key_kinds(bound: ScoreBound, cost: Callable[[str], int]) -> tuple[str, ...]:
+def blocking_key_kinds(bound: Params, cost: Callable[[str], int]) -> tuple[str, ...]:
     """Key kinds to index so that every pair able to score >= the bound's
     threshold shares at least one key.
 
@@ -165,12 +165,12 @@ def blocking_key_kinds(bound: ScoreBound, cost: Callable[[str], int]) -> tuple[s
     reach the threshold, the full index is returned and ``cost`` is not
     called; otherwise it is called once per kind.
     """
-    w = bound.weights.as_dict()
-    needed = bound.threshold - _BOUND_SLACK - w["cos"]
+    conditions = ("token", "first_token", "url_text", "domain")
+    w = {condition: getattr(bound, f"w_{condition}") for condition in conditions}
+    needed = bound.threshold - _BOUND_SLACK - bound.w_cos
     if needed <= 0:
         return FULL_INDEX
     costs = {kind: cost(kind) for kind in _KIND_COVERS}
-    conditions = ("token", "first_token", "url_text", "domain")
     # Added left to right from 0.0: from Python 3.12, sum() compensates.
     reaching = [
         set(fired)
@@ -214,7 +214,7 @@ def generate_candidate_pairs(
     type1: np.ndarray,
     domain: np.ndarray,
     url_tokens: Sequence[frozenset[str]],
-    bound: ScoreBound,
+    bound: Params,
     stats: dict,
 ) -> np.ndarray:
     """Blocked candidate pairs: same ``type1`` flag and at least one shared index key.

@@ -35,7 +35,7 @@ class NameClass(enum.Enum):
 class CleanName:
     cleaned: str
     tokens: tuple[str, ...]
-    degenerate: bool = False
+    degenerate: bool
 
 
 def fold_text(raw: str) -> str:
@@ -69,7 +69,7 @@ class LegalDesignatorDictionary:
         self._lengths = {last: sorted(held, reverse=True) for last, held in lengths.items()}
 
     @classmethod
-    def from_file(cls, path: str | Path | None = None) -> "LegalDesignatorDictionary":
+    def from_file(cls, path: str | Path | None) -> "LegalDesignatorDictionary":
         """Parse the dictionary file (one sequence per line, optional lang: prefix)."""
         if path is None:
             text = resources.files("harmonizer.data").joinpath("legal_designators.txt").read_text("utf-8")

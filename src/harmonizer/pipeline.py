@@ -43,7 +43,7 @@ from .errors import InputError, StageError
 from .evaluation import GoldPairs, build_report, compute_metrics, reduction_rate
 from .graph import Partition, assign_canonical_names, build_graph, refine_communities
 from .ingest import AssigneeRecord, load_assignee_table, load_gold_standard, read_tsv, write_tsv
-from .match import Corpus, ScoreBound, generate_candidate_pairs, score_pairs, write_scored_pairs
+from .match import Corpus, Params, generate_candidate_pairs, score_pairs, write_scored_pairs
 from .parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -73,7 +73,7 @@ def _dependency_versions() -> dict[str, str]:
 class RunManifest:
     config_hash: str
     seed: int
-    config: dict = field(default_factory=dict)
+    config: dict
     package_version: str = __version__
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
@@ -168,14 +168,14 @@ def prepare_corpus(
     config: PipelineConfig,
     records: Sequence[AssigneeRecord],
     cache: AugmentationCache,
-    bound: Optional[ScoreBound] = None,
+    bound: Optional[Params] = None,
     manifest: Optional[RunManifest] = None,
 ) -> Corpus:
     """Augment (from cache), parse, classify, embed, and block the corpus,
     with the records sorted by record id.
 
     Blocking keeps every pair able to reach ``bound``, which defaults to the
-    configured weights and edge threshold (what ``run`` scores with).
+    configured parameters (what ``run`` scores with).
     ``manifest``, when given, receives the stage counts, the blocking key
     kinds used with the candidate count and the largest block, and the time
     spent in the augment, parse, domain, embed and block layers with the
@@ -205,7 +205,7 @@ def prepare_corpus(
     t = _charge(manifest, "embed", t)
 
     blocking = manifest.blocking if manifest is not None else {}
-    bound = bound if bound is not None else config.score_bound()
+    bound = bound if bound is not None else config.params_at({})
     candidates = generate_candidate_pairs(names, type1, domain, url_tokens, bound, stats=blocking)
     blocking["candidate_pairs"] = len(candidates)
     corpus = Corpus(records, names, type1, domain, url_tokens, vectors, candidates)
@@ -245,7 +245,7 @@ def run_pipeline(
     input_path: str | Path,
     cache_path: str | Path,
     out_dir: str | Path,
-    gold_path: str | Path | None = None,
+    gold_path: str | Path | None,
     offline: bool = True,
 ) -> RunManifest:
     """Execute all stages and persist per-stage artifacts plus the manifest.
@@ -306,9 +306,9 @@ def run_pipeline(
         t = _charge(manifest, "write", t)
 
         stage = "match"
-        weights, params = config.params_at({})
+        params = config.params_at({})
         table = score_pairs(corpus)
-        scores = table.scores(weights)
+        scores = table.scores(params)
         t = _charge(manifest, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
         t = _charge(manifest, "write", t)
@@ -388,7 +388,7 @@ def summarize_partition(
     }
 
 
-def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRecord] = (), top_k: int = 10) -> dict:
+def summarize_mapping(mapping_rows: Sequence[dict], records: Iterable[AssigneeRecord], top_k: int) -> dict:
     """Summary for an already-written mapping file; members without a record
     count no patents."""
     patents = {r.record_id: r.patent_count for r in records}
@@ -413,10 +413,10 @@ def build_tuning_objective(
     """
     table = score_pairs(corpus)
 
-    def objective(params: dict[str, float]) -> float:
-        weights, filter_params = config.params_at(params)
-        graph = build_graph(table, table.scores(weights), filter_params)
-        partition = refine_communities(graph, filter_params)
+    def objective(point: dict[str, float]) -> float:
+        params = config.params_at(point)
+        graph = build_graph(table, table.scores(params), params)
+        partition = refine_communities(graph, params)
         return compute_metrics(gold.confusion(partition.community)).f1
 
     return objective

@@ -36,7 +36,7 @@ class Trial:
     objective: float
     seed: int
     elapsed_s: float
-    error: Optional[str] = None
+    error: Optional[str]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -136,10 +136,10 @@ def optimize(
     space: Sequence[tuple[str, float, float]],
     n_trials: int,
     *,
-    n_startup: int = 10,
-    seed: int = 0,
+    n_startup: int,
+    seed: int,
     initial: Sequence[dict[str, float]],
-    store_path: str | Path | None = None,
+    store_path: str | Path | None,
 ) -> TrialHistory:
     """Run n_trials sequential trials and return them all plus the argmax.
 

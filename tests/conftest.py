@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,19 +10,32 @@ import numpy as np
 import pytest
 
 from harmonizer.augment import AugmentationCache
-from harmonizer.config import PipelineConfig
+from harmonizer.config import TUNED, PipelineConfig
 from harmonizer.embed import compute_idf
 from harmonizer.ingest import AssigneeRecord, load_assignee_table, load_gold_standard
-from harmonizer.match import Corpus
+from harmonizer.match import Corpus, Params
 from harmonizer.parse import LegalDesignatorDictionary, document_frequencies
 from harmonizer.pipeline import run_pipeline
 
 DATA = Path(__file__).parent / "data"
 # The bundled designator dictionary, which a run loads when
 # parse.designators is unset: the one ``clean_name`` takes in tests.
-DESIGNATORS = LegalDesignatorDictionary.from_file()
-# The provider settings a config without an augment section gives.
-PROVIDER = PipelineConfig.load(environ={})["augment"]["provider"]
+DESIGNATORS = LegalDesignatorDictionary.from_file(None)
+# The config of nothing but DEFAULTS, and the provider settings it gives.
+DEFAULT_CONFIG = PipelineConfig.load(None, environ={})
+PROVIDER = DEFAULT_CONFIG["augment"]["provider"]
+
+
+def make_params(**overrides) -> Params:
+    """The parameters a default config runs with (``params_at({})``), bar
+    the fields ``overrides`` sets."""
+    return dataclasses.replace(DEFAULT_CONFIG.params_at({}), **overrides)
+
+
+# The five weight dimensions, in draw order, and the default parameters with
+# every weight at 1.
+WEIGHTS = tuple(name for name in TUNED if name.startswith("w_"))
+UNIT = make_params(**dict.fromkeys(WEIGHTS, 1.0))
 
 
 @pytest.fixture(scope="session")

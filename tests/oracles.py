@@ -41,8 +41,8 @@ import numpy as np
 from harmonizer.augment import extract_domain, preprocess_url_text
 from harmonizer.embed import NameEmbedding, NameVectors, compute_idf
 from harmonizer.errors import InputError
-from harmonizer.graph import _BETA_MARGIN, FilterParams, Graph, bridgeness_centrality, louvain
-from harmonizer.match import Corpus, WeightVector, blocking_key_kinds, generate_candidate_pairs
+from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality, louvain
+from harmonizer.match import Corpus, Params, blocking_key_kinds, generate_candidate_pairs
 from harmonizer.parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -252,16 +252,16 @@ def evaluate_conditions(
     )
 
 
-def matching_score(conditions: ConditionVector, weights: WeightVector) -> float:
-    """Scalar product of the condition vector with the class-appropriate weights."""
-    base = weights.domain * conditions.domain_common + weights.cos * conditions.cos
+def matching_score(conditions: ConditionVector, params: Params) -> float:
+    """Scalar product of the condition vector with the class-appropriate weights of ``params``."""
+    base = params.w_domain * conditions.domain_common + params.w_cos * conditions.cos
     if conditions.kind is NameClass.TYPE2:
         return base
     return (
         base
-        + weights.token * conditions.token_common
-        + weights.first_token * conditions.first_token_common
-        + weights.url_text * conditions.url_text_common
+        + params.w_token * conditions.token_common
+        + params.w_first_token * conditions.first_token_common
+        + params.w_url_text * conditions.url_text_common
     )
 
 
@@ -362,7 +362,7 @@ def reference_prepare(config, records, cache) -> Corpus:
     domain_codes = np.array(domain_codes, dtype=np.int64)
     idf = compute_idf(presence, len(names))
     vectors = [embed_name(name.tokens, ScalarHashing(), idf) for name in names]
-    candidates = generate_candidate_pairs(names, type1, domain_codes, url_tokens, config.score_bound(), {})
+    candidates = generate_candidate_pairs(names, type1, domain_codes, url_tokens, config.params_at({}), {})
     return Corpus(records, names, type1, domain_codes, url_tokens, vectors, candidates)
 
 
@@ -491,7 +491,7 @@ def reference_prune(graph: Graph, beta: float, stats: Optional[dict] = None) -> 
     return from_networkx(pruned)
 
 
-def reference_refine(graph: Graph, params: FilterParams, stats: Optional[dict] = None) -> list[int]:
+def reference_refine(graph: Graph, params: Params, stats: Optional[dict] = None) -> list[int]:
     """``refine_communities`` as one loop over the first-pass communities of
     more than 2 nodes, in id order, with no rule that settles a community
     in bulk: each one's induced subgraph (networkx's) is pruned by
@@ -510,7 +510,7 @@ def reference_refine(graph: Graph, params: FilterParams, stats: Optional[dict] =
         if len(members) <= 2:
             continue
         before = counts["pruned_edges"]
-        pruned = reference_prune(from_networkx(g.subgraph(members)), params.bridgeness_threshold, counts)
+        pruned = reference_prune(from_networkx(g.subgraph(members)), params.bridgeness, counts)
         if counts["pruned_edges"] > before:
             parts = louvain(pruned, resolution=params.resolution, seed=params.seed).community
             for v, part in zip(members, parts):

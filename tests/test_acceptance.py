@@ -18,12 +18,12 @@ import time
 import networkx as nx
 import pytest
 
-from conftest import DESIGNATORS, corpus_idf, domain_columns, make_corpus, run_fixture_pipeline
+from conftest import DESIGNATORS, UNIT, corpus_idf, domain_columns, make_corpus, make_params, run_fixture_pipeline
 from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.evaluation import GoldPairs, compute_metrics
-from harmonizer.graph import FilterParams, bridgeness_centrality, refine_communities
-from harmonizer.match import ScoreBound, WeightVector, generate_candidate_pairs, score_pairs
+from harmonizer.graph import bridgeness_centrality, refine_communities
+from harmonizer.match import generate_candidate_pairs, score_pairs
 from harmonizer.parse import NameClass, build_common_word_list, classify_name_type, clean_name, document_frequencies
 from harmonizer.pipeline import tune_pipeline
 from harmonizer.tune import optimize
@@ -65,7 +65,6 @@ def test_01_score_bounds():
     both extremes are attained."""
     with criterion(1, "score bounds", 1.0):
         rng = random.Random(0)
-        unit = WeightVector()
         cos_values = [-1.0, -0.5, 0.0, 0.5, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(200)]
         type1 = []
         for token in (0, 1):
@@ -81,7 +80,7 @@ def test_01_score_bounds():
                                 domain_common=dom,
                                 cos=cos,
                             )
-                            type1.append(matching_score(conditions, unit))
+                            type1.append(matching_score(conditions, UNIT))
         assert all(-1.0 <= s <= 5.0 for s in type1)
         assert min(type1) == -1.0
         assert max(type1) == 5.0
@@ -97,7 +96,7 @@ def test_01_score_bounds():
                     domain_common=dom,
                     cos=cos,
                 )
-                type2.append(matching_score(conditions, unit))
+                type2.append(matching_score(conditions, UNIT))
         assert all(-1.0 <= s <= 2.0 for s in type2)
         assert min(type2) == -1.0
         assert max(type2) == 2.0
@@ -135,17 +134,17 @@ def test_02_blocking_losslessness():
     """The inverted-index candidate set reproduces exactly the brute-force
     pair set scoring above the cosine weight, on 3 random corpora."""
     with criterion(2, "blocking losslessness", 120.0):
-        unit = WeightVector()
+        unit = dataclasses.replace(UNIT, threshold=1.0)
         for n, seed in ((500, 11), (1200, 22), (2000, 33)):
             rng = random.Random(seed)
             names, type1, domain_info = _random_matching_corpus(rng, n)
             ids = [f"r{i:05d}" for i in range(n)]
             embeddings = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
-            candidates = generate_candidate_pairs(names, type1, *domain_columns(domain_info), ScoreBound(unit, 1.0), {})
+            candidates = generate_candidate_pairs(names, type1, *domain_columns(domain_info), unit, {})
             corpus = make_corpus(ids, names, type1, domain_info, embeddings, candidates)
             scored_blocked = score_pairs(corpus)
             scored_brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(type1)))
-            cutoff = unit.cos + 1e-9
+            cutoff = unit.w_cos + 1e-9
             above_blocked, above_brute = (
                 {(t.ids[i], t.ids[j]) for i, j, score in zip(t.a, t.b, t.scores(unit)) if score > cutoff}
                 for t in (scored_blocked, scored_brute)
@@ -196,7 +195,7 @@ def test_04_planted_partition_recovery():
             sizes = [rng.randint(6, 60 // k) for _ in range(k)]
             graph = nx.random_partition_graph(sizes, 0.9, 0.05, seed=seed)
             nx.set_edge_attributes(graph, 1.0, "weight")
-            partition = refine_communities(from_networkx(graph), FilterParams(seed=seed))
+            partition = refine_communities(from_networkx(graph), make_params(seed=seed))
             pred = {str(node): cid for node, cid in partition.assignments.items()}
             gold = {
                 str(node): f"b{block_index}"
@@ -215,10 +214,7 @@ def test_05_desk_corpus_end_to_end(corpus300_paths, tmp_path):
     [0.30, 0.60]."""
     with criterion(5, "desk corpus end to end", 120.0):
         config = PipelineConfig.load(corpus300_paths["config"], environ={})
-        weights, params = config.params_at({})
-        assert weights == WeightVector()
-        assert (params.threshold, params.resolution) == (3.9, 1.0)
-        assert (params.bridgeness_threshold, params.location_boost) == (1.0, 1.0)
+        assert config.params_at({}) == make_params()
 
         run = run_fixture_pipeline(corpus300_paths, tmp_path)
         assert run["eval"]["f1"] >= 0.90, f"f1={run['eval']['f1']}"
@@ -266,7 +262,7 @@ def test_07_tpe_beats_random():
         tpe_best, tpe_x = [], []
         random_best = []
         for seed in range(20):
-            history = optimize(objective, space, 50, seed=seed, initial=[])
+            history = optimize(objective, space, 50, n_startup=10, seed=seed, initial=[], store_path=None)
             tpe_best.append(history.best.objective)
             tpe_x.append(history.best.params["x"])
             rng = random.Random(10_000 + seed)

@@ -438,7 +438,7 @@ class TestHtmlSearchProvider:
         # and requests raises ValueError on a zero timeout. The config checks
         # the provider settings as it loads.
         with pytest.raises(ConfigError, match=message):
-            PipelineConfig.load(environ={}, overrides={"augment": {"provider": kwargs}})
+            PipelineConfig.load(None, environ={}, overrides={"augment": {"provider": kwargs}})
 
     def test_zero_retries_makes_one_attempt(self):
         provider, session, _ = make_provider([_FakeResponse(200, "ok")], retries=0)
@@ -504,7 +504,7 @@ class TestFetchAugmentation:
     def test_cache_hit_short_circuits(self, fresh_cache):
         fresh_cache.put(result("ACME", first_url="https://acme.com/"))
         provider, session, _ = self._provider([])
-        out = fetch_augmentation("ACME", provider, fresh_cache)
+        out = fetch_augmentation("ACME", provider, fresh_cache, refresh=False)
         assert out.first_url == "https://acme.com/"
         assert session.calls == []
 
@@ -512,25 +512,25 @@ class TestFetchAugmentation:
         provider, session, _ = self._provider(
             [_FakeResponse(200, SEARCH_PAGE), _FakeResponse(200, LANDING_PAGE)]
         )
-        out = fetch_augmentation("VELTRONA CORPORATOIN", provider, fresh_cache, now=lambda: 5.0)
+        out = fetch_augmentation("VELTRONA CORPORATOIN", provider, fresh_cache, now=lambda: 5.0, refresh=False)
         assert out.corrected_name == "veltrona corporation"
         assert out.first_url == "https://www.veltrona.com/"
         assert "wireless network infrastructure" in out.first_text
         assert out.fetched_at == 5.0
         assert fresh_cache.get("VELTRONA CORPORATOIN") == out
         # Second call must not touch the provider again.
-        fetch_augmentation("VELTRONA CORPORATOIN", provider, fresh_cache)
+        fetch_augmentation("VELTRONA CORPORATOIN", provider, fresh_cache, refresh=False)
         assert len(session.calls) == 2
 
     def test_relative_first_url_resolved(self, fresh_cache):
         page = '<a class="result-link" href="/companies/acme">Acme</a>'
         provider, _, _ = self._provider([_FakeResponse(200, page), _FakeResponse(200, "<p>Acme</p>")])
-        out = fetch_augmentation("ACME", provider, fresh_cache)
+        out = fetch_augmentation("ACME", provider, fresh_cache, refresh=False)
         assert out.first_url == "https://search.example/companies/acme"
 
     def test_landing_failure_keeps_url(self, fresh_cache):
         provider, _, _ = self._provider([_FakeResponse(200, SEARCH_PAGE), _FakeResponse(404)])
-        out = fetch_augmentation("ACME", provider, fresh_cache)
+        out = fetch_augmentation("ACME", provider, fresh_cache, refresh=False)
         assert out.first_url == "https://www.veltrona.com/"
         assert out.first_text is None
 

@@ -390,7 +390,7 @@ def test_unreadable_file_exits_2_or_3_in_every_command(
 ):
     """A file that is missing, a directory or not UTF-8 ends a command with
     one error line and exit 2 (files the config names) or 3 (data files),
-    never a traceback."""
+    never a traceback; only a missing file is reported as not found."""
     mapping = tmp_path / "mapping.tsv"
     write_tsv(mapping, MAPPING_HEADER, [("r001", "OSTRELLA, INC.", "0", "OSTRELLA"), ("r002", "GANDARA, INC.", "1", "GANDARA")])
     paths = {
@@ -417,6 +417,7 @@ def test_unreadable_file_exits_2_or_3_in_every_command(
     expected = (EXIT_CONFIG, "config error: ") if source in CONFIG_FILES else (EXIT_INPUT, "input error: ")
     assert (code, err[: len(expected[1])]) == expected, err
     assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
+    assert ("not found" in err) == (case == "missing"), err
 
 
 def duplicated_mapping(tmp_path):

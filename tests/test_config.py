@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
+from conftest import make_params
 from harmonizer.config import DEFAULTS, ENV_PREFIX, RANGES, TUNED, PipelineConfig
 from harmonizer.errors import ConfigError
-from harmonizer.graph import FilterParams
-from harmonizer.match import ScoreBound, WeightVector
+from harmonizer.match import Params
 
 
 # The numeric keys that take any finite value.
@@ -206,6 +207,10 @@ class TestCoercion:
         assert set(RANGES) <= numbers
         assert numbers - set(RANGES) == UNBOUNDED
 
+    def test_every_leaf_is_an_int_a_float_a_str_or_none(self):
+        # The types the config loader checks a value against; a bool is none.
+        assert {type(_at(path)) for path in _leaves(DEFAULTS)} <= {int, float, str, type(None)}
+
     @pytest.mark.parametrize("key", ["suggestion_selector", "result_selector"])
     def test_selectors_parsed_at_load(self, key):
         with pytest.raises(ConfigError, match=f"augment.provider.{key} 'div > a' is unsupported"):
@@ -272,7 +277,7 @@ class TestEnvLayer:
 
     def test_os_environ_used_when_not_passed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HARMONIZER_RUN_SEED", "7")
-        config = PipelineConfig.load()
+        config = PipelineConfig.load(None)
         assert config["run"]["seed"] == 7
 
 
@@ -308,27 +313,20 @@ class TestHashing:
 
 
 class TestBuilders:
-    def test_weight_vector_defaults(self):
-        weights, _ = load().params_at({})
-        assert weights == WeightVector(1.0, 1.0, 1.0, 1.0, 1.0)
+    def test_params_fields_are_the_tuned_names_and_seed(self):
+        assert [f.name for f in dataclasses.fields(Params)] == [*TUNED, "seed"]
+
+    def test_params_at_no_point_is_the_defaults(self):
+        expected = {name: _at(".".join(path)) for name, (path, _, _) in TUNED.items()}
+        assert dataclasses.asdict(load().params_at({})) == {**expected, "seed": DEFAULTS["run"]["seed"]}
 
     def test_weight_vector_reflects_config(self, tmp_path):
         config = load(tmp_path, "match:\n  weights:\n    cos: 0.3\n")
-        assert config.params_at({})[0].cos == 0.3
-
-    def test_filter_params_defaults(self):
-        _, params = load().params_at({})
-        assert params == FilterParams(
-            threshold=3.9,
-            resolution=1.0,
-            bridgeness_threshold=1.0,
-            location_boost=1.0,
-            seed=0,
-        )
+        assert config.params_at({}).w_cos == 0.3
 
     def test_filter_params_take_run_seed(self):
         config = load(environ={"HARMONIZER_RUN_SEED": "9"})
-        assert config.params_at({})[1].seed == 9
+        assert config.params_at({}).seed == 9
 
     def test_tpe_config(self, corpus60_paths, monkeypatch):
         # tune.n_startup and run.seed reach the TPE search as plain ints.
@@ -354,18 +352,10 @@ class TestTuningBridge:
             "bridgeness": -0.5,
             "location_boost": 0.1,
         }
-        weights, params = load().params_at(point)
-        assert weights == WeightVector(0.2, 0.3, 0.4, 0.5, 0.6)
-        assert params.threshold == 1.5
-        assert params.resolution == 0.8
-        assert params.bridgeness_threshold == -0.5
-        assert params.location_boost == 0.1
+        assert load().params_at(point) == Params(**point, seed=0)
 
     def test_missing_dims_fall_back_to_config(self):
-        weights, params = load().params_at({"w_cos": 0.7})
-        assert weights.cos == 0.7
-        assert weights.token == 1.0
-        assert params.threshold == 3.9
+        assert load().params_at({"w_cos": 0.7}) == make_params(w_cos=0.7)
 
     def test_incumbent_point_is_current_config(self):
         point = load().incumbent_point()
@@ -389,15 +379,15 @@ class TestTuningBridge:
 
     def test_score_bound_is_configured_weights_and_threshold(self):
         config = load(environ={"HARMONIZER_GRAPH_THRESHOLD": "3.5", "HARMONIZER_MATCH_WEIGHTS_COS": "0.8"})
-        assert config.score_bound() == ScoreBound(WeightVector(cos=0.8), 3.5)
+        assert config.params_at({}) == make_params(w_cos=0.8, threshold=3.5)
 
     def test_tuning_score_bound_is_most_permissive_corner(self, monkeypatch):
-        assert load().tuning_score_bound() == ScoreBound(WeightVector(), 0.5)
+        assert load().tuning_score_bound() == make_params(threshold=0.5)
         narrowed = {"w_cos": (0.1, 0.3), "w_domain": (0.2, 0.6), "threshold": (3.0, 5.0)}
         for name, (lo, hi) in narrowed.items():
             monkeypatch.setitem(TUNED, name, (TUNED[name][0], lo, hi))
         bound = load().tuning_score_bound()
-        assert bound == ScoreBound(WeightVector(domain=0.6, cos=0.3), 3.0)
+        assert bound == make_params(w_domain=0.6, w_cos=0.3, threshold=3.0)
 
     def test_incumbent_point_inside_space(self, monkeypatch):
         # Clipped into the box, so optimize takes it as trial 0 unchecked.

@@ -9,9 +9,12 @@ overrides of a standard-library base's methods are called by Python itself.
 
 Likewise every parameter with a default of a module-level function or a
 method is passed by some call there, bar the test seams in ``TEST_SEAMS``:
-a default that only tests override is a branch that only tests take. And
-no module of ``src/harmonizer`` or ``scripts`` imports a name it never
-reads.
+a default that only tests override is a branch that only tests take. The
+complement holds too: every parameter default and dataclass-field default
+is left out by some call there, since a default that every caller passes
+only restates a value the callers already hold. Together the two make each
+default a real option. And no module of ``src/harmonizer`` or ``scripts``
+imports a name it never reads.
 """
 
 from __future__ import annotations
@@ -123,45 +126,102 @@ def _functions(node: ast.stmt) -> list[tuple[str, str, ast.AST, bool]]:
     ]
 
 
-def _passes(call: ast.Call, name: str, position: Optional[int]) -> bool:
-    """Whether ``call`` passes the parameter ``name``, the ``position``-th
-    positional one (None if keyword-only), or may through ``*``/``**``."""
-    if any(keyword.arg in (name, None) for keyword in call.keywords):
-        return True
-    if any(isinstance(arg, ast.Starred) for arg in call.args):
-        return True
-    return position is not None and position < len(call.args)
+def _spreads(call: ast.Call) -> bool:
+    """Whether ``call`` passes arguments through ``*`` or ``**``, which may
+    pass any parameter or leave it out."""
+    spread_keywords = any(keyword.arg is None for keyword in call.keywords)
+    return spread_keywords or any(isinstance(arg, ast.Starred) for arg in call.args)
 
 
-def unpassed_defaults() -> set[str]:
-    """``function.parameter`` for every parameter with a default that no
-    call in ``CALLERS`` passes."""
-    trees = _trees()
+def _names(call: ast.Call, name: str, position: Optional[int]) -> bool:
+    """Whether ``call`` itself passes the parameter ``name``, the
+    ``position``-th positional one (None if keyword-only)."""
+    by_keyword = any(keyword.arg == name for keyword in call.keywords)
+    return by_keyword or (position is not None and position < len(call.args))
+
+
+def _calls(trees: dict[Path, list[ast.Module]]) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees`` by the name it calls: a bare name or the last
+    attribute, and a ``cls(...)`` inside a module-level class by the
+    class's name."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in (tree for parsed in trees.values() for tree in parsed):
         for call in (sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)):
             func = call.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             calls.setdefault(called, []).append(call)
-    unpassed = set()
-    for node in (node for tree in trees[PACKAGE] for node in tree.body):
-        for qualified, called, function, method in _functions(node):
-            args = function.args
-            positional = args.posonlyargs + args.args
-            # A call passes a method's arguments after its self or cls.
-            skip = 1 if method else 0
-            with_default = [
-                (arg.arg, index - skip)
-                for index, arg in enumerate(positional)
-                if index >= len(positional) - len(args.defaults)
-            ]
-            with_default += [
-                (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
-            ]
-            for name, position in with_default:
-                if not any(_passes(call, name, position) for call in calls.get(called, [])):
-                    unpassed.add(f"{qualified}.{name}")
-    return unpassed
+        for node in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for call in (sub for sub in ast.walk(node) if isinstance(sub, ast.Call)):
+                if isinstance(call.func, ast.Name) and call.func.id == "cls":
+                    calls.setdefault(node.name, []).append(call)
+    return calls
+
+
+def _parameter_defaults(node: ast.stmt) -> list[tuple[str, str, str, Optional[int]]]:
+    """(``function.parameter``, the name a call uses, the parameter, its
+    position in a call or None if keyword-only) for every parameter with a
+    default of a module-level function or method."""
+    out = []
+    for qualified, called, function, method in _functions(node):
+        args = function.args
+        positional = args.posonlyargs + args.args
+        # A call passes a method's arguments after its self or cls.
+        skip = 1 if method else 0
+        first = len(positional) - len(args.defaults)
+        out += [
+            (f"{qualified}.{arg.arg}", called, arg.arg, index - skip)
+            for index, arg in enumerate(positional)
+            if index >= first
+        ]
+        out += [
+            (f"{qualified}.{arg.arg}", called, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return out
+
+
+def _field_defaults(node: ast.stmt) -> list[tuple[str, str, str, int]]:
+    """(``Class.field``, the class name, the field, its position in a call)
+    for every field with a default of a module-level dataclass."""
+    if not isinstance(node, ast.ClassDef) or not any(
+        getattr(decorator.func if isinstance(decorator, ast.Call) else decorator, "id", None) == "dataclass"
+        for decorator in node.decorator_list
+    ):
+        return []
+    fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)]
+    return [
+        (f"{node.name}.{sub.target.id}", node.name, sub.target.id, position)
+        for position, sub in enumerate(fields)
+        if sub.value is not None
+    ]
+
+
+def unpassed_defaults() -> set[str]:
+    """``function.parameter`` for every parameter with a default that no
+    call in ``CALLERS`` passes."""
+    trees = _trees()
+    calls = _calls(trees)
+    return {
+        qualified
+        for node in (node for tree in trees[PACKAGE] for node in tree.body)
+        for qualified, called, name, position in _parameter_defaults(node)
+        if not any(_spreads(call) or _names(call, name, position) for call in calls.get(called, []))
+    }
+
+
+def unleft_defaults() -> set[str]:
+    """``function.parameter`` and ``Class.field`` for every parameter or
+    dataclass field with a default that every call in ``CALLERS`` passes,
+    or that no call makes."""
+    trees = _trees()
+    calls = _calls(trees)
+    return {
+        qualified
+        for node in (node for tree in trees[PACKAGE] for node in tree.body)
+        for qualified, called, name, position in _parameter_defaults(node) + _field_defaults(node)
+        if not any(_spreads(call) or not _names(call, name, position) for call in calls.get(called, []))
+    }
 
 
 def unused_imports() -> set[str]:
@@ -196,6 +256,10 @@ def test_every_default_is_passed_by_a_caller():
     unpassed = unpassed_defaults()
     assert sorted(unpassed - TEST_SEAMS) == [], "a default that only tests override, or none"
     assert sorted(TEST_SEAMS - unpassed) == [], "a test seam now passed by a caller: drop it from TEST_SEAMS"
+
+
+def test_every_default_is_left_out_by_a_caller():
+    assert sorted(unleft_defaults()) == [], "a default that every caller passes: drop it, callers hold the value"
 
 
 def test_every_import_is_read():

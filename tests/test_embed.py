@@ -30,7 +30,7 @@ def names_from(texts):
 
 
 def token_names(token_lists):
-    return [CleanName(" ".join(tokens), tuple(tokens)) for tokens in token_lists]
+    return [CleanName(" ".join(tokens), tuple(tokens), False) for tokens in token_lists]
 
 
 def token_vector(token, dim=256):

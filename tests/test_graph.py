@@ -17,7 +17,6 @@ from harmonizer.config import PipelineConfig
 from harmonizer.embed import HashingBackend, embed_corpus
 from harmonizer.errors import ConfigError
 from harmonizer.graph import (
-    FilterParams,
     Graph,
     Partition,
     assign_canonical_names,
@@ -31,7 +30,7 @@ from harmonizer.ingest import AssigneeRecord
 from harmonizer.match import Corpus, score_pairs
 from harmonizer.parse import CleanName, clean_name
 
-from conftest import DESIGNATORS, corpus_idf
+from conftest import DESIGNATORS, corpus_idf, make_params
 from nxgraphs import from_networkx, positions, to_networkx
 from oracles import (
     brandes_bridgeness,
@@ -73,10 +72,6 @@ def records_for(ids, locations=None):
 
 
 class TestFilterParams:
-    def test_defaults(self):
-        p = FilterParams()
-        assert (p.threshold, p.resolution, p.bridgeness_threshold, p.location_boost) == (3.9, 1.0, 1.0, 1.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -88,52 +83,52 @@ class TestFilterParams:
         # The filter parameters are checked as the config loads.
         (key,) = kwargs
         with pytest.raises(ConfigError, match=f"graph.{key} must be"):
-            PipelineConfig.load(environ={}, overrides={"graph": kwargs})
+            PipelineConfig.load(None, environ={}, overrides={"graph": kwargs})
 
 
 class TestBuildGraph:
     def test_threshold_is_inclusive(self):
         records = records_for(["a", "b", "c"])
         table, scores = scored(records, ("a", "b", 3.9), ("b", "c", 3.8999999))
-        graph = to_networkx(build_graph(table, scores, FilterParams()), table.ids)
+        graph = to_networkx(build_graph(table, scores, make_params()), table.ids)
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "c")
 
     def test_every_record_is_a_node(self):
         records = records_for(["a", "b", "loner"])
         table, scores = scored(records, ("a", "b", 4.5))
-        graph = build_graph(table, scores, FilterParams())
+        graph = build_graph(table, scores, make_params())
         assert graph.n == len(table.ids) == 3 and set(table.ids) == {"a", "b", "loner"}
 
     def test_boost_applies_after_threshold(self):
         # Shared location must NOT rescue a sub-threshold pair...
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
         table, scores = scored(records, ("a", "b", 3.5))
-        graph = to_networkx(build_graph(table, scores, FilterParams(location_boost=1.0)), table.ids)
+        graph = to_networkx(build_graph(table, scores, make_params(location_boost=1.0)), table.ids)
         assert not graph.has_edge("a", "b")
 
     def test_boost_added_to_weight(self):
         # ...but it strengthens an edge that already cleared it.
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"york||uk"}})
         table, scores = scored(records, ("a", "b", 4.0))
-        graph = to_networkx(build_graph(table, scores, FilterParams(location_boost=1.0)), table.ids)
+        graph = to_networkx(build_graph(table, scores, make_params(location_boost=1.0)), table.ids)
         assert graph["a"]["b"]["weight"] == 5.0
 
     def test_no_shared_location_no_boost(self):
         records = records_for(["a", "b"], {"a": {"york||uk"}, "b": {"leeds||uk"}})
         table, scores = scored(records, ("a", "b", 4.0))
-        graph = to_networkx(build_graph(table, scores, FilterParams()), table.ids)
+        graph = to_networkx(build_graph(table, scores, make_params()), table.ids)
         assert graph["a"]["b"]["weight"] == 4.0
 
 
 class TestLouvain:
     def test_empty_graph(self):
-        assert louvain(from_networkx(nx.Graph())).assignments == {}
+        assert louvain(from_networkx(nx.Graph()), 1.0, 0).assignments == {}
 
     def test_isolated_nodes_are_singletons(self):
         g = nx.Graph()
         g.add_nodes_from(["a", "b", "c"])
-        part = louvain(from_networkx(g))
+        part = louvain(from_networkx(g), 1.0, 0)
         assert len(set(part.assignments.values())) == 3
 
     def test_two_cliques(self):
@@ -142,7 +137,7 @@ class TestLouvain:
         right = [f"r{i}" for i in range(4)]
         for group in (left, right):
             g.add_edges_from((a, b) for i, a in enumerate(group) for b in group[i + 1:])
-        part, at = louvain(from_networkx(g)), positions(g)
+        part, at = louvain(from_networkx(g), 1.0, 0), positions(g)
         assert len({part.assignments[at[n]] for n in left}) == 1
         assert len({part.assignments[at[n]] for n in right}) == 1
         assert part.assignments[at["l0"]] != part.assignments[at["r0"]]
@@ -151,7 +146,7 @@ class TestLouvain:
         g = nx.Graph()
         g.add_edge("z1", "z2")
         g.add_edge("a1", "a2")
-        part, at = louvain(from_networkx(g)), positions(g)
+        part, at = louvain(from_networkx(g), 1.0, 0), positions(g)
         assert part.assignments[at["a1"]] == 0
         assert part.assignments[at["z1"]] == 1
 
@@ -178,7 +173,7 @@ class TestLouvain:
             backward.add_nodes_from(reversed(nodes))
             backward.add_weighted_edges_from((v, u, w) for u, v, w in reversed(edges))
             forward, backward = from_networkx(forward), from_networkx(backward)
-            assert louvain(forward, seed=seed).assignments == louvain(backward, seed=seed).assignments, seed
+            assert louvain(forward, 1.0, seed).assignments == louvain(backward, 1.0, seed).assignments, seed
 
     def test_resolution_monotone_in_community_count(self):
         g = nx.gnp_random_graph(40, 0.2, seed=2)
@@ -468,7 +463,7 @@ class TestRefine:
         # At this resolution the first pass merges all 11 nodes; pruning the
         # connector's edges is what separates the cliques.
         assert louvain(g, resolution=0.1, seed=0).n_communities == 1
-        part = refine_communities(g, FilterParams(resolution=0.1, bridgeness_threshold=1.0))
+        part = refine_communities(g, make_params(resolution=0.1, bridgeness=1.0))
         left_ids = {part.assignments[at[n]] for n in left}
         right_ids = {part.assignments[at[n]] for n in right}
         assert len(left_ids) == 1 and len(right_ids) == 1
@@ -481,19 +476,19 @@ class TestRefine:
         g, _, _ = self._two_cliques_with_bridge()
         plain = louvain(g, resolution=0.05, seed=0)
         assert plain.n_communities == 1
-        part = refine_communities(g, FilterParams(resolution=0.05, bridgeness_threshold=1.0))
+        part = refine_communities(g, make_params(resolution=0.05, bridgeness=1.0))
         assert part.assignments == plain.assignments
 
     def test_small_communities_kept_intact(self):
         g = nx.Graph()
         g.add_edge("a", "b", weight=4.0)
-        part, at = refine_communities(from_networkx(g), FilterParams()), positions(g)
+        part, at = refine_communities(from_networkx(g), make_params()), positions(g)
         assert part.assignments[at["a"]] == part.assignments[at["b"]]
 
     def test_stats_report_pruning_and_splits(self):
         g, _, _, _ = self._joint_venture_motif()
         stats = {}
-        part = refine_communities(g, FilterParams(resolution=0.1, bridgeness_threshold=1.0), stats)
+        part = refine_communities(g, make_params(resolution=0.1, bridgeness=1.0), stats)
         assert stats["flagged_nodes"] > 0 and stats["pruned_edges"] > 0
         assert stats["communities_split"] == 1
         assert sum(size * count for size, count in stats["community_sizes"].items()) == 11
@@ -501,13 +496,13 @@ class TestRefine:
 
     def test_deterministic(self):
         g, _, _, _ = self._joint_venture_motif()
-        p1 = refine_communities(g, FilterParams(resolution=0.1))
-        p2 = refine_communities(g, FilterParams(resolution=0.1))
+        p1 = refine_communities(g, make_params(resolution=0.1))
+        p2 = refine_communities(g, make_params(resolution=0.1))
         assert p1.assignments == p2.assignments
 
     def test_dense_ids(self):
         g, at, _, _ = self._joint_venture_motif()
-        part = refine_communities(g, FilterParams(resolution=0.1))
+        part = refine_communities(g, make_params(resolution=0.1))
         ids = sorted(set(part.assignments.values()))
         assert ids == list(range(len(ids)))
         # Numbered by smallest member: the community of "a0" comes first.
@@ -543,7 +538,7 @@ def test_refined_communities_are_connected(graph, log_resolution, beta, seed):
     split count and size histogram agree with the first-pass and final
     partitions. Resolution is log-uniform over [0.001, 2]: low values make
     the large communities in which pruning splits something."""
-    params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
+    params = make_params(resolution=10**log_resolution, bridgeness=beta, seed=seed)
     stats: dict = {}
     partition = refine_communities(from_networkx(graph), params, stats)
     ids = sorted(graph.nodes)
@@ -569,7 +564,7 @@ def test_disconnected_louvain_community_is_split():
     g = nx.Graph()
     g.add_nodes_from(f"n{i:02d}" for i in range(6))
     g.add_weighted_edges_from(DISCONNECTED_FIRST_PASS)
-    params = FilterParams(resolution=1.5, bridgeness_threshold=0.0, seed=2)
+    params = make_params(resolution=1.5, bridgeness=0.0, seed=2)
     first = louvain(from_networkx(g), params.resolution, params.seed)
     assert first.assignments == reference_louvain(from_networkx(g), params.resolution, params.seed)
     at = positions(g)
@@ -667,7 +662,7 @@ def test_refinement_matches_the_reference(graph, log_resolution, beta, seed):
     subgraph. β covers cutoffs below 0, β in (-1e-9, 0), whose cutoff lies
     above 0, and β >= 0."""
     graph = from_networkx(graph)
-    params = FilterParams(resolution=10**log_resolution, bridgeness_threshold=beta, seed=seed)
+    params = make_params(resolution=10**log_resolution, bridgeness=beta, seed=seed)
     stats: dict = {}
     partition = refine_communities(graph, params, stats)
     expected_stats: dict = {}
@@ -682,8 +677,8 @@ def test_dense_community_with_a_tail_is_pruned():
     g = _disjoint_cliques([8])
     g.add_edges_from([("c07", "t0"), ("t0", "t1"), ("t1", "t2")], weight=5.0)
     graph = from_networkx(g)
-    params = FilterParams(resolution=0.01, bridgeness_threshold=0.0)
-    assert louvain(graph, params.resolution).n_communities == 1
+    params = make_params(resolution=0.01, bridgeness=0.0)
+    assert louvain(graph, params.resolution, params.seed).n_communities == 1
     stats: dict = {}
     partition = refine_communities(graph, params, stats)
     expected_stats: dict = {}
@@ -719,9 +714,9 @@ def test_settled_communities_make_no_subgraph_calls(g, beta):
     refinement makes one Louvain call, the first pass, and no
     ``prune_global_bridges`` call, and still matches the reference."""
     graph = from_networkx(g)
-    params = FilterParams(bridgeness_threshold=beta)
+    params = make_params(bridgeness=beta)
     if beta >= -1e-9:
-        for members in louvain(graph).communities().values():
+        for members in louvain(graph, params.resolution, params.seed).communities().values():
             assert nx.density(to_networkx(graph).subgraph(members)) == 1.0 or len(members) == 1
     louvain_spy = mock.patch.object(graph_module, "louvain", wraps=graph_module.louvain)
     prune_spy = mock.patch.object(graph_module, "prune_global_bridges", wraps=graph_module.prune_global_bridges)
@@ -891,8 +886,8 @@ def naming_corpus(cleaned, vectors=(), patents=(), rows=None):
     it is all zero."""
     ids = [f"m{i:02d}" for i in range(len(cleaned))]
     patents = patents or [0] * len(cleaned)
-    records = [AssigneeRecord(rid, c.upper(), p) for rid, c, p in zip(ids, cleaned, patents)]
-    names = [CleanName(c, tuple(c.split())) for c in cleaned]
+    records = [AssigneeRecord(rid, c.upper(), p, frozenset()) for rid, c, p in zip(ids, cleaned, patents)]
+    names = [CleanName(c, tuple(c.split()), False) for c in cleaned]
     block = np.array(vectors, dtype=float) if len(vectors) else np.zeros((len(ids), 2))
     vectors = sparse_vectors(block, np.arange(len(ids)) if rows is None else rows)
     no_domain, no_page = np.full(len(ids), -1), [frozenset()] * len(ids)

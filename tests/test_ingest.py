@@ -26,10 +26,11 @@ class TestAssigneeRecord:
         rec = AssigneeRecord("r1", "ACME CORP", 3, frozenset({"york||uk"}))
         assert rec.patent_count == 3
 
-    def test_defaults(self):
-        rec = AssigneeRecord("r1", "ACME")
-        assert rec.patent_count == 0
-        assert rec.locations == frozenset()
+    def test_defaults(self, tmp_path):
+        # The reader fills a blank count and location field; the record has no defaults.
+        path = tmp_path / "t.tsv"
+        path.write_text("record_id\traw_name\tpatent_count\tlocations\nr1\tACME\t\t\n")
+        assert load_assignee_table(path) == [AssigneeRecord("r1", "ACME", 0, frozenset())]
 
 
 class TestHarmonizeLocation:
@@ -53,7 +54,7 @@ class TestTableIO:
     def test_round_trip(self, tmp_path):
         records = [
             AssigneeRecord("r1", "ACME CORP", 5, frozenset({"york||uk", "leeds||uk"})),
-            AssigneeRecord("r2", "BETA GMBH", 0),
+            AssigneeRecord("r2", "BETA GMBH", 0, frozenset()),
         ]
         path = tmp_path / "t.tsv"
         write_assignee_table(records, path)
@@ -113,7 +114,7 @@ class TestTableIO:
             load_assignee_table(path)
 
     def test_write_rejects_tab_in_name(self, tmp_path):
-        rec = AssigneeRecord("r1", "ACME\tCORP")
+        rec = AssigneeRecord("r1", "ACME\tCORP", 0, frozenset())
         with pytest.raises(InputError, match="tab"):
             write_assignee_table([rec], tmp_path / "t.tsv")
 

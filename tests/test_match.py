@@ -20,8 +20,6 @@ from harmonizer.match import (
     FULL_INDEX,
     PAIRS_HEADER,
     PairTable,
-    ScoreBound,
-    WeightVector,
     blocking_key_kinds,
     generate_candidate_pairs,
     score_pairs,
@@ -36,7 +34,7 @@ from harmonizer.parse import (
     document_frequencies,
 )
 
-from conftest import DESIGNATORS, corpus_idf, domain_columns, make_corpus, read_pairs_tsv
+from conftest import DESIGNATORS, UNIT, WEIGHTS, corpus_idf, domain_columns, make_corpus, make_params, read_pairs_tsv
 from oracles import (
     ConditionVector,
     PageInfo,
@@ -49,7 +47,7 @@ from oracles import (
 
 # At unit weights cos alone reaches a threshold of 1.0, so this bound blocks
 # with FULL_INDEX.
-FULL = ScoreBound(WeightVector(), 1.0)
+FULL = dataclasses.replace(UNIT, threshold=1.0)
 
 
 def classified(raw, common=None):
@@ -75,7 +73,7 @@ def unit_embedding(direction, dim=8):
         for d in direction:
             v[d] = 1.0
         v /= np.linalg.norm(v)
-    return NameEmbedding(vector=v)
+    return NameEmbedding(vector=v, degenerate=False)
 
 
 def info(domain=None, url_tokens=()):
@@ -83,15 +81,11 @@ def info(domain=None, url_tokens=()):
 
 
 class TestWeightVector:
-    def test_unit(self):
-        w = WeightVector()
-        assert w.as_dict() == {"token": 1.0, "first_token": 1.0, "url_text": 1.0, "domain": 1.0, "cos": 1.0}
-
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_invalid(self, bad):
         # Weights are checked as the config loads.
         with pytest.raises(ConfigError, match="match.weights.token must be"):
-            PipelineConfig.load(environ={}, overrides={"match": {"weights": {"token": bad}}})
+            PipelineConfig.load(None, environ={}, overrides={"match": {"weights": {"token": bad}}})
 
 
 class TestConditionVector:
@@ -199,21 +193,21 @@ class TestEvaluateConditions:
 class TestMatchingScore:
     def test_type1_all_ones(self):
         cv = ConditionVector(NameClass.TYPE1, 1, 1, 1, 1, 1.0)
-        assert matching_score(cv, WeightVector()) == 5.0
+        assert matching_score(cv, UNIT) == 5.0
 
     def test_type1_minimum(self):
         cv = ConditionVector(NameClass.TYPE1, 0, 0, 0, 0, -1.0)
-        assert matching_score(cv, WeightVector()) == -1.0
+        assert matching_score(cv, UNIT) == -1.0
 
     def test_type2_bounds(self):
         top = ConditionVector(NameClass.TYPE2, None, None, None, 1, 1.0)
         bottom = ConditionVector(NameClass.TYPE2, None, None, None, 0, -1.0)
-        assert matching_score(top, WeightVector()) == 2.0
-        assert matching_score(bottom, WeightVector()) == -1.0
+        assert matching_score(top, UNIT) == 2.0
+        assert matching_score(bottom, UNIT) == -1.0
 
     def test_weights_scale_conditions(self):
         cv = ConditionVector(NameClass.TYPE1, 1, 0, 1, 0, 0.5)
-        w = WeightVector(token=2.0, first_token=3.0, url_text=0.5, domain=4.0, cos=2.0)
+        w = make_params(w_token=2.0, w_first_token=3.0, w_url_text=0.5, w_domain=4.0, w_cos=2.0)
         assert matching_score(cv, w) == 2.0 + 0.5 + 1.0
 
     @given(
@@ -223,13 +217,13 @@ class TestMatchingScore:
     def test_type1_unit_weight_range(self, t, f, u, d, cos):
         f = f and t  # invariant: first requires token
         cv = ConditionVector(NameClass.TYPE1, int(t), int(f), int(u), int(d), cos)
-        score = matching_score(cv, WeightVector())
+        score = matching_score(cv, UNIT)
         assert -1.0 <= score <= 5.0
 
     @given(st.booleans(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_type2_unit_weight_range(self, d, cos):
         cv = ConditionVector(NameClass.TYPE2, None, None, None, int(d), cos)
-        assert -1.0 <= matching_score(cv, WeightVector()) <= 2.0
+        assert -1.0 <= matching_score(cv, UNIT) <= 2.0
 
 
 def small_corpus(locations=None):
@@ -313,10 +307,9 @@ class TestCandidates:
     def test_blocking_lossless_above_cos_weight(self):
         """Any pair scoring above w_cos must appear among blocked candidates."""
         corpus = small_corpus()
-        weights = WeightVector()
         pairs = set(id_pairs(corpus.ids, blocked(corpus, FULL)))
         brute = score_pairs(dataclasses.replace(corpus, candidates=brute_force_candidates(corpus.type1)))
-        for row in np.flatnonzero(brute.scores(weights) > weights.cos):
+        for row in np.flatnonzero(brute.scores(FULL) > FULL.w_cos):
             assert (brute.ids[brute.a[row]], brute.ids[brute.b[row]]) in pairs
 
 
@@ -347,8 +340,6 @@ def random_blocking_corpus(rng, n):
 
 
 class TestBoundedBlocking:
-    DEFAULTS = WeightVector()
-
     def test_every_kind_priced_by_its_bucket_sizes(self, monkeypatch):
         """The four kinds a bound can choose, and only those, reach
         ``blocking_key_kinds`` priced as the sum of C(|bucket|, 2) over their
@@ -373,7 +364,7 @@ class TestBoundedBlocking:
 
         monkeypatch.setattr(match, "blocking_key_kinds", spy)
         stats: dict = {}
-        bound = ScoreBound(self.DEFAULTS, 3.9)
+        bound = dataclasses.replace(UNIT, threshold=3.9)
         candidates = generate_candidate_pairs(names, type1, *domain_columns(infos), bound, stats)
         buckets: dict[str, dict[str, list[int]]] = {
             kind: {} for kind in ("first_token", "token", "domain", "url", "url_any", "type2_domain")
@@ -421,25 +412,23 @@ class TestBoundedBlocking:
         seen = {"cos_alone": 0, "type2_reachable": 0, "type2_unreachable": 0}
         kept_type2 = kept = 0
         for _ in range(150):
-            weights = WeightVector(
-                **{k: 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.5) for k in self.DEFAULTS.as_dict()}
-            )
-            threshold = rng.uniform(0.0, 1.1 * sum(weights.as_dict().values()))
-            if weights.cos >= threshold:
+            weights = {k: 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.5) for k in WEIGHTS}
+            threshold = rng.uniform(0.0, 1.1 * sum(weights.values()))
+            bound = make_params(**weights, threshold=threshold)
+            if bound.w_cos >= threshold:
                 seen["cos_alone"] += 1
-            elif weights.domain + weights.cos >= threshold:
+            elif bound.w_domain + bound.w_cos >= threshold:
                 seen["type2_reachable"] += 1
             else:
                 seen["type2_unreachable"] += 1
-            bound = ScoreBound(weights, threshold)
             bounded = set(id_pairs(ids, generate_candidate_pairs(names, type1, *columns, bound, {})))
             reaching = {
                 brute_ids[row]: NameClass.TYPE1 if brute.type1[row] else NameClass.TYPE2
-                for row in np.flatnonzero(brute.scores(weights) >= threshold)
+                for row in np.flatnonzero(brute.scores(bound) >= threshold)
             }
-            assert bounded & reaching.keys() == full & reaching.keys(), (weights, threshold)
-            if weights.cos < threshold:
-                assert reaching.keys() <= bounded, (weights, threshold)
+            assert bounded & reaching.keys() == full & reaching.keys(), bound
+            if bound.w_cos < threshold:
+                assert reaching.keys() <= bounded, bound
             kept += len(reaching)
             kept_type2 += sum(1 for kind in reaching.values() if kind is NameClass.TYPE2)
         assert min(seen.values()) >= 10, seen
@@ -454,27 +443,26 @@ class TestBoundedBlocking:
         ],
     )
     def test_cheapest_valid_kinds_win(self, costs, expected):
-        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs.__getitem__) == expected
+        assert blocking_key_kinds(dataclasses.replace(UNIT, threshold=3.9), costs.__getitem__) == expected
 
     def test_type2_domain_keys_only_when_reachable(self):
         costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
-        assert "type2_domain" not in blocking_key_kinds(ScoreBound(self.DEFAULTS, 3.9), costs.__getitem__)
-        assert "type2_domain" in blocking_key_kinds(ScoreBound(self.DEFAULTS, 2.0), costs.__getitem__)
+        assert "type2_domain" not in blocking_key_kinds(dataclasses.replace(UNIT, threshold=3.9), costs.__getitem__)
+        assert "type2_domain" in blocking_key_kinds(dataclasses.replace(UNIT, threshold=2.0), costs.__getitem__)
 
     def test_cos_alone_reaching_gives_full_index(self):
         costs = dict.fromkeys(("first_token", "token", "domain", "url"), 1)
-        assert blocking_key_kinds(ScoreBound(self.DEFAULTS, 1.0), costs.__getitem__) == FULL_INDEX
+        assert blocking_key_kinds(dataclasses.replace(UNIT, threshold=1.0), costs.__getitem__) == FULL_INDEX
 
     def test_unreachable_threshold_indexes_nothing(self):
         stats = {}
-        assert blocked(small_corpus(), ScoreBound(self.DEFAULTS, 9.0), stats).shape == (0, 2)
+        assert blocked(small_corpus(), dataclasses.replace(UNIT, threshold=9.0), stats).shape == (0, 2)
         assert stats == {"keys": [], "largest_block": 0, "pair_keys": {}}
 
     def test_url_keys_need_own_page_overlap(self):
         # Only url tokens decide; the first two names share "shared" in their page text.
         names, type1 = zip(*map(classified, ("ALPHA", "BETA", "GAMMA")))
-        weights = WeightVector(token=0.0, first_token=0.0, url_text=1.0, domain=0.0, cos=0.5)
-        bound = ScoreBound(weights, 1.4)
+        bound = make_params(w_token=0.0, w_first_token=0.0, w_url_text=1.0, w_domain=0.0, w_cos=0.5, threshold=1.4)
         own = [info(url_tokens={"alpha", "shared"}), info(url_tokens={"beta", "shared"}), info()]
         assert generate_candidate_pairs(names, type1, *domain_columns(own), bound, {}).tolist() == [[0, 1]]
         foreign = domain_columns([own[0], info(url_tokens={"shared"}), info()])
@@ -490,7 +478,7 @@ class TestBoundedBlocking:
 
         records = load_assignee_table(corpus300_paths["input"])
         cache = AugmentationCache(corpus300_paths["cache"])
-        run_manifest, tune_manifest = RunManifest("", 0), RunManifest("", 0)
+        run_manifest, tune_manifest = RunManifest("", 0, {}), RunManifest("", 0, {})
         run = prepare_corpus(corpus300_config, records, cache, manifest=run_manifest)
         assert run_manifest.blocking["keys"] == ["first_token", "domain"]
         assert run_manifest.stage_counts["type2"] > 0
@@ -547,15 +535,15 @@ def blocking_draws(draw):
             max_size=14,
         )
     )
-    names = [CleanName(" ".join(tokens), tuple(tokens)) for tokens, _, _, _ in records]
+    names = [CleanName(" ".join(tokens), tuple(tokens), False) for tokens, _, _, _ in records]
     type1 = np.array([is_type1 for _, is_type1, _, _ in records], dtype=bool)
     infos = [PageInfo(domain, url_tokens) for _, _, domain, url_tokens in records]
     return names, type1, infos
 
 
 score_bounds = st.builds(
-    ScoreBound,
-    st.builds(WeightVector, *[st.sampled_from([0.0, 0.5, 1.0, 1.5])] * 5),
+    lambda weights, threshold: make_params(**dict(zip(WEIGHTS, weights)), threshold=threshold),
+    st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 1.5])] * 5),
     st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.9, 9.0]),
 )
 
@@ -572,7 +560,7 @@ class TestCandidateBuffer:
 
         paths = request.getfixturevalue(f"{corpus_name}_paths")
         config = request.getfixturevalue(f"{corpus_name}_config")
-        bound = getattr(config, bound_name)()
+        bound = config.params_at({}) if bound_name == "score_bound" else config.tuning_score_bound()
         corpus = prepare_corpus(config, load_assignee_table(paths["input"]), AugmentationCache(paths["cache"]), bound=bound)
         # Blocking reads only whether two domains are equal, so each code
         # stands for its domain.
@@ -596,7 +584,7 @@ class TestCandidateBuffer:
         kept keys, plus a fixed few MB. Filling the buffer in one step, with
         its index arrays as large as the buffer, peaks above this."""
         n = 2000
-        names = [CleanName(f"acme n{i}", ("acme", f"n{i}")) for i in range(n)]
+        names = [CleanName(f"acme n{i}", ("acme", f"n{i}"), False) for i in range(n)]
         type1 = np.ones(n, dtype=bool)
         columns = domain_columns([info("acme.example" if i % 20 else None) for i in range(n)])
         stats: dict = {}
@@ -648,7 +636,7 @@ class TestScorePairs:
         assert table.a.dtype == np.int32 and table.token.dtype == np.uint8 and table.cos.dtype == np.float64
         nokia = pair_ids(table).index(("r01", "r02"))
         assert table.domain[nokia] == 1
-        assert table.scores(WeightVector())[nokia] > 3.9
+        assert table.scores(UNIT)[nokia] > 3.9
 
     def test_pair_order_normalized(self):
         # Blocking hands over pairs as ascending rows of i < j; the table
@@ -695,11 +683,9 @@ class TestScorePairs:
             expected = (cv.token_common or 0, cv.first_token_common or 0, cv.url_text_common or 0, cv.domain_common, cv.cos)
             assert got == expected, (pairs[row], got, expected)
         for _ in range(20):
-            weights = WeightVector(
-                **{k: 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0) for k in WeightVector().as_dict()}
-            )
-            scores = table.scores(weights)
-            assert scores.tolist() == [matching_score(cv, weights) for cv in oracle], weights
+            params = make_params(**{k: 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0) for k in WEIGHTS})
+            scores = table.scores(params)
+            assert scores.tolist() == [matching_score(cv, params) for cv in oracle], params
         cases = {
             "type2": sum(cv.kind is NameClass.TYPE2 for cv in oracle),
             "degenerate": sum(cv.cos_degenerate for cv in oracle),
@@ -717,7 +703,7 @@ class TestPairsIO:
     def test_round_trip(self, tmp_path):
         corpus = small_corpus()
         table = score_pairs(dataclasses.replace(corpus, candidates=blocked(corpus, FULL)))
-        scores = table.scores(WeightVector())
+        scores = table.scores(UNIT)
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path, -math.inf)
         header, rows = read_pairs_tsv(path)
@@ -732,7 +718,7 @@ class TestPairsIO:
     def test_threshold_keeps_rows_at_or_above(self, tmp_path):
         corpus = small_corpus()
         table = score_pairs(dataclasses.replace(corpus, candidates=blocked(corpus, FULL)))
-        scores = table.scores(WeightVector())
+        scores = table.scores(UNIT)
         threshold = float(np.sort(scores)[len(scores) // 2])
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, scores, path, threshold)
@@ -746,7 +732,7 @@ class TestPairsIO:
             ("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, zero, np.array([0.25])
         )
         path = tmp_path / "pairs.tsv"
-        write_scored_pairs(table, table.scores(WeightVector()), path, -math.inf)
+        write_scored_pairs(table, table.scores(UNIT), path, -math.inf)
         row = path.read_text().splitlines()[1].split("\t")
         assert row[2] == row[3] == row[4] == ""
-        assert float(row[7]) == matching_score(cv, WeightVector())
+        assert float(row[7]) == matching_score(cv, UNIT)

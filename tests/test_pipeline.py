@@ -240,7 +240,7 @@ class TestArtifacts:
         monkeypatch.setattr(pipeline_mod, "write_mapping", collect_then_write)
         hooks = list(gc.callbacks)
         before = gc.get_stats()[2]["collections"]
-        manifest = run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path)
+        manifest = run_pipeline(config, corpus60_paths["input"], corpus60_paths["cache"], tmp_path, None)
         counts = manifest.layer_full_collections
         assert list(counts) == list(manifest.layer_seconds)
         assert all(type(v) is int and v >= 0 for v in counts.values()) and counts["write"] >= 1
@@ -375,17 +375,17 @@ class TestDeterminism:
 
 class TestFailureHandling:
     def test_missing_input_is_input_error(self, tmp_path):
-        config = PipelineConfig.load(environ={})
+        config = PipelineConfig.load(None, environ={})
         with pytest.raises(InputError):
-            run_pipeline(config, tmp_path / "nope.tsv", tmp_path / "cache.jsonl", tmp_path / "out")
+            run_pipeline(config, tmp_path / "nope.tsv", tmp_path / "cache.jsonl", tmp_path / "out", None)
         assert not (tmp_path / "out").exists()
 
     def test_empty_table_is_input_error(self, tmp_path):
         table = tmp_path / "empty.tsv"
         table.write_text("record_id\traw_name\tpatent_count\tlocations\n")
-        config = PipelineConfig.load(environ={})
+        config = PipelineConfig.load(None, environ={})
         with pytest.raises(InputError, match="no records"):
-            run_pipeline(config, table, tmp_path / "cache.jsonl", tmp_path / "out")
+            run_pipeline(config, table, tmp_path / "cache.jsonl", tmp_path / "out", None)
 
     def test_stage_failure_names_stage_and_cleans_up(self, corpus60_paths, tmp_path, monkeypatch):
         import harmonizer.pipeline as pipeline_mod
@@ -415,7 +415,7 @@ class TestFailureHandling:
         config = PipelineConfig.load(corpus60_paths["config"], environ={})
         corpus = prepare_corpus(config, load_assignee_table(table), AugmentationCache(corpus60_paths["cache"]))
         assert all(corpus.vectors[corpus.ids.index(rid)].degenerate for rid in ("r901", "r902"))
-        run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out")
+        run_pipeline(config, table, corpus60_paths["cache"], tmp_path / "out", None)
         mapping = {row["record_id"]: row for row in read_mapping(tmp_path / "out" / "mapping.tsv")}
         assert len(mapping) == 62
         assert mapping["r902"]["canonical_name"] == "B.P. CORPORATION"
@@ -463,7 +463,7 @@ def test_any_raw_names_run_and_map_every_record(tmp_path_factory, rows):
         if result is not None:
             correction, url, text = result
             cache.put(AugmentationResult(name, correction, url, text if url is not None else None))
-    config = PipelineConfig.load(environ={})
+    config = PipelineConfig.load(None, environ={})
     run_pipeline(config, work / "input.tsv", work / "cache.jsonl", work / "out", gold_path=work / "gold.tsv")
     mapping = read_mapping(work / "out" / "mapping.tsv")
     assert [(row["record_id"], row["raw_name"]) for row in mapping] == sorted(raw.items())
@@ -541,9 +541,9 @@ class TestMappingIo:
     def rows(self):
         partition = Partition([0, 0, 1], canonical={0: "ACME CORP", 1: "ZETA"})
         records = [
-            AssigneeRecord(record_id="r1", raw_name="ACME CORP"),
-            AssigneeRecord(record_id="r2", raw_name="ACME CORP."),
-            AssigneeRecord(record_id="r3", raw_name="ZETA"),
+            AssigneeRecord(record_id="r1", raw_name="ACME CORP", patent_count=0, locations=frozenset()),
+            AssigneeRecord(record_id="r2", raw_name="ACME CORP.", patent_count=0, locations=frozenset()),
+            AssigneeRecord(record_id="r3", raw_name="ZETA", patent_count=0, locations=frozenset()),
         ]
         return partition, records
 
@@ -576,7 +576,7 @@ class TestSummarizeMapping:
         ]
 
     def test_reduction_and_ordering(self):
-        summary = summarize_mapping(self.mapping_rows())
+        summary = summarize_mapping(self.mapping_rows(), (), 10)
         assert summary["n_records"] == 3
         assert summary["n_communities"] == 2
         assert summary["largest_communities"][0]["community_id"] == 0
@@ -588,8 +588,8 @@ class TestSummarizeMapping:
             {"record_id": rid, "raw_name": rid, "community_id": cid, "canonical_name": f"C{cid}"}
             for rid, cid in (("r1", 7), ("r2", 3), ("r3", 7), ("r4", 3), ("r5", 5))
         ]
-        records = [AssigneeRecord(record_id=f"r{i}", raw_name=f"r{i}", patent_count=i) for i in range(1, 6)]
-        summary = summarize_mapping(rows, records)
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=f"r{i}", patent_count=i, locations=frozenset()) for i in range(1, 6)]
+        summary = summarize_mapping(rows, records, 10)
         assert summary["n_records"] == 5
         assert summary["n_communities"] == 3
         assert summary["largest_communities"] == [
@@ -599,31 +599,32 @@ class TestSummarizeMapping:
         ]
 
     def test_portfolio_defaults_to_zero_without_records(self):
-        summary = summarize_mapping(self.mapping_rows())
+        summary = summarize_mapping(self.mapping_rows(), (), 10)
         assert all(c["portfolio"] == 0 for c in summary["largest_communities"])
 
     def test_portfolio_sums_patent_counts(self):
         records = [
-            AssigneeRecord(record_id="r1", raw_name="ACME CORP", patent_count=5),
-            AssigneeRecord(record_id="r2", raw_name="ACME INC", patent_count=7),
-            AssigneeRecord(record_id="r3", raw_name="ZETA", patent_count=1),
+            AssigneeRecord(record_id="r1", raw_name="ACME CORP", patent_count=5, locations=frozenset()),
+            AssigneeRecord(record_id="r2", raw_name="ACME INC", patent_count=7, locations=frozenset()),
+            AssigneeRecord(record_id="r3", raw_name="ZETA", patent_count=1, locations=frozenset()),
         ]
-        summary = summarize_mapping(self.mapping_rows(), records)
+        summary = summarize_mapping(self.mapping_rows(), records, 10)
         assert summary["largest_communities"][0]["portfolio"] == 12
 
     def test_top_k_limits_listing(self):
-        summary = summarize_mapping(self.mapping_rows(), top_k=1)
+        summary = summarize_mapping(self.mapping_rows(), (), top_k=1)
         assert len(summary["largest_communities"]) == 1
 
 
 class TestMakeProvider:
     def test_no_endpoint_means_no_provider(self):
-        config = PipelineConfig.load(environ={})
+        config = PipelineConfig.load(None, environ={})
         with pytest.raises(ConfigError, match="augment.provider.endpoint"):
             make_provider(config)
 
     def test_provider_built_from_config(self):
         config = PipelineConfig.load(
+            None,
             environ={
                 "HARMONIZER_AUGMENT_PROVIDER_ENDPOINT": "https://search.example/s",
                 "HARMONIZER_AUGMENT_PROVIDER_QUERY_PARAM": "query",
@@ -675,7 +676,7 @@ class TestAugmentStage:
     def test_provider_error_leaves_name_unaugmented(self, caplog, fresh_cache):
         cache = fresh_cache
         with caplog.at_level("WARNING", logger="harmonizer.augment"):
-            results = fetch_names(self.names(), _CannedProvider(fail=True), cache, threads=1)
+            results = fetch_names(self.names(), _CannedProvider(fail=True), cache, threads=1, refresh=False)
         assert results == dict.fromkeys(self.names())
         assert not any(name in cache for name in self.names())
         assert "augmentation failed" in caplog.text
@@ -683,10 +684,10 @@ class TestAugmentStage:
     def test_threaded_fetch_keys_results_by_record(self, fresh_cache):
         names = self.names(8)
         cache = fresh_cache
-        results = fetch_names(names, _CannedProvider(), cache, threads=4)
+        results = fetch_names(names, _CannedProvider(), cache, threads=4, refresh=False)
         assert list(results) == names
         assert all(r.first_url == "https://www.acme.example/" for r in results.values())
-        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(names)]
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name, patent_count=0, locations=frozenset()) for i, name in enumerate(names)]
         assert list(_augment_stage(records, cache).values()) == list(results.values())
 
     def test_refresh_refetches_and_survives_one_failure(self, fresh_cache):
@@ -711,7 +712,7 @@ class TestAugmentStage:
             assert cache.get(name) == results[name]
 
     def test_no_provider_and_empty_cache_yields_none(self, fresh_cache):
-        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name) for i, name in enumerate(self.names())]
+        records = [AssigneeRecord(record_id=f"r{i}", raw_name=name, patent_count=0, locations=frozenset()) for i, name in enumerate(self.names())]
         results = _augment_stage(records, fresh_cache)
         assert list(results) == ["r0", "r1", "r2"]
         assert all(v is None for v in results.values())
@@ -732,7 +733,7 @@ class TestAugmentStage:
 
     def test_fetch_creates_the_cache_file_and_directory(self, tmp_path):
         cache = AugmentationCache(tmp_path / "absent" / "dir" / "cache.jsonl")
-        fetch_names(self.names(), _CannedProvider(), cache, threads=2)
+        fetch_names(self.names(), _CannedProvider(), cache, threads=2, refresh=False)
         lines = cache.path.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["query_name"] for line in lines) == self.names()
 
@@ -741,7 +742,7 @@ class TestPrepareCorpus:
     def test_counts_and_artifacts(self, corpus60_paths, corpus60_config):
         records = load_assignee_table(corpus60_paths["input"])
         cache = AugmentationCache(corpus60_paths["cache"])
-        manifest = RunManifest("", 0)
+        manifest = RunManifest("", 0, {})
         corpus = prepare_corpus(corpus60_config, records[::-1], cache, manifest=manifest)
         counts = manifest.stage_counts
         assert counts["records"] == 60
@@ -802,7 +803,7 @@ def mixed_corpus(cache_path):
     for rid, raw, correction, url, text in rows:
         if rid not in ("r12", "r13"):
             cache.put(AugmentationResult(raw, correction, url, text))
-    config = PipelineConfig.load(environ={}, overrides={"augment": {"blocklist_k": 1}, "parse": {"common_words_n": 2}})
+    config = PipelineConfig.load(None, environ={}, overrides={"augment": {"blocklist_k": 1}, "parse": {"common_words_n": 2}})
     return config, records[::-1], cache
 
 
@@ -835,7 +836,7 @@ class TestPrepareOnceOracle:
 
     def test_mixed_corpus(self, tmp_path):
         config, records, cache = mixed_corpus(tmp_path / "cache.jsonl")
-        manifest = RunManifest("", 0)
+        manifest = RunManifest("", 0, {})
         got = prepare_corpus(config, records, cache, manifest=manifest)
         assert_same_corpus(got, reference_prepare(config, records, cache))
         # The corpus exercises what it is built for.
@@ -939,9 +940,9 @@ class TestTuningObjective:
         rng = random.Random(20)
         for _ in range(20):
             point = {name: rng.uniform(lo, hi) for name, lo, hi in SEARCH_SPACE}
-            weights, params = config.params_at(point)
+            params = config.params_at(point)
             table = score_pairs(corpus)
-            graph = build_graph(table, table.scores(weights), params)
+            graph = build_graph(table, table.scores(params), params)
             partition = refine_communities(graph, params)
             assert objective(point) == build_report(gold, partition.community)["f1"], point
 
@@ -974,6 +975,6 @@ class TestTuningObjective:
         # checked against tune.trials's range, fails as tune_pipeline starts.
         missing = tmp_path / "missing.tsv"
         with pytest.raises(ConfigError, match=message):
-            config = PipelineConfig.load(environ={}, overrides=overrides)
+            config = PipelineConfig.load(None, environ={}, overrides=overrides)
             tune_pipeline(config, missing, missing, missing, n_trials=n_trials)
         assert not missing.exists()

@@ -22,7 +22,7 @@ from harmonizer.tune import (
 
 
 def trial(trial_id, objective, **params):
-    return Trial(trial_id=trial_id, params=params, objective=objective, seed=0, elapsed_s=0.0)
+    return Trial(trial_id=trial_id, params=params, objective=objective, seed=0, elapsed_s=0.0, error=None)
 
 
 class TestSearchSpace:
@@ -58,7 +58,7 @@ class TestTpeConfig:
     @pytest.mark.parametrize("kwargs", [{"n_startup": -10}, {"n_startup": -2}, {"n_startup": -1}])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError, match="tune.n_startup must be >= 0"):
-            PipelineConfig.load(environ={}, overrides={"tune": kwargs})
+            PipelineConfig.load(None, environ={}, overrides={"tune": kwargs})
 
 
 class TestSplitTrials:
@@ -160,7 +160,7 @@ class TestOptimize:
     def test_quadratic_converges_reasonably(self):
         space = [("x", 0.0, 1.0)]
         history = optimize(
-            lambda p: -((p["x"] - 0.3) ** 2), space, 40, seed=11, initial=[]
+            lambda p: -((p["x"] - 0.3) ** 2), space, 40, n_startup=10, seed=11, initial=[], store_path=None
         )
         assert len(history.trials) == 40
         assert abs(history.best.params["x"] - 0.3) < 0.15
@@ -168,7 +168,7 @@ class TestOptimize:
     def test_initial_points_run_first(self):
         space = [("x", 0.0, 1.0)]
         history = optimize(
-            lambda p: p["x"], space, 5, seed=0, initial=[{"x": 0.123}, {"x": 0.456}]
+            lambda p: p["x"], space, 5, n_startup=10, seed=0, initial=[{"x": 0.123}, {"x": 0.456}], store_path=None
         )
         assert history.trials[0].params == {"x": 0.123}
         assert history.trials[1].params == {"x": 0.456}
@@ -179,7 +179,7 @@ class TestOptimize:
         def boom(params):
             raise RuntimeError("kaput")
 
-        history = optimize(boom, space, 3, seed=0, initial=[])
+        history = optimize(boom, space, 3, n_startup=10, seed=0, initial=[], store_path=None)
         assert all(t.objective == 0.0 for t in history.trials)
         assert all("kaput" in t.error for t in history.trials)
 
@@ -190,7 +190,7 @@ class TestOptimize:
     def test_store_round_trip(self, tmp_path):
         space = [("x", 0.0, 1.0)]
         store = tmp_path / "trials.jsonl"
-        history = optimize(lambda p: p["x"], space, 4, seed=3, initial=[], store_path=store)
+        history = optimize(lambda p: p["x"], space, 4, n_startup=10, seed=3, initial=[], store_path=store)
         lines = store.read_text(encoding="utf-8").splitlines()
         assert lines == [t.to_json() for t in history.trials]
         assert [json.loads(line) for line in lines] == [dataclasses.asdict(t) for t in history.trials]
@@ -198,10 +198,10 @@ class TestOptimize:
     def test_zero_trials_rejected(self):
         # The trial budget is checked as the config loads.
         with pytest.raises(ConfigError, match="tune.trials must be >= 1, got 0"):
-            PipelineConfig.load(environ={}, overrides={"tune": {"trials": 0}})
+            PipelineConfig.load(None, environ={}, overrides={"tune": {"trials": 0}})
 
     def test_deterministic_with_seed(self):
         space = [("x", 0.0, 1.0)]
-        h1 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, seed=5, initial=[])
-        h2 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, seed=5, initial=[])
+        h1 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, n_startup=10, seed=5, initial=[], store_path=None)
+        h2 = optimize(lambda p: -((p["x"] - 0.6) ** 2), space, 15, n_startup=10, seed=5, initial=[], store_path=None)
         assert [t.params for t in h1.trials] == [t.params for t in h2.trials]
