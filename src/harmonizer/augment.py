@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import hashlib
 import json
 import logging
 import re
@@ -85,10 +86,13 @@ _DECODER = json.JSONDecoder()
 class AugmentationCache:
     """JSONL-backed store keyed by the exact query name. Later lines win, so
     appending a fresh fetch overwrites without rewriting the file. Writes are
-    serialized behind a lock; reads are plain dict lookups."""
+    serialized behind a lock; reads are plain dict lookups. ``sha256`` is
+    the hex digest of the file's bytes as loaded, None when it did not
+    exist."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.sha256: Optional[str] = None
         self._store: dict[str, AugmentationResult] = {}
         self._lock = threading.Lock()
         # Byte length of the file without a torn final line, cut before the
@@ -102,10 +106,13 @@ class AugmentationCache:
     def _load(self, path: Path) -> None:
         """Read every line. A final line that fails to parse and has no
         newline is a write cut off by a killed process: it is skipped with a
-        warning. Any other bad line raises InputError."""
+        warning. Any other bad line raises InputError. Every byte read,
+        the torn line's too, goes into ``sha256``."""
         offset = 0
+        digest = hashlib.sha256()
         with path.open("rb") as fh:
             for line_no, raw in enumerate(fh, start=1):
+                digest.update(raw)
                 try:
                     line = raw.decode("utf-8").strip()
                     result = AugmentationResult.from_json(line) if line else None
@@ -118,6 +125,7 @@ class AugmentationCache:
                 if result is not None:
                     self._store[result.query_name] = result
                 offset += len(raw)
+        self.sha256 = digest.hexdigest()
 
     def get(self, query_name: str) -> Optional[AugmentationResult]:
         return self._store.get(query_name)

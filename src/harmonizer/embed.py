@@ -116,14 +116,25 @@ class NameVectors(Mapping[int, NameEmbedding]):
         return len(self.rows)
 
 
+def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``key``, a non-negative integer array, in
+    ascending order; the position in ``key`` of each one's first entry; and
+    for each entry of ``key``, the index of its value among the distinct
+    ones. One stable sort and a diff do it, in less memory than
+    ``np.unique``."""
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    new = np.diff(ranked, prepend=-1) != 0
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], order[new], inverse
+
+
 def _sum_by_key(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct value of ``key``, ascending, and the sum of its
-    ``weights`` added from 0.0 in input order: one stable sort groups the
-    keys and ``np.bincount`` adds each group."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.diff(key, prepend=-1) != 0
-    return key[new], np.bincount(np.cumsum(new) - 1, weights[order])
+    ``weights`` added from 0.0 in input order by ``np.bincount``."""
+    key, _, inverse = group_keys(key)
+    return key, np.bincount(inverse, weights)
 
 
 def _token_entries(distinct: Sequence[str], backend: HashingBackend) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,20 +217,14 @@ def pair_cosines(vectors: NameVectors, a: np.ndarray, b: np.ndarray) -> np.ndarr
     ``_CHUNK_PAIRS``, and copied to every pair holding it; two records on
     one row get exactly 1.0."""
     rows, norms = vectors.rows, vectors.norms
-    # One stable sort over the unordered row-pair keys groups equal pairs.
-    key = np.minimum(rows[a], rows[b]) * len(norms) + np.maximum(rows[a], rows[b])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.diff(key, prepend=-1) != 0
-    i, j = np.divmod(key[new], len(norms))
+    key, _, inverse = group_keys(np.minimum(rows[a], rows[b]) * len(norms) + np.maximum(rows[a], rows[b]))
+    i, j = np.divmod(key, len(norms))
     cos = np.ones(len(i))
     differ = np.flatnonzero(i != j)
     for start in range(0, len(differ), _CHUNK_PAIRS):
         batch = differ[start : start + _CHUNK_PAIRS]
         cos[batch] = _cosines(vectors, i[batch], j[batch])
-    out = np.empty(len(a))
-    out[order] = cos[np.cumsum(new) - 1]
-    return out
+    return cos[inverse]
 
 
 def _cosines(vectors: NameVectors, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .embed import NameVectors, pair_cosines
+from .embed import NameVectors, group_keys, pair_cosines
 from .ingest import AssigneeRecord
 from .parse import CleanName
 
@@ -59,10 +59,14 @@ class PairTable:
     hold 0 in the three token-based columns. ``location`` is 1 when the two
     records share a location key; it adds the graph's location boost and is
     not a matching condition. ``cos`` is the
-    embedding cosine, 0 when either embedding is degenerate. ``score_pairs``
-    fills int32 indices and uint8 conditions; the scalar
-    ``evaluate_conditions`` in ``tests/oracles.py`` is its pair-by-pair
-    oracle.
+    embedding cosine, 0 when either embedding is degenerate. ``pair`` is
+    the row's evidence pair: the unordered pair of the two records'
+    evidence classes (see ``score_pairs``), numbered 0, 1, ... in ascending
+    order of the class pair, classes themselves numbered in record order.
+    Rows of one evidence pair hold equal ``type1``, conditions, ``location``
+    and ``cos``. ``score_pairs`` fills int32 indices and evidence pairs and
+    uint8 conditions; the scalar ``evaluate_conditions`` in
+    ``tests/oracles.py`` is its pair-by-pair oracle.
     """
 
     ids: tuple[str, ...]
@@ -75,6 +79,7 @@ class PairTable:
     domain: np.ndarray
     location: np.ndarray
     cos: np.ndarray
+    pair: np.ndarray
 
     def __len__(self) -> int:
         return len(self.a)
@@ -305,50 +310,88 @@ class Corpus:
         return tuple(r.record_id for r in self.records)
 
 
+def _evidence_classes(corpus: Corpus) -> np.ndarray:
+    """Each record's evidence class, numbered in order of first record: twins,
+    records with the same name tokens, class, vector row, domain code, page
+    token set and location set, share a class. Every condition and the
+    cosine read only these columns."""
+    keys = zip(
+        (n.tokens for n in corpus.names),
+        corpus.type1.tolist(),
+        corpus.vectors.rows.tolist(),
+        corpus.domain.tolist(),
+        corpus.url_tokens,
+        (r.locations for r in corpus.records),
+    )
+    classes: dict = {}
+    return np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.int64)
+
+
 def score_pairs(corpus: Corpus) -> PairTable:
     """Evaluate the conditions of every candidate pair of ``corpus`` into a
     PairTable whose ``ids`` are the corpus's and whose ``a`` and ``b`` are
-    its candidates. Per-record data (token set, first token, own-page flag,
-    locations) is gathered once; per pair only set intersections remain,
-    the domain condition is one array expression over the domain codes, and
-    ``pair_cosines`` computes each distinct pair of vector rows once."""
-    names, type1, domain, url_tokens = corpus.names, corpus.type1, corpus.domain, corpus.url_tokens
+    its candidates. The candidates are grouped by their unordered pair of
+    evidence classes with one stable sort, and each distinct evidence pair
+    is evaluated once, on the first record of each of its classes: set
+    intersections for token, url and location, one array expression over
+    the domain codes, and ``pair_cosines``. Every column is then gathered
+    back to the candidate rows. A class paired with itself evaluates its
+    first record against itself, which gives its twins the values each pair
+    of them gets: cos 1, and every condition their evidence can fire."""
+    cls = _evidence_classes(corpus)
+    # rep[c] is class c's first record.
+    _, rep, _ = group_keys(cls)
     a, b = np.asarray(corpus.candidates, dtype=np.int32).reshape(-1, 2).T
+    key, _, pair = group_keys(np.minimum(cls[a], cls[b]) * len(rep) + np.maximum(cls[a], cls[b]))
+    # The two classes of each evidence pair.
+    x, y = np.divmod(key, len(rep))
+    reps = rep.tolist()
+    names = [corpus.names[r] for r in reps]
     tokens = [frozenset(n.tokens) for n in names]
+    url_tokens = [corpus.url_tokens[r] for r in reps]
     own = np.array([bool(t & page) for t, page in zip(tokens, url_tokens)], dtype=bool)
+    type1, domain, degenerate = corpus.type1[rep], corpus.domain[rep], corpus.vectors.degenerate[rep]
 
     def intersect(sets: Sequence[frozenset], rows: np.ndarray) -> list[bool]:
-        return [not sets[i].isdisjoint(sets[j]) for i, j in zip(a[rows].tolist(), b[rows].tolist())]
+        return [not sets[k].isdisjoint(sets[m]) for k, m in zip(x[rows].tolist(), y[rows].tolist())]
 
-    token, url = np.zeros((2, len(a)), dtype=np.uint8)
-    rows = np.flatnonzero(type1[a])
+    token, url = np.zeros((2, len(x)), dtype=np.uint8)
+    rows = np.flatnonzero(type1[x])
     token[rows] = intersect(tokens, rows)
-    rows = np.flatnonzero(type1[a] & own[a] & own[b])
+    rows = np.flatnonzero(type1[x] & own[x] & own[y])
     url[rows] = intersect(url_tokens, rows)
     firsts: dict[tuple[str, ...], int] = {}
     first_code = np.array([firsts.setdefault(n.tokens[:1], len(firsts)) for n in names], dtype=np.int64)
-    first = token & (first_code[a] == first_code[b])
-    same_domain = ((domain[a] >= 0) & (domain[a] == domain[b])).astype(np.uint8)
-    location = np.array(intersect([r.locations for r in corpus.records], np.arange(len(a))), dtype=np.uint8)
-    cos = np.zeros(len(a))
-    live = np.flatnonzero(~(corpus.vectors.degenerate[a] | corpus.vectors.degenerate[b]))
-    cos[live] = pair_cosines(corpus.vectors, a[live], b[live])
-    return PairTable(corpus.ids, a, b, type1[a], token, first, url, same_domain, location, cos)
+    first = token & (first_code[x] == first_code[y])
+    same_domain = ((domain[x] >= 0) & (domain[x] == domain[y])).astype(np.uint8)
+    location = np.array(intersect([corpus.records[r].locations for r in reps], np.arange(len(x))), dtype=np.uint8)
+    cos = np.zeros(len(x))
+    live = np.flatnonzero(~(degenerate[x] | degenerate[y]))
+    cos[live] = pair_cosines(corpus.vectors, rep[x[live]], rep[y[live]])
+    columns = (token, first, url, same_domain, location, cos)
+    return PairTable(corpus.ids, a, b, corpus.type1[a], *(column[pair] for column in columns), pair.astype(np.int32))
 
 
 def write_scored_pairs(table: PairTable, scores: np.ndarray, path: str | Path, threshold: float) -> None:
-    """Write the rows whose score is >= ``threshold``, in table order."""
+    """Write the rows whose score is >= ``threshold``, in table order.
+    ``scores`` holds one score per row, equal on the rows of one evidence
+    pair, as ``PairTable.scores`` gives them; the tail of a line after its
+    two ids is formatted once per distinct evidence pair among the rows
+    written."""
     rows = np.flatnonzero(scores >= threshold)
+    _, first_row, tail = group_keys(table.pair[rows])
     # token, first and url by the binary code type1 token first url; empty for type 2.
     binaries = ["\t\t"] * 8 + [f"{t}\t{f}\t{u}" for t in (0, 1) for f in (0, 1) for u in (0, 1)]
-    code = table.type1[rows] * 8 + table.token[rows] * 4 + table.first[rows] * 2 + table.url[rows]
-    columns = (table.a[rows], table.b[rows], code, table.domain[rows], table.cos[rows], scores[rows])
+    once = rows[first_row]
+    code = table.type1[once] * 8 + table.token[once] * 4 + table.first[once] * 2 + table.url[once]
+    columns = (code, table.domain[once], table.cos[once], scores[once])
+    tails = [f"{binaries[c]}\t{domain}\t{cos:.12g}\t{score:.12g}\n"
+             for c, domain, cos, score in zip(*(col.tolist() for col in columns))]
+    columns = (table.a[rows], table.b[rows], tail)
     ids = table.ids
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("\t".join(PAIRS_HEADER) + "\n")
         # 1,024 rows per write: one string for the whole table would grow with it.
         for start in range(0, len(rows), 1024):
             chunk = zip(*(col[start : start + 1024].tolist() for col in columns))
-            lines = [f"{ids[i]}\t{ids[j]}\t{binaries[c]}\t{domain}\t{cos:.12g}\t{score:.12g}\n"
-                     for i, j, c, domain, cos, score in chunk]
-            fh.write("".join(lines))
+            fh.write("".join([f"{ids[i]}\t{ids[j]}\t{tails[k]}" for i, j, k in chunk]))

@@ -295,8 +295,8 @@ def run_pipeline(
 
         stage = "augment"
         cache = AugmentationCache(cache_path)
-        if cache_path.exists():
-            manifest.inputs[str(cache_path)] = _sha256(cache_path)
+        if cache.sha256 is not None:
+            manifest.inputs[str(cache_path)] = cache.sha256
         _charge(manifest, "augment", t)
         corpus = prepare_corpus(config, records, cache, manifest=manifest)
 
@@ -309,6 +309,7 @@ def run_pipeline(
         params = config.params_at({})
         table = score_pairs(corpus)
         scores = table.scores(params)
+        manifest.stage_counts["evidence_pairs"] = int(table.pair.max(initial=-1)) + 1
         t = _charge(manifest, "score", t)
         write_scored_pairs(table, scores, work / "pairs.tsv", params.threshold)
         t = _charge(manifest, "write", t)

@@ -19,7 +19,9 @@ domain-code column. ``reference_candidate_pairs`` reuses the package's kind
 choice; it builds its own key sets and builds the pairs from them one
 Python int at a time. ``longest_first_tail_match`` tries every suffix
 length of a designator dictionary, where the package tries only those of
-the entries ending in the last token.
+the entries ending in the last token. ``reference_write_pairs`` formats
+every field of every ``pairs.tsv`` row, where the package formats a row's
+conditions, cosine and score once per evidence pair.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from harmonizer.augment import extract_domain, preprocess_url_text
 from harmonizer.embed import NameEmbedding, NameVectors, compute_idf
 from harmonizer.errors import InputError
 from harmonizer.graph import _BETA_MARGIN, Graph, bridgeness_centrality, louvain
-from harmonizer.match import Corpus, Params, blocking_key_kinds, generate_candidate_pairs
+from harmonizer.match import PAIRS_HEADER, Corpus, PairTable, Params, blocking_key_kinds, generate_candidate_pairs
 from harmonizer.parse import (
     CleanName,
     LegalDesignatorDictionary,
@@ -263,6 +265,19 @@ def matching_score(conditions: ConditionVector, params: Params) -> float:
         + params.w_first_token * conditions.first_token_common
         + params.w_url_text * conditions.url_text_common
     )
+
+
+def reference_write_pairs(table: PairTable, scores: np.ndarray, path, threshold: float) -> None:
+    """``pairs.tsv`` one row at a time: the header, then every row whose
+    score is >= ``threshold`` in table order, each field of each row
+    formatted on its own; type-2 rows leave token, first and urltext
+    empty."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(PAIRS_HEADER) + "\n")
+        for row in np.flatnonzero(scores >= threshold).tolist():
+            binaries = [table.token[row], table.first[row], table.url[row]] if table.type1[row] else ["", "", ""]
+            fields = [table.ids[table.a[row]], table.ids[table.b[row]], *binaries, table.domain[row]]
+            fh.write("\t".join(map(str, fields)) + f"\t{table.cos[row]:.12g}\t{scores[row]:.12g}\n")
 
 
 def brute_force_candidates(type1) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Search augmentation: cache, HTML extraction, domains, provider client."""
 
+import hashlib
 import json
 import math
 import threading
@@ -164,6 +165,18 @@ class TestAugmentationCache:
         cache.put(result("C"))
         reloaded = AugmentationCache(path)
         assert "A" in reloaded and "B" not in reloaded and "C" in reloaded
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut inside its last line"])
+    def test_sha256_is_the_bytes_read(self, tmp_path, corpus60_paths, cut):
+        """The digest taken while loading equals the file's, a torn final
+        line's bytes included, so a run reads the cache once."""
+        data = corpus60_paths["cache"].read_bytes()
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 20] if cut else data)
+        cache = AugmentationCache(path)
+        assert cache.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert len(cache._store) == data.count(b"\n") - cut
+        assert AugmentationCache(tmp_path / "absent.jsonl").sha256 is None
 
     @pytest.mark.parametrize("where", ["middle", "final with newline"])
     def test_corrupt_line_elsewhere_raises(self, tmp_path, where):

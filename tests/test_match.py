@@ -42,6 +42,7 @@ from oracles import (
     evaluate_conditions,
     matching_score,
     reference_candidate_pairs,
+    reference_write_pairs,
     sparse_vectors,
 )
 
@@ -699,6 +700,102 @@ class TestScorePairs:
         assert min(cases.values()) > 0, cases
 
 
+@st.composite
+def twin_corpora(draw):
+    """A ``Corpus`` of drawn evidence, each copied one to four times under
+    fresh ids and shuffled, with every same-class pair as a candidate: names
+    with no token (degenerate), type-2 names, no domain, empty pages and
+    empty location sets included. Also each record's ``PageInfo``, for the
+    oracle."""
+    words = SHARED_WORDS[:5]
+    evidence = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(words), max_size=3, unique=True),
+                st.booleans(),
+                st.none() | st.sampled_from(words),
+                st.frozensets(st.sampled_from(words), max_size=2),
+                st.frozensets(st.sampled_from(["espoo||fi", "york||uk"]), max_size=2),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    copies = draw(st.permutations([e[:5] for e in evidence for _ in range(e[5])]))
+    names = [CleanName(" ".join(tokens), tuple(tokens), not tokens) for tokens, *_ in copies]
+    type1 = np.array([is_type1 for _, is_type1, *_ in copies], dtype=bool)
+    infos = [PageInfo(domain, url_tokens) for _, _, domain, url_tokens, _ in copies]
+    ids = [f"r{k:03d}" for k in range(len(copies))]
+    locations = {rid: where for rid, (*_, where) in zip(ids, copies)}
+    vectors = embed_corpus(names, HashingBackend(dim=16), corpus_idf(names))
+    corpus = make_corpus(ids, names, type1, infos, vectors, brute_force_candidates(type1), locations)
+    return corpus, infos
+
+
+def evidence_key(corpus, k):
+    """Every column of record ``k`` that a condition or the cosine reads."""
+    return (corpus.names[k].tokens, bool(corpus.type1[k]), int(corpus.vectors.rows[k]), int(corpus.domain[k]),
+            corpus.url_tokens[k], corpus.records[k].locations)
+
+
+class TestEvidencePairs:
+    """``score_pairs`` evaluates each distinct evidence pair once; every row
+    holds what the record pair gives, and the numbering reads no hash."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(twin_corpora())
+    def test_rows_match_oracle_and_pairs_hold_equal_columns(self, drawn):
+        corpus, infos = drawn
+        table = score_pairs(corpus)
+        embeddings = list(corpus.vectors.values())
+        names, type1 = corpus.names, corpus.type1
+        assert table.pair.dtype == np.int32 and len(table.pair) == len(table)
+        for row, (i, j) in enumerate(corpus.candidates.tolist()):
+            cv = evaluate_conditions(names[i], names[j], type1[i], type1[j], infos[i], infos[j], embeddings[i], embeddings[j])
+            got = (table.token[row], table.first[row], table.url[row], table.domain[row], table.cos[row])
+            expected = (cv.token_common or 0, cv.first_token_common or 0, cv.url_text_common or 0, cv.domain_common, cv.cos)
+            assert got == expected, (row, got, expected)
+            where = corpus.records[i].locations & corpus.records[j].locations
+            assert table.location[row] == bool(where) and table.type1[row] == type1[i]
+        # Classes numbered by first record, and each pair of classes by its
+        # (smaller, larger) class numbers, with equality alone: no hash.
+        keys: list = []
+        cls = []
+        for k in range(len(names)):
+            key = evidence_key(corpus, k)
+            if key not in keys:
+                keys.append(key)
+            cls.append(keys.index(key))
+        class_pairs = [tuple(sorted((cls[i], cls[j]))) for i, j in corpus.candidates.tolist()]
+        distinct = sorted(set(class_pairs))
+        assert table.pair.tolist() == [distinct.index(p) for p in class_pairs]
+        columns = (table.type1, table.token, table.first, table.url, table.domain, table.location, table.cos)
+        for p in range(len(distinct)):
+            rows = table.pair == p
+            assert all(len(set(column[rows].tolist())) == 1 for column in columns), p
+
+    @pytest.mark.parametrize("threshold", [-math.inf, 1.5])
+    def test_writer_matches_row_by_row_oracle(self, tmp_path, threshold):
+        """Twins, type-2 rows and more than 1,024 written rows, so lines
+        formatted once per evidence pair cross a write boundary."""
+        names, type1, infos = random_blocking_corpus(random.Random(7), 40)
+        copies = [k for k in range(len(names)) for _ in range(1 + k % 3)]
+        random.Random(8).shuffle(copies)
+        names, type1, infos = [names[k] for k in copies], type1[copies], [infos[k] for k in copies]
+        ids = [f"r{k:03d}" for k in range(len(names))]
+        vectors = embed_corpus(names, HashingBackend(dim=32), corpus_idf(names))
+        table = score_pairs(make_corpus(ids, names, type1, infos, vectors, brute_force_candidates(type1)))
+        scores = table.scores(UNIT)
+        kept = scores >= threshold
+        if threshold == -math.inf:
+            assert kept.sum() > 1024
+        assert (~table.type1[kept]).any() and int(table.pair.max()) + 1 < len(table)
+        write_scored_pairs(table, scores, tmp_path / "pairs.tsv", threshold)
+        reference_write_pairs(table, scores, tmp_path / "reference.tsv", threshold)
+        assert (tmp_path / "pairs.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         corpus = small_corpus()
@@ -729,7 +826,8 @@ class TestPairsIO:
         cv = ConditionVector(NameClass.TYPE2, None, None, None, 1, 0.25)
         zero = np.zeros(1, dtype=np.uint8)
         table = PairTable(
-            ("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, zero, np.array([0.25])
+            ("a", "b"), np.array([0]), np.array([1]), np.array([False]), zero, zero, zero, zero + 1, zero, np.array([0.25]),
+            np.zeros(1, dtype=np.int32),
         )
         path = tmp_path / "pairs.tsv"
         write_scored_pairs(table, table.scores(UNIT), path, -math.inf)

@@ -153,7 +153,7 @@ class TestArtifacts:
         counts = corpus60_run["manifest"]["stage_counts"]
         assert set(counts) == {
             "records", "augmented", "corrected", "type1", "type2", "degenerate", "vector_rows",
-            "candidate_pairs", "edges", "communities",
+            "candidate_pairs", "evidence_pairs", "edges", "communities",
         }
         assert counts["records"] == 60
         assert counts["augmented"] == 60
@@ -164,6 +164,8 @@ class TestArtifacts:
         assert counts["vector_rows"] == 36
         assert counts["communities"] == 12
         assert counts["candidate_pairs"] >= counts["edges"] > 0
+        # Distinct evidence pairs: twins collapse 192 candidates to 156.
+        assert counts["evidence_pairs"] == 156
         assert counts["candidate_pairs"] == corpus60_run["manifest"]["blocking"]["candidate_pairs"]
 
     def test_manifest_blocking_and_versions(self, corpus60_run):
